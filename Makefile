@@ -1,8 +1,16 @@
 # Development targets for the cloudlens reproduction.
 #
 #   make test        — tier-1: build + unit tests (what CI gates on)
-#   make verify      — vet + full test suite under the race detector; required
-#                      before merging changes to the parallel pipeline
+#   make verify      — bench-check, then vet + full test suite under the race
+#                      detector; required before merging changes to the
+#                      parallel pipeline
+#   make bench-check — cloudbench's own unit tests plus a smoke run of its
+#                      four workloads (~10 s), whose correctness checks
+#                      (resumed-kb-equals-checkpointed, fault-ledgers-reconcile,
+#                      output hashes equal across iterations) fail the target
+#   make stress      — the concurrency-sensitive streaming tests (replayer
+#                      cancellation, checkpoint, resume; -short) under -race,
+#                      20 times each at 1, 2 and 4 cores (~5 min)
 #   make test-faults — fault-tolerance goldens under -race: fault-matrix
 #                      ledger reconciliation, kill/resume checkpoint golden,
 #                      and the paginated-walk-during-ingestion hammer
@@ -42,7 +50,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate bench-http diffcheck fuzz-smoke lint
+.PHONY: all build test verify bench-check stress test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate bench-http diffcheck fuzz-smoke lint
 
 all: build
 
@@ -52,9 +60,19 @@ build:
 test: build
 	$(GO) test ./...
 
-verify:
+verify: bench-check
 	$(GO) vet ./...
 	$(GO) test -race ./...
+
+# bench/ is its own module, invisible to ./... above.
+bench-check:
+	$(GO) test -C bench ./...
+	bash bench/run.sh -smoke
+
+# -short drops the full-week goldens and the 36-replay codec matrix: stress
+# is about schedules, which the hand-built traces exercise as well.
+stress:
+	$(GO) test -race -short -count=20 -cpu 1,2,4 -timeout 30m -run 'Replayer|Checkpoint|Resume' ./internal/stream
 
 test-faults:
 	$(GO) test -race -run 'Fault|Checkpoint|Resume|Harden|Reorder|Gap|Pagination|Shard' \
@@ -102,9 +120,14 @@ diffcheck: build
 # untrusted-input decoder in turn: 5 seconds of generated inputs on top of
 # the checked-in seed corpus.
 FUZZTIME ?= 5s
+# Checkpoint inputs are tens of kilobytes (fixed-size utilization sketches),
+# and the fuzzer's default minimization budget of 60 s per interesting input
+# would spend the whole smoke shrinking the first one it finds.
+FUZZMINIMIZE ?= -fuzzminimizetime=20x
 fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/faultgen
-	$(GO) test -run=NONE -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) ./internal/stream
+	$(GO) test -run=NONE -fuzz=FuzzReadCheckpoint -fuzztime=$(FUZZTIME) $(FUZZMINIMIZE) ./internal/stream
+	$(GO) test -run=NONE -fuzz=FuzzDecodeShardSection -fuzztime=$(FUZZTIME) $(FUZZMINIMIZE) ./internal/stream
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCursor -fuzztime=$(FUZZTIME) ./internal/kb
 	$(GO) test -run=NONE -fuzz=FuzzParseListParams -fuzztime=$(FUZZTIME) ./internal/kb

@@ -332,11 +332,7 @@ func run() error {
 		// replay reached, so -resume continues from here, not from the
 		// last timer tick.
 		if path := checkpointPath(*ckptDir); path != "" {
-			if info, err := pipe.SaveCheckpoint(path); err != nil {
-				logger.Error("final checkpoint failed", "path", path, "err", err)
-			} else {
-				logger.Info("final checkpoint written", "path", path, "step", info.Step)
-			}
+			saveCheckpoint(pipe, path, logger, slog.LevelInfo, "final checkpoint")
 		}
 		if *save != "" {
 			if err := store.SaveFile(*save); err != nil {
@@ -428,13 +424,22 @@ func checkpointLoop(ctx context.Context, pipe *cloudlens.StreamPipeline, path st
 		if pipe.Status().Done {
 			return
 		}
-		info, err := pipe.SaveCheckpoint(path)
-		if err != nil {
-			logger.Error("checkpoint failed", "path", path, "err", err)
-			continue
-		}
-		logger.Debug("checkpoint written", "path", path, "step", info.Step)
+		saveCheckpoint(pipe, path, logger, slog.LevelDebug, "checkpoint")
 	}
+}
+
+// saveCheckpoint writes one checkpoint and logs the step it holds, its
+// size, and how long the write took — at level on success, as an error
+// otherwise. what names the snapshot in the message.
+func saveCheckpoint(pipe *cloudlens.StreamPipeline, path string, logger *slog.Logger, level slog.Level, what string) {
+	start := time.Now()
+	info, err := pipe.SaveCheckpoint(path)
+	if err != nil {
+		logger.Error(what+" failed", "path", path, "err", err)
+		return
+	}
+	logger.Log(context.Background(), level, what+" written",
+		"path", path, "step", info.Step, "bytes", info.Bytes, "duration", time.Since(start))
 }
 
 // pprofMux serves the standard pprof surface on a dedicated mux so the

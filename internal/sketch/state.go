@@ -5,8 +5,8 @@ import "fmt"
 // Exported state mirrors of every sketch type. A State value captures the
 // complete accumulator — decoding it and folding further samples produces
 // exactly the sketch that was never serialized — and carries only exported
-// fields so it can pass through encoding/gob or encoding/json unchanged.
-// These are the building blocks of the streaming pipeline's checkpoints.
+// fields, which the streaming pipeline's checkpoint codec (internal/stream
+// codec.go) lays out field by field and any reflective encoder can walk.
 
 // WelfordState is the serializable form of a Welford accumulator.
 type WelfordState struct {
@@ -103,9 +103,9 @@ func (a *AutoCorr) State() AutoCorrState {
 }
 
 // AutoCorrFromState reconstructs the accumulator a State was captured from.
-// The per-lag sum slices must all match the lag count and the ring must not
-// exceed the largest lag; mismatches indicate a corrupted or incompatible
-// snapshot.
+// The per-lag sum slices must all match the lag count and the ring length
+// must be the one the sample count implies; mismatches indicate a corrupted
+// or incompatible snapshot.
 func AutoCorrFromState(s AutoCorrState) (*AutoCorr, error) {
 	if len(s.SumProd) != len(s.Lags) || len(s.HeadSum) != len(s.Lags) || len(s.TailSum) != len(s.Lags) {
 		return nil, fmt.Errorf("sketch: autocorr state has %d lags but %d/%d/%d sums",
@@ -119,8 +119,12 @@ func AutoCorrFromState(s AutoCorrState) (*AutoCorr, error) {
 		}
 	}
 	a := NewAutoCorr(s.Lags...)
-	if len(s.Ring) > a.maxLag {
-		return nil, fmt.Errorf("sketch: autocorr ring of %d exceeds max lag %d", len(s.Ring), a.maxLag)
+	// Add indexes the ring by the sample count, so the two must agree: the
+	// ring holds every sample until it reaches the largest lag, then stays
+	// that long.
+	if want := min(s.W.N, int64(a.maxLag)); s.W.N < 0 || int64(len(s.Ring)) != want {
+		return nil, fmt.Errorf("sketch: autocorr ring holds %d samples, a count of %d under max lag %d needs %d",
+			len(s.Ring), s.W.N, a.maxLag, want)
 	}
 	a.ring = append(a.ring[:0], s.Ring...)
 	a.w = WelfordFromState(s.W)

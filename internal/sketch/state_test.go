@@ -7,9 +7,10 @@ import (
 	"testing"
 )
 
-// gobCycle pushes a state value through encoding/gob, the codec checkpoints
-// use, so the round-trip tests cover the wire format and not just the
-// in-memory copy.
+// gobCycle pushes a state value through encoding/gob, so the round-trip
+// tests cover a State's exported fields as a serializer sees them and not
+// just the in-memory copy. (The checkpoint codec itself lays the same fields
+// out by hand; internal/stream tests that format.)
 func gobCycle(t *testing.T, in, out interface{}) {
 	t.Helper()
 	var buf bytes.Buffer
@@ -167,5 +168,13 @@ func TestAutoCorrMergeAfterDecode(t *testing.T) {
 		SumProd: []float64{0}, HeadSum: []float64{0}, TailSum: []float64{0},
 	}); err == nil {
 		t.Fatal("oversized ring did not error")
+	}
+	// Add indexes the ring by the sample count: a count the ring does not
+	// back used to panic there, samples later.
+	if _, err := AutoCorrFromState(AutoCorrState{
+		Lags: []int{3}, Ring: make([]float32, 2), W: WelfordState{N: 113},
+		SumProd: []float64{0}, HeadSum: []float64{0}, TailSum: []float64{0},
+	}); err == nil {
+		t.Fatal("a 2-sample ring under a count of 113 did not error")
 	}
 }

@@ -1,14 +1,13 @@
 package stream
 
 import (
-	"compress/gzip"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"cloudlens/internal/core"
@@ -16,46 +15,15 @@ import (
 	"cloudlens/internal/trace"
 )
 
-// Checkpoint format (DESIGN.md §8, §11): a gzip stream of two gob values —
-// a preamble carrying magic, version, and the trace fingerprint, then the
-// engine state: the shard count plus one ShardCheckpoint per shard (a
-// single-ingestor pipeline writes exactly one). Every sketch serializes
-// through its exported State type (internal/sketch/state.go), whose
-// round-trip is exact, so a resumed run folds the remaining stream into
-// bit-identical accumulators. The version gates decoding: a reader refuses
-// newer snapshots outright instead of misinterpreting them, and bumping
-// CheckpointVersion is required whenever any serialized shape below changes.
-
-const (
-	checkpointMagic = "cloudlens-checkpoint"
-	// CheckpointVersion is the serialization version of the snapshot
-	// payload. v2 added per-accumulator GapSteps, which a resumed GapSkip
-	// run needs to flush qualification aggregates at the right steps; v3
-	// records the shard count and one snapshot per shard, so a sharded
-	// pipeline resumes each shard's ring and accumulators independently;
-	// v4 stores pending reorder slots in the columnar layout the hot path
-	// carries them in (VM/CPU columns plus row-form extras); v5 records the
-	// workload family and grid interval in the preamble (a snapshot resumed
-	// under a different taxonomy or sampling interval would corrupt every
-	// accumulator) and the serverless evidence fields (PeakMax, IdleN) per
-	// accumulator.
-	CheckpointVersion = 5
-)
-
-// preamble is decoded alone before the payload so mismatches fail fast and
-// with a precise error. Family and StepNanos are also folded into the
-// fingerprint; carrying them explicitly turns "fingerprint mismatch" into a
-// message that names what actually differs.
-type preamble struct {
-	Magic       string
-	Version     int
-	Fingerprint uint64
-	Family      core.Family
-	StepNanos   int64
-}
-
-// The DTOs below mirror the ingestor's unexported state with exported
-// fields only, which is all encoding/gob requires of a payload. Keys stay
+// Checkpoints (DESIGN.md §8, §11). This file holds the decoded form — the
+// DTOs below — with the capture that fills them from a live engine, the
+// domain validation every decode and restore runs, and the restore that
+// rebuilds an engine from them; codec.go holds the byte format. Every sketch
+// serializes through its exported State type (internal/sketch/state.go),
+// whose round-trip is exact, so a resumed run folds the remaining stream
+// into bit-identical accumulators.
+//
+// The DTOs mirror the ingestor's unexported state field for field. Keys stay
 // strings (not interned ids) so the serialized form is independent of the
 // intern table's assignment order.
 
@@ -213,39 +181,25 @@ func TraceFingerprint(tr *trace.Trace) uint64 {
 	return h.Sum64()
 }
 
-// writeCheckpoint serializes an already-captured engine snapshot to w.
-func writeCheckpoint(w io.Writer, tr *trace.Trace, ck *Checkpoint) error {
-	zw := gzip.NewWriter(w)
-	enc := gob.NewEncoder(zw)
-	pre := preamble{
-		Magic:       checkpointMagic,
-		Version:     CheckpointVersion,
-		Fingerprint: TraceFingerprint(tr),
-		Family:      tr.Family,
-		StepNanos:   int64(tr.Grid.Step),
-	}
-	if err := enc.Encode(pre); err != nil {
-		return fmt.Errorf("stream: encode checkpoint preamble: %w", err)
-	}
-	if err := enc.Encode(ck); err != nil {
-		return fmt.Errorf("stream: encode checkpoint: %w", err)
-	}
-	return zw.Close()
-}
-
 // WriteCheckpoint serializes the ingestor's complete state to w as a
 // single-shard checkpoint. It holds the read lock only while capturing the
 // snapshot, so ingestion pauses but snapshot readers do not.
 func (ing *Ingestor) WriteCheckpoint(w io.Writer) error {
+	_, err := writeCheckpoint(w, ing.tr, ing.captureCheckpoint())
+	return err
+}
+
+// captureCheckpoint implements Engine.
+func (ing *Ingestor) captureCheckpoint() *Checkpoint {
 	sc := ing.snapshot()
-	return writeCheckpoint(w, ing.tr, &Checkpoint{
+	return &Checkpoint{
 		ShardCount:      1,
 		LastStep:        sc.LastStep,
 		SamplesIngested: sc.SamplesIngested,
 		StepsIngested:   sc.StepsIngested,
 		FoldCount:       sc.FoldCount,
 		Shards:          []*ShardCheckpoint{sc},
-	})
+	}
 }
 
 // snapshot captures a deep copy of the ingestor state under the read lock.
@@ -341,48 +295,14 @@ func (ing *Ingestor) checkpointLocked() *ShardCheckpoint {
 }
 
 // ReadCheckpoint decodes a checkpoint written by WriteCheckpoint, verifying
-// magic, version, and that the snapshot belongs to the given trace.
+// magic, version, checksums, and that the snapshot belongs to the given
+// trace.
 func ReadCheckpoint(r io.Reader, tr *trace.Trace) (*Checkpoint, error) {
-	zr, err := gzip.NewReader(r)
+	data, err := io.ReadAll(r)
 	if err != nil {
-		return nil, fmt.Errorf("stream: checkpoint is not gzip: %w", err)
+		return nil, fmt.Errorf("stream: read checkpoint: %w", err)
 	}
-	defer zr.Close()
-	dec := gob.NewDecoder(zr)
-	var pre preamble
-	if err := dec.Decode(&pre); err != nil {
-		return nil, fmt.Errorf("stream: decode checkpoint preamble: %w", err)
-	}
-	if pre.Magic != checkpointMagic {
-		return nil, fmt.Errorf("stream: not a cloudlens checkpoint (magic %q)", pre.Magic)
-	}
-	if pre.Version != CheckpointVersion {
-		return nil, fmt.Errorf("stream: checkpoint version %d, this build reads %d", pre.Version, CheckpointVersion)
-	}
-	// Family and interval are part of the fingerprint too, but checking them
-	// first turns an opaque hash mismatch into an actionable refusal: a
-	// snapshot of one taxonomy or sampling interval must never seed the
-	// accumulators of another.
-	if !pre.Family.Valid() {
-		return nil, fmt.Errorf("stream: checkpoint carries unknown workload family %d", int(pre.Family))
-	}
-	if pre.Family != tr.Family {
-		return nil, fmt.Errorf("stream: checkpoint holds %s-family state, trace is the %s family", pre.Family, tr.Family)
-	}
-	if pre.StepNanos != int64(tr.Grid.Step) {
-		return nil, fmt.Errorf("stream: checkpoint was written on a %v grid, trace samples every %v", time.Duration(pre.StepNanos), tr.Grid.Step)
-	}
-	if fp := TraceFingerprint(tr); pre.Fingerprint != fp {
-		return nil, fmt.Errorf("stream: checkpoint fingerprint %016x does not match trace %016x (different seed, scale, or universe)", pre.Fingerprint, fp)
-	}
-	var ck Checkpoint
-	if err := dec.Decode(&ck); err != nil {
-		return nil, fmt.Errorf("stream: decode checkpoint: %w", err)
-	}
-	if err := ck.validate(tr); err != nil {
-		return nil, err
-	}
-	return &ck, nil
+	return decodeCheckpoint(data, tr)
 }
 
 // validate rejects engine checkpoints whose shape is internally
@@ -444,17 +364,20 @@ func (ck *ShardCheckpoint) effectiveRingLen() int {
 }
 
 // validate rejects checkpoints whose decoded fields would panic, hang, or
-// silently corrupt a restored ingestor. Gob guarantees types, not domains:
-// a flipped bit can turn MaxClassifyPerSub negative (a [:negative] slice
-// panic in buildProfile), plant an out-of-range VM index or NaN reading in
-// a pending reorder slot (an index panic or quarantine bypass at the first
-// fold), or rewind an accumulator's Next far enough that the next sample
-// "repairs" a billion-step gap. Everything checked here was found by
-// fuzzing ReadCheckpoint over mutated snapshot bytes.
+// silently corrupt a restored ingestor. The codec guarantees widths, not
+// domains: a wrong value can turn MaxClassifyPerSub negative (a
+// [:negative] slice panic in buildProfile), plant an out-of-range VM index
+// or NaN reading in a pending reorder slot (an index panic or quarantine
+// bypass at the first fold), rewind an accumulator's Next far enough that
+// the next sample "repairs" a billion-step gap, or size the reorder ring in
+// gigabytes. Everything checked here was found by fuzzing ReadCheckpoint
+// and decodeShardSection over mutated bytes.
 func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 	n := tr.Grid.N
 	ringLen := ck.effectiveRingLen()
 	keys := tr.Keys()
+	lags := newLagSet(tr.Grid.StepsPerHour()).all
+	hours := tr.Grid.Hours()
 	if ck.LastStep < -1 || ck.LastStep > n {
 		return fmt.Errorf("stream: checkpoint last step %d outside [-1, %d]", ck.LastStep, n)
 	}
@@ -463,6 +386,10 @@ func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 	}
 	if ck.MaxClassifyPerSub < 0 {
 		return fmt.Errorf("stream: checkpoint classification cap %d is negative", ck.MaxClassifyPerSub)
+	}
+	if ck.MaxLatenessSteps > n {
+		// The reorder ring is allocated from this number.
+		return fmt.Errorf("stream: checkpoint lateness bound %d exceeds the %d-step window", ck.MaxLatenessSteps, n)
 	}
 	switch ck.GapPolicy {
 	case GapCarry, GapSkip, GapInterpolate:
@@ -511,6 +438,10 @@ func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 		if !(st.Last >= 0 && st.Last <= 1) && st.Seen {
 			return fmt.Errorf("stream: checkpoint accumulator for VM %d holds out-of-domain last reading %v", st.Idx, st.Last)
 		}
+		// The sketch must track the lags this grid's classifier reads.
+		if !slices.Equal(st.AC.Lags, lags) {
+			return fmt.Errorf("stream: checkpoint accumulator for VM %d tracks lags %v, this grid's are %v", st.Idx, st.AC.Lags, lags)
+		}
 		// Gap steps must be strictly increasing holes inside the observed
 		// span, or qualify's step-reconstruction walk misattributes (or
 		// never terminates advancing past) every flushed sample.
@@ -526,16 +457,37 @@ func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 		if _, ok := keys.SubIndex(ss.ID); !ok {
 			return fmt.Errorf("stream: checkpoint carries subscription %s not in trace", ss.ID)
 		}
+		if err := validHistogram(ss.Util, subBins); err != nil {
+			return fmt.Errorf("stream: checkpoint subscription %s: %w", ss.ID, err)
+		}
 		for _, c := range ss.Retired {
 			if !c.Pattern.Valid() {
 				return fmt.Errorf("stream: checkpoint subscription %s retired VM %d with unknown pattern %d", ss.ID, c.Idx, c.Pattern)
 			}
 		}
-		for r := range ss.RegionHours {
+		for r, rh := range ss.RegionHours {
 			if _, ok := keys.RegionIndex(r); !ok {
 				return fmt.Errorf("stream: checkpoint subscription %s reports from region %q not in trace", ss.ID, r)
 			}
+			if len(rh.Sum) != hours || len(rh.N) != hours {
+				return fmt.Errorf("stream: checkpoint subscription %s region %q holds %d/%d hourly sums, the window has %d hours", ss.ID, r, len(rh.Sum), len(rh.N), hours)
+			}
 		}
+	}
+	for c, cs := range ck.Clouds {
+		if err := validHistogram(cs.Util, cloudBins); err != nil {
+			return fmt.Errorf("stream: checkpoint cloud %v: %w", c, err)
+		}
+	}
+	return nil
+}
+
+// validHistogram requires a restored utilization sketch to have the
+// geometry this build constructs: live sketches are merged with fresh ones
+// on the read path, and Merge panics on a mismatch.
+func validHistogram(h sketch.HistogramState, bins int) error {
+	if h.Lo != 0 || h.Hi != 1 || len(h.Counts) != bins {
+		return fmt.Errorf("utilization sketch spans [%v, %v] in %d bins, want [0, 1] in %d", h.Lo, h.Hi, len(h.Counts), bins)
 	}
 	return nil
 }
@@ -741,10 +693,13 @@ func setOf(keys []string) map[string]bool {
 
 // CheckpointInfo describes the most recent durable snapshot.
 type CheckpointInfo struct {
+	// Step is the newest batch step the file holds (its LastStep), not the
+	// step ingestion had reached by the time the write finished.
 	Step    int       `json:"step"`
 	At      time.Time `json:"at"`
 	Path    string    `json:"path"`
 	Version int       `json:"version"`
+	Bytes   int64     `json:"bytes"`
 }
 
 // SaveCheckpoint writes the pipeline's current state to path atomically
@@ -756,7 +711,9 @@ func (p *Pipeline) SaveCheckpoint(path string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	defer os.Remove(tmp.Name())
-	if err := p.eng.WriteCheckpoint(tmp); err != nil {
+	ck := p.eng.captureCheckpoint()
+	size, err := writeCheckpoint(tmp, p.tr, ck)
+	if err != nil {
 		tmp.Close()
 		return CheckpointInfo{}, err
 	}
@@ -767,15 +724,17 @@ func (p *Pipeline) SaveCheckpoint(path string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	info := CheckpointInfo{
-		Step:    p.eng.Progress().Step,
+		Step:    ck.LastStep,
 		At:      time.Now(),
 		Path:    path,
 		Version: CheckpointVersion,
+		Bytes:   size,
 	}
 	p.mu.Lock()
 	p.lastCkpt = info
 	p.mu.Unlock()
 	mCheckpoints.Inc()
+	mCheckpointBytes.SetInt(int(size))
 	mCheckpointSeconds.Observe(time.Since(start).Seconds())
 	return info, nil
 }
@@ -789,14 +748,20 @@ func (p *Pipeline) LastCheckpoint() (CheckpointInfo, bool) {
 }
 
 // LoadCheckpointFile reads and validates a checkpoint file against the
-// trace.
+// trace. The file is read whole, in one buffer sized from its length, and
+// the buffer is garbage once the decoded checkpoint is returned.
 func LoadCheckpointFile(path string, tr *trace.Trace) (*Checkpoint, error) {
-	f, err := os.Open(path)
+	start := time.Now()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadCheckpoint(f, tr)
+	ck, err := decodeCheckpoint(data, tr)
+	if err != nil {
+		return nil, err
+	}
+	mCheckpointLoadSeconds.Observe(time.Since(start).Seconds())
+	return ck, nil
 }
 
 // NewResumedPipeline builds a pipeline that continues ingestion from a

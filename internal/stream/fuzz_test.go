@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cloudlens/internal/core"
+	"cloudlens/internal/trace"
 )
 
 // checkpointedIngestor feeds a few hand-built batches — including a delayed
@@ -59,8 +62,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add([]byte("not a checkpoint"))
 	f.Add(valid[:len(valid)/2])
 	// A handful of single-byte corruptions of the real snapshot seed the
-	// mutator close to the interesting surface (gob payload, not gzip CRC).
-	for _, i := range []int{0, 10, len(valid) / 2, len(valid) - 1} {
+	// mutator at each layer of refusal: magic, version, an envelope field
+	// (header checksum), and the section payload (section checksum). What
+	// lies below the checksums is FuzzDecodeShardSection's.
+	for _, i := range []int{0, len(checkpointMagic), envelopeLen - 1, len(valid) - 1} {
 		mut := append([]byte(nil), valid...)
 		mut[i] ^= 0x41
 		f.Add(mut)
@@ -71,22 +76,62 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if err != nil {
 			return // rejection is the common, correct outcome
 		}
-		// Whatever decoding accepted must restore into a working ingestor
-		// (or be refused with an error): fold the pending ring, ingest one
-		// more clean batch, and build every profile.
-		ing, err := RestoreIngestor(tr, Options{FoldEverySteps: 10000}, ck)
+		restoreAndFinish(t, tr, ck)
+	})
+}
+
+// FuzzDecodeShardSection mutates one shard section below the checksum that
+// guards it in a file: a CRC makes random file mutations die early, so the
+// section parser — count prefixes, tags, map order — gets its own target.
+// An accepted section must be the canonical encoding of what it decoded to,
+// and must restore (or be refused by validation) like any checkpoint.
+func FuzzDecodeShardSection(f *testing.F) {
+	valid := encodeShardSection(checkpointOf(f).Shards[0])
+	f.Add(valid)
+	f.Add([]byte{})
+	f.Add(valid[:len(valid)/2])
+	for _, i := range []int{0, len(valid) / 3, len(valid) / 2, len(valid) - 1} {
+		mut := append([]byte(nil), valid...)
+		mut[i] ^= 0x41
+		f.Add(mut)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sc, err := decodeShardSection(data)
 		if err != nil {
 			return
 		}
-		next := ck.LastStep + 1
-		if next >= 0 && next < tr.Grid.N {
-			ing.ObserveBatch(batchOf(next, sampleAt(0, next, 0.5)))
+		if again := encodeShardSection(sc); !bytes.Equal(again, data) {
+			t.Fatalf("accepted a %d-byte section that re-encodes to %d different bytes", len(data), len(again))
 		}
-		ing.Finish()
-		if _, ok := ing.KB().Get("micro"); !ok {
-			t.Fatal("restored ingestor lost the subscription profile")
-		}
+		tr := microTrace()
+		restoreAndFinish(t, tr, &Checkpoint{
+			ShardCount:      1,
+			LastStep:        sc.LastStep,
+			SamplesIngested: sc.SamplesIngested,
+			StepsIngested:   sc.StepsIngested,
+			FoldCount:       sc.FoldCount,
+			Shards:          []*ShardCheckpoint{sc},
+		})
 	})
+}
+
+// restoreAndFinish holds whatever decoding accepted to the restore
+// contract: it restores into a working ingestor or is refused with an
+// error, and the ingestor folds the pending ring, ingests one more clean
+// batch, and builds every profile without panicking or hanging.
+func restoreAndFinish(t *testing.T, tr *trace.Trace, ck *Checkpoint) {
+	ing, err := RestoreIngestor(tr, Options{FoldEverySteps: 10000}, ck)
+	if err != nil {
+		return
+	}
+	next := ck.LastStep + 1
+	if next >= 0 && next < tr.Grid.N {
+		ing.ObserveBatch(batchOf(next, sampleAt(0, next, 0.5)))
+	}
+	ing.Finish()
+	if _, ok := ing.KB().Get("micro"); !ok {
+		t.Fatal("restored ingestor lost the subscription profile")
+	}
 }
 
 // TestWriteReadCheckpointCorpus regenerates the checked-in seed corpus for
@@ -118,7 +163,7 @@ func TestWriteReadCheckpointCorpus(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsNegativeClassifyCap pins a fuzz-found crash: gob
+// TestRestoreRejectsNegativeClassifyCap pins a fuzz-found crash: a decoder
 // faithfully delivers a negative MaxClassifyPerSub (one flipped sign bit),
 // withDefaults only replaces a zero value, and buildProfile then slices
 // cands[:negative] — a panic raised inside RestoreIngestor itself while
@@ -207,6 +252,38 @@ func TestRestoreRejectsCorruptAutoCorrLags(t *testing.T) {
 	ck.Shards[0].Accs[0].AC.Lags[0] = -1
 	if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
 		t.Fatal("RestoreIngestor accepted an autocorrelation lag of -1")
+	}
+}
+
+// TestRestoreRejectsForeignGeometry pins what fuzzing the section parser
+// below its checksum found: decoded state whose shape differs from what this
+// build constructs is refused up front, because each field sizes an
+// allocation or is indexed later — the lateness bound allocates the reorder
+// ring (one flipped high bit asked for 120 GB), hourly region sums are
+// indexed by window hour at the next sample, live histograms are merged with
+// fresh ones on the read path (Merge panics on a geometry mismatch), and the
+// lag set is what the classifier looks its evidence up under.
+func TestRestoreRejectsForeignGeometry(t *testing.T) {
+	for name, mut := range map[string]func(*ShardCheckpoint){
+		"lateness past the window": func(sc *ShardCheckpoint) { sc.MaxLatenessSteps = 1<<30 + 2 },
+		"foreign lag set":          func(sc *ShardCheckpoint) { sc.Accs[0].AC.Lags[0]++ },
+		"short subscription sketch": func(sc *ShardCheckpoint) {
+			sc.Subs[0].Util.Counts = sc.Subs[0].Util.Counts[:subBins-1]
+		},
+		"shifted cloud sketch": func(sc *ShardCheckpoint) {
+			cs := sc.Clouds[core.Private]
+			cs.Util.Hi = 2
+			sc.Clouds[core.Private] = cs
+		},
+		"short region hours": func(sc *ShardCheckpoint) {
+			sc.Subs[0].RegionHours["r1"] = regionHourState{Sum: make([]float64, 3), N: make([]float64, 3)}
+		},
+	} {
+		ck := checkpointOf(t)
+		mut(ck.Shards[0])
+		if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
+			t.Errorf("RestoreIngestor accepted a checkpoint with %s", name)
+		}
 	}
 }
 

@@ -1051,7 +1051,7 @@ func mean(sum, n float64) float64 {
 	return sum / n
 }
 
-func sortedKeys(set map[string]bool) []string {
+func sortedKeys[V any](set map[string]V) []string {
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)

@@ -21,7 +21,11 @@ var (
 	mCheckpoints = obs.Default.Counter("cloudlens_stream_checkpoints_total",
 		"Durable checkpoints written.")
 	mCheckpointSeconds = obs.Default.Histogram("cloudlens_stream_checkpoint_duration_seconds",
-		"Wall-clock duration of checkpoint writes (serialize + fsync + rename).", obs.DefLatencyBuckets)
+		"Wall-clock duration of checkpoint writes (capture + encode + write + rename).", obs.DefLatencyBuckets)
+	mCheckpointBytes = obs.Default.Gauge("cloudlens_stream_checkpoint_bytes",
+		"Size of the most recent durable checkpoint file.")
+	mCheckpointLoadSeconds = obs.Default.Histogram("cloudlens_stream_checkpoint_load_duration_seconds",
+		"Wall-clock duration of checkpoint loads (read + checksum + decode + validate).", obs.DefLatencyBuckets)
 	mMergeSeconds = obs.Default.Histogram("cloudlens_stream_merge_duration_seconds",
 		"Wall-clock duration of hour-barrier shard merges (quiesce + fold into the published store).", obs.DefLatencyBuckets)
 

@@ -45,6 +45,10 @@ type Engine interface {
 	FaultStats() FaultStats
 	// WriteCheckpoint serializes a resumable snapshot of the engine.
 	WriteCheckpoint(w io.Writer) error
+	// captureCheckpoint deep-copies the engine's state at a batch boundary;
+	// WriteCheckpoint is this plus the codec. Pipeline.SaveCheckpoint calls
+	// the two halves itself to report the step the file actually holds.
+	captureCheckpoint() *Checkpoint
 	// Progress reports ingestion counters.
 	Progress() Progress
 	// ShardVitals reports per-shard progress, nil for a single ingestor.

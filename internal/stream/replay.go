@@ -543,8 +543,13 @@ func (r *Replayer) Run(ctx context.Context) error {
 // send delivers one batch, counting backpressure: a full channel means the
 // consumer is slower than the replay clock, so the non-blocking first
 // attempt failing is exactly one stall. The occupancy gauge tracks the
-// channel depth right after each delivery.
+// channel depth right after each delivery. Cancellation is consulted before
+// the fast path: a consumer that keeps draining never fills the channel, so
+// the blocking branch alone would let a cancelled replay run to the end.
 func (r *Replayer) send(ctx context.Context, b StepBatch) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	select {
 	case r.ch <- b:
 	default:

@@ -525,11 +525,17 @@ func (g *shardGroup) Profile(id core.SubscriptionID) (LiveProfile, bool) {
 	return LiveProfile{Profile: *p}, true
 }
 
-// WriteCheckpoint implements Engine: quiesce the shards, deep-copy each
-// shard's snapshot at a common step boundary, and serialize the v4
-// multi-shard checkpoint.
+// WriteCheckpoint implements Engine.
 func (g *shardGroup) WriteCheckpoint(w io.Writer) error {
+	_, err := writeCheckpoint(w, g.tr, g.captureCheckpoint())
+	return err
+}
+
+// captureCheckpoint implements Engine: quiesce the shards and deep-copy
+// each shard's snapshot at a common step boundary.
+func (g *shardGroup) captureCheckpoint() *Checkpoint {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	var release chan struct{}
 	if !g.closed {
 		release = g.barrierLocked()
@@ -543,7 +549,7 @@ func (g *shardGroup) WriteCheckpoint(w io.Writer) error {
 	if release != nil {
 		close(release)
 	}
-	ck := &Checkpoint{
+	return &Checkpoint{
 		ShardCount:      len(g.shards),
 		LastStep:        int(g.lastStep.Load()),
 		SamplesIngested: samples,
@@ -551,6 +557,4 @@ func (g *shardGroup) WriteCheckpoint(w io.Writer) error {
 		FoldCount:       g.foldCount.Load(),
 		Shards:          snaps,
 	}
-	g.mu.Unlock()
-	return writeCheckpoint(w, g.tr, ck)
 }

@@ -145,9 +145,9 @@ func TestShardInvarianceExactGenerated(t *testing.T) {
 	requireSameLiveState(t, "generated shards=4", runPipeline(t, tr, sopts), ref)
 }
 
-// killEngineAt replays a fresh engine up to and including batch stopStep,
-// snapshots it, and aborts — the sharded analogue of killAt.
-func killEngineAt(t *testing.T, tr *trace.Trace, opts Options, stopStep int) *bytes.Buffer {
+// engineAt replays a fresh engine up to and including batch stopStep and
+// returns it quiesced, the replay cancelled; the caller aborts it.
+func engineAt(t *testing.T, tr *trace.Trace, opts Options, stopStep int) Engine {
 	t.Helper()
 	rep := NewReplayer(tr, opts)
 	eng := NewEngine(tr, opts)
@@ -167,11 +167,19 @@ func killEngineAt(t *testing.T, tr *trace.Trace, opts Options, stopStep int) *by
 		// Lost with the process, exactly like a kill.
 	}
 	<-errCh
+	return eng
+}
+
+// killEngineAt snapshots a fresh engine after batch stopStep and aborts it
+// — the sharded analogue of killAt.
+func killEngineAt(t *testing.T, tr *trace.Trace, opts Options, stopStep int) *bytes.Buffer {
+	t.Helper()
+	eng := engineAt(t, tr, opts, stopStep)
+	defer eng.Abort()
 	var buf bytes.Buffer
 	if err := eng.WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("write sharded checkpoint at step %d: %v", stopStep, err)
 	}
-	eng.Abort()
 	return &buf
 }
 
