@@ -11,6 +11,12 @@
 #   make stress      — the concurrency-sensitive streaming tests (replayer
 #                      cancellation, checkpoint, resume; -short) under -race,
 #                      20 times each at 1, 2 and 4 cores (~5 min)
+#   make test-batch  — the batch kernels under -race at 1, 2 and 4 cores: the
+#                      transform, detector, classifier, series synthesiser and
+#                      series cache with their oracles, then the root package's
+#                      determinism and golden-hash tests (the kernels keep
+#                      process-wide state — transform plans under sync.Once,
+#                      pooled scratch — which one core cannot exercise)
 #   make test-faults — fault-tolerance goldens under -race: fault-matrix
 #                      ledger reconciliation, kill/resume checkpoint golden,
 #                      and the paginated-walk-during-ingestion hammer
@@ -50,7 +56,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench-check stress test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate bench-http diffcheck fuzz-smoke lint
+.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate bench-http diffcheck fuzz-smoke lint
 
 all: build
 
@@ -73,6 +79,10 @@ bench-check:
 # is about schedules, which the hand-built traces exercise as well.
 stress:
 	$(GO) test -race -short -count=20 -cpu 1,2,4 -timeout 30m -run 'Replayer|Checkpoint|Resume' ./internal/stream
+
+test-batch:
+	$(GO) test -race -cpu 1,2,4 ./internal/fft ./internal/periodic ./internal/classify ./internal/usage ./internal/trace
+	$(GO) test -race -cpu 1,2,4 -run 'Determinis|Golden|Cached' .
 
 test-faults:
 	$(GO) test -race -run 'Fault|Checkpoint|Resume|Harden|Reorder|Gap|Pagination|Shard' \

@@ -11,9 +11,14 @@ package classify
 
 import (
 	"cloudlens/internal/core"
+	"cloudlens/internal/obs"
 	"cloudlens/internal/periodic"
 	"cloudlens/internal/stats"
 )
+
+// classifiedSeries counts one per series, by either family's classifier.
+var classifiedSeries = obs.Default.Counter("cloudlens_classify_series_total",
+	"Series handed to classify.Classify or classify.ClassifyInvocation.")
 
 // Options tunes the classifier; the zero value selects defaults calibrated
 // for a 5-minute, one-week grid.
@@ -72,6 +77,7 @@ type Result struct {
 // fraction sampled uniformly; it should cover at least two days for the
 // daily test to be meaningful.
 func Classify(series []float64, opts Options) Result {
+	classifiedSeries.Inc()
 	opts = opts.withDefaults()
 	res := Result{Pattern: core.PatternIrregular}
 	if len(series) == 0 {

@@ -105,6 +105,7 @@ type InvocationResult struct {
 // running peak, an idle counter), so batch and stream agree wherever the
 // evidence is not razor-thin against a threshold.
 func ClassifyInvocation(series []float64, opts InvocationOptions) InvocationResult {
+	classifiedSeries.Inc()
 	opts = opts.withDefaults()
 	if len(series) == 0 {
 		return InvocationResult{Pattern: core.PatternUnknown}

@@ -66,12 +66,6 @@ type ExtractOptions struct {
 	MaxClassifyPerSub int
 	// ShortBinMinutes is the shortest-lifetime-bin width (default 30).
 	ShortBinMinutes int
-	// Cache, when non-nil, supplies memoized per-VM utilization series
-	// shared with other consumers of the same trace (e.g. Characterize);
-	// extraction then skips re-materializing series the analyses already
-	// paid for. Leave nil for standalone extraction — each worker keeps
-	// its series in one reused scratch buffer instead.
-	Cache *trace.SeriesCache
 }
 
 func (o ExtractOptions) withDefaults() ExtractOptions {
@@ -209,16 +203,10 @@ func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
 			continue
 		}
 		if classified < opts.MaxClassifyPerSub {
-			var series []float64
-			if opts.Cache != nil {
-				series, _ = opts.Cache.Series(v) // spans exactly [from, to)
-			} else {
-				buf = v.Usage.SeriesInto(buf, t.Grid, from, to)
-				series = buf
-			}
-			p.PatternShares[cl.classify(series)]++
+			buf = v.Usage.SeriesInto(buf, t.Grid, from, to)
+			p.PatternShares[cl.classify(buf)]++
 			classified++
-			for i, u := range series {
+			for i, u := range buf {
 				utilSum += u
 				utilN++
 				h := t.Grid.HourOf(from+i) % 24
@@ -262,7 +250,7 @@ func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
 		p.PeakHourUTC = peak
 	}
 	if len(p.Regions) > 1 {
-		p.RegionAgnosticScore = regionAgnosticScore(t, opts.Cache, vms)
+		p.RegionAgnosticScore = regionAgnosticScore(t, vms)
 	}
 	return p, buf
 }
@@ -286,7 +274,7 @@ func sortedKeys(set map[string]bool) []string {
 // regionAgnosticScore computes the mean pairwise Pearson correlation of the
 // subscription's region-averaged hourly utilization, across all its
 // deployment regions.
-func regionAgnosticScore(t *trace.Trace, c *trace.SeriesCache, vms []*trace.VM) float64 {
+func regionAgnosticScore(t *trace.Trace, vms []*trace.VM) float64 {
 	stepsPerHour := t.Grid.StepsPerHour()
 	hours := t.Grid.Hours()
 	minSteps := MinProfileStepsFor(t.Grid)
@@ -296,10 +284,6 @@ func regionAgnosticScore(t *trace.Trace, c *trace.SeriesCache, vms []*trace.VM) 
 		from, to, ok := v.AliveRange(t.Grid.N)
 		if !ok || to-from < minSteps {
 			continue
-		}
-		var vmSeries []float64
-		if c != nil {
-			vmSeries, _ = c.Series(v) // spans exactly [from, to)
 		}
 		series := perRegion[v.Region]
 		counts := perRegionN[v.Region]
@@ -312,11 +296,7 @@ func regionAgnosticScore(t *trace.Trace, c *trace.SeriesCache, vms []*trace.VM) 
 		for h := 0; h < hours; h++ {
 			step := h * stepsPerHour
 			if from <= step && step < to {
-				if vmSeries != nil {
-					series[h] += vmSeries[step-from]
-				} else {
-					series[h] += v.Usage.At(t.Grid, step)
-				}
+				series[h] += v.Usage.At(t.Grid, step)
 				counts[h]++
 			}
 		}

@@ -21,10 +21,15 @@ package periodic
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"cloudlens/internal/fft"
+	"cloudlens/internal/obs"
 	"cloudlens/internal/stats"
 )
+
+var detectCalls = obs.Default.Counter("cloudlens_periodic_detect_total",
+	"Series handed to periodic.Detect.")
 
 // Period is a detected periodicity.
 type Period struct {
@@ -74,17 +79,59 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// hint is a candidate period read off the periodogram.
+type hint struct {
+	lag   int
+	power float64
+}
+
+// scratch is Detect's working memory. Every slice is overwritten over the
+// range a call reads before it reads it, so a pooled scratch carries nothing
+// from one series to the next; only the returned periods are allocated.
+type scratch struct {
+	centered []float64    // the series minus its mean
+	spec     []complex128 // bins 0…m/2 of whichever transform ran last
+	power    []float64    // |X[k]|² over all m bins
+	acf      []float64    // lags 0…n/2
+	hints    []hint
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// sized returns *buf with length n, reallocating only to grow; what it
+// holds is whatever the last call left there.
+func sized[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
 // Detect returns the validated periods of the series, strongest
 // autocorrelation first. Series shorter than eight samples or with no
 // variance yield no periods.
+//
+// Both stages come from one spectrum. The centered series, zero-padded to
+// m = 2·NextPow2(n), is transformed once. Its even bins are the
+// NextPow2(n)-point periodogram the hints are read from (doubling the
+// padding interleaves new bins between the old ones: X_m[2k] = X_{m/2}[k]);
+// and because |X[k]|² over all m bins is real and even, its forward
+// transform is m times the circular autocorrelation of the padded series
+// (Wiener-Khinchin), which the 2x padding makes the linear one for every lag
+// below n. Two real-input transforms of m/2 complex points each, O(n log n),
+// which matters when classifying thousands of VMs.
 func Detect(series []float64, opts Options) []Period {
+	detectCalls.Inc()
 	opts = opts.withDefaults()
 	n := len(series)
 	if n < 8 {
 		return nil
 	}
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+
 	mean := stats.Mean(series)
-	centered := make([]float64, n)
+	centered := sized(&s.centered, n)
 	variance := 0.0
 	for i, v := range series {
 		centered[i] = v - mean
@@ -94,27 +141,32 @@ func Detect(series []float64, opts Options) []Period {
 		return nil
 	}
 
-	spectrum := fft.PowerSpectrum(centered)
-	padded := (len(spectrum) - 1) * 2
+	padded := fft.NextPow2(n) // the periodogram's length
+	m := 2 * padded           // the transform's
+	spec := sized(&s.spec, padded+1)
+	fft.TransformReal(spec, centered)
+	power := sized(&s.power, m)
+	for k, x := range spec {
+		power[k] = real(x)*real(x) + imag(x)*imag(x)
+	}
+	for k := 1; k < padded; k++ {
+		power[m-k] = power[k]
+	}
 
-	// Normalize against the strongest non-DC bin.
+	// Normalize against the strongest non-DC periodogram bin.
 	maxPower := 0.0
-	for k := 1; k < len(spectrum); k++ {
-		if spectrum[k] > maxPower {
-			maxPower = spectrum[k]
+	for k := 2; k <= padded; k += 2 {
+		if power[k] > maxPower {
+			maxPower = power[k]
 		}
 	}
 	if maxPower == 0 {
 		return nil
 	}
 
-	type hint struct {
-		lag   int
-		power float64
-	}
-	var hints []hint
-	for k := 1; k < len(spectrum); k++ {
-		p := spectrum[k] / maxPower
+	hints := s.hints[:0]
+	for k := 1; k <= padded/2; k++ {
+		p := power[2*k] / maxPower
 		if p < opts.MinPower {
 			continue
 		}
@@ -126,39 +178,44 @@ func Detect(series []float64, opts Options) []Period {
 		}
 		hints = append(hints, hint{lag: lag, power: p})
 	}
+	s.hints = hints
 	sort.Slice(hints, func(i, j int) bool { return hints[i].power > hints[j].power })
 	if len(hints) > opts.MaxCandidates {
 		hints = hints[:opts.MaxCandidates]
 	}
 
-	acf := autocorrelation(centered, variance, n/2)
+	// The normalized ACF for lags [0, n/2].
+	fft.TransformReal(spec, power)
+	acf := sized(&s.acf, n/2+1)
+	for lag := range acf {
+		acf[lag] = real(spec[lag]) / float64(m) / variance
+	}
 
 	var periods []Period
-	seen := make(map[int]bool)
 	for _, h := range hints {
-		if opts.SkipACFValidation {
-			if seen[h.lag] {
+		lag := h.lag
+		if !opts.SkipACFValidation {
+			lag = hillClimb(acf, h.lag)
+			if lag < 2 || lag > n/2 || !onHill(acf, lag) || acf[lag] < opts.MinACF {
 				continue
 			}
-			seen[h.lag] = true
-			periods = append(periods, Period{Lag: h.lag, ACF: acf[h.lag], Power: h.power})
+		}
+		if hasLag(periods, lag) {
 			continue
 		}
-		lag := hillClimb(acf, h.lag)
-		if lag < 2 || lag > n/2 || seen[lag] {
-			continue
-		}
-		if !onHill(acf, lag) {
-			continue
-		}
-		if acf[lag] < opts.MinACF {
-			continue
-		}
-		seen[lag] = true
 		periods = append(periods, Period{Lag: lag, ACF: acf[lag], Power: h.power})
 	}
 	sort.Slice(periods, func(i, j int) bool { return periods[i].ACF > periods[j].ACF })
 	return periods
+}
+
+func hasLag(periods []Period, lag int) bool {
+	for _, p := range periods {
+		if p.Lag == lag {
+			return true
+		}
+	}
+	return false
 }
 
 // Dominant returns the single best validated period and true, or the zero
@@ -169,29 +226,6 @@ func Dominant(series []float64, opts Options) (Period, bool) {
 		return Period{}, false
 	}
 	return ps[0], true
-}
-
-// autocorrelation returns the normalized ACF of a centered series for lags
-// [0, maxLag]. It uses the Wiener-Khinchin theorem (inverse FFT of the power
-// spectrum with 2x zero padding) so a week-long series costs O(n log n)
-// rather than O(n^2), which matters when classifying thousands of VMs.
-func autocorrelation(centered []float64, variance float64, maxLag int) []float64 {
-	m := fft.NextPow2(2 * len(centered))
-	x := make([]complex128, m)
-	for i, v := range centered {
-		x[i] = complex(v, 0)
-	}
-	fft.Transform(x)
-	for i := range x {
-		re, im := real(x[i]), imag(x[i])
-		x[i] = complex(re*re+im*im, 0)
-	}
-	fft.Inverse(x)
-	acf := make([]float64, maxLag+1)
-	for lag := 0; lag <= maxLag; lag++ {
-		acf[lag] = real(x[lag]) / variance
-	}
-	return acf
 }
 
 // hillClimb walks from lag to the nearest local maximum of the ACF.

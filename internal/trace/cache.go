@@ -94,20 +94,6 @@ func (c *SeriesCache) Series(v *VM) (series []float64, from int) {
 	return e.series, e.from
 }
 
-// At returns the VM's utilization at step from the cached series, or 0
-// when the VM is not alive at that step. Values are bit-identical to
-// v.Usage.At because materialization evaluates the same pure function.
-func (c *SeriesCache) At(v *VM, step int) float64 {
-	if !v.AliveAt(step) {
-		return 0
-	}
-	series, from := c.Series(v)
-	if series == nil || step < from || step >= from+len(series) {
-		return 0
-	}
-	return series[step-from]
-}
-
 // NodeSeriesInto computes a node's utilization over [from, to) like
 // Trace.NodeSeriesInto, but sums the cached per-VM series instead of
 // re-evaluating the usage models. Summation visits VMs in slice order and

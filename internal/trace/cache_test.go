@@ -77,21 +77,6 @@ func TestSeriesCacheMatchesDirectMaterialization(t *testing.T) {
 	}
 }
 
-func TestSeriesCacheAtMatchesUsageAt(t *testing.T) {
-	tr := cacheTestTrace(t)
-	c := NewSeriesCache(tr)
-	v := &tr.VMs[1]
-	for _, step := range []int{0, 99, 100, 101, 499, 500, 1000} {
-		want := 0.0
-		if v.AliveAt(step) {
-			want = v.Usage.At(tr.Grid, step)
-		}
-		if got := c.At(v, step); got != want {
-			t.Fatalf("At(step=%d) = %v, want %v", step, got, want)
-		}
-	}
-}
-
 func TestSeriesCacheForeignVMFallsBack(t *testing.T) {
 	tr := cacheTestTrace(t)
 	c := NewSeriesCache(tr)

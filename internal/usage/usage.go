@@ -29,10 +29,15 @@ package usage
 import (
 	"fmt"
 	"math"
+	"time"
 
 	"cloudlens/internal/core"
+	"cloudlens/internal/obs"
 	"cloudlens/internal/sim"
 )
+
+var seriesSteps = obs.Default.Counter("cloudlens_usage_series_steps_total",
+	"VM-steps materialized by usage.Params.SeriesInto.")
 
 // Params fully describes a utilization model. The zero value is not valid;
 // construct instances via the workload generator or the helper constructors
@@ -130,7 +135,7 @@ func (p Params) Validate() error {
 }
 
 // anchorOffset returns the minutes offset that anchors the daily cycle.
-func (p Params) anchorOffset() int {
+func (p *Params) anchorOffset() int {
 	if p.UTCAnchored {
 		return 0
 	}
@@ -139,42 +144,63 @@ func (p Params) anchorOffset() int {
 
 // At returns the CPU utilization fraction in [0, 1] at sample step of grid g.
 func (p Params) At(g sim.Grid, step int) float64 {
-	var v float64
+	return p.at(g, step)
+}
+
+// at is At behind a pointer: the model helpers below all take *Params so the
+// struct is copied once per exported call, not once per helper.
+func (p *Params) at(g sim.Grid, step int) float64 {
 	switch p.Pattern {
-	case core.PatternDiurnal:
-		v = p.Base + p.diurnalComponent(g, step)
-	case core.PatternStable:
-		v = p.Base
-	case core.PatternIrregular:
-		v = p.Base + p.spikeComponent(step)
-	case core.PatternHourlyPeak:
-		v = p.Base + p.hourlyPeakComponent(g, step)
+	case core.PatternDiurnal, core.PatternHourlyPeak:
+		off := p.anchorOffset()
+		m := g.MinuteOfDay(step, off)
+		return p.atBell(step, m, p.bell(m), g.IsWeekend(step, off))
+	case core.PatternIrregular, core.PatternSpiky:
+		return p.jitter(step, p.Base+p.spikeComponent(step))
 	case core.PatternBursty:
-		v = p.Base + p.burstComponent(g, step)
-	case core.PatternSteady:
-		v = p.Base
-	case core.PatternSpiky:
-		v = p.Base + p.spikeComponent(step)
-	default:
-		v = p.Base
+		return p.jitter(step, p.Base+p.burstComponent(g, step))
+	default: // stable, steady
+		return p.jitter(step, p.Base)
 	}
+}
+
+// atBell is at for the two patterns that ride on the daily bell, given what
+// the step's local time decides: its minute of day m, the bell's value at m,
+// and whether its day is a weekend day. At works all three out for the one
+// step; SeriesInto carries the bell over from the same minute of an earlier
+// day and the weekend flag over from the previous step of the same day.
+// Either way the arithmetic from here on is the same.
+func (p *Params) atBell(step, m int, bell float64, weekend bool) float64 {
+	env := p.diurnalComponent(bell, weekend)
+	if p.Pattern == core.PatternHourlyPeak {
+		return p.jitter(step, p.Base+p.hourlyPeakComponent(m, env))
+	}
+	return p.jitter(step, p.Base+env)
+}
+
+// jitter adds the per-sample noise to v and clamps the result into [0, 1].
+func (p *Params) jitter(step int, v float64) float64 {
 	v += p.NoiseAmp * sim.NoiseSigned(p.Seed, step)
 	return clamp01(v)
 }
 
-// diurnalComponent is the daily bell including the weekend damping.
-func (p Params) diurnalComponent(g sim.Grid, step int) float64 {
-	off := p.anchorOffset()
-	m := g.MinuteOfDay(step, off)
+// bell is the sharpened daily bell in [0, 1] at minute-of-day m: 1 at
+// PeakMinute, 0 twelve hours away. It depends on the step only through m.
+func (p *Params) bell(m int) float64 {
 	phase := 2 * math.Pi * float64(m-p.PeakMinute) / (24 * 60)
 	bell := 0.5 * (1 + math.Cos(phase))
 	sharp := p.Sharpness
 	if sharp <= 0 {
 		sharp = 1
 	}
-	bell = math.Pow(bell, sharp)
+	return math.Pow(bell, sharp)
+}
+
+// diurnalComponent is the daily bell scaled by the amplitude, including the
+// weekend damping.
+func (p *Params) diurnalComponent(bell float64, weekend bool) float64 {
 	amp := p.Amp
-	if g.IsWeekend(step, off) {
+	if weekend {
 		wf := p.WeekendFactor
 		if wf == 0 {
 			wf = 1
@@ -188,7 +214,7 @@ func (p Params) diurnalComponent(g sim.Grid, step int) float64 {
 // spike is drawn once per block so spikes persist for SpikeBlockSteps
 // samples, matching the "raises above 60% for a short time with no apparent
 // sign" description.
-func (p Params) spikeComponent(step int) float64 {
+func (p *Params) spikeComponent(step int) float64 {
 	if p.SpikeBlockSteps <= 0 || p.SpikeProb <= 0 {
 		return 0
 	}
@@ -202,12 +228,10 @@ func (p Params) spikeComponent(step int) float64 {
 	return p.SpikeLevel * height
 }
 
-// hourlyPeakComponent produces the meeting-join peaks: a daytime diurnal
-// envelope plus tall spikes in the first PeakWidthMin minutes of each hour
-// (and optionally half-hour).
-func (p Params) hourlyPeakComponent(g sim.Grid, step int) float64 {
-	env := p.diurnalComponent(g, step)
-	m := g.MinuteOfDay(step, p.anchorOffset())
+// hourlyPeakComponent produces the meeting-join peaks: the daytime diurnal
+// envelope env plus tall spikes in the first PeakWidthMin minutes of each
+// hour (and optionally half-hour) of minute-of-day m.
+func (p *Params) hourlyPeakComponent(m int, env float64) float64 {
 	minuteOfHour := m % 60
 	inPeak := minuteOfHour < p.PeakWidthMin
 	if p.HalfHourPeaks && minuteOfHour >= 30 && minuteOfHour < 30+p.PeakWidthMin {
@@ -236,7 +260,7 @@ const (
 // cold-start penalty when the previous block was idle. Like every model it
 // is a pure function of (Params, grid, step) — whether block b-1 burst is
 // recomputed, never stored.
-func (p Params) burstComponent(g sim.Grid, step int) float64 {
+func (p *Params) burstComponent(g sim.Grid, step int) float64 {
 	if p.BurstBlockSteps <= 0 || p.BurstProb <= 0 {
 		return 0
 	}
@@ -253,26 +277,13 @@ func (p Params) burstComponent(g sim.Grid, step int) float64 {
 }
 
 // burstsAt decides whether block b bursts: one seeded draw per block,
-// accepted with a probability that follows the diurnal envelope at the
-// block's first sample (bursts cluster in the function's busy hours but
-// never fully stop off-peak).
-func (p Params) burstsAt(g sim.Grid, b int) bool {
-	env := p.burstEnvelope(g, b*p.BurstBlockSteps)
+// accepted with a probability that follows the daily bell at the block's
+// first sample (bursts cluster in the function's busy hours but never fully
+// stop off-peak).
+func (p *Params) burstsAt(g sim.Grid, b int) bool {
+	env := p.bell(g.MinuteOfDay(b*p.BurstBlockSteps, p.anchorOffset()))
 	draw := sim.Noise01(p.Seed^burstDrawSalt, b)
 	return draw < p.BurstProb*(0.25+0.75*env)
-}
-
-// burstEnvelope is the normalized [0, 1] diurnal bell the burst
-// probability rides on.
-func (p Params) burstEnvelope(g sim.Grid, step int) float64 {
-	m := g.MinuteOfDay(step, p.anchorOffset())
-	phase := 2 * math.Pi * float64(m-p.PeakMinute) / (24 * 60)
-	bell := 0.5 * (1 + math.Cos(phase))
-	sharp := p.Sharpness
-	if sharp <= 0 {
-		sharp = 1
-	}
-	return math.Pow(bell, sharp)
 }
 
 // Series materializes the utilization fractions for steps [from, to).
@@ -284,6 +295,12 @@ func (p Params) Series(g sim.Grid, from, to int) []float64 {
 // into buf, reallocating only when buf is too small. Hot paths that
 // materialize many series transiently (classification sweeps, correlation
 // studies) pass a per-worker scratch buffer to keep allocations flat.
+//
+// Element i equals At(g, from+i) exactly. For the patterns that ride on the
+// daily bell — one cosine and one power per evaluation — the bell is
+// evaluated once per distinct minute of day and reused on the days after,
+// which cannot change a bit because the bell is a function of the minute of
+// day alone; likewise the day of the week is looked up once per local day.
 func (p Params) SeriesInto(buf []float64, g sim.Grid, from, to int) []float64 {
 	if to > g.N {
 		to = g.N
@@ -295,14 +312,40 @@ func (p Params) SeriesInto(buf []float64, g sim.Grid, from, to int) []float64 {
 		return nil
 	}
 	n := to - from
+	seriesSteps.Add(int64(n))
 	var out []float64
 	if cap(buf) >= n {
 		out = buf[:n]
 	} else {
 		out = make([]float64, n)
 	}
-	for i := range out {
-		out[i] = p.At(g, from+i)
+	switch p.Pattern {
+	case core.PatternDiurnal, core.PatternHourlyPeak:
+		// day[m] is the bell at minute m once evaluated. 0 stands for "not
+		// yet": a bell that really is 0 (twelve hours off the peak) is
+		// simply evaluated again.
+		var day [24 * 60]float64
+		off := p.anchorOffset()
+		// Steps shorter than a day enter a new local day exactly when the
+		// minute of day wraps; prev starts past the last minute so the
+		// first step looks its day up too. Longer steps look up every day.
+		everyStep := g.Step >= 24*time.Hour
+		weekend, prev := false, 24*60
+		for i := range out {
+			m := g.MinuteOfDay(from+i, off)
+			if m < prev || everyStep {
+				weekend = g.IsWeekend(from+i, off)
+			}
+			prev = m
+			if day[m] == 0 {
+				day[m] = p.bell(m)
+			}
+			out[i] = p.atBell(from+i, m, day[m], weekend)
+		}
+	default:
+		for i := range out {
+			out[i] = p.at(g, from+i)
+		}
 	}
 	return out
 }
@@ -320,7 +363,7 @@ func (p Params) MeanOver(g sim.Grid, from, to int) float64 {
 	}
 	sum := 0.0
 	for i := from; i < to; i++ {
-		sum += p.At(g, i)
+		sum += p.at(g, i)
 	}
 	return sum / float64(to-from)
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cloudlens/internal/core"
 	"cloudlens/internal/sim"
@@ -184,17 +185,70 @@ func TestHourlyPeakAlignment(t *testing.T) {
 	}
 }
 
+// TestSeriesMatchesAt: SeriesInto is At, step by step and bit for bit — for
+// every pattern of both families, on sub-minute to coarse grids, under every
+// anchoring, over windows that stay inside a day, cross the weekend boundary
+// and cover the whole grid, into a buffer that still holds another series.
 func TestSeriesMatchesAt(t *testing.T) {
-	p := Diurnal(0.1, 0.3, 12*60, 21)
-	series := p.Series(grid, 100, 200)
-	if len(series) != 100 {
-		t.Fatalf("series length %d, want 100", len(series))
+	hourlyNoHalf := HourlyPeak(0.06, 0.3, 13*60, 24)
+	hourlyNoHalf.HalfHourPeaks = false
+	models := []struct {
+		name string
+		p    Params
+	}{
+		{"diurnal", Diurnal(0.1, 0.3, 12*60, 21)},
+		{"stable", Stable(0.2, 22)},
+		{"irregular", Irregular(0.05, 23)},
+		{"hourly-peak", hourlyNoHalf},
+		{"hourly-peak/half-hours", HourlyPeak(0.06, 0.3, 13*60, 25)},
+		{"bursty", Bursty(0.02, 0.7, 5, 14*60, 0.35, 26)},
+		{"steady", Steady(0.4, 27)},
+		{"spiky", Spiky(0.9, 3, 28)},
 	}
-	for i, v := range series {
-		if v != p.At(grid, 100+i) {
-			t.Fatalf("series[%d] diverges from At", i)
+	type window struct {
+		name     string
+		from, to int
+	}
+	var buf []float64
+	check := func(g sim.Grid, windows []window) {
+		t.Helper()
+		for _, m := range models {
+			for _, tz := range []int{-720, -300, 0, 330, 840} {
+				for _, anchored := range []bool{false, true} {
+					for _, sharp := range []float64{0, 1, 3.5} {
+						p := m.p
+						p.TZOffsetMin, p.UTCAnchored, p.Sharpness = tz, anchored, sharp
+						for _, w := range windows {
+							// Whatever the last case left in buf is the dirt
+							// this one must overwrite.
+							buf = p.SeriesInto(buf, g, w.from, w.to)
+							if len(buf) != w.to-w.from {
+								t.Fatalf("%s step=%v: %s: %d samples, want %d", m.name, g.Step, w.name, len(buf), w.to-w.from)
+							}
+							for i, v := range buf {
+								if at := p.At(g, w.from+i); v != at {
+									t.Fatalf("%s step=%v tz=%d anchored=%v sharpness=%v: %s: series[%d] = %v, At(%d) = %v",
+										m.name, g.Step, tz, anchored, sharp, w.name, i, v, w.from+i, at)
+								}
+							}
+						}
+					}
+				}
+			}
 		}
 	}
+	for _, step := range []time.Duration{30 * time.Second, time.Minute, 5 * time.Minute, 15 * time.Minute} {
+		g := sim.Grid{Start: grid.Start, Step: step, N: int(7 * 24 * time.Hour / step)}
+		perDay := g.StepsPerDay()
+		check(g, []window{
+			{"inside a day", perDay / 3, perDay/3 + perDay/4},
+			{"across the weekend boundary", 4*perDay + perDay/2, 5*perDay + perDay/2 + 7},
+			{"whole grid", 0, g.N},
+		})
+	}
+	// Steps of a day or more skip whole local days, so a wrap of the minute
+	// of day no longer marks each new one.
+	check(sim.Grid{Start: grid.Start, Step: 36 * time.Hour, N: 40}, []window{{"whole grid", 0, 40}})
 }
 
 func TestSeriesClipsRange(t *testing.T) {
