@@ -26,9 +26,9 @@
 #   make bench-shards— streaming-ingestion throughput swept over shard
 #                      counts 1/2/4/8 (the BENCH_stream.json scaling table)
 #   make bench-stream-gate — allocation-rate gate on the columnar ingestion
-#                      hot path: one full default-week replay, failing if it
-#                      allocates more than ALLOCS_PER_SAMPLE_MAX (0.159, the
-#                      BENCH_stream.json pin) per sample
+#                      hot path: one full default-week replay at GOMAXPROCS 1
+#                      and again at 2, failing if either allocates more than
+#                      ALLOCS_PER_SAMPLE_MAX (0.055) per sample
 #   make bench-http  — HTTP read-path load harness smoke: a small reader
 #                      fleet against a live-ingesting server; fails on any
 #                      5xx or if readers slow ingestion below 80% of its
@@ -98,13 +98,19 @@ bench-shards:
 	$(GO) test -run=NONE -bench=StreamIngestShards -benchmem .
 
 # The columnar hot path must stay allocation-free in steady state: the
-# replay's per-sample allocation rate (runtime mallocs over samples
-# ingested, reported by BenchmarkStreamIngest) is pinned at the
-# BENCH_stream.json value and any regression past it fails the build.
-ALLOCS_PER_SAMPLE_MAX ?= 0.159
+# replay's allocation rate (runtime mallocs over samples ingested, reported
+# by BenchmarkStreamIngest) is pinned and any regression past the pin fails
+# the build. What is left to allocate is per-VM accumulator setup, and per
+# hourly fold one profile slab plus one PatternShares map per subscription.
+# Measured 0.0498 at GOMAXPROCS 1 and at 2 (go1.24, 2 vCPUs; EXPERIMENTS.md
+# "Performance: hourly fold"); the pin adds 0.005 (10 %), which covers the
+# 0.0006 parallel.ForEachChunk's per-step chunk table added at GOMAXPROCS=2
+# when it was last seen, and map-runtime differences between toolchains.
+# Both core counts are run and the worse one is gated.
+ALLOCS_PER_SAMPLE_MAX ?= 0.055
 bench-stream-gate: build
-	@out=$$($(GO) test -run=NONE -bench='^BenchmarkStreamIngest$$' -benchtime=1x -benchmem . | tee /dev/stderr); \
-	rate=$$(echo "$$out" | awk '{for (i=1; i<NF; i++) if ($$(i+1) == "allocs/sample") print $$i}'); \
+	@out=$$($(GO) test -run=NONE -bench='^BenchmarkStreamIngest$$' -benchtime=1x -benchmem -cpu 1,2 . | tee /dev/stderr); \
+	rate=$$(echo "$$out" | awk '{for (i=1; i<NF; i++) if ($$(i+1) == "allocs/sample" && $$i + 0 > max + 0) max = $$i} END {print max}'); \
 	if [ -z "$$rate" ]; then echo "bench-stream-gate: no allocs/sample metric in benchmark output" >&2; exit 1; fi; \
 	awk -v r="$$rate" -v max="$(ALLOCS_PER_SAMPLE_MAX)" 'BEGIN { \
 		if (r + 0 > max + 0) { printf "bench-stream-gate: FAIL %s allocs/sample > %s\n", r, max; exit 1 } \

@@ -365,3 +365,36 @@ func TestStoreConcurrentAccess(t *testing.T) {
 		t.Fatalf("store has %d profiles, want 8", store.Len())
 	}
 }
+
+// TestStorePutSetIsOneWrite pins what a fold's publication relies on: a
+// multi-profile Put lands as one write — one version bump, so a snapshot
+// source rebuilds once — while the put counter still advances per profile
+// and a later set replaces by subscription.
+func TestStorePutSetIsOneWrite(t *testing.T) {
+	store := NewStore()
+	v0, puts0 := store.Version(), storePuts.Value()
+	store.Put(
+		&Profile{Subscription: "b", Cloud: core.Public},
+		&Profile{Subscription: "a", Cloud: core.Private},
+		&Profile{Subscription: "c", Cloud: core.Private},
+	)
+	if got := store.Version() - v0; got != 1 {
+		t.Errorf("a three-profile Put bumped the version %d times, want 1", got)
+	}
+	if got := storePuts.Value() - puts0; got != 3 {
+		t.Errorf("put counter advanced by %d, want 3", got)
+	}
+	store.Put(&Profile{Subscription: "a", Cloud: core.Private, VMsObserved: 7}, &Profile{Subscription: "d", Cloud: core.Public})
+	if store.Len() != 4 {
+		t.Fatalf("store has %d profiles, want 4", store.Len())
+	}
+	if p, _ := store.Get("a"); p == nil || p.VMsObserved != 7 {
+		t.Errorf("profile a after replacement: %+v", p)
+	}
+	list := store.List(MatchAll())
+	for i := 1; i < len(list); i++ {
+		if list[i-1].Subscription >= list[i].Subscription {
+			t.Errorf("List out of order at %d: %s then %s", i, list[i-1].Subscription, list[i].Subscription)
+		}
+	}
+}

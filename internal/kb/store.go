@@ -1,9 +1,11 @@
 package kb
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,14 +40,18 @@ func NewStore() *Store {
 	return &Store{profiles: make(map[core.SubscriptionID]*Profile)}
 }
 
-// Put inserts or replaces a profile.
-func (s *Store) Put(p *Profile) {
+// Put inserts or replaces profiles as one write: one lock round and one
+// version bump however many profiles it carries, so a fold publishes its
+// whole profile set at once and readers never see half of it.
+func (s *Store) Put(ps ...*Profile) {
 	s.mu.Lock()
-	s.profiles[p.Subscription] = p
+	for _, p := range ps {
+		s.profiles[p.Subscription] = p
+	}
 	n := len(s.profiles)
 	s.mu.Unlock()
 	s.version.Add(1)
-	storePuts.Inc()
+	storePuts.Add(int64(len(ps)))
 	storeProfiles.SetInt(n)
 }
 
@@ -110,8 +116,17 @@ func (s *Store) List(q Query) []*Profile {
 			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Subscription < out[j].Subscription })
+	sortBySubscription(out)
 	return out
+}
+
+// sortBySubscription orders profiles by subscription ID. It runs in every
+// post-fold capture, hence the generic sort: it swaps the pointers directly
+// where sort.Slice goes through a reflection swapper.
+func sortBySubscription(list []*Profile) {
+	slices.SortFunc(list, func(a, b *Profile) int {
+		return cmp.Compare(a.Subscription, b.Subscription)
+	})
 }
 
 // Summary aggregates the knowledge base per platform.
@@ -142,7 +157,7 @@ func (s *Store) Summarize(cloud core.Cloud) Summary {
 		list = append(list, p)
 	}
 	s.mu.RUnlock()
-	sort.Slice(list, func(i, j int) bool { return list[i].Subscription < list[j].Subscription })
+	sortBySubscription(list)
 	return summarizeSorted(cloud, list)
 }
 
@@ -188,7 +203,7 @@ func summarizeSorted(cloud core.Cloud, profiles []*Profile) Summary {
 		for k := range sum.PatternShares {
 			patterns = append(patterns, k)
 		}
-		sort.Slice(patterns, func(i, j int) bool { return patterns[i] < patterns[j] })
+		slices.Sort(patterns)
 		total := 0.0
 		for _, k := range patterns {
 			total += sum.PatternShares[k]
@@ -214,7 +229,7 @@ func (s *Store) SaveFile(path string) error {
 		list = append(list, p)
 	}
 	s.mu.RUnlock()
-	sort.Slice(list, func(i, j int) bool { return list[i].Subscription < list[j].Subscription })
+	sortBySubscription(list)
 	data, err := json.MarshalIndent(list, "", "  ")
 	if err != nil {
 		return fmt.Errorf("kb: save: %w", err)

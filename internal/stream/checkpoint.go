@@ -566,9 +566,7 @@ func restoreEngine(tr *trace.Trace, opts Options, ck *Checkpoint) (Engine, Optio
 	g := startShardGroup(tr, eff, shards, ck.FoldCount)
 	// Publish the restored profiles immediately so the API serves them
 	// before the first post-resume merge.
-	for _, ing := range shards {
-		ing.foldInto(g.store)
-	}
+	g.publishLocked()
 	return g, eff, nil
 }
 
@@ -612,7 +610,6 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			lifetimes:     st.Lifetimes,
 			shortLived:    st.ShortLived,
 			util:          util,
-			live:          make(map[int32]*vmAcc),
 			retired:       make([]classifiedVM, 0, len(st.Retired)),
 			regionHours:   make([]*regionHour, len(ing.keys.Regions)),
 		}
@@ -649,7 +646,9 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			qualified: st.Qualified, hourly: st.Hourly, hourlyN: st.HourlyN,
 			gapSteps: st.GapSteps,
 		}
-		ss.live[st.Idx] = acc
+		if acc.qualified {
+			ss.qualified = append(ss.qualified, acc.idx)
+		}
 		ing.accs[st.Idx] = acc
 	}
 	for c, st := range ck.Clouds {
@@ -674,11 +673,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 		// Repopulate the knowledge base immediately so the API serves
 		// profiles before the first post-resume fold; shard members publish
 		// through the group's store instead.
-		for _, ss := range ing.subs {
-			if ss != nil {
-				ing.store.Put(ing.buildProfile(ss))
-			}
-		}
+		ing.store.Put(ing.appendProfilesLocked(nil)...)
 	}
 	return ing, nil
 }

@@ -1,6 +1,8 @@
 package stream
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -129,12 +131,61 @@ type subState struct {
 	lifetimes  []float64
 	shortLived int
 
-	util    *sketch.Histogram
-	live    map[int32]*vmAcc
-	retired []classifiedVM
+	util *sketch.Histogram
+	// qualified lists (by VM index) the subscription's live VMs that have
+	// a day of history, in no particular order: qualify appends, retire
+	// removes. Together with retired it is the fold's candidate set, so a
+	// fold never walks the VMs that cannot contribute yet and touches only
+	// the accumulators that survive the cap.
+	qualified []int32
+	retired   []classifiedVM
 	// regionHours is indexed by the trace's interned region id; entries
 	// are allocated when the subscription first reports from the region.
 	regionHours []*regionHour
+
+	// Derived state a fold would otherwise recompute every hour although
+	// only lifecycle events change it. Never checkpointed: both region and
+	// service sets and the lifetime list only grow, so each cache is current
+	// exactly when it was built at today's size, and a restored
+	// subscription rebuilds it at its first fold. The name slices are
+	// shared with published profiles and therefore replaced, never edited.
+	regionNames, serviceNames []string
+	medianLifetime            float64
+	medianOf                  int // len(lifetimes) medianLifetime was taken at
+}
+
+// sortedNames returns the set's keys in order, reusing cached while it still
+// covers the whole set.
+func sortedNames(cached []string, set map[string]bool) []string {
+	if cached != nil && len(cached) == len(set) {
+		return cached
+	}
+	return sortedKeys(set)
+}
+
+// medianLifetimeMin is the median of the completed lifetimes, re-sorted
+// only after a retirement added one.
+func (ss *subState) medianLifetimeMin() float64 {
+	if ss.medianOf != len(ss.lifetimes) {
+		ss.medianLifetime = stats.Quantile(ss.lifetimes, 0.5)
+		ss.medianOf = len(ss.lifetimes)
+	}
+	return ss.medianLifetime
+}
+
+// foldRef names one fold candidate without copying it: a VM index plus
+// where its evidence lives — an entry of the subscription's retired list,
+// or (retired < 0) the live accumulator ing.accs[idx].
+type foldRef struct {
+	idx     int32
+	retired int32
+}
+
+// namedRegion is one populated region of a subscription during the
+// region-agnosticism computation.
+type namedRegion struct {
+	name string
+	rh   *regionHour
 }
 
 func (ss *subState) addRegionHour(region int32, hour int, x float64, hours int) {
@@ -217,6 +268,7 @@ type Ingestor struct {
 	keys         *trace.KeyTable
 	opts         Options
 	family       core.Family
+	patterns     []core.Pattern // the family's taxonomy, in tie-break order
 	lags         lagSet
 	clOpts       classify.Options
 	invOpts      classify.InvocationOptions
@@ -241,6 +293,17 @@ type Ingestor struct {
 	clouds   map[core.Cloud]*cloudState
 	flushBuf []float32
 	recycle  func(StepBatch)
+
+	// Fold scratch, written only under the write lock and reused by every
+	// fold: the candidate references of the subscription being built, its
+	// per-pattern counts (indexed by core.Pattern), the populated regions
+	// and their hourly averages for the region-agnosticism score, and the
+	// profile set a lone ingestor hands to its store.
+	foldRefs     []foldRef
+	foldCounts   []int
+	foldRegions  []namedRegion
+	foldAvgs     []float64
+	foldProfiles []*kb.Profile
 
 	// watermark is the newest step already folded; slots hold the steps
 	// still in flight, indexed by step modulo len(slots).
@@ -282,6 +345,7 @@ func newIngestorWith(tr *trace.Trace, opts Options, met *ingestMetrics, selfFold
 		keys:         keys,
 		opts:         opts,
 		family:       tr.Family,
+		patterns:     tr.Family.Patterns(),
 		lags:         newLagSet(stepsPerHour),
 		clOpts:       classify.Options{StepsPerHour: stepsPerHour},
 		invOpts:      classify.InvocationOptions{StepsPerHour: stepsPerHour}.WithDefaults(),
@@ -297,6 +361,7 @@ func newIngestorWith(tr *trace.Trace, opts Options, met *ingestMetrics, selfFold
 		accs:         make([]*vmAcc, len(tr.VMs)),
 		retired:      make([]bool, len(tr.VMs)),
 		clouds:       make(map[core.Cloud]*cloudState),
+		foldCounts:   make([]int, len(mClassified)),
 		watermark:    opts.StartStep - 1,
 		slots:        make([]reorderSlot, opts.MaxLatenessSteps+1),
 	}
@@ -680,7 +745,6 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 			regions:     make(map[string]bool),
 			services:    make(map[string]bool),
 			util:        sketch.NewHistogram(0, 1, subBins),
-			live:        make(map[int32]*vmAcc),
 			regionHours: make([]*regionHour, len(ing.keys.Regions)),
 		}
 		ing.subs[si] = ss
@@ -698,7 +762,6 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 		sub: ss,
 		ac:  sketch.NewAutoCorr(ing.lags.all...),
 	}
-	ss.live[idx] = acc
 	ing.accs[idx] = acc
 	return acc
 }
@@ -751,6 +814,7 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 // that only profiled VMs contribute to.
 func (ing *Ingestor) qualify(acc *vmAcc) {
 	acc.qualified = true
+	acc.sub.qualified = append(acc.sub.qualified, acc.idx)
 	vals := acc.ac.RetainedRaw(ing.flushBuf[:0])
 	g := ing.tr.Grid
 	cs := ing.clouds[acc.v.Cloud]
@@ -794,7 +858,6 @@ func (ing *Ingestor) retire(idx int32) {
 	}
 	ing.accs[idx] = nil
 	ss := acc.sub
-	delete(ss.live, idx)
 	v := acc.v
 	if v.CreatedStep >= 0 && v.DeletedStep <= ing.tr.Grid.N {
 		lifeMin := float64(v.LifetimeSteps()) * ing.tr.Grid.Step.Minutes()
@@ -805,6 +868,9 @@ func (ing *Ingestor) retire(idx int32) {
 	}
 	if acc.qualified {
 		ss.retired = append(ss.retired, ing.record(acc))
+		q := ss.qualified
+		q[slices.Index(q, idx)] = q[len(q)-1]
+		ss.qualified = q[:len(q)-1]
 	}
 }
 
@@ -884,85 +950,146 @@ func (ing *Ingestor) validatedACF(ac *sketch.AutoCorr, lag int) float64 {
 }
 
 // foldLocked refreshes every subscription's live profile in the knowledge
-// base. Callers hold the write lock.
+// base, publishing the whole set as one store write. Callers hold the write
+// lock.
 func (ing *Ingestor) foldLocked() {
-	for _, ss := range ing.subs {
-		if ss != nil {
-			ing.store.Put(ing.buildProfile(ss))
-		}
-	}
+	ing.foldProfiles = ing.appendProfilesLocked(ing.foldProfiles[:0])
+	ing.store.Put(ing.foldProfiles...)
 	ing.foldCount.Add(1)
 }
 
-// foldInto rebuilds this ingestor's subscriptions' profiles into an
-// external store — the hour-barrier merge path of a sharded pipeline. The
-// subscriptions of one trace partition across shards, so each profile has
-// exactly one writer and the merged store equals the single-ingestor fold.
-func (ing *Ingestor) foldInto(store *kb.Store) {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
+// foldInto appends this ingestor's subscriptions' profiles to dst — the
+// hour-barrier merge path of a sharded pipeline, which publishes every
+// shard's profiles in one store write. The subscriptions of one trace
+// partition across shards, so each profile has exactly one writer and the
+// merged store equals the single-ingestor fold. A fold writes the
+// ingestor's scratch and caches, hence the write lock; the shard is parked
+// at the barrier, so only readers can hold it.
+func (ing *Ingestor) foldInto(dst []*kb.Profile) []*kb.Profile {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
+	return ing.appendProfilesLocked(dst)
+}
+
+// appendProfilesLocked builds a fresh profile for every observed
+// subscription, in interned-id order, and appends them to dst. The profiles
+// share one allocation: a fold replaces all of them, so they also die
+// together. Callers hold the write lock.
+func (ing *Ingestor) appendProfilesLocked(dst []*kb.Profile) []*kb.Profile {
+	n := 0
 	for _, ss := range ing.subs {
 		if ss != nil {
-			store.Put(ing.buildProfile(ss))
+			n++
 		}
 	}
+	slab := make([]kb.Profile, n)
+	for _, ss := range ing.subs {
+		if ss != nil {
+			ing.buildProfile(ss, &slab[0])
+			dst = append(dst, &slab[0])
+			slab = slab[1:]
+		}
+	}
+	return dst
 }
 
 // buildProfile assembles a kb.Profile from a subscription's streaming
-// state, mirroring the batch extractor's aggregation rules (including its
-// per-subscription classification cap, applied in VM order so the live
-// profile converges to the batch one at window end).
-func (ing *Ingestor) buildProfile(ss *subState) *kb.Profile {
-	p := &kb.Profile{
+// state into p, mirroring the batch extractor's aggregation rules
+// (including its per-subscription classification cap, applied in VM order
+// so the live profile converges to the batch one at window end). It does
+// the work the hour changed and no more: candidates are selected by
+// reference and cut to the cap before any live VM is classified, and what
+// only lifecycle events change comes from the subscription's caches.
+func (ing *Ingestor) buildProfile(ss *subState, p *kb.Profile) {
+	ss.regionNames = sortedNames(ss.regionNames, ss.regions)
+	ss.serviceNames = sortedNames(ss.serviceNames, ss.services)
+	*p = kb.Profile{
 		Subscription:        ss.id,
 		Cloud:               ss.cloud,
 		Family:              ing.family,
-		Regions:             sortedKeys(ss.regions),
-		Services:            sortedKeys(ss.services),
+		Regions:             ss.regionNames,
+		Services:            ss.serviceNames,
 		VMsObserved:         ss.vmsObserved,
 		SnapshotVMs:         ss.snapshotVMs,
 		SnapshotCores:       ss.snapshotCores,
-		PatternShares:       make(map[core.Pattern]float64),
 		RegionAgnosticScore: -1,
 		PeakHourUTC:         -1,
 	}
 	if len(ss.lifetimes) > 0 {
-		p.MedianLifetimeMin = stats.Quantile(ss.lifetimes, 0.5)
+		p.MedianLifetimeMin = ss.medianLifetimeMin()
 		p.ShortLivedShare = float64(ss.shortLived) / float64(len(ss.lifetimes))
 	}
 
-	cands := make([]classifiedVM, 0, len(ss.retired)+len(ss.live))
-	cands = append(cands, ss.retired...)
-	for _, acc := range ss.live {
-		if acc.qualified {
-			cands = append(cands, ing.record(acc))
+	refs := ing.foldRefs[:0]
+	for i := range ss.retired {
+		refs = append(refs, foldRef{idx: ss.retired[i].idx, retired: int32(i)})
+	}
+	for _, idx := range ss.qualified {
+		refs = append(refs, foldRef{idx: idx, retired: -1})
+	}
+	ing.foldRefs = refs
+	slices.SortFunc(refs, func(a, b foldRef) int { return cmp.Compare(a.idx, b.idx) })
+	if len(refs) > ing.opts.MaxClassifyPerSub {
+		refs = refs[:ing.opts.MaxClassifyPerSub]
+	}
+
+	counts := ing.foldCounts
+	clear(counts)
+	var utilSum float64
+	var utilN int
+	var hourly [24]float64
+	var hourlyN [24]float64
+	for _, ref := range refs {
+		// Read the candidate where it lives: same operands in the same idx
+		// order as folding compacted classifiedVM copies, so every sum
+		// carries the same bits.
+		var (
+			pat  core.Pattern
+			sum  float64
+			n    int
+			hSum *[24]float64
+			hN   *[24]int
+		)
+		if ref.retired >= 0 {
+			c := &ss.retired[ref.retired]
+			pat, sum, n, hSum, hN = c.pattern, c.utilSum, c.n, &c.hourly, &c.hourlyN
+		} else {
+			acc := ing.accs[ref.idx]
+			pat = ing.classifyAcc(acc)
+			mClassified[pat].Inc()
+			n = acc.ac.N()
+			sum, hSum, hN = acc.ac.Mean()*float64(n), &acc.hourly, &acc.hourlyN
+		}
+		counts[pat]++
+		utilSum += sum
+		utilN += n
+		for h := 0; h < 24; h++ {
+			hourly[h] += hSum[h]
+			hourlyN[h] += float64(hN[h])
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].idx < cands[j].idx })
-	if len(cands) > ing.opts.MaxClassifyPerSub {
-		cands = cands[:ing.opts.MaxClassifyPerSub]
+
+	// Every counted pattern becomes a share of the classified count — the
+	// batch extractor's normalisation — while the dominant pick walks the
+	// family's taxonomy order so ties resolve as they do there.
+	distinct := 0
+	for _, c := range counts {
+		if c > 0 {
+			distinct++
+		}
 	}
-	if len(cands) > 0 {
-		var utilSum float64
-		var utilN int
-		var hourly [24]float64
-		var hourlyN [24]float64
-		for _, c := range cands {
-			p.PatternShares[c.pattern]++
-			utilSum += c.utilSum
-			utilN += c.n
-			for h := 0; h < 24; h++ {
-				hourly[h] += c.hourly[h]
-				hourlyN[h] += float64(c.hourlyN[h])
+	p.PatternShares = make(map[core.Pattern]float64, distinct)
+	if len(refs) > 0 {
+		for pat, c := range counts {
+			if c > 0 {
+				p.PatternShares[core.Pattern(pat)] = float64(c) / float64(len(refs))
 			}
 		}
 		best := core.PatternUnknown
-		for _, k := range ing.family.Patterns() {
-			if share, ok := p.PatternShares[k]; ok {
-				p.PatternShares[k] = share / float64(len(cands))
-				if best == core.PatternUnknown || p.PatternShares[k] > p.PatternShares[best] {
-					best = k
-				}
+		for _, k := range ing.patterns {
+			// Shares are counts over one divisor, so counts order them.
+			if counts[k] > 0 && (best == core.PatternUnknown || counts[k] > counts[best]) {
+				best = k
 			}
 		}
 		p.DominantPattern = best
@@ -980,38 +1107,25 @@ func (ing *Ingestor) buildProfile(ss *subState) *kb.Profile {
 	if len(p.Regions) > 1 {
 		p.RegionAgnosticScore = ing.regionAgnosticScore(ss)
 	}
-	return p
 }
 
 // regionAgnosticScore is the mean pairwise Pearson correlation of the
 // subscription's region-averaged top-of-hour utilization, matching the
-// batch computation over the hours observed so far.
+// batch computation over the hours observed so far. It works in the
+// ingestor's fold scratch and allocates nothing.
 func (ing *Ingestor) regionAgnosticScore(ss *subState) float64 {
-	// Count before collecting: most subscriptions are single-region, and
-	// this runs for every subscription on every fold, so the common case
-	// must not allocate.
-	populated := 0
-	for _, rh := range ss.regionHours {
-		if rh != nil {
-			populated++
-		}
-	}
-	if populated < 2 {
-		return -1
-	}
 	// Collect the populated regions and order them by name, matching the
 	// batch extractor's iteration order so the pairwise sum accumulates in
-	// the same sequence bit for bit. Insertion sort keeps the hot path free
-	// of sort.Slice's reflection allocations; region counts are tiny.
-	type namedRegion struct {
-		name string
-		rh   *regionHour
-	}
-	regions := make([]namedRegion, 0, populated)
+	// the same sequence bit for bit. Insertion sort: region counts are tiny.
+	regions := ing.foldRegions[:0]
 	for ri, rh := range ss.regionHours {
 		if rh != nil {
 			regions = append(regions, namedRegion{ing.keys.Regions[ri], rh})
 		}
+	}
+	ing.foldRegions = regions
+	if len(regions) < 2 {
+		return -1
 	}
 	for i := 1; i < len(regions); i++ {
 		for j := i; j > 0 && regions[j].name < regions[j-1].name; j-- {
@@ -1019,27 +1133,25 @@ func (ing *Ingestor) regionAgnosticScore(ss *subState) float64 {
 		}
 	}
 	hours := ing.tr.Grid.Hours()
-	avgs := make([][]float64, len(regions))
+	avgs := slices.Grow(ing.foldAvgs[:0], len(regions)*hours)[:len(regions)*hours]
+	ing.foldAvgs = avgs
+	row := func(i int) []float64 { return avgs[i*hours : (i+1)*hours] }
 	for i, r := range regions {
-		rh := r.rh
-		avg := make([]float64, hours)
-		for h := 0; h < hours; h++ {
-			if rh.n[h] > 0 {
-				avg[h] = rh.sum[h] / rh.n[h]
+		avg := row(i)
+		for h := range avg {
+			avg[h] = 0
+			if r.rh.n[h] > 0 {
+				avg[h] = r.rh.sum[h] / r.rh.n[h]
 			}
 		}
-		avgs[i] = avg
 	}
 	var sum float64
 	var n int
-	for i := 0; i < len(avgs); i++ {
-		for j := i + 1; j < len(avgs); j++ {
-			sum += stats.Pearson(avgs[i], avgs[j])
+	for i := range regions {
+		for j := i + 1; j < len(regions); j++ {
+			sum += stats.Pearson(row(i), row(j))
 			n++
 		}
-	}
-	if n == 0 {
-		return -1
 	}
 	return sum / float64(n)
 }
@@ -1161,12 +1273,7 @@ func (ing *Ingestor) liveProfileLocked(p *kb.Profile) LiveProfile {
 		lp.UtilP50 = ss.util.Quantile(0.5)
 		lp.UtilP95 = ss.util.Quantile(0.95)
 		lp.Samples = ss.util.Count()
-		lp.QualifiedVMs = len(ss.retired)
-		for _, acc := range ss.live {
-			if acc.qualified {
-				lp.QualifiedVMs++
-			}
-		}
+		lp.QualifiedVMs = len(ss.retired) + len(ss.qualified)
 	}
 	return lp
 }

@@ -29,9 +29,12 @@ var (
 	mMergeSeconds = obs.Default.Histogram("cloudlens_stream_merge_duration_seconds",
 		"Wall-clock duration of hour-barrier shard merges (quiesce + fold into the published store).", obs.DefLatencyBuckets)
 
-	// mClassified counts streaming classifications by resulting pattern,
-	// indexed by core.Pattern so the classifier does an array load, not a
-	// map lookup. Shared across shards: counters are atomic.
+	// mClassified counts streaming classifications performed, by resulting
+	// pattern: one when a qualified VM retires, and at every fold one per
+	// live qualified VM that survives the per-subscription cap (the fold
+	// selects before it classifies, so discarded candidates cost and count
+	// nothing). Indexed by core.Pattern so the classifier does an array
+	// load, not a map lookup. Shared across shards: counters are atomic.
 	mClassified = func() []*obs.Counter {
 		patterns := append([]core.Pattern{core.PatternUnknown}, core.AllPatterns()...)
 		max := core.Pattern(0)
@@ -43,7 +46,7 @@ var (
 		out := make([]*obs.Counter, max+1)
 		for _, p := range patterns {
 			out[p] = obs.Default.Counter("cloudlens_stream_classified_total",
-				"Streaming VM classifications by resulting pattern.",
+				"Streaming VM classifications performed (at retirement, and per fold for live VMs inside the per-subscription cap), by resulting pattern.",
 				obs.Label{Name: "pattern", Value: p.String()})
 		}
 		return out

@@ -62,6 +62,9 @@ type shardGroup struct {
 	colCPU  [][]float32
 	lates   [][]Sample
 	dels    [][]int32
+	// profiles is the merge's scratch: every shard's freshly built
+	// profiles, gathered for one store write.
+	profiles []*kb.Profile
 
 	lastStep  atomic.Int64
 	foldCount atomic.Int64
@@ -116,11 +119,11 @@ func startShardGroup(tr *trace.Trace, opts Options, shards []*Ingestor, foldCoun
 		// Mirror the shards' fold watermark: StartStep-1 when fresh, the
 		// checkpointed watermark when restored — so post-resume merges land
 		// on exactly the boundaries the single ingestor would fold.
-		wm:         shards[0].watermark,
-		colVM:      make([][]int32, n),
-		colCPU:     make([][]float32, n),
-		lates:      make([][]Sample, n),
-		dels:       make([][]int32, n),
+		wm:           shards[0].watermark,
+		colVM:        make([][]int32, n),
+		colCPU:       make([][]float32, n),
+		lates:        make([][]Sample, n),
+		dels:         make([][]int32, n),
 		mShardStalls: make([]*obs.Counter, n),
 		mShardOcc:    make([]*obs.Gauge, n),
 	}
@@ -343,9 +346,7 @@ func (g *shardGroup) mergeLocked(step int) {
 	if ob := g.opts.FoldObserver; ob != nil {
 		ob.FoldBegin()
 	}
-	for _, ing := range g.shards {
-		ing.foldInto(g.store)
-	}
+	g.publishLocked()
 	g.foldCount.Add(1)
 	if ob := g.opts.FoldObserver; ob != nil {
 		ob.FoldPublished(step)
@@ -354,6 +355,18 @@ func (g *shardGroup) mergeLocked(step int) {
 		close(release)
 	}
 	mMergeSeconds.Observe(time.Since(start).Seconds())
+}
+
+// publishLocked rebuilds every shard's profiles, in ascending shard-ID
+// order, and publishes them as one store write. The shards must be quiesced
+// (parked at a barrier, not yet started, or stopped).
+func (g *shardGroup) publishLocked() {
+	all := g.profiles[:0]
+	for _, ing := range g.shards {
+		all = ing.foldInto(all)
+	}
+	g.store.Put(all...)
+	g.profiles = all
 }
 
 // closeShardsLocked closes the shard channels and waits for the consumer
