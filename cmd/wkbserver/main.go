@@ -99,6 +99,27 @@ import (
 // termination signal.
 const shutdownTimeout = 5 * time.Second
 
+// Public-listener timeouts. Every route answers from an in-memory snapshot
+// and none streams, so a response that takes longer than writeTimeout to
+// write is a stalled reader pinning a connection (and the snapshot its
+// handler holds); idleTimeout closes keep-alive connections nobody uses.
+const (
+	readHeaderTimeout = 5 * time.Second
+	writeTimeout      = 30 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// publicServer is the API listener's configuration.
+func publicServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "wkbserver:", err)
@@ -283,18 +304,14 @@ func run() error {
 	if *logRequests {
 		reqLog = logger
 	}
-	srv := &http.Server{
-		Addr:              *addr,
-		Handler:           buildHandler(store, pipe, readSrc, inj, peng, reqLog),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := publicServer(*addr, buildHandler(store, pipe, readSrc, inj, peng, reqLog))
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {
 		debugSrv = &http.Server{
 			Addr:              *debugAddr,
 			Handler:           pprofMux(),
-			ReadHeaderTimeout: 5 * time.Second,
+			ReadHeaderTimeout: readHeaderTimeout,
 		}
 		go func() {
 			logger.Info("pprof listening", "addr", *debugAddr)

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -794,7 +796,9 @@ func TestHealthzReportsIngesting(t *testing.T) {
 // TestShardedHealthAndFaults runs a sharded replay and checks the
 // operational surface breaks the vitals out per shard: /healthz carries a
 // shards array whose per-shard sample counts sum to the status total, and
-// /api/v1/live/faults carries the matching per-shard ledgers.
+// /api/v1/live/faults carries the matching per-shard ledgers. The per-shard
+// figures are read without a barrier, so the exact sums are checked only
+// after Wait, when Finish has quiesced every shard.
 func TestShardedHealthAndFaults(t *testing.T) {
 	tr := testTrace()
 	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{Shards: 2})
@@ -1191,4 +1195,49 @@ func TestLiveIngestVitals(t *testing.T) {
 		}
 		srv.Close()
 	}
+}
+
+// TestPublicServerClosesIdleConnections holds the public listener to its
+// timeouts: both are set, and a keep-alive connection left idle after a
+// response is closed by the server rather than held open. The idle window
+// is shortened here so the test does not wait out the production one.
+func TestPublicServerClosesIdleConnections(t *testing.T) {
+	srv := publicServer("127.0.0.1:0", buildHandler(cloudlens.ExtractKnowledgeBase(testTrace()), nil, nil, nil, nil, nil))
+	if srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 || srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("timeouts: read-header %v, write %v, idle %v; all must be set",
+			srv.ReadHeaderTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+	srv.IdleTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /healthz HTTP/1.1\r\nHost: wkbserver\r\n\r\n"); err != nil {
+		t.Fatalf("write request: %v", err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Close {
+		t.Fatalf("status %d, close %v; want a kept-alive 200", resp.StatusCode, resp.Close)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	start := time.Now()
+	if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle connection: read %d bytes, err %v; want the server to close it (EOF)", n, err)
+	}
+	t.Logf("server closed the idle connection after %v", time.Since(start).Round(time.Millisecond))
 }

@@ -11,6 +11,7 @@ import (
 	"cloudlens/internal/classify"
 	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
+	"cloudlens/internal/parallel"
 	"cloudlens/internal/periodic"
 	"cloudlens/internal/sketch"
 	"cloudlens/internal/stats"
@@ -294,15 +295,17 @@ type Ingestor struct {
 	flushBuf []float32
 	recycle  func(StepBatch)
 
-	// Fold scratch, written only under the write lock and reused by every
-	// fold: the candidate references of the subscription being built, its
-	// per-pattern counts (indexed by core.Pattern), the populated regions
-	// and their hourly averages for the region-agnosticism score, and the
-	// profile set a lone ingestor hands to its store.
-	foldRefs     []foldRef
-	foldCounts   []int
-	foldRegions  []namedRegion
-	foldAvgs     []float64
+	// Fold state, written only under the write lock and reused by every
+	// fold: one scratch per fold worker, the subscriptions being built (in
+	// interned-id order) and the slab their profiles land in, index for
+	// index, the cursor that hands them out in foldBlock runs, the worker
+	// entry point (a method value made once, so a fold allocates no
+	// closure), and the profile set a lone ingestor hands to its store.
+	foldScratch  []*foldScratch
+	foldSubs     []*subState
+	foldSlab     []kb.Profile
+	foldNext     atomic.Int64
+	foldWork     func(worker int)
 	foldProfiles []*kb.Profile
 
 	// watermark is the newest step already folded; slots hold the steps
@@ -361,10 +364,10 @@ func newIngestorWith(tr *trace.Trace, opts Options, met *ingestMetrics, selfFold
 		accs:         make([]*vmAcc, len(tr.VMs)),
 		retired:      make([]bool, len(tr.VMs)),
 		clouds:       make(map[core.Cloud]*cloudState),
-		foldCounts:   make([]int, len(mClassified)),
 		watermark:    opts.StartStep - 1,
 		slots:        make([]reorderSlot, opts.MaxLatenessSteps+1),
 	}
+	ing.foldWork = ing.foldBlocks
 	ing.lastStep.Store(int64(opts.StartStep) - 1)
 	for _, c := range core.Clouds() {
 		ing.clouds[c] = &cloudState{util: sketch.NewHistogram(0, 1, cloudBins)}
@@ -971,26 +974,80 @@ func (ing *Ingestor) foldInto(dst []*kb.Profile) []*kb.Profile {
 	return ing.appendProfilesLocked(dst)
 }
 
+// foldBlock is how many consecutive subscriptions a fold worker claims at
+// a time. Subscription cost is skewed — a few hold most of the VMs — so a
+// static split leaves one core idle; small blocks balance the load while
+// keeping each worker's profiles contiguous in the slab.
+const foldBlock = 16
+
+// foldScratch is one fold worker's reusable state: the candidate
+// references of the subscription being built, its per-pattern counts
+// (indexed by core.Pattern), the populated regions and their hourly
+// averages for the region-agnosticism score, and the classifications the
+// worker performed, by pattern, published to mClassified once per fold.
+type foldScratch struct {
+	refs       []foldRef
+	counts     []int
+	classified []int64
+	regions    []namedRegion
+	avgs       []float64
+}
+
 // appendProfilesLocked builds a fresh profile for every observed
 // subscription, in interned-id order, and appends them to dst. The profiles
 // share one allocation: a fold replaces all of them, so they also die
-// together. Callers hold the write lock.
+// together. The subscriptions are built on up to parallel.Workers()
+// goroutines, each writing its profiles into the slab at their own index,
+// so the result does not depend on which worker built what; on one core the
+// fold runs inline. Callers hold the write lock, which keeps every reader
+// out for the whole fold, and each subscription (with its VMs'
+// accumulators and its caches) is touched by exactly one worker.
 func (ing *Ingestor) appendProfilesLocked(dst []*kb.Profile) []*kb.Profile {
-	n := 0
+	subs := ing.foldSubs[:0]
 	for _, ss := range ing.subs {
 		if ss != nil {
-			n++
+			subs = append(subs, ss)
 		}
 	}
-	slab := make([]kb.Profile, n)
-	for _, ss := range ing.subs {
-		if ss != nil {
-			ing.buildProfile(ss, &slab[0])
-			dst = append(dst, &slab[0])
-			slab = slab[1:]
-		}
+	ing.foldSubs = subs
+	ing.foldSlab = make([]kb.Profile, len(subs))
+	workers := min(parallel.Workers(), (len(subs)+foldBlock-1)/foldBlock)
+	for len(ing.foldScratch) < workers {
+		ing.foldScratch = append(ing.foldScratch, &foldScratch{
+			counts:     make([]int, len(mClassified)),
+			classified: make([]int64, len(mClassified)),
+		})
 	}
+	ing.foldNext.Store(0)
+	parallel.ForEach(workers, ing.foldWork)
+	for i := range ing.foldSlab {
+		dst = append(dst, &ing.foldSlab[i])
+	}
+	ing.foldSlab = nil
 	return dst
+}
+
+// foldBlocks is one fold worker: it claims foldBlock subscriptions at a
+// time until none are left, building each into its slab slot with the
+// worker's own scratch.
+func (ing *Ingestor) foldBlocks(worker int) {
+	s := ing.foldScratch[worker]
+	subs, slab := ing.foldSubs, ing.foldSlab
+	for {
+		lo := int(ing.foldNext.Add(foldBlock)) - foldBlock
+		if lo >= len(subs) {
+			break
+		}
+		for i := lo; i < min(lo+foldBlock, len(subs)); i++ {
+			ing.buildProfile(s, subs[i], &slab[i])
+		}
+	}
+	for pat, n := range s.classified {
+		if n > 0 {
+			mClassified[pat].Add(n)
+			s.classified[pat] = 0
+		}
+	}
 }
 
 // buildProfile assembles a kb.Profile from a subscription's streaming
@@ -1000,7 +1057,7 @@ func (ing *Ingestor) appendProfilesLocked(dst []*kb.Profile) []*kb.Profile {
 // the work the hour changed and no more: candidates are selected by
 // reference and cut to the cap before any live VM is classified, and what
 // only lifecycle events change comes from the subscription's caches.
-func (ing *Ingestor) buildProfile(ss *subState, p *kb.Profile) {
+func (ing *Ingestor) buildProfile(s *foldScratch, ss *subState, p *kb.Profile) {
 	ss.regionNames = sortedNames(ss.regionNames, ss.regions)
 	ss.serviceNames = sortedNames(ss.serviceNames, ss.services)
 	*p = kb.Profile{
@@ -1020,20 +1077,20 @@ func (ing *Ingestor) buildProfile(ss *subState, p *kb.Profile) {
 		p.ShortLivedShare = float64(ss.shortLived) / float64(len(ss.lifetimes))
 	}
 
-	refs := ing.foldRefs[:0]
+	refs := s.refs[:0]
 	for i := range ss.retired {
 		refs = append(refs, foldRef{idx: ss.retired[i].idx, retired: int32(i)})
 	}
 	for _, idx := range ss.qualified {
 		refs = append(refs, foldRef{idx: idx, retired: -1})
 	}
-	ing.foldRefs = refs
+	s.refs = refs
 	slices.SortFunc(refs, func(a, b foldRef) int { return cmp.Compare(a.idx, b.idx) })
 	if len(refs) > ing.opts.MaxClassifyPerSub {
 		refs = refs[:ing.opts.MaxClassifyPerSub]
 	}
 
-	counts := ing.foldCounts
+	counts := s.counts
 	clear(counts)
 	var utilSum float64
 	var utilN int
@@ -1056,7 +1113,7 @@ func (ing *Ingestor) buildProfile(ss *subState, p *kb.Profile) {
 		} else {
 			acc := ing.accs[ref.idx]
 			pat = ing.classifyAcc(acc)
-			mClassified[pat].Inc()
+			s.classified[pat]++
 			n = acc.ac.N()
 			sum, hSum, hN = acc.ac.Mean()*float64(n), &acc.hourly, &acc.hourlyN
 		}
@@ -1105,25 +1162,25 @@ func (ing *Ingestor) buildProfile(ss *subState, p *kb.Profile) {
 		}
 	}
 	if len(p.Regions) > 1 {
-		p.RegionAgnosticScore = ing.regionAgnosticScore(ss)
+		p.RegionAgnosticScore = ing.regionAgnosticScore(s, ss)
 	}
 }
 
 // regionAgnosticScore is the mean pairwise Pearson correlation of the
 // subscription's region-averaged top-of-hour utilization, matching the
-// batch computation over the hours observed so far. It works in the
-// ingestor's fold scratch and allocates nothing.
-func (ing *Ingestor) regionAgnosticScore(ss *subState) float64 {
+// batch computation over the hours observed so far. It works in the fold
+// worker's scratch and allocates nothing.
+func (ing *Ingestor) regionAgnosticScore(s *foldScratch, ss *subState) float64 {
 	// Collect the populated regions and order them by name, matching the
 	// batch extractor's iteration order so the pairwise sum accumulates in
 	// the same sequence bit for bit. Insertion sort: region counts are tiny.
-	regions := ing.foldRegions[:0]
+	regions := s.regions[:0]
 	for ri, rh := range ss.regionHours {
 		if rh != nil {
 			regions = append(regions, namedRegion{ing.keys.Regions[ri], rh})
 		}
 	}
-	ing.foldRegions = regions
+	s.regions = regions
 	if len(regions) < 2 {
 		return -1
 	}
@@ -1133,8 +1190,8 @@ func (ing *Ingestor) regionAgnosticScore(ss *subState) float64 {
 		}
 	}
 	hours := ing.tr.Grid.Hours()
-	avgs := slices.Grow(ing.foldAvgs[:0], len(regions)*hours)[:len(regions)*hours]
-	ing.foldAvgs = avgs
+	avgs := slices.Grow(s.avgs[:0], len(regions)*hours)[:len(regions)*hours]
+	s.avgs = avgs
 	row := func(i int) []float64 { return avgs[i*hours : (i+1)*hours] }
 	for i, r := range regions {
 		avg := row(i)

@@ -52,6 +52,7 @@ type Engine interface {
 	// Progress reports ingestion counters.
 	Progress() Progress
 	// ShardVitals reports per-shard progress, nil for a single ingestor.
+	// Approximate while ingestion runs (no barrier); exact after Finish.
 	ShardVitals() []ShardVital
 	// IngestVitals reports per-shard columnar-batch vitals (one entry for
 	// a single ingestor). Pool ledgers are attached by whoever owns the
@@ -274,7 +275,9 @@ func (p *Pipeline) FaultStats() FaultStats { return p.eng.FaultStats() }
 func (p *Pipeline) KB() *kb.Store { return p.eng.KB() }
 
 // ShardVitals reports per-shard progress and fault ledgers; nil when the
-// pipeline runs a single ingestor.
+// pipeline runs a single ingestor. While the replay runs the figures are
+// approximate — each shard is read without a barrier and may trail the
+// router — and they are exact once Wait has returned.
 func (p *Pipeline) ShardVitals() []ShardVital { return p.eng.ShardVitals() }
 
 // PoolStatser is a source that can report its column free-list ledger.

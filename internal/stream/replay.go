@@ -488,6 +488,19 @@ func (r *Replayer) Run(ctx context.Context) error {
 	}
 	wallStart := time.Now()
 
+	// The per-step CPU synthesis is one closure made here, not per step: it
+	// reads the step and its column through the variables below, so the
+	// fan-out allocates nothing however many steps the replay runs.
+	var (
+		synthStep int
+		cpuCol    []float32
+	)
+	synth := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			cpuCol[i] = float32(vms[active[i]].Usage.At(g, synthStep))
+		}
+	}
+
 	for s := start; s < g.N; s++ {
 		for _, idx := range deletedAt[s] {
 			pos := posOf[idx]
@@ -510,13 +523,11 @@ func (r *Replayer) Run(ctx context.Context) error {
 		// Synthesize the step's columns: the VM column is a straight copy
 		// of the active set, the CPU column a parallel float32 pass over
 		// the per-VM usage models.
-		vmCol, cpuCol := r.pool.get(len(active))
+		var vmCol []int32
+		vmCol, cpuCol = r.pool.get(len(active))
 		copy(vmCol, active)
-		parallel.ForEachChunk(len(active), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				cpuCol[i] = float32(vms[active[i]].Usage.At(g, s))
-			}
-		})
+		synthStep = s
+		parallel.ForEachChunk(len(active), synth)
 
 		b := StepBatch{Step: s, VM: vmCol, CPU: cpuCol, Created: createdAt[s], Deleted: deletedAt[s]}
 		if err := r.send(ctx, b); err != nil {

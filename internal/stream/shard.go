@@ -443,7 +443,12 @@ func (g *shardGroup) FaultStats() FaultStats {
 	return out
 }
 
-// ShardVitals reports each shard's progress and fault ledger.
+// ShardVitals reports each shard's progress and fault ledger. It takes no
+// barrier: each shard's counters are read while the router may still be
+// delivering to it, so a mid-replay reading is approximate — it can trail
+// what has been routed, and the shards are not read at one instant. The
+// figures are exact once the shards are quiesced: after Finish, or right
+// after a merge or checkpoint barrier with nothing routed since.
 func (g *shardGroup) ShardVitals() []ShardVital {
 	out := make([]ShardVital, len(g.shards))
 	for i, ing := range g.shards {

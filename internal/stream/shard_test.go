@@ -105,6 +105,8 @@ func TestShardInvarianceExactMini(t *testing.T) {
 		if st.Shards != n {
 			t.Errorf("shards=%d: status reports %d shards", n, st.Shards)
 		}
+		// Exact per-shard counts only hold at a barrier: runPipeline has
+		// waited for Finish, whose final merge quiesced every shard.
 		vitals := p.ShardVitals()
 		if len(vitals) != n {
 			t.Fatalf("shards=%d: %d vitals", n, len(vitals))
