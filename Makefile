@@ -9,8 +9,9 @@
 #                      (resumed-kb-equals-checkpointed, fault-ledgers-reconcile,
 #                      output hashes equal across iterations) fail the target
 #   make stress      — the concurrency-sensitive streaming tests (replayer
-#                      cancellation, checkpoint, resume; -short) under -race,
-#                      20 times each at 1, 2 and 4 cores (~5 min)
+#                      cancellation, checkpoint, resume, and the engine at
+#                      one inline shard and behind the multi-shard barrier;
+#                      -short) under -race, 20 times each at 1, 2 and 4 cores
 #   make test-batch  — the batch kernels under -race at 1, 2 and 4 cores: the
 #                      transform, detector, classifier, series synthesiser and
 #                      series cache with their oracles, then the root package's
@@ -79,7 +80,7 @@ bench-check:
 # -short drops the full-week goldens and the 36-replay codec matrix: stress
 # is about schedules, which the hand-built traces exercise as well.
 stress:
-	$(GO) test -race -short -count=20 -cpu 1,2,4 -timeout 30m -run 'Replayer|Checkpoint|Resume' ./internal/stream
+	$(GO) test -race -short -count=20 -cpu 1,2,4 -timeout 30m -run 'Replayer|Checkpoint|Resume|Shard' ./internal/stream
 
 test-batch:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/fft ./internal/periodic ./internal/classify ./internal/usage ./internal/trace

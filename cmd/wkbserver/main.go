@@ -136,7 +136,7 @@ func run() error {
 		serverless  = flag.String("serverless", "", "serverless-family overrides, key=value grammar (implies -family serverless; ignored with -trace)")
 		tracePath   = flag.String("trace", "", "load a saved trace instead of generating")
 		replay      = flag.Bool("replay", false, "stream the trace through the live ingestion pipeline instead of extracting up front")
-		shards      = flag.Int("shards", runtime.GOMAXPROCS(0), "ingestion shards for -replay; subscriptions are hash-partitioned across this many parallel ingestors (1 = single ingestor)")
+		shards      = flag.Int("shards", runtime.GOMAXPROCS(0), "ingestion shards for -replay; subscriptions are hash-partitioned across this many parallel ingestors (1 = one shard, ingested inline)")
 		speedup     = flag.Float64("speedup", 0, "simulated-to-wall-clock ratio for -replay (0 = as fast as possible)")
 		save        = flag.String("save", "", "persist the knowledge base JSON to this path on exit (batch mode: after extraction)")
 		faults      = flag.String("faults", "", "inject a seeded fault mix into the replay, e.g. drop=0.01,dup=0.005,delay=0.002:3,corrupt=0.001,seed=1")

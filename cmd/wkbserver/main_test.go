@@ -793,58 +793,61 @@ func TestHealthzReportsIngesting(t *testing.T) {
 	pipe.Stop()
 }
 
-// TestShardedHealthAndFaults runs a sharded replay and checks the
-// operational surface breaks the vitals out per shard: /healthz carries a
-// shards array whose per-shard sample counts sum to the status total, and
-// /api/v1/live/faults carries the matching per-shard ledgers. The per-shard
-// figures are read without a barrier, so the exact sums are checked only
-// after Wait, when Finish has quiesced every shard.
+// TestShardedHealthAndFaults runs a replay at 1 and at 2 shards and checks
+// the operational surface breaks the vitals out per shard at every shard
+// count: /healthz carries a shards array whose per-shard sample counts sum
+// to the status total, and /api/v1/live/faults carries the matching
+// per-shard ledgers. The per-shard figures are read without a barrier, so
+// the exact sums are checked only after Wait, when Finish has quiesced
+// every shard.
 func TestShardedHealthAndFaults(t *testing.T) {
 	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{Shards: 2})
-	pipe.Start(context.Background())
-	if err := pipe.Wait(); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
-	defer srv.Close()
-
-	body := wantStatus(t, srv, "/healthz", http.StatusOK)
-	var health kb.Health
-	if err := json.Unmarshal(body, &health); err != nil {
-		t.Fatalf("healthz decode: %v (%s)", err, body)
-	}
-	if len(health.Shards) != 2 {
-		t.Fatalf("healthz shards = %+v, want 2 entries", health.Shards)
-	}
-	var ingested int64
-	for i, sh := range health.Shards {
-		if sh.Shard != i {
-			t.Errorf("healthz shard[%d].Shard = %d", i, sh.Shard)
+	for _, shards := range []int{1, 2} {
+		pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{Shards: shards})
+		pipe.Start(context.Background())
+		if err := pipe.Wait(); err != nil {
+			t.Fatalf("shards=%d: replay: %v", shards, err)
 		}
-		if sh.Step != tr.Grid.N {
-			t.Errorf("healthz shard[%d].Step = %d, want %d", i, sh.Step, tr.Grid.N)
-		}
-		ingested += sh.SamplesIngested
-	}
-	if want := pipe.Status().SamplesIngested; ingested != want {
-		t.Errorf("healthz per-shard samples sum to %d, status reports %d", ingested, want)
-	}
+		srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
 
-	body = wantStatus(t, srv, "/api/v1/live/faults", http.StatusOK)
-	var rep FaultsReport
-	if err := json.Unmarshal(body, &rep); err != nil {
-		t.Fatalf("faults decode: %v (%s)", err, body)
-	}
-	if len(rep.Shards) != 2 {
-		t.Fatalf("faults shards = %+v, want 2 entries", rep.Shards)
-	}
-	var dups int64
-	for _, sv := range rep.Shards {
-		dups += sv.Faults.DuplicatesDropped
-	}
-	if dups != rep.Stream.DuplicatesDropped {
-		t.Errorf("per-shard duplicates sum to %d, aggregate reports %d", dups, rep.Stream.DuplicatesDropped)
+		body := wantStatus(t, srv, "/healthz", http.StatusOK)
+		var health kb.Health
+		if err := json.Unmarshal(body, &health); err != nil {
+			t.Fatalf("shards=%d: healthz decode: %v (%s)", shards, err, body)
+		}
+		if len(health.Shards) != shards {
+			t.Fatalf("shards=%d: healthz shards = %+v, want %d entries", shards, health.Shards, shards)
+		}
+		var ingested int64
+		for i, sh := range health.Shards {
+			if sh.Shard != i {
+				t.Errorf("shards=%d: healthz shard[%d].Shard = %d", shards, i, sh.Shard)
+			}
+			if sh.Step != tr.Grid.N {
+				t.Errorf("shards=%d: healthz shard[%d].Step = %d, want %d", shards, i, sh.Step, tr.Grid.N)
+			}
+			ingested += sh.SamplesIngested
+		}
+		if want := pipe.Status().SamplesIngested; ingested != want {
+			t.Errorf("shards=%d: healthz per-shard samples sum to %d, status reports %d", shards, ingested, want)
+		}
+
+		body = wantStatus(t, srv, "/api/v1/live/faults", http.StatusOK)
+		var rep FaultsReport
+		if err := json.Unmarshal(body, &rep); err != nil {
+			t.Fatalf("shards=%d: faults decode: %v (%s)", shards, err, body)
+		}
+		if len(rep.Shards) != shards {
+			t.Fatalf("shards=%d: faults shards = %+v, want %d entries", shards, rep.Shards, shards)
+		}
+		var dups int64
+		for _, sv := range rep.Shards {
+			dups += sv.Faults.DuplicatesDropped
+		}
+		if dups != rep.Stream.DuplicatesDropped {
+			t.Errorf("shards=%d: per-shard duplicates sum to %d, aggregate reports %d", shards, dups, rep.Stream.DuplicatesDropped)
+		}
+		srv.Close()
 	}
 }
 

@@ -167,8 +167,8 @@ type FaultsReport struct {
 	LastCheckpoint *cloudlens.CheckpointInfo `json:"lastCheckpoint,omitempty"`
 	// LastCheckpointAgeSec is the checkpoint's age at response time.
 	LastCheckpointAgeSec float64 `json:"lastCheckpointAgeSec,omitempty"`
-	// Shards breaks the stream ledger out per ingestion shard; absent on a
-	// single-ingestor replay. Stream remains the cross-shard aggregate.
+	// Shards breaks the stream ledger out per ingestion shard, one entry per
+	// shard. Stream remains the cross-shard aggregate.
 	Shards []cloudlens.StreamShardVital `json:"shards,omitempty"`
 }
 

@@ -274,7 +274,7 @@ func compareTrial(tl Trial, tr *trace.Trace, batch *kb.Store, run *streamRun, ma
 		// stream's qualified pool matches the batch one — under drops a
 		// borderline VM can miss the observed-sample threshold and take its
 		// whole series out of the stream's aggregates.
-		prof, _ := run.eng.Profile(bp.Subscription)
+		prof := run.profile(bp.Subscription)
 		poolComplete := run.lossless || prof.QualifiedVMs == pools.dayPlus[bp.Subscription]
 		meanTol, qTol, rasTol := meanUtilTolLossy, quantileTolLossy, rasTolLossy
 		if run.lossless {
@@ -357,7 +357,6 @@ func compareTrial(tl Trial, tr *trace.Trace, batch *kb.Store, run *streamRun, ma
 	if run.lossless {
 		qTol = quantileTolLossless
 	}
-	sum := run.eng.Summary()
 	for _, cloud := range core.Clouds() {
 		samples := pools.perCloud[cloud]
 		if len(samples) == 0 {
@@ -365,7 +364,7 @@ func compareTrial(tl Trial, tr *trace.Trace, batch *kb.Store, run *streamRun, ma
 		}
 		sort.Float64s(samples)
 		q := stats.QuantilesOf(samples, 0.5, 0.95)
-		cl := sum.Clouds[cloud.String()]
+		cl := run.live.Clouds[cloud]
 		if !quantileOK(samples, 0.5, q[0], cl.UtilP50, qTol) {
 			d.addf("", "utilP50["+cloud.String()+"]", q[0], cl.UtilP50)
 		}
@@ -397,7 +396,7 @@ func compareTrial(tl Trial, tr *trace.Trace, batch *kb.Store, run *streamRun, ma
 	return res
 }
 
-// compareShardInvariance holds a sharded run against the single-ingestor
+// compareShardInvariance holds a sharded run against the one-shard
 // reference that replayed the identical (seeded) fault sequence. On
 // lossless trials every published profile, the live profiles, the
 // per-cloud summary, and the fault ledger must be bit-identical — the
@@ -424,10 +423,10 @@ func compareShardInvariance(res *TrialResult, ref, sharded *streamRun, maxDiv in
 				fmt.Sprintf("%+v", *want[i]), fmt.Sprintf("%+v", *got[i]))
 		}
 	}
-	if w, g := ref.eng.Profiles(all), sharded.eng.Profiles(all); !reflect.DeepEqual(w, g) {
+	if w, g := ref.live.Live, sharded.live.Live; !reflect.DeepEqual(w, g) {
 		d.add("", "shard.liveProfiles", fmt.Sprintf("%d entries", len(w)), "diverged")
 	}
-	if w, g := ref.eng.Summary(), sharded.eng.Summary(); !reflect.DeepEqual(w, g) {
+	if w, g := ref.live.Clouds, sharded.live.Clouds; !reflect.DeepEqual(w, g) {
 		d.add("", "shard.summary", fmt.Sprintf("%+v", w), fmt.Sprintf("%+v", g))
 	}
 }

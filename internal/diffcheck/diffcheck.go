@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"cloudlens/internal/core"
 	"cloudlens/internal/faultgen"
@@ -64,10 +65,10 @@ type Config struct {
 	// from the serialized bytes (default 2; 0 disables).
 	KillEvery int
 	// ShardCounts are cycled across trials as the streaming side's shard
-	// count (default nil: single-ingestor only). A trial with more than
-	// one shard additionally runs an uninterrupted single-ingestor
-	// reference over the same faulted replay and, on lossless trials,
-	// holds the sharded knowledge base bit-exactly to it.
+	// count (default nil: one shard only). A trial with more than one
+	// shard additionally runs an uninterrupted one-shard reference over
+	// the same faulted replay and, on lossless trials, holds the sharded
+	// knowledge base bit-exactly to it.
 	ShardCounts []int
 	// FamilyTrials appends serverless-family trials after the CPU matrix
 	// (default 10; -1 disables). These replay a one-minute-grid invocation
@@ -207,7 +208,7 @@ func Run(cfg Config) (*Report, error) {
 
 // runTrial generates one synthetic workload, runs both implementations
 // over it, and diffs the knowledge bases. Sharded trials also run an
-// uninterrupted single-ingestor reference over the same faulted replay:
+// uninterrupted one-shard reference over the same faulted replay:
 // on lossless trials the sharded knowledge base must match it bit for
 // bit (even when the sharded run was killed and resumed mid-week); on
 // lossy trials both sides see the identical seeded fault sequence, so
@@ -274,6 +275,9 @@ func materializeTrial(tl Trial, cfg Config) (*trace.Trace, *kb.Store, *streamRun
 // streamRun is the streaming side's complete output for one trial.
 type streamRun struct {
 	eng stream.Engine
+	// live is the finished engine's one capture of its live profiles and
+	// per-cloud counters.
+	live stream.LiveCapture
 	// ledger is the injector's exact account of what it perturbed (zero
 	// for clean trials).
 	ledger faultgen.Ledger
@@ -339,9 +343,20 @@ func runStream(tr *trace.Trace, tl Trial, spec faultgen.Spec) (*streamRun, error
 	}
 	eng.Finish()
 
-	run := &streamRun{eng: eng, lossless: spec.Drop == 0 && spec.Corrupt == 0}
+	run := &streamRun{eng: eng, live: eng.CaptureLive(), lossless: spec.Drop == 0 && spec.Corrupt == 0}
 	if inj != nil {
 		run.ledger = inj.Ledger()
 	}
 	return run, nil
+}
+
+// profile returns a subscription's live profile from the run's capture,
+// zero when the stream never published it.
+func (r *streamRun) profile(id core.SubscriptionID) stream.LiveProfile {
+	live := r.live.Live
+	i := sort.Search(len(live), func(i int) bool { return live[i].Subscription >= id })
+	if i < len(live) && live[i].Subscription == id {
+		return live[i]
+	}
+	return stream.LiveProfile{}
 }

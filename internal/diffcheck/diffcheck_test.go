@@ -37,7 +37,7 @@ func TestGauntletMatrix(t *testing.T) {
 }
 
 // TestGauntletShardInvariance runs the matrix with shard counts cycled
-// across trials: lossless sharded runs must match the single-ingestor
+// across trials: lossless sharded runs must match the one-shard
 // reference bit for bit (the kill trials resume the sharded engine), and
 // lossy runs must reconcile their fault ledgers exactly.
 func TestGauntletShardInvariance(t *testing.T) {

@@ -20,7 +20,7 @@ import (
 // standard the gauntlet holds the knowledge base: pure function of the
 // inputs. For each trial it replays one generated workload into
 // fold-boundary snapshots and feeds one seeded request stream to the
-// engine, three times over — twice single-ingestor, once sharded — and
+// engine, three times over — twice at one shard, once sharded — and
 // demands the serialized ledgers match byte for byte. It then replays
 // every ledger entry counterfactually and demands the retained snapshot
 // reproduce the chosen action's score exactly.

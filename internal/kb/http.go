@@ -65,8 +65,8 @@ type Health struct {
 	DuplicatesDropped    int64   `json:"duplicatesDropped,omitempty"`
 	WatermarkLag         int     `json:"watermarkLag,omitempty"`
 	LastCheckpointAgeSec float64 `json:"lastCheckpointAgeSec,omitempty"`
-	// Shards breaks the vitals out per ingestion shard on a sharded
-	// replay; absent on single-ingestor and batch servers.
+	// Shards breaks the vitals out per ingestion shard, one entry per
+	// shard on a replaying server; absent on batch servers.
 	Shards []ShardHealth `json:"shards,omitempty"`
 	// Policy carries the online policy engine's vitals; absent when the
 	// server runs without -policies.

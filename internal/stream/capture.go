@@ -107,46 +107,11 @@ func mergePattern(accs map[core.Pattern]*patternAcc, p *kb.Profile, util *sketch
 }
 
 // CaptureLive implements Engine: one consistent capture of the published
-// store and the streaming state, taken under the read lock so it cannot
-// interleave with a fold.
-func (ing *Ingestor) CaptureLive() LiveCapture {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	list := ing.store.List(kb.MatchAll())
-	live := make([]LiveProfile, len(list))
-	accs := make(map[core.Pattern]*patternAcc)
-	for i, p := range list {
-		live[i] = ing.liveProfileLocked(p)
-		if ss := ing.subFor(p.Subscription); ss != nil {
-			mergePattern(accs, p, ss.util)
-		}
-	}
-	clouds := make(map[core.Cloud]CloudCounters, len(ing.clouds))
-	for _, c := range core.Clouds() {
-		cs := ing.clouds[c]
-		clouds[c] = CloudCounters{
-			Samples: cs.samples,
-			VMsSeen: cs.vmsSeen,
-			UtilP50: cs.util.Quantile(0.5),
-			UtilP95: cs.util.Quantile(0.95),
-		}
-	}
-	return LiveCapture{
-		Profiles: list,
-		Live:     live,
-		Clouds:   clouds,
-		Patterns: bandAccs(accs),
-		Step:     int(ing.lastStep.Load()),
-		Steps:    ing.tr.Grid.N,
-		Done:     ing.done.Load(),
-	}
-}
-
-// CaptureLive implements Engine for the shard group. Holding g.mu
-// serializes the capture against merges (which rewrite the published
-// store), so the profile list and the per-shard accumulators are one
-// consistent view; each shard's read lock is then taken once for its whole
-// partition instead of once per profile.
+// store and the streaming state. Holding g.mu serializes the capture
+// against merges (which rewrite the published store), so the profile list
+// and the per-shard accumulators are one consistent view; each shard's
+// read lock is then taken once for its whole partition instead of once per
+// profile.
 func (g *shardGroup) CaptureLive() LiveCapture {
 	g.mu.Lock()
 	defer g.mu.Unlock()

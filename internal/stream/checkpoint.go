@@ -101,8 +101,8 @@ type slotState struct {
 	Deleted []int32
 }
 
-// ShardCheckpoint is one ingestor's complete serialized state — the whole
-// pipeline when unsharded, one shard of it otherwise. Resuming from it and
+// ShardCheckpoint is one ingestor shard's complete serialized state.
+// Resuming from it and
 // replaying the remaining steps reproduces the uninterrupted run exactly
 // (the kill/resume golden tests pin this).
 type ShardCheckpoint struct {
@@ -130,7 +130,8 @@ type ShardCheckpoint struct {
 
 	SamplesIngested int64
 	StepsIngested   int64
-	FoldCount       int64
+	// FoldCount repeats the engine's published-fold count.
+	FoldCount int64
 }
 
 // Checkpoint is the complete serialized engine state: how many shards the
@@ -139,8 +140,7 @@ type ShardCheckpoint struct {
 // rings, dedup cursors, and fault ledgers are only meaningful under the
 // same partitioning.
 type Checkpoint struct {
-	// ShardCount is the number of ingestor shards the writing pipeline ran
-	// (1 for the single-ingestor pipeline).
+	// ShardCount is the number of ingestor shards the writing pipeline ran.
 	ShardCount int
 	// LastStep is the newest batch step observed before the snapshot,
 	// common to every shard.
@@ -148,8 +148,7 @@ type Checkpoint struct {
 
 	SamplesIngested int64
 	StepsIngested   int64
-	// FoldCount counts published folds: ingestor folds when unsharded,
-	// hour-barrier merges when sharded.
+	// FoldCount counts published folds.
 	FoldCount int64
 
 	Shards []*ShardCheckpoint
@@ -181,27 +180,6 @@ func TraceFingerprint(tr *trace.Trace) uint64 {
 	return h.Sum64()
 }
 
-// WriteCheckpoint serializes the ingestor's complete state to w as a
-// single-shard checkpoint. It holds the read lock only while capturing the
-// snapshot, so ingestion pauses but snapshot readers do not.
-func (ing *Ingestor) WriteCheckpoint(w io.Writer) error {
-	_, err := writeCheckpoint(w, ing.tr, ing.captureCheckpoint())
-	return err
-}
-
-// captureCheckpoint implements Engine.
-func (ing *Ingestor) captureCheckpoint() *Checkpoint {
-	sc := ing.snapshot()
-	return &Checkpoint{
-		ShardCount:      1,
-		LastStep:        sc.LastStep,
-		SamplesIngested: sc.SamplesIngested,
-		StepsIngested:   sc.StepsIngested,
-		FoldCount:       sc.FoldCount,
-		Shards:          []*ShardCheckpoint{sc},
-	}
-}
-
 // snapshot captures a deep copy of the ingestor state under the read lock.
 func (ing *Ingestor) snapshot() *ShardCheckpoint {
 	ing.mu.RLock()
@@ -226,7 +204,6 @@ func (ing *Ingestor) checkpointLocked() *ShardCheckpoint {
 		Faults:            ing.faults,
 		SamplesIngested:   ing.samplesIngested.Load(),
 		StepsIngested:     ing.stepsIngested.Load(),
-		FoldCount:         ing.foldCount.Load(),
 	}
 	for _, slot := range ing.slots {
 		if !slot.valid {
@@ -506,74 +483,57 @@ func (ck *ShardCheckpoint) applyOptions(opts Options) Options {
 	return opts
 }
 
-// RestoreIngestor rebuilds a single ingestor from a single-shard
-// checkpoint. The checkpointed fold cadence, classification cap, lateness
-// bound, and gap policy override the corresponding opts fields so the
-// resumed run folds identically to the interrupted one; runtime-only
-// options (Speedup, Buffer, WrapSource) come from opts. Multi-shard
-// checkpoints must resume through RestoreEngine with a matching shard
-// count.
-func RestoreIngestor(tr *trace.Trace, opts Options, ck *Checkpoint) (*Ingestor, error) {
-	// Checkpoints read through ReadCheckpoint are already validated, but
-	// RestoreIngestor also accepts hand-built ones; validate is cheap and
-	// the restore path below indexes trusting every checked invariant.
-	if err := ck.validate(tr); err != nil {
-		return nil, err
-	}
-	if ck.ShardCount != 1 {
-		return nil, fmt.Errorf("stream: checkpoint was written by a %d-shard pipeline; resume it through a sharded engine with -shards %d", ck.ShardCount, ck.ShardCount)
-	}
-	return restoreShard(tr, opts, ck.Shards[0], defaultIngestMetrics, true, 0)
-}
-
 // RestoreEngine rebuilds the ingestion engine a checkpoint describes. The
 // requested opts.Shards must match the recorded shard count: per-shard
 // reorder rings and dedup cursors are only meaningful under the same
 // partitioning, so a mismatch is refused loudly instead of corrupting
 // state.
+//
+// The checkpointed fold cadence, classification cap, lateness bound, and
+// gap policy override the corresponding opts fields so the resumed run
+// folds identically to the interrupted one; runtime-only options (Speedup,
+// Buffer, WrapSource) come from opts.
 func RestoreEngine(tr *trace.Trace, opts Options, ck *Checkpoint) (Engine, error) {
-	eng, _, err := restoreEngine(tr, opts, ck)
-	return eng, err
+	g, err := restoreEngine(tr, opts, ck)
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
-// restoreEngine is RestoreEngine also returning the effective options the
-// restored engine runs under (checkpoint parameters merged over opts),
-// which the resumed pipeline's replayer needs.
-func restoreEngine(tr *trace.Trace, opts Options, ck *Checkpoint) (Engine, Options, error) {
+// restoreEngine rebuilds the shard group; its opts are the effective
+// options (checkpoint parameters merged over opts), which the resumed
+// pipeline's replayer needs.
+func restoreEngine(tr *trace.Trace, opts Options, ck *Checkpoint) (*shardGroup, error) {
 	opts = opts.withDefaults(tr.Grid.StepsPerHour())
+	// Checkpoints read through ReadCheckpoint are already validated, but
+	// hand-built ones are accepted too; validate is cheap and the restore
+	// below indexes trusting every checked invariant.
 	if err := ck.validate(tr); err != nil {
-		return nil, opts, err
+		return nil, err
 	}
 	if opts.Shards != ck.ShardCount {
-		return nil, opts, fmt.Errorf("stream: checkpoint was written with %d shard(s) but this run is configured for %d; restart with -shards %d to resume it", ck.ShardCount, opts.Shards, ck.ShardCount)
-	}
-	if ck.ShardCount == 1 {
-		ing, err := restoreShard(tr, opts, ck.Shards[0], defaultIngestMetrics, true, 0)
-		if err != nil {
-			return nil, opts, err
-		}
-		return ing, ing.opts, nil
+		return nil, fmt.Errorf("stream: checkpoint was written with %d shard(s) but this run is configured for %d; restart with -shards %d to resume it", ck.ShardCount, opts.Shards, ck.ShardCount)
 	}
 	shards := make([]*Ingestor, ck.ShardCount)
 	for i := range shards {
-		ing, err := restoreShard(tr, opts, ck.Shards[i], newIngestMetrics(shardLabel(i)), false, i)
+		ing, err := restoreShard(tr, opts, ck.Shards[i], shardMetrics(i, len(shards)))
 		if err != nil {
-			return nil, opts, fmt.Errorf("stream: restore shard %d: %w", i, err)
+			return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
 		}
 		shards[i] = ing
 	}
-	eff := shards[0].opts
-	g := startShardGroup(tr, eff, shards, ck.FoldCount)
+	g := startShardGroup(tr, shards[0].opts, shards, ck.FoldCount)
 	// Publish the restored profiles immediately so the API serves them
 	// before the first post-resume merge.
 	g.publishLocked()
-	return g, eff, nil
+	return g, nil
 }
 
 // restoreShard rebuilds one ingestor from its shard snapshot.
-func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *ingestMetrics, selfFold bool, shard int) (*Ingestor, error) {
+func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *ingestMetrics) (*Ingestor, error) {
 	opts = ck.applyOptions(opts.withDefaults(tr.Grid.StepsPerHour()))
-	ing := newIngestorWith(tr, opts, met, selfFold, shard)
+	ing := newIngestor(tr, opts, met)
 
 	ing.watermark = ck.Watermark
 	copy(ing.retired, ck.Retired)
@@ -668,13 +628,6 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 	ing.lastStep.Store(int64(ck.LastStep))
 	ing.samplesIngested.Store(ck.SamplesIngested)
 	ing.stepsIngested.Store(ck.StepsIngested)
-	ing.foldCount.Store(ck.FoldCount)
-	if selfFold {
-		// Repopulate the knowledge base immediately so the API serves
-		// profiles before the first post-resume fold; shard members publish
-		// through the group's store instead.
-		ing.store.Put(ing.appendProfilesLocked(nil)...)
-	}
 	return ing, nil
 }
 
@@ -765,9 +718,9 @@ func LoadCheckpointFile(path string, tr *trace.Trace) (*Checkpoint, error) {
 // the snapshot. The end-of-window knowledge base matches the uninterrupted
 // run's exactly. Options.Shards must match the checkpoint's shard count.
 func NewResumedPipeline(tr *trace.Trace, opts Options, ck *Checkpoint) (*Pipeline, error) {
-	eng, eff, err := restoreEngine(tr, opts, ck)
+	g, err := restoreEngine(tr, opts, ck)
 	if err != nil {
 		return nil, err
 	}
-	return newPipeline(tr, eff, eng), nil
+	return newPipeline(tr, g.opts, g), nil
 }

@@ -12,34 +12,6 @@ import (
 	"cloudlens/internal/workload"
 )
 
-// killAt runs a fresh pipeline over the trace up to and including batch
-// stopStep, snapshots the ingestor, and cancels the replay.
-func killAt(t *testing.T, mk func() (*Replayer, *Ingestor), stopStep int) *bytes.Buffer {
-	t.Helper()
-	rep, ing := mk()
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	errCh := make(chan error, 1)
-	go func() { errCh <- rep.Run(ctx) }()
-	for b := range rep.Events() {
-		ing.ObserveBatch(b)
-		if b.Step >= stopStep {
-			break
-		}
-	}
-	cancel()
-	for range rep.Events() {
-		// Drain whatever was in flight; those batches are lost with the
-		// process, exactly like a kill.
-	}
-	<-errCh
-	var buf bytes.Buffer
-	if err := ing.WriteCheckpoint(&buf); err != nil {
-		t.Fatalf("write checkpoint at step %d: %v", stopStep, err)
-	}
-	return &buf
-}
-
 func listAll(store *kb.Store) []*kb.Profile {
 	return store.List(kb.Query{MinRegionAgnosticScore: -2})
 }
@@ -60,9 +32,7 @@ func TestKillResumeExactMini(t *testing.T) {
 	want := listAll(ref.KB())
 
 	for _, stop := range []int{0, 1, 287, 1007, 2014, 2015, 2016} {
-		buf := killAt(t, func() (*Replayer, *Ingestor) {
-			return NewReplayer(tr, opts), NewIngestor(tr, opts)
-		}, stop)
+		buf := killEngineAt(t, tr, opts, stop)
 
 		ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), tr)
 		if err != nil {
@@ -92,9 +62,10 @@ func TestKillResumeExactMini(t *testing.T) {
 		}
 		// Streaming-only state converges too: quantile sketches and
 		// counters restored exactly.
+		resumedLive, refLive := liveOf(resumed), liveOf(ref)
 		for _, sub := range []core.SubscriptionID{"multi", "solo"} {
-			rp, ok1 := resumed.Profile(sub)
-			wp, ok2 := ref.Profile(sub)
+			rp, ok1 := resumedLive.Profile(sub)
+			wp, ok2 := refLive.Profile(sub)
 			if !ok1 || !ok2 {
 				t.Fatalf("stop %d: live profile %s missing (resumed=%v ref=%v)", stop, sub, ok1, ok2)
 			}
@@ -136,9 +107,7 @@ func TestKillResumeGoldenGenerated(t *testing.T) {
 	// An arbitrary mid-week step, derived from the trace seed so the run
 	// is reproducible without being hand-picked.
 	stop := 211 + int(cfg.Seed%7)*229
-	buf := killAt(t, func() (*Replayer, *Ingestor) {
-		return NewReplayer(tr, opts), NewIngestor(tr, opts)
-	}, stop)
+	buf := killEngineAt(t, tr, opts, stop)
 	t.Logf("killed at step %d, checkpoint %d bytes", stop, buf.Len())
 
 	ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), tr)
@@ -182,7 +151,7 @@ func TestKillResumeGoldenGenerated(t *testing.T) {
 		t.Errorf("pattern agreement %.4f below %v", frac, goldenMinAgreement)
 	}
 
-	refSum, resSum := ref.Summary(), resumed.Summary()
+	refSum, resSum := liveOf(ref).Summary(), liveOf(resumed).Summary()
 	for _, cloud := range core.Clouds() {
 		rc, gc := refSum.Clouds[cloud.String()], resSum.Clouds[cloud.String()]
 		if d := math.Abs(gc.UtilP50 - rc.UtilP50); d > goldenQuantileTolerance {
@@ -202,10 +171,10 @@ func TestKillResumeGoldenGenerated(t *testing.T) {
 // wrong version, truncated stream.
 func TestCheckpointRejectsMismatch(t *testing.T) {
 	tr := miniTrace(t)
-	ing := NewIngestor(tr, Options{})
-	ing.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.5)))
+	eng := NewEngine(tr, Options{})
+	eng.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.5)))
 	var buf bytes.Buffer
-	if err := ing.WriteCheckpoint(&buf); err != nil {
+	if err := eng.WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 

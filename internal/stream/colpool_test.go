@@ -64,7 +64,7 @@ func TestColumnarBatchPath(t *testing.T) {
 	}
 
 	tr := microTrace()
-	colIng := NewIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000})
+	colIng := newIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, defaultIngestMetrics)
 	var recycledCols, recycledLate int
 	colIng.SetRecycler(func(b StepBatch) {
 		if b.VM != nil {
@@ -76,7 +76,7 @@ func TestColumnarBatchPath(t *testing.T) {
 	})
 	feedCols(colIng)
 
-	rowIng := NewIngestor(microTrace(), Options{MaxLatenessSteps: 2, FoldEverySteps: 10000})
+	rowIng := newIngestor(microTrace(), Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, defaultIngestMetrics)
 	feedRows(rowIng)
 
 	for vm := 0; vm < 2; vm++ {
@@ -113,11 +113,11 @@ func TestColumnarBatchPath(t *testing.T) {
 	// The columnar fold counters move only on the fast path: seven owned
 	// column sets (the appended step-3 duplicate rides along in step 3's
 	// set; step 4 folds from extras alone).
-	v := colIng.IngestVitals()[0]
+	v := colIng.ingestVital()
 	if v.BatchesFolded != 7 {
 		t.Errorf("BatchesFolded = %d, want 7", v.BatchesFolded)
 	}
-	if rv := rowIng.IngestVitals()[0]; rv.BatchesFolded != 0 {
+	if rv := rowIng.ingestVital(); rv.BatchesFolded != 0 {
 		t.Errorf("row-form feed recorded %d columnar folds", rv.BatchesFolded)
 	}
 }

@@ -116,10 +116,10 @@ func TestServerlessCoarseGridEquivalence(t *testing.T) {
 // trace of another, even when everything else about the traces lines up.
 func TestCheckpointRejectsForeignFamily(t *testing.T) {
 	tr := microTrace()
-	ing := NewIngestor(tr, Options{})
-	ing.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.5)))
+	eng := NewEngine(tr, Options{})
+	eng.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.5)))
 	var buf bytes.Buffer
-	if err := ing.WriteCheckpoint(&buf); err != nil {
+	if err := eng.WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 
@@ -140,10 +140,10 @@ func TestCheckpointRejectsForeignFamily(t *testing.T) {
 // is deserialized.
 func TestCheckpointRejectsForeignGrid(t *testing.T) {
 	tr := microTrace()
-	ing := NewIngestor(tr, Options{})
-	ing.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.5)))
+	eng := NewEngine(tr, Options{})
+	eng.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.5)))
 	var buf bytes.Buffer
-	if err := ing.WriteCheckpoint(&buf); err != nil {
+	if err := eng.WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 

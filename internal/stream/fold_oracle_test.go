@@ -172,8 +172,8 @@ func (o *FoldOracle) Bind(eng Engine) { o.eng = eng }
 func (o *FoldOracle) FoldBegin() {}
 
 // FoldPublished runs on the ingestion goroutine with the engine quiesced:
-// the lone ingestor's write lock is held, or every shard is parked at the
-// merge barrier.
+// the lone shard runs inline on that goroutine, or every shard is parked
+// at the merge barrier.
 func (o *FoldOracle) FoldPublished(step int) {
 	o.Folds++
 	o.check(step)
@@ -182,18 +182,8 @@ func (o *FoldOracle) FoldPublished(step int) {
 // check holds the published store to the reference fold of the current
 // accumulator state. The caller guarantees ingestion is quiescent.
 func (o *FoldOracle) check(step int) {
-	var shards []*Ingestor
-	switch eng := o.eng.(type) {
-	case *Ingestor:
-		shards = []*Ingestor{eng}
-	case *shardGroup:
-		shards = eng.shards
-	default:
-		o.t.Errorf("fold oracle bound to %T", o.eng)
-		return
-	}
 	store := o.eng.KB()
-	for _, ing := range shards {
+	for _, ing := range o.eng.(*shardGroup).shards {
 		live := make(map[*subState][]*vmAcc)
 		for _, acc := range ing.accs {
 			if acc != nil {
@@ -348,19 +338,20 @@ func TestFoldNormalisesOffTaxonomyShares(t *testing.T) {
 	tr := miniTrace(t)
 	eng := engineAt(t, tr, Options{}, tr.Grid.N/2)
 	defer eng.Abort()
-	ing := eng.(*Ingestor)
+	g := eng.(*shardGroup)
+	ing := g.shards[0]
 	id := core.SubscriptionID("multi")
-	ing.mu.Lock()
+	g.mu.Lock()
 	ss := ing.subFor(id)
 	for _, pat := range []core.Pattern{core.PatternBursty, core.PatternBursty, core.PatternUnknown} {
 		// A negative index sorts ahead of every real VM, so the planted
 		// records survive the cap; retired records never index ing.accs.
 		ss.retired = append(ss.retired, classifiedVM{idx: -1, pattern: pat, utilSum: 0.5, n: 1})
 	}
-	ing.foldLocked()
-	ing.mu.Unlock()
+	g.publishLocked()
+	g.mu.Unlock()
 
-	p, ok := ing.KB().Get(id)
+	p, ok := g.KB().Get(id)
 	if !ok {
 		t.Fatalf("subscription %s not published", id)
 	}
@@ -382,13 +373,15 @@ func TestFoldNormalisesOffTaxonomyShares(t *testing.T) {
 	}
 }
 
-// TestFoldAllocs pins what a fold allocates: one slab holding every
-// profile, and per subscription the PatternShares map (its header, plus its
-// one bucket group when the subscription has a classified VM). Nothing
-// scales with the number of VMs — the candidate references, pattern counts
-// and region averages live in ingestor-owned scratch, the name lists and the
-// median lifetime in per-subscription caches — which the two mid-week states
-// below, with different live populations, both have to satisfy exactly.
+// TestFoldAllocs pins what the engine's publish allocates at one shard: one
+// slab holding every profile, and per subscription the PatternShares map
+// (its header, plus its one bucket group when the subscription has a
+// classified VM). Nothing scales with the number of VMs — the candidate
+// references, pattern counts and region averages live in ingestor-owned
+// scratch, the name lists and the median lifetime in per-subscription
+// caches, the published list in the engine's — which the two mid-week
+// states below, with different live populations, both have to satisfy
+// exactly.
 func TestFoldAllocs(t *testing.T) {
 	cfg := workload.DefaultConfig(42)
 	cfg.Scale = 0.02
@@ -398,9 +391,9 @@ func TestFoldAllocs(t *testing.T) {
 	}
 	for _, stop := range []int{tr.Grid.N / 3, 2 * tr.Grid.N / 3} {
 		eng := engineAt(t, tr, Options{}, stop)
-		ing := eng.(*Ingestor)
+		g := eng.(*shardGroup)
 		subs, classified, vms := 0, 0, 0
-		for _, ss := range ing.subs {
+		for _, ss := range g.shards[0].subs {
 			if ss == nil {
 				continue
 			}
@@ -414,9 +407,9 @@ func TestFoldAllocs(t *testing.T) {
 			t.Fatalf("step %d: %d subscriptions, %d classified, %d candidate VMs; state too thin to measure", stop, subs, classified, vms)
 		}
 		got := testing.AllocsPerRun(5, func() {
-			ing.mu.Lock()
-			ing.foldLocked()
-			ing.mu.Unlock()
+			g.mu.Lock()
+			g.publishLocked()
+			g.mu.Unlock()
 		})
 		want := float64(1 + subs + classified)
 		t.Logf("step %d: %d subscriptions (%d classified), %d candidate VMs: %.0f allocs/fold", stop, subs, classified, vms, got)

@@ -12,40 +12,32 @@ import (
 	"cloudlens/internal/trace"
 )
 
-// checkpointedIngestor feeds a few hand-built batches — including a delayed
-// sample so the reorder ring is non-empty — and returns the ingestor mid
-// flight, before Finish.
-func checkpointedIngestor(t testing.TB) *Ingestor {
+// checkpointedEngine feeds a one-shard engine a few hand-built batches —
+// including a delayed sample so the reorder ring is non-empty — and returns
+// it mid flight, before Finish.
+func checkpointedEngine(t testing.TB) *shardGroup {
 	t.Helper()
 	tr := microTrace()
-	ing := NewIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000})
-	ing.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.2), sampleAt(1, 0, 0.4)))
-	ing.ObserveBatch(batchOf(1, sampleAt(0, 1, 0.3)))
+	eng := NewEngine(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000})
+	eng.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.2), sampleAt(1, 0, 0.4)))
+	eng.ObserveBatch(batchOf(1, sampleAt(0, 1, 0.3)))
 	// Step 2 is missing for VM 0 and steps 2-3 arrive out of order, so the
 	// snapshot carries pending slots above the watermark.
-	ing.ObserveBatch(batchOf(3, sampleAt(0, 3, 0.5)))
-	return ing
+	eng.ObserveBatch(batchOf(3, sampleAt(0, 3, 0.5)))
+	return eng.(*shardGroup)
 }
 
-// checkpointOf captures the mid-flight state as a mutable single-shard
-// Checkpoint, shaped exactly as WriteCheckpoint would wrap it.
+// checkpointOf captures the mid-flight state as a mutable Checkpoint,
+// exactly as WriteCheckpoint would encode it.
 func checkpointOf(t testing.TB) *Checkpoint {
-	sc := checkpointedIngestor(t).snapshot()
-	return &Checkpoint{
-		ShardCount:      1,
-		LastStep:        sc.LastStep,
-		SamplesIngested: sc.SamplesIngested,
-		StepsIngested:   sc.StepsIngested,
-		FoldCount:       sc.FoldCount,
-		Shards:          []*ShardCheckpoint{sc},
-	}
+	return checkpointedEngine(t).captureCheckpoint()
 }
 
 // checkpointBytes serializes the mid-flight state as WriteCheckpoint would.
 func checkpointBytes(t testing.TB) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := checkpointedIngestor(t).WriteCheckpoint(&buf); err != nil {
+	if err := checkpointedEngine(t).WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("write checkpoint: %v", err)
 	}
 	return buf.Bytes()
@@ -54,7 +46,7 @@ func checkpointBytes(t testing.TB) []byte {
 // FuzzReadCheckpoint decodes mutated snapshot bytes. Checkpoint files are
 // read back across process restarts, so a bit flip on disk must surface as
 // an error — never a panic in ReadCheckpoint, and never a panic or hang in
-// the RestoreIngestor that consumes an accepted checkpoint.
+// the RestoreEngine that consumes an accepted checkpoint.
 func FuzzReadCheckpoint(f *testing.F) {
 	valid := checkpointBytes(f)
 	f.Add(valid)
@@ -116,21 +108,21 @@ func FuzzDecodeShardSection(f *testing.F) {
 }
 
 // restoreAndFinish holds whatever decoding accepted to the restore
-// contract: it restores into a working ingestor or is refused with an
-// error, and the ingestor folds the pending ring, ingests one more clean
+// contract: it restores into a working engine or is refused with an
+// error, and the engine folds the pending ring, ingests one more clean
 // batch, and builds every profile without panicking or hanging.
 func restoreAndFinish(t *testing.T, tr *trace.Trace, ck *Checkpoint) {
-	ing, err := RestoreIngestor(tr, Options{FoldEverySteps: 10000}, ck)
+	eng, err := RestoreEngine(tr, Options{FoldEverySteps: 10000}, ck)
 	if err != nil {
 		return
 	}
 	next := ck.LastStep + 1
 	if next >= 0 && next < tr.Grid.N {
-		ing.ObserveBatch(batchOf(next, sampleAt(0, next, 0.5)))
+		eng.ObserveBatch(batchOf(next, sampleAt(0, next, 0.5)))
 	}
-	ing.Finish()
-	if _, ok := ing.KB().Get("micro"); !ok {
-		t.Fatal("restored ingestor lost the subscription profile")
+	eng.Finish()
+	if _, ok := eng.KB().Get("micro"); !ok {
+		t.Fatal("restored engine lost the subscription profile")
 	}
 }
 
@@ -166,13 +158,13 @@ func TestWriteReadCheckpointCorpus(t *testing.T) {
 // TestRestoreRejectsNegativeClassifyCap pins a fuzz-found crash: a decoder
 // faithfully delivers a negative MaxClassifyPerSub (one flipped sign bit),
 // withDefaults only replaces a zero value, and buildProfile then slices
-// cands[:negative] — a panic raised inside RestoreIngestor itself while
+// cands[:negative] — a panic raised inside the restore itself while
 // repopulating the knowledge base.
 func TestRestoreRejectsNegativeClassifyCap(t *testing.T) {
 	ck := checkpointOf(t)
 	ck.Shards[0].MaxClassifyPerSub = -1
-	if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-		t.Fatal("RestoreIngestor accepted a negative classification cap")
+	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+		t.Fatal("RestoreEngine accepted a negative classification cap")
 	}
 }
 
@@ -186,8 +178,8 @@ func TestRestoreRejectsOutOfRangeSlotVM(t *testing.T) {
 		t.Fatal("fixture checkpoint has no pending slots")
 	}
 	sc.Slots[0].Extras = append(sc.Slots[0].Extras, sampleAt(99, sc.Slots[0].Step, 0.5))
-	if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-		t.Fatal("RestoreIngestor accepted a slot sample for VM 99 of 2")
+	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+		t.Fatal("RestoreEngine accepted a slot sample for VM 99 of 2")
 	}
 }
 
@@ -201,8 +193,8 @@ func TestRestoreRejectsPoisonedSlotReading(t *testing.T) {
 		t.Fatal("fixture checkpoint has no pending slots")
 	}
 	sc.Slots[0].Extras = append(sc.Slots[0].Extras, sampleAt(0, sc.Slots[0].Step, math.NaN()))
-	if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-		t.Fatal("RestoreIngestor accepted a NaN reading in a pending slot")
+	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+		t.Fatal("RestoreEngine accepted a NaN reading in a pending slot")
 	}
 }
 
@@ -221,8 +213,8 @@ func TestRestoreRejectsImpossibleAccSpan(t *testing.T) {
 			t.Fatal("fixture checkpoint has no accumulators")
 		}
 		mut(&ck.Shards[0].Accs[0])
-		if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-			t.Errorf("RestoreIngestor accepted an accumulator with %s", name)
+		if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+			t.Errorf("RestoreEngine accepted an accumulator with %s", name)
 		}
 	}
 }
@@ -234,8 +226,8 @@ func TestRestoreRejectsJunkWatermark(t *testing.T) {
 	for _, junk := range []int{-2, math.MinInt64, math.MaxInt64} {
 		ck := checkpointOf(t)
 		ck.Shards[0].Watermark = junk
-		if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-			t.Errorf("RestoreIngestor accepted watermark %d", junk)
+		if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+			t.Errorf("RestoreEngine accepted watermark %d", junk)
 		}
 	}
 }
@@ -250,8 +242,8 @@ func TestRestoreRejectsCorruptAutoCorrLags(t *testing.T) {
 		t.Fatal("fixture checkpoint has no accumulators")
 	}
 	ck.Shards[0].Accs[0].AC.Lags[0] = -1
-	if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-		t.Fatal("RestoreIngestor accepted an autocorrelation lag of -1")
+	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+		t.Fatal("RestoreEngine accepted an autocorrelation lag of -1")
 	}
 }
 
@@ -281,8 +273,8 @@ func TestRestoreRejectsForeignGeometry(t *testing.T) {
 	} {
 		ck := checkpointOf(t)
 		mut(ck.Shards[0])
-		if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-			t.Errorf("RestoreIngestor accepted a checkpoint with %s", name)
+		if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+			t.Errorf("RestoreEngine accepted a checkpoint with %s", name)
 		}
 	}
 }
@@ -293,29 +285,22 @@ func TestRestoreRejectsForeignGeometry(t *testing.T) {
 func TestRestoreRejectsUnknownGapPolicy(t *testing.T) {
 	ck := checkpointOf(t)
 	ck.Shards[0].GapPolicy = GapPolicy(42)
-	if _, err := RestoreIngestor(microTrace(), Options{}, ck); err == nil {
-		t.Fatal("RestoreIngestor accepted gap policy 42")
+	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+		t.Fatal("RestoreEngine accepted gap policy 42")
 	}
 }
 
 // TestReadCheckpointValidates pins that the byte-level reader applies the
-// same domain checks as RestoreIngestor, so cloudlens.go's resume path
-// fails at load time with a precise error instead of at first fold.
+// same domain checks as RestoreEngine, so cloudlens.go's resume path fails
+// at load time with a precise error instead of at first fold.
 func TestReadCheckpointValidates(t *testing.T) {
-	ing := checkpointedIngestor(t)
-	ing.mu.RLock()
-	ck := ing.checkpointLocked()
-	ing.mu.RUnlock()
-	ck.MaxClassifyPerSub = -1
-
-	// Re-serialize the mutated state through the same writer path.
+	// Serialize a negative classification cap through the writer path.
+	eng := checkpointedEngine(t)
+	eng.shards[0].opts.MaxClassifyPerSub = -1
 	var buf bytes.Buffer
-	restore := ing.opts.MaxClassifyPerSub
-	ing.opts.MaxClassifyPerSub = -1
-	if err := ing.WriteCheckpoint(&buf); err != nil {
+	if err := eng.WriteCheckpoint(&buf); err != nil {
 		t.Fatalf("write checkpoint: %v", err)
 	}
-	ing.opts.MaxClassifyPerSub = restore
 
 	if _, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), microTrace()); err == nil {
 		t.Fatal("ReadCheckpoint accepted a checkpoint with a negative classification cap")

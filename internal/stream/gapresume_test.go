@@ -56,32 +56,33 @@ func TestKillResumeMidFlightRingAllPolicies(t *testing.T) {
 	for _, policy := range []GapPolicy{GapCarry, GapSkip, GapInterpolate} {
 		opts := Options{MaxLatenessSteps: 2, GapPolicy: policy, FoldEverySteps: 10000}
 
-		ref := NewIngestor(microTrace(), opts)
+		ref := NewEngine(microTrace(), opts)
 		for _, b := range ringScript() {
 			ref.ObserveBatch(b)
 		}
 		ref.Finish()
-		want := snapshotOf(ref)
+		want := snapshotOf(soleShard(ref))
 
 		for kill := 0; kill < nBatches; kill++ {
 			script := ringScript()
 			tr := microTrace()
-			ing := NewIngestor(tr, opts)
+			eng := NewEngine(tr, opts)
 			for _, b := range script[:kill+1] {
-				ing.ObserveBatch(b)
+				eng.ObserveBatch(b)
 			}
 			var buf bytes.Buffer
-			if err := ing.WriteCheckpoint(&buf); err != nil {
+			if err := eng.WriteCheckpoint(&buf); err != nil {
 				t.Fatalf("%v kill %d: write: %v", policy, kill, err)
 			}
 			ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), tr)
 			if err != nil {
 				t.Fatalf("%v kill %d: read: %v", policy, kill, err)
 			}
-			resumed, err := RestoreIngestor(tr, opts, ck)
+			restored, err := RestoreEngine(tr, opts, ck)
 			if err != nil {
 				t.Fatalf("%v kill %d: restore: %v", policy, kill, err)
 			}
+			ing, resumed := soleShard(eng), soleShard(restored)
 
 			// The restored in-flight state must equal the killed ingestor's
 			// exactly: watermark, pending ring, and the open-gap cursor
@@ -138,9 +139,9 @@ func TestKillResumeMidFlightRingAllPolicies(t *testing.T) {
 			}
 
 			for _, b := range script[kill+1:] {
-				resumed.ObserveBatch(b)
+				restored.ObserveBatch(b)
 			}
-			resumed.Finish()
+			restored.Finish()
 			if got := snapshotOf(resumed); !reflect.DeepEqual(got, want) {
 				t.Errorf("%v kill %d: final state diverged from uninterrupted run\nresumed: %+v\nwant:    %+v",
 					policy, kill, got, want)

@@ -22,19 +22,19 @@ func regionHourOf(ing *Ingestor, id core.SubscriptionID, region string) *regionH
 	return ss.regionHours[ri]
 }
 
-// reserialize snapshots an ingestor to bytes and restores it, simulating a
+// reserialize snapshots an engine to bytes and restores it, simulating a
 // mid-stream process death.
-func reserialize(t *testing.T, tr *trace.Trace, opts Options, ing *Ingestor) *Ingestor {
+func reserialize(t *testing.T, tr *trace.Trace, opts Options, eng Engine) Engine {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := ing.WriteCheckpoint(&buf); err != nil {
+	if err := eng.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
 	ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed, err := RestoreIngestor(tr, opts, ck)
+	resumed, err := RestoreEngine(tr, opts, ck)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func reserialize(t *testing.T, tr *trace.Trace, opts Options, ing *Ingestor) *In
 // peak/rest slot alignment drifting off the batch classifier's grid.
 func TestGapSkipQualifyStepAttribution(t *testing.T) {
 	tr := microTrace()
-	ing := NewIngestor(tr, Options{GapPolicy: GapSkip, FoldEverySteps: 10000})
+	ing := newIngestor(tr, Options{GapPolicy: GapSkip, FoldEverySteps: 10000}, defaultIngestMetrics)
 
 	// Feed VM 0 an injective series cpu(step) well past qualification
 	// (kb.MinProfileSteps samples), with one reading dropped before it.
@@ -133,19 +133,19 @@ func TestGapSkipStepAttributionSurvivesResume(t *testing.T) {
 	tr := microTrace()
 	opts := Options{GapPolicy: GapSkip, FoldEverySteps: 10000}
 	run := func(killAt int) *Ingestor {
-		ing := NewIngestor(tr, opts)
+		eng := NewEngine(tr, opts)
 		for s := 0; s <= 299; s++ {
 			if s == 5 || s == 17 {
-				ing.ObserveBatch(batchOf(s))
+				eng.ObserveBatch(batchOf(s))
 				continue
 			}
-			ing.ObserveBatch(batchOf(s, sampleAt(0, s, float64(s)/1000)))
+			eng.ObserveBatch(batchOf(s, sampleAt(0, s, float64(s)/1000)))
 			if s == killAt {
-				ing = reserialize(t, tr, opts, ing)
+				eng = reserialize(t, tr, opts, eng)
 			}
 		}
-		ing.Finish()
-		return ing
+		eng.Finish()
+		return soleShard(eng)
 	}
 
 	// Kill between the two holes, well before qualification at step ~290.

@@ -79,7 +79,7 @@ func TestGoldenStreamMatchesBatchWeek(t *testing.T) {
 	// Per-cloud utilization quantiles: sketch estimates vs exact order
 	// statistics over the same sample population (every sample of every
 	// profiled, day-plus VM).
-	sum := p.Summary()
+	sum := liveOf(p).Summary()
 	for _, cloud := range core.Clouds() {
 		exact := exactCloudQuantiles(tr, cloud)
 		cl := sum.Clouds[cloud.String()]

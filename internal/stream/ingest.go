@@ -6,7 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cloudlens/internal/classify"
 	"cloudlens/internal/core"
@@ -255,10 +254,11 @@ type FaultStats struct {
 	WatermarkLag int `json:"watermarkLag"`
 }
 
-// Ingestor consumes StepBatch events and maintains a continuously refreshed
-// knowledge base. All exported read methods return consistent snapshots
-// while ingestion runs; ingestion and profile folding serialize on one
-// writer lock.
+// Ingestor is one shard of the ingestion engine: it consumes the StepBatch
+// events routed to it and keeps the streaming accumulators of the
+// subscriptions it owns, from which the engine builds the published
+// profiles at each fold. Ingestion and profile building serialize on one
+// writer lock; the read methods take the read lock.
 //
 // Input need not be clean: samples are re-ordered through a bounded
 // watermark ring, duplicates are dropped per VM, corrupt readings are
@@ -279,15 +279,7 @@ type Ingestor struct {
 	minSteps     int
 	met          *ingestMetrics
 
-	// shard is the ingestor's position in a sharded group (0 when it is
-	// the whole pipeline). selfFold is false for shard members: the group
-	// rebuilds the published store at the hour barrier instead, so each
-	// shard only maintains accumulators.
-	shard    int
-	selfFold bool
-
 	mu       sync.RWMutex
-	store    *kb.Store
 	subs     []*subState // indexed by interned subscription id
 	accs     []*vmAcc
 	retired  []bool
@@ -300,13 +292,12 @@ type Ingestor struct {
 	// interned-id order) and the slab their profiles land in, index for
 	// index, the cursor that hands them out in foldBlock runs, the worker
 	// entry point (a method value made once, so a fold allocates no
-	// closure), and the profile set a lone ingestor hands to its store.
-	foldScratch  []*foldScratch
-	foldSubs     []*subState
-	foldSlab     []kb.Profile
-	foldNext     atomic.Int64
-	foldWork     func(worker int)
-	foldProfiles []*kb.Profile
+	// closure).
+	foldScratch []*foldScratch
+	foldSubs    []*subState
+	foldSlab    []kb.Profile
+	foldNext    atomic.Int64
+	foldWork    func(worker int)
 
 	// watermark is the newest step already folded; slots hold the steps
 	// still in flight, indexed by step modulo len(slots).
@@ -317,8 +308,6 @@ type Ingestor struct {
 	lastStep        atomic.Int64
 	samplesIngested atomic.Int64
 	stepsIngested   atomic.Int64
-	foldCount       atomic.Int64
-	done            atomic.Bool
 
 	// Columnar-batch vitals (GET /api/v1/live/ingest): how many owned
 	// column sets folded, how many samples they carried, and the fill
@@ -331,15 +320,9 @@ type Ingestor struct {
 	colCapSum        atomic.Int64
 }
 
-// NewIngestor returns an empty ingestor for the trace's universe.
-func NewIngestor(tr *trace.Trace, opts Options) *Ingestor {
-	return newIngestorWith(tr, opts, defaultIngestMetrics, true, 0)
-}
-
-// newIngestorWith is NewIngestor with the shard wiring exposed: the metric
-// set the ingestor reports through, whether it publishes its own folds, and
-// its shard id.
-func newIngestorWith(tr *trace.Trace, opts Options, met *ingestMetrics, selfFold bool, shard int) *Ingestor {
+// newIngestor returns an empty ingestor for the trace's universe, reporting
+// through the given metric set.
+func newIngestor(tr *trace.Trace, opts Options, met *ingestMetrics) *Ingestor {
 	stepsPerHour := tr.Grid.StepsPerHour()
 	opts = opts.withDefaults(stepsPerHour)
 	keys := tr.Keys()
@@ -357,9 +340,6 @@ func newIngestorWith(tr *trace.Trace, opts Options, met *ingestMetrics, selfFold
 		stepsPerHour: stepsPerHour,
 		minSteps:     kb.MinProfileStepsFor(tr.Grid),
 		met:          met,
-		shard:        shard,
-		selfFold:     selfFold,
-		store:        kb.NewStore(),
 		subs:         make([]*subState, len(keys.Subs)),
 		accs:         make([]*vmAcc, len(tr.VMs)),
 		retired:      make([]bool, len(tr.VMs)),
@@ -374,10 +354,6 @@ func newIngestorWith(tr *trace.Trace, opts Options, met *ingestMetrics, selfFold
 	}
 	return ing
 }
-
-// KB returns the live knowledge base. The store is itself thread-safe; its
-// profiles are refreshed in place at every fold.
-func (ing *Ingestor) KB() *kb.Store { return ing.store }
 
 // ObserveBatch accepts one delivered batch: the sample columns are
 // corrupt-filtered in place with one branch-light pass over the contiguous
@@ -503,8 +479,9 @@ func (ing *Ingestor) recycleBatch(b StepBatch) {
 }
 
 // SetRecycler registers the function spent batch buffers are handed back
-// through once their slot folds (the pipeline points it at the source's
-// free lists). It must be called before ingestion starts.
+// through once their slot folds (the engine points it at the source's free
+// lists when the shard runs inline, at the router's pool otherwise). It
+// must be called before ingestion starts.
 func (ing *Ingestor) SetRecycler(f func(StepBatch)) { ing.recycle = f }
 
 // slotFor returns the ring slot owning a step in (watermark, watermark +
@@ -520,10 +497,9 @@ func (ing *Ingestor) slotFor(step int) *reorderSlot {
 }
 
 // advanceLocked moves the watermark up to the target step, folding each
-// buffered slot it passes in step order and running the periodic
-// knowledge-base fold at its configured cadence. Steps with no buffered
-// slot (an entirely dropped batch) advance the watermark silently; the gap
-// policy repairs the affected VMs when their next sample folds.
+// buffered slot it passes in step order. Steps with no buffered slot (an
+// entirely dropped batch) advance the watermark silently; the gap policy
+// repairs the affected VMs when their next sample folds.
 func (ing *Ingestor) advanceLocked(target int) {
 	for ing.watermark < target {
 		next := ing.watermark + 1
@@ -532,9 +508,6 @@ func (ing *Ingestor) advanceLocked(target int) {
 			ing.foldSlotLocked(slot)
 		}
 		ing.watermark = next
-		if ing.selfFold && ing.opts.FoldEverySteps > 0 && next > 0 && next%ing.opts.FoldEverySteps == 0 {
-			ing.timedFoldLocked(next)
-		}
 	}
 }
 
@@ -635,8 +608,8 @@ func (ing *Ingestor) applySample(acc *vmAcc, step int, cpu float64) {
 // IngestVital is one ingestion shard's columnar-batch vitals, served by
 // GET /api/v1/live/ingest: how many owned column sets folded and how many
 // samples they carried, the mean fill ratio of their backing arrays, the
-// reorder ring's occupancy, and — filled in by the pipeline or shard
-// router — the column pool's allocation ledger.
+// reorder ring's occupancy, and — filled in by the engine — the column
+// pool's allocation ledger.
 type IngestVital struct {
 	Shard int `json:"shard"`
 	// BatchesFolded counts owned column sets recycled at fold.
@@ -657,8 +630,9 @@ type IngestVital struct {
 	Pool ColPoolStats `json:"pool"`
 }
 
-// ingestVital assembles this ingestor's vitals; the pool ledger is the
-// caller's to attach (it lives with whoever owns the free list).
+// ingestVital assembles this ingestor's vitals; the shard id and the pool
+// ledger are the engine's to attach (the ledger lives with whoever owns the
+// free list).
 func (ing *Ingestor) ingestVital() IngestVital {
 	ing.mu.RLock()
 	occ := 0
@@ -670,7 +644,6 @@ func (ing *Ingestor) ingestVital() IngestVital {
 	wm := ing.watermark
 	ing.mu.RUnlock()
 	v := IngestVital{
-		Shard:         ing.shard,
 		BatchesFolded: ing.colBatchesFolded.Load(),
 		ColumnSamples: ing.colSamplesFolded.Load(),
 		RingOccupancy: occ,
@@ -681,11 +654,6 @@ func (ing *Ingestor) ingestVital() IngestVital {
 		v.FillRatio = float64(ing.colLenSum.Load()) / float64(capSum)
 	}
 	return v
-}
-
-// IngestVitals implements Engine: a single-ingestor pipeline is one shard.
-func (ing *Ingestor) IngestVitals() []IngestVital {
-	return []IngestVital{ing.ingestVital()}
 }
 
 // FaultStats returns the ledger of input imperfections observed so far.
@@ -699,41 +667,12 @@ func (ing *Ingestor) FaultStats() FaultStats {
 	return fs
 }
 
-// Finish drains the reorder ring and folds the remaining state once the
-// stream ends.
+// Finish drains the reorder ring into the accumulators once the stream
+// ends.
 func (ing *Ingestor) Finish() {
 	ing.mu.Lock()
 	ing.advanceLocked(ing.watermark + len(ing.slots))
-	if ing.selfFold {
-		ing.timedFoldLocked(ing.tr.Grid.N)
-	}
 	ing.mu.Unlock()
-	ing.done.Store(true)
-}
-
-// Abort implements Engine. A lone ingestor has no goroutines of its own to
-// stop; cancellation just leaves the last folded state standing.
-func (ing *Ingestor) Abort() {}
-
-// timedFoldLocked runs a fold under the write lock, brackets it with the
-// configured FoldObserver (step labels the fold boundary in grid steps),
-// and records its wall-clock duration.
-func (ing *Ingestor) timedFoldLocked(step int) {
-	start := time.Now()
-	if step > ing.tr.Grid.N {
-		// Draining the reorder ring at Finish can cross fold boundaries
-		// past the end of the grid; clamp so published step labels match
-		// the sharded path, which never folds beyond Grid.N.
-		step = ing.tr.Grid.N
-	}
-	if ob := ing.opts.FoldObserver; ob != nil {
-		ob.FoldBegin()
-	}
-	ing.foldLocked()
-	if ob := ing.opts.FoldObserver; ob != nil {
-		ob.FoldPublished(step)
-	}
-	ing.met.foldSeconds.Observe(time.Since(start).Seconds())
 }
 
 // track starts accumulating a newly seen VM.
@@ -952,22 +891,12 @@ func (ing *Ingestor) validatedACF(ac *sketch.AutoCorr, lag int) float64 {
 	return v
 }
 
-// foldLocked refreshes every subscription's live profile in the knowledge
-// base, publishing the whole set as one store write. Callers hold the write
-// lock.
-func (ing *Ingestor) foldLocked() {
-	ing.foldProfiles = ing.appendProfilesLocked(ing.foldProfiles[:0])
-	ing.store.Put(ing.foldProfiles...)
-	ing.foldCount.Add(1)
-}
-
 // foldInto appends this ingestor's subscriptions' profiles to dst — the
-// hour-barrier merge path of a sharded pipeline, which publishes every
-// shard's profiles in one store write. The subscriptions of one trace
-// partition across shards, so each profile has exactly one writer and the
-// merged store equals the single-ingestor fold. A fold writes the
-// ingestor's scratch and caches, hence the write lock; the shard is parked
-// at the barrier, so only readers can hold it.
+// engine's merge, which publishes every shard's profiles in one store
+// write. The subscriptions of one trace partition across shards, so each
+// profile has exactly one writer. A fold writes the ingestor's scratch and
+// caches, hence the write lock; the engine has quiesced the shard, so only
+// readers can hold it.
 func (ing *Ingestor) foldInto(dst []*kb.Profile) []*kb.Profile {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
@@ -1249,29 +1178,6 @@ type Summary struct {
 	Clouds map[string]CloudLive `json:"clouds"`
 }
 
-// Summary returns a consistent snapshot of the live aggregates.
-func (ing *Ingestor) Summary() Summary {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	out := Summary{
-		Step:   int(ing.lastStep.Load()),
-		Steps:  ing.tr.Grid.N,
-		Done:   ing.done.Load(),
-		Clouds: make(map[string]CloudLive, len(ing.clouds)),
-	}
-	for _, c := range core.Clouds() {
-		cs := ing.clouds[c]
-		out.Clouds[c.String()] = CloudLive{
-			Summary:         ing.store.Summarize(c),
-			SamplesIngested: cs.samples,
-			VMsSeen:         cs.vmsSeen,
-			UtilP50:         cs.util.Quantile(0.5),
-			UtilP95:         cs.util.Quantile(0.95),
-		}
-	}
-	return out
-}
-
 // LiveProfile is a knowledge-base profile augmented with streaming-only
 // knowledge: sketch-estimated utilization quantiles and stream counters.
 type LiveProfile struct {
@@ -1280,38 +1186,6 @@ type LiveProfile struct {
 	UtilP95      float64 `json:"utilP95"`
 	QualifiedVMs int     `json:"qualifiedVMs"`
 	Samples      int64   `json:"samples"`
-}
-
-// Profiles lists live profiles matching the query, sorted by subscription.
-func (ing *Ingestor) Profiles(q kb.Query) []LiveProfile {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	list := ing.store.List(q)
-	out := make([]LiveProfile, 0, len(list))
-	for _, p := range list {
-		out = append(out, ing.liveProfileLocked(p))
-	}
-	return out
-}
-
-// Profile returns one subscription's live profile.
-func (ing *Ingestor) Profile(id core.SubscriptionID) (LiveProfile, bool) {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	p, ok := ing.store.Get(id)
-	if !ok {
-		return LiveProfile{}, false
-	}
-	return ing.liveProfileLocked(p), true
-}
-
-// liveProfile augments one published profile with this ingestor's
-// streaming-only knowledge, taking the read lock itself — the shard group's
-// per-profile path.
-func (ing *Ingestor) liveProfile(p *kb.Profile) LiveProfile {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	return ing.liveProfileLocked(p)
 }
 
 // subFor resolves a subscription ID to its streaming state, or nil when the
@@ -1324,6 +1198,8 @@ func (ing *Ingestor) subFor(id core.SubscriptionID) *subState {
 	return ing.subs[si]
 }
 
+// liveProfileLocked augments one published profile with this ingestor's
+// streaming-only knowledge. Callers hold the read lock.
 func (ing *Ingestor) liveProfileLocked(p *kb.Profile) LiveProfile {
 	lp := LiveProfile{Profile: *p}
 	if ss := ing.subFor(p.Subscription); ss != nil {

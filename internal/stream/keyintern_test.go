@@ -50,31 +50,32 @@ func TestKeyInterningSurvivesColumnarResume(t *testing.T) {
 
 		// ObserveBatch takes ownership of the column buffers, so every run
 		// feeds a freshly built script.
-		ref := NewIngestor(tr, opts)
+		ref := NewEngine(tr, opts)
 		for _, b := range colMiniScript() {
 			ref.ObserveBatch(b)
 		}
 		ref.Finish()
-		want := snapshotOf(ref)
+		want := snapshotOf(soleShard(ref))
 
 		for kill := 0; kill < nBatches; kill++ {
-			ing := NewIngestor(tr, opts)
+			eng := NewEngine(tr, opts)
 			script := colMiniScript()
 			for _, b := range script[:kill+1] {
-				ing.ObserveBatch(b)
+				eng.ObserveBatch(b)
 			}
 			var buf bytes.Buffer
-			if err := ing.WriteCheckpoint(&buf); err != nil {
+			if err := eng.WriteCheckpoint(&buf); err != nil {
 				t.Fatalf("%v kill %d: write: %v", policy, kill, err)
 			}
 			ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), tr)
 			if err != nil {
 				t.Fatalf("%v kill %d: read: %v", policy, kill, err)
 			}
-			resumed, err := RestoreIngestor(tr, opts, ck)
+			restored, err := RestoreEngine(tr, opts, ck)
 			if err != nil {
 				t.Fatalf("%v kill %d: restore: %v", policy, kill, err)
 			}
+			resumed := soleShard(restored)
 
 			// The checkpoint carries subscription state under string IDs;
 			// the restore must re-intern each against the trace's table and
@@ -105,9 +106,9 @@ func TestKeyInterningSurvivesColumnarResume(t *testing.T) {
 
 			script = colMiniScript()
 			for _, b := range script[kill+1:] {
-				resumed.ObserveBatch(b)
+				restored.ObserveBatch(b)
 			}
-			resumed.Finish()
+			restored.Finish()
 			if got := snapshotOf(resumed); !reflect.DeepEqual(got, want) {
 				t.Errorf("%v kill %d: final state diverged from uninterrupted run\nresumed: %+v\nwant:    %+v",
 					policy, kill, got, want)

@@ -10,9 +10,9 @@ import (
 // Streaming-pipeline metrics, resolved once at package init so the hot
 // path never touches the registry: ingestion does a few atomic adds per
 // *batch* (never per sample), classification one add per classified VM,
-// and folds one histogram observation each. The overhead budget — <5%
-// throughput, zero extra allocations per sample on BenchmarkStreamIngest —
-// is tracked in BENCH_stream.json.
+// and folds one histogram observation each. The allocation budget is
+// gated by make bench-stream-gate on the traced ingest-clean workload's
+// stream.ingest.allocs_per_sample.
 var (
 	mStalls = obs.Default.Counter("cloudlens_stream_backpressure_stalls_total",
 		"Times the replayer blocked on a full event channel (consumer slower than the replay clock).")
@@ -53,8 +53,8 @@ var (
 	}()
 )
 
-// ingestMetrics bundles the per-ingestor instruments so a sharded pipeline
-// can label each shard's series while the single-core pipeline keeps the
+// ingestMetrics bundles the per-shard instruments so a multi-shard engine
+// can label each shard's series while a one-shard engine keeps the
 // historical unlabeled names. The obs registry dedups by (name, labels), so
 // constructing the same set twice returns the same handles.
 type ingestMetrics struct {
@@ -102,9 +102,19 @@ func newIngestMetrics(labels ...obs.Label) *ingestMetrics {
 	}
 }
 
-// defaultIngestMetrics carries the unlabeled series the single-pipeline
-// deployment has always exported.
+// defaultIngestMetrics carries the unlabeled series a one-shard engine
+// has always exported.
 var defaultIngestMetrics = newIngestMetrics()
+
+// shardMetrics returns the instruments shard i of an n-shard engine
+// reports through: the unlabeled set when it is the only shard, its own
+// shard-labeled set otherwise.
+func shardMetrics(i, n int) *ingestMetrics {
+	if n == 1 {
+		return defaultIngestMetrics
+	}
+	return newIngestMetrics(shardLabel(i))
+}
 
 // shardLabel renders a shard id as the label every per-shard series carries.
 func shardLabel(i int) obs.Label {

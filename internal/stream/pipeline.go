@@ -6,16 +6,15 @@ import (
 	"sync"
 	"time"
 
-	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/trace"
 )
 
-// Engine is the batch-consuming side of the pipeline: a single Ingestor, or
-// a shardGroup routing batches across several. Both maintain a continuously
-// refreshed knowledge base and expose the same race-free snapshots, so the
-// pipeline, the HTTP server, and the differential gauntlet drive either
-// interchangeably.
+// Engine is the batch-consuming side of the pipeline: the shard group of
+// NewEngine and RestoreEngine, which keeps a continuously refreshed
+// knowledge base and exposes race-free snapshots of it. ReadSource, the
+// differential gauntlet and cloudbench drive it through this interface;
+// Pipeline.Engine hands it out.
 type Engine interface {
 	// SetRecycler registers where spent batch buffers (sample columns,
 	// Late rows) are returned once folded. It must be called before
@@ -32,12 +31,6 @@ type Engine interface {
 	Abort()
 	// KB returns the live knowledge base.
 	KB() *kb.Store
-	// Summary returns the live per-cloud snapshot.
-	Summary() Summary
-	// Profiles lists live profiles matching the query.
-	Profiles(q kb.Query) []LiveProfile
-	// Profile returns one subscription's live profile.
-	Profile(id core.SubscriptionID) (LiveProfile, bool)
 	// CaptureLive returns one consistent capture of the published store
 	// and the streaming state — the input to a LiveSnapshot.
 	CaptureLive() LiveCapture
@@ -45,30 +38,17 @@ type Engine interface {
 	FaultStats() FaultStats
 	// WriteCheckpoint serializes a resumable snapshot of the engine.
 	WriteCheckpoint(w io.Writer) error
-	// captureCheckpoint deep-copies the engine's state at a batch boundary;
-	// WriteCheckpoint is this plus the codec. Pipeline.SaveCheckpoint calls
-	// the two halves itself to report the step the file actually holds.
-	captureCheckpoint() *Checkpoint
 	// Progress reports ingestion counters.
 	Progress() Progress
-	// ShardVitals reports per-shard progress, nil for a single ingestor.
+	// ShardVitals reports per-shard progress, one entry per shard.
 	// Approximate while ingestion runs (no barrier); exact after Finish.
 	ShardVitals() []ShardVital
-	// IngestVitals reports per-shard columnar-batch vitals (one entry for
-	// a single ingestor). Pool ledgers are attached by whoever owns the
-	// column free lists: the shard router for sharded engines, the
-	// pipeline for a lone ingestor fed straight from a source.
-	IngestVitals() []IngestVital
 }
 
-// NewEngine builds the ingestion engine the options call for: a lone
-// Ingestor when Shards <= 1, a sharded group otherwise.
+// NewEngine builds the ingestion engine: a group of Options.Shards shards,
+// whose one-shard case runs inline on the caller's goroutine.
 func NewEngine(tr *trace.Trace, opts Options) Engine {
-	opts = opts.withDefaults(tr.Grid.StepsPerHour())
-	if opts.Shards > 1 {
-		return newShardGroup(tr, opts)
-	}
-	return NewIngestor(tr, opts)
+	return newShardGroup(tr, opts.withDefaults(tr.Grid.StepsPerHour()))
 }
 
 // Progress is a point-in-time view of engine progress, assembled from
@@ -82,18 +62,6 @@ type Progress struct {
 	Folds           int64
 }
 
-// Progress implements Engine.
-func (ing *Ingestor) Progress() Progress {
-	return Progress{
-		Done:            ing.done.Load(),
-		Step:            int(ing.lastStep.Load()),
-		Steps:           ing.tr.Grid.N,
-		SamplesIngested: ing.samplesIngested.Load(),
-		StepsIngested:   ing.stepsIngested.Load(),
-		Folds:           ing.foldCount.Load(),
-	}
-}
-
 // ShardVital is one shard's progress and fault ledger, served by /healthz
 // and /api/v1/live/faults so operators see a lagging or fault-heavy shard
 // instead of a single blended number.
@@ -105,18 +73,15 @@ type ShardVital struct {
 	Faults          FaultStats `json:"faults"`
 }
 
-// ShardVitals implements Engine; a lone ingestor has no shards to report.
-func (ing *Ingestor) ShardVitals() []ShardVital { return nil }
-
-// Pipeline couples a Replayer to an ingestion Engine: one goroutine replays
-// the trace into the bounded event channel, another feeds each batch to the
-// engine (a single Ingestor, or a shard router fanning out to several). All
-// snapshot accessors are safe to call while the pipeline runs.
+// Pipeline couples a Replayer to the ingestion engine: one goroutine
+// replays the trace into the bounded event channel, another feeds each
+// batch to the engine. All accessors are safe to call while the pipeline
+// runs.
 type Pipeline struct {
 	tr   *trace.Trace
 	opts Options
 	src  Source
-	eng  Engine
+	eng  *shardGroup
 
 	mu        sync.Mutex
 	started   bool
@@ -132,14 +97,15 @@ type Pipeline struct {
 // the hook fault injectors decorate.
 func NewPipeline(tr *trace.Trace, opts Options) *Pipeline {
 	opts = opts.withDefaults(tr.Grid.StepsPerHour())
-	return newPipeline(tr, opts, NewEngine(tr, opts))
+	return newPipeline(tr, opts, newShardGroup(tr, opts))
 }
 
-func newPipeline(tr *trace.Trace, opts Options, eng Engine) *Pipeline {
+func newPipeline(tr *trace.Trace, opts Options, eng *shardGroup) *Pipeline {
 	var src Source = NewReplayer(tr, opts)
 	if opts.WrapSource != nil {
 		src = opts.WrapSource(src)
 	}
+	eng.srcPool, _ = src.(PoolStatser)
 	return &Pipeline{
 		tr:   tr,
 		opts: opts,
@@ -241,8 +207,8 @@ func (p *Pipeline) Status() Status {
 		Folds:           pr.Folds,
 		Speedup:         p.opts.Speedup,
 	}
-	if p.opts.Shards > 1 {
-		st.Shards = p.opts.Shards
+	if n := len(p.eng.shards); n > 1 {
+		st.Shards = n
 	}
 	if started {
 		select {
@@ -258,15 +224,6 @@ func (p *Pipeline) Status() Status {
 	return st
 }
 
-// Summary returns the engine's live per-cloud snapshot.
-func (p *Pipeline) Summary() Summary { return p.eng.Summary() }
-
-// Profiles lists live profiles matching the query.
-func (p *Pipeline) Profiles(q kb.Query) []LiveProfile { return p.eng.Profiles(q) }
-
-// Profile returns one subscription's live profile.
-func (p *Pipeline) Profile(id core.SubscriptionID) (LiveProfile, bool) { return p.eng.Profile(id) }
-
 // FaultStats returns the engine's ledger of input imperfections, summed
 // across shards when the pipeline is sharded.
 func (p *Pipeline) FaultStats() FaultStats { return p.eng.FaultStats() }
@@ -274,8 +231,8 @@ func (p *Pipeline) FaultStats() FaultStats { return p.eng.FaultStats() }
 // KB exposes the live knowledge base (e.g. for persisting a snapshot).
 func (p *Pipeline) KB() *kb.Store { return p.eng.KB() }
 
-// ShardVitals reports per-shard progress and fault ledgers; nil when the
-// pipeline runs a single ingestor. While the replay runs the figures are
+// ShardVitals reports per-shard progress and fault ledgers, one entry per
+// shard. While the replay runs the figures are
 // approximate — each shard is read without a barrier and may trail the
 // router — and they are exact once Wait has returned.
 func (p *Pipeline) ShardVitals() []ShardVital { return p.eng.ShardVitals() }
@@ -286,28 +243,9 @@ type PoolStatser interface {
 	PoolStats() ColPoolStats
 }
 
-// IngestVitals reports per-shard columnar-batch vitals. A sharded engine
-// attaches its per-shard pool ledgers itself; for a lone ingestor the
-// column pool lives with the source, so the pipeline attaches the
-// source's ledger here when the source exposes one.
-func (p *Pipeline) IngestVitals() []IngestVital {
-	vitals := p.eng.IngestVitals()
-	if p.opts.Shards <= 1 {
-		if ps, ok := p.src.(PoolStatser); ok {
-			for i := range vitals {
-				vitals[i].Pool = ps.PoolStats()
-			}
-		}
-	}
-	return vitals
-}
+// IngestVitals reports per-shard columnar-batch vitals, each with the
+// ledger of the column pool feeding that shard.
+func (p *Pipeline) IngestVitals() []IngestVital { return p.eng.IngestVitals() }
 
 // Engine exposes the underlying ingestion engine.
 func (p *Pipeline) Engine() Engine { return p.eng }
-
-// Ingestor exposes the underlying ingestor for tests and direct feeding; it
-// returns nil when the pipeline is sharded.
-func (p *Pipeline) Ingestor() *Ingestor {
-	ing, _ := p.eng.(*Ingestor)
-	return ing
-}

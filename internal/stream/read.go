@@ -101,8 +101,8 @@ func (ls *LiveSnapshot) PercentilesJSON() []byte { return ls.percentilesJSON }
 func (ls *LiveSnapshot) RegionsJSON() []byte { return ls.regionsJSON }
 
 // Profiles returns the live profiles matching the query, in subscription
-// order — the snapshot-backed form of Engine.Profiles, duplicate-free and
-// stable across a paginated walk because the underlying set cannot change.
+// order — duplicate-free and stable across a paginated walk because the
+// underlying set cannot change.
 func (ls *LiveSnapshot) Profiles(q kb.Query) []LiveProfile {
 	out := make([]LiveProfile, 0, len(ls.live))
 	for i := range ls.live {

@@ -10,19 +10,19 @@ import (
 	"cloudlens/internal/kb"
 )
 
-// feedSteps replays the micro trace's first n steps into the ingestor by
+// feedSteps replays the micro trace's first n steps into the engine by
 // hand, one batch per step.
-func feedSteps(ing *Ingestor, n int) {
+func feedSteps(eng Engine, n int) {
 	for s := 0; s < n; s++ {
-		ing.ObserveBatch(batchOf(s, sampleAt(0, s, 0.5)))
+		eng.ObserveBatch(batchOf(s, sampleAt(0, s, 0.5)))
 	}
 }
 
 func TestReadSourceSnapshotLifecycle(t *testing.T) {
 	clockAt := time.Unix(1700000000, 0)
 	rs := NewReadSource(func() time.Time { return clockAt })
-	ing := NewIngestor(microTrace(), Options{FoldEverySteps: 2, FoldObserver: rs})
-	rs.Bind(ing)
+	eng := NewEngine(microTrace(), Options{FoldEverySteps: 2, FoldObserver: rs})
+	rs.Bind(eng)
 
 	// Before any fold: a valid (empty) snapshot, cached across calls.
 	ls0 := rs.Live()
@@ -34,7 +34,7 @@ func TestReadSourceSnapshotLifecycle(t *testing.T) {
 	}
 
 	// Feeding past a fold boundary publishes: the next read rebuilds.
-	feedSteps(ing, 6)
+	feedSteps(eng, 6)
 	ls1 := rs.Live()
 	if ls1 == ls0 {
 		t.Fatal("fold publication not observed by Live")
@@ -51,7 +51,7 @@ func TestReadSourceSnapshotLifecycle(t *testing.T) {
 
 	// Finish flips Done after the final fold; a lone reader sees it on the
 	// very next call — the done-flip rebuild.
-	ing.Finish()
+	eng.Finish()
 	ls2 := rs.Live()
 	if ls2 == ls1 {
 		t.Fatal("finish not observed by Live")
@@ -76,14 +76,14 @@ func TestReadSourceSnapshotLifecycle(t *testing.T) {
 
 func TestReadSourceConcurrentReadersDuringFolds(t *testing.T) {
 	rs := NewReadSource(nil)
-	ing := NewIngestor(microTrace(), Options{FoldEverySteps: 1, FoldObserver: rs})
-	rs.Bind(ing)
+	eng := NewEngine(microTrace(), Options{FoldEverySteps: 1, FoldObserver: rs})
+	rs.Bind(eng)
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		feedSteps(ing, 400)
-		ing.Finish()
+		feedSteps(eng, 400)
+		eng.Finish()
 	}()
 
 	var wg sync.WaitGroup
@@ -121,7 +121,7 @@ func TestReadSourceConcurrentReadersDuringFolds(t *testing.T) {
 
 // TestReadSourceShardInvariance pins that the snapshot read surface is
 // bit-identical regardless of shard count: every pre-encoded payload and
-// the snapshot fingerprint must match between a single-ingestor pipeline
+// the snapshot fingerprint must match between a one-shard pipeline
 // and a sharded one over the same trace.
 func TestReadSourceShardInvariance(t *testing.T) {
 	run := func(shards int) *LiveSnapshot {

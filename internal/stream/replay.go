@@ -135,11 +135,11 @@ type Options struct {
 	// GapPolicy selects how a per-VM gap (dropped or quarantined samples)
 	// is repaired once the watermark passes it. Default GapCarry.
 	GapPolicy GapPolicy
-	// Shards is the number of independent ingestor shards the stream is
-	// partitioned across by subscription (DESIGN.md §11). 0 or 1 runs the
-	// single in-process ingestor; values above MaxShards are clamped. The
-	// merged knowledge base is bit-exact with the single-shard result on
-	// clean input regardless of the setting.
+	// Shards is the number of ingestor shards the stream is partitioned
+	// across by subscription (DESIGN.md §11). 0 or 1 runs one shard inline
+	// on the ingesting goroutine; more run each shard on its own goroutine.
+	// Values above MaxShards are clamped. The knowledge base is bit-exact
+	// across settings on clean input.
 	Shards int
 	// WrapSource, when set, wraps the pipeline's replayer before ingestion
 	// starts. This is the fault-injection hook: internal/faultgen cannot be

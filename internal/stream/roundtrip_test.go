@@ -16,19 +16,14 @@ import (
 // An external test package so the fault injector (which imports stream) can
 // drive the codec with every ledger counter live.
 
-// shardFaults lists the engine's cumulative fault counters per shard (one
-// entry for a lone ingestor). WatermarkLag is dropped: it is a gauge derived
-// from the live ring on every read, not a counter the checkpoint stores.
+// shardFaults lists the engine's cumulative fault counters per shard.
+// WatermarkLag is dropped: it is a gauge derived from the live ring on
+// every read, not a counter the checkpoint stores.
 func shardFaults(eng stream.Engine) []stream.FaultStats {
-	out := []stream.FaultStats{eng.FaultStats()}
-	if vitals := eng.ShardVitals(); vitals != nil {
-		out = out[:0]
-		for _, v := range vitals {
-			out = append(out, v.Faults)
-		}
-	}
-	for i := range out {
-		out[i].WatermarkLag = 0
+	var out []stream.FaultStats
+	for _, v := range eng.ShardVitals() {
+		v.Faults.WatermarkLag = 0
+		out = append(out, v.Faults)
 	}
 	return out
 }

@@ -6,27 +6,30 @@ import (
 	"sync/atomic"
 	"time"
 
-	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/obs"
-	"cloudlens/internal/sketch"
 	"cloudlens/internal/trace"
 )
 
-// shardGroup is the multi-core ingestion engine (DESIGN.md §11): a router
-// partitions every delivered batch by subscription across N independent
-// Ingestor shards, each with its own goroutine, reorder ring, dedup state,
-// fault ledger, and sketch accumulators. At each fold boundary the router
-// quiesces the shards behind a barrier and folds their state, in shard-ID
-// order, into one published knowledge base.
+// shardGroup is the ingestion engine (DESIGN.md §11): a router partitions
+// every delivered batch by subscription across N independent Ingestor
+// shards, each with its own reorder ring, dedup state, fault ledger, and
+// sketch accumulators. At each fold boundary the router quiesces the shards
+// and folds their state, in shard-ID order, into one published knowledge
+// base.
 //
-// Bit-exactness with the single-ingestor engine on clean input rests on
-// three invariants:
+// One shard is the N=1 case run inline: the router hands the delivered
+// batch, and the source's recycler, straight to the lone shard on its own
+// goroutine, so there is no shard goroutine, channel, barrier or column
+// re-partitioning. With N > 1 each shard consumes a channel on its own
+// goroutine and merges happen behind a barrier.
+//
+// Bit-exactness across shard counts on clean input rests on three
+// invariants:
 //
 //   - a subscription's VMs all hash to one shard, so every per-VM and
-//     per-subscription accumulator sees exactly the sample sequence the
-//     single ingestor would feed it (the router preserves within-batch
-//     order);
+//     per-subscription accumulator sees exactly the sample sequence a single
+//     shard would feed it (the router preserves within-batch order);
 //   - every shard receives every batch step, even when its partition is
 //     empty, so all watermarks advance in lockstep and lateness
 //     quarantine decisions cannot diverge;
@@ -42,15 +45,25 @@ type shardGroup struct {
 	// shardOfSub maps an interned subscription id to its owning shard:
 	// FNV-1a(subscription) mod len(shards).
 	shardOfSub []int32
+	shards     []*Ingestor
 
-	shards []*Ingestor
-	chs    []chan shardMsg
-	// pools recycle each shard's column pairs; lateFrees and delFrees do
-	// the same for the rare row-form Late and deletion buffers.
-	pools     []*colPool
-	lateFrees []chan []Sample
-	delFrees  []chan []int32
-	wg        sync.WaitGroup
+	// The routing machinery of a multi-shard group, nil inline: the shard
+	// channels, the pools recycling each shard's column pairs, and the free
+	// lists of the rare row-form Late and deletion buffers.
+	chs          []chan shardMsg
+	pools        []*colPool
+	lateFrees    []chan []Sample
+	delFrees     []chan []int32
+	wg           sync.WaitGroup
+	mShardStalls []*obs.Counter
+	mShardOcc    []*obs.Gauge
+
+	// srcPool is the feeding source's column ledger; an inline shard folds
+	// the source's own buffers, so it is that shard's pool.
+	srcPool PoolStatser
+	// mergeSeconds times each publication: the lone shard's fold histogram
+	// inline, the barrier-merge histogram otherwise.
+	mergeSeconds *obs.Histogram
 
 	// mu serializes the router-facing surface (ObserveBatch, merges,
 	// checkpoints, lifecycle); shard goroutines never take it.
@@ -69,9 +82,6 @@ type shardGroup struct {
 	lastStep  atomic.Int64
 	foldCount atomic.Int64
 	done      atomic.Bool
-
-	mShardStalls []*obs.Counter
-	mShardOcc    []*obs.Gauge
 }
 
 // shardMsg is one unit of work on a shard channel: a partitioned batch to
@@ -95,7 +105,7 @@ type shardBarrier struct {
 func newShardGroup(tr *trace.Trace, opts Options) *shardGroup {
 	shards := make([]*Ingestor, opts.Shards)
 	for i := range shards {
-		shards[i] = newIngestorWith(tr, opts, newIngestMetrics(shardLabel(i)), false, i)
+		shards[i] = newIngestor(tr, opts, shardMetrics(i, len(shards)))
 	}
 	return startShardGroup(tr, opts, shards, 0)
 }
@@ -106,32 +116,38 @@ func startShardGroup(tr *trace.Trace, opts Options, shards []*Ingestor, foldCoun
 	keys := tr.Keys()
 	n := len(shards)
 	g := &shardGroup{
-		tr:         tr,
-		opts:       opts,
-		keys:       keys,
-		store:      kb.NewStore(),
-		shardOfSub: make([]int32, len(keys.Subs)),
-		shards:     shards,
-		chs:        make([]chan shardMsg, n),
-		pools:      make([]*colPool, n),
-		lateFrees:  make([]chan []Sample, n),
-		delFrees:   make([]chan []int32, n),
+		tr:           tr,
+		opts:         opts,
+		keys:         keys,
+		store:        kb.NewStore(),
+		shardOfSub:   make([]int32, len(keys.Subs)),
+		shards:       shards,
+		mergeSeconds: mMergeSeconds,
 		// Mirror the shards' fold watermark: StartStep-1 when fresh, the
 		// checkpointed watermark when restored — so post-resume merges land
-		// on exactly the boundaries the single ingestor would fold.
-		wm:           shards[0].watermark,
-		colVM:        make([][]int32, n),
-		colCPU:       make([][]float32, n),
-		lates:        make([][]Sample, n),
-		dels:         make([][]int32, n),
-		mShardStalls: make([]*obs.Counter, n),
-		mShardOcc:    make([]*obs.Gauge, n),
+		// on exactly the boundaries the interrupted run would have merged.
+		wm: shards[0].watermark,
 	}
 	for si := range g.shardOfSub {
 		g.shardOfSub[si] = int32(keys.SubHash[si] % uint64(n))
 	}
 	g.lastStep.Store(int64(opts.StartStep) - 1)
 	g.foldCount.Store(foldCount)
+	if n == 1 {
+		g.mergeSeconds = shards[0].met.foldSeconds
+		return g
+	}
+
+	g.chs = make([]chan shardMsg, n)
+	g.pools = make([]*colPool, n)
+	g.lateFrees = make([]chan []Sample, n)
+	g.delFrees = make([]chan []int32, n)
+	g.colVM = make([][]int32, n)
+	g.colCPU = make([][]float32, n)
+	g.lates = make([][]Sample, n)
+	g.dels = make([][]int32, n)
+	g.mShardStalls = make([]*obs.Counter, n)
+	g.mShardOcc = make([]*obs.Gauge, n)
 	for i := range shards {
 		i := i
 		g.chs[i] = make(chan shardMsg, opts.Buffer)
@@ -183,11 +199,16 @@ func (g *shardGroup) runShard(i int) {
 	}
 }
 
-// SetRecycler implements Engine: routed source buffers are handed back as
-// soon as they are partitioned.
+// SetRecycler implements Engine. Inline, the lone shard hands spent buffers
+// straight back to the source once their slot folds; routed, the source's
+// buffers are handed back as soon as they are partitioned.
 func (g *shardGroup) SetRecycler(f func(StepBatch)) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	if g.chs == nil {
+		g.shards[0].SetRecycler(f)
+		return
+	}
 	g.recycle = f
 }
 
@@ -197,17 +218,38 @@ func (g *shardGroup) shardOfVM(vm int32) int32 {
 	return g.shardOfSub[g.keys.SubOf[vm]]
 }
 
-// ObserveBatch partitions one delivered batch by subscription and routes a
-// sub-batch to every shard — including empty ones, so shard watermarks (and
-// thus lateness quarantine) stay in lockstep with the single-ingestor
-// engine. When the fold watermark crosses a fold boundary the shards are
-// merged into the published store.
+// ObserveBatch implements Engine: the batch goes to the lone shard as it
+// is, or is partitioned across the shards, and when the fold watermark
+// crosses a fold boundary the shards are merged into the published store.
 func (g *shardGroup) ObserveBatch(b StepBatch) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
 		return
 	}
+	if g.chs == nil {
+		g.shards[0].ObserveBatch(b)
+	} else {
+		g.routeLocked(b)
+	}
+	g.lastStep.Store(int64(b.Step))
+
+	// Every shard's watermark advances to b.Step - MaxLatenessSteps; merge
+	// once per fold boundary it crosses.
+	if target := b.Step - g.opts.MaxLatenessSteps; target > g.wm {
+		for next := g.wm + 1; next <= target; next++ {
+			if g.opts.FoldEverySteps > 0 && next > 0 && next%g.opts.FoldEverySteps == 0 {
+				g.mergeLocked(next)
+			}
+		}
+		g.wm = target
+	}
+}
+
+// routeLocked partitions one delivered batch by subscription and sends a
+// sub-batch to every shard — including empty ones, so shard watermarks (and
+// thus lateness quarantine) stay in lockstep.
+func (g *shardGroup) routeLocked(b StepBatch) {
 	n := len(g.shards)
 	if len(b.VM) > 0 {
 		hint := len(b.VM)/n + 8
@@ -266,19 +308,6 @@ func (g *shardGroup) ObserveBatch(b StepBatch) {
 		sb := StepBatch{Step: b.Step, VM: g.colVM[i], CPU: g.colCPU[i], Late: g.lates[i], Deleted: g.dels[i]}
 		g.send(i, shardMsg{deliver: true, b: sb})
 	}
-	g.lastStep.Store(int64(b.Step))
-
-	// Mirror the single ingestor's fold cadence: it folds while its
-	// watermark advances to b.Step - MaxLatenessSteps, once per fold
-	// boundary crossed.
-	if target := b.Step - g.opts.MaxLatenessSteps; target > g.wm {
-		for next := g.wm + 1; next <= target; next++ {
-			if g.opts.FoldEverySteps > 0 && next > 0 && next%g.opts.FoldEverySteps == 0 {
-				g.mergeLocked(next)
-			}
-		}
-		g.wm = target
-	}
 }
 
 // send delivers one message to a shard, counting backpressure per shard the
@@ -314,10 +343,15 @@ func (g *shardGroup) deletedBuf(i int) []int32 {
 	return make([]int32, 0, 8)
 }
 
-// barrierLocked quiesces every shard: once it returns, all previously routed
-// batches are folded and the shards block until the returned channel is
-// closed. Callers must not route new work before releasing.
-func (g *shardGroup) barrierLocked() chan struct{} {
+// quiesceLocked makes the shards' state safe to read: routed shards are
+// parked at a barrier once every previously routed batch is folded, and the
+// returned channel releases them; inline (or once closed) there is nothing
+// running, and it returns nil. Callers must not route new work before
+// releasing.
+func (g *shardGroup) quiesceLocked() chan struct{} {
+	if g.chs == nil || g.closed {
+		return nil
+	}
 	var ready sync.WaitGroup
 	ready.Add(len(g.shards))
 	release := make(chan struct{})
@@ -333,16 +367,11 @@ func (g *shardGroup) barrierLocked() chan struct{} {
 // shard's subscriptions into the published store in ascending shard-ID
 // order. The order is deterministic — and since subscriptions partition
 // across shards, each profile has exactly one writer, so the merged store
-// is identical to the single-ingestor fold of the same accumulator state.
-// step labels the fold boundary (grid steps) for the FoldObserver, which
-// brackets the store rewrite exactly like the single-ingestor path so
-// snapshot identities match across shard counts.
+// is the same at every shard count. step labels the fold boundary (grid
+// steps) for the FoldObserver, which brackets the store rewrite.
 func (g *shardGroup) mergeLocked(step int) {
 	start := time.Now()
-	var release chan struct{}
-	if !g.closed {
-		release = g.barrierLocked()
-	}
+	release := g.quiesceLocked()
 	if ob := g.opts.FoldObserver; ob != nil {
 		ob.FoldBegin()
 	}
@@ -354,12 +383,12 @@ func (g *shardGroup) mergeLocked(step int) {
 	if release != nil {
 		close(release)
 	}
-	mMergeSeconds.Observe(time.Since(start).Seconds())
+	g.mergeSeconds.Observe(time.Since(start).Seconds())
 }
 
 // publishLocked rebuilds every shard's profiles, in ascending shard-ID
 // order, and publishes them as one store write. The shards must be quiesced
-// (parked at a barrier, not yet started, or stopped).
+// (parked at a barrier, inline, not yet started, or stopped).
 func (g *shardGroup) publishLocked() {
 	all := g.profiles[:0]
 	for _, ing := range g.shards {
@@ -369,8 +398,8 @@ func (g *shardGroup) publishLocked() {
 	g.profiles = all
 }
 
-// closeShardsLocked closes the shard channels and waits for the consumer
-// goroutines to drain and exit.
+// closeShardsLocked stops routing: it closes the shard channels and waits
+// for the consumer goroutines to drain and exit.
 func (g *shardGroup) closeShardsLocked() {
 	if g.closed {
 		return
@@ -396,8 +425,7 @@ func (g *shardGroup) Finish() {
 }
 
 // Abort implements Engine: stop the shard goroutines without a final fold,
-// leaving the last merged state standing (the cancellation semantics of the
-// single-ingestor pipeline).
+// leaving the last merged state standing.
 func (g *shardGroup) Abort() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -463,84 +491,22 @@ func (g *shardGroup) ShardVitals() []ShardVital {
 	return out
 }
 
-// IngestVitals reports each shard's columnar-batch vitals, attaching the
-// router's per-shard column pool ledger.
+// IngestVitals reports each shard's columnar-batch vitals with the ledger
+// of the column pool that feeds it: the router's per-shard pool, or inline
+// the source's own.
 func (g *shardGroup) IngestVitals() []IngestVital {
 	out := make([]IngestVital, len(g.shards))
 	for i, ing := range g.shards {
 		out[i] = ing.ingestVital()
 		out[i].Shard = i
-		out[i].Pool = g.pools[i].stats()
-	}
-	return out
-}
-
-// Summary merges the per-shard cloud aggregates over the published store's
-// summaries. Histogram counts are integer-valued float64s, so the merge is
-// exact and order-independent; shards are still walked in ID order.
-func (g *shardGroup) Summary() Summary {
-	out := Summary{
-		Step:   int(g.lastStep.Load()),
-		Steps:  g.tr.Grid.N,
-		Done:   g.done.Load(),
-		Clouds: make(map[string]CloudLive, 2),
-	}
-	for _, c := range core.Clouds() {
-		util := sketch.NewHistogram(0, 1, cloudBins)
-		var samples, vmsSeen int64
-		for _, ing := range g.shards {
-			ing.mu.RLock()
-			cs := ing.clouds[c]
-			util.Merge(cs.util)
-			samples += cs.samples
-			vmsSeen += cs.vmsSeen
-			ing.mu.RUnlock()
-		}
-		out.Clouds[c.String()] = CloudLive{
-			Summary:         g.store.Summarize(c),
-			SamplesIngested: samples,
-			VMsSeen:         vmsSeen,
-			UtilP50:         util.Quantile(0.5),
-			UtilP95:         util.Quantile(0.95),
+		switch {
+		case g.pools != nil:
+			out[i].Pool = g.pools[i].stats()
+		case g.srcPool != nil:
+			out[i].Pool = g.srcPool.PoolStats()
 		}
 	}
 	return out
-}
-
-// ownerOf returns the shard that owns a subscription's streaming state.
-func (g *shardGroup) ownerOf(id core.SubscriptionID) *Ingestor {
-	si, ok := g.keys.SubIndex(id)
-	if !ok {
-		return nil
-	}
-	return g.shards[g.shardOfSub[si]]
-}
-
-// Profiles lists live profiles matching the query, each augmented by its
-// owning shard's streaming state.
-func (g *shardGroup) Profiles(q kb.Query) []LiveProfile {
-	list := g.store.List(q)
-	out := make([]LiveProfile, 0, len(list))
-	for _, p := range list {
-		if ing := g.ownerOf(p.Subscription); ing != nil {
-			out = append(out, ing.liveProfile(p))
-		} else {
-			out = append(out, LiveProfile{Profile: *p})
-		}
-	}
-	return out
-}
-
-// Profile returns one subscription's live profile.
-func (g *shardGroup) Profile(id core.SubscriptionID) (LiveProfile, bool) {
-	p, ok := g.store.Get(id)
-	if !ok {
-		return LiveProfile{}, false
-	}
-	if ing := g.ownerOf(id); ing != nil {
-		return ing.liveProfile(p), true
-	}
-	return LiveProfile{Profile: *p}, true
 }
 
 // WriteCheckpoint implements Engine.
@@ -549,19 +515,18 @@ func (g *shardGroup) WriteCheckpoint(w io.Writer) error {
 	return err
 }
 
-// captureCheckpoint implements Engine: quiesce the shards and deep-copy
-// each shard's snapshot at a common step boundary.
+// captureCheckpoint quiesces the shards and deep-copies each shard's
+// snapshot at a common step boundary; WriteCheckpoint is this plus the
+// codec.
 func (g *shardGroup) captureCheckpoint() *Checkpoint {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	var release chan struct{}
-	if !g.closed {
-		release = g.barrierLocked()
-	}
+	release := g.quiesceLocked()
 	snaps := make([]*ShardCheckpoint, len(g.shards))
 	var samples int64
 	for i, ing := range g.shards {
 		snaps[i] = ing.snapshot()
+		snaps[i].FoldCount = g.foldCount.Load()
 		samples += snaps[i].SamplesIngested
 	}
 	if release != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -25,6 +26,20 @@ func runPipeline(t *testing.T, tr *trace.Trace, opts Options) *Pipeline {
 	return p
 }
 
+// liveOf reads a pipeline's live surface the way the server does: through a
+// ReadSource bound to its engine.
+func liveOf(p *Pipeline) *LiveSnapshot {
+	rs := NewReadSource(nil)
+	rs.Bind(p.Engine())
+	return rs.Live()
+}
+
+// soleShard returns the ingestor of a one-shard engine, for tests that
+// inspect the streaming state behind it.
+func soleShard(eng Engine) *Ingestor {
+	return eng.(*shardGroup).shards[0]
+}
+
 // requireSameLiveState fails unless two finished pipelines expose exactly
 // the same knowledge base, live profiles, per-cloud summary, and fault
 // ledger — the bit-exactness contract between shard counts.
@@ -40,11 +55,11 @@ func requireSameLiveState(t *testing.T, label string, got, want *Pipeline) {
 				label, wp[i].Subscription, *gp[i], *wp[i])
 		}
 	}
-	q := kb.Query{MinRegionAgnosticScore: -2}
-	if g, w := got.Profiles(q), want.Profiles(q); !reflect.DeepEqual(g, w) {
+	gl, wl := liveOf(got), liveOf(want)
+	if g, w := gl.Profiles(kb.MatchAll()), wl.Profiles(kb.MatchAll()); !reflect.DeepEqual(g, w) {
 		t.Errorf("%s: live profiles diverged:\ngot:  %+v\nwant: %+v", label, g, w)
 	}
-	if g, w := got.Summary(), want.Summary(); !reflect.DeepEqual(g, w) {
+	if g, w := gl.Summary(), wl.Summary(); !reflect.DeepEqual(g, w) {
 		t.Errorf("%s: summaries diverged:\ngot:  %+v\nwant: %+v", label, g, w)
 	}
 	if g, w := got.FaultStats(), want.FaultStats(); g != w {
@@ -82,9 +97,31 @@ func TestShardRouterDisjointCoverage(t *testing.T) {
 	}
 }
 
+// TestOneShardRunsInline pins that one shard is the inline case of the
+// engine: NewEngine starts no goroutine — no shard consumer, no channel to
+// drain — so the process runs as many goroutines while a hand-fed replay
+// folds, and after Finish, as before the engine existed.
+func TestOneShardRunsInline(t *testing.T) {
+	before := runtime.NumGoroutine()
+	eng := NewEngine(microTrace(), Options{FoldEverySteps: 2})
+	feedSteps(eng, 10)
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines while a one-shard engine ingests, %d before NewEngine", n, before)
+	}
+	eng.Finish()
+	if n := runtime.NumGoroutine(); n != before {
+		t.Errorf("%d goroutines after Finish, %d before NewEngine", n, before)
+	}
+	// Steps 0-9 under the default lateness bound of 3 fold the watermark to
+	// step 6: boundaries 2, 4 and 6, then the final fold.
+	if pr := eng.Progress(); !pr.Done || pr.Folds != 4 {
+		t.Errorf("progress %+v, want done after 3 folds mid-stream and the final one", pr)
+	}
+}
+
 // TestShardInvarianceExactMini is the tentpole contract on the hand-built
 // trace: for every shard count, the merged knowledge base, live profiles,
-// summary, and fault ledger are deeply equal to the single-ingestor run's —
+// summary, and fault ledger are deeply equal to the one-shard run's —
 // not merely within tolerance. Shard counts above the subscription count
 // (here 2) leave some shards permanently empty and must still agree.
 func TestShardInvarianceExactMini(t *testing.T) {
@@ -98,9 +135,6 @@ func TestShardInvarianceExactMini(t *testing.T) {
 		p := runPipeline(t, tr, sopts)
 		requireSameLiveState(t, "shards=2..4", p, ref)
 
-		if p.Ingestor() != nil {
-			t.Errorf("shards=%d: Ingestor() should be nil for a sharded pipeline", n)
-		}
 		st := p.Status()
 		if st.Shards != n {
 			t.Errorf("shards=%d: status reports %d shards", n, st.Shards)
@@ -172,8 +206,8 @@ func engineAt(t *testing.T, tr *trace.Trace, opts Options, stopStep int) Engine 
 	return eng
 }
 
-// killEngineAt snapshots a fresh engine after batch stopStep and aborts it
-// — the sharded analogue of killAt.
+// killEngineAt snapshots a fresh engine after batch stopStep and aborts it,
+// like a kill: whatever the replay had in flight is lost.
 func killEngineAt(t *testing.T, tr *trace.Trace, opts Options, stopStep int) *bytes.Buffer {
 	t.Helper()
 	eng := engineAt(t, tr, opts, stopStep)
@@ -188,7 +222,7 @@ func killEngineAt(t *testing.T, tr *trace.Trace, opts Options, stopStep int) *by
 // TestShardKillResumeExact is the sharded kill/resume golden: kill a
 // 4-shard replay mid-week, resume from the serialized bytes with the same
 // shard count, and require the final knowledge base to be bit-identical to
-// both the uninterrupted 4-shard run and the single-ingestor run.
+// both the uninterrupted 4-shard run and the one-shard run.
 func TestShardKillResumeExact(t *testing.T) {
 	tr := miniTrace(t)
 	opts := Options{FoldEverySteps: 12, Shards: 4}
@@ -244,9 +278,6 @@ func TestShardResumeRejectsMismatchedCount(t *testing.T) {
 			t.Errorf("resume error does not name the -shards flag: %v", err)
 		}
 	}
-	if _, err := RestoreIngestor(tr, Options{}, ck); err == nil {
-		t.Fatal("RestoreIngestor accepted a multi-shard checkpoint")
-	}
 	// The recorded count resumes fine.
 	if _, err := NewResumedPipeline(tr, Options{Shards: 2}, ck); err != nil {
 		t.Fatalf("matching shard count refused: %v", err)
@@ -292,9 +323,9 @@ func TestShardCheckpointRejectsForeignState(t *testing.T) {
 // populated, and unknown subscriptions miss cleanly.
 func TestShardedProfileLookup(t *testing.T) {
 	tr := miniTrace(t)
-	p := runPipeline(t, tr, Options{Shards: 3})
+	live := liveOf(runPipeline(t, tr, Options{Shards: 3}))
 	for _, sub := range []core.SubscriptionID{"multi", "solo"} {
-		lp, ok := p.Profile(sub)
+		lp, ok := live.Profile(sub)
 		if !ok {
 			t.Fatalf("live profile %s missing", sub)
 		}
@@ -302,7 +333,7 @@ func TestShardedProfileLookup(t *testing.T) {
 			t.Errorf("%s live fields empty: %+v", sub, lp)
 		}
 	}
-	if _, ok := p.Profile("no-such-subscription"); ok {
+	if _, ok := live.Profile("no-such-subscription"); ok {
 		t.Error("unknown subscription produced a profile")
 	}
 }

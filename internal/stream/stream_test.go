@@ -227,11 +227,12 @@ func TestIngestorMatchesBatchExtract(t *testing.T) {
 		}
 	}
 
-	sum := p.Summary()
+	ls := liveOf(p)
+	sum := ls.Summary()
 	if !sum.Done || sum.Step != tr.Grid.N {
 		t.Errorf("summary progress = (%v, %d), want (true, %d)", sum.Done, sum.Step, tr.Grid.N)
 	}
-	lp, ok := p.Profile("multi")
+	lp, ok := ls.Profile("multi")
 	if !ok {
 		t.Fatal("live profile for multi missing")
 	}
@@ -243,12 +244,15 @@ func TestIngestorMatchesBatchExtract(t *testing.T) {
 	}
 }
 
-// TestPipelineConcurrentSnapshots hammers every snapshot accessor while
-// ingestion runs; the race detector (make verify) turns any unsynchronized
-// access into a failure.
+// TestPipelineConcurrentSnapshots hammers the pipeline's status and every
+// live read, through the ReadSource observing its folds, while ingestion
+// runs; the race detector (make verify) turns any unsynchronized access
+// into a failure.
 func TestPipelineConcurrentSnapshots(t *testing.T) {
 	tr := miniTrace(t)
-	p := NewPipeline(tr, Options{FoldEverySteps: 12})
+	rs := NewReadSource(nil)
+	p := NewPipeline(tr, Options{FoldEverySteps: 12, FoldObserver: rs})
+	rs.Bind(p.Engine())
 	p.Start(context.Background())
 
 	stop := make(chan struct{})
@@ -268,18 +272,21 @@ func TestPipelineConcurrentSnapshots(t *testing.T) {
 					t.Errorf("status step %d beyond %d", st.Step, st.Steps)
 					return
 				}
-				sum := p.Summary()
-				if len(sum.Clouds) != len(core.Clouds()) {
+				ls := rs.Live()
+				if sum := ls.Summary(); len(sum.Clouds) != len(core.Clouds()) {
 					t.Errorf("summary has %d clouds", len(sum.Clouds))
 					return
 				}
-				for _, lp := range p.Profiles(kb.Query{MinRegionAgnosticScore: -2}) {
+				for _, lp := range ls.Profiles(kb.MatchAll()) {
 					if lp.Samples < 0 {
 						t.Errorf("negative sample count for %s", lp.Subscription)
 						return
 					}
 				}
-				p.Profile("multi")
+				ls.Profile("multi")
+				p.FaultStats()
+				p.ShardVitals()
+				p.IngestVitals()
 			}
 		}()
 	}
