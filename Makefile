@@ -31,11 +31,6 @@
 #                      a traced cloudbench ingest-clean run at GOMAXPROCS 1, 2
 #                      and 4, failing unless the three print the same
 #                      allocs/sample and it is at most ALLOCS_PER_SAMPLE_MAX
-#   make bench-http  — HTTP read-path load harness smoke: a small reader
-#                      fleet against a live-ingesting server; fails on any
-#                      5xx or if readers slow ingestion below 80% of its
-#                      unloaded rate (the BENCH_http.json harness at full
-#                      scale runs via cmd/kbload directly)
 #   make test-policy — policy-engine suite under -race at 1, 2 and 4 cores:
 #                      decision engine, ledger pagination hammer, fold-source
 #                      seqlock, and the policy HTTP surface
@@ -52,13 +47,14 @@
 #                      policy-determinism trials (byte-identical decision
 #                      ledgers across runs and shard counts)
 #   make fuzz-smoke  — every fuzz target briefly (seed corpora + 5s of
-#                      generated inputs each) over the untrusted decoders
+#                      generated inputs each): the untrusted decoders, and
+#                      the canonical profile encoder against encoding/json
 #   make lint        — determinism lint: no global math/rand draws, no
 #                      time.Now in deterministic packages
 
 GO ?= go
 
-.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate bench-http diffcheck fuzz-smoke lint
+.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate diffcheck fuzz-smoke lint
 
 all: build
 
@@ -127,12 +123,6 @@ bench-stream-gate: build
 		if (r + 0 > max + 0) { printf "bench-stream-gate: FAIL %s allocs/sample > %s\n", r, max; exit 1 } \
 		printf "bench-stream-gate: ok %s allocs/sample <= %s at GOMAXPROCS 1, 2 and 4\n", r, max }'
 
-# Small-fleet smoke sized for a one-core CI box: short phases, lenient
-# latency gate, hard gates on 5xx and on readers starving ingestion.
-bench-http: build
-	$(GO) run ./cmd/kbload -readers 8 -scale 0.05 -replay-wall 3s -duration 2s \
-		-fold-every 288 -min-reads 500 -max-ingest-drop 0.8 -out /tmp/bench_http_smoke.json
-
 test-policy:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/policy ./internal/kb ./cmd/wkbserver
 
@@ -144,8 +134,8 @@ diffcheck: build
 	$(GO) run ./cmd/diffcheck -trials 25 -seed 1 -shards 2,4,8 -family-trials 10 -policy-trials 5
 
 # `go test -fuzz` takes one target per invocation, so the smoke runs each
-# untrusted-input decoder in turn: 5 seconds of generated inputs on top of
-# the checked-in seed corpus.
+# untrusted-input decoder, and the profile encoder's oracle, in turn: 5
+# seconds of generated inputs on top of the checked-in seed corpus.
 FUZZTIME ?= 5s
 # Checkpoint inputs are tens of kilobytes (fixed-size utilization sketches),
 # and the fuzzer's default minimization budget of 60 s per interesting input
@@ -158,6 +148,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzReadJSON -fuzztime=$(FUZZTIME) ./internal/trace
 	$(GO) test -run=NONE -fuzz=FuzzDecodeCursor -fuzztime=$(FUZZTIME) ./internal/kb
 	$(GO) test -run=NONE -fuzz=FuzzParseListParams -fuzztime=$(FUZZTIME) ./internal/kb
+	$(GO) test -run=NONE -fuzz=FuzzAppendProfileJSON -fuzztime=$(FUZZTIME) ./internal/kb
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzParseServerlessSpec -fuzztime=$(FUZZTIME) ./internal/workload

@@ -561,10 +561,10 @@ func showProfile(client *http.Client, server, id string) error {
 	if err := getJSON(client, server+"/api/v1/profiles/"+url.PathEscape(id), &p); err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
+	var data bytes.Buffer
+	if err := json.Indent(&data, kb.AppendProfileJSON(nil, &p), "", "  "); err != nil {
 		return err
 	}
-	fmt.Println(string(data))
+	fmt.Println(data.String())
 	return nil
 }

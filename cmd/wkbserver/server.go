@@ -113,29 +113,14 @@ func buildHandler(store *cloudlens.KnowledgeBase, pipe *cloudlens.StreamPipeline
 				return
 			}
 			ls := readSrc.Live()
-			items := ls.Profiles(q)
-			if !pg.Enabled() {
-				kb.WriteSnapshotJSON(w, r, ls.KB(), items)
-				return
-			}
-			page, err := kb.Paginate(items, func(p cloudlens.LiveProfile) string { return string(p.Subscription) }, pg)
-			if err != nil {
-				kb.WriteParamError(w, err)
-				return
-			}
-			kb.WriteSnapshotJSON(w, r, ls.KB(), page)
+			kb.WriteProfileList(w, r, ls.KB(), ls, q, pg)
 		})
 	live("GET /api/v1/live/profiles/{id}", "/api/v1/live/profiles/{id}",
 		"one live profile by subscription id", kb.CacheSnapshot,
 		[]kb.ParamInfo{{Name: "id", Type: "path", Doc: "subscription id"}},
 		func(w http.ResponseWriter, r *http.Request) {
 			ls := readSrc.Live()
-			p, ok := ls.Profile(core.SubscriptionID(r.PathValue("id")))
-			if !ok {
-				kb.WriteError(w, http.StatusNotFound, "not_found", "profile not found")
-				return
-			}
-			kb.WriteSnapshotJSON(w, r, ls.KB(), p)
+			kb.WriteProfile(w, r, ls.KB(), ls, core.SubscriptionID(r.PathValue("id")))
 		})
 	live("GET /api/v1/live/faults", "/api/v1/live/faults",
 		"ingestion fault ledger: quarantined/deduplicated samples, watermark lag, per-shard vitals, injector counts, checkpoint age", kb.CacheNone, nil,

@@ -77,19 +77,6 @@ func writeNotModified(w http.ResponseWriter) {
 	notModified.Inc()
 }
 
-// WriteSnapshotJSON writes v as the snapshot's representation: the
-// snapshot fingerprint becomes the ETag, its publish time Last-Modified,
-// and a request whose If-None-Match / If-Modified-Since validators still
-// hold is answered 304 with no body. Every snapshot-backed v1 GET funnels
-// through here (or WriteSnapshotRaw), which is what makes "same snapshot ⇒
-// same ETag ⇒ byte-identical body" a route-table-wide invariant.
-func WriteSnapshotJSON(w http.ResponseWriter, r *http.Request, sn *Snapshot, v interface{}) {
-	if checkConditional(w, r, sn.ETag(), sn.PublishedAt()) {
-		return
-	}
-	WriteJSON(w, http.StatusOK, v)
-}
-
 // acceptsGzip reports whether the request's Accept-Encoding explicitly
 // lists gzip (or its x-gzip alias) with a nonzero q-value, per RFC 9110
 // §12.5.3. The absence of the header, a wildcard, and malformed members
@@ -129,10 +116,15 @@ func gzipMemo(sn *Snapshot, key string, body []byte) []byte {
 	}).([]byte)
 }
 
-// WriteSnapshotRaw is WriteSnapshotJSON for payloads already encoded (and
-// memoized) on the snapshot: aggregation endpoints serve their bytes with
-// zero per-request encoding work. key names the payload on the snapshot's
-// memo space; a request accepting gzip is answered with the gzip entity,
+// WriteSnapshotRaw writes a payload already encoded (and memoized) on the
+// snapshot as the snapshot's representation: the snapshot fingerprint
+// becomes the ETag, its publish time Last-Modified, and a request whose
+// If-None-Match / If-Modified-Since validators still hold is answered 304
+// with no body. Aggregation endpoints serve their bytes with zero
+// per-request encoding work; the profile routes go through
+// WriteProfileList and WriteProfile under the same validators, which is
+// what makes "same snapshot ⇒ same ETag ⇒ byte-identical body" a
+// route-table-wide invariant. key names the payload on the snapshot's memo space; a request accepting gzip is answered with the gzip entity,
 // compressed once per snapshot and memoized under "gzip:"+key. Both
 // encodings share the snapshot's validators — the ETag identifies the
 // snapshot content and Vary: Accept-Encoding keys caches per coding — so

@@ -301,29 +301,14 @@ func Register(mux *http.ServeMux, src SnapshotSource, opts RouteOptions) *RouteT
 				return
 			}
 			sn := src.Snapshot()
-			items := sn.List(q)
-			if !pg.Enabled() {
-				WriteSnapshotJSON(w, r, sn, items)
-				return
-			}
-			page, err := Paginate(items, func(p *Profile) string { return string(p.Subscription) }, pg)
-			if err != nil {
-				WriteParamError(w, err)
-				return
-			}
-			WriteSnapshotJSON(w, r, sn, page)
+			WriteProfileList(w, r, sn, sn, q, pg)
 		})
 	handle("GET /api/v1/profiles/{id}", "/api/v1/profiles/{id}",
 		"one batch profile by subscription id", CacheSnapshot,
 		[]ParamInfo{{Name: "id", Type: "path", Doc: "subscription id"}},
 		func(w http.ResponseWriter, r *http.Request) {
 			sn := src.Snapshot()
-			p, ok := sn.Get(core.SubscriptionID(r.PathValue("id")))
-			if !ok {
-				WriteError(w, http.StatusNotFound, "not_found", "profile not found")
-				return
-			}
-			WriteSnapshotJSON(w, r, sn, p)
+			WriteProfile(w, r, sn, sn, core.SubscriptionID(r.PathValue("id")))
 		})
 	return table
 }

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"cloudlens/internal/core"
 )
@@ -104,6 +105,122 @@ func Paginate[T any](items []T, key func(T) string, pg Page) (ListPage, error) {
 		page.NextCursor = EncodeCursor(key(items[end-1]))
 	}
 	return page, nil
+}
+
+// ProfileSet is what the profile routes serve from: profiles in
+// subscription order and their canonical encodings (AppendProfileJSON, or
+// a body that extends it). *Snapshot encodes each body on demand; the live
+// read path serves bodies it encoded once per snapshot.
+type ProfileSet interface {
+	Len() int
+	At(i int) *Profile
+	Index(id core.SubscriptionID) (int, bool)
+	AppendBody(dst []byte, i int) []byte
+}
+
+// bodyPool recycles response buffers, so a listing allocates nothing that
+// grows with the profile count.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// WriteProfileList answers a profile listing from set under sn's
+// validators: the bare array of matching bodies, or with paging the
+// ListPage envelope. It makes one pass over set, copying nothing, and
+// writes exactly the bytes encoding/json writes for Snapshot.List's result
+// or Paginate's page of it. A cursor that does not decode is a bad_cursor
+// 400, checked before the validators.
+func WriteProfileList(w http.ResponseWriter, r *http.Request, sn *Snapshot, set ProfileSet, q Query, pg Page) {
+	after := ""
+	if pg.Cursor != "" {
+		k, err := DecodeCursor(pg.Cursor)
+		if err != nil {
+			WriteParamError(w, err)
+			return
+		}
+		after = k
+	}
+	if checkConditional(w, r, sn.ETag(), sn.PublishedAt()) {
+		return
+	}
+	bp := bodyPool.Get().(*[]byte)
+	*bp = appendProfileList((*bp)[:0], set, q, pg, after)
+	writeBody(w, *bp)
+	bodyPool.Put(bp)
+}
+
+// appendProfileList renders the listing: with paging, the items are the
+// first limit matches keyed after the cursor, next_cursor names the last
+// of them when more matches follow, and total counts every match.
+func appendProfileList(dst []byte, set ProfileSet, q Query, pg Page, after string) []byte {
+	if !pg.Enabled() {
+		dst = append(dst, '[')
+		n := 0
+		for i := 0; i < set.Len(); i++ {
+			if !q.Match(set.At(i)) {
+				continue
+			}
+			if n > 0 {
+				dst = append(dst, ',')
+			}
+			dst = set.AppendBody(dst, i)
+			n++
+		}
+		return append(dst, "]\n"...)
+	}
+	limit := pg.Limit
+	if limit <= 0 {
+		limit = DefaultPageLimit
+	}
+	dst = append(dst, `{"items":[`...)
+	total, taken, last, more := 0, 0, 0, false
+	for i := 0; i < set.Len(); i++ {
+		p := set.At(i)
+		if !q.Match(p) {
+			continue
+		}
+		total++
+		switch {
+		case taken == limit:
+			more = true
+		case string(p.Subscription) > after:
+			if taken > 0 {
+				dst = append(dst, ',')
+			}
+			dst = set.AppendBody(dst, i)
+			taken++
+			last = i
+		}
+	}
+	dst = append(dst, ']')
+	if more {
+		dst = append(dst, `,"next_cursor":`...)
+		dst = appendJSONString(dst, EncodeCursor(string(set.At(last).Subscription)))
+	}
+	dst = append(dst, `,"total":`...)
+	dst = strconv.AppendInt(dst, int64(total), 10)
+	return append(dst, "}\n"...)
+}
+
+// WriteProfile answers one subscription's profile from set under sn's
+// validators, or the not_found envelope.
+func WriteProfile(w http.ResponseWriter, r *http.Request, sn *Snapshot, set ProfileSet, id core.SubscriptionID) {
+	i, ok := set.Index(id)
+	if !ok {
+		WriteError(w, http.StatusNotFound, "not_found", "profile not found")
+		return
+	}
+	if checkConditional(w, r, sn.ETag(), sn.PublishedAt()) {
+		return
+	}
+	bp := bodyPool.Get().(*[]byte)
+	*bp = append(set.AppendBody((*bp)[:0], i), '\n')
+	writeBody(w, *bp)
+	bodyPool.Put(bp)
+}
+
+func writeBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 // ParamError is a 400-class query-string rejection with a stable machine

@@ -1,7 +1,6 @@
 package kb
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -33,7 +32,7 @@ type Snapshot struct {
 	seq         uint64
 	publishedAt time.Time
 	profiles    []*Profile // sorted by subscription
-	bySub       map[core.SubscriptionID]*Profile
+	bySub       map[core.SubscriptionID]int
 
 	fpOnce sync.Once
 	fp     string
@@ -74,9 +73,9 @@ func SnapshotOfSorted(profiles []*Profile, step int, seq uint64, publishedAt tim
 	if profiles == nil {
 		profiles = []*Profile{} // empty snapshots stay range- and JSON-safe
 	}
-	bySub := make(map[core.SubscriptionID]*Profile, len(profiles))
-	for _, p := range profiles {
-		bySub[p.Subscription] = p
+	bySub := make(map[core.SubscriptionID]int, len(profiles))
+	for i, p := range profiles {
+		bySub[p.Subscription] = i
 	}
 	return &Snapshot{step: step, seq: seq, publishedAt: publishedAt, profiles: profiles, bySub: bySub}
 }
@@ -101,8 +100,27 @@ func (s *Snapshot) Profiles() []*Profile { return s.profiles }
 
 // Get returns one subscription's profile.
 func (s *Snapshot) Get(id core.SubscriptionID) (*Profile, bool) {
-	p, ok := s.bySub[id]
-	return p, ok
+	i, ok := s.bySub[id]
+	if !ok {
+		return nil, false
+	}
+	return s.profiles[i], true
+}
+
+// At returns the i-th profile in subscription order. With Len, Index and
+// AppendBody it makes the snapshot the ProfileSet the batch profile routes
+// serve from, encoding each body on demand.
+func (s *Snapshot) At(i int) *Profile { return s.profiles[i] }
+
+// Index returns the position of one subscription's profile.
+func (s *Snapshot) Index(id core.SubscriptionID) (int, bool) {
+	i, ok := s.bySub[id]
+	return i, ok
+}
+
+// AppendBody appends the i-th profile's canonical encoding to dst.
+func (s *Snapshot) AppendBody(dst []byte, i int) []byte {
+	return AppendProfileJSON(dst, s.profiles[i])
 }
 
 // List returns the snapshot's profiles matching the query, in subscription
@@ -163,24 +181,38 @@ func (s *Snapshot) Memo(key string, compute func() interface{}) interface{} {
 }
 
 // Fingerprint returns the snapshot's content identity: an FNV-1a 64 over
-// the canonical JSON of the sorted profile list, rendered as
+// the canonical encoding (AppendProfileJSON, == encoding/json, fuzzed) of
+// each profile in subscription order, newline-terminated, rendered as
 // "fnv1a:<16 hex digits>". Two snapshots fingerprint equal exactly when
-// their profile sets are byte-identical under encoding/json — the
-// property the policy determinism oracle pins across runs and shard
-// counts. Computed lazily, once: fold publication never pays for it.
+// their profile sets encode byte-identically — the property the policy
+// determinism oracle pins across runs and shard counts. Computed lazily,
+// once, unless EachEncoded already computed it: fold publication never
+// pays for it.
 func (s *Snapshot) Fingerprint() string {
-	s.fpOnce.Do(func() {
-		h := fnv.New64a()
-		enc := json.NewEncoder(h)
-		for _, p := range s.profiles {
-			// Encode cannot fail on Profile (no channels, funcs, or NaN
-			// fields reach a published profile); a failure would poison
-			// the hash deterministically anyway.
-			_ = enc.Encode(p)
-		}
-		s.fp = fmt.Sprintf("fnv1a:%016x", h.Sum64())
-	})
+	s.fpOnce.Do(func() { s.fp = s.encodeEach(nil) })
 	return s.fp
+}
+
+// EachEncoded encodes every profile once, in subscription order, and hands
+// fn each profile's index and canonical bytes; fn must neither keep nor
+// modify them. The fingerprint is taken from the same bytes, so a later
+// Fingerprint or ETag does no second encode.
+func (s *Snapshot) EachEncoded(fn func(i int, body []byte)) {
+	fp := s.encodeEach(fn)
+	s.fpOnce.Do(func() { s.fp = fp })
+}
+
+func (s *Snapshot) encodeEach(fn func(i int, body []byte)) string {
+	h := fnv.New64a()
+	var buf []byte
+	for i, p := range s.profiles {
+		buf = append(AppendProfileJSON(buf[:0], p), '\n')
+		_, _ = h.Write(buf)
+		if fn != nil {
+			fn(i, buf[:len(buf)-1])
+		}
+	}
+	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
 }
 
 // ETag returns the snapshot's strong HTTP entity tag: the quoted

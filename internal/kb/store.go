@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"fmt"
@@ -230,11 +231,21 @@ func (s *Store) SaveFile(path string) error {
 	}
 	s.mu.RUnlock()
 	sortBySubscription(list)
-	data, err := json.MarshalIndent(list, "", "  ")
-	if err != nil {
+	// The canonical encoder's array, indented: the bytes MarshalIndent
+	// would write.
+	raw := []byte{'['}
+	for i, p := range list {
+		if i > 0 {
+			raw = append(raw, ',')
+		}
+		raw = AppendProfileJSON(raw, p)
+	}
+	raw = append(raw, ']')
+	var data bytes.Buffer
+	if err := json.Indent(&data, raw, "", "  "); err != nil {
 		return fmt.Errorf("kb: save: %w", err)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
 		return fmt.Errorf("kb: save: %w", err)
 	}
 	return nil

@@ -3,6 +3,7 @@ package stream
 import (
 	"encoding/json"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,13 +16,23 @@ import (
 // from one Engine.CaptureLive pass: a kb.Snapshot over the published
 // profiles plus the streaming-only state (live augmentation, per-cloud
 // counters, per-pattern utilization bands) captured at the same instant.
-// Aggregated payloads are assembled and JSON-encoded once at build time,
-// so every read the snapshot serves — summary, percentiles, regions — is
-// a header check plus one buffer write, regardless of load.
+// Aggregated payloads and every live profile are JSON-encoded once at
+// build time, so every read the snapshot serves — summary, percentiles,
+// regions, a profile page — is a header check plus buffer writes,
+// regardless of load.
+//
+// The encoded profiles live here rather than on the kb.Snapshot: the
+// policy ledger retains every kb.Snapshot it decided against, and only
+// ReadSource retains a LiveSnapshot.
 type LiveSnapshot struct {
 	kbsn  *kb.Snapshot
 	live  []LiveProfile
 	bySub map[core.SubscriptionID]int
+
+	// bodies holds every live profile's JSON back to back, in subscription
+	// order; profile i's ends at ends[i].
+	bodies []byte
+	ends   []int
 
 	summary     Summary
 	percentiles PercentilesReport
@@ -54,6 +65,14 @@ func buildLiveSnapshot(capt LiveCapture, step int, seq uint64, at time.Time) *Li
 	for i, p := range capt.Profiles {
 		ls.bySub[p.Subscription] = i
 	}
+	// One encode per profile feeds both the live bodies and the snapshot
+	// fingerprint, so the first ETag after a fold costs nothing more.
+	ls.bodies = make([]byte, 0, liveBodyHint*len(capt.Profiles))
+	ls.ends = make([]int, len(capt.Profiles))
+	sn.EachEncoded(func(i int, body []byte) {
+		ls.bodies = appendLiveBody(ls.bodies, body, &capt.Live[i])
+		ls.ends[i] = len(ls.bodies)
+	})
 	for _, c := range core.Clouds() {
 		counters := capt.Clouds[c] // zero-valued for an unbound source
 		ls.summary.Clouds[c.String()] = CloudLive{
@@ -68,6 +87,27 @@ func buildLiveSnapshot(capt LiveCapture, step int, seq uint64, at time.Time) *Li
 	ls.percentilesJSON = encodePayload(ls.percentiles)
 	ls.regionsJSON = encodePayload(sn.Regions())
 	return ls
+}
+
+// liveBodyHint is a typical live profile body's size in bytes, to size the
+// slab of encoded bodies in one allocation.
+const liveBodyHint = 384
+
+// appendLiveBody appends a live profile's JSON given its profile's
+// canonical encoding: encoding/json renders LiveProfile as the embedded
+// kb.Profile's fields followed by its own, so the body is kbBody without
+// its closing brace, then utilP50, utilP95, qualifiedVMs and samples.
+func appendLiveBody(dst, kbBody []byte, lp *LiveProfile) []byte {
+	dst = append(dst, kbBody[:len(kbBody)-1]...)
+	dst = append(dst, `,"utilP50":`...)
+	dst = kb.AppendJSONFloat(dst, lp.UtilP50)
+	dst = append(dst, `,"utilP95":`...)
+	dst = kb.AppendJSONFloat(dst, lp.UtilP95)
+	dst = append(dst, `,"qualifiedVMs":`...)
+	dst = strconv.AppendInt(dst, int64(lp.QualifiedVMs), 10)
+	dst = append(dst, `,"samples":`...)
+	dst = strconv.AppendInt(dst, lp.Samples, 10)
+	return append(dst, '}')
 }
 
 // encodePayload matches kb.WriteJSON's encoding (trailing newline), so a
@@ -100,17 +140,27 @@ func (ls *LiveSnapshot) PercentilesJSON() []byte { return ls.percentilesJSON }
 // RegionsJSON returns the pre-encoded region-rollup payload.
 func (ls *LiveSnapshot) RegionsJSON() []byte { return ls.regionsJSON }
 
-// Profiles returns the live profiles matching the query, in subscription
-// order — duplicate-free and stable across a paginated walk because the
-// underlying set cannot change.
-func (ls *LiveSnapshot) Profiles(q kb.Query) []LiveProfile {
-	out := make([]LiveProfile, 0, len(ls.live))
-	for i := range ls.live {
-		if q.Match(&ls.live[i].Profile) {
-			out = append(out, ls.live[i])
-		}
+// Len returns the number of live profiles. With At, Index and AppendBody
+// it makes the snapshot the kb.ProfileSet the live profile routes serve
+// from.
+func (ls *LiveSnapshot) Len() int { return len(ls.live) }
+
+// At returns the i-th profile in subscription order.
+func (ls *LiveSnapshot) At(i int) *kb.Profile { return &ls.live[i].Profile }
+
+// Index returns the position of one subscription's live profile.
+func (ls *LiveSnapshot) Index(id core.SubscriptionID) (int, bool) {
+	i, ok := ls.bySub[id]
+	return i, ok
+}
+
+// AppendBody appends the i-th live profile's JSON, encoded at build.
+func (ls *LiveSnapshot) AppendBody(dst []byte, i int) []byte {
+	start := 0
+	if i > 0 {
+		start = ls.ends[i-1]
 	}
-	return out
+	return append(dst, ls.bodies[start:ls.ends[i]]...)
 }
 
 // Profile returns one subscription's live profile.
@@ -216,15 +266,7 @@ func (s *ReadSource) Live() *LiveSnapshot {
 		s.building = true
 		s.mu.Unlock()
 
-		var at time.Time
-		if s.clock != nil {
-			at = s.clock()
-		}
-		var capt LiveCapture
-		if eng != nil {
-			capt = eng.CaptureLive()
-		}
-		ls := buildLiveSnapshot(capt, int(s.step.Load()), seq/2, at)
+		ls := s.rebuild(eng, seq)
 
 		s.mu.Lock()
 		s.building = false
@@ -236,6 +278,30 @@ func (s *ReadSource) Live() *LiveSnapshot {
 		s.mu.Unlock()
 		return ls
 	}
+}
+
+// rebuild captures the engine and builds a snapshot from the capture. If
+// either panics, the single-flight flag is cleared before the panic goes
+// on up (net/http recovers a handler's panic), so the next reader rebuilds
+// instead of being handed the stale snapshot forever — or spinning, when
+// nothing was cached.
+func (s *ReadSource) rebuild(eng Engine, seq uint64) (ls *LiveSnapshot) {
+	defer func() {
+		if ls == nil { // only a panic leaves it unset
+			s.mu.Lock()
+			s.building = false
+			s.mu.Unlock()
+		}
+	}()
+	var at time.Time
+	if s.clock != nil {
+		at = s.clock()
+	}
+	var capt LiveCapture
+	if eng != nil {
+		capt = eng.CaptureLive()
+	}
+	return buildLiveSnapshot(capt, int(s.step.Load()), seq/2, at)
 }
 
 // Snapshot implements kb.SnapshotSource (and the policy engine's source):

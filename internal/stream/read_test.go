@@ -6,8 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"cloudlens/internal/kb"
 )
 
 // feedSteps replays the micro trace's first n steps into the engine by
@@ -96,7 +94,7 @@ func TestReadSourceConcurrentReadersDuringFolds(t *testing.T) {
 				// Each served snapshot must be internally consistent: the
 				// profile list, its live augmentation, and the lookup index
 				// were captured in one pass.
-				if got, want := len(ls.Profiles(kb.MatchAll())), ls.KB().Len(); got != want {
+				if got, want := ls.Len(), ls.KB().Len(); got != want || len(ls.ends) != want {
 					t.Errorf("live profiles %d != kb profiles %d", got, want)
 					return
 				}

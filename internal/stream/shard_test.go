@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"cloudlens/internal/core"
-	"cloudlens/internal/kb"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
 )
@@ -56,8 +55,11 @@ func requireSameLiveState(t *testing.T, label string, got, want *Pipeline) {
 		}
 	}
 	gl, wl := liveOf(got), liveOf(want)
-	if g, w := gl.Profiles(kb.MatchAll()), wl.Profiles(kb.MatchAll()); !reflect.DeepEqual(g, w) {
+	if g, w := gl.live, wl.live; !reflect.DeepEqual(g, w) {
 		t.Errorf("%s: live profiles diverged:\ngot:  %+v\nwant: %+v", label, g, w)
+	}
+	if !bytes.Equal(gl.bodies, wl.bodies) {
+		t.Errorf("%s: encoded live profiles diverged", label)
 	}
 	if g, w := gl.Summary(), wl.Summary(); !reflect.DeepEqual(g, w) {
 		t.Errorf("%s: summaries diverged:\ngot:  %+v\nwant: %+v", label, g, w)

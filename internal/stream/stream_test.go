@@ -277,7 +277,7 @@ func TestPipelineConcurrentSnapshots(t *testing.T) {
 					t.Errorf("summary has %d clouds", len(sum.Clouds))
 					return
 				}
-				for _, lp := range ls.Profiles(kb.MatchAll()) {
+				for _, lp := range ls.live {
 					if lp.Samples < 0 {
 						t.Errorf("negative sample count for %s", lp.Subscription)
 						return
