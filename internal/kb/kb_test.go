@@ -1,9 +1,11 @@
 package kb
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -157,6 +159,12 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "kb.json")
 	if err := store.SaveFile(path); err != nil {
 		t.Fatalf("SaveFile: %v", err)
+	}
+	// The file holds what json.MarshalIndent wrote before the canonical
+	// encoder replaced it.
+	saved, _ := os.ReadFile(path)
+	if want, _ := json.MarshalIndent(store.List(MatchAll()), "", "  "); !bytes.Equal(saved, want) {
+		t.Error("SaveFile bytes differ from json.MarshalIndent's")
 	}
 	loaded, err := LoadFile(path)
 	if err != nil {

@@ -147,30 +147,19 @@ func WriteProfileList(w http.ResponseWriter, r *http.Request, sn *Snapshot, set 
 	bodyPool.Put(bp)
 }
 
-// appendProfileList renders the listing: with paging, the items are the
-// first limit matches keyed after the cursor, next_cursor names the last
-// of them when more matches follow, and total counts every match.
+// appendProfileList renders the listing: every match, or with paging the
+// first limit matches keyed after the cursor, with next_cursor naming the
+// last of them when more matches follow and total counting every match.
 func appendProfileList(dst []byte, set ProfileSet, q Query, pg Page, after string) []byte {
-	if !pg.Enabled() {
-		dst = append(dst, '[')
-		n := 0
-		for i := 0; i < set.Len(); i++ {
-			if !q.Match(set.At(i)) {
-				continue
-			}
-			if n > 0 {
-				dst = append(dst, ',')
-			}
-			dst = set.AppendBody(dst, i)
-			n++
-		}
-		return append(dst, "]\n"...)
-	}
+	paged := pg.Enabled()
 	limit := pg.Limit
 	if limit <= 0 {
 		limit = DefaultPageLimit
 	}
-	dst = append(dst, `{"items":[`...)
+	if paged {
+		dst = append(dst, `{"items":`...)
+	}
+	dst = append(dst, '[')
 	total, taken, last, more := 0, 0, 0, false
 	for i := 0; i < set.Len(); i++ {
 		p := set.At(i)
@@ -179,9 +168,9 @@ func appendProfileList(dst []byte, set ProfileSet, q Query, pg Page, after strin
 		}
 		total++
 		switch {
-		case taken == limit:
+		case paged && taken == limit:
 			more = true
-		case string(p.Subscription) > after:
+		case !paged || string(p.Subscription) > after:
 			if taken > 0 {
 				dst = append(dst, ',')
 			}
@@ -189,6 +178,9 @@ func appendProfileList(dst []byte, set ProfileSet, q Query, pg Page, after strin
 			taken++
 			last = i
 		}
+	}
+	if !paged {
+		return append(dst, "]\n"...)
 	}
 	dst = append(dst, ']')
 	if more {
@@ -217,8 +209,12 @@ func WriteProfile(w http.ResponseWriter, r *http.Request, sn *Snapshot, set Prof
 	bodyPool.Put(bp)
 }
 
+// writeBody writes a complete 200 body. The explicit Content-Length spares
+// a listing larger than net/http's buffer the chunked framing, whose
+// terminating chunk is a write of its own the client must wait for.
 func writeBody(w http.ResponseWriter, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(body)
 }

