@@ -124,7 +124,8 @@ func gzipMemo(sn *Snapshot, key string, body []byte) []byte {
 // per-request encoding work; the profile routes go through
 // WriteProfileList and WriteProfile under the same validators, which is
 // what makes "same snapshot ⇒ same ETag ⇒ byte-identical body" a
-// route-table-wide invariant. key names the payload on the snapshot's memo space; a request accepting gzip is answered with the gzip entity,
+// route-table-wide invariant. key names the payload on the snapshot's
+// memo space; a request accepting gzip is answered with the gzip entity,
 // compressed once per snapshot and memoized under "gzip:"+key. Both
 // encodings share the snapshot's validators — the ETag identifies the
 // snapshot content and Vary: Accept-Encoding keys caches per coding — so

@@ -84,9 +84,10 @@ func buildLiveSnapshot(capt LiveCapture, step int, seq uint64, at time.Time) *Li
 	return ls
 }
 
-// liveBodyHint is a typical live profile body's size in bytes, to size the
-// slab of encoded bodies in one allocation.
-const liveBodyHint = 384
+// liveBodyHint bounds a typical live profile body in bytes (they average
+// about 430 on the generated CPU week), so the slab of encoded bodies is
+// usually allocated once.
+const liveBodyHint = 512
 
 // appendLiveBody appends a live profile's JSON given its profile's
 // canonical encoding: encoding/json renders LiveProfile as the embedded
