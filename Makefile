@@ -47,14 +47,21 @@
 #                      policy-determinism trials (byte-identical decision
 #                      ledgers across runs and shard counts)
 #   make fuzz-smoke  — every fuzz target briefly (seed corpora + 5s of
-#                      generated inputs each): the untrusted decoders, and
-#                      the canonical profile encoder against encoding/json
+#                      generated inputs each): the untrusted decoders, the
+#                      canonical profile encoder against encoding/json, and
+#                      the blocked autocorrelation sketch against its
+#                      per-sample oracle
 #   make lint        — determinism lint: no global math/rand draws, no
 #                      time.Now in deterministic packages
+#   make ab REF=<commit> [N=10] [WORKLOAD=ingest-clean] [SEED=42] [LABEL=...]
+#                    — paired benchmark: N interleaved pairs of
+#                      `bash bench/run.sh` on REF and HEAD (cmd/benchab), the
+#                      median paired ratio, wins and sign test per end-to-end
+#                      metric, every run appended to experiments/runs
 
 GO ?= go
 
-.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate diffcheck fuzz-smoke lint
+.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate diffcheck fuzz-smoke lint ab
 
 all: build
 
@@ -152,6 +159,19 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzParseSpec -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzParseServerlessSpec -fuzztime=$(FUZZTIME) ./internal/workload
+	$(GO) test -run=NONE -fuzz=FuzzAutoCorrBlocks -fuzztime=$(FUZZTIME) ./internal/sketch
 
 lint: build
 	$(GO) run ./cmd/detlint .
+
+# Paired A/B of HEAD against REF on one benchmark workload. The exported
+# trees and per-run result files go under WORK (a new temporary directory
+# when empty); the run log is experiments/runs/<LABEL>-<WORKLOAD>.jsonl.
+N ?= 10
+WORKLOAD ?= ingest-clean
+SEED ?= 42
+LABEL ?=
+WORK ?=
+ab:
+	@test -n "$(REF)" || { echo "usage: make ab REF=<commit> [N=10] [WORKLOAD=ingest-clean] [SEED=42] [LABEL=...] [WORK=dir]" >&2; exit 2; }
+	$(GO) run ./cmd/benchab -ref $(REF) -n $(N) -workload $(WORKLOAD) -seed $(SEED) $(if $(LABEL),-label $(LABEL)) $(if $(WORK),-work $(WORK))

@@ -255,6 +255,17 @@ func (c *Corr) R() float64 {
 // with the mean and the normalizer taken over the full series observed so
 // far. Expanding the numerator gives sum x[i]x[i-L] minus mean-weighted head
 // and tail sums, all of which update in O(1) per lag per sample.
+//
+// Add updates the moments at once but defers the per-lag terms: samples
+// wait in a block of autoCorrBlock inside the struct, and Flush folds the
+// block lag by lag, so each lag's stretch of the ring is loaded once per
+// block instead of once per sample. Every sum sees the same operations in
+// the same order as a per-sample update, so results are bit-identical
+// whenever the block is flushed. The read methods that need the per-lag
+// terms or the ring flush first; N, Mean and StdDev never wait.
+//
+// The zero value is not usable; call Init (or NewAutoCorr) first. An
+// AutoCorr can be embedded by value but must not be copied once in use.
 type AutoCorr struct {
 	lags    []int
 	maxLag  int
@@ -264,15 +275,34 @@ type AutoCorr struct {
 	sumProd []float64 // per lag: sum of x[i]*x[i-L]
 	headSum []float64 // per lag: sum of x[0..L-1], frozen once n reaches L
 	tailSum []float64 // per lag: sum of the most recent min(n, L) samples
+
+	// pend holds the last np samples, oldest first: counted in w and sum,
+	// not yet in the per-lag sums or the ring.
+	np   int
+	pend [autoCorrBlock]float64
 }
+
+// autoCorrBlock is how many samples Add defers before folding them into the
+// per-lag sums.
+const autoCorrBlock = 16
 
 // NewAutoCorr returns an accumulator for the given positive lags.
 func NewAutoCorr(lags ...int) *AutoCorr {
-	a := &AutoCorr{
+	a := new(AutoCorr)
+	a.Init(lags...)
+	return a
+}
+
+// Init makes a an empty accumulator for the given positive lags, for
+// callers that hold an AutoCorr by value.
+func (a *AutoCorr) Init(lags ...int) {
+	k := len(lags)
+	sums := make([]float64, 3*k)
+	*a = AutoCorr{
 		lags:    append([]int(nil), lags...),
-		sumProd: make([]float64, len(lags)),
-		headSum: make([]float64, len(lags)),
-		tailSum: make([]float64, len(lags)),
+		sumProd: sums[:k:k],
+		headSum: sums[k : 2*k : 2*k],
+		tailSum: sums[2*k:],
 	}
 	for _, l := range lags {
 		if l <= 0 {
@@ -282,31 +312,74 @@ func NewAutoCorr(lags ...int) *AutoCorr {
 			a.maxLag = l
 		}
 	}
-	return a
 }
 
 // Add appends the next sample of the series.
 func (a *AutoCorr) Add(x float64) {
-	n := int(a.w.Count())
-	for j, l := range a.lags {
-		if n >= l {
-			prev := float64(a.ring[(n-l)%a.maxLag])
-			a.sumProd[j] += x * prev
-			a.tailSum[j] += x - prev
-		} else {
-			// Still filling the first window: x is in both the head
-			// and the running tail.
-			a.headSum[j] += x
-			a.tailSum[j] += x
-		}
-	}
-	if len(a.ring) < a.maxLag {
-		a.ring = append(a.ring, float32(x))
-	} else {
-		a.ring[n%a.maxLag] = float32(x)
-	}
 	a.sum += x
 	a.w.Add(x)
+	a.pend[a.np] = x
+	a.np++
+	if a.np == autoCorrBlock {
+		a.Flush()
+	}
+}
+
+// Flush folds the samples Add deferred into the per-lag sums and the ring.
+// For each lag it walks the block in sample order, taking each sample's lag
+// partner from the ring (with a wrapping cursor) or, for lags shorter than
+// the block, from the block itself; the ring is written last, so every
+// partner read is the value a per-sample update would have read.
+func (a *AutoCorr) Flush() {
+	m := a.np
+	if m == 0 {
+		return
+	}
+	pend := a.pend[:m]
+	n0 := int(a.w.Count()) - m // samples already in the ring
+	for j, l := range a.lags {
+		sp, hs, ts := a.sumProd[j], a.headSum[j], a.tailSum[j]
+		i := 0
+		// Still filling the first window: x is in both the head and the
+		// running tail.
+		for ; i < m && n0+i < l; i++ {
+			hs += pend[i]
+			ts += pend[i]
+		}
+		// Partners before the block, in the ring.
+		if i < m && i < l {
+			c := (n0 + i - l) % a.maxLag
+			for ; i < m && i < l; i++ {
+				prev := float64(a.ring[c])
+				sp += pend[i] * prev
+				ts += pend[i] - prev
+				if c++; c == a.maxLag {
+					c = 0
+				}
+			}
+		}
+		// Partners inside the block, rounded as the ring would hold them.
+		for ; i < m; i++ {
+			prev := float64(float32(pend[i-l]))
+			sp += pend[i] * prev
+			ts += pend[i] - prev
+		}
+		a.sumProd[j], a.headSum[j], a.tailSum[j] = sp, hs, ts
+	}
+	i := 0
+	for ; i < m && len(a.ring) < a.maxLag; i++ {
+		a.ring = append(a.ring, float32(pend[i]))
+	}
+	if i < m {
+		c := (n0 + i) % a.maxLag
+		for ; i < m; i++ {
+			a.ring[c] = float32(pend[i])
+			if c++; c == a.maxLag {
+				c = 0
+			}
+		}
+	}
+	a.np = 0
 }
 
 // N returns the number of samples observed.
@@ -324,6 +397,9 @@ func (a *AutoCorr) StdDev() float64 { return a.w.StdDev() }
 // per-sample aggregation until a qualification threshold (below maxLag)
 // recover every earlier sample without separate storage.
 func (a *AutoCorr) Retained(buf []float64) []float64 {
+	if a.np > 0 {
+		a.Flush()
+	}
 	n := int(a.w.Count())
 	if n <= len(a.ring) {
 		for i := 0; i < n; i++ {
@@ -343,6 +419,9 @@ func (a *AutoCorr) Retained(buf []float64) []float64 {
 // Histogram.ObserveAll; a caller needing the float64 view converts per
 // element, which is exact.
 func (a *AutoCorr) RetainedRaw(buf []float32) []float32 {
+	if a.np > 0 {
+		a.Flush()
+	}
 	n := int(a.w.Count())
 	if n <= len(a.ring) {
 		return append(buf, a.ring[:n]...)
@@ -357,6 +436,9 @@ func (a *AutoCorr) RetainedRaw(buf []float32) []float32 {
 // returns 0 when the lag was not configured, fewer than lag+2 samples have
 // arrived, or the series is constant.
 func (a *AutoCorr) At(lag int) float64 {
+	if a.np > 0 {
+		a.Flush()
+	}
 	j := -1
 	for i, l := range a.lags {
 		if l == lag {

@@ -89,16 +89,30 @@ type AutoCorrState struct {
 	TailSum []float64
 }
 
-// State captures the accumulator. All slices are copies.
+// State captures the accumulator with its deferred samples folded in, the
+// state a per-sample update would hold. All slices are copies and a itself
+// is not written, so State is safe under a reader's lock.
 func (a *AutoCorr) State() AutoCorrState {
+	f := AutoCorr{
+		lags:    a.lags,
+		maxLag:  a.maxLag,
+		ring:    append([]float32(nil), a.ring...),
+		w:       a.w,
+		sumProd: append([]float64(nil), a.sumProd...),
+		headSum: append([]float64(nil), a.headSum...),
+		tailSum: append([]float64(nil), a.tailSum...),
+		np:      a.np,
+		pend:    a.pend,
+	}
+	f.Flush()
 	return AutoCorrState{
 		Lags:    append([]int(nil), a.lags...),
-		Ring:    append([]float32(nil), a.ring...),
+		Ring:    f.ring,
 		W:       a.w.State(),
 		Sum:     a.sum,
-		SumProd: append([]float64(nil), a.sumProd...),
-		HeadSum: append([]float64(nil), a.headSum...),
-		TailSum: append([]float64(nil), a.tailSum...),
+		SumProd: f.sumProd,
+		HeadSum: f.headSum,
+		TailSum: f.tailSum,
 	}
 }
 

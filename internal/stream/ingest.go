@@ -62,12 +62,16 @@ func newLagSet(stepsPerHour int) lagSet {
 // ring of the most recent day-and-a-half of samples), the hour-alignment
 // accumulators, and — once the VM has a day of history and qualifies for
 // profiling — per-UTC-hour utilization sums.
+//
+// The sketch is held by value: the per-sample path then reaches its
+// moments and deferred block through the accumulator's own lines instead
+// of chasing a pointer to a second heap object for every VM of a step.
 type vmAcc struct {
 	idx  int32
 	v    *trace.VM
 	sub  *subState
 	from int
-	ac   *sketch.AutoCorr
+	ac   sketch.AutoCorr
 
 	// Ordering state: next is the grid step the VM's series expects next
 	// (deduplication and gap detection key off it), last the most recent
@@ -119,8 +123,12 @@ type regionHour struct {
 
 // subState is the per-subscription streaming state.
 type subState struct {
-	id       core.SubscriptionID
-	cloud    core.Cloud
+	id    core.SubscriptionID
+	cloud core.Cloud
+	// cs is the platform aggregate of cloud, resolved once so the
+	// per-sample path does no map lookup (trace.Validate holds every VM of
+	// a subscription to one cloud).
+	cs       *cloudState
 	regions  map[string]bool
 	services map[string]bool
 
@@ -684,6 +692,7 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 		ss = &subState{
 			id:          v.Subscription,
 			cloud:       v.Cloud,
+			cs:          ing.clouds[v.Cloud],
 			regions:     make(map[string]bool),
 			services:    make(map[string]bool),
 			util:        sketch.NewHistogram(0, 1, subBins),
@@ -694,7 +703,7 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 	ss.vmsObserved++
 	ss.regions[v.Region] = true
 	ss.services[v.Service] = true
-	ing.clouds[v.Cloud].vmsSeen++
+	ss.cs.vmsSeen++
 	// from is assigned when the first sample folds (ingestLocked): under a
 	// faulty collector the first delivered step, not the creation step, is
 	// where the observed series starts.
@@ -702,15 +711,20 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 		idx: idx,
 		v:   v,
 		sub: ss,
-		ac:  sketch.NewAutoCorr(ing.lags.all...),
 	}
+	acc.ac.Init(ing.lags.all...)
 	ing.accs[idx] = acc
 	return acc
 }
 
-// observe folds one sample into a VM's accumulators.
+// observe folds one sample into a VM's accumulators. On a fold-boundary
+// step the autocorrelation sketch's deferred block is flushed while the
+// accumulator is in cache, so the fold right after finds nothing pending.
 func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 	acc.ac.Add(cpu)
+	if step%ing.opts.FoldEverySteps == 0 {
+		acc.ac.Flush()
+	}
 	if ing.family == core.FamilyServerless {
 		// Invocation-rate evidence: running peak and idle share, matching
 		// classify.ClassifyInvocation's accumulators over the same samples.
@@ -732,7 +746,7 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 		acc.restSum += cpu
 		acc.restN++
 	}
-	ing.clouds[acc.v.Cloud].samples++
+	acc.sub.cs.samples++
 	if !acc.qualified {
 		if acc.ac.N() >= ing.minSteps {
 			ing.qualify(acc)
@@ -743,7 +757,7 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 	acc.hourly[h] += cpu
 	acc.hourlyN[h]++
 	acc.sub.util.Add(cpu)
-	ing.clouds[acc.v.Cloud].util.Add(cpu)
+	acc.sub.cs.util.Add(cpu)
 	if step%ing.stepsPerHour == 0 {
 		acc.sub.addRegionHour(ing.keys.RegionOf[acc.idx], ing.tr.Grid.HourOf(step), cpu, ing.tr.Grid.Hours())
 	}
@@ -759,7 +773,7 @@ func (ing *Ingestor) qualify(acc *vmAcc) {
 	acc.sub.qualified = append(acc.sub.qualified, acc.idx)
 	vals := acc.ac.RetainedRaw(ing.flushBuf[:0])
 	g := ing.tr.Grid
-	cs := ing.clouds[acc.v.Cloud]
+	cs := acc.sub.cs
 	// Under GapSkip the ring is compacted: the i-th retained sample is not
 	// necessarily at from+i. Walk the recorded holes to restore each
 	// sample's true step, or every post-gap sample lands in the wrong
@@ -851,10 +865,10 @@ func (ing *Ingestor) classifyAcc(acc *vmAcc) core.Pattern {
 		return res.Decide(ing.invOpts)
 	}
 	res := classify.Result{StdDev: acc.ac.StdDev()}
-	res.DailyACF = ing.validatedACF(acc.ac, ing.lags.day)
-	res.HourlyACF = ing.validatedACF(acc.ac, ing.lags.hour)
+	res.DailyACF = ing.validatedACF(&acc.ac, ing.lags.day)
+	res.HourlyACF = ing.validatedACF(&acc.ac, ing.lags.hour)
 	if half := ing.lags.halfHour; half >= 2 {
-		if v := ing.validatedACF(acc.ac, half); v > res.HourlyACF {
+		if v := ing.validatedACF(&acc.ac, half); v > res.HourlyACF {
 			res.HourlyACF = v
 		}
 	}
