@@ -110,9 +110,11 @@ bench-shards:
 # subscription. The worker pool, the replayer's per-step fan-out and the
 # parallel fold allocate nothing per dispatch, so the rate cannot depend on
 # the core count: the run is repeated at GOMAXPROCS 1, 2 and 4 and the three
-# must print the same figure. Measured 0.0557 at all three (go1.24, 2 vCPUs,
-# seed 42); the pin adds 10 %.
-ALLOCS_PER_SAMPLE_MAX ?= 0.061
+# must print the same figure. Measured 0.0463 at all three (go1.24, 2 vCPUs,
+# seed 42); the pin adds 5 %. Repeated runs differ by up to ~100
+# allocations (about 1e-5 per sample) with the runtime's own timing, so a
+# rate within that of a rounding edge can print two figures.
+ALLOCS_PER_SAMPLE_MAX ?= 0.0486
 bench-stream-gate: build
 	@rates=; \
 	for p in 1 2 4; do \

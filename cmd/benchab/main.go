@@ -4,13 +4,13 @@
 // Usage (from the root of the repository, normally through make ab):
 //
 //	benchab -ref COMMIT [-new HEAD] [-n 10] [-workload ingest-clean] [-seed 42]
-//	        [-seconds 25] [-label L] [-work DIR] [-records experiments/runs]
+//	        [-label L] [-work DIR]
 //
 // Each commit is exported once (git archive) into its own directory under
 // -work and warmed with one short discarded run, which builds the benchmark
 // and fills that tree's build cache. Then each pair runs
 //
-//	bash bench/run.sh --workload W --seed S --seconds T --trace 0 -out F
+//	bash bench/run.sh --workload W --seed S --seconds 25 --trace 0 -out F
 //
 // in both trees back to back, the reference first in even pairs and the
 // new commit first in odd ones. For every end-to-end metric it prints the
@@ -19,7 +19,7 @@
 // values against the reference's interquartile range, and every raw run.
 // Every run is appended as one JSON line (label, commit, side, pair,
 // position, seed, metrics, hashes, environment stamp) to
-// <records>/<label>-<workload>.jsonl.
+// experiments/runs/<label>-<workload>.jsonl.
 package main
 
 import (
@@ -34,6 +34,13 @@ import (
 	"strings"
 )
 
+// runSeconds is how long each run measures: BENCHMARK.json's run_seconds,
+// so a pair reads what the benchmark's own comparison reads.
+const runSeconds = 25
+
+// records is the directory of the JSON-lines run logs.
+var records = filepath.Join("experiments", "runs")
+
 func main() {
 	var (
 		ref      = flag.String("ref", "", "reference commit (required)")
@@ -41,23 +48,21 @@ func main() {
 		n        = flag.Int("n", 10, "number of pairs")
 		workload = flag.String("workload", "ingest-clean", "benchmark workload")
 		seed     = flag.Uint64("seed", 42, "benchmark seed")
-		seconds  = flag.Float64("seconds", 25, "how long each run measures")
 		label    = flag.String("label", "", "run-log label (default: the new commit's short hash)")
 		work     = flag.String("work", "", "directory for the exported trees and result files (default: a new temporary directory)")
-		records  = flag.String("records", filepath.Join("experiments", "runs"), "directory of the JSON-lines run logs")
 	)
 	flag.Parse()
-	if *ref == "" || *n <= 0 || *seconds <= 0 || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchab -ref COMMIT [-new HEAD] [-n 10] [-workload W] [-seed S] [-seconds T] [-label L] [-work DIR] [-records DIR]")
+	if *ref == "" || *n <= 0 || flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "usage: benchab -ref COMMIT [-new HEAD] [-n 10] [-workload W] [-seed S] [-label L] [-work DIR]")
 		os.Exit(2)
 	}
-	if err := run(*ref, *newRev, *n, *workload, *seed, *seconds, *label, *work, *records); err != nil {
+	if err := run(*ref, *newRev, *n, *workload, *seed, *label, *work); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(refRev, newRev string, n int, workload string, seed uint64, seconds float64, label, work, records string) error {
+func run(refRev, newRev string, n int, workload string, seed uint64, label, work string) error {
 	commits := map[string]string{}
 	for side, rev := range map[string]string{sideRef: refRev, sideNew: newRev} {
 		c, err := resolve(rev)
@@ -118,7 +123,7 @@ func run(refRev, newRev string, n int, workload string, seed uint64, seconds flo
 	}
 
 	fmt.Printf("benchab: %s seed %d, %d pairs of %gs runs: ref %s, new %s (label %s)\n",
-		workload, seed, n, seconds, commits[sideRef][:12], commits[sideNew][:12], label)
+		workload, seed, n, float64(runSeconds), commits[sideRef][:12], commits[sideNew][:12], label)
 	for _, side := range []string{sideRef, sideNew} {
 		out := filepath.Join(work, fmt.Sprintf("%s-%s-%d-warmup-%s.json", label, workload, seed, side))
 		if _, err := bench(side, out, 1); err != nil {
@@ -132,7 +137,7 @@ func run(refRev, newRev string, n int, workload string, seed uint64, seconds flo
 		p := pair{First: order(i)[0]}
 		for pos, side := range order(i) {
 			out := filepath.Join(work, fmt.Sprintf("%s-%s-%d-pair%02d-%s.json", label, workload, seed, i, side))
-			res, err := bench(side, out, seconds)
+			res, err := bench(side, out, runSeconds)
 			if err != nil {
 				return err
 			}

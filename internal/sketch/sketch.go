@@ -289,17 +289,19 @@ const autoCorrBlock = 16
 // NewAutoCorr returns an accumulator for the given positive lags.
 func NewAutoCorr(lags ...int) *AutoCorr {
 	a := new(AutoCorr)
-	a.Init(lags...)
+	a.Init(append([]int(nil), lags...)...)
 	return a
 }
 
 // Init makes a an empty accumulator for the given positive lags, for
-// callers that hold an AutoCorr by value.
+// callers that hold an AutoCorr by value. It keeps lags without copying
+// (many accumulators can share one lag set), so the caller must not
+// modify it afterwards.
 func (a *AutoCorr) Init(lags ...int) {
 	k := len(lags)
 	sums := make([]float64, 3*k)
 	*a = AutoCorr{
-		lags:    append([]int(nil), lags...),
+		lags:    lags,
 		sumProd: sums[:k:k],
 		headSum: sums[k : 2*k : 2*k],
 		tailSum: sums[2*k:],

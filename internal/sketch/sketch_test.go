@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cloudlens/internal/stats"
@@ -376,7 +377,7 @@ func TestAutoCorrBlocksMatchPerSample(t *testing.T) {
 				}
 			}
 		}
-		maxLag := slicesMax(lags)
+		maxLag := slices.Max(lags)
 		n := pick(3 * maxLag)
 		if trial%4 < 2 {
 			n = maxLag + 200 + pick(maxLag)
@@ -405,14 +406,6 @@ func TestAutoCorrBlocksMatchPerSample(t *testing.T) {
 		}
 		runAutoCorrScript(t, lags, ops)
 	}
-}
-
-func slicesMax(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		m = max(m, x)
-	}
-	return m
 }
 
 // FuzzAutoCorrBlocks decodes a lag set and a script of adds, flushes, reads

@@ -30,7 +30,7 @@ const (
 // lags around them, for one grid resolution.
 type lagSet struct {
 	hour, halfHour, day int
-	all                 []int
+	all                 []int // shared by every VM's sketch, never modified
 }
 
 func newLagSet(stepsPerHour int) lagSet {
