@@ -1,9 +1,10 @@
 // Command benchab runs the repository's benchmark as interleaved pairs of
-// two commits and reports each end-to-end metric's paired change.
+// a reference commit and HEAD and reports each end-to-end metric's paired
+// change.
 //
 // Usage (from the root of the repository, normally through make ab):
 //
-//	benchab -ref COMMIT [-new HEAD] [-n 10] [-workload ingest-clean] [-seed 42]
+//	benchab -ref COMMIT [-n 10] [-workload ingest-clean] [-seed 42]
 //	        [-label L] [-work DIR]
 //
 // Each commit is exported once (git archive) into its own directory under
@@ -12,11 +13,11 @@
 //
 //	bash bench/run.sh --workload W --seed S --seconds 25 --trace 0 -out F
 //
-// in both trees back to back, the reference first in even pairs and the
-// new commit first in odd ones. For every end-to-end metric it prints the
-// median of the new/ref ratios with their quartiles, the pairs the new
-// commit won with a one-sided sign-test p-value, the medians of the raw
-// values against the reference's interquartile range, and every raw run.
+// in both trees back to back, the reference first in even pairs and HEAD
+// first in odd ones. For every end-to-end metric it prints the median of
+// the HEAD/ref ratios with their quartiles, the pairs HEAD won with a
+// one-sided sign-test p-value, the medians of the raw values against the
+// reference's interquartile range, and every raw run.
 // Every run is appended as one JSON line (label, commit, side, pair,
 // position, seed, metrics, hashes, environment stamp) to
 // experiments/runs/<label>-<workload>.jsonl.
@@ -44,27 +45,26 @@ var records = filepath.Join("experiments", "runs")
 func main() {
 	var (
 		ref      = flag.String("ref", "", "reference commit (required)")
-		newRev   = flag.String("new", "HEAD", "commit under test")
 		n        = flag.Int("n", 10, "number of pairs")
 		workload = flag.String("workload", "ingest-clean", "benchmark workload")
 		seed     = flag.Uint64("seed", 42, "benchmark seed")
-		label    = flag.String("label", "", "run-log label (default: the new commit's short hash)")
+		label    = flag.String("label", "", "run-log label (default: HEAD's short hash)")
 		work     = flag.String("work", "", "directory for the exported trees and result files (default: a new temporary directory)")
 	)
 	flag.Parse()
 	if *ref == "" || *n <= 0 || flag.NArg() > 0 {
-		fmt.Fprintln(os.Stderr, "usage: benchab -ref COMMIT [-new HEAD] [-n 10] [-workload W] [-seed S] [-label L] [-work DIR]")
+		fmt.Fprintln(os.Stderr, "usage: benchab -ref COMMIT [-n 10] [-workload W] [-seed S] [-label L] [-work DIR]")
 		os.Exit(2)
 	}
-	if err := run(*ref, *newRev, *n, *workload, *seed, *label, *work); err != nil {
+	if err := run(*ref, *n, *workload, *seed, *label, *work); err != nil {
 		fmt.Fprintln(os.Stderr, "benchab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(refRev, newRev string, n int, workload string, seed uint64, label, work string) error {
+func run(refRev string, n int, workload string, seed uint64, label, work string) error {
 	commits := map[string]string{}
-	for side, rev := range map[string]string{sideRef: refRev, sideNew: newRev} {
+	for side, rev := range map[string]string{sideRef: refRev, sideNew: "HEAD"} {
 		c, err := resolve(rev)
 		if err != nil {
 			return err

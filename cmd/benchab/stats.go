@@ -11,14 +11,14 @@ import (
 )
 
 // Sides of a paired comparison: the reference commit and the commit under
-// test.
+// test, HEAD.
 const (
 	sideRef = "ref"
 	sideNew = "new"
 )
 
 // order returns which side runs first in pair i: the reference in even
-// pairs, the new commit in odd ones, so a drift in the machine's state
+// pairs, HEAD in odd ones, so a drift in the machine's state
 // (thermal, page cache, a neighbour's load) falls on both sides alike.
 func order(i int) [2]string {
 	if i%2 == 0 {

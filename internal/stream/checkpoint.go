@@ -559,14 +559,9 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 		if err != nil {
 			return nil, fmt.Errorf("stream: subscription %s: %w", st.ID, err)
 		}
-		cs := ing.clouds[st.Cloud]
-		if cs == nil {
-			return nil, fmt.Errorf("stream: subscription %s on unknown cloud %v", st.ID, st.Cloud)
-		}
 		ss := &subState{
 			id:            st.ID,
 			cloud:         st.Cloud,
-			cs:            cs,
 			regions:       setOf(st.Regions),
 			services:      setOf(st.Services),
 			vmsObserved:   st.VMsObserved,
@@ -599,15 +594,12 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 		if ss == nil {
 			return nil, fmt.Errorf("stream: checkpoint accumulator for VM %d precedes its subscription %s", st.Idx, v.Subscription)
 		}
-		if v.Cloud != ss.cloud {
-			return nil, fmt.Errorf("stream: checkpoint places VM %d of cloud %v in subscription %s on %v", st.Idx, v.Cloud, v.Subscription, ss.cloud)
-		}
 		ac, err := sketch.AutoCorrFromState(st.AC)
 		if err != nil {
 			return nil, fmt.Errorf("stream: VM %d autocorrelation: %w", st.Idx, err)
 		}
 		acc := &vmAcc{
-			idx: st.Idx, v: v, sub: ss, from: st.From,
+			idx: st.Idx, v: v, sub: ss, cs: ing.clouds[v.Cloud], from: st.From,
 			seen: st.Seen, next: st.Next, last: st.Last, ac: *ac,
 			peakSum: st.PeakSum, restSum: st.RestSum, peakN: st.PeakN, restN: st.RestN,
 			peakMax: st.PeakMax, idleN: st.IdleN,

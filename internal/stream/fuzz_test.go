@@ -247,21 +247,6 @@ func TestRestoreRejectsCorruptAutoCorrLags(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsSubscriptionOnForeignCloud pins that a restored
-// subscription's cloud is the cloud of its VMs in the trace: the ingestor
-// counts every sample of a subscription toward that cloud's aggregate.
-func TestRestoreRejectsSubscriptionOnForeignCloud(t *testing.T) {
-	ck := checkpointOf(t)
-	ck.Shards[0].Subs[0].Cloud = core.Public
-	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
-		t.Fatal("RestoreEngine accepted a private VM under a public subscription")
-	}
-	ck.Shards[0].Subs[0].Cloud = core.Cloud(9)
-	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
-		t.Fatal("RestoreEngine accepted a subscription on cloud 9")
-	}
-}
-
 // TestRestoreRejectsForeignGeometry pins what fuzzing the section parser
 // below its checksum found: decoded state whose shape differs from what this
 // build constructs is refused up front, because each field sizes an

@@ -67,9 +67,12 @@ func newLagSet(stepsPerHour int) lagSet {
 // moments and deferred block through the accumulator's own lines instead
 // of chasing a pointer to a second heap object for every VM of a step.
 type vmAcc struct {
-	idx  int32
-	v    *trace.VM
-	sub  *subState
+	idx int32
+	v   *trace.VM
+	sub *subState
+	// cs is the platform aggregate of v.Cloud, resolved once so the
+	// per-sample path does no map lookup.
+	cs   *cloudState
 	from int
 	ac   sketch.AutoCorr
 
@@ -123,12 +126,8 @@ type regionHour struct {
 
 // subState is the per-subscription streaming state.
 type subState struct {
-	id    core.SubscriptionID
-	cloud core.Cloud
-	// cs is the platform aggregate of cloud, resolved once so the
-	// per-sample path does no map lookup (trace.Validate holds every VM of
-	// a subscription to one cloud).
-	cs       *cloudState
+	id       core.SubscriptionID
+	cloud    core.Cloud
 	regions  map[string]bool
 	services map[string]bool
 
@@ -692,7 +691,6 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 		ss = &subState{
 			id:          v.Subscription,
 			cloud:       v.Cloud,
-			cs:          ing.clouds[v.Cloud],
 			regions:     make(map[string]bool),
 			services:    make(map[string]bool),
 			util:        sketch.NewHistogram(0, 1, subBins),
@@ -703,7 +701,8 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 	ss.vmsObserved++
 	ss.regions[v.Region] = true
 	ss.services[v.Service] = true
-	ss.cs.vmsSeen++
+	cs := ing.clouds[v.Cloud]
+	cs.vmsSeen++
 	// from is assigned when the first sample folds (ingestLocked): under a
 	// faulty collector the first delivered step, not the creation step, is
 	// where the observed series starts.
@@ -711,6 +710,7 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 		idx: idx,
 		v:   v,
 		sub: ss,
+		cs:  cs,
 	}
 	acc.ac.Init(ing.lags.all...)
 	ing.accs[idx] = acc
@@ -746,7 +746,7 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 		acc.restSum += cpu
 		acc.restN++
 	}
-	acc.sub.cs.samples++
+	acc.cs.samples++
 	if !acc.qualified {
 		if acc.ac.N() >= ing.minSteps {
 			ing.qualify(acc)
@@ -757,7 +757,7 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 	acc.hourly[h] += cpu
 	acc.hourlyN[h]++
 	acc.sub.util.Add(cpu)
-	acc.sub.cs.util.Add(cpu)
+	acc.cs.util.Add(cpu)
 	if step%ing.stepsPerHour == 0 {
 		acc.sub.addRegionHour(ing.keys.RegionOf[acc.idx], ing.tr.Grid.HourOf(step), cpu, ing.tr.Grid.Hours())
 	}
@@ -773,7 +773,7 @@ func (ing *Ingestor) qualify(acc *vmAcc) {
 	acc.sub.qualified = append(acc.sub.qualified, acc.idx)
 	vals := acc.ac.RetainedRaw(ing.flushBuf[:0])
 	g := ing.tr.Grid
-	cs := acc.sub.cs
+	cs := acc.cs
 	// Under GapSkip the ring is compacted: the i-th retained sample is not
 	// necessarily at from+i. Walk the recorded holes to restore each
 	// sample's true step, or every post-gap sample lands in the wrong

@@ -122,21 +122,12 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace: %w", err)
 	}
 	seen := make(map[core.VMID]bool, len(t.VMs))
-	// A subscription lives on one platform: a profile carries one cloud,
-	// and the streaming ingestor counts every VM of a subscription toward
-	// that cloud's aggregate.
-	subCloud := make(map[core.SubscriptionID]core.Cloud)
 	for i := range t.VMs {
 		v := &t.VMs[i]
 		if seen[v.ID] {
 			return fmt.Errorf("trace: duplicate VM id %d", v.ID)
 		}
 		seen[v.ID] = true
-		if c, ok := subCloud[v.Subscription]; !ok {
-			subCloud[v.Subscription] = v.Cloud
-		} else if c != v.Cloud {
-			return fmt.Errorf("trace: subscription %s has VMs on both %v and %v", v.Subscription, c, v.Cloud)
-		}
 		if v.CreatedStep >= v.DeletedStep {
 			return fmt.Errorf("trace: VM %d has empty lifetime [%d,%d)", v.ID, v.CreatedStep, v.DeletedStep)
 		}

@@ -104,15 +104,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{name: "ghost region", mutate: func(tr *Trace) { tr.VMs[0].Region = "mars" }},
 		{name: "bad usage", mutate: func(tr *Trace) { tr.VMs[0].Usage.Base = 5 }},
 		{name: "bad grid", mutate: func(tr *Trace) { tr.Grid.N = 0 }},
-		{name: "subscription on two clouds", mutate: func(tr *Trace) {
-			for i := range tr.VMs {
-				if tr.VMs[i].Cloud != tr.VMs[0].Cloud {
-					tr.VMs[i].Subscription = tr.VMs[0].Subscription
-					return
-				}
-			}
-			panic("smallTrace has one cloud")
-		}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
