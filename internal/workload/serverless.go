@@ -81,8 +81,8 @@ func DefaultServerlessConfig(seed uint64) ServerlessConfig {
 
 // Validate reports configuration errors.
 func (c *ServerlessConfig) Validate() error {
-	if c.Scale <= 0 {
-		return fmt.Errorf("workload: serverless scale must be positive, got %v", c.Scale)
+	if !(c.Scale > 0) || math.IsInf(c.Scale, 1) {
+		return fmt.Errorf("workload: serverless scale must be positive and finite, got %v", c.Scale)
 	}
 	if c.Grid.N <= 0 || c.Grid.Step <= 0 {
 		return fmt.Errorf("workload: serverless grid is invalid")
@@ -96,8 +96,8 @@ func (c *ServerlessConfig) Validate() error {
 	if c.Apps <= 0 || c.FunctionsPerApp <= 0 {
 		return fmt.Errorf("workload: serverless app and function counts must be positive")
 	}
-	if c.ZipfS <= 0 {
-		return fmt.Errorf("workload: serverless zipf exponent must be positive, got %v", c.ZipfS)
+	if !(c.ZipfS > 0) || math.IsInf(c.ZipfS, 1) {
+		return fmt.Errorf("workload: serverless zipf exponent must be positive and finite, got %v", c.ZipfS)
 	}
 	if !(c.ColdStartPenalty >= 0 && c.ColdStartPenalty <= 1) {
 		return fmt.Errorf("workload: serverless cold-start penalty %v out of [0,1]", c.ColdStartPenalty)

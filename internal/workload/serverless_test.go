@@ -191,6 +191,10 @@ func TestParseServerlessSpecGrammar(t *testing.T) {
 		"churn=2",          // fails Validate
 		"steps=5",          // under the two-day minimum
 		"cold=-0.5",        // fails Validate
+		"zipf=NaN",         // fails Validate
+		"zipf=+Inf",        // fails Validate
+		"scale=NaN",        // fails Validate
+		"scale=Inf",        // fails Validate
 		"step=1h,steps=47", // under two days at 1h resolution
 	} {
 		if _, err := ParseServerlessSpec(bad); err == nil {
