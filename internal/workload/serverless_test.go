@@ -249,6 +249,7 @@ func serverlessSpecCorpus() []string {
 		"zipf=banana",
 		"seed=18446744073709551615",
 		" apps = 5 ,, fns=2",
+		"zipf=nAn",
 	}
 }
 
