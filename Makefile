@@ -48,11 +48,12 @@
 #                      ledgers across runs and shard counts)
 #   make fuzz-smoke  — every fuzz target briefly (seed corpora + 5s of
 #                      generated inputs each): the untrusted decoders, the
-#                      canonical profile encoder against encoding/json, and
-#                      the blocked autocorrelation sketch against its
-#                      per-sample oracle
-#   make lint        — determinism lint: no global math/rand draws, no
-#                      time.Now in deterministic packages
+#                      canonical profile encoder against encoding/json, the
+#                      blocked autocorrelation sketch against its per-sample
+#                      oracle, and the usage-model cursor against Params.At
+#   make lint        — gofmt gate (fails when `gofmt -l .` lists any file),
+#                      then the determinism lint: no global math/rand draws,
+#                      no time.Now in deterministic packages
 #   make ab REF=<commit> [N=10] [WORKLOAD=ingest-clean] [SEED=42] [LABEL=...]
 #                    — paired benchmark: N interleaved pairs of
 #                      `bash bench/run.sh` on REF and HEAD (cmd/benchab), the
@@ -162,8 +163,11 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzParseServerlessSpec -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzAutoCorrBlocks -fuzztime=$(FUZZTIME) ./internal/sketch
+	$(GO) test -run=NONE -fuzz=FuzzCursorMatchesAt -fuzztime=$(FUZZTIME) ./internal/usage
 
 lint: build
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt -l lists files that need formatting:" >&2; echo "$$unformatted" >&2; exit 1; fi
 	$(GO) run ./cmd/detlint .
 
 # Paired A/B of HEAD against REF on one benchmark workload. The exported

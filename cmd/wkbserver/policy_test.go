@@ -75,10 +75,10 @@ func TestPolicyDecideRoundtrip(t *testing.T) {
 
 	// Malformed bodies and unknown policies answer 400 with the envelope.
 	for body, wantCode := range map[string]string{
-		`not json`:                                   "bad_request",
-		`{"policy":"oversub"}`:                       "bad_request",
+		`not json`:             "bad_request",
+		`{"policy":"oversub"}`: "bad_request",
 		`{"policy":"oversub","subscription":"s","x":1}`: "bad_request",
-		`{"policy":"nope","subscription":"s"}`:       "unknown_policy",
+		`{"policy":"nope","subscription":"s"}`:          "unknown_policy",
 	} {
 		resp, b := postDecide(t, srv, body)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -21,8 +21,8 @@ func TestETagMatches(t *testing.T) {
 	}{
 		{`"abc"`, `"abc"`, true},
 		{`"abc"`, `"def"`, false},
-		{`W/"abc"`, `"abc"`, true},  // weak on the request side
-		{`"abc"`, `W/"abc"`, true},  // weak on the response side
+		{`W/"abc"`, `"abc"`, true}, // weak on the request side
+		{`"abc"`, `W/"abc"`, true}, // weak on the response side
 		{`"x", "abc"`, `"abc"`, true},
 		{`"x" , W/"abc"`, `"abc"`, true},
 		{`*`, `"anything"`, true},
@@ -186,18 +186,18 @@ func TestAcceptsGzip(t *testing.T) {
 		header string
 		want   bool
 	}{
-		{"", false},             // absent: identity default
+		{"", false}, // absent: identity default
 		{"gzip", true},
-		{"x-gzip", true},        // historical alias, RFC 9110 §8.4.1.3
-		{"GZIP", true},          // codings compare case-insensitively
+		{"x-gzip", true}, // historical alias, RFC 9110 §8.4.1.3
+		{"GZIP", true},   // codings compare case-insensitively
 		{" gzip ", true},
 		{"br, gzip", true},
 		{"gzip;q=1.0", true},
 		{"gzip;q=0.5", true},
-		{"gzip;q=0", false},     // explicitly refused
+		{"gzip;q=0", false}, // explicitly refused
 		{"gzip;q=0.000", false},
 		{"gzip;q=banana", false}, // malformed q: stay conservative
-		{"*", false},            // wildcard: identity is always acceptable
+		{"*", false},             // wildcard: identity is always acceptable
 		{"br", false},
 		{"identity", false},
 	}

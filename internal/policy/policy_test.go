@@ -92,17 +92,17 @@ func TestParseSpec(t *testing.T) {
 		t.Errorf("ParseSpec(\"\") = %v, %v; want no policies, no error", pols, err)
 	}
 	bad := []string{
-		",",                     // empty entry
-		"nope",                  // unknown policy
-		"oversub,oversub",       // duplicate
-		"oversub:risk",          // parameter without value
-		"oversub:risk=x",        // non-numeric
-		"oversub:risk=-1",       // negative risk
-		"oversub:eps=2",         // epsilon out of range
-		"oversub:nope=1",        // unknown parameter
-		"spot:headroom=0",       // out of (0,1]
-		"balance:stay=2",        // out of [0,1]
-		"OVERSUB",               // uppercase not in the grammar
+		",",                       // empty entry
+		"nope",                    // unknown policy
+		"oversub,oversub",         // duplicate
+		"oversub:risk",            // parameter without value
+		"oversub:risk=x",          // non-numeric
+		"oversub:risk=-1",         // negative risk
+		"oversub:eps=2",           // epsilon out of range
+		"oversub:nope=1",          // unknown parameter
+		"spot:headroom=0",         // out of (0,1]
+		"balance:stay=2",          // out of [0,1]
+		"OVERSUB",                 // uppercase not in the grammar
 		strings.Repeat("x", 2000), // over maxSpecLen
 	}
 	for _, spec := range bad {
@@ -122,10 +122,10 @@ func TestDecodeRequest(t *testing.T) {
 	}
 	bad := []string{
 		``,
-		`{}`,                                             // missing policy
-		`{"policy":"oversub"}`,                           // missing subscription
-		`{"policy":"oversub","subscription":"s","x":1}`,  // unknown field
-		`{"policy":"oversub","subscription":"s"} trail`,  // trailing data
+		`{}`,                   // missing policy
+		`{"policy":"oversub"}`, // missing subscription
+		`{"policy":"oversub","subscription":"s","x":1}`, // unknown field
+		`{"policy":"oversub","subscription":"s"} trail`, // trailing data
 		`{"policy":"oversub","subscription":"s","cores":-1}`,
 		`{"policy":"NOPE!","subscription":"s"}`,
 		`{"policy":"oversub","subscription":"s","regions":["r","r"]}`, // duplicate region
