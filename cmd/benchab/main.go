@@ -17,10 +17,12 @@
 // first in odd ones. For every end-to-end metric it prints the median of
 // the HEAD/ref ratios with their quartiles, the pairs HEAD won with a
 // one-sided sign-test p-value, the medians of the raw values against the
-// reference's interquartile range, and every raw run.
-// Every run is appended as one JSON line (label, commit, side, pair,
-// position, seed, metrics, hashes, environment stamp) to
-// experiments/runs/<label>-<workload>.jsonl.
+// reference's interquartile range, and every raw run. Beside them it
+// reports the same for each run's user+sys CPU seconds per iteration
+// (cpu_s_per_iter), a cost that does not shrink when work moves onto idle
+// cores. Every run is appended as one JSON line (label, commit, side, pair,
+// position, seed, metrics, CPU seconds, iterations, hashes, environment
+// stamp) to experiments/runs/<label>-<workload>.jsonl.
 package main
 
 import (
@@ -118,6 +120,11 @@ func run(refRev string, n int, workload string, seed uint64, label, work string)
 		res, err := readResult(out)
 		if err != nil {
 			return runResult{}, fmt.Errorf("%s run wrote no result (%v): %w; see %s", side, runErr, err, logFile.Name())
+		}
+		// The child's rusage covers the descendants it waited for: the
+		// build and the benchmark binary run.sh execs into.
+		if ps := cmd.ProcessState; ps != nil {
+			res.CPUSeconds = (ps.UserTime() + ps.SystemTime()).Seconds()
 		}
 		return res, nil
 	}

@@ -35,16 +35,28 @@ type metric struct {
 	Value  float64 `json:"value"`
 }
 
-// runResult is the part of one cloudbench result file this program reads.
+// runResult is the part of one cloudbench result file this program reads,
+// plus the CPU time the run took.
 type runResult struct {
-	Workload string            `json:"workload"`
-	Seed     uint64            `json:"seed"`
-	Seconds  float64           `json:"seconds"`
-	Correct  bool              `json:"correct"`
-	Env      json.RawMessage   `json:"environment"`
-	Hashes   map[string]string `json:"hashes"`
-	EndToEnd []metric          `json:"endToEnd"`
+	Workload   string            `json:"workload"`
+	Seed       uint64            `json:"seed"`
+	Seconds    float64           `json:"seconds"`
+	Correct    bool              `json:"correct"`
+	Env        json.RawMessage   `json:"environment"`
+	Iterations map[string]int    `json:"iterations"`
+	Hashes     map[string]string `json:"hashes"`
+	EndToEnd   []metric          `json:"endToEnd"`
+	// CPUSeconds is the user+sys CPU time of the whole child run, build
+	// and setup included, as the operating system accounted it; 0 when
+	// not measured. It is not in the result file.
+	CPUSeconds float64 `json:"-"`
 }
+
+// cpuPerIteration names the clock-free cost row reported beside the
+// end-to-end metrics: a run's CPU seconds over the iterations its result
+// file counts (summed over the kinds it counts). Unlike the wall-clock
+// metrics it does not depend on how many cores were idle.
+var cpuPerIteration = metric{Name: "cpu_s_per_iter", Unit: "s", Better: "lower"}
 
 // readResult reads the single-workload result file `bench/run.sh -out`
 // writes.
@@ -66,6 +78,16 @@ func readResult(path string) (runResult, error) {
 }
 
 func (r runResult) value(name string) (float64, bool) {
+	if name == cpuPerIteration.Name {
+		n := 0
+		for _, k := range r.Iterations {
+			n += k
+		}
+		if r.CPUSeconds <= 0 || n == 0 {
+			return 0, false
+		}
+		return r.CPUSeconds / float64(n), true
+	}
 	for _, m := range r.EndToEnd {
 		if m.Name == name {
 			return m.Value, true
@@ -100,14 +122,15 @@ type summary struct {
 }
 
 // summarize computes each end-to-end metric's paired statistics, in the
-// order the reference's result file lists them. A metric either side
-// lacks in some pair is left out.
+// order the reference's result file lists them, then the CPU seconds per
+// iteration. A metric either side lacks in some pair is left out.
 func summarize(pairs []pair) []summary {
 	if len(pairs) == 0 {
 		return nil
 	}
 	var out []summary
-	for _, m := range pairs[0].Ref.EndToEnd {
+	metrics := append(append([]metric(nil), pairs[0].Ref.EndToEnd...), cpuPerIteration)
+	for _, m := range metrics {
 		s := summary{Name: m.Name, Unit: m.Unit, Better: m.Better}
 		var refs, news []float64
 		complete := true
@@ -190,13 +213,13 @@ func lgammaInt(x int) float64 {
 
 // report prints the paired statistics of every metric, then every raw run.
 func report(w io.Writer, pairs []pair, sums []summary) {
-	fmt.Fprintf(w, "%-12s %-6s %-27s %7s %9s  %s\n", "metric", "better", "new/ref median (q1-q3)", "wins", "p(sign)", "medians ref -> new (ref IQR)")
+	fmt.Fprintf(w, "%-14s %-6s %-27s %7s %9s  %s\n", "metric", "better", "new/ref median (q1-q3)", "wins", "p(sign)", "medians ref -> new (ref IQR)")
 	for _, s := range sums {
 		beyond := ""
 		if s.Beyond {
 			beyond = "  beyond ref IQR"
 		}
-		fmt.Fprintf(w, "%-12s %-6s %7.3f (%6.3f - %6.3f)    %3d/%-3d %9.3g  %.4g -> %.4g %s (%.3g)%s\n",
+		fmt.Fprintf(w, "%-14s %-6s %7.3f (%6.3f - %6.3f)    %3d/%-3d %9.3g  %.4g -> %.4g %s (%.3g)%s\n",
 			s.Name, s.Better, s.Median, s.Q1, s.Q3, s.Wins, len(s.Ratios), s.P,
 			s.RefMedian, s.NewMedian, s.Unit, s.RefIQR, beyond)
 	}
@@ -234,8 +257,11 @@ type record struct {
 	Commit   string             `json:"commit"`
 	Correct  bool               `json:"correct"`
 	Metrics  map[string]float64 `json:"metrics"`
-	Hashes   map[string]string  `json:"hashes,omitempty"`
-	Env      json.RawMessage    `json:"environment"`
+	// CPUSeconds and Iterations give the run's cpu_s_per_iter.
+	CPUSeconds float64           `json:"cpu_s,omitempty"`
+	Iterations map[string]int    `json:"iterations,omitempty"`
+	Hashes     map[string]string `json:"hashes,omitempty"`
+	Env        json.RawMessage   `json:"environment"`
 }
 
 func newRecord(label string, pairIdx, position int, side, commit string, r runResult) record {
@@ -243,7 +269,7 @@ func newRecord(label string, pairIdx, position int, side, commit string, r runRe
 		Label: label, Workload: r.Workload, Seed: r.Seed, Seconds: r.Seconds,
 		Pair: pairIdx, Position: position, Side: side, Commit: commit,
 		Correct: r.Correct, Metrics: make(map[string]float64, len(r.EndToEnd)),
-		Hashes: r.Hashes, Env: r.Env,
+		CPUSeconds: r.CPUSeconds, Iterations: r.Iterations, Hashes: r.Hashes, Env: r.Env,
 	}
 	for _, m := range r.EndToEnd {
 		rec.Metrics[m.Name] = m.Value

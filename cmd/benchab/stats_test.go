@@ -142,3 +142,51 @@ func TestReportListsEveryRun(t *testing.T) {
 		t.Errorf("report:\n%s", out)
 	}
 }
+
+// TestCPUSecondsPerIteration: the CPU seconds a run took, over its result
+// file's iterations, are summarized as one more lower-is-better row, in the
+// report and in the run log, and left out when a run was not measured.
+func TestCPUSecondsPerIteration(t *testing.T) {
+	pairs := fixturePairs(t)
+	// Every fixture counts 6 iterations; the first new run counts 8.
+	pairs[0].New.Iterations = map[string]int{"replay": 8}
+	for i, cpu := range [][2]float64{{30, 32}, {30, 27}, {33, 30}} {
+		pairs[i].Ref.CPUSeconds, pairs[i].New.CPUSeconds = cpu[0], cpu[1]
+	}
+	sums := summarize(pairs)
+	if len(sums) != 4 || sums[3].Name != "cpu_s_per_iter" {
+		t.Fatalf("summaries %+v, want the three end-to-end metrics then cpu_s_per_iter", sums)
+	}
+	c := sums[3]
+	for i, want := range []float64{(32.0 / 8) / (30.0 / 6), 27.0 / 30, 30.0 / 33} {
+		if !near(c.Ratios[i], want) {
+			t.Errorf("cpu_s_per_iter ratio %d = %v, want %v", i, c.Ratios[i], want)
+		}
+	}
+	if c.Better != "lower" || c.Wins != 3 || !near(c.RefMedian, 5) || !near(c.NewMedian, 4.5) {
+		t.Errorf("cpu_s_per_iter: better %s, wins %d, medians %v -> %v; want lower, 3, 5 -> 4.5", c.Better, c.Wins, c.RefMedian, c.NewMedian)
+	}
+	var buf bytes.Buffer
+	report(&buf, pairs, sums)
+	if out := buf.String(); !strings.Contains(out, "cpu_s_per_iter lower") || !strings.Contains(out, " 82 4\n") {
+		t.Errorf("report does not carry the CPU row and the raw per-iteration values:\n%s", out)
+	}
+	line, err := json.Marshal(newRecord("lbl", 0, 1, sideNew, "abc123", pairs[0].New))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back struct {
+		CPU        float64        `json:"cpu_s"`
+		Iterations map[string]int `json:"iterations"`
+	}
+	if err := json.Unmarshal(line, &back); err != nil || back.CPU != 32 || back.Iterations["replay"] != 8 {
+		t.Errorf("record %s", line)
+	}
+
+	pairs[1].New.CPUSeconds = 0
+	for _, s := range summarize(pairs) {
+		if s.Name == "cpu_s_per_iter" {
+			t.Errorf("cpu_s_per_iter summarized although pair 1's new run was not measured")
+		}
+	}
+}
