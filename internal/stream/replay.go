@@ -29,6 +29,7 @@ import (
 
 	"cloudlens/internal/parallel"
 	"cloudlens/internal/trace"
+	"cloudlens/internal/usage"
 )
 
 // Sample is one VM's five-minute CPU-utilization report in row form. The
@@ -468,7 +469,12 @@ func (r *Replayer) Run(ctx context.Context) error {
 		return order[i] < order[j]
 	})
 
+	// curs[i] evaluates active[i]'s usage model; the two slices are appended
+	// to and swap-removed from together. A cursor only caches its model's
+	// current burst or spike block, so a replay resumed mid-block needs no
+	// state beyond the step.
 	active := make([]int32, 0, len(order))
+	curs := make([]usage.Cursor, 0, len(order))
 	posOf := make([]int32, len(vms))
 	for i := range posOf {
 		posOf[i] = -1
@@ -490,14 +496,15 @@ func (r *Replayer) Run(ctx context.Context) error {
 
 	// The per-step CPU synthesis is one closure made here, not per step: it
 	// reads the step and its column through the variables below, so the
-	// fan-out allocates nothing however many steps the replay runs.
+	// fan-out allocates nothing however many steps the replay runs. Each
+	// chunk owns the cursors of its own index range.
 	var (
 		synthStep int
 		cpuCol    []float32
 	)
 	synth := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			cpuCol[i] = float32(vms[active[i]].Usage.At(g, synthStep))
+			cpuCol[i] = float32(curs[i].At(g, synthStep))
 		}
 	}
 
@@ -509,14 +516,16 @@ func (r *Replayer) Run(ctx context.Context) error {
 			}
 			last := int32(len(active) - 1)
 			active[pos] = active[last]
+			curs[pos] = curs[last]
 			posOf[active[pos]] = pos
-			active = active[:last]
+			active, curs = active[:last], curs[:last]
 			posOf[idx] = -1
 		}
 		for next < len(order) && vms[order[next]].CreatedStep <= s {
 			idx := order[next]
 			posOf[idx] = int32(len(active))
 			active = append(active, idx)
+			curs = append(curs, usage.NewCursor(&vms[idx].Usage))
 			next++
 		}
 

@@ -15,7 +15,7 @@ func randomValidParams(seed uint64, kindByte, a, b, c uint8) Params {
 	frac := func(x uint8, lo, hi float64) float64 {
 		return lo + (hi-lo)*float64(x)/255
 	}
-	kinds := core.Patterns()
+	kinds := core.AllPatterns()
 	kind := kinds[int(kindByte)%len(kinds)]
 	switch kind {
 	case core.PatternDiurnal:
@@ -30,9 +30,20 @@ func randomValidParams(seed uint64, kindByte, a, b, c uint8) Params {
 		p.SpikeProb = frac(b, 0, 0.3)
 		p.SpikeLevel = frac(c, 0, 0.8)
 		return p
-	default:
+	case core.PatternHourlyPeak:
 		p := HourlyPeak(frac(a, 0, 0.2), frac(b, 0, 0.4), int(c)*5, rng.Uint64())
 		p.PeakAmp = frac(c, 0, 0.6)
+		return p
+	case core.PatternBursty:
+		p := Bursty(frac(a, 0, 0.05), frac(c, 0, 1), 1+int(b)%16, int(c)*5, frac(a, 0, 1), rng.Uint64())
+		p.BurstProb = frac(b, 0, 1)
+		p.Sharpness = frac(c, 0.5, 5)
+		return p
+	case core.PatternSteady:
+		return Steady(frac(a, 0, 0.9), rng.Uint64())
+	default:
+		p := Spiky(frac(a, 0, 1), 1+int(b)%16, rng.Uint64())
+		p.SpikeProb = frac(c, 0, 0.5)
 		return p
 	}
 }

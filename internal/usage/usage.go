@@ -225,7 +225,10 @@ func (p *Params) spikeComponent(step int) float64 {
 	}
 	// Spike height varies per block so repeated spikes differ.
 	height := 0.7 + 0.3*sim.Noise01(p.Seed^0x5a5a5a5a5a5a5a5a, block)
-	return p.SpikeLevel * height
+	// The conversion rounds the product here, so that a platform that fuses
+	// multiply-add cannot fold it into the caller's Base+component and give
+	// a Cursor, which adds Base to the stored component, different bits.
+	return float64(p.SpikeLevel * height)
 }
 
 // hourlyPeakComponent produces the meeting-join peaks: the daytime diurnal
@@ -273,7 +276,7 @@ func (p *Params) burstComponent(g sim.Grid, step int) float64 {
 	if p.ColdStartPenalty > 0 && (b == 0 || !p.burstsAt(g, b-1)) {
 		h *= 1 - p.ColdStartPenalty
 	}
-	return h
+	return float64(h) // rounded here for the reason spikeComponent gives
 }
 
 // burstsAt decides whether block b bursts: one seeded draw per block,
@@ -301,6 +304,7 @@ func (p Params) Series(g sim.Grid, from, to int) []float64 {
 // evaluated once per distinct minute of day and reused on the days after,
 // which cannot change a bit because the bell is a function of the minute of
 // day alone; likewise the day of the week is looked up once per local day.
+// Every other pattern is evaluated through a Cursor, as the replayer does.
 func (p Params) SeriesInto(buf []float64, g sim.Grid, from, to int) []float64 {
 	if to > g.N {
 		to = g.N
@@ -343,8 +347,9 @@ func (p Params) SeriesInto(buf []float64, g sim.Grid, from, to int) []float64 {
 			out[i] = p.atBell(from+i, m, day[m], weekend)
 		}
 	default:
+		c := NewCursor(&p)
 		for i := range out {
-			out[i] = p.at(g, from+i)
+			out[i] = c.At(g, from+i)
 		}
 	}
 	return out
