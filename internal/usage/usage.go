@@ -225,9 +225,9 @@ func (p *Params) spikeComponent(step int) float64 {
 	}
 	// Spike height varies per block so repeated spikes differ.
 	height := 0.7 + 0.3*sim.Noise01(p.Seed^0x5a5a5a5a5a5a5a5a, block)
-	// The conversion rounds the product here, so that a platform that fuses
-	// multiply-add cannot fold it into the caller's Base+component and give
-	// a Cursor, which adds Base to the stored component, different bits.
+	// The conversion rounds the product here, so no platform can fuse it
+	// into the caller's Base+component: a Cursor adds Base to the stored,
+	// rounded component and must get the same bits.
 	return float64(p.SpikeLevel * height)
 }
 
