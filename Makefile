@@ -50,7 +50,8 @@
 #                      generated inputs each): the untrusted decoders, the
 #                      canonical profile encoder against encoding/json, the
 #                      blocked autocorrelation sketch against its per-sample
-#                      oracle, and the usage-model cursor against Params.At
+#                      oracle, the histogram's three counting paths against
+#                      each other, and the usage-model cursor against Params.At
 #   make lint        — gofmt gate (fails when `gofmt -l .` lists any file),
 #                      then the determinism lint: no global math/rand draws,
 #                      no time.Now in deterministic packages
@@ -163,6 +164,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME) ./internal/policy
 	$(GO) test -run=NONE -fuzz=FuzzParseServerlessSpec -fuzztime=$(FUZZTIME) ./internal/workload
 	$(GO) test -run=NONE -fuzz=FuzzAutoCorrBlocks -fuzztime=$(FUZZTIME) ./internal/sketch
+	$(GO) test -run=NONE -fuzz=FuzzHistogramCounting -fuzztime=$(FUZZTIME) ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzCursorMatchesAt -fuzztime=$(FUZZTIME) ./internal/usage
 
 lint: build

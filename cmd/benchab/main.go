@@ -20,9 +20,12 @@
 // reference's interquartile range, and every raw run. Beside them it
 // reports the same for each run's user+sys CPU seconds per iteration
 // (cpu_s_per_iter), a cost that does not shrink when work moves onto idle
-// cores. Every run is appended as one JSON line (label, commit, side, pair,
-// position, seed, metrics, CPU seconds, iterations, hashes, environment
-// stamp) to experiments/runs/<label>-<workload>.jsonl.
+// cores. A "hashes:" line then compares every run's output hashes with the
+// first reference run's, and the command exits non-zero when any differs,
+// as when a run fails its correctness checks. Every run is appended as one
+// JSON line (label, commit, side, pair, position, seed, metrics, CPU
+// seconds, iterations, hashes, environment stamp) to
+// experiments/runs/<label>-<workload>.jsonl.
 package main
 
 import (
@@ -165,11 +168,16 @@ func run(refRev string, n int, workload string, seed uint64, label, work string)
 		pairs = append(pairs, p)
 	}
 	report(os.Stdout, pairs, summarize(pairs))
+	hashLine, sameHashes := compareHashes(pairs)
+	fmt.Println(hashLine)
 	fmt.Printf("records appended to %s\n", logPath)
 	for _, p := range pairs {
 		if !p.Ref.Correct || !p.New.Correct {
 			return errors.New("a run failed its correctness checks")
 		}
+	}
+	if !sameHashes {
+		return errors.New("the runs' output hashes differ")
 	}
 	return nil
 }

@@ -245,6 +245,54 @@ func report(w io.Writer, pairs []pair, sums []summary) {
 	}
 }
 
+// compareHashes checks every run's output hashes against the first
+// reference run's: both commits must compute the same outputs, or the
+// timings compare different work. It returns the one "hashes:" line the
+// report prints and whether every hash was equal. A key either run lacks
+// counts as different.
+func compareHashes(pairs []pair) (string, bool) {
+	if len(pairs) == 0 {
+		return "hashes: no pairs", true
+	}
+	want := pairs[0].Ref.Hashes
+	var diffs []string
+	for i, p := range pairs {
+		for _, side := range order(i) {
+			got := p.Ref.Hashes
+			if side == sideNew {
+				got = p.New.Hashes
+			}
+			keys := make([]string, 0, len(want)+len(got))
+			for k := range want {
+				keys = append(keys, k)
+			}
+			for k := range got {
+				if _, ok := want[k]; !ok {
+					keys = append(keys, k)
+				}
+			}
+			sort.Strings(keys)
+			for _, k := range keys {
+				if got[k] != want[k] {
+					diffs = append(diffs, fmt.Sprintf("%s differs on %s in pair %d (%s, first ref run %s)",
+						k, side, i, orMissing(got[k]), orMissing(want[k])))
+				}
+			}
+		}
+	}
+	if len(diffs) > 0 {
+		return "hashes: " + strings.Join(diffs, "; "), false
+	}
+	return fmt.Sprintf("hashes: equal in all %d pairs", len(pairs)), true
+}
+
+func orMissing(h string) string {
+	if h == "" {
+		return "missing"
+	}
+	return h
+}
+
 // record is one JSON line of the run log: one run of one side.
 type record struct {
 	Label    string             `json:"label"`

@@ -190,3 +190,29 @@ func TestCPUSecondsPerIteration(t *testing.T) {
 		}
 	}
 }
+
+// TestCompareHashes: the fixtures' runs all carry one fingerprint and
+// compare equal; a run whose fingerprint differs, or that lacks a key the
+// first reference run has, is named with its side and pair.
+func TestCompareHashes(t *testing.T) {
+	pairs := fixturePairs(t)
+	line, ok := compareHashes(pairs)
+	if !ok || line != "hashes: equal in all 3 pairs" {
+		t.Errorf("fixture pairs: %q, equal %v", line, ok)
+	}
+
+	pairs[2].New.Hashes = map[string]string{"kb_fingerprint": "fnv1a:0000000000000000"}
+	pairs[1].Ref.Hashes = map[string]string{}
+	line, ok = compareHashes(pairs)
+	want := "hashes: kb_fingerprint differs on ref in pair 1 (missing, first ref run fnv1a:5044ad1b3f8e3c87); " +
+		"kb_fingerprint differs on new in pair 2 (fnv1a:0000000000000000, first ref run fnv1a:5044ad1b3f8e3c87)"
+	if ok || line != want {
+		t.Errorf("changed pairs: equal %v, line\n%s\nwant\n%s", ok, line, want)
+	}
+
+	pairs = fixturePairs(t)
+	pairs[0].New.Hashes = map[string]string{"kb_fingerprint": "fnv1a:5044ad1b3f8e3c87", "extra": "x"}
+	if line, ok := compareHashes(pairs); ok || !strings.Contains(line, "extra differs on new in pair 0 (x, first ref run missing)") {
+		t.Errorf("a key only the new run has: equal %v, %q", ok, line)
+	}
+}

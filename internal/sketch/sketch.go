@@ -99,16 +99,25 @@ func NewHistogram(lo, hi float64, bins int) *Histogram {
 	return &Histogram{Lo: lo, Hi: hi, counts: make([]float64, bins)}
 }
 
+// binOf returns the bin of x in a sketch of bins uniform bins over
+// [lo, hi], clamped to the edge bins. Add, ObserveAll and Counter.Add all
+// count through it: a pre-divided scale factor rounds differently in the
+// last ulp and can flip a boundary sample into the neighbouring bin, so
+// the three stay bit-identical only by sharing this one expression.
+func binOf(x, lo, hi float64, bins int) int {
+	i := int(float64(bins) * (x - lo) / (hi - lo))
+	if i < 0 {
+		return 0
+	}
+	if i >= bins {
+		return bins - 1
+	}
+	return i
+}
+
 // Add counts one sample.
 func (h *Histogram) Add(x float64) {
-	i := int(float64(len(h.counts)) * (x - h.Lo) / (h.Hi - h.Lo))
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(h.counts) {
-		i = len(h.counts) - 1
-	}
-	h.counts[i]++
+	h.counts[binOf(x, h.Lo, h.Hi, len(h.counts))]++
 	h.n++
 }
 
@@ -118,22 +127,35 @@ func (h *Histogram) Add(x float64) {
 // a bulk fold is bit-identical to sample-at-a-time adds; only the loop
 // overhead and the per-call bounds checks are amortized.
 func (h *Histogram) ObserveAll(xs []float32) {
-	counts := h.counts
-	// The bin expression must stay exactly Add's — a pre-divided scale
-	// factor rounds differently in the last ulp and can flip a boundary
-	// sample into the neighboring bin, breaking bit-exactness.
-	bins, lo, hi := float64(len(counts)), h.Lo, h.Hi
+	counts, lo, hi := h.counts, h.Lo, h.Hi
 	for _, x := range xs {
-		i := int(bins * (float64(x) - lo) / (hi - lo))
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(counts) {
-			i = len(counts) - 1
-		}
-		counts[i]++
+		counts[binOf(float64(x), lo, hi, len(counts))]++
 	}
 	h.n += int64(len(xs))
+}
+
+// Counter is a counting handle on one Histogram. It carries the sketch's
+// geometry and a view of its bins, so a caller that holds it by value
+// beside its other per-sample state counts a sample without first loading
+// the sketch: the bin is picked from the handle alone. It stays valid for
+// the life of the Histogram (whose bins are never reallocated); a handle
+// on a histogram that has since been replaced counts into the old one.
+type Counter struct {
+	lo, hi float64
+	counts []float64
+	n      *int64
+}
+
+// Counter returns a counting handle on h.
+func (h *Histogram) Counter() Counter {
+	return Counter{lo: h.Lo, hi: h.Hi, counts: h.counts, n: &h.n}
+}
+
+// Add counts one sample into the handle's histogram, exactly as
+// Histogram.Add would.
+func (c *Counter) Add(x float64) {
+	c.counts[binOf(x, c.lo, c.hi, len(c.counts))]++
+	*c.n++
 }
 
 // Count returns the number of samples observed.
@@ -267,19 +289,22 @@ func (c *Corr) R() float64 {
 // The zero value is not usable; call Init (or NewAutoCorr) first. An
 // AutoCorr can be embedded by value but must not be copied once in use.
 type AutoCorr struct {
+	// What Add touches comes first, so a holder that lays its own
+	// per-sample fields out ahead of an embedded AutoCorr keeps them on the
+	// same cache lines: the moments, then pend, which holds the last np
+	// samples, oldest first: counted in w and sum, not yet in the per-lag
+	// sums or the ring.
+	w    Welford
+	sum  float64
+	np   int
+	pend [autoCorrBlock]float64
+
 	lags    []int
 	maxLag  int
 	ring    []float32
-	w       Welford
-	sum     float64
 	sumProd []float64 // per lag: sum of x[i]*x[i-L]
 	headSum []float64 // per lag: sum of x[0..L-1], frozen once n reaches L
 	tailSum []float64 // per lag: sum of the most recent min(n, L) samples
-
-	// pend holds the last np samples, oldest first: counted in w and sum,
-	// not yet in the per-lag sums or the ring.
-	np   int
-	pend [autoCorrBlock]float64
 }
 
 // autoCorrBlock is how many samples Add defers before folding them into the

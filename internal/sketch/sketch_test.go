@@ -113,6 +113,75 @@ func TestHistogramClampsAndMerges(t *testing.T) {
 	a.Merge(NewHistogram(0, 2, 10))
 }
 
+// countingValues draws the values FuzzHistogramCounting counts: every
+// bin edge of the geometry (at most 64 of them) with its neighbouring
+// floats on either side, 0, 1 and the largest float64 below 1, values
+// beyond both ends of the range, the extreme finite floats, and uniform
+// draws inside the range.
+func countingValues(lo, hi float64, bins int, seed uint64) []float64 {
+	r := rng(seed)
+	width := hi - lo
+	xs := []float64{0, 1, math.Nextafter(1, 0), lo, hi, -math.MaxFloat64, math.MaxFloat64}
+	step := max(1, bins/64)
+	for k := 0; k <= bins; k += step {
+		e := lo + float64(k)*width/float64(bins)
+		xs = append(xs, e, math.Nextafter(e, math.Inf(-1)), math.Nextafter(e, math.Inf(1)))
+	}
+	for i := 0; i < 64; i++ {
+		xs = append(xs,
+			lo+width*r.next(),
+			lo-width*(1+r.next()),
+			hi+width*r.next())
+	}
+	return xs
+}
+
+// FuzzHistogramCounting draws a histogram geometry and counts the same
+// values through Histogram.Add, a Counter handle, and (as float32)
+// ObserveAll: the three must agree bin for bin, since they share one bin
+// expression and the streaming pipeline mixes them on one sketch.
+func FuzzHistogramCounting(f *testing.F) {
+	f.Add(0.0, 1.0, uint16(400), uint64(1))
+	f.Add(0.0, 1.0, uint16(2000), uint64(2))
+	f.Add(-3.5, 2.25, uint16(7), uint64(3))
+	f.Add(1e-300, 3e-300, uint16(1), uint64(4))
+	f.Add(-1e300, 1e300, uint16(9), uint64(5))
+	f.Fuzz(func(t *testing.T, lo, hi float64, bins uint16, seed uint64) {
+		width := hi - lo
+		if !(width > 0) || math.IsInf(width, 0) {
+			return
+		}
+		n := 1 + int(bins)%4096
+		xs := countingValues(lo, hi, n, seed)
+		byAdd, byCounter := NewHistogram(lo, hi, n), NewHistogram(lo, hi, n)
+		c := byCounter.Counter()
+		for _, x := range xs {
+			byAdd.Add(x)
+			c.Add(x)
+		}
+		if a, b := byAdd.State(), byCounter.State(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("geometry [%v, %v]/%d: Counter.Add state %+v, Add state %+v", lo, hi, n, b, a)
+		}
+		xs32 := make([]float32, len(xs))
+		for i, x := range xs {
+			xs32[i] = float32(x)
+		}
+		byObserve, byAdd32, byCounter32 := NewHistogram(lo, hi, n), NewHistogram(lo, hi, n), NewHistogram(lo, hi, n)
+		byObserve.ObserveAll(xs32)
+		c32 := byCounter32.Counter()
+		for _, x := range xs32 {
+			byAdd32.Add(float64(x))
+			c32.Add(float64(x))
+		}
+		want := byAdd32.State()
+		for name, h := range map[string]*Histogram{"ObserveAll": byObserve, "Counter.Add": byCounter32} {
+			if got := h.State(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("geometry [%v, %v]/%d, float32 values: %s state %+v, Add state %+v", lo, hi, n, name, got, want)
+			}
+		}
+	})
+}
+
 func TestCorrMatchesPearson(t *testing.T) {
 	xs := sampleSeries(4000, 4)
 	ys := make([]float64, len(xs))

@@ -599,7 +599,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			return nil, fmt.Errorf("stream: VM %d autocorrelation: %w", st.Idx, err)
 		}
 		acc := &vmAcc{
-			idx: st.Idx, v: v, sub: ss, cs: ing.clouds[v.Cloud], from: st.From,
+			util: ss.util.Counter(), idx: st.Idx, v: v, sub: ss, cs: ing.clouds[v.Cloud], from: st.From,
 			seen: st.Seen, next: st.Next, last: st.Last, ac: *ac,
 			peakSum: st.PeakSum, restSum: st.RestSum, peakN: st.PeakN, restN: st.RestN,
 			peakMax: st.PeakMax, idleN: st.IdleN,

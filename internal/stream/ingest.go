@@ -63,24 +63,26 @@ func newLagSet(stepsPerHour int) lagSet {
 // accumulators, and — once the VM has a day of history and qualifies for
 // profiling — per-UTC-hour utilization sums.
 //
-// The sketch is held by value: the per-sample path then reaches its
-// moments and deferred block through the accumulator's own lines instead
-// of chasing a pointer to a second heap object for every VM of a step.
+// The fields are laid out hot-first: everything observe touches for every
+// sample — the subscription-sketch handle, the ordering state, the evidence
+// sums, and the embedded sketch's moments and deferred block — sits in the
+// first three cache lines (TestVMAccLayout holds it there, and the struct
+// in its 896-byte size class). The sketch is held by value for the same
+// reason: its moments are reached through the accumulator's own lines
+// instead of a pointer to a second heap object for every VM of a step.
 type vmAcc struct {
-	idx int32
-	v   *trace.VM
-	sub *subState
+	// util counts a qualified sample into sub.util without loading sub or
+	// the sketch header first.
+	util sketch.Counter
 	// cs is the platform aggregate of v.Cloud, resolved once so the
 	// per-sample path does no map lookup.
 	cs   *cloudState
 	from int
-	ac   sketch.AutoCorr
 
 	// Ordering state: next is the grid step the VM's series expects next
 	// (deduplication and gap detection key off it), last the most recent
 	// accepted utilization (the carry/interpolate gap fills' anchor). seen
 	// distinguishes "no sample yet" from "expects step 0".
-	seen bool
 	next int
 	last float64
 
@@ -94,9 +96,15 @@ type vmAcc struct {
 	peakMax float64
 	idleN   int
 
+	seen      bool
 	qualified bool
-	hourly    [24]float64
-	hourlyN   [24]int
+	idx       int32
+	ac        sketch.AutoCorr
+
+	v       *trace.VM
+	sub     *subState
+	hourly  [24]float64
+	hourlyN [24]int
 
 	// gapSteps records, until qualification, the grid steps GapSkip left
 	// unfilled. The autocorrelation ring is index-addressed, so under skip
@@ -306,6 +314,9 @@ type Ingestor struct {
 	foldNext    atomic.Int64
 	foldWork    func(worker int)
 
+	// at caches the facts of the step observe last folded a sample of.
+	at stepFacts
+
 	// watermark is the newest step already folded; slots hold the steps
 	// still in flight, indexed by step modulo len(slots).
 	watermark int
@@ -355,6 +366,7 @@ func newIngestor(tr *trace.Trace, opts Options, met *ingestMetrics) *Ingestor {
 		slots:        make([]reorderSlot, opts.MaxLatenessSteps+1),
 	}
 	ing.foldWork = ing.foldBlocks
+	ing.at = ing.stepFactsOf(opts.StartStep)
 	ing.lastStep.Store(int64(opts.StartStep) - 1)
 	for _, c := range core.Clouds() {
 		ing.clouds[c] = &cloudState{util: sketch.NewHistogram(0, 1, cloudBins)}
@@ -707,22 +719,49 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 	// faulty collector the first delivered step, not the creation step, is
 	// where the observed series starts.
 	acc := &vmAcc{
-		idx: idx,
-		v:   v,
-		sub: ss,
-		cs:  cs,
+		util: ss.util.Counter(),
+		cs:   cs,
+		idx:  idx,
+		v:    v,
+		sub:  ss,
 	}
 	acc.ac.Init(ing.lags.all...)
 	ing.accs[idx] = acc
 	return acc
 }
 
+// stepFacts are what observe needs to know about a sample's grid step
+// alone. Samples fold grouped by step, so observe works them out when the
+// step changes and every other sample of the step reuses them.
+type stepFacts struct {
+	step      int
+	hour      int  // the grid hour, Grid.HourOf(step)
+	hourOfDay int  // hour % 24
+	flush     bool // a fold boundary: flush the autocorrelation block
+	topOfHour bool // the sample is its subscription's hourly region reading
+}
+
+func (ing *Ingestor) stepFactsOf(step int) stepFacts {
+	hour := ing.tr.Grid.HourOf(step)
+	return stepFacts{
+		step:      step,
+		hour:      hour,
+		hourOfDay: hour % 24,
+		flush:     step%ing.opts.FoldEverySteps == 0,
+		topOfHour: step%ing.stepsPerHour == 0,
+	}
+}
+
 // observe folds one sample into a VM's accumulators. On a fold-boundary
 // step the autocorrelation sketch's deferred block is flushed while the
 // accumulator is in cache, so the fold right after finds nothing pending.
 func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
+	if step != ing.at.step {
+		ing.at = ing.stepFactsOf(step)
+	}
+	at := &ing.at
 	acc.ac.Add(cpu)
-	if step%ing.opts.FoldEverySteps == 0 {
+	if at.flush {
 		acc.ac.Flush()
 	}
 	if ing.family == core.FamilyServerless {
@@ -753,13 +792,13 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 		}
 		return
 	}
-	h := ing.tr.Grid.HourOf(step) % 24
+	h := at.hourOfDay
 	acc.hourly[h] += cpu
 	acc.hourlyN[h]++
-	acc.sub.util.Add(cpu)
+	acc.util.Add(cpu)
 	acc.cs.util.Add(cpu)
-	if step%ing.stepsPerHour == 0 {
-		acc.sub.addRegionHour(ing.keys.RegionOf[acc.idx], ing.tr.Grid.HourOf(step), cpu, ing.tr.Grid.Hours())
+	if at.topOfHour {
+		acc.sub.addRegionHour(ing.keys.RegionOf[acc.idx], at.hour, cpu, ing.tr.Grid.Hours())
 	}
 }
 
