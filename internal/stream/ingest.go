@@ -314,7 +314,8 @@ type Ingestor struct {
 	foldNext    atomic.Int64
 	foldWork    func(worker int)
 
-	// at caches the facts of the step observe last folded a sample of.
+	// at caches the facts of the step observe last folded a sample of. It
+	// starts as StartStep's: a zero value would pass for step 0's.
 	at stepFacts
 
 	// watermark is the newest step already folded; slots hold the steps
