@@ -377,15 +377,6 @@ func BenchmarkStreamIngestShards(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamIngestPolicyIdle replays with a fold-observing policy
-// snapshot source attached but no decisions flowing — the engine-enabled-
-// but-idle configuration. The fold hook is two atomic adds per fold, so
-// allocs/sample must match BenchmarkStreamIngest (±0.001); snapshots are
-// built lazily and only on the decision path.
-func BenchmarkStreamIngestPolicyIdle(b *testing.B) {
-	benchStreamIngest(b, StreamOptions{FoldObserver: NewPolicyFoldSource()})
-}
-
 func benchStreamIngest(b *testing.B, opts StreamOptions) {
 	tr := benchTraceOrSkip(b)
 	b.ReportAllocs()

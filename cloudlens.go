@@ -103,9 +103,9 @@ type (
 	// GapPolicy selects how per-VM sample gaps are repaired (carry, skip,
 	// interpolate).
 	GapPolicy = stream.GapPolicy
-	// StreamReadSource publishes immutable LiveSnapshots at fold
-	// boundaries — the seqlock behind the whole live read surface (plug it
-	// into StreamOptions.FoldObserver and Bind the pipeline's engine).
+	// StreamReadSource serves immutable LiveSnapshots of a live engine,
+	// rebuilt after each fold — the source behind the whole live read
+	// surface (Bind the pipeline's engine before serving).
 	StreamReadSource = stream.ReadSource
 	// LiveSnapshot is one immutable read-side view of a live replay, with
 	// its aggregated payloads pre-encoded.
@@ -131,13 +131,6 @@ type (
 	FaultLedger = faultgen.Ledger
 )
 
-// Gap-repair policies for StreamOptions.GapPolicy.
-const (
-	GapCarry       = stream.GapCarry
-	GapSkip        = stream.GapSkip
-	GapInterpolate = stream.GapInterpolate
-)
-
 // Online policy engine types: pluggable policies deciding live
 // placement/admission requests against immutable KB snapshots, with an
 // append-only decision ledger and counterfactual replay (see DESIGN.md,
@@ -157,11 +150,8 @@ type (
 	PolicyCounterfactual = policy.Counterfactual
 	// PolicyCounterfactualAlt is one re-scored rejected alternative.
 	PolicyCounterfactualAlt = policy.CounterfactualAlt
-	// PolicyFoldSource publishes immutable snapshots at fold boundaries
-	// (plug it into StreamOptions.FoldObserver and Bind the live store).
-	PolicyFoldSource = policy.FoldSource
 	// PolicySnapshotSource hands the engine its evaluation snapshots.
-	PolicySnapshotSource = policy.SnapshotSource
+	PolicySnapshotSource = kb.SnapshotSource
 	// KBSnapshot is an immutable fingerprinted knowledge-base view.
 	KBSnapshot = kb.Snapshot
 	// SubscriptionID identifies one subscription across the system.
@@ -175,24 +165,14 @@ func ParsePolicySpec(spec string) ([]policy.Policy, error) {
 }
 
 // NewPolicyEngine builds a decision engine over a snapshot source.
-func NewPolicyEngine(src policy.SnapshotSource, policies []policy.Policy, opts PolicyEngineOptions) (*PolicyEngine, error) {
+func NewPolicyEngine(src PolicySnapshotSource, policies []policy.Policy, opts PolicyEngineOptions) (*PolicyEngine, error) {
 	return policy.NewEngine(src, policies, opts)
 }
-
-// NewPolicyFoldSource returns an unbound fold-boundary snapshot source
-// for live pipelines.
-func NewPolicyFoldSource() *PolicyFoldSource { return policy.NewFoldSource() }
 
 // NewStreamReadSource returns an unbound fold-boundary read source for
 // live pipelines; clock stamps each snapshot's publish time (may be nil).
 func NewStreamReadSource(clock func() time.Time) *StreamReadSource {
 	return stream.NewReadSource(clock)
-}
-
-// NewPolicyStoreSource serves one static knowledge base as a single
-// immutable snapshot (batch mode).
-func NewPolicyStoreSource(store *KnowledgeBase, step int) policy.SnapshotSource {
-	return policy.NewStoreSource(store, step)
 }
 
 // Policy experiment types.
@@ -247,12 +227,6 @@ func Generate(cfg Config) (*Trace, error) {
 func GenerateDefault(seed uint64) (*Trace, error) {
 	return workload.Generate(workload.DefaultConfig(seed))
 }
-
-// Workload families.
-const (
-	FamilyCPU        = core.FamilyCPU
-	FamilyServerless = core.FamilyServerless
-)
 
 // DefaultServerlessConfig returns the calibrated serverless-family
 // configuration: two days of one-minute invocation-rate samples.

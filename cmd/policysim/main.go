@@ -36,6 +36,7 @@ import (
 	"sort"
 
 	"cloudlens"
+	"cloudlens/internal/kb"
 	"cloudlens/internal/report"
 )
 
@@ -150,9 +151,8 @@ type engineConfig struct {
 }
 
 // runEngine is the offline driver over the online policy engine: replay
-// the trace through the streaming pipeline (snapshots publish at fold
-// boundaries), feed a seeded request stream against the final snapshot,
-// and report the decision ledger and counterfactual regret per policy.
+// the trace through the streaming pipeline, feed a seeded request stream
+// against a snapshot of the finished knowledge base, and report the decision ledger and counterfactual regret per policy.
 // With a nil engine clock the whole run is deterministic in (trace, seed).
 func runEngine(w io.Writer, tr *cloudlens.Trace, cfg engineConfig) error {
 	if err := report.Section(w, "Online policy engine (offline replay -> seeded request stream)"); err != nil {
@@ -162,16 +162,12 @@ func runEngine(w io.Writer, tr *cloudlens.Trace, cfg engineConfig) error {
 	if err != nil {
 		return err
 	}
-	foldSrc := cloudlens.NewPolicyFoldSource()
-	pipe := cloudlens.NewStreamPipeline(tr, cloudlens.StreamOptions{
-		FoldObserver: foldSrc,
-		Shards:       cfg.Shards,
-	})
-	foldSrc.Bind(pipe.KB())
+	pipe := cloudlens.NewStreamPipeline(tr, cloudlens.StreamOptions{Shards: cfg.Shards})
 	pipe.Start(context.Background())
 	pipe.Wait()
 
-	eng, err := cloudlens.NewPolicyEngine(foldSrc, pols, cloudlens.PolicyEngineOptions{
+	src := kb.NewStoreSource(pipe.KB(), tr.Grid.N, nil)
+	eng, err := cloudlens.NewPolicyEngine(src, pols, cloudlens.PolicyEngineOptions{
 		TraceLevel:      cfg.TraceLevel,
 		CounterfactualK: cfg.CounterfactualK,
 	})

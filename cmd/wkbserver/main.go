@@ -92,6 +92,7 @@ import (
 	"time"
 
 	"cloudlens"
+	"cloudlens/internal/kb"
 	"cloudlens/internal/obs"
 )
 
@@ -221,6 +222,9 @@ func run() error {
 		inj     *cloudlens.FaultInjector
 		peng    *cloudlens.PolicyEngine
 		readSrc *cloudlens.StreamReadSource
+		// src backs every snapshot-served GET and, with -policies, the
+		// policy engine: readSrc on a replay, one StoreSource in batch mode.
+		src kb.SnapshotSource
 	)
 	if *replay {
 		gp, err := cloudlens.ParseGapPolicy(*gapPolicy)
@@ -234,25 +238,21 @@ func run() error {
 		if *shards < 1 {
 			return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
 		}
-		// The read source must be in the options before the pipeline is
-		// built (ingestors copy them) and bound to the engine before
-		// Start, so no fold can race the binding. It backs every
-		// snapshot-served GET and, with -policies, the policy engine.
-		readSrc = cloudlens.NewStreamReadSource(time.Now)
 		opts := cloudlens.StreamOptions{
 			Speedup:          *speedup,
 			MaxLatenessSteps: *lateness,
 			GapPolicy:        gp,
 			Shards:           *shards,
 			WrapSource:       spec.Wrap(tr.Grid.N, *speedup, &inj),
-			FoldObserver:     readSrc,
 		}
 		ckptPath := checkpointPath(*ckptDir)
 		pipe, err = startPipeline(tr, opts, ckptPath, *resume, logger)
 		if err != nil {
 			return err
 		}
+		readSrc = cloudlens.NewStreamReadSource(time.Now)
 		readSrc.Bind(pipe.Engine())
+		src = readSrc
 		obs.Default.GaugeFunc("cloudlens_read_snapshot_age_seconds",
 			"Age of the live snapshot currently served to readers.",
 			func() float64 {
@@ -275,6 +275,7 @@ func run() error {
 		logger.Info("extracting workload knowledge", "family", tr.Family.String(), "vms", len(tr.VMs))
 		store = cloudlens.ExtractKnowledgeBase(tr)
 		logger.Info("knowledge base ready", "profiles", store.Len())
+		src = kb.NewStoreSource(store, tr.Grid.N, time.Now)
 		if *save != "" {
 			if err := store.SaveFile(*save); err != nil {
 				return err
@@ -284,10 +285,6 @@ func run() error {
 	}
 
 	if len(pols) > 0 {
-		var src cloudlens.PolicySnapshotSource = readSrc
-		if readSrc == nil {
-			src = cloudlens.NewPolicyStoreSource(store, tr.Grid.N)
-		}
 		peng, err = cloudlens.NewPolicyEngine(src, pols, cloudlens.PolicyEngineOptions{
 			TraceLevel:      *traceLevel,
 			CounterfactualK: *cfK,
@@ -304,7 +301,7 @@ func run() error {
 	if *logRequests {
 		reqLog = logger
 	}
-	srv := publicServer(*addr, buildHandler(store, pipe, readSrc, inj, peng, reqLog))
+	srv := publicServer(*addr, newHandler(src, pipe, readSrc, inj, peng, reqLog))
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {

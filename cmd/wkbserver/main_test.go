@@ -56,15 +56,24 @@ func testTrace() *cloudlens.Trace {
 	}
 }
 
-// livePipeline mirrors run()'s replay wiring: the read source observes
-// folds from before the first batch and is bound to the engine before the
-// pipeline starts, so no fold can race the binding.
+// livePipeline mirrors run()'s replay wiring: the read source is bound to
+// the engine before the pipeline starts.
 func livePipeline(tr *cloudlens.Trace, opts cloudlens.StreamOptions) (*cloudlens.StreamPipeline, *cloudlens.StreamReadSource) {
-	readSrc := cloudlens.NewStreamReadSource(time.Now)
-	opts.FoldObserver = readSrc
 	pipe := cloudlens.NewStreamPipeline(tr, opts)
+	readSrc := cloudlens.NewStreamReadSource(time.Now)
 	readSrc.Bind(pipe.Engine())
 	return pipe, readSrc
+}
+
+// buildHandler wires newHandler as run() does: reads go through readSrc on
+// a replaying server and through one StoreSource over store in batch mode.
+// The read routes never expose the snapshot's step, so it is left at 0.
+func buildHandler(store *cloudlens.KnowledgeBase, pipe *cloudlens.StreamPipeline, readSrc *cloudlens.StreamReadSource, inj *cloudlens.FaultInjector, peng *cloudlens.PolicyEngine, reqLog *slog.Logger) http.Handler {
+	var src kb.SnapshotSource = readSrc
+	if readSrc == nil {
+		src = kb.NewStoreSource(store, 0, time.Now)
+	}
+	return newHandler(src, pipe, readSrc, inj, peng, reqLog)
 }
 
 func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byte) {
@@ -693,14 +702,13 @@ func TestServerlessEndToEnd(t *testing.T) {
 	// Second boot resumes past the checkpoint and finishes, with the read
 	// source wired exactly as run() wires it.
 	var inj *cloudlens.FaultInjector
-	readSrc := cloudlens.NewStreamReadSource(time.Now)
 	second, err := startPipeline(tr, cloudlens.StreamOptions{
-		WrapSource:   spec.Wrap(tr.Grid.N, 0, &inj),
-		FoldObserver: readSrc,
+		WrapSource: spec.Wrap(tr.Grid.N, 0, &inj),
 	}, path, true, logger)
 	if err != nil {
 		t.Fatalf("second boot: %v", err)
 	}
+	readSrc := cloudlens.NewStreamReadSource(time.Now)
 	readSrc.Bind(second.Engine())
 	second.Start(context.Background())
 	if err := second.Wait(); err != nil {

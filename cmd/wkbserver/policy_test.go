@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cloudlens"
 	"cloudlens/internal/kb"
@@ -25,14 +26,14 @@ func policyServer(t *testing.T) (*httptest.Server, *cloudlens.PolicyEngine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := cloudlens.NewPolicyStoreSource(store, tr.Grid.N)
+	src := kb.NewStoreSource(store, tr.Grid.N, time.Now)
 	peng, err := cloudlens.NewPolicyEngine(src, pols, cloudlens.PolicyEngineOptions{
 		TraceLevel: 1, CounterfactualK: 3,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(buildHandler(store, nil, nil, nil, peng, nil))
+	srv := httptest.NewServer(newHandler(src, nil, nil, nil, peng, nil))
 	t.Cleanup(srv.Close)
 	return srv, peng
 }

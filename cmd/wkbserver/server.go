@@ -12,7 +12,7 @@ import (
 	"cloudlens/internal/policy"
 )
 
-// buildHandler assembles the server's unified v1 route table: the batch
+// newHandler assembles the server's unified v1 route table: the batch
 // knowledge-base API (kb.Register), the live ingestion endpoints, and the
 // operational surface — all behind one mux with method-qualified patterns,
 // one JSON error envelope (kb.WithJSONErrors), and one metrics middleware:
@@ -43,8 +43,8 @@ import (
 //	GET  /api/v1/policy/decisions/{id}/counterfactual    regret replay
 //
 // Reads are snapshot-backed: every GET that reflects knowledge-base state
-// is served from an immutable snapshot (readSrc on a replaying server,
-// a version-gated StoreSource in batch mode), carries the snapshot's
+// is served from an immutable snapshot of src (readSrc on a replaying
+// server, a version-gated StoreSource in batch mode), carries the snapshot's
 // ETag/Last-Modified, and honors If-None-Match / If-Modified-Since with
 // 304. Only the volatile routes — status, faults, healthz, metrics,
 // policy — bypass validation.
@@ -54,13 +54,9 @@ import (
 // the same without -policies. readSrc must be non-nil exactly when pipe
 // is; inj is non-nil only when -faults injection is active; peng is nil
 // without -policies; reqLog may be nil to disable per-request logging.
-func buildHandler(store *cloudlens.KnowledgeBase, pipe *cloudlens.StreamPipeline, readSrc *cloudlens.StreamReadSource, inj *cloudlens.FaultInjector, peng *cloudlens.PolicyEngine, reqLog *slog.Logger) http.Handler {
+func newHandler(src kb.SnapshotSource, pipe *cloudlens.StreamPipeline, readSrc *cloudlens.StreamReadSource, inj *cloudlens.FaultInjector, peng *cloudlens.PolicyEngine, reqLog *slog.Logger) http.Handler {
 	metrics := obs.NewHTTPMetrics(obs.Default, reqLog)
 	mux := http.NewServeMux()
-	var src kb.SnapshotSource = readSrc
-	if readSrc == nil {
-		src = kb.NewStoreSource(store, 0, time.Now)
-	}
 	table := kb.Register(mux, src, kb.RouteOptions{
 		Health: healthFn(pipe, peng),
 		Wrap:   metrics.Wrap,

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"cloudlens/internal/core"
+	"cloudlens/internal/kb"
 	"cloudlens/internal/policy"
 	"cloudlens/internal/sim"
 	"cloudlens/internal/stream"
@@ -173,11 +174,9 @@ func runPolicyTrial(index int, cfg PolicyConfig) (PolicyTrialResult, error) {
 // seeded request stream, and returns the serialized ledger plus any
 // counterfactual-reproduction divergences.
 func policyLedgerRun(tr *trace.Trace, cfg PolicyConfig, seed uint64, shards int) ([]byte, int, []string, error) {
-	src := policy.NewFoldSource()
-	opts := stream.Options{Shards: shards, FoldObserver: src}
+	opts := stream.Options{Shards: shards}
 	replayer := stream.NewReplayer(tr, opts)
 	eng := stream.NewEngine(tr, opts)
-	src.Bind(eng.KB())
 	eng.SetRecycler(replayer.Recycle)
 
 	errCh := make(chan error, 1)
@@ -194,7 +193,7 @@ func policyLedgerRun(tr *trace.Trace, cfg PolicyConfig, seed uint64, shards int)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("spec: %w", err)
 	}
-	peng, err := policy.NewEngine(src, pols, policy.Options{
+	peng, err := policy.NewEngine(kb.NewStoreSource(eng.KB(), tr.Grid.N, nil), pols, policy.Options{
 		TraceLevel:      policy.TraceSpans,
 		CounterfactualK: 4,
 	})

@@ -1,16 +1,16 @@
 package kb
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// SnapshotSource hands read handlers the immutable snapshot a request is
-// served from. Snapshot must never return nil and must be safe for
-// concurrent use; successive calls between publications return the same
-// snapshot, so everything memoized on it is shared across requests.
+// SnapshotSource hands read handlers and the policy engine the immutable
+// snapshot a request is served from. Snapshot must never return nil and
+// must be safe for concurrent use; successive calls between publications
+// return the same snapshot, so everything memoized on it is shared across
+// requests. StoreSource serves a store; stream.ReadSource serves a live
+// engine.
 type SnapshotSource interface {
 	Snapshot() *Snapshot
 }
@@ -18,9 +18,10 @@ type SnapshotSource interface {
 // StoreSource serves a mutable store through cached immutable snapshots,
 // gated on the store's write version: a snapshot is rebuilt only after a
 // Put, so a static batch store costs one snapshot total and repeated GETs
-// against it are byte-identical. This is the batch server's source — and
-// the fallback behind NewHandler, where it preserves the old semantics of
-// reads observing later writes, just in consistent units.
+// against it are byte-identical. This is the batch server's source, the
+// policy engine's source after a finished replay, and the fallback behind
+// NewHandler, where it preserves the old semantics of reads observing later
+// writes, just in consistent units.
 type StoreSource struct {
 	store *Store
 	step  int
@@ -34,7 +35,8 @@ type StoreSource struct {
 
 // NewStoreSource wraps a store; step labels its snapshots (for a batch
 // extraction this is the trace's final grid step). clock supplies the
-// Last-Modified timestamp of each rebuilt snapshot and may be nil.
+// Last-Modified timestamp of each rebuilt snapshot and may be nil. A nil
+// store serves one empty snapshot.
 func NewStoreSource(store *Store, step int, clock func() time.Time) *StoreSource {
 	return &StoreSource{store: store, step: step, clock: clock}
 }
@@ -45,7 +47,7 @@ func (s *StoreSource) Snapshot() *Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
-		v := s.store.Version()
+		v := s.version()
 		if s.cached != nil && s.cversion == v {
 			return s.cached
 		}
@@ -55,7 +57,7 @@ func (s *StoreSource) Snapshot() *Snapshot {
 			at = s.clock()
 		}
 		sn := NewSnapshotAt(s.store, s.step, s.seq, at)
-		if s.store.Version() != v {
+		if s.version() != v {
 			continue // raced a writer mid-listing; capture again
 		}
 		s.cached, s.cversion = sn, v
@@ -63,82 +65,10 @@ func (s *StoreSource) Snapshot() *Snapshot {
 	}
 }
 
-// FoldSource publishes immutable snapshots of a live store at fold
-// boundaries — the read path's seqlock, same discipline as the policy
-// engine's source. It satisfies stream.FoldObserver structurally
-// (FoldBegin / FoldPublished) without importing internal/stream, so it
-// plugs straight into stream.Options.FoldObserver.
-//
-// The fold path only bumps an atomic sequence counter (odd while a fold is
-// rewriting the store — zero allocations, two atomic adds per fold), and
-// readers materialize the snapshot lazily, rechecking the sequence after
-// building to discard anything torn by a concurrent fold. Built snapshots
-// are cached per even sequence number, so writers never block readers and
-// a burst of GETs between folds pays for one store copy total.
-type FoldSource struct {
-	seq   atomic.Uint64 // odd ⇒ fold in flight
-	step  atomic.Int64  // latest published fold boundary
-	clock func() time.Time
-
-	mu     sync.Mutex
-	store  *Store
-	cached *Snapshot
-	cseq   uint64 // even sequence the cache was built at
-}
-
-// NewFoldSource returns an unbound source: attach it to
-// stream.Options.FoldObserver before the pipeline is built, then Bind the
-// pipeline's published store before serving. Unbound, it observes folds
-// but serves empty snapshots. clock stamps each snapshot's publish time
-// (threaded in — this package is wall-clock-free) and may be nil.
-func NewFoldSource(clock func() time.Time) *FoldSource {
-	return &FoldSource{clock: clock}
-}
-
-// Bind attaches the published store snapshots are built from.
-func (s *FoldSource) Bind(store *Store) {
-	s.mu.Lock()
-	s.store = store
-	s.cached = nil
-	s.cseq = 0
-	s.mu.Unlock()
-}
-
-// FoldBegin implements the fold-observer contract: mark the store torn.
-func (s *FoldSource) FoldBegin() { s.seq.Add(1) }
-
-// FoldPublished marks the store consistent as of the given fold boundary.
-func (s *FoldSource) FoldPublished(step int) {
-	s.step.Store(int64(step))
-	s.seq.Add(1)
-}
-
-// Snapshot implements SnapshotSource: return the cached snapshot if it is
-// still current, otherwise rebuild from the store and retry until a build
-// completes without a fold racing it.
-func (s *FoldSource) Snapshot() *Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		seq := s.seq.Load()
-		if seq%2 == 1 {
-			// A fold is mid-rewrite; it is O(profiles) and does not wait
-			// on readers, so just let it finish.
-			runtime.Gosched()
-			continue
-		}
-		if s.cached != nil && s.cseq == seq {
-			return s.cached
-		}
-		var at time.Time
-		if s.clock != nil {
-			at = s.clock()
-		}
-		sn := NewSnapshotAt(s.store, int(s.step.Load()), seq/2, at)
-		if s.seq.Load() != seq {
-			continue // torn by a concurrent fold; rebuild
-		}
-		s.cached, s.cseq = sn, seq
-		return sn
+// version is the store's write version; a nil store never changes.
+func (s *StoreSource) version() uint64 {
+	if s.store == nil {
+		return 0
 	}
+	return s.store.Version()
 }

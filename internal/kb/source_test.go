@@ -1,7 +1,6 @@
 package kb
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -50,91 +49,15 @@ func TestStoreSourceCachesUntilWrite(t *testing.T) {
 	}
 }
 
-func TestFoldSourcePublishesAtFoldBoundaries(t *testing.T) {
-	src := NewFoldSource(nil)
-
-	// Unbound: serves an empty snapshot rather than nil.
-	if sn := src.Snapshot(); sn == nil || sn.Len() != 0 {
-		t.Fatalf("unbound snapshot = %v", sn)
-	}
-
-	store := snapStore()
-	src.Bind(store)
-	src.FoldBegin()
-	src.FoldPublished(7)
-
+func TestStoreSourceNilStore(t *testing.T) {
+	// A nil store still answers with an empty snapshot, cached like any other.
+	src := NewStoreSource(nil, 0, nil)
 	sn := src.Snapshot()
-	if sn.Step() != 7 || sn.Len() != 3 {
-		t.Fatalf("published snapshot = step %d len %d", sn.Step(), sn.Len())
+	if sn == nil || sn.Len() != 0 {
+		t.Fatalf("nil-store snapshot = %v", sn)
 	}
 	if src.Snapshot() != sn {
-		t.Error("snapshot rebuilt between folds")
-	}
-
-	// The next fold rewrites the store; readers must never see the new
-	// contents under the old snapshot identity.
-	src.FoldBegin()
-	store.Put(&Profile{Subscription: "d", Cloud: core.Public, MeanUtilization: 0.6, RegionAgnosticScore: -1})
-	src.FoldPublished(8)
-
-	next := src.Snapshot()
-	if next == sn {
-		t.Fatal("fold publication not observed")
-	}
-	if next.Step() != 8 || next.Len() != 4 {
-		t.Errorf("post-fold snapshot = step %d len %d", next.Step(), next.Len())
-	}
-	// The old snapshot is immutable: it still lists 3 profiles.
-	if sn.Len() != 3 {
-		t.Errorf("old snapshot mutated: %d profiles", sn.Len())
-	}
-}
-
-func TestFoldSourceConcurrentReadsDuringFolds(t *testing.T) {
-	store := snapStore()
-	src := NewFoldSource(nil)
-	src.Bind(store)
-	src.FoldBegin()
-	src.FoldPublished(0)
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 200; i++ {
-			src.FoldBegin()
-			store.Put(&Profile{Subscription: core.SubscriptionID(fmt.Sprintf("sub-%02d", i%20)), Cloud: core.Private,
-				MeanUtilization: float64(i%100) / 100, RegionAgnosticScore: -1})
-			src.FoldPublished(i + 1)
-		}
-	}()
-
-	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				sn := src.Snapshot()
-				// Each observed snapshot must be internally consistent:
-				// the fingerprint memoized at first use still describes the
-				// profile list on every later read.
-				if fp := sn.Fingerprint(); fp != sn.Fingerprint() {
-					t.Error("fingerprint unstable")
-					return
-				}
-				select {
-				case <-done:
-					return
-				default:
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	// After the final fold the source converges on the store's contents.
-	if got, want := src.Snapshot().Len(), len(store.List(MatchAll())); got != want {
-		t.Errorf("final snapshot has %d profiles, store has %d", got, want)
+		t.Error("nil-store snapshot rebuilt")
 	}
 }
 

@@ -44,7 +44,7 @@ func (o Options) withDefaults() Options {
 // concurrent use.
 type Engine struct {
 	opts     Options
-	src      SnapshotSource
+	src      kb.SnapshotSource
 	policies []Policy
 	byName   map[string]Policy
 	names    []string // spec order
@@ -59,7 +59,7 @@ type Engine struct {
 // NewEngine builds an engine over the given snapshot source and policies
 // (typically from ParseSpec; order is preserved). At least one policy is
 // required.
-func NewEngine(src SnapshotSource, policies []Policy, opts Options) (*Engine, error) {
+func NewEngine(src kb.SnapshotSource, policies []Policy, opts Options) (*Engine, error) {
 	if src == nil {
 		return nil, fmt.Errorf("policy: nil snapshot source")
 	}

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"cloudlens/internal/kb"
 )
 
 // FuzzParseSpec drives the -policies grammar with arbitrary operator
@@ -45,7 +47,7 @@ func FuzzParseSpec(f *testing.F) {
 			seen[name] = true
 			// Every accepted policy must evaluate an arbitrary request
 			// against an empty snapshot without panicking.
-			alts := p.Evaluate(NewFoldSource().Snapshot(), Request{
+			alts := p.Evaluate(kb.NewSnapshot(nil, 0, 0), Request{
 				Policy:       name,
 				Subscription: "fuzz-sub",
 				Cores:        1,

@@ -1,109 +1,11 @@
 package policy
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+import "cloudlens/internal/kb"
 
-	"cloudlens/internal/kb"
-)
-
-// SnapshotSource hands the engine the immutable snapshot decisions are
-// evaluated against. Snapshot must never return nil and must be safe for
-// concurrent use.
-type SnapshotSource interface {
-	Snapshot() *kb.Snapshot
-}
-
-// StoreSource serves a fixed store as one immutable snapshot — the batch
-// mode, where the knowledge base is extracted once and never changes.
-// The snapshot is built lazily on first use.
-type StoreSource struct {
-	store *kb.Store
-	step  int
-	once  sync.Once
-	sn    *kb.Snapshot
-}
-
-// NewStoreSource wraps a static store; step labels the snapshot (for a
-// batch extraction this is the trace's final grid step).
-func NewStoreSource(store *kb.Store, step int) *StoreSource {
-	return &StoreSource{store: store, step: step}
-}
-
-// Snapshot implements SnapshotSource.
-func (s *StoreSource) Snapshot() *kb.Snapshot {
-	s.once.Do(func() { s.sn = kb.NewSnapshot(s.store, s.step, 1) })
-	return s.sn
-}
-
-// FoldSource publishes immutable snapshots of a live store at fold
-// boundaries. It satisfies stream.FoldObserver structurally (FoldBegin /
-// FoldPublished) without importing internal/stream, so it plugs straight
-// into stream.Options.FoldObserver.
-//
-// It is a seqlock: the fold path only bumps an atomic sequence counter
-// (odd while a fold is rewriting the store — zero allocations, two atomic
-// adds per fold), and readers materialize the snapshot lazily, rechecking
-// the sequence after building to discard anything torn by a concurrent
-// fold. Built snapshots are cached per sequence number, so a burst of
-// decisions between folds pays for one store copy total.
-type FoldSource struct {
-	seq  atomic.Uint64 // odd ⇒ fold in flight
-	step atomic.Int64  // latest published fold boundary
-
-	mu     sync.Mutex
-	store  *kb.Store
-	cached *kb.Snapshot
-	cseq   uint64 // even sequence the cache was built at
-}
-
-// NewFoldSource returns an unbound source: attach it to
-// stream.Options.FoldObserver before the pipeline is built, then Bind the
-// pipeline's published store before serving decisions. Unbound, it
-// observes folds but serves empty snapshots.
-func NewFoldSource() *FoldSource { return &FoldSource{} }
-
-// Bind attaches the published store snapshots are built from.
-func (s *FoldSource) Bind(store *kb.Store) {
-	s.mu.Lock()
-	s.store = store
-	s.cached = nil
-	s.cseq = 0
-	s.mu.Unlock()
-}
-
-// FoldBegin implements the fold-observer contract: mark the store torn.
-func (s *FoldSource) FoldBegin() { s.seq.Add(1) }
-
-// FoldPublished marks the store consistent as of the given fold boundary.
-func (s *FoldSource) FoldPublished(step int) {
-	s.step.Store(int64(step))
-	s.seq.Add(1)
-}
-
-// Snapshot implements SnapshotSource: return the cached snapshot if it is
-// still current, otherwise rebuild from the store and retry until a build
-// completes without a fold racing it.
-func (s *FoldSource) Snapshot() *kb.Snapshot {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		seq := s.seq.Load()
-		if seq%2 == 1 {
-			// A fold is mid-rewrite; it is O(profiles) and does not wait
-			// on readers, so just let it finish.
-			runtime.Gosched()
-			continue
-		}
-		if s.cached != nil && s.cseq == seq {
-			return s.cached
-		}
-		sn := kb.NewSnapshot(s.store, int(s.step.Load()), seq/2)
-		if s.seq.Load() != seq {
-			continue // torn by a concurrent fold; rebuild
-		}
-		s.cached, s.cseq = sn, seq
-		return sn
-	}
+// NewStoreSource serves a static store as one immutable snapshot; step
+// labels it (for a batch extraction, the trace's final grid step). It
+// remains for bench/cloudbench's policy probe; other callers use
+// kb.NewStoreSource.
+func NewStoreSource(store *kb.Store, step int) *kb.StoreSource {
+	return kb.NewStoreSource(store, step, nil)
 }

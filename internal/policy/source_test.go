@@ -1,13 +1,6 @@
 package policy
 
-import (
-	"fmt"
-	"sync"
-	"testing"
-
-	"cloudlens/internal/core"
-	"cloudlens/internal/kb"
-)
+import "testing"
 
 func TestStoreSource(t *testing.T) {
 	src := NewStoreSource(testStore(), 42)
@@ -17,92 +10,5 @@ func TestStoreSource(t *testing.T) {
 	}
 	if src.Snapshot() != sn {
 		t.Error("StoreSource rebuilt its immutable snapshot")
-	}
-	// Nil-store source still answers with an empty snapshot.
-	empty := NewStoreSource(nil, 0).Snapshot()
-	if empty.Len() != 0 {
-		t.Errorf("nil-store snapshot has %d profiles", empty.Len())
-	}
-}
-
-func TestFoldSourceLifecycle(t *testing.T) {
-	src := NewFoldSource()
-	// Unbound: empty snapshot, never nil.
-	if sn := src.Snapshot(); sn == nil || sn.Len() != 0 {
-		t.Fatalf("unbound snapshot = %v", sn)
-	}
-	store := kb.NewStore()
-	src.Bind(store)
-	store.Put(&kb.Profile{Subscription: "s1", Cloud: core.Private})
-
-	// Before any fold the snapshot sees the store as-is at step 0.
-	if sn := src.Snapshot(); sn.Len() != 1 || sn.Step() != 0 {
-		t.Errorf("pre-fold snapshot = step %d len %d", sn.Step(), sn.Len())
-	}
-
-	// A fold publishes a new step; the snapshot is cached per fold.
-	src.FoldBegin()
-	store.Put(&kb.Profile{Subscription: "s2", Cloud: core.Public})
-	src.FoldPublished(7)
-	sn := src.Snapshot()
-	if sn.Step() != 7 || sn.Len() != 2 {
-		t.Errorf("post-fold snapshot = step %d len %d", sn.Step(), sn.Len())
-	}
-	if src.Snapshot() != sn {
-		t.Error("snapshot not cached between folds")
-	}
-
-	src.FoldBegin()
-	src.FoldPublished(8)
-	if again := src.Snapshot(); again == sn || again.Step() != 8 {
-		t.Errorf("snapshot not refreshed after fold: step %d", again.Step())
-	}
-}
-
-// TestFoldSourceRace hammers Snapshot from readers while folds publish
-// store mutations; run with -race. Readers must never observe a snapshot
-// whose profile count disagrees with the step label it carries (each fold
-// adds exactly one profile and advances the step by one).
-func TestFoldSourceRace(t *testing.T) {
-	src := NewFoldSource()
-	store := kb.NewStore()
-	src.Bind(store)
-
-	const folds = 200
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				sn := src.Snapshot()
-				if sn.Len() != sn.Step() {
-					t.Errorf("torn snapshot: step %d with %d profiles", sn.Step(), sn.Len())
-					return
-				}
-			}
-		}()
-	}
-
-	for i := 1; i <= folds; i++ {
-		src.FoldBegin()
-		store.Put(&kb.Profile{
-			Subscription: core.SubscriptionID(fmt.Sprintf("sub-%04d", i)),
-			Cloud:        core.Private,
-		})
-		src.FoldPublished(i)
-	}
-	close(stop)
-	wg.Wait()
-
-	sn := src.Snapshot()
-	if sn.Step() != folds || sn.Len() != folds {
-		t.Errorf("final snapshot = step %d len %d, want %d/%d", sn.Step(), sn.Len(), folds, folds)
 	}
 }

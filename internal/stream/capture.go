@@ -58,6 +58,8 @@ type LiveCapture struct {
 	Step     int
 	Steps    int
 	Done     bool
+	Folds    int64 // folds published so far
+	FoldStep int   // the last fold's boundary (grid steps); 0 before one
 }
 
 // patternAcc accumulates one pattern's band while profiles are walked.
@@ -170,5 +172,7 @@ func (g *shardGroup) CaptureLive() LiveCapture {
 		Step:     int(g.lastStep.Load()),
 		Steps:    g.tr.Grid.N,
 		Done:     g.done.Load(),
+		Folds:    g.foldCount.Load(),
+		FoldStep: g.foldStep,
 	}
 }

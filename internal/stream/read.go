@@ -2,10 +2,8 @@ package stream
 
 import (
 	"encoding/json"
-	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cloudlens/internal/core"
@@ -25,8 +23,9 @@ import (
 // policy ledger retains every kb.Snapshot it decided against, and only
 // ReadSource retains a LiveSnapshot.
 type LiveSnapshot struct {
-	kbsn *kb.Snapshot
-	live []LiveProfile // live[i] augments kbsn.At(i)
+	kbsn  *kb.Snapshot
+	live  []LiveProfile // live[i] augments kbsn.At(i)
+	folds int64         // the engine's fold count at capture
 
 	// bodies holds every live profile's JSON back to back, in subscription
 	// order; profile i's ends at ends[i].
@@ -41,14 +40,15 @@ type LiveSnapshot struct {
 	regionsJSON     []byte
 }
 
-// buildLiveSnapshot assembles a snapshot from one capture. step labels the
-// fold boundary (grid steps), seq the publication sequence, and at the
-// wall-clock publish time (zero disables Last-Modified validation).
-func buildLiveSnapshot(capt LiveCapture, step int, seq uint64, at time.Time) *LiveSnapshot {
-	sn := kb.SnapshotOfSorted(capt.Profiles, step, seq, at)
+// buildLiveSnapshot assembles a snapshot from one capture, labelled with
+// the capture's fold boundary and fold count; at is the wall-clock publish
+// time (zero disables Last-Modified validation).
+func buildLiveSnapshot(capt LiveCapture, at time.Time) *LiveSnapshot {
+	sn := kb.SnapshotOfSorted(capt.Profiles, capt.FoldStep, uint64(capt.Folds), at)
 	ls := &LiveSnapshot{
-		kbsn: sn,
-		live: capt.Live,
+		kbsn:  sn,
+		live:  capt.Live,
+		folds: capt.Folds,
 		summary: Summary{
 			Step:   capt.Step,
 			Steps:  capt.Steps,
@@ -165,27 +165,26 @@ func (ls *LiveSnapshot) AppendBody(dst []byte, i int) []byte {
 	return append(dst, ls.bodies[start:ls.ends[i]]...)
 }
 
-// ReadSource publishes immutable LiveSnapshots of a running engine at fold
-// boundaries — the seqlock behind the whole live read surface. It is a
-// FoldObserver: attach it to Options.FoldObserver before the pipeline is
-// built, then Bind the pipeline's engine before serving. The fold path
-// pays two atomic adds; snapshots materialize lazily on first read after a
-// publication and are cached until the next one, so a burst of reads
-// between folds pays for one capture (and one payload encoding) total.
+// ReadSource serves immutable LiveSnapshots of a running engine, one per
+// fold: Bind the engine before serving. A snapshot is captured lazily on
+// the first read after a fold publishes (or after Finish flips Done) and
+// cached until the next one, so a burst of reads between folds pays for
+// one capture (and one payload encoding) total, and the fold path pays
+// nothing. Engine.CaptureLive holds the lock every fold's merge holds, so
+// a capture is never torn and reports the fold count and boundary it saw.
 //
-// ReadSource also satisfies kb.SnapshotSource and the policy engine's
-// snapshot source via Snapshot(), so one seqlock feeds the v1 batch
-// routes, the live routes, and policy evaluation the same view.
+// ReadSource also satisfies kb.SnapshotSource via Snapshot(), so one
+// source feeds the v1 batch routes, the live routes, and policy
+// evaluation the same view.
 type ReadSource struct {
-	seq   atomic.Uint64 // odd ⇒ fold mid-rewrite
-	step  atomic.Int64  // latest published fold boundary
 	clock func() time.Time
 
-	mu       sync.Mutex
-	eng      Engine
-	cached   *LiveSnapshot
-	cseq     uint64
-	building bool
+	mu     sync.Mutex // guards eng and cached
+	eng    Engine
+	cached *LiveSnapshot
+
+	// build makes rebuilds single-flight.
+	build sync.Mutex
 }
 
 // NewReadSource returns an unbound source; clock stamps each snapshot's
@@ -195,97 +194,50 @@ func NewReadSource(clock func() time.Time) *ReadSource {
 	return &ReadSource{clock: clock}
 }
 
-// Bind attaches the engine snapshots are captured from.
+// Bind attaches the engine snapshots are captured from, after any
+// in-flight rebuild has cached its snapshot of the previous engine.
 func (s *ReadSource) Bind(eng Engine) {
+	s.build.Lock()
+	defer s.build.Unlock()
 	s.mu.Lock()
 	s.eng = eng
 	s.cached = nil
-	s.cseq = 0
 	s.mu.Unlock()
 }
 
-// FoldBegin implements FoldObserver: mark the engine's store torn.
-func (s *ReadSource) FoldBegin() { s.seq.Add(1) }
+// FoldBegin does nothing: a ReadSource needs no fold notifications, since
+// it reads the engine's fold count. It remains so a FoldObserver that
+// forwards to a ReadSource still compiles.
+func (s *ReadSource) FoldBegin() {}
 
-// FoldPublished implements FoldObserver: mark the store consistent as of
-// the given fold boundary.
-func (s *ReadSource) FoldPublished(step int) {
-	s.step.Store(int64(step))
-	s.seq.Add(1)
-}
+// FoldPublished does nothing; see FoldBegin.
+func (s *ReadSource) FoldPublished(int) {}
 
 // Live returns the current snapshot, capturing a fresh one only when a
-// fold has published since the cached capture (or the engine finished —
-// Finish flips Done after the final fold, so the last snapshot rebuilds
-// once more to report done). The loop discards any capture a concurrent
-// fold tore through.
+// fold has published since the cached capture or the engine has finished
+// (Finish flips Done after the final fold, so the last snapshot rebuilds
+// once more to report done).
 //
 // Rebuilds are single-flight and never serialize readers behind them:
 // exactly one caller captures the post-fold state while concurrent
 // callers are handed the previous snapshot — an older but fully
 // consistent published view, with the ETag and Last-Modified to match.
-// A lone caller therefore always observes the freshest fold; staleness
-// only ever lasts one in-flight rebuild under concurrency.
+// Only the first read after Bind, with nothing cached, waits for the
+// build. A lone caller therefore always observes the freshest fold.
 func (s *ReadSource) Live() *LiveSnapshot {
-	for {
-		seq := s.seq.Load()
-		if seq%2 == 1 {
-			// A fold is mid-rewrite; it is O(profiles) and never waits on
-			// readers, so just let it finish.
-			runtime.Gosched()
-			continue
-		}
-		s.mu.Lock()
-		eng := s.eng
-		done := eng != nil && eng.Progress().Done
-		if s.cached != nil && s.cseq == seq && s.cached.summary.Done == done {
-			ls := s.cached
-			s.mu.Unlock()
-			return ls
-		}
-		if s.building {
-			if ls := s.cached; ls != nil {
-				// Another reader is already capturing; serve the previous
-				// snapshot instead of queueing behind the rebuild.
-				s.mu.Unlock()
-				return ls
-			}
-			// Nothing published yet (first read after Bind): wait for the
-			// in-flight build.
-			s.mu.Unlock()
-			runtime.Gosched()
-			continue
-		}
-		s.building = true
-		s.mu.Unlock()
-
-		ls := s.rebuild(eng, seq)
-
-		s.mu.Lock()
-		s.building = false
-		if s.seq.Load() != seq {
-			s.mu.Unlock()
-			continue // torn by a concurrent fold; capture again
-		}
-		s.cached, s.cseq = ls, seq
-		s.mu.Unlock()
+	eng, ls := s.current()
+	if ls != nil && ls.fresh(eng) {
 		return ls
 	}
-}
-
-// rebuild captures the engine and builds a snapshot from the capture. If
-// either panics, the single-flight flag is cleared before the panic goes
-// on up (net/http recovers a handler's panic), so the next reader rebuilds
-// instead of being handed the stale snapshot forever — or spinning, when
-// nothing was cached.
-func (s *ReadSource) rebuild(eng Engine, seq uint64) (ls *LiveSnapshot) {
-	defer func() {
-		if ls == nil { // only a panic leaves it unset
-			s.mu.Lock()
-			s.building = false
-			s.mu.Unlock()
-		}
-	}()
+	if ls == nil {
+		s.build.Lock()
+	} else if !s.build.TryLock() {
+		return ls // another reader is capturing
+	}
+	defer s.build.Unlock()
+	if eng, ls = s.current(); ls != nil && ls.fresh(eng) {
+		return ls // built while this reader waited
+	}
 	var at time.Time
 	if s.clock != nil {
 		at = s.clock()
@@ -294,9 +246,30 @@ func (s *ReadSource) rebuild(eng Engine, seq uint64) (ls *LiveSnapshot) {
 	if eng != nil {
 		capt = eng.CaptureLive()
 	}
-	return buildLiveSnapshot(capt, int(s.step.Load()), seq/2, at)
+	ls = buildLiveSnapshot(capt, at)
+	s.mu.Lock()
+	s.cached = ls
+	s.mu.Unlock()
+	return ls
 }
 
-// Snapshot implements kb.SnapshotSource (and the policy engine's source):
-// the knowledge-base view of the current live snapshot.
+// current returns the bound engine and the cached snapshot.
+func (s *ReadSource) current() (Engine, *LiveSnapshot) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.eng, s.cached
+}
+
+// fresh reports whether no fold has published, and the engine has not
+// finished, since the snapshot was captured.
+func (ls *LiveSnapshot) fresh(eng Engine) bool {
+	if eng == nil {
+		return true
+	}
+	p := eng.Progress()
+	return p.Folds == ls.folds && p.Done == ls.summary.Done
+}
+
+// Snapshot implements kb.SnapshotSource: the knowledge-base view of the
+// current live snapshot.
 func (s *ReadSource) Snapshot() *kb.Snapshot { return s.Live().KB() }

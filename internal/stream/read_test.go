@@ -148,3 +148,54 @@ func TestReadSourceShardInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestReadSourceWithoutFoldObserver pins that a ReadSource needs no fold
+// notifications: bound to an engine built without a FoldObserver, it
+// serves a new snapshot after each fold, labelled with that fold's
+// boundary and count, and a done one after Finish.
+func TestReadSourceWithoutFoldObserver(t *testing.T) {
+	tr := microTrace()
+	rs := NewReadSource(nil)
+	eng := NewEngine(tr, Options{FoldEverySteps: 2})
+	rs.Bind(eng)
+
+	prev := rs.Live()
+	folds := 0
+	for s := 0; s < 12; s++ {
+		eng.ObserveBatch(batchOf(s, sampleAt(0, s, 0.5)))
+		f := int(eng.Progress().Folds)
+		ls := rs.Live()
+		if f == folds {
+			if ls != prev {
+				t.Fatalf("step %d: snapshot rebuilt without a fold", s)
+			}
+			continue
+		}
+		folds = f
+		if ls == prev {
+			t.Fatalf("step %d: fold %d not observed by Live", s, f)
+		}
+		if got := ls.KB().Seq(); got != uint64(f) {
+			t.Errorf("fold %d: snapshot seq %d", f, got)
+		}
+		if st := ls.KB().Step(); st <= prev.KB().Step() || st%2 != 0 {
+			t.Errorf("fold %d: snapshot step %d after %d", f, st, prev.KB().Step())
+		}
+		prev = ls
+	}
+	if folds < 3 {
+		t.Fatalf("only %d folds in 12 steps", folds)
+	}
+
+	eng.Finish()
+	ls := rs.Live()
+	if ls == prev || !ls.Summary().Done {
+		t.Fatal("finish not observed by Live")
+	}
+	if ls.KB().Step() != tr.Grid.N {
+		t.Errorf("final snapshot step %d, want %d", ls.KB().Step(), tr.Grid.N)
+	}
+	if rs.Live() != ls {
+		t.Error("final snapshot not cached")
+	}
+}

@@ -151,12 +151,11 @@ type Options struct {
 	// publication of the knowledge base: FoldBegin before a fold starts
 	// rewriting the published store, FoldPublished(step) once it is
 	// complete and consistent, where step is the fold boundary in grid
-	// steps (the final fold at stream end reports Grid.N). The policy
-	// engine's snapshot source implements this as a seqlock so readers
-	// obtain immutable consistent snapshots without adding work — or
-	// allocations — to the ingest hot path. The callbacks run on the
-	// ingestion goroutine with internal locks held; they must be cheap
-	// and must not call back into ingestion.
+	// steps (the final fold at stream end reports Grid.N). It is a probe
+	// for timing and checking folds; readers need none, since ReadSource
+	// reads the engine's fold count. The callbacks run on the ingestion
+	// goroutine with internal locks held; they must be cheap and must not
+	// call back into ingestion.
 	FoldObserver FoldObserver
 }
 

@@ -78,6 +78,8 @@ type shardGroup struct {
 	// profiles is the merge's scratch: every shard's freshly built
 	// profiles, gathered for one store write.
 	profiles []*kb.Profile
+	// foldStep is the last fold's boundary (grid steps) in this process.
+	foldStep int
 
 	lastStep  atomic.Int64
 	foldCount atomic.Int64
@@ -377,6 +379,7 @@ func (g *shardGroup) mergeLocked(step int) {
 	}
 	g.publishLocked()
 	g.foldCount.Add(1)
+	g.foldStep = step
 	if ob := g.opts.FoldObserver; ob != nil {
 		ob.FoldPublished(step)
 	}
