@@ -32,8 +32,8 @@
 #                      and 4, failing unless the three print the same
 #                      allocs/sample and it is at most ALLOCS_PER_SAMPLE_MAX
 #   make test-policy — policy-engine suite under -race at 1, 2 and 4 cores:
-#                      decision engine, ledger pagination hammer, fold-source
-#                      seqlock, and the policy HTTP surface
+#                      decision engine, ledger pagination hammer, snapshot
+#                      source, and the policy HTTP surface
 #   make test-workloads — workload-family matrix under -race at 1, 2 and 4
 #                      cores: serverless generator/spec grammar, invocation
 #                      taxonomy, and the batch-vs-stream family equivalence

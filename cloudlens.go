@@ -169,7 +169,7 @@ func NewPolicyEngine(src PolicySnapshotSource, policies []policy.Policy, opts Po
 	return policy.NewEngine(src, policies, opts)
 }
 
-// NewStreamReadSource returns an unbound fold-boundary read source for
+// NewStreamReadSource returns an unbound read source for
 // live pipelines; clock stamps each snapshot's publish time (may be nil).
 func NewStreamReadSource(clock func() time.Time) *StreamReadSource {
 	return stream.NewReadSource(clock)

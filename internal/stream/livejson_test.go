@@ -55,7 +55,7 @@ func TestLiveBodiesMatchEncodingJSON(t *testing.T) {
 		t.Fatalf("generate: %v", err)
 	}
 	rs := NewReadSource(nil)
-	opts := Options{FoldObserver: rs}
+	opts := Options{}
 	rep := NewReplayer(tr, opts)
 	eng := NewEngine(tr, opts)
 	rs.Bind(eng)

@@ -245,13 +245,13 @@ func TestIngestorMatchesBatchExtract(t *testing.T) {
 }
 
 // TestPipelineConcurrentSnapshots hammers the pipeline's status and every
-// live read, through the ReadSource observing its folds, while ingestion
+// live read, through a ReadSource bound to its engine, while ingestion
 // runs; the race detector (make verify) turns any unsynchronized access
 // into a failure.
 func TestPipelineConcurrentSnapshots(t *testing.T) {
 	tr := miniTrace(t)
 	rs := NewReadSource(nil)
-	p := NewPipeline(tr, Options{FoldEverySteps: 12, FoldObserver: rs})
+	p := NewPipeline(tr, Options{FoldEverySteps: 12})
 	rs.Bind(p.Engine())
 	p.Start(context.Background())
 
