@@ -22,11 +22,6 @@
 #                      cores: fault-matrix ledger reconciliation, kill/resume
 #                      checkpoint golden, and the paginated-walk-during-
 #                      ingestion hammer
-#   make bench       — headline performance benchmarks (time + allocations)
-#   make bench-smoke — one iteration of each headline benchmark; CI runs this
-#                      so instrumented hot paths stay compile- and run-clean
-#   make bench-shards— streaming-ingestion throughput swept over shard
-#                      counts 1/2/4/8 (the BENCH_stream.json scaling table)
 #   make bench-stream-gate — allocation-rate gate on the ingestion hot path:
 #                      a traced cloudbench ingest-clean run at GOMAXPROCS 1, 2
 #                      and 4, failing unless the three print the same
@@ -63,7 +58,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench bench-smoke bench-shards bench-stream-gate diffcheck fuzz-smoke lint ab
+.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench-stream-gate diffcheck fuzz-smoke lint ab
 
 all: build
 
@@ -94,15 +89,6 @@ test-batch:
 test-faults:
 	$(GO) test -race -count=1 -cpu 1,2,4 -timeout 30m -run 'Fault|Checkpoint|Resume|Harden|Reorder|Gap|Pagination|Shard' \
 		./internal/faultgen ./internal/stream ./cmd/wkbserver
-
-bench:
-	$(GO) test -run=NONE -bench='CharacterizeEndToEnd|KBExtract|GenerateTrace|StreamIngest' -benchmem .
-
-bench-smoke:
-	$(GO) test -count=1 -run=NONE -bench='CharacterizeEndToEnd|KBExtract|GenerateTrace|StreamIngest' -benchtime=1x -benchmem .
-
-bench-shards:
-	$(GO) test -run=NONE -bench=StreamIngestShards -benchmem .
 
 # The ingestion hot path must stay allocation-free in steady state. The
 # gate reads stream.ingest.allocs_per_sample from a traced cloudbench

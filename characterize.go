@@ -31,19 +31,11 @@ type (
 	Fig7c       = analyze.Fig7c
 	// Band is a set of utilization percentile curves (Figure 6).
 	Band = analyze.Band
-	// Removals is the VM-removal companion analysis to Figure 3(c).
-	Removals = analyze.Removals
 )
 
 // sparkWidth is the report's sparkline width in characters; long series are
 // block-averaged down to it.
 const sparkWidth = 84
-
-// ComputeRemovals runs the removal-behaviour companion analysis for one
-// region ("" = the default sampled region).
-func ComputeRemovals(t *Trace, region string) Removals {
-	return analyze.ComputeRemovals(t, region)
-}
 
 // Insight is one of the paper's four boxed insights evaluated on a trace.
 type Insight = analyze.Insight

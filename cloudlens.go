@@ -32,16 +32,12 @@ import (
 	"net/http"
 	"time"
 
-	"cloudlens/internal/allocfail"
 	"cloudlens/internal/balance"
 	"cloudlens/internal/core"
-	"cloudlens/internal/deferral"
 	"cloudlens/internal/faultgen"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/oversub"
 	"cloudlens/internal/policy"
-	"cloudlens/internal/provision"
-	"cloudlens/internal/sim"
 	"cloudlens/internal/spot"
 	"cloudlens/internal/stream"
 	"cloudlens/internal/trace"
@@ -62,10 +58,6 @@ type (
 	// invocation workload family (per-function invocation-count series on
 	// a sub-five-minute grid).
 	ServerlessConfig = workload.ServerlessConfig
-	// WorkloadFamily tags a trace with its workload family (CPU
-	// utilization or serverless invocations); each family carries its own
-	// pattern taxonomy.
-	WorkloadFamily = core.Family
 	// KnowledgeBase is the paper's centralized workload knowledge base
 	// (Section V): per-subscription profiles extracted from telemetry.
 	KnowledgeBase = kb.Store
@@ -107,14 +99,9 @@ type (
 	// rebuilt after each fold — the source behind the whole live read
 	// surface (Bind the pipeline's engine before serving).
 	StreamReadSource = stream.ReadSource
-	// LiveSnapshot is one immutable read-side view of a live replay, with
-	// its aggregated payloads pre-encoded.
-	LiveSnapshot = stream.LiveSnapshot
 	// LivePercentiles is the per-pattern utilization-band report served by
 	// GET /api/v1/live/percentiles.
 	LivePercentiles = stream.PercentilesReport
-	// PatternBand is one workload pattern's utilization band.
-	PatternBand = stream.PatternBand
 	// RegionRollup is one region's aggregate served by
 	// GET /api/v1/live/regions.
 	RegionRollup = kb.RegionRollup
@@ -152,8 +139,6 @@ type (
 	PolicyCounterfactualAlt = policy.CounterfactualAlt
 	// PolicySnapshotSource hands the engine its evaluation snapshots.
 	PolicySnapshotSource = kb.SnapshotSource
-	// KBSnapshot is an immutable fingerprinted knowledge-base view.
-	KBSnapshot = kb.Snapshot
 	// SubscriptionID identifies one subscription across the system.
 	SubscriptionID = core.SubscriptionID
 )
@@ -185,30 +170,15 @@ type (
 	// experiment (Section III-B implication).
 	SpotOptions = spot.Options
 	SpotResult  = spot.Result
-	// BalancePlan / BalanceOutcome run the Canada region-shift pilot
-	// (Section IV-B).
-	BalancePlan    = balance.Plan
+	// BalanceOutcome is the Canada region-shift pilot's before/after
+	// comparison (Section IV-B).
 	BalanceOutcome = balance.Outcome
-	// DeferralOptions / DeferralResult run the valley-scheduling policy
-	// (Section IV-A implication).
-	DeferralOptions = deferral.Options
-	DeferralResult  = deferral.Result
 	// MixtureOptions / MixtureResult run the dynamic spot/on-demand
 	// mixture (the Snape-style batch scheduling the paper cites).
 	MixtureOptions = spot.MixtureOptions
 	MixtureResult  = spot.MixtureResult
-	// ProvisionOptions / ProvisionResult run the predictive
-	// pre-provisioning experiment for hourly-peak workloads
-	// (Section IV-A implication).
-	ProvisionOptions = provision.Options
-	ProvisionResult  = provision.Result
 	// KBMergeOptions tunes the knowledge base's continuous update.
 	KBMergeOptions = kb.MergeOptions
-	// AllocFailOptions / AllocFailResult run the workload-aware
-	// allocation-failure prediction experiment (Section III-B
-	// implication).
-	AllocFailOptions = allocfail.Options
-	AllocFailResult  = allocfail.Result
 )
 
 // DefaultConfig returns the calibrated generator configuration documented
@@ -249,12 +219,6 @@ func ParseServerlessSpec(spec string) (ServerlessConfig, error) {
 	return workload.ParseServerlessSpec(spec)
 }
 
-// ServerlessGrid returns the serverless family's canonical grid: one-minute
-// steps over the given number of days.
-func ServerlessGrid(days int) sim.Grid {
-	return workload.ServerlessGrid(days)
-}
-
 // LoadTrace reads a trace saved with (*Trace).SaveFile.
 func LoadTrace(path string) (*Trace, error) {
 	return trace.LoadFile(path)
@@ -290,13 +254,6 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 	return faultgen.ParseSpec(s)
 }
 
-// NewFaultInjector wraps a stream source with fault injection; use it via
-// StreamOptions.WrapSource. finalStep is the trace's trailing batch step
-// (Grid.N).
-func NewFaultInjector(src stream.Source, spec FaultSpec, finalStep int) (*FaultInjector, error) {
-	return faultgen.New(src, spec, finalStep)
-}
-
 // LoadStreamCheckpoint reads a checkpoint written by
 // (*StreamPipeline).SaveCheckpoint and validates it against the trace.
 func LoadStreamCheckpoint(path string, t *Trace) (*Checkpoint, error) {
@@ -330,11 +287,6 @@ func RunRegionBalance(t *Trace, store *KnowledgeBase, source, dest string) (Bala
 	return balance.Run(t, store, source, dest)
 }
 
-// RunDeferral executes the deferrable-workload valley-scheduling policy.
-func RunDeferral(t *Trace, opts DeferralOptions) (DeferralResult, error) {
-	return deferral.Run(t, opts)
-}
-
 // RunSpotMixture simulates a deadline batch job under the on-demand,
 // spot-only, and dynamic-mixture acquisition policies.
 func RunSpotMixture(t *Trace, opts MixtureOptions) ([]MixtureResult, error) {
@@ -345,20 +297,4 @@ func RunSpotMixture(t *Trace, opts MixtureOptions) ([]MixtureResult, error) {
 // met the deadline.
 func CheapestReliable(results []MixtureResult) (MixtureResult, bool) {
 	return spot.CheapestReliable(results)
-}
-
-// RunPreProvisioning compares reactive auto-scaling against knowledge-
-// base-informed predictive pre-provisioning for an hourly-peak service.
-// Pass a nil store to extract the knowledge base on the fly.
-func RunPreProvisioning(t *Trace, store *KnowledgeBase, opts ProvisionOptions) (ProvisionResult, error) {
-	if store == nil {
-		store = ExtractKnowledgeBase(t)
-	}
-	return provision.Run(t, store, opts)
-}
-
-// RunAllocFailPrediction trains and evaluates the workload-aware
-// allocation-failure predictor against the static capacity check.
-func RunAllocFailPrediction(t *Trace, opts AllocFailOptions) (AllocFailResult, error) {
-	return allocfail.Run(t, opts)
 }

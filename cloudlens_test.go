@@ -10,20 +10,30 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"cloudlens/internal/deferral"
+	"cloudlens/internal/provision"
 )
 
+var (
+	integrationOnce sync.Once
+	integrationTr   *Trace
+	integrationErr  error
+)
+
+// integrationTrace generates the default seed-42 universe once per test
+// binary; every test here reads it and none mutates it.
 func integrationTrace(t *testing.T) *Trace {
 	t.Helper()
-	// Reuse the benchmark trace (same package) so the expensive default
-	// universe is generated only once per test binary.
-	benchOnce.Do(func() {
-		benchTrace, benchErr = GenerateDefault(42)
+	integrationOnce.Do(func() {
+		integrationTr, integrationErr = GenerateDefault(42)
 	})
-	if benchErr != nil {
-		t.Fatalf("generate: %v", benchErr)
+	if integrationErr != nil {
+		t.Fatalf("generate: %v", integrationErr)
 	}
-	return benchTrace
+	return integrationTr
 }
 
 func TestGenerateDefaultProducesBothClouds(t *testing.T) {
@@ -100,7 +110,7 @@ func TestPolicyEntryPoints(t *testing.T) {
 		t.Fatal("balance pilot failed to improve source health")
 	}
 
-	df, err := RunDeferral(tr, DeferralOptions{})
+	df, err := deferral.Run(tr, deferral.Options{})
 	if err != nil {
 		t.Fatalf("deferral: %v", err)
 	}
@@ -182,9 +192,9 @@ func TestNewPolicyFacades(t *testing.T) {
 	if _, ok := CheapestReliable(results); !ok {
 		t.Fatal("no reliable mixture policy")
 	}
-	res, err := RunPreProvisioning(tr, nil, ProvisionOptions{})
+	res, err := provision.Run(tr, ExtractKnowledgeBase(tr), provision.Options{})
 	if err != nil {
-		t.Fatalf("RunPreProvisioning: %v", err)
+		t.Fatalf("provision: %v", err)
 	}
 	if res.Predictive.ThrottledCoreHours > res.Reactive.ThrottledCoreHours {
 		t.Fatal("prediction lost to reaction")

@@ -1,22 +1,23 @@
-// Command policysim runs the paper's management pilots over a trace.
+// Command policysim runs the paper's management pilots over a trace, one
+// report section per pilot. Every pilot is a row of one table, and
+// -experiment names a row (or all of them, in table order):
 //
-// The oversub, spot, and balance pilots are thin drivers over the online
-// policy engine (internal/policy): the trace is replayed offline through
-// the streaming pipeline into fold-boundary knowledge-base snapshots, a
-// seeded request stream is fed to the engine, and the resulting decision
-// ledger plus counterfactual regret are reported. The remaining pilots
-// are batch analyses without an online counterpart:
+//	engine         the online policy engine (honors -policies): the trace is
+//	               replayed offline through the streaming pipeline into a
+//	               knowledge-base snapshot, a seeded request stream is fed to
+//	               the engine, and the decision ledger plus counterfactual
+//	               regret are reported
+//	oversub-sweep  chance-constrained over-subscription sweep (Section III-B)
+//	region-shift   the Canada region-shift pilot, canada-a -> canada-b
+//	               (Section IV-B)
+//	spot-harvest   spot-VM valley harvesting (Section III-B)
+//	mixture        dynamic spot/on-demand mixture for a deadline batch job
+//	deferral       deferrable-workload valley scheduling (Section IV-A)
+//	provision      reactive vs predictive pre-provisioning for hourly peaks
+//	allocfail      workload-aware allocation-failure prediction
+//	all            every row above (default)
 //
-//	oversub   chance-constrained over-subscription admission via the
-//	          Oversubscribe policy (Section III-B)
-//	spot      spot/on-demand admission via the SpotAdmit policy
-//	balance   region placement via the RegionBalance policy (Section IV-B)
-//	engine    oversub+spot+balance in one engine run (honors -policies)
-//	deferral  deferrable-workload valley scheduling (Section IV-A)
-//	mixture   dynamic spot/on-demand mixture for a deadline batch job
-//	provision reactive vs predictive pre-provisioning for hourly peaks
-//	allocfail workload-aware allocation-failure prediction
-//	all       everything above (default)
+// A single online policy is `-experiment engine -policies <name>`.
 //
 // Usage:
 //
@@ -28,114 +29,124 @@ package main
 import (
 	"bufio"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"math/rand"
 	"os"
 	"sort"
+	"strings"
 
-	"cloudlens"
+	"cloudlens/internal/allocfail"
+	"cloudlens/internal/balance"
+	"cloudlens/internal/deferral"
 	"cloudlens/internal/kb"
+	"cloudlens/internal/oversub"
+	"cloudlens/internal/policy"
+	"cloudlens/internal/provision"
 	"cloudlens/internal/report"
+	"cloudlens/internal/spot"
+	"cloudlens/internal/stream"
+	"cloudlens/internal/trace"
+	"cloudlens/internal/workload"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "policysim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	var (
-		seed       = flag.Uint64("seed", 42, "generation seed (ignored with -trace)")
-		scale      = flag.Float64("scale", 1.0, "universe scale (ignored with -trace)")
-		tracePath  = flag.String("trace", "", "load a saved trace instead of generating")
-		experiment = flag.String("experiment", "all", "oversub | spot | balance | engine | deferral | mixture | provision | allocfail | all")
-		policies   = flag.String("policies", "oversub,spot,balance", "policy spec for -experiment engine")
-		requests   = flag.Int("requests", 24, "generated requests per policy for the engine experiments")
-		shards     = flag.Int("shards", 1, "ingestion shards for the offline replay feeding the engine")
-		traceLevel = flag.Int("trace-level", 1, "policy ledger detail: 0 | 1 | 2")
-		cfK        = flag.Int("counterfactual-k", 3, "rejected alternatives re-scored per decision")
-	)
-	flag.Parse()
+// pilot is one row of the pilot table: its -experiment name, its report
+// section title, and the run that writes the section's body.
+type pilot struct {
+	name, title string
+	run         func(w io.Writer, tr *trace.Trace) error
+}
 
-	var (
-		tr  *cloudlens.Trace
-		err error
-	)
-	if *tracePath != "" {
-		tr, err = cloudlens.LoadTrace(*tracePath)
-	} else {
-		cfg := cloudlens.DefaultConfig(*seed)
-		cfg.Scale = *scale
-		tr, err = cloudlens.Generate(cfg)
+// pilots is the table, in the order of EXPERIMENTS.md's "Management
+// pilots" table behind the engine that serves its first three online.
+func pilots(cfg engineConfig) []pilot {
+	return []pilot{
+		{"engine", "Online policy engine (offline replay -> seeded request stream)",
+			func(w io.Writer, tr *trace.Trace) error { return runEngine(w, tr, cfg) }},
+		{"oversub-sweep", "Chance-constrained over-subscription sweep (private cloud)", runOversubSweep},
+		{"region-shift", "Canada region shift (canada-a -> canada-b)", runRegionShift},
+		{"spot-harvest", "Spot-VM valley harvesting (public cloud)", runSpotHarvest},
+		{"mixture", "Dynamic spot/on-demand mixture (deadline batch job)", runMixture},
+		{"deferral", "Deferrable-workload valley scheduling (private cloud)", runDeferral},
+		{"provision", "Predictive pre-provisioning for hourly-peak workloads", runProvision},
+		{"allocfail", "Workload-aware allocation-failure prediction (private cloud)", runAllocFail},
 	}
-	if err != nil {
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("policysim", flag.ContinueOnError)
+	var (
+		seed       = fs.Uint64("seed", 42, "generation seed (ignored with -trace)")
+		scale      = fs.Float64("scale", 1.0, "universe scale (ignored with -trace)")
+		tracePath  = fs.String("trace", "", "load a saved trace instead of generating")
+		experiment = fs.String("experiment", "all", "engine | oversub-sweep | region-shift | spot-harvest | mixture | deferral | provision | allocfail | all")
+		policies   = fs.String("policies", "oversub,spot,balance", "policy spec for -experiment engine")
+		requests   = fs.Int("requests", 24, "generated requests per policy for the engine experiments")
+		shards     = fs.Int("shards", 1, "ingestion shards for the offline replay feeding the engine")
+		traceLevel = fs.Int("trace-level", 1, "policy ledger detail: 0 | 1 | 2")
+		cfK        = fs.Int("counterfactual-k", 3, "rejected alternatives re-scored per decision")
+	)
+	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
-
-	engineCfg := engineConfig{
+	table := pilots(engineConfig{
+		Spec:            *policies,
 		Seed:            *seed,
 		Requests:        *requests,
 		Shards:          *shards,
 		TraceLevel:      *traceLevel,
 		CounterfactualK: *cfK,
+	})
+	selected := table
+	if *experiment != "all" {
+		selected = nil
+		for _, p := range table {
+			if p.name == *experiment {
+				selected = []pilot{p}
+			}
+		}
+		if selected == nil {
+			names := make([]string, 0, len(table)+1)
+			for _, p := range table {
+				names = append(names, p.name)
+			}
+			return fmt.Errorf("unknown experiment %q (want %s)", *experiment, strings.Join(append(names, "all"), " | "))
+		}
 	}
-	runAll := *experiment == "all"
-	ran := false
-	switch *experiment {
-	case "oversub", "spot", "balance":
-		// Single-policy engine runs replacing the old batch pilots.
-		engineCfg.Spec = *experiment
-		if err := runEngine(w, tr, engineCfg); err != nil {
+
+	var (
+		tr  *trace.Trace
+		err error
+	)
+	if *tracePath != "" {
+		tr, err = trace.LoadFile(*tracePath)
+	} else {
+		cfg := workload.DefaultConfig(*seed)
+		cfg.Scale = *scale
+		tr, err = workload.Generate(cfg)
+	}
+	if err != nil {
+		return err
+	}
+
+	w := bufio.NewWriter(stdout)
+	defer w.Flush()
+	for _, p := range selected {
+		if err := report.Section(w, p.title); err != nil {
 			return err
 		}
-		ran = true
-	case "engine":
-		engineCfg.Spec = *policies
-		if err := runEngine(w, tr, engineCfg); err != nil {
-			return err
+		if err := p.run(w, tr); err != nil {
+			return fmt.Errorf("%s: %w", p.name, err)
 		}
-		ran = true
-	}
-	if runAll {
-		engineCfg.Spec = *policies
-		if err := runEngine(w, tr, engineCfg); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if runAll || *experiment == "deferral" {
-		if err := runDeferral(w, tr); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if runAll || *experiment == "mixture" {
-		if err := runMixture(w, tr); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if runAll || *experiment == "provision" {
-		if err := runProvision(w, tr); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if runAll || *experiment == "allocfail" {
-		if err := runAllocFail(w, tr); err != nil {
-			return err
-		}
-		ran = true
-	}
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
 	return nil
 }
@@ -152,22 +163,20 @@ type engineConfig struct {
 
 // runEngine is the offline driver over the online policy engine: replay
 // the trace through the streaming pipeline, feed a seeded request stream
-// against a snapshot of the finished knowledge base, and report the decision ledger and counterfactual regret per policy.
-// With a nil engine clock the whole run is deterministic in (trace, seed).
-func runEngine(w io.Writer, tr *cloudlens.Trace, cfg engineConfig) error {
-	if err := report.Section(w, "Online policy engine (offline replay -> seeded request stream)"); err != nil {
-		return err
-	}
-	pols, err := cloudlens.ParsePolicySpec(cfg.Spec)
+// against a snapshot of the finished knowledge base, and report the
+// decision ledger and counterfactual regret per policy. With a nil engine
+// clock the whole run is deterministic in (trace, seed).
+func runEngine(w io.Writer, tr *trace.Trace, cfg engineConfig) error {
+	pols, err := policy.ParseSpec(cfg.Spec)
 	if err != nil {
 		return err
 	}
-	pipe := cloudlens.NewStreamPipeline(tr, cloudlens.StreamOptions{Shards: cfg.Shards})
+	pipe := stream.NewPipeline(tr, stream.Options{Shards: cfg.Shards})
 	pipe.Start(context.Background())
 	pipe.Wait()
 
 	src := kb.NewStoreSource(pipe.KB(), tr.Grid.N, nil)
-	eng, err := cloudlens.NewPolicyEngine(src, pols, cloudlens.PolicyEngineOptions{
+	eng, err := policy.NewEngine(src, pols, policy.Options{
 		TraceLevel:      cfg.TraceLevel,
 		CounterfactualK: cfg.CounterfactualK,
 	})
@@ -181,7 +190,7 @@ func runEngine(w io.Writer, tr *cloudlens.Trace, cfg engineConfig) error {
 		return fmt.Errorf("empty knowledge base after replay")
 	}
 
-	for _, req := range generateRequests(sn, eng.Policies(), cfg.Seed, cfg.Requests) {
+	for _, req := range policy.GenerateRequests(sn, eng.Policies(), cfg.Seed, cfg.Requests) {
 		if _, err := eng.Decide(req); err != nil {
 			return err
 		}
@@ -232,47 +241,6 @@ func runEngine(w io.Writer, tr *cloudlens.Trace, cfg engineConfig) error {
 	return nil
 }
 
-// generateRequests builds the seeded request stream: for each policy,
-// cfg.Requests asks against snapshot subscriptions drawn by a seeded
-// generator; balance asks carry two candidate regions drawn from the
-// snapshot's region universe. Deterministic in (snapshot, policies, seed).
-func generateRequests(sn *cloudlens.KBSnapshot, policies []string, seed uint64, perPolicy int) []cloudlens.PolicyRequest {
-	profiles := sn.Profiles()
-	regionSet := map[string]bool{}
-	for _, p := range profiles {
-		for _, r := range p.Regions {
-			regionSet[r] = true
-		}
-	}
-	regions := make([]string, 0, len(regionSet))
-	for r := range regionSet {
-		regions = append(regions, r)
-	}
-	sort.Strings(regions)
-
-	rng := rand.New(rand.NewSource(int64(seed)))
-	var out []cloudlens.PolicyRequest
-	for _, pol := range policies {
-		for i := 0; i < perPolicy; i++ {
-			req := cloudlens.PolicyRequest{
-				Policy:       pol,
-				Subscription: profiles[rng.Intn(len(profiles))].Subscription,
-				Cores:        1 + rng.Intn(16),
-			}
-			if pol == "balance" && len(regions) > 0 {
-				a := rng.Intn(len(regions))
-				b := rng.Intn(len(regions))
-				req.Regions = []string{regions[a]}
-				if b != a {
-					req.Regions = append(req.Regions, regions[b])
-				}
-			}
-			out = append(out, req)
-		}
-	}
-	return out
-}
-
 // topAction names the most frequent chosen action (ties break
 // lexicographically).
 func topAction(actions map[string]int) string {
@@ -294,11 +262,75 @@ func topAction(actions map[string]int) string {
 	return fmt.Sprintf("%s (%d)", best, bestN)
 }
 
-func runDeferral(w io.Writer, tr *cloudlens.Trace) error {
-	if err := report.Section(w, "Deferrable-workload valley scheduling (private cloud)"); err != nil {
+func runOversubSweep(w io.Writer, tr *trace.Trace) error {
+	res, err := oversub.Run(tr, oversub.Options{})
+	if err != nil {
 		return err
 	}
-	res, err := cloudlens.RunDeferral(tr, cloudlens.DeferralOptions{})
+	fmt.Fprintf(w, "%d nodes: %.0f requested cores, %.0f under the static baseline, %.0f used on average\n",
+		res.Nodes, res.BaselineCores, res.StaticCores, res.MeanUsedCores)
+	t := report.NewTable("epsilon", "reserved cores", "gain vs static", "gain vs requested", "violation rate")
+	for _, p := range res.Points {
+		t.AddRow(fmt.Sprintf("%g", p.Epsilon),
+			fmt.Sprintf("%.0f", p.ReservedCores),
+			report.Pct(p.UtilizationGain),
+			report.Pct(p.GainVsRequested),
+			fmt.Sprintf("%.4f", p.ViolationRate))
+	}
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	lo, hi := res.GainRange()
+	fmt.Fprintf(w, "utilization gain over the static baseline: %s .. %s\n", report.Pct(lo), report.Pct(hi))
+	return nil
+}
+
+func runRegionShift(w io.Writer, tr *trace.Trace) error {
+	out, err := balance.Run(tr, kb.Extract(tr, kb.ExtractOptions{}), "canada-a", "canada-b")
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "shift %s (%d VMs, %d cores), knowledge-base region-agnostic score %.2f\n",
+		out.Plan.Service, out.Plan.VMs, out.Plan.Cores, out.Plan.AgnosticScore)
+	t := report.NewTable("region", "phase", "utilization rate", "underutilized share")
+	for _, row := range []struct {
+		region, phase string
+		m             balance.RegionMetrics
+	}{
+		{out.Plan.Source, "before", out.SourceBefore},
+		{out.Plan.Source, "after", out.SourceAfter},
+		{out.Plan.Destination, "before", out.DestBefore},
+		{out.Plan.Destination, "after", out.DestAfter},
+	} {
+		t.AddRow(row.region, row.phase,
+			fmt.Sprintf("%.2f%%", 100*row.m.UtilizationRate),
+			fmt.Sprintf("%.2f%%", 100*row.m.UnderutilizedShare))
+	}
+	if err := t.Render(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "destination utilization rate %+.2f points; source health improved: %v\n",
+		100*(out.DestAfter.UtilizationRate-out.DestBefore.UtilizationRate), out.HealthImproved())
+	return nil
+}
+
+func runSpotHarvest(w io.Writer, tr *trace.Trace) error {
+	res, err := spot.Run(tr, spot.Options{})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "pool of %d physical cores: allocated utilization %s on-demand, %s with spot (%+.2f points)\n",
+		res.PhysicalCores, report.Pct(res.OnDemandUtilization), report.Pct(res.WithSpotUtilization),
+		100*(res.WithSpotUtilization-res.OnDemandUtilization))
+	fmt.Fprintf(w, "harvested %.0f core-hours across %d spot VMs (mean lifetime %.1f h, %d evictions)\n",
+		res.SpotCoreHours, res.SpotVMsServed, res.MeanSpotLifetimeHours, res.Evictions)
+	fmt.Fprintf(w, "per-hour eviction predictor (trained days 1-3, tested days 4-7): correlation %.2f, MAE %.4f\n",
+		res.Predictor.Correlation, res.Predictor.MAE)
+	return nil
+}
+
+func runDeferral(w io.Writer, tr *trace.Trace) error {
+	res, err := deferral.Run(tr, deferral.Options{})
 	if err != nil {
 		return err
 	}
@@ -311,11 +343,8 @@ func runDeferral(w io.Writer, tr *cloudlens.Trace) error {
 	return nil
 }
 
-func runMixture(w io.Writer, tr *cloudlens.Trace) error {
-	if err := report.Section(w, "Dynamic spot/on-demand mixture (deadline batch job)"); err != nil {
-		return err
-	}
-	results, err := cloudlens.RunSpotMixture(tr, cloudlens.MixtureOptions{})
+func runMixture(w io.Writer, tr *trace.Trace) error {
+	results, err := spot.RunMixture(tr, spot.MixtureOptions{})
 	if err != nil {
 		return err
 	}
@@ -332,41 +361,26 @@ func runMixture(w io.Writer, tr *cloudlens.Trace) error {
 	return t.Render(w)
 }
 
-func runProvision(w io.Writer, tr *cloudlens.Trace) error {
-	if err := report.Section(w, "Predictive pre-provisioning for hourly-peak workloads"); err != nil {
-		return err
-	}
-	res, err := cloudlens.RunPreProvisioning(tr, nil, cloudlens.ProvisionOptions{})
+func runProvision(w io.Writer, tr *trace.Trace) error {
+	res, err := provision.Run(tr, kb.Extract(tr, kb.ExtractOptions{}), provision.Options{})
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "service %s: peak demand %.0f cores, mean %.0f cores over the test window\n",
 		res.Service, res.PeakDemandCores, res.MeanDemandCores)
 	t := report.NewTable("policy", "throttled core-h", "throttled steps", "mean provisioned", "overprovisioned core-h")
-	for _, pr := range []struct {
-		policy                    string
-		throttled, throttledSteps float64
-		mean, over                float64
-	}{
-		{res.Reactive.Policy, res.Reactive.ThrottledCoreHours, res.Reactive.ThrottledSteps,
-			res.Reactive.MeanProvisionedCores, res.Reactive.OverProvisionedCoreHours},
-		{res.Predictive.Policy, res.Predictive.ThrottledCoreHours, res.Predictive.ThrottledSteps,
-			res.Predictive.MeanProvisionedCores, res.Predictive.OverProvisionedCoreHours},
-	} {
-		t.AddRow(pr.policy,
-			fmt.Sprintf("%.2f", pr.throttled),
-			report.Pct(pr.throttledSteps),
-			fmt.Sprintf("%.1f", pr.mean),
-			fmt.Sprintf("%.1f", pr.over))
+	for _, pr := range []provision.PolicyResult{res.Reactive, res.Predictive} {
+		t.AddRow(pr.Policy,
+			fmt.Sprintf("%.2f", pr.ThrottledCoreHours),
+			report.Pct(pr.ThrottledSteps),
+			fmt.Sprintf("%.1f", pr.MeanProvisionedCores),
+			fmt.Sprintf("%.1f", pr.OverProvisionedCoreHours))
 	}
 	return t.Render(w)
 }
 
-func runAllocFail(w io.Writer, tr *cloudlens.Trace) error {
-	if err := report.Section(w, "Workload-aware allocation-failure prediction (private cloud)"); err != nil {
-		return err
-	}
-	res, err := cloudlens.RunAllocFailPrediction(tr, cloudlens.AllocFailOptions{Seed: 1})
+func runAllocFail(w io.Writer, tr *trace.Trace) error {
+	res, err := allocfail.Run(tr, allocfail.Options{Seed: 1})
 	if err != nil {
 		return err
 	}
@@ -375,10 +389,10 @@ func runAllocFail(w io.Writer, tr *cloudlens.Trace) error {
 	t := report.NewTable("predictor", "accuracy", "precision", "recall", "F1")
 	for _, row := range []struct {
 		name string
-		m    struct{ Accuracy, Precision, Recall, F1 float64 }
+		m    allocfail.Metrics
 	}{
-		{"static capacity check", struct{ Accuracy, Precision, Recall, F1 float64 }(res.Baseline)},
-		{"workload-aware model", struct{ Accuracy, Precision, Recall, F1 float64 }(res.Model)},
+		{"static capacity check", res.Baseline},
+		{"workload-aware model", res.Model},
 	} {
 		t.AddRow(row.name,
 			fmt.Sprintf("%.3f", row.m.Accuracy),

@@ -32,6 +32,7 @@ func TestAblationHomogeneityDrivesNodeCorrelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := ComputeFig7a(ablated)
+	t.Logf("ablated private median VM-node correlation: %.4f", f.MedianCorrelation.Private)
 	baseline := ComputeFig7a(testTrace(t))
 	if f.MedianCorrelation.Private > 0.6*baseline.MedianCorrelation.Private {
 		t.Fatalf("private node correlation survives the ablation: %.3f (baseline %.3f)",

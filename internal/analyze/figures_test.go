@@ -335,6 +335,7 @@ func TestFig7cRegionSensitiveControl(t *testing.T) {
 
 func TestRemovalsMirrorCreations(t *testing.T) {
 	r := ComputeRemovals(testTrace(t), "")
+	t.Logf("removal CV: private %.4f, public %.4f", r.CV.Private, r.CV.Public)
 	// Private removals are burstier than public ones, mirroring
 	// creations.
 	if r.CV.Private <= r.CV.Public {

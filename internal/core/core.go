@@ -144,9 +144,6 @@ const (
 	FamilyServerless
 )
 
-// Families lists the defined workload families.
-func Families() []Family { return []Family{FamilyCPU, FamilyServerless} }
-
 // Valid reports whether f is a defined family.
 func (f Family) Valid() bool { return f == FamilyCPU || f == FamilyServerless }
 
@@ -180,18 +177,6 @@ func (f Family) String() string {
 		return "serverless"
 	default:
 		return fmt.Sprintf("Family(%d)", int(f))
-	}
-}
-
-// ParseFamily parses a family name as rendered by String.
-func ParseFamily(s string) (Family, error) {
-	switch s {
-	case "cpu", "":
-		return FamilyCPU, nil
-	case "serverless":
-		return FamilyServerless, nil
-	default:
-		return FamilyCPU, fmt.Errorf("core: unknown workload family %q (want cpu or serverless)", s)
 	}
 }
 

@@ -4,11 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"math/rand"
-	"sort"
 	"strings"
 
-	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/policy"
 	"cloudlens/internal/sim"
@@ -201,7 +198,7 @@ func policyLedgerRun(tr *trace.Trace, cfg PolicyConfig, seed uint64, shards int)
 		return nil, 0, nil, err
 	}
 
-	for _, req := range policyRequests(peng, seed, cfg.Requests) {
+	for _, req := range policy.GenerateRequests(peng.Snapshot(), peng.Policies(), seed, cfg.Requests) {
 		if _, err := peng.Decide(req); err != nil {
 			return nil, 0, nil, fmt.Errorf("decide: %w", err)
 		}
@@ -226,49 +223,4 @@ func policyLedgerRun(tr *trace.Trace, cfg PolicyConfig, seed uint64, shards int)
 		return nil, 0, nil, fmt.Errorf("serialize ledger: %w", err)
 	}
 	return buf.Bytes(), decisions, divs, nil
-}
-
-// policyRequests derives the deterministic request stream from (snapshot,
-// policies, seed) — the same construction policysim uses, kept here so
-// the oracle does not depend on command wiring.
-func policyRequests(eng *policy.Engine, seed uint64, perPolicy int) []policy.Request {
-	sn := eng.Snapshot()
-	profiles := sn.Profiles()
-	regionSet := map[string]bool{}
-	for _, p := range profiles {
-		for _, r := range p.Regions {
-			regionSet[r] = true
-		}
-	}
-	regions := make([]string, 0, len(regionSet))
-	for r := range regionSet {
-		regions = append(regions, r)
-	}
-	sort.Strings(regions)
-
-	rng := rand.New(rand.NewSource(int64(seed)))
-	var out []policy.Request
-	for _, pol := range eng.Policies() {
-		for i := 0; i < perPolicy; i++ {
-			req := policy.Request{
-				Policy: pol,
-				Cores:  1 + rng.Intn(16),
-			}
-			if len(profiles) > 0 {
-				req.Subscription = profiles[rng.Intn(len(profiles))].Subscription
-			} else {
-				req.Subscription = core.SubscriptionID("none")
-			}
-			if pol == "balance" && len(regions) > 0 {
-				a := rng.Intn(len(regions))
-				b := rng.Intn(len(regions))
-				req.Regions = []string{regions[a]}
-				if b != a {
-					req.Regions = append(req.Regions, regions[b])
-				}
-			}
-			out = append(out, req)
-		}
-	}
-	return out
 }

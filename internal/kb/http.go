@@ -288,7 +288,7 @@ func Register(mux *http.ServeMux, src SnapshotSource, opts RouteOptions) *RouteT
 					core.Private.String(): sn.Summarize(core.Private),
 					core.Public.String():  sn.Summarize(core.Public),
 				}
-				return encodeJSON(out)
+				return EncodeJSON(out)
 			}).([]byte)
 			WriteSnapshotRaw(w, r, sn, "kb.summary.json", body)
 		})
@@ -313,9 +313,10 @@ func Register(mux *http.ServeMux, src SnapshotSource, opts RouteOptions) *RouteT
 	return table
 }
 
-// encodeJSON marshals v exactly like WriteJSON's streaming encoder
-// (trailing newline included), for payloads memoized as bytes.
-func encodeJSON(v interface{}) []byte {
+// EncodeJSON marshals v exactly like WriteJSON's streaming encoder
+// (trailing newline included), for payloads memoized as bytes: a
+// pre-encoded body is byte-identical to the streamed form.
+func EncodeJSON(v interface{}) []byte {
 	data, err := json.Marshal(v)
 	if err != nil {
 		// Mirror WriteJSON: encoding errors on these payload types cannot
@@ -389,14 +390,6 @@ func (w *headerOnlyWriter) Write(b []byte) (int, error) {
 		w.status = http.StatusOK
 	}
 	return len(b), nil
-}
-
-// ParseQuery translates the filter parameters (cloud, minAgnostic,
-// pattern, minShortLived) into a store query, ignoring anything else.
-// Listing routes use the strict ParseListParams instead; this form stays
-// for callers that embed the filter grammar inside a wider query string.
-func ParseQuery(r *http.Request) (Query, error) {
-	return parseFilters(r.URL.Query())
 }
 
 func errBadParam(name string) error {

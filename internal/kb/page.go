@@ -247,7 +247,8 @@ func WriteParamError(w http.ResponseWriter, err error) {
 var listParamNames = []string{"cloud", "minAgnostic", "pattern", "minShortLived", "limit", "cursor"}
 
 // ParseListParams parses the unified profile-listing grammar — the filter
-// parameters of ParseQuery plus limit and cursor — strictly: unknown
+// parameters (cloud, minAgnostic, pattern, minShortLived) plus limit and
+// cursor — strictly: unknown
 // parameters are rejected. Both /api/v1/profiles and /api/v1/live/profiles
 // speak exactly this grammar.
 func ParseListParams(r *http.Request) (Query, Page, error) {

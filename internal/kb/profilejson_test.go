@@ -188,13 +188,13 @@ func TestWriteProfileListMatchesPaginate(t *testing.T) {
 		for _, pg := range pages {
 			var want []byte
 			if !pg.Enabled() {
-				want = encodeJSON(sn.List(q))
+				want = EncodeJSON(sn.List(q))
 			} else {
 				page, err := Paginate(sn.List(q), key, pg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want = encodeJSON(page)
+				want = EncodeJSON(page)
 			}
 			rec := httptest.NewRecorder()
 			WriteProfileList(rec, httptest.NewRequest(http.MethodGet, "/", nil), sn, sn, q, pg)

@@ -132,16 +132,6 @@ var DefLatencyBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
 }
 
-// ExpBuckets returns n buckets starting at start, each factor apart.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start
-		start *= factor
-	}
-	return out
-}
-
 // instrument is one (label-set, handle) pair inside a family.
 type instrument struct {
 	labels string // rendered {a="b",c="d"} suffix, or ""

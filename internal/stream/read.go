@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/json"
 	"strconv"
 	"sync"
 	"time"
@@ -78,9 +77,9 @@ func buildLiveSnapshot(capt LiveCapture, at time.Time) *LiveSnapshot {
 			UtilP95:         counters.UtilP95,
 		}
 	}
-	ls.summaryJSON = encodePayload(ls.summary)
-	ls.percentilesJSON = encodePayload(ls.percentiles)
-	ls.regionsJSON = encodePayload(sn.Regions())
+	ls.summaryJSON = kb.EncodeJSON(ls.summary)
+	ls.percentilesJSON = kb.EncodeJSON(ls.percentiles)
+	ls.regionsJSON = kb.EncodeJSON(sn.Regions())
 	return ls
 }
 
@@ -104,16 +103,6 @@ func appendLiveBody(dst, kbBody []byte, lp *LiveProfile) []byte {
 	dst = append(dst, `,"samples":`...)
 	dst = strconv.AppendInt(dst, lp.Samples, 10)
 	return append(dst, '}')
-}
-
-// encodePayload matches kb.WriteJSON's encoding (trailing newline), so a
-// pre-encoded body is byte-identical to the streamed form.
-func encodePayload(v interface{}) []byte {
-	data, err := json.Marshal(v)
-	if err != nil {
-		return []byte("\n")
-	}
-	return append(data, '\n')
 }
 
 // KB returns the underlying knowledge-base snapshot — the identity

@@ -78,7 +78,7 @@ type shardGroup struct {
 	// profiles is the merge's scratch: every shard's freshly built
 	// profiles, gathered for one store write.
 	profiles []*kb.Profile
-	// foldStep is the last fold's boundary (grid steps) in this process.
+	// foldStep is the last fold's boundary (grid steps).
 	foldStep int
 
 	lastStep  atomic.Int64
@@ -135,6 +135,15 @@ func startShardGroup(tr *trace.Trace, opts Options, shards []*Ingestor, foldCoun
 	}
 	g.lastStep.Store(int64(opts.StartStep) - 1)
 	g.foldCount.Store(foldCount)
+	// A restored group's last fold is the last boundary its watermark
+	// crossed, or the grid's end once Finish drained the ring past it (an
+	// unfinished run's watermark trails its newest step, at most Grid.N).
+	if foldCount > 0 && opts.FoldEverySteps > 0 {
+		g.foldStep = g.wm - g.wm%opts.FoldEverySteps
+		if g.wm > tr.Grid.N {
+			g.foldStep = tr.Grid.N
+		}
+	}
 	if n == 1 {
 		g.mergeSeconds = shards[0].met.foldSeconds
 		return g

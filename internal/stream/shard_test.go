@@ -339,3 +339,46 @@ func TestShardedProfileLookup(t *testing.T) {
 		t.Error("unknown subscription produced a profile")
 	}
 }
+
+// TestRestoredFoldStepMatchesUninterrupted holds a restored engine's
+// last-fold label to the uninterrupted engine's, at one and two shards:
+// from checkpoints written mid-hour, and from one written after the final
+// fold. Until its first fold, a resumed engine labels what it serves with
+// this step.
+func TestRestoredFoldStepMatchesUninterrupted(t *testing.T) {
+	tr := miniTrace(t)
+	restoredFoldStep := func(eng Engine, opts Options) int {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := eng.WriteCheckpoint(&buf); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		ck, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), tr)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		restored, err := RestoreEngine(tr, opts, ck)
+		if err != nil {
+			t.Fatalf("restore: %v", err)
+		}
+		defer restored.Abort()
+		return restored.CaptureLive().FoldStep
+	}
+	for _, shards := range []int{1, 2} {
+		opts := Options{Shards: shards}
+		for _, stop := range []int{5*12 + 7, 83*12 + 11} {
+			eng := engineAt(t, tr, opts, stop)
+			want := eng.CaptureLive().FoldStep
+			got := restoredFoldStep(eng, opts)
+			eng.Abort()
+			if want == 0 || got != want {
+				t.Errorf("shards=%d stop %d: restored fold step %d, uninterrupted %d", shards, stop, got, want)
+			}
+		}
+		eng := engineAt(t, tr, opts, tr.Grid.N)
+		eng.Finish()
+		if got := restoredFoldStep(eng, opts); got != tr.Grid.N {
+			t.Errorf("shards=%d finished: restored fold step %d, want %d", shards, got, tr.Grid.N)
+		}
+	}
+}
