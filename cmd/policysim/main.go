@@ -138,17 +138,21 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	// Sections finished before a failure still print.
 	w := bufio.NewWriter(stdout)
-	defer w.Flush()
 	for _, p := range selected {
-		if err := report.Section(w, p.title); err != nil {
-			return err
+		if err = report.Section(w, p.title); err == nil {
+			err = p.run(w, tr)
 		}
-		if err := p.run(w, tr); err != nil {
-			return fmt.Errorf("%s: %w", p.name, err)
+		if err != nil {
+			err = fmt.Errorf("%s: %w", p.name, err)
+			break
 		}
 	}
-	return nil
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
+	return err
 }
 
 // engineConfig parameterizes one offline engine run.
@@ -173,7 +177,9 @@ func runEngine(w io.Writer, tr *trace.Trace, cfg engineConfig) error {
 	}
 	pipe := stream.NewPipeline(tr, stream.Options{Shards: cfg.Shards})
 	pipe.Start(context.Background())
-	pipe.Wait()
+	if err := pipe.Wait(); err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
 
 	src := kb.NewStoreSource(pipe.KB(), tr.Grid.N, nil)
 	eng, err := policy.NewEngine(src, pols, policy.Options{
