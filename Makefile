@@ -1,9 +1,11 @@
 # Development targets for the cloudlens reproduction.
 #
 #   make test        — tier-1: build + unit tests (what CI gates on)
-#   make verify      — bench-check, then vet + full test suite under the race
-#                      detector at 1, 2 and 4 cores; required before merging
-#                      changes to the parallel pipeline
+#   make verify      — bench-check and examples, then vet + full test suite
+#                      under the race detector at 1, 2 and 4 cores; required
+#                      before merging changes to the parallel pipeline
+#   make examples    — runs every program under examples/ (~15 s); fails when
+#                      one exits non-zero (their output is not checked)
 #   make bench-check — cloudbench's own unit tests plus a smoke run of its
 #                      four workloads (~10 s), whose correctness checks
 #                      (resumed-kb-equals-checkpointed, fault-ledgers-reconcile,
@@ -58,7 +60,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench-check stress test-batch test-faults test-policy test-workloads bench-stream-gate diffcheck fuzz-smoke lint ab
+.PHONY: all build test verify bench-check examples stress test-batch test-faults test-policy test-workloads bench-stream-gate diffcheck fuzz-smoke lint ab
 
 all: build
 
@@ -68,7 +70,7 @@ build:
 test: build
 	$(GO) test ./...
 
-verify: bench-check
+verify: bench-check examples
 	$(GO) vet ./...
 	$(GO) test -race -count=1 -cpu 1,2,4 -timeout 30m ./...
 
@@ -76,6 +78,14 @@ verify: bench-check
 bench-check:
 	$(GO) test -C bench -count=1 ./...
 	bash bench/run.sh -smoke
+
+# The examples are the root package's main callers; each must run to a
+# zero exit. Their stdout is discarded, their stderr shown.
+examples: build
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || { echo "examples: FAIL $$d" >&2; exit 1; }; \
+	done
 
 # -short drops the full-week goldens and the 36-replay codec matrix: stress
 # is about schedules, which the hand-built traces exercise as well.

@@ -26,20 +26,23 @@
 //	ch.WriteReport(os.Stdout)
 //
 // Everything is deterministic in the seed; no network or wall-clock access.
+//
+// This package is the library surface that the examples, the benchmark and
+// external callers use: aliases of the core types, the generators, the
+// knowledge base and the pilot runners, plus the characterization it
+// defines itself (characterize.go, export.go). The streaming, fault and
+// policy machinery has one name, in its internal package; the commands
+// under cmd/ import those packages directly.
 package cloudlens
 
 import (
 	"net/http"
-	"time"
 
 	"cloudlens/internal/balance"
 	"cloudlens/internal/core"
-	"cloudlens/internal/faultgen"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/oversub"
-	"cloudlens/internal/policy"
 	"cloudlens/internal/spot"
-	"cloudlens/internal/stream"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
 )
@@ -63,102 +66,9 @@ type (
 	KnowledgeBase = kb.Store
 	// Profile is one subscription's extracted workload knowledge.
 	Profile = kb.Profile
-)
-
-// Streaming ingestion types: the incremental counterpart of the batch
-// pipeline, continuously folding replayed telemetry into knowledge-base
-// state (see DESIGN.md, "Streaming ingestion").
-type (
-	// StreamOptions tunes the replay/ingestion pipeline (speedup, channel
-	// depth, fold cadence).
-	StreamOptions = stream.Options
-	// StreamPipeline replays a trace in simulated time and keeps a live
-	// knowledge base current while samples arrive.
-	StreamPipeline = stream.Pipeline
-	// StreamStatus is a point-in-time view of replay progress.
-	StreamStatus = stream.Status
-	// LiveSummary is the incremental per-cloud characterization snapshot.
-	LiveSummary = stream.Summary
-	// LiveProfile is a knowledge-base profile augmented with streaming
-	// sketch estimates (utilization quantiles, sample counters).
-	LiveProfile = stream.LiveProfile
-	// StreamFaultStats is the ingestor's ledger of input imperfections:
-	// reordered, deduplicated, quarantined, and repaired samples.
-	StreamFaultStats = stream.FaultStats
-	// StreamShardVital is one ingestion shard's progress and fault ledger
-	// on a sharded pipeline (StreamOptions.Shards > 1).
-	StreamShardVital = stream.ShardVital
-	// StreamIngestVital is one ingestion shard's columnar hot-path vitals:
-	// folded column batches, fill ratio, reorder-ring occupancy, and the
-	// column free-list ledger.
-	StreamIngestVital = stream.IngestVital
-	// GapPolicy selects how per-VM sample gaps are repaired (carry, skip,
-	// interpolate).
-	GapPolicy = stream.GapPolicy
-	// StreamReadSource serves immutable LiveSnapshots of a live engine,
-	// rebuilt after each fold — the source behind the whole live read
-	// surface (Bind the pipeline's engine before serving).
-	StreamReadSource = stream.ReadSource
-	// LivePercentiles is the per-pattern utilization-band report served by
-	// GET /api/v1/live/percentiles.
-	LivePercentiles = stream.PercentilesReport
-	// RegionRollup is one region's aggregate served by
-	// GET /api/v1/live/regions.
-	RegionRollup = kb.RegionRollup
-	// Checkpoint is a restartable snapshot of streaming-ingestion state.
-	Checkpoint = stream.Checkpoint
-	// CheckpointInfo describes the most recent durable checkpoint.
-	CheckpointInfo = stream.CheckpointInfo
-	// FaultSpec describes a seeded telemetry fault mix for injection.
-	FaultSpec = faultgen.Spec
-	// FaultInjector perturbs a replay according to a FaultSpec and keeps
-	// an exact ledger of what it did.
-	FaultInjector = faultgen.Injector
-	// FaultLedger is the injector's exact account of injected faults.
-	FaultLedger = faultgen.Ledger
-)
-
-// Online policy engine types: pluggable policies deciding live
-// placement/admission requests against immutable KB snapshots, with an
-// append-only decision ledger and counterfactual replay (see DESIGN.md,
-// "Online policy engine").
-type (
-	// PolicyEngine evaluates requests and appends every decision to its
-	// ledger.
-	PolicyEngine = policy.Engine
-	// PolicyEngineOptions tunes trace level, counterfactual depth, and
-	// the optional latency clock.
-	PolicyEngineOptions = policy.Options
-	// PolicyRequest is one placement/admission ask.
-	PolicyRequest = policy.Request
-	// PolicyDecision is one append-only ledger entry.
-	PolicyDecision = policy.Decision
-	// PolicyCounterfactual is the regret report replaying one entry.
-	PolicyCounterfactual = policy.Counterfactual
-	// PolicyCounterfactualAlt is one re-scored rejected alternative.
-	PolicyCounterfactualAlt = policy.CounterfactualAlt
-	// PolicySnapshotSource hands the engine its evaluation snapshots.
-	PolicySnapshotSource = kb.SnapshotSource
 	// SubscriptionID identifies one subscription across the system.
 	SubscriptionID = core.SubscriptionID
 )
-
-// ParsePolicySpec builds policies from the -policies grammar, e.g.
-// "oversub:risk=4,spot,balance".
-func ParsePolicySpec(spec string) ([]policy.Policy, error) {
-	return policy.ParseSpec(spec)
-}
-
-// NewPolicyEngine builds a decision engine over a snapshot source.
-func NewPolicyEngine(src PolicySnapshotSource, policies []policy.Policy, opts PolicyEngineOptions) (*PolicyEngine, error) {
-	return policy.NewEngine(src, policies, opts)
-}
-
-// NewStreamReadSource returns an unbound read source for
-// live pipelines; clock stamps each snapshot's publish time (may be nil).
-func NewStreamReadSource(clock func() time.Time) *StreamReadSource {
-	return stream.NewReadSource(clock)
-}
 
 // Policy experiment types.
 type (
@@ -213,12 +123,6 @@ func GenerateServerless(cfg ServerlessConfig) (*Trace, error) {
 	return workload.GenerateServerless(cfg)
 }
 
-// ParseServerlessSpec parses the -serverless flag grammar ("" selects the
-// defaults), e.g. "apps=24,fns=8,zipf=1.1,cold=0.35,step=30s,days=2,seed=7".
-func ParseServerlessSpec(spec string) (ServerlessConfig, error) {
-	return workload.ParseServerlessSpec(spec)
-}
-
 // LoadTrace reads a trace saved with (*Trace).SaveFile.
 func LoadTrace(path string) (*Trace, error) {
 	return trace.LoadFile(path)
@@ -233,37 +137,6 @@ func ExtractKnowledgeBase(t *Trace) *KnowledgeBase {
 // package kb for the route table.
 func KnowledgeBaseHandler(store *KnowledgeBase) http.Handler {
 	return kb.NewHandler(store)
-}
-
-// NewStreamPipeline builds a stopped streaming pipeline over the trace.
-// Start it with a context, then read Status/Summary/Profiles while it runs;
-// its KB() converges to ExtractKnowledgeBase's output once the replay ends.
-func NewStreamPipeline(t *Trace, opts StreamOptions) *StreamPipeline {
-	return stream.NewPipeline(t, opts)
-}
-
-// ParseGapPolicy parses a gap-policy name: carry | skip | interpolate.
-func ParseGapPolicy(s string) (GapPolicy, error) {
-	return stream.ParseGapPolicy(s)
-}
-
-// ParseFaultSpec parses the fault-injection grammar, e.g.
-// "drop=0.01,dup=0.005,delay=0.002:3,corrupt=0.001,seed=1"; "" and "off"
-// disable injection.
-func ParseFaultSpec(s string) (FaultSpec, error) {
-	return faultgen.ParseSpec(s)
-}
-
-// LoadStreamCheckpoint reads a checkpoint written by
-// (*StreamPipeline).SaveCheckpoint and validates it against the trace.
-func LoadStreamCheckpoint(path string, t *Trace) (*Checkpoint, error) {
-	return stream.LoadCheckpointFile(path, t)
-}
-
-// ResumeStreamPipeline builds a stopped pipeline that continues ingestion
-// from the checkpoint instead of step 0.
-func ResumeStreamPipeline(t *Trace, opts StreamOptions, ck *Checkpoint) (*StreamPipeline, error) {
-	return stream.NewResumedPipeline(t, opts, ck)
 }
 
 // RunOversubscription executes the chance-constrained over-subscription

@@ -17,70 +17,67 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
-	"cloudlens"
 	"cloudlens/internal/trace"
+	"cloudlens/internal/workload"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "cloudgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cloudgen", flag.ContinueOnError)
 	var (
-		seed       = flag.Uint64("seed", 42, "generation seed (deterministic)")
-		scale      = flag.Float64("scale", 1.0, "universe scale multiplier")
-		family     = flag.String("family", "cpu", "workload family: cpu | serverless")
-		serverless = flag.String("serverless", "", "serverless-family overrides, key=value grammar (implies -family serverless); see cloudlens.ParseServerlessSpec")
-		out        = flag.String("out", "trace-bundle", "output directory")
-		utilSample = flag.Int("util-sample", 0, "also export the per-step utilization series of the first N VMs (0 = skip)")
+		seed       = fs.Uint64("seed", 42, "generation seed (deterministic)")
+		scale      = fs.Float64("scale", 1.0, "universe scale multiplier")
+		family     = fs.String("family", "cpu", "workload family: cpu | serverless")
+		serverless = fs.String("serverless", "", "serverless-family overrides as key=value pairs, e.g. apps=24,fns=8,step=30s,days=2; keys apps, fns, zipf, cold, churn, step, days, steps, scale, seed (seed and scale win over -seed and -scale); implies -family serverless")
+		out        = fs.String("out", "trace-bundle", "output directory")
+		utilSample = fs.Int("util-sample", 0, "also export the per-step utilization series of the first N VMs (0 = skip)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var tr *trace.Trace
 	var err error
 	effSeed, effScale := *seed, *scale
 	switch {
 	case *serverless != "" || *family == "serverless":
-		var cfg cloudlens.ServerlessConfig
-		cfg, err = cloudlens.ParseServerlessSpec(*serverless)
+		var cfg workload.ServerlessConfig
+		cfg, err = workload.ParseServerlessSpec(*serverless, *seed, *scale)
 		if err != nil {
 			return err
 		}
-		// The -seed and -scale flags are the base; spec keys override.
-		if !specHas(*serverless, "seed") {
-			cfg.Seed = *seed
-		}
-		if !specHas(*serverless, "scale") {
-			cfg.Scale = *scale
-		}
 		effSeed, effScale = cfg.Seed, cfg.Scale
-		tr, err = cloudlens.GenerateServerless(cfg)
+		tr, err = workload.GenerateServerless(cfg)
 	case *family == "cpu":
-		cfg := cloudlens.DefaultConfig(*seed)
+		cfg := workload.DefaultConfig(*seed)
 		cfg.Scale = *scale
-		tr, err = cloudlens.Generate(cfg)
+		tr, err = workload.Generate(cfg)
 	default:
 		return fmt.Errorf("unknown -family %q (want cpu or serverless)", *family)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("generated %d %s-family VMs (seed=%d scale=%.2f, %d allocation failures)\n",
+	fmt.Fprintf(stdout, "generated %d %s-family VMs (seed=%d scale=%.2f, %d allocation failures)\n",
 		len(tr.VMs), tr.Family, effSeed, effScale, tr.Meta.AllocationFailures)
 
 	if err := tr.ExportDir(*out); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %s and %s\n",
+	fmt.Fprintf(stdout, "wrote %s and %s\n",
 		filepath.Join(*out, "trace.json.gz"), filepath.Join(*out, "inventory.csv"))
 
 	if *utilSample > 0 {
@@ -89,23 +86,14 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := tr.WriteUtilizationCSV(f, *utilSample); err != nil {
+		err = tr.WriteUtilizationCSV(f, *utilSample)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d VMs)\n", path, *utilSample)
+		fmt.Fprintf(stdout, "wrote %s (%d VMs)\n", path, *utilSample)
 	}
 	return nil
-}
-
-// specHas reports whether the serverless spec already sets the given key,
-// so the -seed/-scale flags do not stomp an explicit spec value.
-func specHas(spec, key string) bool {
-	for _, field := range strings.Split(spec, ",") {
-		k, _, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if ok && k == key {
-			return true
-		}
-	}
-	return false
 }

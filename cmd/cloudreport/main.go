@@ -11,57 +11,64 @@ package main
 
 import (
 	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cloudlens"
+	"cloudlens/internal/trace"
+	"cloudlens/internal/workload"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		fmt.Fprintln(os.Stderr, "cloudreport:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("cloudreport", flag.ContinueOnError)
 	var (
-		seed      = flag.Uint64("seed", 42, "generation seed (ignored with -trace)")
-		scale     = flag.Float64("scale", 1.0, "universe scale (ignored with -trace)")
-		tracePath = flag.String("trace", "", "load a saved trace instead of generating")
-		csvDir    = flag.String("csv", "", "also export every figure's data as CSV into this directory")
+		seed      = fs.Uint64("seed", 42, "generation seed (ignored with -trace)")
+		scale     = fs.Float64("scale", 1.0, "universe scale (ignored with -trace)")
+		tracePath = fs.String("trace", "", "load a saved trace instead of generating")
+		csvDir    = fs.String("csv", "", "also export every figure's data as CSV into this directory")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	var (
-		tr  *cloudlens.Trace
+		tr  *trace.Trace
 		err error
 	)
 	if *tracePath != "" {
-		tr, err = cloudlens.LoadTrace(*tracePath)
+		tr, err = trace.LoadFile(*tracePath)
 	} else {
-		cfg := cloudlens.DefaultConfig(*seed)
+		cfg := workload.DefaultConfig(*seed)
 		cfg.Scale = *scale
-		tr, err = cloudlens.Generate(cfg)
+		tr, err = workload.Generate(cfg)
 	}
 	if err != nil {
 		return err
 	}
 
-	w := bufio.NewWriter(os.Stdout)
-	defer w.Flush()
+	// What was written before a failure still prints.
+	w := bufio.NewWriter(stdout)
 	fmt.Fprintf(w, "cloudlens characterization report — %d VMs, seed %d\n",
 		len(tr.VMs), tr.Meta.Seed)
 	ch := cloudlens.Characterize(tr)
-	if err := ch.WriteReport(w); err != nil {
-		return err
-	}
-	if *csvDir != "" {
-		if err := ch.ExportCSV(*csvDir); err != nil {
-			return err
+	err = ch.WriteReport(w)
+	if err == nil && *csvDir != "" {
+		if err = ch.ExportCSV(*csvDir); err == nil {
+			fmt.Fprintf(w, "\nfigure data exported to %s\n", *csvDir)
 		}
-		fmt.Fprintf(w, "\nfigure data exported to %s\n", *csvDir)
 	}
-	return nil
+	if ferr := w.Flush(); err == nil {
+		err = ferr
+	}
+	return err
 }

@@ -349,11 +349,24 @@ func runDeferral(w io.Writer, tr *trace.Trace) error {
 	return nil
 }
 
+// mixtureJob is examples/spotmixture's constrained-pool job: one region,
+// a 2 % slice of the spot pool, started Monday 06:00 just before the
+// morning on-demand ramp. Over the whole pool all three policies finish at
+// the same cost, so the row would show nothing.
+var mixtureJob = spot.MixtureOptions{
+	Region:       "us-east",
+	MaxVMs:       24,
+	StartStep:    6 * 12,
+	PoolFraction: 0.02,
+}
+
 func runMixture(w io.Writer, tr *trace.Trace) error {
-	results, err := spot.RunMixture(tr, spot.MixtureOptions{})
+	results, err := spot.RunMixture(tr, mixtureJob)
 	if err != nil {
 		return err
 	}
+	fmt.Fprintf(w, "constrained-pool job in %s: at most %d VMs from step %d, %.0f%% of the spot pool\n",
+		mixtureJob.Region, mixtureJob.MaxVMs, mixtureJob.StartStep, 100*mixtureJob.PoolFraction)
 	t := report.NewTable("policy", "completed", "finish (h)", "cost (od VM-h)", "spot VM-h", "on-demand VM-h", "evictions")
 	for _, r := range results {
 		t.AddRow(r.Policy.String(),

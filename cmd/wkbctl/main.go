@@ -58,9 +58,11 @@ import (
 	"strings"
 	"time"
 
-	"cloudlens"
+	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
+	"cloudlens/internal/policy"
 	"cloudlens/internal/report"
+	"cloudlens/internal/stream"
 )
 
 func main() {
@@ -224,7 +226,7 @@ func getJSONCond(client *http.Client, rawURL, etag string, out interface{}) (new
 
 // showPercentiles prints the live per-pattern utilization bands.
 func showPercentiles(client *http.Client, server string, w io.Writer) error {
-	var rep cloudlens.LivePercentiles
+	var rep stream.PercentilesReport
 	if err := getJSON(client, server+"/api/v1/live/percentiles", &rep); err != nil {
 		return err
 	}
@@ -247,7 +249,7 @@ func showPercentiles(client *http.Client, server string, w io.Writer) error {
 
 // showRegions prints the live per-region rollups.
 func showRegions(client *http.Client, server string, w io.Writer) error {
-	var rolls []cloudlens.RegionRollup
+	var rolls []kb.RegionRollup
 	if err := getJSON(client, server+"/api/v1/live/regions", &rolls); err != nil {
 		return err
 	}
@@ -272,7 +274,7 @@ func showRegions(client *http.Client, server string, w io.Writer) error {
 
 // ingestReport mirrors the /api/v1/live/ingest payload.
 type ingestReport struct {
-	Shards []cloudlens.StreamIngestVital `json:"shards"`
+	Shards []stream.IngestVital `json:"shards"`
 }
 
 // showIngest prints the columnar hot-path vitals, one row per ingestion
@@ -394,7 +396,7 @@ func showProfiles(client *http.Client, server, cloud string, minAgnostic float64
 	if minShortLived > 0 {
 		q.Set("minShortLived", strconv.FormatFloat(minShortLived, 'f', -1, 64))
 	}
-	var profiles []cloudlens.Profile
+	var profiles []kb.Profile
 	rawURL := server + "/api/v1/profiles"
 	if enc := q.Encode(); enc != "" {
 		rawURL += "?" + enc
@@ -449,15 +451,15 @@ func postJSON(client *http.Client, rawURL string, body, out interface{}) error {
 // decide posts one placement/admission request and prints the resulting
 // ledger entry.
 func decide(client *http.Client, server, pol, sub string, cores int, regions string, w io.Writer) error {
-	req := cloudlens.PolicyRequest{
+	req := policy.Request{
 		Policy:       pol,
-		Subscription: cloudlens.SubscriptionID(sub),
+		Subscription: core.SubscriptionID(sub),
 		Cores:        cores,
 	}
 	if regions != "" {
 		req.Regions = strings.Split(regions, ",")
 	}
-	var d cloudlens.PolicyDecision
+	var d policy.Decision
 	if err := postJSON(client, server+"/api/v1/policy/decide", req, &d); err != nil {
 		return err
 	}
@@ -471,9 +473,9 @@ func decide(client *http.Client, server, pol, sub string, cores int, regions str
 
 // decisionPage mirrors the kb.ListPage envelope with typed items.
 type decisionPage struct {
-	Items      []cloudlens.PolicyDecision `json:"items"`
-	NextCursor string                     `json:"next_cursor"`
-	Total      int                        `json:"total"`
+	Items      []policy.Decision `json:"items"`
+	NextCursor string            `json:"next_cursor"`
+	Total      int               `json:"total"`
 }
 
 // showDecisions lists the ledger; with -limit or -cursor it walks the
@@ -494,7 +496,7 @@ func showDecisions(client *http.Client, server, pol string, limit int, cursor st
 		rawURL += "?" + enc
 	}
 	var (
-		items      []cloudlens.PolicyDecision
+		items      []policy.Decision
 		nextCursor string
 		total      int
 	)
@@ -532,7 +534,7 @@ func showDecisions(client *http.Client, server, pol string, limit int, cursor st
 
 // showCounterfactual prints the regret replay for one ledger entry.
 func showCounterfactual(client *http.Client, server, id string, w io.Writer) error {
-	var cf cloudlens.PolicyCounterfactual
+	var cf policy.Counterfactual
 	if err := getJSON(client, server+"/api/v1/policy/decisions/"+url.PathEscape(id)+"/counterfactual", &cf); err != nil {
 		return err
 	}
@@ -557,7 +559,7 @@ func showCounterfactual(client *http.Client, server, id string, w io.Writer) err
 }
 
 func showProfile(client *http.Client, server, id string) error {
-	var p cloudlens.Profile
+	var p kb.Profile
 	if err := getJSON(client, server+"/api/v1/profiles/"+url.PathEscape(id), &p); err != nil {
 		return err
 	}

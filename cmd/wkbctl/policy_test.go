@@ -8,8 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"cloudlens"
 	"cloudlens/internal/kb"
+	"cloudlens/internal/policy"
 )
 
 func TestDecidePostsAndPrints(t *testing.T) {
@@ -20,7 +20,7 @@ func TestDecidePostsAndPrints(t *testing.T) {
 		}
 		gotBody = make([]byte, r.ContentLength)
 		r.Body.Read(gotBody)
-		json.NewEncoder(w).Encode(cloudlens.PolicyDecision{
+		json.NewEncoder(w).Encode(policy.Decision{
 			ID: 7, Policy: "oversub", Action: "admit:eps=0.01", Score: 1.5,
 			Accepted: true, SnapshotStep: 2016, SnapshotFingerprint: "fnv1a:abc",
 		})
@@ -31,7 +31,7 @@ func TestDecidePostsAndPrints(t *testing.T) {
 	if err := decide(srv.Client(), srv.URL, "oversub", "sub-a", 4, "r1,r2", &out); err != nil {
 		t.Fatal(err)
 	}
-	var req cloudlens.PolicyRequest
+	var req policy.Request
 	if err := json.Unmarshal(gotBody, &req); err != nil {
 		t.Fatalf("posted body: %v (%s)", err, gotBody)
 	}
@@ -62,22 +62,22 @@ func TestDecideSurfacesEnvelopeError(t *testing.T) {
 }
 
 func TestShowDecisionsBareAndPaged(t *testing.T) {
-	mk := func(id uint64) cloudlens.PolicyDecision {
-		return cloudlens.PolicyDecision{
+	mk := func(id uint64) policy.Decision {
+		return policy.Decision{
 			ID: id, Policy: "spot", Action: "admit-spot", Score: 0.4, Accepted: true,
-			Request: cloudlens.PolicyRequest{Subscription: "sub-b"}, SnapshotStep: 12,
+			Request: policy.Request{Subscription: "sub-b"}, SnapshotStep: 12,
 		}
 	}
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("limit") != "" {
 			json.NewEncoder(w).Encode(decisionPage{
-				Items:      []cloudlens.PolicyDecision{mk(1), mk(2)},
+				Items:      []policy.Decision{mk(1), mk(2)},
 				NextCursor: "tok123",
 				Total:      5,
 			})
 			return
 		}
-		json.NewEncoder(w).Encode([]cloudlens.PolicyDecision{mk(1), mk(2), mk(3)})
+		json.NewEncoder(w).Encode([]policy.Decision{mk(1), mk(2), mk(3)})
 	}))
 	defer srv.Close()
 
@@ -107,13 +107,13 @@ func TestShowCounterfactualRendersRegret(t *testing.T) {
 		if r.URL.Path != "/api/v1/policy/decisions/3/counterfactual" {
 			t.Errorf("unexpected path %s", r.URL.Path)
 		}
-		json.NewEncoder(w).Encode(cloudlens.PolicyCounterfactual{
+		json.NewEncoder(w).Encode(policy.Counterfactual{
 			ID: 3, Policy: "oversub", Action: "admit:eps=0.01",
 			OriginalScore: 1.5, ReplayScore: 1.5, Reproduced: true,
 			SnapshotStep: 100, SnapshotFingerprint: "fnv1a:old",
 			CurrentStep: 200, CurrentFingerprint: "fnv1a:new",
 			ChosenCurrentScore: 1.4,
-			Alternatives: []cloudlens.PolicyCounterfactualAlt{
+			Alternatives: []policy.CounterfactualAlt{
 				{Action: "admit:eps=0.05", ReplayScore: 1.2, CurrentScore: 1.6, CurrentKnown: true, Regret: 0.2},
 				{Action: "reject", ReplayScore: 0, CurrentKnown: false},
 			},

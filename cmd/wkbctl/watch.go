@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"time"
 
-	"cloudlens"
 	"cloudlens/internal/report"
+	"cloudlens/internal/stream"
 )
 
 // watch polls a live replay's status and summary endpoints, printing one
@@ -22,10 +22,10 @@ import (
 func watch(client *http.Client, server string, interval time.Duration, count int, w io.Writer) error {
 	var (
 		etag string
-		sum  cloudlens.LiveSummary
+		sum  stream.Summary
 	)
 	for polls := 0; ; {
-		var st cloudlens.StreamStatus
+		var st stream.Status
 		if err := getJSON(client, server+"/api/v1/live/status", &st); err != nil {
 			return err
 		}

@@ -2,25 +2,9 @@
 // in the paper's Section V) as an HTTP service: it extracts per-
 // subscription workload knowledge from a trace and serves it as JSON.
 //
-// Routes (all GET; errors use the {"error":{"code","message"}} envelope):
-//
-//	GET /healthz                         readiness: ok | ingesting
-//	GET /metrics                         Prometheus text exposition
-//	GET /api/v1/version                  build info
-//	GET /api/v1/summary
-//	GET /api/v1/profiles?cloud=private&minAgnostic=0.8&pattern=diurnal
-//	GET /api/v1/profiles/{subscription-id}
-//	GET /api/v1/                         machine-readable route index
-//	GET /api/v1/live/status              (with -replay)
-//	GET /api/v1/live/summary             (with -replay)
-//	GET /api/v1/live/percentiles         (with -replay)
-//	GET /api/v1/live/regions             (with -replay)
-//	GET /api/v1/live/profiles[?filters]  (with -replay)
-//	GET /api/v1/live/profiles/{id}       (with -replay)
-//	GET /api/v1/live/faults              (with -replay)
-//	POST /api/v1/policy/decide           (with -policies)
-//	GET /api/v1/policy/decisions         (with -policies; cursor-paginated)
-//	GET /api/v1/policy/decisions/{id}/counterfactual (with -policies)
+// The routes are listed once, on newHandler in server.go, and served
+// machine-readable at GET /api/v1/ (wkbctl routes renders that index).
+// Errors use the {"error":{"code","message"}} envelope.
 //
 // By default the server generates (or loads, with -trace) a CPU-family
 // trace; -family serverless generates the serverless invocation family
@@ -87,13 +71,16 @@ import (
 	"os/signal"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"cloudlens"
+	"cloudlens/internal/faultgen"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/obs"
+	"cloudlens/internal/policy"
+	"cloudlens/internal/stream"
+	"cloudlens/internal/trace"
+	"cloudlens/internal/workload"
 )
 
 // shutdownTimeout is the drain window for in-flight requests after a
@@ -160,28 +147,21 @@ func run() error {
 		return err
 	}
 
-	var tr *cloudlens.Trace
+	var tr *trace.Trace
 	switch {
 	case *tracePath != "":
-		tr, err = cloudlens.LoadTrace(*tracePath)
+		tr, err = trace.LoadFile(*tracePath)
 	case *serverless != "" || *family == "serverless":
-		var cfg cloudlens.ServerlessConfig
-		cfg, err = cloudlens.ParseServerlessSpec(*serverless)
+		var cfg workload.ServerlessConfig
+		cfg, err = workload.ParseServerlessSpec(*serverless, *seed, *scale)
 		if err != nil {
 			return err
 		}
-		// The -seed and -scale flags are the base; spec keys override.
-		if !specHas(*serverless, "seed") {
-			cfg.Seed = *seed
-		}
-		if !specHas(*serverless, "scale") {
-			cfg.Scale = *scale
-		}
-		tr, err = cloudlens.GenerateServerless(cfg)
+		tr, err = workload.GenerateServerless(cfg)
 	case *family == "cpu":
-		cfg := cloudlens.DefaultConfig(*seed)
+		cfg := workload.DefaultConfig(*seed)
 		cfg.Scale = *scale
-		tr, err = cloudlens.Generate(cfg)
+		tr, err = workload.Generate(cfg)
 	default:
 		return fmt.Errorf("unknown -family %q (want cpu or serverless)", *family)
 	}
@@ -205,7 +185,7 @@ func run() error {
 		return fmt.Errorf("-resume requires -checkpoint-dir")
 	}
 
-	pols, err := cloudlens.ParsePolicySpec(*policies)
+	pols, err := policy.ParseSpec(*policies)
 	if err != nil {
 		return fmt.Errorf("-policies: %w", err)
 	}
@@ -217,28 +197,28 @@ func run() error {
 	}
 
 	var (
-		store   *cloudlens.KnowledgeBase
-		pipe    *cloudlens.StreamPipeline
-		inj     *cloudlens.FaultInjector
-		peng    *cloudlens.PolicyEngine
-		readSrc *cloudlens.StreamReadSource
+		store   *kb.Store
+		pipe    *stream.Pipeline
+		inj     *faultgen.Injector
+		peng    *policy.Engine
+		readSrc *stream.ReadSource
 		// src backs every snapshot-served GET and, with -policies, the
 		// policy engine: readSrc on a replay, one StoreSource in batch mode.
 		src kb.SnapshotSource
 	)
 	if *replay {
-		gp, err := cloudlens.ParseGapPolicy(*gapPolicy)
+		gp, err := stream.ParseGapPolicy(*gapPolicy)
 		if err != nil {
 			return err
 		}
-		spec, err := cloudlens.ParseFaultSpec(*faults)
+		spec, err := faultgen.ParseSpec(*faults)
 		if err != nil {
 			return err
 		}
 		if *shards < 1 {
 			return fmt.Errorf("-shards must be at least 1 (got %d)", *shards)
 		}
-		opts := cloudlens.StreamOptions{
+		opts := stream.Options{
 			Speedup:          *speedup,
 			MaxLatenessSteps: *lateness,
 			GapPolicy:        gp,
@@ -250,7 +230,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		readSrc = cloudlens.NewStreamReadSource(time.Now)
+		readSrc = stream.NewReadSource(time.Now)
 		readSrc.Bind(pipe.Engine())
 		src = readSrc
 		obs.Default.GaugeFunc("cloudlens_read_snapshot_age_seconds",
@@ -273,7 +253,7 @@ func run() error {
 		}
 	} else {
 		logger.Info("extracting workload knowledge", "family", tr.Family.String(), "vms", len(tr.VMs))
-		store = cloudlens.ExtractKnowledgeBase(tr)
+		store = kb.Extract(tr, kb.ExtractOptions{})
 		logger.Info("knowledge base ready", "profiles", store.Len())
 		src = kb.NewStoreSource(store, tr.Grid.N, time.Now)
 		if *save != "" {
@@ -285,7 +265,7 @@ func run() error {
 	}
 
 	if len(pols) > 0 {
-		peng, err = cloudlens.NewPolicyEngine(src, pols, cloudlens.PolicyEngineOptions{
+		peng, err = policy.NewEngine(src, pols, policy.Options{
 			TraceLevel:      *traceLevel,
 			CounterfactualK: *cfK,
 			Clock:           time.Now,
@@ -361,18 +341,6 @@ func run() error {
 	return shutdownErr
 }
 
-// specHas reports whether the serverless spec already sets the given key,
-// so the -seed/-scale flags do not stomp an explicit spec value.
-func specHas(spec, key string) bool {
-	for _, field := range strings.Split(spec, ",") {
-		k, _, ok := strings.Cut(strings.TrimSpace(field), "=")
-		if ok && k == key {
-			return true
-		}
-	}
-	return false
-}
-
 // checkpointFile is the checkpoint's name inside -checkpoint-dir. Writes
 // go through a temp file + rename, so the path always holds a complete
 // snapshot.
@@ -390,16 +358,16 @@ func checkpointPath(dir string) string {
 // not an error — the first boot of a supervised server has nothing to
 // resume — but a checkpoint that exists and fails to load is: silently
 // restarting from step 0 would discard state the operator asked to keep.
-func startPipeline(tr *cloudlens.Trace, opts cloudlens.StreamOptions, ckptPath string, resume bool, logger *slog.Logger) (*cloudlens.StreamPipeline, error) {
+func startPipeline(tr *trace.Trace, opts stream.Options, ckptPath string, resume bool, logger *slog.Logger) (*stream.Pipeline, error) {
 	if resume && ckptPath != "" {
-		ck, err := cloudlens.LoadStreamCheckpoint(ckptPath, tr)
+		ck, err := stream.LoadCheckpointFile(ckptPath, tr)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			logger.Info("no checkpoint found; starting from step 0", "path", ckptPath)
 		case err != nil:
 			return nil, fmt.Errorf("resume: %w", err)
 		default:
-			pipe, err := cloudlens.ResumeStreamPipeline(tr, opts, ck)
+			pipe, err := stream.NewResumedPipeline(tr, opts, ck)
 			if err != nil {
 				return nil, fmt.Errorf("resume: %w", err)
 			}
@@ -410,7 +378,7 @@ func startPipeline(tr *cloudlens.Trace, opts cloudlens.StreamOptions, ckptPath s
 	if err := ensureCheckpointDir(ckptPath); err != nil {
 		return nil, err
 	}
-	return cloudlens.NewStreamPipeline(tr, opts), nil
+	return stream.NewPipeline(tr, opts), nil
 }
 
 func ensureCheckpointDir(ckptPath string) error {
@@ -423,7 +391,7 @@ func ensureCheckpointDir(ckptPath string) error {
 // checkpointLoop writes a durable checkpoint every interval while the
 // replay is still ingesting. The final SIGTERM checkpoint is written by
 // the shutdown path, after the pipeline has stopped.
-func checkpointLoop(ctx context.Context, pipe *cloudlens.StreamPipeline, path string, every time.Duration, logger *slog.Logger) {
+func checkpointLoop(ctx context.Context, pipe *stream.Pipeline, path string, every time.Duration, logger *slog.Logger) {
 	if every <= 0 {
 		return
 	}
@@ -445,7 +413,7 @@ func checkpointLoop(ctx context.Context, pipe *cloudlens.StreamPipeline, path st
 // saveCheckpoint writes one checkpoint and logs the step it holds, its
 // size, and how long the write took — at level on success, as an error
 // otherwise. what names the snapshot in the message.
-func saveCheckpoint(pipe *cloudlens.StreamPipeline, path string, logger *slog.Logger, level slog.Level, what string) {
+func saveCheckpoint(pipe *stream.Pipeline, path string, logger *slog.Logger, level slog.Level, what string) {
 	start := time.Now()
 	info, err := pipe.SaveCheckpoint(path)
 	if err != nil {

@@ -17,21 +17,25 @@ import (
 	"testing"
 	"time"
 
-	"cloudlens"
 	"cloudlens/internal/core"
+	"cloudlens/internal/faultgen"
 	"cloudlens/internal/kb"
+	"cloudlens/internal/policy"
 	"cloudlens/internal/sim"
+	"cloudlens/internal/stream"
+	"cloudlens/internal/trace"
 	"cloudlens/internal/usage"
+	"cloudlens/internal/workload"
 )
 
 // testTrace is a compact hand-built week exercising both clouds and every
 // route's data dependencies (multi-region spread, qualified and short
 // lived VMs).
-func testTrace() *cloudlens.Trace {
+func testTrace() *trace.Trace {
 	g := sim.WeekGrid()
 	mk := func(id int, sub string, cloud core.Cloud, region string,
-		created, deleted int, u usage.Params) cloudlens.VM {
-		return cloudlens.VM{
+		created, deleted int, u usage.Params) trace.VM {
+		return trace.VM{
 			ID:           core.VMID(id),
 			Subscription: core.SubscriptionID(sub),
 			Service:      "svc",
@@ -44,9 +48,9 @@ func testTrace() *cloudlens.Trace {
 		}
 	}
 	n := g.N
-	return &cloudlens.Trace{
+	return &trace.Trace{
 		Grid: g,
-		VMs: []cloudlens.VM{
+		VMs: []trace.VM{
 			mk(0, "sub-a", core.Private, "r1", -10, n+1, usage.Diurnal(0.3, 0.25, 14*60, 1)),
 			mk(1, "sub-a", core.Private, "r2", 0, n, usage.Diurnal(0.3, 0.25, 14*60, 2)),
 			mk(2, "sub-a", core.Private, "r1", 100, 120, usage.Stable(0.5, 3)),
@@ -58,9 +62,9 @@ func testTrace() *cloudlens.Trace {
 
 // livePipeline mirrors run()'s replay wiring: the read source is bound to
 // the engine before the pipeline starts.
-func livePipeline(tr *cloudlens.Trace, opts cloudlens.StreamOptions) (*cloudlens.StreamPipeline, *cloudlens.StreamReadSource) {
-	pipe := cloudlens.NewStreamPipeline(tr, opts)
-	readSrc := cloudlens.NewStreamReadSource(time.Now)
+func livePipeline(tr *trace.Trace, opts stream.Options) (*stream.Pipeline, *stream.ReadSource) {
+	pipe := stream.NewPipeline(tr, opts)
+	readSrc := stream.NewReadSource(time.Now)
 	readSrc.Bind(pipe.Engine())
 	return pipe, readSrc
 }
@@ -68,7 +72,7 @@ func livePipeline(tr *cloudlens.Trace, opts cloudlens.StreamOptions) (*cloudlens
 // buildHandler wires newHandler as run() does: reads go through readSrc on
 // a replaying server and through one StoreSource over store in batch mode.
 // The read routes never expose the snapshot's step, so it is left at 0.
-func buildHandler(store *cloudlens.KnowledgeBase, pipe *cloudlens.StreamPipeline, readSrc *cloudlens.StreamReadSource, inj *cloudlens.FaultInjector, peng *cloudlens.PolicyEngine, reqLog *slog.Logger) http.Handler {
+func buildHandler(store *kb.Store, pipe *stream.Pipeline, readSrc *stream.ReadSource, inj *faultgen.Injector, peng *policy.Engine, reqLog *slog.Logger) http.Handler {
 	var src kb.SnapshotSource = readSrc
 	if readSrc == nil {
 		src = kb.NewStoreSource(store, 0, time.Now)
@@ -133,7 +137,7 @@ func assertEnvelope(t *testing.T, path string, body []byte, status int) {
 
 func TestBatchHandlerRoutes(t *testing.T) {
 	tr := testTrace()
-	store := cloudlens.ExtractKnowledgeBase(tr)
+	store := kb.Extract(tr, kb.ExtractOptions{})
 	srv := httptest.NewServer(buildHandler(store, nil, nil, nil, nil, nil))
 	defer srv.Close()
 
@@ -155,7 +159,7 @@ func TestBatchHandlerRoutes(t *testing.T) {
 	}
 
 	body = wantStatus(t, srv, "/api/v1/profiles?cloud=private", http.StatusOK)
-	var profiles []cloudlens.Profile
+	var profiles []kb.Profile
 	if err := json.Unmarshal(body, &profiles); err != nil {
 		t.Fatalf("profiles decode: %v", err)
 	}
@@ -206,7 +210,7 @@ func TestBatchHandlerRoutes(t *testing.T) {
 
 func TestLiveHandlerRoutes(t *testing.T) {
 	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{})
+	pipe, readSrc := livePipeline(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -215,7 +219,7 @@ func TestLiveHandlerRoutes(t *testing.T) {
 	defer srv.Close()
 
 	body := wantStatus(t, srv, "/api/v1/live/status", http.StatusOK)
-	var st cloudlens.StreamStatus
+	var st stream.Status
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatalf("status decode: %v", err)
 	}
@@ -224,7 +228,7 @@ func TestLiveHandlerRoutes(t *testing.T) {
 	}
 
 	body = wantStatus(t, srv, "/api/v1/live/summary", http.StatusOK)
-	var sum cloudlens.LiveSummary
+	var sum stream.Summary
 	if err := json.Unmarshal(body, &sum); err != nil {
 		t.Fatalf("summary decode: %v", err)
 	}
@@ -233,7 +237,7 @@ func TestLiveHandlerRoutes(t *testing.T) {
 	}
 
 	body = wantStatus(t, srv, "/api/v1/live/profiles?cloud=public", http.StatusOK)
-	var lps []cloudlens.LiveProfile
+	var lps []stream.LiveProfile
 	if err := json.Unmarshal(body, &lps); err != nil {
 		t.Fatalf("live profiles decode: %v", err)
 	}
@@ -273,7 +277,7 @@ func TestLiveHandlerRoutes(t *testing.T) {
 // pool, cache, and knowledge-base subsystems.
 func TestMetricsExposition(t *testing.T) {
 	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{})
+	pipe, readSrc := livePipeline(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -345,7 +349,7 @@ func TestMetricsExposition(t *testing.T) {
 
 	// Counters that a finished replay must have moved. Values are process-
 	// cumulative, so only lower bounds are meaningful here.
-	if v := samples["cloudlens_stream_samples_total"]; v < float64(pipe.Status().SamplesIngested) {
+	if v := samples[`cloudlens_stream_samples_total{shard="0"}`]; v < float64(pipe.Status().SamplesIngested) {
 		t.Errorf("stream samples counter %v below this replay's %d", v, pipe.Status().SamplesIngested)
 	}
 	if samples["cloudlens_kb_profile_puts_total"] == 0 {
@@ -362,7 +366,7 @@ func TestMetricsExposition(t *testing.T) {
 // snapshot and exposition paths are free of data races with ingestion.
 func TestLiveEndpointsDuringIngestion(t *testing.T) {
 	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{FoldEverySteps: 12})
+	pipe, readSrc := livePipeline(tr, stream.Options{FoldEverySteps: 12})
 	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
 	defer srv.Close()
 	pipe.Start(context.Background())
@@ -416,9 +420,9 @@ func TestLiveEndpointsDuringIngestion(t *testing.T) {
 
 // pageEnvelope mirrors the kb.ListPage wire shape with typed items.
 type pageEnvelope struct {
-	Items      []cloudlens.LiveProfile `json:"items"`
-	NextCursor string                  `json:"next_cursor"`
-	Total      int                     `json:"total"`
+	Items      []stream.LiveProfile `json:"items"`
+	NextCursor string               `json:"next_cursor"`
+	Total      int                  `json:"total"`
 }
 
 // TestLivePaginationDuringIngestion walks the paginated live listing over
@@ -428,9 +432,9 @@ type pageEnvelope struct {
 // knowledge base.
 func TestLivePaginationDuringIngestion(t *testing.T) {
 	g := sim.WeekGrid()
-	var vms []cloudlens.VM
+	var vms []trace.VM
 	for i := 0; i < 26; i++ {
-		vms = append(vms, cloudlens.VM{
+		vms = append(vms, trace.VM{
 			ID:           core.VMID(i),
 			Subscription: core.SubscriptionID("sub-" + string(rune('a'+i))),
 			Service:      "svc",
@@ -442,14 +446,14 @@ func TestLivePaginationDuringIngestion(t *testing.T) {
 			Usage:        usage.Stable(0.5, uint64(i+1)),
 		})
 	}
-	tr := &cloudlens.Trace{Grid: g, VMs: vms}
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{FoldEverySteps: 12})
+	tr := &trace.Trace{Grid: g, VMs: vms}
+	pipe, readSrc := livePipeline(tr, stream.Options{FoldEverySteps: 12})
 	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
 	defer srv.Close()
 	pipe.Start(context.Background())
 
-	walk := func() []cloudlens.LiveProfile {
-		var out []cloudlens.LiveProfile
+	walk := func() []stream.LiveProfile {
+		var out []stream.LiveProfile
 		cursor := ""
 		for {
 			u := "/api/v1/live/profiles?limit=5"
@@ -506,12 +510,12 @@ func TestLivePaginationDuringIngestion(t *testing.T) {
 // with the ingestor's counters, and /healthz carries the same vitals.
 func TestLiveFaultsEndpoint(t *testing.T) {
 	tr := testTrace()
-	spec, err := cloudlens.ParseFaultSpec("drop=0.01,dup=0.01,delay=0.01:3,corrupt=0.005,seed=9")
+	spec, err := faultgen.ParseSpec("drop=0.01,dup=0.01,delay=0.01:3,corrupt=0.005,seed=9")
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	var inj *cloudlens.FaultInjector
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{
+	var inj *faultgen.Injector
+	pipe, readSrc := livePipeline(tr, stream.Options{
 		WrapSource: spec.Wrap(tr.Grid.N, 0, &inj),
 	})
 	pipe.Start(context.Background())
@@ -561,7 +565,7 @@ func TestLiveFaultsEndpoint(t *testing.T) {
 // at /api/v1/ documents the whole unified surface, batch and live.
 func TestRouteIndexCoversLiveSurface(t *testing.T) {
 	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{})
+	pipe, readSrc := livePipeline(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -600,10 +604,10 @@ func TestCheckpointResumeFlow(t *testing.T) {
 	dir := t.TempDir()
 	path := checkpointPath(dir)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
-	opts := cloudlens.StreamOptions{FoldEverySteps: 12}
+	opts := stream.Options{FoldEverySteps: 12}
 
 	// Reference: uninterrupted replay.
-	ref := cloudlens.NewStreamPipeline(tr, opts)
+	ref := stream.NewPipeline(tr, opts)
 	ref.Start(context.Background())
 	if err := ref.Wait(); err != nil {
 		t.Fatalf("reference replay: %v", err)
@@ -667,13 +671,13 @@ func TestServerlessEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-day replay; skipped in -short mode")
 	}
-	cfg := cloudlens.DefaultServerlessConfig(5)
+	cfg := workload.DefaultServerlessConfig(5)
 	cfg.Apps = 8
-	tr, err := cloudlens.GenerateServerless(cfg)
+	tr, err := workload.GenerateServerless(cfg)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	spec, err := cloudlens.ParseFaultSpec("drop=0.01,dup=0.005,delay=0.01:3,corrupt=0.002,seed=5")
+	spec, err := faultgen.ParseSpec("drop=0.01,dup=0.005,delay=0.01:3,corrupt=0.002,seed=5")
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
@@ -682,8 +686,8 @@ func TestServerlessEndToEnd(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 
 	// First boot: replay under faults, kill mid-flight, checkpoint.
-	var killedInj *cloudlens.FaultInjector
-	first, err := startPipeline(tr, cloudlens.StreamOptions{
+	var killedInj *faultgen.Injector
+	first, err := startPipeline(tr, stream.Options{
 		WrapSource: spec.Wrap(tr.Grid.N, 0, &killedInj),
 	}, path, true, logger)
 	if err != nil {
@@ -701,14 +705,14 @@ func TestServerlessEndToEnd(t *testing.T) {
 
 	// Second boot resumes past the checkpoint and finishes, with the read
 	// source wired exactly as run() wires it.
-	var inj *cloudlens.FaultInjector
-	second, err := startPipeline(tr, cloudlens.StreamOptions{
+	var inj *faultgen.Injector
+	second, err := startPipeline(tr, stream.Options{
 		WrapSource: spec.Wrap(tr.Grid.N, 0, &inj),
 	}, path, true, logger)
 	if err != nil {
 		t.Fatalf("second boot: %v", err)
 	}
-	readSrc := cloudlens.NewStreamReadSource(time.Now)
+	readSrc := stream.NewReadSource(time.Now)
 	readSrc.Bind(second.Engine())
 	second.Start(context.Background())
 	if err := second.Wait(); err != nil {
@@ -780,7 +784,7 @@ func TestServerlessEndToEnd(t *testing.T) {
 func TestHealthzReportsIngesting(t *testing.T) {
 	tr := testTrace()
 	// A paced replay (tiny speedup) stays mid-flight long enough to observe.
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{Speedup: 1})
+	pipe, readSrc := livePipeline(tr, stream.Options{Speedup: 1})
 	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
 	defer srv.Close()
 
@@ -811,7 +815,7 @@ func TestHealthzReportsIngesting(t *testing.T) {
 func TestShardedHealthAndFaults(t *testing.T) {
 	tr := testTrace()
 	for _, shards := range []int{1, 2} {
-		pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{Shards: shards})
+		pipe, readSrc := livePipeline(tr, stream.Options{Shards: shards})
 		pipe.Start(context.Background())
 		if err := pipe.Wait(); err != nil {
 			t.Fatalf("shards=%d: replay: %v", shards, err)
@@ -868,9 +872,9 @@ func TestShardedHealthAndFaults(t *testing.T) {
 // validator than the one it was conditioned on.
 func TestReadHammerDuringIngestion(t *testing.T) {
 	g := sim.WeekGrid()
-	var vms []cloudlens.VM
+	var vms []trace.VM
 	for i := 0; i < 18; i++ {
-		vms = append(vms, cloudlens.VM{
+		vms = append(vms, trace.VM{
 			ID:           core.VMID(i),
 			Subscription: core.SubscriptionID("sub-" + string(rune('a'+i))),
 			Service:      "svc",
@@ -882,8 +886,8 @@ func TestReadHammerDuringIngestion(t *testing.T) {
 			Usage:        usage.Stable(0.5, uint64(i+1)),
 		})
 	}
-	tr := &cloudlens.Trace{Grid: g, VMs: vms}
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{FoldEverySteps: 6})
+	tr := &trace.Trace{Grid: g, VMs: vms}
+	pipe, readSrc := livePipeline(tr, stream.Options{FoldEverySteps: 6})
 	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
 	defer srv.Close()
 	client := srv.Client()
@@ -1061,7 +1065,7 @@ func TestReadHammerDuringIngestion(t *testing.T) {
 // either coding, Vary: Accept-Encoding attached throughout.
 func TestLiveGzipGoldens(t *testing.T) {
 	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{})
+	pipe, readSrc := livePipeline(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -1138,7 +1142,7 @@ func TestLiveGzipGoldens(t *testing.T) {
 func TestLiveIngestVitals(t *testing.T) {
 	for _, shards := range []int{0, 2} {
 		tr := testTrace()
-		pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{Shards: shards})
+		pipe, readSrc := livePipeline(tr, stream.Options{Shards: shards})
 		pipe.Start(context.Background())
 		if err := pipe.Wait(); err != nil {
 			t.Fatalf("shards=%d replay: %v", shards, err)
@@ -1213,7 +1217,7 @@ func TestLiveIngestVitals(t *testing.T) {
 // response is closed by the server rather than held open. The idle window
 // is shortened here so the test does not wait out the production one.
 func TestPublicServerClosesIdleConnections(t *testing.T) {
-	srv := publicServer("127.0.0.1:0", buildHandler(cloudlens.ExtractKnowledgeBase(testTrace()), nil, nil, nil, nil, nil))
+	srv := publicServer("127.0.0.1:0", buildHandler(kb.Extract(testTrace(), kb.ExtractOptions{}), nil, nil, nil, nil, nil))
 	if srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 || srv.ReadHeaderTimeout <= 0 {
 		t.Fatalf("timeouts: read-header %v, write %v, idle %v; all must be set",
 			srv.ReadHeaderTimeout, srv.WriteTimeout, srv.IdleTimeout)

@@ -15,7 +15,7 @@ import (
 	"strings"
 	"testing"
 
-	"cloudlens"
+	"cloudlens/internal/stream"
 )
 
 // metricsChildShards names the environment variable that turns a re-executed
@@ -69,7 +69,7 @@ func TestMetricsSeriesPinned(t *testing.T) {
 // once, and returns its series sorted, values and buckets stripped.
 func replaySeries(t *testing.T, shards int) []string {
 	t.Helper()
-	pipe, readSrc := livePipeline(testTrace(), cloudlens.StreamOptions{Shards: shards})
+	pipe, readSrc := livePipeline(testTrace(), stream.Options{Shards: shards})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)

@@ -7,7 +7,8 @@ import (
 	"runtime"
 	"testing"
 
-	"cloudlens"
+	"cloudlens/internal/stream"
+	"cloudlens/internal/workload"
 )
 
 // discardWriter is a ResponseWriter that keeps nothing, so the counts below
@@ -29,13 +30,13 @@ func TestLivePageAllocsFlat(t *testing.T) {
 		t.Skip("full-week replays; skipped in -short mode")
 	}
 	measure := func(scale float64) (profiles int, allocs, bytes float64) {
-		cfg := cloudlens.DefaultConfig(42)
+		cfg := workload.DefaultConfig(42)
 		cfg.Scale = scale
-		tr, err := cloudlens.Generate(cfg)
+		tr, err := workload.Generate(cfg)
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{})
+		pipe, readSrc := livePipeline(tr, stream.Options{})
 		pipe.Start(context.Background())
 		if err := pipe.Wait(); err != nil {
 			t.Fatalf("replay: %v", err)

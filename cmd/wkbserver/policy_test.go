@@ -12,22 +12,22 @@ import (
 	"testing"
 	"time"
 
-	"cloudlens"
 	"cloudlens/internal/kb"
+	"cloudlens/internal/policy"
 )
 
 // policyServer boots a batch-mode server with the full policy set over
 // the test trace's knowledge base.
-func policyServer(t *testing.T) (*httptest.Server, *cloudlens.PolicyEngine) {
+func policyServer(t *testing.T) (*httptest.Server, *policy.Engine) {
 	t.Helper()
 	tr := testTrace()
-	store := cloudlens.ExtractKnowledgeBase(tr)
-	pols, err := cloudlens.ParsePolicySpec("oversub,spot,balance")
+	store := kb.Extract(tr, kb.ExtractOptions{})
+	pols, err := policy.ParseSpec("oversub,spot,balance")
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := kb.NewStoreSource(store, tr.Grid.N, time.Now)
-	peng, err := cloudlens.NewPolicyEngine(src, pols, cloudlens.PolicyEngineOptions{
+	peng, err := policy.NewEngine(src, pols, policy.Options{
 		TraceLevel: 1, CounterfactualK: 3,
 	})
 	if err != nil {
@@ -60,7 +60,7 @@ func TestPolicyDecideRoundtrip(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("decide = %d (%s)", resp.StatusCode, body)
 	}
-	var d cloudlens.PolicyDecision
+	var d policy.Decision
 	if err := json.Unmarshal(body, &d); err != nil {
 		t.Fatalf("decision decode: %v", err)
 	}
@@ -112,7 +112,7 @@ func TestPolicyDecisionsPagination(t *testing.T) {
 
 	// No paging parameters: the bare array.
 	body := wantStatus(t, srv, "/api/v1/policy/decisions", http.StatusOK)
-	var all []cloudlens.PolicyDecision
+	var all []policy.Decision
 	if err := json.Unmarshal(body, &all); err != nil {
 		t.Fatalf("bare list decode: %v", err)
 	}
@@ -122,7 +122,7 @@ func TestPolicyDecisionsPagination(t *testing.T) {
 
 	// Policy filter narrows the list.
 	body = wantStatus(t, srv, "/api/v1/policy/decisions?policy=spot", http.StatusOK)
-	var spotOnly []cloudlens.PolicyDecision
+	var spotOnly []policy.Decision
 	if err := json.Unmarshal(body, &spotOnly); err != nil {
 		t.Fatalf("filtered decode: %v", err)
 	}
@@ -145,9 +145,9 @@ func TestPolicyDecisionsPagination(t *testing.T) {
 		}
 		body := wantStatus(t, srv, url, http.StatusOK)
 		var page struct {
-			Items      []cloudlens.PolicyDecision `json:"items"`
-			NextCursor string                     `json:"next_cursor"`
-			Total      int                        `json:"total"`
+			Items      []policy.Decision `json:"items"`
+			NextCursor string            `json:"next_cursor"`
+			Total      int               `json:"total"`
 		}
 		if err := json.Unmarshal(body, &page); err != nil {
 			t.Fatalf("page decode: %v", err)
@@ -221,8 +221,8 @@ func TestPolicyPaginationUnderConcurrentDecisions(t *testing.T) {
 			}
 			body := wantStatus(t, srv, url, http.StatusOK)
 			var page struct {
-				Items      []cloudlens.PolicyDecision `json:"items"`
-				NextCursor string                     `json:"next_cursor"`
+				Items      []policy.Decision `json:"items"`
+				NextCursor string            `json:"next_cursor"`
 			}
 			if err := json.Unmarshal(body, &page); err != nil {
 				t.Fatalf("page decode: %v", err)
@@ -254,7 +254,7 @@ func TestPolicyCounterfactualEndpoint(t *testing.T) {
 	}
 
 	body := wantStatus(t, srv, "/api/v1/policy/decisions/1/counterfactual", http.StatusOK)
-	var cf cloudlens.PolicyCounterfactual
+	var cf policy.Counterfactual
 	if err := json.Unmarshal(body, &cf); err != nil {
 		t.Fatalf("counterfactual decode: %v", err)
 	}
@@ -273,7 +273,7 @@ func TestPolicyCounterfactualEndpoint(t *testing.T) {
 // surface stays mounted and documented, answering 404 with a hint, so
 // clients can tell "no -policies" apart from transport errors.
 func TestPolicyRoutesWithoutEngine(t *testing.T) {
-	store := cloudlens.ExtractKnowledgeBase(testTrace())
+	store := kb.Extract(testTrace(), kb.ExtractOptions{})
 	srv := httptest.NewServer(buildHandler(store, nil, nil, nil, nil, nil))
 	defer srv.Close()
 
@@ -301,7 +301,7 @@ func TestRouteIndexCoversPolicySurface(t *testing.T) {
 			if withEngine {
 				srv, _ = policyServer(t)
 			} else {
-				store := cloudlens.ExtractKnowledgeBase(testTrace())
+				store := kb.Extract(testTrace(), kb.ExtractOptions{})
 				srv = httptest.NewServer(buildHandler(store, nil, nil, nil, nil, nil))
 				defer srv.Close()
 			}

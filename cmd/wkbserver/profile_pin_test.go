@@ -13,7 +13,10 @@ import (
 	"strings"
 	"testing"
 
-	"cloudlens"
+	"cloudlens/internal/kb"
+	"cloudlens/internal/stream"
+	"cloudlens/internal/trace"
+	"cloudlens/internal/workload"
 )
 
 // profileRoutesGolden holds one line per profile-route case: the path, the
@@ -24,11 +27,11 @@ const profileRoutesGolden = "testdata/profile_routes.txt"
 // pinTrace generates the CPU week at a scale small enough to replay in a
 // few seconds yet carrying well over 50 subscriptions, so the pages below
 // span several cursors.
-func pinTrace(t *testing.T) *cloudlens.Trace {
+func pinTrace(t *testing.T) *trace.Trace {
 	t.Helper()
-	cfg := cloudlens.DefaultConfig(42)
+	cfg := workload.DefaultConfig(42)
 	cfg.Scale = 0.05
-	tr, err := cloudlens.Generate(cfg)
+	tr, err := workload.Generate(cfg)
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
@@ -46,17 +49,17 @@ func TestProfileRoutesPinned(t *testing.T) {
 		t.Skip("full-week replay; skipped in -short mode")
 	}
 	tr := pinTrace(t)
-	pipe, readSrc := livePipeline(tr, cloudlens.StreamOptions{})
+	pipe, readSrc := livePipeline(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	live := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
 	defer live.Close()
-	batch := httptest.NewServer(buildHandler(cloudlens.ExtractKnowledgeBase(tr), nil, nil, nil, nil, nil))
+	batch := httptest.NewServer(buildHandler(kb.Extract(tr, kb.ExtractOptions{}), nil, nil, nil, nil, nil))
 	defer batch.Close()
 
-	var all []cloudlens.LiveProfile
+	var all []stream.LiveProfile
 	if err := json.Unmarshal(wantStatus(t, live, "/api/v1/live/profiles", 200), &all); err != nil {
 		t.Fatalf("decode live list: %v", err)
 	}

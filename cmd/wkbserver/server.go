@@ -5,11 +5,12 @@ import (
 	"net/http"
 	"time"
 
-	"cloudlens"
 	"cloudlens/internal/core"
+	"cloudlens/internal/faultgen"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/obs"
 	"cloudlens/internal/policy"
+	"cloudlens/internal/stream"
 )
 
 // newHandler assembles the server's unified v1 route table: the batch
@@ -31,6 +32,7 @@ import (
 //	GET /api/v1/live/profiles        live profiles; same filter+paging grammar
 //	GET /api/v1/live/profiles/{id}   one live profile
 //	GET /api/v1/live/faults          ingestion fault ledger, injector ledger, checkpoint age
+//	GET /api/v1/live/ingest          columnar hot-path vitals per shard
 //
 // Every route mounted here is also documented in the kb.RouteTable behind
 // GET /api/v1/, so clients (wkbctl routes) can discover the surface.
@@ -54,7 +56,7 @@ import (
 // the same without -policies. readSrc must be non-nil exactly when pipe
 // is; inj is non-nil only when -faults injection is active; peng is nil
 // without -policies; reqLog may be nil to disable per-request logging.
-func newHandler(src kb.SnapshotSource, pipe *cloudlens.StreamPipeline, readSrc *cloudlens.StreamReadSource, inj *cloudlens.FaultInjector, peng *cloudlens.PolicyEngine, reqLog *slog.Logger) http.Handler {
+func newHandler(src kb.SnapshotSource, pipe *stream.Pipeline, readSrc *stream.ReadSource, inj *faultgen.Injector, peng *policy.Engine, reqLog *slog.Logger) http.Handler {
 	metrics := obs.NewHTTPMetrics(obs.Default, reqLog)
 	mux := http.NewServeMux()
 	table := kb.Register(mux, src, kb.RouteOptions{
@@ -138,29 +140,29 @@ func newHandler(src kb.SnapshotSource, pipe *cloudlens.StreamPipeline, readSrc *
 // of input imperfections, the fault injector's ground truth (when -faults
 // is active), and checkpoint freshness.
 type FaultsReport struct {
-	Stream cloudlens.StreamFaultStats `json:"stream"`
+	Stream stream.FaultStats `json:"stream"`
 	// Injected is the fault injector's exact ledger; absent without -faults.
-	Injected *cloudlens.FaultLedger `json:"injected,omitempty"`
+	Injected *faultgen.Ledger `json:"injected,omitempty"`
 	// FaultSpec echoes the active -faults grammar; absent without -faults.
 	FaultSpec string `json:"faultSpec,omitempty"`
 	// LastCheckpoint describes the newest durable checkpoint; absent until
 	// one has been written.
-	LastCheckpoint *cloudlens.CheckpointInfo `json:"lastCheckpoint,omitempty"`
+	LastCheckpoint *stream.CheckpointInfo `json:"lastCheckpoint,omitempty"`
 	// LastCheckpointAgeSec is the checkpoint's age at response time.
 	LastCheckpointAgeSec float64 `json:"lastCheckpointAgeSec,omitempty"`
 	// Shards breaks the stream ledger out per ingestion shard, one entry per
 	// shard. Stream remains the cross-shard aggregate.
-	Shards []cloudlens.StreamShardVital `json:"shards,omitempty"`
+	Shards []stream.ShardVital `json:"shards,omitempty"`
 }
 
 // IngestReport is the /api/v1/live/ingest payload: one columnar hot-path
 // vitals entry per ingestion shard (a single entry for an unsharded
 // replay).
 type IngestReport struct {
-	Shards []cloudlens.StreamIngestVital `json:"shards"`
+	Shards []stream.IngestVital `json:"shards"`
 }
 
-func faultsPayload(pipe *cloudlens.StreamPipeline, inj *cloudlens.FaultInjector) FaultsReport {
+func faultsPayload(pipe *stream.Pipeline, inj *faultgen.Injector) FaultsReport {
 	out := FaultsReport{Stream: pipe.FaultStats(), Shards: pipe.ShardVitals()}
 	if inj != nil {
 		led := inj.Ledger()
@@ -183,7 +185,7 @@ func faultsPayload(pipe *cloudlens.StreamPipeline, inj *cloudlens.FaultInjector)
 // feed directly. With -policies the payload additionally carries the
 // policy engine's vitals (decision counters, ledger depth, and the
 // identity of the snapshot currently served to policies).
-func healthFn(pipe *cloudlens.StreamPipeline, peng *cloudlens.PolicyEngine) func() kb.Health {
+func healthFn(pipe *stream.Pipeline, peng *policy.Engine) func() kb.Health {
 	if pipe == nil && peng == nil {
 		return nil
 	}

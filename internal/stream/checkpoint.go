@@ -517,7 +517,7 @@ func restoreEngine(tr *trace.Trace, opts Options, ck *Checkpoint) (*shardGroup, 
 	}
 	shards := make([]*Ingestor, ck.ShardCount)
 	for i := range shards {
-		ing, err := restoreShard(tr, opts, ck.Shards[i], shardMetrics(i, len(shards)))
+		ing, err := restoreShard(tr, opts, ck.Shards[i], shardMetrics(i))
 		if err != nil {
 			return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
 		}

@@ -64,7 +64,7 @@ func TestColumnarBatchPath(t *testing.T) {
 	}
 
 	tr := microTrace()
-	colIng := newIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, defaultIngestMetrics)
+	colIng := newIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, shardMetrics(0))
 	var recycledCols, recycledLate int
 	colIng.SetRecycler(func(b StepBatch) {
 		if b.VM != nil {
@@ -76,7 +76,7 @@ func TestColumnarBatchPath(t *testing.T) {
 	})
 	feedCols(colIng)
 
-	rowIng := newIngestor(microTrace(), Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, defaultIngestMetrics)
+	rowIng := newIngestor(microTrace(), Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, shardMetrics(0))
 	feedRows(rowIng)
 
 	for vm := 0; vm < 2; vm++ {

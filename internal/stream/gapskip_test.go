@@ -50,7 +50,7 @@ func reserialize(t *testing.T, tr *trace.Trace, opts Options, eng Engine) Engine
 // peak/rest slot alignment drifting off the batch classifier's grid.
 func TestGapSkipQualifyStepAttribution(t *testing.T) {
 	tr := microTrace()
-	ing := newIngestor(tr, Options{GapPolicy: GapSkip, FoldEverySteps: 10000}, defaultIngestMetrics)
+	ing := newIngestor(tr, Options{GapPolicy: GapSkip, FoldEverySteps: 10000}, shardMetrics(0))
 
 	// Feed VM 0 an injective series cpu(step) well past qualification
 	// (kb.MinProfileSteps samples), with one reading dropped before it.

@@ -47,7 +47,7 @@ func batchOf(step int, samples ...Sample) StepBatch {
 // hand-built batches and checks the fault ledger entry by entry.
 func TestIngestorFaultLedger(t *testing.T) {
 	tr := microTrace()
-	ing := newIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, defaultIngestMetrics)
+	ing := newIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, shardMetrics(0))
 
 	// Step 0: clean. Step 1: an exact duplicate rides in the same batch.
 	ing.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.5)))
@@ -91,7 +91,7 @@ func TestIngestorFaultLedger(t *testing.T) {
 // after its VM's deletion folded cannot resurrect the series.
 func TestIngestorRefusesPostRetirementSamples(t *testing.T) {
 	tr := microTrace()
-	ing := newIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, defaultIngestMetrics)
+	ing := newIngestor(tr, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000}, shardMetrics(0))
 
 	for s := 0; s < 3; s++ {
 		ing.ObserveBatch(batchOf(s, sampleAt(0, s, 0.5), sampleAt(1, s, 0.5)))
@@ -121,7 +121,7 @@ func TestIngestorRefusesPostRetirementSamples(t *testing.T) {
 func TestGapPolicies(t *testing.T) {
 	run := func(p GapPolicy) (*Ingestor, *vmAcc) {
 		tr := microTrace()
-		ing := newIngestor(tr, Options{MaxLatenessSteps: 0, GapPolicy: p, FoldEverySteps: 10000}, defaultIngestMetrics)
+		ing := newIngestor(tr, Options{MaxLatenessSteps: 0, GapPolicy: p, FoldEverySteps: 10000}, shardMetrics(0))
 		ing.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.2)))
 		ing.ObserveBatch(batchOf(1))
 		ing.ObserveBatch(batchOf(2))

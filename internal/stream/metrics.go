@@ -53,9 +53,8 @@ var (
 	}()
 )
 
-// ingestMetrics bundles the per-shard instruments so a multi-shard engine
-// can label each shard's series while a one-shard engine keeps the
-// historical unlabeled names. The obs registry dedups by (name, labels), so
+// ingestMetrics bundles one shard's instruments, every series labelled
+// with the shard. The obs registry dedups by (name, labels), so
 // constructing the same set twice returns the same handles.
 type ingestMetrics struct {
 	samples            *obs.Counter
@@ -102,17 +101,9 @@ func newIngestMetrics(labels ...obs.Label) *ingestMetrics {
 	}
 }
 
-// defaultIngestMetrics carries the unlabeled series a one-shard engine
-// has always exported.
-var defaultIngestMetrics = newIngestMetrics()
-
-// shardMetrics returns the instruments shard i of an n-shard engine
-// reports through: the unlabeled set when it is the only shard, its own
-// shard-labeled set otherwise.
-func shardMetrics(i, n int) *ingestMetrics {
-	if n == 1 {
-		return defaultIngestMetrics
-	}
+// shardMetrics returns the instruments shard i reports through: its own
+// shard-labelled set, so a one-shard engine's series read shard="0".
+func shardMetrics(i int) *ingestMetrics {
 	return newIngestMetrics(shardLabel(i))
 }
 

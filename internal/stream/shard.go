@@ -107,7 +107,7 @@ type shardBarrier struct {
 func newShardGroup(tr *trace.Trace, opts Options) *shardGroup {
 	shards := make([]*Ingestor, opts.Shards)
 	for i := range shards {
-		shards[i] = newIngestor(tr, opts, shardMetrics(i, len(shards)))
+		shards[i] = newIngestor(tr, opts, shardMetrics(i))
 	}
 	return startShardGroup(tr, opts, shards, 0)
 }

@@ -186,12 +186,16 @@ func (t *Trace) ExportDir(dir string) error {
 	if err != nil {
 		return fmt.Errorf("trace: export: %w", err)
 	}
-	defer f.Close()
 	bw := bufio.NewWriter(f)
 	if err := t.WriteInventoryCSV(bw); err != nil {
+		f.Close()
 		return err
 	}
-	if err := bw.Flush(); err != nil {
+	err = bw.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return fmt.Errorf("trace: export: %w", err)
 	}
 	return nil

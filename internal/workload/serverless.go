@@ -276,17 +276,15 @@ func (c ServerlessConfig) String() string {
 
 // ParseServerlessSpec parses the -serverless flag grammar: a
 // comma-separated list of key=value pairs overriding
-// DefaultServerlessConfig. Keys: apps, fns, zipf, cold, churn, step
-// (a duration dividing one hour), days, steps, scale, seed. "" selects the
-// defaults. Example:
+// DefaultServerlessConfig(seed) at the given scale, so the commands' -seed
+// and -scale flags are the base and a spec's seed and scale keys win.
+// Keys: apps, fns, zipf, cold, churn, step (a duration dividing one hour),
+// days, steps, scale, seed. "" selects the defaults. Example:
 //
 //	apps=24,fns=8,zipf=1.1,cold=0.35,step=30s,days=2,seed=7
-func ParseServerlessSpec(str string) (ServerlessConfig, error) {
-	cfg := DefaultServerlessConfig(0)
-	str = strings.TrimSpace(str)
-	if str == "" {
-		return cfg, nil
-	}
+func ParseServerlessSpec(str string, seed uint64, scale float64) (ServerlessConfig, error) {
+	cfg := DefaultServerlessConfig(seed)
+	cfg.Scale = scale
 	seen := make(map[string]bool, 10)
 	days := 0
 	steps := 0

@@ -143,7 +143,7 @@ func TestParseServerlessSpecRoundTrip(t *testing.T) {
 	cases[1].Grid.Step = 30 * time.Second
 	cases[1].Grid.N = 3 * cases[1].Grid.StepsPerDay()
 	for _, want := range cases {
-		got, err := ParseServerlessSpec(want.String())
+		got, err := ParseServerlessSpec(want.String(), 0, 1)
 		if err != nil {
 			t.Fatalf("parse %q: %v", want.String(), err)
 		}
@@ -156,10 +156,10 @@ func TestParseServerlessSpecRoundTrip(t *testing.T) {
 // TestParseServerlessSpecGrammar covers the grammar's edges: defaults,
 // days/steps exclusivity, duplicate keys, unknown keys, bad values.
 func TestParseServerlessSpecGrammar(t *testing.T) {
-	if cfg, err := ParseServerlessSpec(""); err != nil || !reflect.DeepEqual(cfg, DefaultServerlessConfig(0)) {
+	if cfg, err := ParseServerlessSpec("", 0, 1); err != nil || !reflect.DeepEqual(cfg, DefaultServerlessConfig(0)) {
 		t.Errorf("empty spec: cfg=%+v err=%v, want the defaults", cfg, err)
 	}
-	cfg, err := ParseServerlessSpec("step=30s,days=3")
+	cfg, err := ParseServerlessSpec("step=30s,days=3", 0, 1)
 	if err != nil {
 		t.Fatalf("step+days: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestParseServerlessSpecGrammar(t *testing.T) {
 	}
 	// A new step alone keeps the default two-day window at the new
 	// resolution.
-	cfg, err = ParseServerlessSpec("step=15m")
+	cfg, err = ParseServerlessSpec("step=15m", 0, 1)
 	if err != nil {
 		t.Fatalf("step alone: %v", err)
 	}
@@ -197,28 +197,59 @@ func TestParseServerlessSpecGrammar(t *testing.T) {
 		"scale=Inf",        // fails Validate
 		"step=1h,steps=47", // under two days at 1h resolution
 	} {
-		if _, err := ParseServerlessSpec(bad); err == nil {
+		if _, err := ParseServerlessSpec(bad, 0, 1); err == nil {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
 }
 
+// TestParseServerlessSpecBase: the seed and scale arguments are the base
+// (the commands' -seed and -scale flags), and the spec's own seed and
+// scale keys override them.
+func TestParseServerlessSpecBase(t *testing.T) {
+	for _, c := range []struct {
+		spec      string
+		wantSeed  uint64
+		wantScale float64
+	}{
+		{"", 9, 0.5},
+		{"apps=10", 9, 0.5},
+		{"seed=7", 7, 0.5},
+		{"scale=2", 9, 2},
+		{"seed=7,scale=2", 7, 2},
+	} {
+		cfg, err := ParseServerlessSpec(c.spec, 9, 0.5)
+		if err != nil {
+			t.Fatalf("spec %q: %v", c.spec, err)
+		}
+		if cfg.Seed != c.wantSeed || cfg.Scale != c.wantScale {
+			t.Errorf("spec %q over seed 9, scale 0.5: got seed %d scale %v, want %d and %v",
+				c.spec, cfg.Seed, cfg.Scale, c.wantSeed, c.wantScale)
+		}
+	}
+	if _, err := ParseServerlessSpec("", 9, -1); err == nil {
+		t.Error("a negative base scale was accepted")
+	}
+}
+
 // FuzzParseServerlessSpec drives the -serverless flag decoder with
 // arbitrary strings: it must never panic, and any accepted config must
-// pass Validate and survive a String()→Parse round trip.
+// pass Validate and survive a String()→Parse round trip. The round trip
+// parses over a different base: String() renders seed and scale, so the
+// base must not leak into it.
 func FuzzParseServerlessSpec(f *testing.F) {
 	for _, seed := range serverlessSpecCorpus() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		cfg, err := ParseServerlessSpec(spec)
+		cfg, err := ParseServerlessSpec(spec, 7, 2)
 		if err != nil {
 			return // rejection is the correct outcome for most inputs
 		}
 		if verr := cfg.Validate(); verr != nil {
 			t.Fatalf("accepted spec %q fails Validate: %v", spec, verr)
 		}
-		again, err := ParseServerlessSpec(cfg.String())
+		again, err := ParseServerlessSpec(cfg.String(), 0, 1)
 		if err != nil {
 			t.Fatalf("String() of accepted spec %q does not re-parse: %v", spec, err)
 		}
