@@ -30,7 +30,8 @@
 #                      allocs/sample and it is at most ALLOCS_PER_SAMPLE_MAX
 #   make test-policy — policy-engine suite under -race at 1, 2 and 4 cores:
 #                      decision engine, ledger pagination hammer, snapshot
-#                      source, and the policy HTTP surface
+#                      source, the policy HTTP surface, and the v1 route
+#                      index pin (internal/server)
 #   make test-workloads — workload-family matrix under -race at 1, 2 and 4
 #                      cores: serverless generator/spec grammar, invocation
 #                      taxonomy, and the batch-vs-stream family equivalence
@@ -131,7 +132,7 @@ bench-stream-gate: build
 		printf "bench-stream-gate: ok %s allocs/sample <= %s at GOMAXPROCS 1, 2 and 4\n", r, max }'
 
 test-policy:
-	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/policy ./internal/kb ./cmd/wkbserver
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/policy ./internal/kb ./internal/server ./cmd/wkbserver
 
 test-workloads:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workload ./internal/classify

@@ -42,6 +42,7 @@ import (
 	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/oversub"
+	"cloudlens/internal/server"
 	"cloudlens/internal/spot"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
@@ -133,10 +134,12 @@ func ExtractKnowledgeBase(t *Trace) *KnowledgeBase {
 	return kb.Extract(t, kb.ExtractOptions{})
 }
 
-// KnowledgeBaseHandler exposes a knowledge base over HTTP (JSON API); see
-// package kb for the route table.
+// KnowledgeBaseHandler exposes a knowledge base over HTTP (JSON API): the
+// batch-mode surface of wkbserver, whose routes are listed on server.New.
+// Each request reads one consistent snapshot of the store, rebuilt after
+// writes.
 func KnowledgeBaseHandler(store *KnowledgeBase) http.Handler {
-	return kb.NewHandler(store)
+	return server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil)
 }
 
 // RunOversubscription executes the chance-constrained over-subscription

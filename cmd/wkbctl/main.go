@@ -62,24 +62,30 @@ import (
 	"cloudlens/internal/kb"
 	"cloudlens/internal/policy"
 	"cloudlens/internal/report"
+	"cloudlens/internal/server"
 	"cloudlens/internal/stream"
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "wkbctl:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	server := flag.String("server", "http://localhost:8080", "knowledge base server base URL")
-	flag.Parse()
+// run parses args (global flags, the subcommand, its flags) and writes the
+// subcommand's output to stdout.
+func run(args []string, stdout io.Writer) error {
+	global := flag.NewFlagSet("wkbctl", flag.ContinueOnError)
+	base := global.String("server", "http://localhost:8080", "knowledge base server base URL")
+	if err := global.Parse(args); err != nil {
+		return helpErr(err)
+	}
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	switch flag.Arg(0) {
+	switch global.Arg(0) {
 	case "summary":
-		return showSummary(client, *server)
+		return showSummary(client, *base, stdout)
 	case "profiles":
 		// Filter flags follow the subcommand.
 		fs := flag.NewFlagSet("profiles", flag.ContinueOnError)
@@ -89,35 +95,35 @@ func run() error {
 			pattern       = fs.String("pattern", "", "filter by dominant pattern")
 			minShortLived = fs.Float64("min-short-lived", 0, "minimum short-lived VM share")
 		)
-		if err := fs.Parse(flag.Args()[1:]); err != nil {
+		if err := fs.Parse(global.Args()[1:]); err != nil {
 			return helpErr(err)
 		}
-		return showProfiles(client, *server, *cloud, *minAgnostic, *pattern, *minShortLived)
+		return showProfiles(client, *base, *cloud, *minAgnostic, *pattern, *minShortLived, stdout)
 	case "profile":
-		if flag.Arg(1) == "" {
+		if global.Arg(1) == "" {
 			return fmt.Errorf("profile requires a subscription id")
 		}
-		return showProfile(client, *server, flag.Arg(1))
+		return showProfile(client, *base, global.Arg(1), stdout)
 	case "percentiles":
-		return showPercentiles(client, *server, os.Stdout)
+		return showPercentiles(client, *base, stdout)
 	case "regions":
-		return showRegions(client, *server, os.Stdout)
+		return showRegions(client, *base, stdout)
 	case "watch":
 		fs := flag.NewFlagSet("watch", flag.ContinueOnError)
 		var (
 			interval = fs.Duration("interval", 2*time.Second, "poll interval")
 			count    = fs.Int("count", 0, "stop after this many polls (0 = until the replay finishes)")
 		)
-		if err := fs.Parse(flag.Args()[1:]); err != nil {
+		if err := fs.Parse(global.Args()[1:]); err != nil {
 			return helpErr(err)
 		}
-		return watch(client, *server, *interval, *count, os.Stdout)
+		return watch(client, *base, *interval, *count, stdout)
 	case "ingest":
-		return showIngest(client, *server, os.Stdout)
+		return showIngest(client, *base, stdout)
 	case "routes":
-		return showRoutes(client, *server, os.Stdout)
+		return showRoutes(client, *base, stdout)
 	case "version":
-		return showVersion(client, *server)
+		return showVersion(client, *base, stdout)
 	case "decide":
 		fs := flag.NewFlagSet("decide", flag.ContinueOnError)
 		var (
@@ -126,13 +132,13 @@ func run() error {
 			cores   = fs.Int("cores", 0, "ask size in cores (0 = server default of 1)")
 			regions = fs.String("regions", "", "comma-separated candidate regions (balance)")
 		)
-		if err := fs.Parse(flag.Args()[1:]); err != nil {
+		if err := fs.Parse(global.Args()[1:]); err != nil {
 			return helpErr(err)
 		}
 		if *pol == "" || *sub == "" {
 			return fmt.Errorf("decide requires -policy and -subscription")
 		}
-		return decide(client, *server, *pol, *sub, *cores, *regions, os.Stdout)
+		return decide(client, *base, *pol, *sub, *cores, *regions, stdout)
 	case "decisions":
 		fs := flag.NewFlagSet("decisions", flag.ContinueOnError)
 		var (
@@ -140,17 +146,17 @@ func run() error {
 			limit  = fs.Int("limit", 0, "page size; any paging flag switches to the cursor envelope")
 			cursor = fs.String("cursor", "", "resume from a previous page's next cursor")
 		)
-		if err := fs.Parse(flag.Args()[1:]); err != nil {
+		if err := fs.Parse(global.Args()[1:]); err != nil {
 			return helpErr(err)
 		}
-		return showDecisions(client, *server, *pol, *limit, *cursor, os.Stdout)
+		return showDecisions(client, *base, *pol, *limit, *cursor, stdout)
 	case "counterfactual":
-		if flag.Arg(1) == "" {
+		if global.Arg(1) == "" {
 			return fmt.Errorf("counterfactual requires a decision id")
 		}
-		return showCounterfactual(client, *server, flag.Arg(1), os.Stdout)
+		return showCounterfactual(client, *base, global.Arg(1), stdout)
 	default:
-		return fmt.Errorf("unknown command %q (want summary | profiles | profile | percentiles | regions | watch | ingest | routes | version | decide | decisions | counterfactual)", flag.Arg(0))
+		return fmt.Errorf("unknown command %q (want summary | profiles | profile | percentiles | regions | watch | ingest | routes | version | decide | decisions | counterfactual)", global.Arg(0))
 	}
 }
 
@@ -164,70 +170,65 @@ func helpErr(err error) error {
 	return err
 }
 
-// getJSON fetches rawURL and decodes the body into out. Any status ≥ 400
-// is an error: the server's JSON envelope becomes a one-line message
-// ("profile not found (not_found, HTTP 404)"); a non-envelope body — an
-// older server, a proxy error page — falls back to quoting the trimmed
-// body so the operator still sees what the wire carried.
-func getJSON(client *http.Client, rawURL string, out interface{}) error {
-	resp, err := client.Get(rawURL)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		var env kb.ErrorBody
-		if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
-			return fmt.Errorf("%s (%s, HTTP %d)", env.Error.Message, env.Error.Code, resp.StatusCode)
+// fetch sends one request and decodes a 200 JSON answer into out. in, when
+// non-nil, is posted as the JSON body; otherwise the request is a GET. A
+// non-empty etag is sent as If-None-Match, and a 304 answer leaves out as
+// it was (the caller reuses its previous payload). fetch returns the
+// validator to replay on the next call.
+//
+// Any status ≥ 400 is an error: the server's JSON envelope becomes a
+// one-line message ("profile not found (not_found, HTTP 404)"); a
+// non-envelope body — an older server, a proxy error page — falls back to
+// quoting the trimmed body so the operator still sees what the wire
+// carried.
+func fetch(client *http.Client, rawURL, etag string, in, out interface{}) (string, error) {
+	method, body := http.MethodGet, io.Reader(nil)
+	if in != nil {
+		payload, err := json.Marshal(in)
+		if err != nil {
+			return "", err
 		}
-		return fmt.Errorf("GET %s: %s: %s", rawURL, resp.Status, bytes.TrimSpace(body))
+		method, body = http.MethodPost, bytes.NewReader(payload)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET %s: unexpected status %s", rawURL, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// getJSONCond is getJSON with cache validation: a non-empty etag is sent
-// as If-None-Match, and a 304 answer reports notModified without decoding
-// (the caller reuses its previous payload). The returned tag is whatever
-// validator the response carried — replay it on the next call.
-func getJSONCond(client *http.Client, rawURL, etag string, out interface{}) (newTag string, notModified bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, rawURL, nil)
+	req, err := http.NewRequest(method, rawURL, body)
 	if err != nil {
-		return "", false, err
+		return "", err
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	if etag != "" {
 		req.Header.Set("If-None-Match", etag)
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	defer resp.Body.Close()
-	newTag = resp.Header.Get("ETag")
-	if resp.StatusCode == http.StatusNotModified {
-		return newTag, true, nil
-	}
-	if resp.StatusCode >= 400 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		var env kb.ErrorBody
-		if json.Unmarshal(body, &env) == nil && env.Error.Message != "" {
-			return "", false, fmt.Errorf("%s (%s, HTTP %d)", env.Error.Message, env.Error.Code, resp.StatusCode)
+	tag := resp.Header.Get("ETag")
+	switch {
+	case resp.StatusCode == http.StatusNotModified:
+		if tag == "" {
+			tag = etag
 		}
-		return "", false, fmt.Errorf("GET %s: %s: %s", rawURL, resp.Status, bytes.TrimSpace(body))
+		return tag, nil
+	case resp.StatusCode >= 400:
+		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+		var env kb.ErrorBody
+		if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
+			return "", fmt.Errorf("%s (%s, HTTP %d)", env.Error.Message, env.Error.Code, resp.StatusCode)
+		}
+		return "", fmt.Errorf("%s %s: %s: %s", method, rawURL, resp.Status, bytes.TrimSpace(raw))
+	case resp.StatusCode != http.StatusOK:
+		return "", fmt.Errorf("%s %s: unexpected status %s", method, rawURL, resp.Status)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return "", false, fmt.Errorf("GET %s: unexpected status %s", rawURL, resp.Status)
-	}
-	return newTag, false, json.NewDecoder(resp.Body).Decode(out)
+	return tag, json.NewDecoder(resp.Body).Decode(out)
 }
 
 // showPercentiles prints the live per-pattern utilization bands.
-func showPercentiles(client *http.Client, server string, w io.Writer) error {
+func showPercentiles(client *http.Client, base string, w io.Writer) error {
 	var rep stream.PercentilesReport
-	if err := getJSON(client, server+"/api/v1/live/percentiles", &rep); err != nil {
+	if _, err := fetch(client, base+"/api/v1/live/percentiles", "", nil, &rep); err != nil {
 		return err
 	}
 	t := report.NewTable("pattern", "subscriptions", "samples",
@@ -248,9 +249,9 @@ func showPercentiles(client *http.Client, server string, w io.Writer) error {
 }
 
 // showRegions prints the live per-region rollups.
-func showRegions(client *http.Client, server string, w io.Writer) error {
+func showRegions(client *http.Client, base string, w io.Writer) error {
 	var rolls []kb.RegionRollup
-	if err := getJSON(client, server+"/api/v1/live/regions", &rolls); err != nil {
+	if _, err := fetch(client, base+"/api/v1/live/regions", "", nil, &rolls); err != nil {
 		return err
 	}
 	t := report.NewTable("region", "subscriptions", "multi-region", "agnostic",
@@ -272,18 +273,13 @@ func showRegions(client *http.Client, server string, w io.Writer) error {
 	return nil
 }
 
-// ingestReport mirrors the /api/v1/live/ingest payload.
-type ingestReport struct {
-	Shards []stream.IngestVital `json:"shards"`
-}
-
 // showIngest prints the columnar hot-path vitals, one row per ingestion
 // shard. The reuse column is the free-list hit rate — on a healthy
 // steady-state replay it approaches 100% while "allocated" stays frozen
 // at the warm-up count (see DESIGN.md §14).
-func showIngest(client *http.Client, server string, w io.Writer) error {
-	var rep ingestReport
-	if err := getJSON(client, server+"/api/v1/live/ingest", &rep); err != nil {
+func showIngest(client *http.Client, base string, w io.Writer) error {
+	var rep server.IngestReport
+	if _, err := fetch(client, base+"/api/v1/live/ingest", "", nil, &rep); err != nil {
 		return err
 	}
 	t := report.NewTable("shard", "batches folded", "column samples", "fill",
@@ -311,35 +307,35 @@ func showIngest(client *http.Client, server string, w io.Writer) error {
 }
 
 // showVersion prints the server build info from /api/v1/version.
-func showVersion(client *http.Client, server string) error {
-	var v kb.VersionInfo
-	if err := getJSON(client, server+"/api/v1/version", &v); err != nil {
+func showVersion(client *http.Client, base string, w io.Writer) error {
+	var v server.VersionInfo
+	if _, err := fetch(client, base+"/api/v1/version", "", nil, &v); err != nil {
 		return err
 	}
-	fmt.Printf("%s %s", v.Module, v.Version)
+	fmt.Fprintf(w, "%s %s", v.Module, v.Version)
 	if v.Revision != "" {
 		rev := v.Revision
 		if len(rev) > 12 {
 			rev = rev[:12]
 		}
-		fmt.Printf(" (%s", rev)
+		fmt.Fprintf(w, " (%s", rev)
 		if v.Modified {
-			fmt.Print("-dirty")
+			fmt.Fprint(w, "-dirty")
 		}
-		fmt.Print(")")
+		fmt.Fprint(w, ")")
 	}
 	if v.GoVersion != "" {
-		fmt.Printf(" %s", v.GoVersion)
+		fmt.Fprintf(w, " %s", v.GoVersion)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
 // showRoutes prints the server's machine-readable route index — the
 // discovery entry point of the v1 API.
-func showRoutes(client *http.Client, server string, w io.Writer) error {
-	var idx kb.RouteIndex
-	if err := getJSON(client, server+"/api/v1/", &idx); err != nil {
+func showRoutes(client *http.Client, base string, w io.Writer) error {
+	var idx server.RouteIndex
+	if _, err := fetch(client, base+"/api/v1/", "", nil, &idx); err != nil {
 		return err
 	}
 	t := report.NewTable("method", "pattern", "params", "description")
@@ -353,18 +349,9 @@ func showRoutes(client *http.Client, server string, w io.Writer) error {
 	return t.Render(w)
 }
 
-func showSummary(client *http.Client, server string) error {
-	var out map[string]struct {
-		Subscriptions     int                `json:"subscriptions"`
-		VMsObserved       int                `json:"vmsObserved"`
-		SnapshotCores     int                `json:"snapshotCores"`
-		MeanUtilization   float64            `json:"meanUtilization"`
-		PatternShares     map[string]float64 `json:"patternShares"`
-		RegionAgnostic    int                `json:"regionAgnostic"`
-		MultiRegion       int                `json:"multiRegion"`
-		MedianLifetimeMin float64            `json:"medianLifetimeMin"`
-	}
-	if err := getJSON(client, server+"/api/v1/summary", &out); err != nil {
+func showSummary(client *http.Client, base string, w io.Writer) error {
+	var out map[string]kb.Summary
+	if _, err := fetch(client, base+"/api/v1/summary", "", nil, &out); err != nil {
 		return err
 	}
 	t := report.NewTable("cloud", "subscriptions", "VMs observed", "snapshot cores",
@@ -379,10 +366,10 @@ func showSummary(client *http.Client, server string) error {
 			strconv.Itoa(s.MultiRegion),
 			strconv.Itoa(s.RegionAgnostic))
 	}
-	return t.Render(os.Stdout)
+	return t.Render(w)
 }
 
-func showProfiles(client *http.Client, server, cloud string, minAgnostic float64, pattern string, minShortLived float64) error {
+func showProfiles(client *http.Client, base, cloud string, minAgnostic float64, pattern string, minShortLived float64, w io.Writer) error {
 	q := url.Values{}
 	if cloud != "" {
 		q.Set("cloud", cloud)
@@ -397,11 +384,11 @@ func showProfiles(client *http.Client, server, cloud string, minAgnostic float64
 		q.Set("minShortLived", strconv.FormatFloat(minShortLived, 'f', -1, 64))
 	}
 	var profiles []kb.Profile
-	rawURL := server + "/api/v1/profiles"
+	rawURL := base + "/api/v1/profiles"
 	if enc := q.Encode(); enc != "" {
 		rawURL += "?" + enc
 	}
-	if err := getJSON(client, rawURL, &profiles); err != nil {
+	if _, err := fetch(client, rawURL, "", nil, &profiles); err != nil {
 		return err
 	}
 	t := report.NewTable("subscription", "cloud", "regions", "snapshot cores",
@@ -415,42 +402,16 @@ func showProfiles(client *http.Client, server, cloud string, minAgnostic float64
 			fmt.Sprintf("%.2f", p.RegionAgnosticScore),
 			report.Pct(p.ShortLivedShare))
 	}
-	if err := t.Render(os.Stdout); err != nil {
+	if err := t.Render(w); err != nil {
 		return err
 	}
-	fmt.Printf("%d profiles\n", len(profiles))
+	fmt.Fprintf(w, "%d profiles\n", len(profiles))
 	return nil
-}
-
-// postJSON posts body to rawURL and decodes the response like getJSON,
-// including the error-envelope handling.
-func postJSON(client *http.Client, rawURL string, body, out interface{}) error {
-	payload, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := client.Post(rawURL, "application/json", bytes.NewReader(payload))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		var env kb.ErrorBody
-		if json.Unmarshal(raw, &env) == nil && env.Error.Message != "" {
-			return fmt.Errorf("%s (%s, HTTP %d)", env.Error.Message, env.Error.Code, resp.StatusCode)
-		}
-		return fmt.Errorf("POST %s: %s: %s", rawURL, resp.Status, bytes.TrimSpace(raw))
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("POST %s: unexpected status %s", rawURL, resp.Status)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // decide posts one placement/admission request and prints the resulting
 // ledger entry.
-func decide(client *http.Client, server, pol, sub string, cores int, regions string, w io.Writer) error {
+func decide(client *http.Client, base, pol, sub string, cores int, regions string, w io.Writer) error {
 	req := policy.Request{
 		Policy:       pol,
 		Subscription: core.SubscriptionID(sub),
@@ -460,7 +421,7 @@ func decide(client *http.Client, server, pol, sub string, cores int, regions str
 		req.Regions = strings.Split(regions, ",")
 	}
 	var d policy.Decision
-	if err := postJSON(client, server+"/api/v1/policy/decide", req, &d); err != nil {
+	if _, err := fetch(client, base+"/api/v1/policy/decide", "", req, &d); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "decision %d: %s -> %s (score %.4f, accepted %v, snapshot step %d %s)\n",
@@ -471,16 +432,9 @@ func decide(client *http.Client, server, pol, sub string, cores int, regions str
 	return nil
 }
 
-// decisionPage mirrors the kb.ListPage envelope with typed items.
-type decisionPage struct {
-	Items      []policy.Decision `json:"items"`
-	NextCursor string            `json:"next_cursor"`
-	Total      int               `json:"total"`
-}
-
 // showDecisions lists the ledger; with -limit or -cursor it walks the
 // paginated envelope and prints the next cursor for the following page.
-func showDecisions(client *http.Client, server, pol string, limit int, cursor string, w io.Writer) error {
+func showDecisions(client *http.Client, base, pol string, limit int, cursor string, w io.Writer) error {
 	q := url.Values{}
 	if pol != "" {
 		q.Set("policy", pol)
@@ -491,26 +445,24 @@ func showDecisions(client *http.Client, server, pol string, limit int, cursor st
 	if cursor != "" {
 		q.Set("cursor", cursor)
 	}
-	rawURL := server + "/api/v1/policy/decisions"
+	rawURL := base + "/api/v1/policy/decisions"
 	if enc := q.Encode(); enc != "" {
 		rawURL += "?" + enc
 	}
-	var (
-		items      []policy.Decision
-		nextCursor string
-		total      int
-	)
-	if limit > 0 || cursor != "" {
-		var page decisionPage
-		if err := getJSON(client, rawURL, &page); err != nil {
-			return err
-		}
-		items, nextCursor, total = page.Items, page.NextCursor, page.Total
-	} else {
-		if err := getJSON(client, rawURL, &items); err != nil {
-			return err
-		}
-		total = len(items)
+	// Without paging flags the server answers a bare array; with them, the
+	// envelope, whose items decode into the same typed slice.
+	var items []policy.Decision
+	page := kb.ListPage{Items: &items}
+	paged := limit > 0 || cursor != ""
+	var out interface{} = &items
+	if paged {
+		out = &page
+	}
+	if _, err := fetch(client, rawURL, "", nil, out); err != nil {
+		return err
+	}
+	if !paged {
+		page.Total = len(items)
 	}
 	t := report.NewTable("id", "policy", "subscription", "action", "score", "accepted", "snapshot")
 	for _, d := range items {
@@ -525,17 +477,17 @@ func showDecisions(client *http.Client, server, pol string, limit int, cursor st
 	if err := t.Render(w); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%d of %d decisions\n", len(items), total)
-	if nextCursor != "" {
-		fmt.Fprintf(w, "next: -cursor %s\n", nextCursor)
+	fmt.Fprintf(w, "%d of %d decisions\n", len(items), page.Total)
+	if page.NextCursor != "" {
+		fmt.Fprintf(w, "next: -cursor %s\n", page.NextCursor)
 	}
 	return nil
 }
 
 // showCounterfactual prints the regret replay for one ledger entry.
-func showCounterfactual(client *http.Client, server, id string, w io.Writer) error {
+func showCounterfactual(client *http.Client, base, id string, w io.Writer) error {
 	var cf policy.Counterfactual
-	if err := getJSON(client, server+"/api/v1/policy/decisions/"+url.PathEscape(id)+"/counterfactual", &cf); err != nil {
+	if _, err := fetch(client, base+"/api/v1/policy/decisions/"+url.PathEscape(id)+"/counterfactual", "", nil, &cf); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "decision %d (%s): chose %s, original score %.4f, replay %.4f (reproduced %v)\n",
@@ -558,15 +510,15 @@ func showCounterfactual(client *http.Client, server, id string, w io.Writer) err
 	return nil
 }
 
-func showProfile(client *http.Client, server, id string) error {
+func showProfile(client *http.Client, base, id string, w io.Writer) error {
 	var p kb.Profile
-	if err := getJSON(client, server+"/api/v1/profiles/"+url.PathEscape(id), &p); err != nil {
+	if _, err := fetch(client, base+"/api/v1/profiles/"+url.PathEscape(id), "", nil, &p); err != nil {
 		return err
 	}
 	var data bytes.Buffer
 	if err := json.Indent(&data, kb.AppendProfileJSON(nil, &p), "", "  "); err != nil {
 		return err
 	}
-	fmt.Println(data.String())
+	fmt.Fprintln(w, data.String())
 	return nil
 }

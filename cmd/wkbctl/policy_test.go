@@ -3,43 +3,32 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
-	"cloudlens/internal/kb"
 	"cloudlens/internal/policy"
 )
 
 func TestDecidePostsAndPrints(t *testing.T) {
-	var gotBody []byte
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost || r.URL.Path != "/api/v1/policy/decide" {
-			t.Errorf("unexpected %s %s", r.Method, r.URL.Path)
-		}
-		gotBody = make([]byte, r.ContentLength)
-		r.Body.Read(gotBody)
-		json.NewEncoder(w).Encode(policy.Decision{
-			ID: 7, Policy: "oversub", Action: "admit:eps=0.01", Score: 1.5,
-			Accepted: true, SnapshotStep: 2016, SnapshotFingerprint: "fnv1a:abc",
-		})
-	}))
-	defer srv.Close()
+	srv, peng := policyServer(t)
 
 	var out bytes.Buffer
-	if err := decide(srv.Client(), srv.URL, "oversub", "sub-a", 4, "r1,r2", &out); err != nil {
+	if err := decide(srv.Client(), srv.URL, "balance", "sub-a", 4, "r1,r2", &out); err != nil {
 		t.Fatal(err)
 	}
-	var req policy.Request
-	if err := json.Unmarshal(gotBody, &req); err != nil {
-		t.Fatalf("posted body: %v (%s)", err, gotBody)
+	ledger := peng.Ledger().List("")
+	if len(ledger) != 1 {
+		t.Fatalf("ledger holds %d decisions, want 1", len(ledger))
 	}
-	if req.Policy != "oversub" || req.Subscription != "sub-a" || req.Cores != 4 ||
+	d := ledger[0]
+	if req := d.Request; req.Policy != "balance" || req.Subscription != "sub-a" || req.Cores != 4 ||
 		len(req.Regions) != 2 {
 		t.Errorf("posted request = %+v", req)
 	}
-	for _, want := range []string{"decision 7", "admit:eps=0.01", "accepted true", "fnv1a:abc"} {
+	for _, want := range []string{"decision 1", d.Action, fmt.Sprintf("accepted %v", d.Accepted), d.SnapshotFingerprint} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}
@@ -47,10 +36,7 @@ func TestDecidePostsAndPrints(t *testing.T) {
 }
 
 func TestDecideSurfacesEnvelopeError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		kb.WriteError(w, http.StatusBadRequest, "unknown_policy", `unknown policy "nope"`)
-	}))
-	defer srv.Close()
+	srv, _ := policyServer(t)
 
 	err := decide(srv.Client(), srv.URL, "nope", "s", 1, "", &bytes.Buffer{})
 	if err == nil {
@@ -62,24 +48,12 @@ func TestDecideSurfacesEnvelopeError(t *testing.T) {
 }
 
 func TestShowDecisionsBareAndPaged(t *testing.T) {
-	mk := func(id uint64) policy.Decision {
-		return policy.Decision{
-			ID: id, Policy: "spot", Action: "admit-spot", Score: 0.4, Accepted: true,
-			Request: policy.Request{Subscription: "sub-b"}, SnapshotStep: 12,
+	srv, peng := policyServer(t)
+	for i := 0; i < 3; i++ {
+		if _, err := peng.Decide(policy.Request{Policy: "spot", Subscription: "sub-b", Cores: 1}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("limit") != "" {
-			json.NewEncoder(w).Encode(decisionPage{
-				Items:      []policy.Decision{mk(1), mk(2)},
-				NextCursor: "tok123",
-				Total:      5,
-			})
-			return
-		}
-		json.NewEncoder(w).Encode([]policy.Decision{mk(1), mk(2), mk(3)})
-	}))
-	defer srv.Close()
 
 	// Bare array without paging flags.
 	var out bytes.Buffer
@@ -95,13 +69,16 @@ func TestShowDecisionsBareAndPaged(t *testing.T) {
 	if err := showDecisions(srv.Client(), srv.URL, "spot", 2, "", &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"2 of 5 decisions", "next: -cursor tok123", "admit-spot", "sub-b"} {
+	for _, want := range []string{"2 of 3 decisions", "next: -cursor ", "spot", "sub-b"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("paged output missing %q:\n%s", want, out.String())
 		}
 	}
 }
 
+// TestShowCounterfactualRendersRegret renders an alternative the current
+// snapshot no longer knows ("n/a"), which a static knowledge base never
+// produces, so the server here is a fixture.
 func TestShowCounterfactualRendersRegret(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/api/v1/policy/decisions/3/counterfactual" {

@@ -19,23 +19,21 @@ import (
 // If-None-Match: between fold boundaries the server answers 304 with no
 // body and the cached summary is reused, so a tight -interval costs the
 // server a header check rather than a re-aggregation.
-func watch(client *http.Client, server string, interval time.Duration, count int, w io.Writer) error {
+func watch(client *http.Client, base string, interval time.Duration, count int, w io.Writer) error {
 	var (
 		etag string
 		sum  stream.Summary
 	)
 	for polls := 0; ; {
 		var st stream.Status
-		if err := getJSON(client, server+"/api/v1/live/status", &st); err != nil {
+		if _, err := fetch(client, base+"/api/v1/live/status", "", nil, &st); err != nil {
 			return err
 		}
-		newTag, notModified, err := getJSONCond(client, server+"/api/v1/live/summary", etag, &sum)
+		tag, err := fetch(client, base+"/api/v1/live/summary", etag, nil, &sum)
 		if err != nil {
 			return err
 		}
-		if !notModified || newTag != "" {
-			etag = newTag
-		}
+		etag = tag
 
 		line := fmt.Sprintf("step %d/%d", st.Step, st.Steps)
 		if st.Steps > 0 {

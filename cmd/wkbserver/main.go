@@ -2,7 +2,7 @@
 // in the paper's Section V) as an HTTP service: it extracts per-
 // subscription workload knowledge from a trace and serves it as JSON.
 //
-// The routes are listed once, on newHandler in server.go, and served
+// The routes are listed once, on server.New in internal/server, and served
 // machine-readable at GET /api/v1/ (wkbctl routes renders that index).
 // Errors use the {"error":{"code","message"}} envelope.
 //
@@ -78,6 +78,7 @@ import (
 	"cloudlens/internal/kb"
 	"cloudlens/internal/obs"
 	"cloudlens/internal/policy"
+	"cloudlens/internal/server"
 	"cloudlens/internal/stream"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
@@ -197,13 +198,13 @@ func run() error {
 	}
 
 	var (
-		store   *kb.Store
-		pipe    *stream.Pipeline
-		inj     *faultgen.Injector
-		peng    *policy.Engine
-		readSrc *stream.ReadSource
+		store *kb.Store
+		pipe  *stream.Pipeline
+		inj   *faultgen.Injector
+		peng  *policy.Engine
 		// src backs every snapshot-served GET and, with -policies, the
-		// policy engine: readSrc on a replay, one StoreSource in batch mode.
+		// policy engine: the pipeline's ReadSource on a replay, one
+		// StoreSource in batch mode.
 		src kb.SnapshotSource
 	)
 	if *replay {
@@ -230,7 +231,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		readSrc = stream.NewReadSource(time.Now)
+		readSrc := stream.NewReadSource(time.Now)
 		readSrc.Bind(pipe.Engine())
 		src = readSrc
 		obs.Default.GaugeFunc("cloudlens_read_snapshot_age_seconds",
@@ -281,7 +282,7 @@ func run() error {
 	if *logRequests {
 		reqLog = logger
 	}
-	srv := publicServer(*addr, newHandler(src, pipe, readSrc, inj, peng, reqLog))
+	srv := publicServer(*addr, server.New(src, pipe, inj, peng, reqLog))
 
 	var debugSrv *http.Server
 	if *debugAddr != "" {

@@ -20,65 +20,14 @@ import (
 	"cloudlens/internal/core"
 	"cloudlens/internal/faultgen"
 	"cloudlens/internal/kb"
-	"cloudlens/internal/policy"
+	"cloudlens/internal/server"
+	"cloudlens/internal/server/servertest"
 	"cloudlens/internal/sim"
 	"cloudlens/internal/stream"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/usage"
 	"cloudlens/internal/workload"
 )
-
-// testTrace is a compact hand-built week exercising both clouds and every
-// route's data dependencies (multi-region spread, qualified and short
-// lived VMs).
-func testTrace() *trace.Trace {
-	g := sim.WeekGrid()
-	mk := func(id int, sub string, cloud core.Cloud, region string,
-		created, deleted int, u usage.Params) trace.VM {
-		return trace.VM{
-			ID:           core.VMID(id),
-			Subscription: core.SubscriptionID(sub),
-			Service:      "svc",
-			Cloud:        cloud,
-			Region:       region,
-			Size:         core.VMSize{Cores: 4, MemoryGB: 16},
-			CreatedStep:  created,
-			DeletedStep:  deleted,
-			Usage:        u,
-		}
-	}
-	n := g.N
-	return &trace.Trace{
-		Grid: g,
-		VMs: []trace.VM{
-			mk(0, "sub-a", core.Private, "r1", -10, n+1, usage.Diurnal(0.3, 0.25, 14*60, 1)),
-			mk(1, "sub-a", core.Private, "r2", 0, n, usage.Diurnal(0.3, 0.25, 14*60, 2)),
-			mk(2, "sub-a", core.Private, "r1", 100, 120, usage.Stable(0.5, 3)),
-			mk(3, "sub-b", core.Public, "r1", 0, n+5, usage.Stable(0.2, 4)),
-			mk(4, "sub-b", core.Public, "r1", 500, 900, usage.Irregular(0.4, 5)),
-		},
-	}
-}
-
-// livePipeline mirrors run()'s replay wiring: the read source is bound to
-// the engine before the pipeline starts.
-func livePipeline(tr *trace.Trace, opts stream.Options) (*stream.Pipeline, *stream.ReadSource) {
-	pipe := stream.NewPipeline(tr, opts)
-	readSrc := stream.NewReadSource(time.Now)
-	readSrc.Bind(pipe.Engine())
-	return pipe, readSrc
-}
-
-// buildHandler wires newHandler as run() does: reads go through readSrc on
-// a replaying server and through one StoreSource over store in batch mode.
-// The read routes never expose the snapshot's step, so it is left at 0.
-func buildHandler(store *kb.Store, pipe *stream.Pipeline, readSrc *stream.ReadSource, inj *faultgen.Injector, peng *policy.Engine, reqLog *slog.Logger) http.Handler {
-	var src kb.SnapshotSource = readSrc
-	if readSrc == nil {
-		src = kb.NewStoreSource(store, 0, time.Now)
-	}
-	return newHandler(src, pipe, readSrc, inj, peng, reqLog)
-}
 
 func get(t *testing.T, srv *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
@@ -136,13 +85,13 @@ func assertEnvelope(t *testing.T, path string, body []byte, status int) {
 }
 
 func TestBatchHandlerRoutes(t *testing.T) {
-	tr := testTrace()
+	tr := servertest.Trace()
 	store := kb.Extract(tr, kb.ExtractOptions{})
-	srv := httptest.NewServer(buildHandler(store, nil, nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil))
 	defer srv.Close()
 
 	body := wantStatus(t, srv, "/healthz", http.StatusOK)
-	var health kb.Health
+	var health server.Health
 	if err := json.Unmarshal(body, &health); err != nil || health.Status != "ok" {
 		t.Errorf("healthz body = %s (err %v)", body, err)
 	}
@@ -202,20 +151,20 @@ func TestBatchHandlerRoutes(t *testing.T) {
 	assertEnvelope(t, "POST /api/v1/summary", body, http.StatusMethodNotAllowed)
 
 	body = wantStatus(t, srv, "/api/v1/version", http.StatusOK)
-	var ver kb.VersionInfo
+	var ver server.VersionInfo
 	if err := json.Unmarshal(body, &ver); err != nil || ver.Module == "" {
 		t.Errorf("version body = %s (err %v)", body, err)
 	}
 }
 
 func TestLiveHandlerRoutes(t *testing.T) {
-	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, stream.Options{})
+	tr := servertest.Trace()
+	pipe, readSrc := servertest.Live(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 
 	body := wantStatus(t, srv, "/api/v1/live/status", http.StatusOK)
@@ -263,7 +212,7 @@ func TestLiveHandlerRoutes(t *testing.T) {
 
 	// A finished replay reports ready.
 	body = wantStatus(t, srv, "/healthz", http.StatusOK)
-	var health kb.Health
+	var health server.Health
 	if err := json.Unmarshal(body, &health); err != nil || health.Status != "ok" {
 		t.Errorf("healthz after replay = %s (err %v)", body, err)
 	}
@@ -276,13 +225,13 @@ func TestLiveHandlerRoutes(t *testing.T) {
 // Prometheus surface: parseable text format covering the HTTP, stream,
 // pool, cache, and knowledge-base subsystems.
 func TestMetricsExposition(t *testing.T) {
-	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, stream.Options{})
+	tr := servertest.Trace()
+	pipe, readSrc := servertest.Live(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 
 	// One API request first so the middleware series have data.
@@ -365,9 +314,9 @@ func TestMetricsExposition(t *testing.T) {
 // replay is still running; under -race (make verify) this demonstrates the
 // snapshot and exposition paths are free of data races with ingestion.
 func TestLiveEndpointsDuringIngestion(t *testing.T) {
-	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, stream.Options{FoldEverySteps: 12})
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	tr := servertest.Trace()
+	pipe, readSrc := servertest.Live(tr, stream.Options{FoldEverySteps: 12})
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 	pipe.Start(context.Background())
 
@@ -412,7 +361,7 @@ func TestLiveEndpointsDuringIngestion(t *testing.T) {
 
 	// After the replay completes the readiness contract flips to ok.
 	body := wantStatus(t, srv, "/healthz", http.StatusOK)
-	var health kb.Health
+	var health server.Health
 	if err := json.Unmarshal(body, &health); err != nil || health.Status != "ok" {
 		t.Errorf("healthz after ingestion = %s (err %v)", body, err)
 	}
@@ -447,8 +396,8 @@ func TestLivePaginationDuringIngestion(t *testing.T) {
 		})
 	}
 	tr := &trace.Trace{Grid: g, VMs: vms}
-	pipe, readSrc := livePipeline(tr, stream.Options{FoldEverySteps: 12})
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	pipe, readSrc := servertest.Live(tr, stream.Options{FoldEverySteps: 12})
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 	pipe.Start(context.Background())
 
@@ -509,24 +458,24 @@ func TestLivePaginationDuringIngestion(t *testing.T) {
 // the fault surface: /api/v1/live/faults reconciles the injector's ledger
 // with the ingestor's counters, and /healthz carries the same vitals.
 func TestLiveFaultsEndpoint(t *testing.T) {
-	tr := testTrace()
+	tr := servertest.Trace()
 	spec, err := faultgen.ParseSpec("drop=0.01,dup=0.01,delay=0.01:3,corrupt=0.005,seed=9")
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
 	var inj *faultgen.Injector
-	pipe, readSrc := livePipeline(tr, stream.Options{
+	pipe, readSrc := servertest.Live(tr, stream.Options{
 		WrapSource: spec.Wrap(tr.Grid.N, 0, &inj),
 	})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, inj, nil, nil))
+	srv := httptest.NewServer(server.New(readSrc, pipe, inj, nil, nil))
 	defer srv.Close()
 
 	body := wantStatus(t, srv, "/api/v1/live/faults", http.StatusOK)
-	var rep FaultsReport
+	var rep server.FaultsReport
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatalf("faults decode: %v (%s)", err, body)
 	}
@@ -543,7 +492,7 @@ func TestLiveFaultsEndpoint(t *testing.T) {
 	}
 
 	body = wantStatus(t, srv, "/healthz", http.StatusOK)
-	var health kb.Health
+	var health server.Health
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatalf("healthz decode: %v", err)
 	}
@@ -556,7 +505,7 @@ func TestLiveFaultsEndpoint(t *testing.T) {
 	}
 
 	// Batch mode has no fault surface: enveloped 404, like every live route.
-	batch := httptest.NewServer(buildHandler(pipe.KB(), nil, nil, nil, nil, nil))
+	batch := httptest.NewServer(server.New(kb.NewStoreSource(pipe.KB(), 0, time.Now), nil, nil, nil, nil))
 	defer batch.Close()
 	wantStatus(t, batch, "/api/v1/live/faults", http.StatusNotFound)
 }
@@ -564,17 +513,17 @@ func TestLiveFaultsEndpoint(t *testing.T) {
 // TestRouteIndexCoversLiveSurface checks that the discovery index served
 // at /api/v1/ documents the whole unified surface, batch and live.
 func TestRouteIndexCoversLiveSurface(t *testing.T) {
-	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, stream.Options{})
+	tr := servertest.Trace()
+	pipe, readSrc := servertest.Live(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 
 	body := wantStatus(t, srv, "/api/v1/", http.StatusOK)
-	var idx kb.RouteIndex
+	var idx server.RouteIndex
 	if err := json.Unmarshal(body, &idx); err != nil {
 		t.Fatalf("index decode: %v", err)
 	}
@@ -600,7 +549,7 @@ func TestRouteIndexCoversLiveSurface(t *testing.T) {
 // with -resume semantics and finish; the resumed run must land on the
 // same knowledge base as an uninterrupted one.
 func TestCheckpointResumeFlow(t *testing.T) {
-	tr := testTrace()
+	tr := servertest.Trace()
 	dir := t.TempDir()
 	path := checkpointPath(dir)
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -719,7 +668,7 @@ func TestServerlessEndToEnd(t *testing.T) {
 		t.Fatalf("resumed replay: %v", err)
 	}
 
-	srv := httptest.NewServer(buildHandler(second.KB(), second, readSrc, inj, nil, nil))
+	srv := httptest.NewServer(server.New(readSrc, second, inj, nil, nil))
 	defer srv.Close()
 
 	// The live status names the family and shows a completed replay.
@@ -764,7 +713,7 @@ func TestServerlessEndToEnd(t *testing.T) {
 	// while the injector ledger covers only the resumed run, so the stream
 	// side must be at least the resumed injector's ledger.
 	body = wantStatus(t, srv, "/api/v1/live/faults", http.StatusOK)
-	var rep FaultsReport
+	var rep server.FaultsReport
 	if err := json.Unmarshal(body, &rep); err != nil {
 		t.Fatalf("faults decode: %v (%s)", err, body)
 	}
@@ -782,16 +731,16 @@ func TestServerlessEndToEnd(t *testing.T) {
 // is filling the knowledge base /healthz says "ingesting", so a load
 // balancer (or wkbctl watch) can hold traffic until the state is complete.
 func TestHealthzReportsIngesting(t *testing.T) {
-	tr := testTrace()
+	tr := servertest.Trace()
 	// A paced replay (tiny speedup) stays mid-flight long enough to observe.
-	pipe, readSrc := livePipeline(tr, stream.Options{Speedup: 1})
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	pipe, readSrc := servertest.Live(tr, stream.Options{Speedup: 1})
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	pipe.Start(ctx)
 	body := wantStatus(t, srv, "/healthz", http.StatusOK)
-	var health kb.Health
+	var health server.Health
 	if err := json.Unmarshal(body, &health); err != nil {
 		t.Fatalf("healthz decode: %v (%s)", err, body)
 	}
@@ -813,17 +762,17 @@ func TestHealthzReportsIngesting(t *testing.T) {
 // the exact sums are checked only after Wait, when Finish has quiesced
 // every shard.
 func TestShardedHealthAndFaults(t *testing.T) {
-	tr := testTrace()
+	tr := servertest.Trace()
 	for _, shards := range []int{1, 2} {
-		pipe, readSrc := livePipeline(tr, stream.Options{Shards: shards})
+		pipe, readSrc := servertest.Live(tr, stream.Options{Shards: shards})
 		pipe.Start(context.Background())
 		if err := pipe.Wait(); err != nil {
 			t.Fatalf("shards=%d: replay: %v", shards, err)
 		}
-		srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+		srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 
 		body := wantStatus(t, srv, "/healthz", http.StatusOK)
-		var health kb.Health
+		var health server.Health
 		if err := json.Unmarshal(body, &health); err != nil {
 			t.Fatalf("shards=%d: healthz decode: %v (%s)", shards, err, body)
 		}
@@ -845,7 +794,7 @@ func TestShardedHealthAndFaults(t *testing.T) {
 		}
 
 		body = wantStatus(t, srv, "/api/v1/live/faults", http.StatusOK)
-		var rep FaultsReport
+		var rep server.FaultsReport
 		if err := json.Unmarshal(body, &rep); err != nil {
 			t.Fatalf("shards=%d: faults decode: %v (%s)", shards, err, body)
 		}
@@ -887,8 +836,8 @@ func TestReadHammerDuringIngestion(t *testing.T) {
 		})
 	}
 	tr := &trace.Trace{Grid: g, VMs: vms}
-	pipe, readSrc := livePipeline(tr, stream.Options{FoldEverySteps: 6})
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	pipe, readSrc := servertest.Live(tr, stream.Options{FoldEverySteps: 6})
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 	client := srv.Client()
 
@@ -1064,13 +1013,13 @@ func TestReadHammerDuringIngestion(t *testing.T) {
 // representation's validator — so conditional requests answer 304 for
 // either coding, Vary: Accept-Encoding attached throughout.
 func TestLiveGzipGoldens(t *testing.T) {
-	tr := testTrace()
-	pipe, readSrc := livePipeline(tr, stream.Options{})
+	tr := servertest.Trace()
+	pipe, readSrc := servertest.Live(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 
 	fetch := func(path, acceptEncoding, inm string) (*http.Response, []byte) {
@@ -1141,16 +1090,16 @@ func TestLiveGzipGoldens(t *testing.T) {
 // (returned ≤ allocated + reused, nothing dropped on a well-sized pool).
 func TestLiveIngestVitals(t *testing.T) {
 	for _, shards := range []int{0, 2} {
-		tr := testTrace()
-		pipe, readSrc := livePipeline(tr, stream.Options{Shards: shards})
+		tr := servertest.Trace()
+		pipe, readSrc := servertest.Live(tr, stream.Options{Shards: shards})
 		pipe.Start(context.Background())
 		if err := pipe.Wait(); err != nil {
 			t.Fatalf("shards=%d replay: %v", shards, err)
 		}
-		srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+		srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 
 		body := wantStatus(t, srv, "/api/v1/live/ingest", http.StatusOK)
-		var rep IngestReport
+		var rep server.IngestReport
 		if err := json.Unmarshal(body, &rep); err != nil {
 			t.Fatalf("shards=%d ingest decode: %v", shards, err)
 		}
@@ -1192,7 +1141,7 @@ func TestLiveIngestVitals(t *testing.T) {
 
 		// The route self-registers in the index under cache class "none".
 		idxBody := wantStatus(t, srv, "/api/v1/", http.StatusOK)
-		var idx kb.RouteIndex
+		var idx server.RouteIndex
 		if err := json.Unmarshal(idxBody, &idx); err != nil {
 			t.Fatalf("route index decode: %v", err)
 		}
@@ -1200,8 +1149,8 @@ func TestLiveIngestVitals(t *testing.T) {
 		for _, ri := range idx.Routes {
 			if ri.Pattern == "/api/v1/live/ingest" {
 				found = true
-				if ri.Cache != kb.CacheNone {
-					t.Errorf("ingest route cache class %q, want %q", ri.Cache, kb.CacheNone)
+				if ri.Cache != server.CacheNone {
+					t.Errorf("ingest route cache class %q, want %q", ri.Cache, server.CacheNone)
 				}
 			}
 		}
@@ -1217,7 +1166,7 @@ func TestLiveIngestVitals(t *testing.T) {
 // response is closed by the server rather than held open. The idle window
 // is shortened here so the test does not wait out the production one.
 func TestPublicServerClosesIdleConnections(t *testing.T) {
-	srv := publicServer("127.0.0.1:0", buildHandler(kb.Extract(testTrace(), kb.ExtractOptions{}), nil, nil, nil, nil, nil))
+	srv := publicServer("127.0.0.1:0", server.New(kb.NewStoreSource(kb.Extract(servertest.Trace(), kb.ExtractOptions{}), 0, time.Now), nil, nil, nil, nil))
 	if srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 || srv.ReadHeaderTimeout <= 0 {
 		t.Fatalf("timeouts: read-header %v, write %v, idle %v; all must be set",
 			srv.ReadHeaderTimeout, srv.WriteTimeout, srv.IdleTimeout)

@@ -15,6 +15,8 @@ import (
 	"strings"
 	"testing"
 
+	"cloudlens/internal/server"
+	"cloudlens/internal/server/servertest"
 	"cloudlens/internal/stream"
 )
 
@@ -69,12 +71,12 @@ func TestMetricsSeriesPinned(t *testing.T) {
 // once, and returns its series sorted, values and buckets stripped.
 func replaySeries(t *testing.T, shards int) []string {
 	t.Helper()
-	pipe, readSrc := livePipeline(testTrace(), stream.Options{Shards: shards})
+	pipe, readSrc := servertest.Live(servertest.Trace(), stream.Options{Shards: shards})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	srv := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	srv := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer srv.Close()
 	resp, body := get(t, srv, "/metrics")
 	if resp.StatusCode != http.StatusOK {

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"testing"
 
+	"cloudlens/internal/server"
+	"cloudlens/internal/server/servertest"
 	"cloudlens/internal/stream"
 	"cloudlens/internal/workload"
 )
@@ -29,6 +31,9 @@ func TestLivePageAllocsFlat(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-week replays; skipped in -short mode")
 	}
+	if raceEnabled {
+		t.Skip("the race detector drops pooled buffers at random; allocation counts mean nothing")
+	}
 	measure := func(scale float64) (profiles int, allocs, bytes float64) {
 		cfg := workload.DefaultConfig(42)
 		cfg.Scale = scale
@@ -36,12 +41,12 @@ func TestLivePageAllocsFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generate: %v", err)
 		}
-		pipe, readSrc := livePipeline(tr, stream.Options{})
+		pipe, readSrc := servertest.Live(tr, stream.Options{})
 		pipe.Start(context.Background())
 		if err := pipe.Wait(); err != nil {
 			t.Fatalf("replay: %v", err)
 		}
-		h := buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil)
+		h := server.New(readSrc, pipe, nil, nil, nil)
 		req := httptest.NewRequest(http.MethodGet, "/api/v1/live/profiles?limit=25", nil)
 		w := &discardWriter{}
 		serve := func() {

@@ -14,13 +14,15 @@ import (
 
 	"cloudlens/internal/kb"
 	"cloudlens/internal/policy"
+	"cloudlens/internal/server"
+	"cloudlens/internal/server/servertest"
 )
 
 // policyServer boots a batch-mode server with the full policy set over
 // the test trace's knowledge base.
 func policyServer(t *testing.T) (*httptest.Server, *policy.Engine) {
 	t.Helper()
-	tr := testTrace()
+	tr := servertest.Trace()
 	store := kb.Extract(tr, kb.ExtractOptions{})
 	pols, err := policy.ParseSpec("oversub,spot,balance")
 	if err != nil {
@@ -33,7 +35,7 @@ func policyServer(t *testing.T) (*httptest.Server, *policy.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(newHandler(src, nil, nil, nil, peng, nil))
+	srv := httptest.NewServer(server.New(src, nil, nil, peng, nil))
 	t.Cleanup(srv.Close)
 	return srv, peng
 }
@@ -273,8 +275,8 @@ func TestPolicyCounterfactualEndpoint(t *testing.T) {
 // surface stays mounted and documented, answering 404 with a hint, so
 // clients can tell "no -policies" apart from transport errors.
 func TestPolicyRoutesWithoutEngine(t *testing.T) {
-	store := kb.Extract(testTrace(), kb.ExtractOptions{})
-	srv := httptest.NewServer(buildHandler(store, nil, nil, nil, nil, nil))
+	store := kb.Extract(servertest.Trace(), kb.ExtractOptions{})
+	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil))
 	defer srv.Close()
 
 	for _, path := range []string{
@@ -301,12 +303,12 @@ func TestRouteIndexCoversPolicySurface(t *testing.T) {
 			if withEngine {
 				srv, _ = policyServer(t)
 			} else {
-				store := kb.Extract(testTrace(), kb.ExtractOptions{})
-				srv = httptest.NewServer(buildHandler(store, nil, nil, nil, nil, nil))
+				store := kb.Extract(servertest.Trace(), kb.ExtractOptions{})
+				srv = httptest.NewServer(server.New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil))
 				defer srv.Close()
 			}
 			body := wantStatus(t, srv, "/api/v1/", http.StatusOK)
-			var idx kb.RouteIndex
+			var idx server.RouteIndex
 			if err := json.Unmarshal(body, &idx); err != nil {
 				t.Fatalf("index decode: %v", err)
 			}
@@ -338,7 +340,7 @@ func TestHealthzCarriesPolicyVitals(t *testing.T) {
 	postDecide(t, srv, `{"policy":"oversub","subscription":"ghost"}`)
 
 	body := wantStatus(t, srv, "/healthz", http.StatusOK)
-	var h kb.Health
+	var h server.Health
 	if err := json.Unmarshal(body, &h); err != nil {
 		t.Fatalf("health decode: %v", err)
 	}

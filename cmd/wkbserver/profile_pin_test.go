@@ -12,8 +12,11 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cloudlens/internal/kb"
+	"cloudlens/internal/server"
+	"cloudlens/internal/server/servertest"
 	"cloudlens/internal/stream"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
@@ -49,14 +52,14 @@ func TestProfileRoutesPinned(t *testing.T) {
 		t.Skip("full-week replay; skipped in -short mode")
 	}
 	tr := pinTrace(t)
-	pipe, readSrc := livePipeline(tr, stream.Options{})
+	pipe, readSrc := servertest.Live(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	live := httptest.NewServer(buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil))
+	live := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer live.Close()
-	batch := httptest.NewServer(buildHandler(kb.Extract(tr, kb.ExtractOptions{}), nil, nil, nil, nil, nil))
+	batch := httptest.NewServer(server.New(kb.NewStoreSource(kb.Extract(tr, kb.ExtractOptions{}), 0, time.Now), nil, nil, nil, nil))
 	defer batch.Close()
 
 	var all []stream.LiveProfile

@@ -150,12 +150,15 @@ func WriteSnapshotRaw(w http.ResponseWriter, r *http.Request, sn *Snapshot, key 
 	_, _ = w.Write(body)
 }
 
-// WriteContentJSON writes v under a content-derived ETag (no modification
-// time) — the validator form for payloads that are not snapshot-backed but
-// still stable, like /api/v1/version and the route index.
-func WriteContentJSON(w http.ResponseWriter, r *http.Request, etag string, v interface{}) {
+// WriteContent writes a pre-encoded JSON body under a content-derived ETag
+// (no modification time) — the validator form for payloads that are not
+// snapshot-backed but fixed for the server's lifetime, like
+// /api/v1/version and the route index.
+func WriteContent(w http.ResponseWriter, r *http.Request, etag string, body []byte) {
 	if checkConditional(w, r, etag, time.Time{}) {
 		return
 	}
-	WriteJSON(w, http.StatusOK, v)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }

@@ -3,8 +3,6 @@ package kb
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sync"
@@ -183,172 +181,6 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadFileErrors(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Fatal("missing file accepted")
-	}
-}
-
-func TestHTTPHealthz(t *testing.T) {
-	_, store := sharedKB(t)
-	srv := httptest.NewServer(NewHandler(store))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz status %d", resp.StatusCode)
-	}
-}
-
-func TestHTTPSummary(t *testing.T) {
-	_, store := sharedKB(t)
-	srv := httptest.NewServer(NewHandler(store))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/v1/summary")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out map[string]Summary
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if out["private"].Subscriptions == 0 || out["public"].Subscriptions == 0 {
-		t.Fatalf("summary payload incomplete: %+v", out)
-	}
-}
-
-func TestHTTPProfiles(t *testing.T) {
-	_, store := sharedKB(t)
-	srv := httptest.NewServer(NewHandler(store))
-	defer srv.Close()
-
-	t.Run("list with filters", func(t *testing.T) {
-		resp, err := http.Get(srv.URL + "/api/v1/profiles?cloud=private&minAgnostic=0.8")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var profiles []*Profile
-		if err := json.NewDecoder(resp.Body).Decode(&profiles); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if len(profiles) == 0 {
-			t.Fatal("no region-agnostic private profiles over HTTP")
-		}
-		for _, p := range profiles {
-			if p.Cloud != core.Private || p.RegionAgnosticScore < 0.8 {
-				t.Fatalf("filter violated: %+v", p)
-			}
-		}
-	})
-
-	t.Run("single profile", func(t *testing.T) {
-		resp, err := http.Get(srv.URL + "/api/v1/profiles/prv-sub-servicex")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("status %d", resp.StatusCode)
-		}
-		var p Profile
-		if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-			t.Fatalf("decode: %v", err)
-		}
-		if p.Subscription != "prv-sub-servicex" {
-			t.Fatalf("wrong profile: %s", p.Subscription)
-		}
-	})
-
-	t.Run("not found", func(t *testing.T) {
-		resp, err := http.Get(srv.URL + "/api/v1/profiles/ghost")
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := decodeEnvelope(t, resp)
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("status %d, want 404", resp.StatusCode)
-		}
-		if env.Error.Code != "not_found" {
-			t.Errorf("envelope code %q, want not_found", env.Error.Code)
-		}
-	})
-
-	t.Run("bad parameter", func(t *testing.T) {
-		for _, q := range []string{"cloud=mars", "minAgnostic=abc", "pattern=wavy", "minShortLived=x"} {
-			resp, err := http.Get(srv.URL + "/api/v1/profiles?" + q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			env := decodeEnvelope(t, resp)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("query %q: status %d, want 400", q, resp.StatusCode)
-			}
-			if env.Error.Code != "bad_param" || env.Error.Message == "" {
-				t.Errorf("query %q: envelope = %+v", q, env)
-			}
-		}
-	})
-
-	t.Run("method not allowed", func(t *testing.T) {
-		resp, err := http.Post(srv.URL+"/api/v1/profiles", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := decodeEnvelope(t, resp)
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Fatalf("status %d, want 405", resp.StatusCode)
-		}
-		if env.Error.Code != "method_not_allowed" {
-			t.Errorf("envelope code %q, want method_not_allowed", env.Error.Code)
-		}
-		if resp.Header.Get("Allow") == "" {
-			t.Error("405 lost the Allow header")
-		}
-	})
-
-	t.Run("unknown path", func(t *testing.T) {
-		resp, err := http.Get(srv.URL + "/api/v2/profiles")
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := decodeEnvelope(t, resp)
-		if resp.StatusCode != http.StatusNotFound || env.Error.Code != "not_found" {
-			t.Errorf("status %d envelope %+v, want enveloped 404", resp.StatusCode, env)
-		}
-	})
-}
-
-// decodeEnvelope reads an error response body as the uniform JSON envelope.
-func decodeEnvelope(t *testing.T, resp *http.Response) ErrorBody {
-	t.Helper()
-	defer resp.Body.Close()
-	var env ErrorBody
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		t.Fatalf("error body is not the JSON envelope: %v", err)
-	}
-	return env
-}
-
-func TestHTTPVersion(t *testing.T) {
-	_, store := sharedKB(t)
-	srv := httptest.NewServer(NewHandler(store))
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/v1/version")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("version status %d", resp.StatusCode)
-	}
-	var v VersionInfo
-	if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if v.Module == "" || v.GoVersion == "" {
-		t.Errorf("version payload incomplete: %+v", v)
 	}
 }
 

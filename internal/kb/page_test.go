@@ -1,12 +1,10 @@
 package kb
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sort"
-	"strconv"
 	"testing"
 )
 
@@ -190,181 +188,4 @@ func TestParseFiltersRejectsNaN(t *testing.T) {
 	if _, _, err := ParseListParams(r); err != nil {
 		t.Errorf("ParseListParams rejected ordinary thresholds: %v", err)
 	}
-}
-
-// TestHTTPProfilesPagination drives the paginated envelope end to end:
-// a limit-bounded cursor walk over /api/v1/profiles must reassemble
-// exactly the unpaginated listing, and the strict parameter grammar must
-// reject what it does not know.
-func TestHTTPProfilesPagination(t *testing.T) {
-	_, store := sharedKB(t)
-	srv := httptest.NewServer(NewHandler(store))
-	defer srv.Close()
-
-	var all []*Profile
-	resp, err := http.Get(srv.URL + "/api/v1/profiles")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&all); err != nil {
-		t.Fatalf("decode unpaginated: %v", err)
-	}
-	resp.Body.Close()
-	if len(all) < 10 {
-		t.Fatalf("shared kb too small for a pagination walk: %d profiles", len(all))
-	}
-
-	type pageResp struct {
-		Items      []*Profile `json:"items"`
-		NextCursor string     `json:"next_cursor"`
-		Total      int        `json:"total"`
-	}
-	var walked []*Profile
-	cursor := ""
-	pages := 0
-	for {
-		u := srv.URL + "/api/v1/profiles?limit=7"
-		if cursor != "" {
-			u += "&cursor=" + cursor
-		}
-		resp, err := http.Get(u)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("page %d: status %d", pages, resp.StatusCode)
-		}
-		var p pageResp
-		if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
-			t.Fatalf("page %d: decode: %v", pages, err)
-		}
-		resp.Body.Close()
-		if p.Total != len(all) {
-			t.Fatalf("page %d: total %d, want %d", pages, p.Total, len(all))
-		}
-		if len(p.Items) > 7 {
-			t.Fatalf("page %d: %d items exceed the limit", pages, len(p.Items))
-		}
-		walked = append(walked, p.Items...)
-		pages++
-		if p.NextCursor == "" {
-			break
-		}
-		cursor = p.NextCursor
-	}
-	if want := (len(all) + 6) / 7; pages != want {
-		t.Errorf("walk took %d pages, want %d", pages, want)
-	}
-	if len(walked) != len(all) {
-		t.Fatalf("walk collected %d profiles, want %d", len(walked), len(all))
-	}
-	for i := range all {
-		if walked[i].Subscription != all[i].Subscription {
-			t.Fatalf("page walk diverged at %d: %s vs %s", i, walked[i].Subscription, all[i].Subscription)
-		}
-		if i > 0 && walked[i].Subscription <= walked[i-1].Subscription {
-			t.Fatalf("page walk not strictly increasing at %d: %s after %s",
-				i, walked[i].Subscription, walked[i-1].Subscription)
-		}
-	}
-
-	// Filters compose with paging inside one envelope.
-	resp, err = http.Get(srv.URL + "/api/v1/profiles?cloud=private&limit=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var filtered pageResp
-	if err := json.NewDecoder(resp.Body).Decode(&filtered); err != nil {
-		t.Fatalf("decode filtered page: %v", err)
-	}
-	resp.Body.Close()
-	for _, p := range filtered.Items {
-		if p.Cloud.String() != "private" {
-			t.Fatalf("filtered page leaked %s profile %s", p.Cloud, p.Subscription)
-		}
-	}
-
-	for _, tc := range []struct {
-		query, code string
-	}{
-		{"limit=0", "bad_param"},
-		{"limit=" + strconv.Itoa(MaxPageLimit+1), "bad_param"},
-		{"limit=abc", "bad_param"},
-		{"cursor=garbage!", "bad_cursor"},
-		{"limit=5&nope=1", "unknown_param"},
-		{"Cloud=private", "unknown_param"}, // parameter names are case-sensitive
-	} {
-		resp, err := http.Get(srv.URL + "/api/v1/profiles?" + tc.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		env := decodeEnvelope(t, resp)
-		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != tc.code {
-			t.Errorf("query %q: status %d code %q, want 400 %s", tc.query, resp.StatusCode, env.Error.Code, tc.code)
-		}
-	}
-}
-
-// TestHTTPRouteIndex pins the discovery contract: GET /api/v1/ lists
-// every mounted route with its parameter grammar, and stays an exact
-// match (deeper unknown paths remain enveloped 404s).
-func TestHTTPRouteIndex(t *testing.T) {
-	_, store := sharedKB(t)
-	srv := httptest.NewServer(NewHandler(store))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/api/v1/")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("index status %d", resp.StatusCode)
-	}
-	var idx RouteIndex
-	if err := json.NewDecoder(resp.Body).Decode(&idx); err != nil {
-		t.Fatalf("decode index: %v", err)
-	}
-
-	byPattern := map[string]RouteInfo{}
-	for _, ri := range idx.Routes {
-		if ri.Method == "" || ri.Pattern == "" || ri.Doc == "" {
-			t.Errorf("incomplete route row: %+v", ri)
-		}
-		byPattern[ri.Pattern] = ri
-	}
-	for _, want := range []string{"/healthz", "/api/v1/", "/api/v1/version", "/api/v1/summary",
-		"/api/v1/profiles", "/api/v1/profiles/{id}"} {
-		if _, ok := byPattern[want]; !ok {
-			t.Errorf("route index missing %s (have %v)", want, keysOf(byPattern))
-		}
-	}
-	profiles := byPattern["/api/v1/profiles"]
-	params := map[string]bool{}
-	for _, p := range profiles.Params {
-		params[p.Name] = true
-	}
-	for _, want := range listParamNames {
-		if !params[want] {
-			t.Errorf("profiles route does not document parameter %s", want)
-		}
-	}
-
-	// {$} keeps the index an exact match.
-	resp404, err := http.Get(srv.URL + "/api/v1/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	env := decodeEnvelope(t, resp404)
-	if resp404.StatusCode != http.StatusNotFound || env.Error.Code != "not_found" {
-		t.Errorf("/api/v1/nope: status %d envelope %+v", resp404.StatusCode, env)
-	}
-}
-
-func keysOf(m map[string]RouteInfo) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	return out
 }

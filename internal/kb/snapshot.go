@@ -219,18 +219,3 @@ func (s *Snapshot) encodeEach(fn func(i int, body []byte)) string {
 // fingerprint. Every v1 GET served from the snapshot carries it, and a
 // matching If-None-Match short-circuits to 304.
 func (s *Snapshot) ETag() string { return `"` + s.Fingerprint() + `"` }
-
-// PolicyVitals is the policy-engine slice of the /healthz payload: the
-// configured policies, decision counters, ledger depth, and the identity
-// of the snapshot decisions are currently evaluated against.
-type PolicyVitals struct {
-	Policies            []string `json:"policies"`
-	Decisions           int64    `json:"decisions"`
-	Accepted            int64    `json:"accepted"`
-	Rejected            int64    `json:"rejected"`
-	Counterfactuals     int64    `json:"counterfactuals"`
-	LedgerEntries       int      `json:"ledgerEntries"`
-	SnapshotStep        int      `json:"snapshotStep"`
-	SnapshotProfiles    int      `json:"snapshotProfiles"`
-	SnapshotFingerprint string   `json:"snapshotFingerprint"`
-}

@@ -18,10 +18,10 @@ type SnapshotSource interface {
 // StoreSource serves a mutable store through cached immutable snapshots,
 // gated on the store's write version: a snapshot is rebuilt only after a
 // Put, so a static batch store costs one snapshot total and repeated GETs
-// against it are byte-identical. This is the batch server's source, the
-// policy engine's source after a finished replay, and the fallback behind
-// NewHandler, where it preserves the old semantics of reads observing later
-// writes, just in consistent units.
+// against it are byte-identical. This is the batch server's source (see
+// server.New for the routes it backs) and the policy engine's source after
+// a finished replay; a store still being written is read in consistent
+// units, each request from one snapshot.
 type StoreSource struct {
 	store *Store
 	step  int

@@ -290,10 +290,25 @@ func (e *Engine) Counterfactual(id uint64) (Counterfactual, error) {
 	return cf, nil
 }
 
+// Vitals is the policy-engine slice of the /healthz payload: the
+// configured policies, decision counters, ledger depth, and the identity
+// of the snapshot decisions are currently evaluated against.
+type Vitals struct {
+	Policies            []string `json:"policies"`
+	Decisions           int64    `json:"decisions"`
+	Accepted            int64    `json:"accepted"`
+	Rejected            int64    `json:"rejected"`
+	Counterfactuals     int64    `json:"counterfactuals"`
+	LedgerEntries       int      `json:"ledgerEntries"`
+	SnapshotStep        int      `json:"snapshotStep"`
+	SnapshotProfiles    int      `json:"snapshotProfiles"`
+	SnapshotFingerprint string   `json:"snapshotFingerprint"`
+}
+
 // Vitals summarizes the engine for /healthz.
-func (e *Engine) Vitals() kb.PolicyVitals {
+func (e *Engine) Vitals() Vitals {
 	sn := e.src.Snapshot()
-	return kb.PolicyVitals{
+	return Vitals{
 		Policies:            e.Policies(),
 		Decisions:           e.accepted.Load() + e.rejected.Load(),
 		Accepted:            e.accepted.Load(),

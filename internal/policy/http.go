@@ -11,117 +11,68 @@ import (
 	"cloudlens/internal/kb"
 )
 
-// RegisterRoutes mounts the policy API onto mux and documents it in the
-// route index. The routes are always mounted — with a nil engine they
-// answer 404 with a hint, mirroring how the live routes behave on a
-// batch server — so the route index is identical with and without
-// -policies. wrap instruments handlers (may be nil).
-func RegisterRoutes(mux *http.ServeMux, table *kb.RouteTable, eng *Engine, wrap func(route string, h http.Handler) http.Handler) {
-	if wrap == nil {
-		wrap = func(_ string, h http.Handler) http.Handler { return h }
+// ServeDecide is POST /api/v1/policy/decide: it evaluates one request
+// body and answers the decision appended to the ledger.
+func (e *Engine) ServeDecide(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
+	if err != nil {
+		kb.WriteError(w, http.StatusBadRequest, "bad_request", "read body: "+err.Error())
+		return
 	}
-	handle := func(method, route, doc string, params []kb.ParamInfo, h http.HandlerFunc) {
-		mux.Handle(method+" "+route, wrap(route, h))
-		// Decisions mutate the ledger and reads follow it live, so no
-		// policy response is cache-validatable.
-		table.Add(kb.RouteInfo{Method: method, Pattern: route, Doc: doc, Params: params, Cache: kb.CacheNone})
+	req, err := DecodeRequest(body)
+	if err != nil {
+		kb.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
 	}
-	guard := func(h http.HandlerFunc) http.HandlerFunc {
-		return func(w http.ResponseWriter, r *http.Request) {
-			if eng == nil {
-				kb.WriteError(w, http.StatusNotFound, "not_found",
-					"no policy engine (start wkbserver with -policies)")
-				return
-			}
-			h(w, r)
+	d, err := e.Decide(req)
+	if err != nil {
+		var unknown ErrUnknownPolicy
+		if errors.As(err, &unknown) {
+			kb.WriteError(w, http.StatusBadRequest, "unknown_policy", err.Error())
+			return
 		}
+		kb.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
+	kb.WriteJSON(w, http.StatusOK, d)
+}
 
-	handle("POST", "/api/v1/policy/decide",
-		"evaluate one placement/admission request and append the decision to the ledger (requires -policies)",
-		[]kb.ParamInfo{
-			{Name: "policy", Type: "string", Doc: "body field: configured policy to consult"},
-			{Name: "subscription", Type: "string", Doc: "body field: workload subscription id"},
-			{Name: "cores", Type: "int", Doc: "body field: ask size in cores (default 1)"},
-			{Name: "regions", Type: "[]string", Doc: "body field: candidate regions (balance)"},
-		},
-		guard(func(w http.ResponseWriter, r *http.Request) {
-			body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxRequestBytes))
-			if err != nil {
-				kb.WriteError(w, http.StatusBadRequest, "bad_request", "read body: "+err.Error())
-				return
-			}
-			req, err := DecodeRequest(body)
-			if err != nil {
-				kb.WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
-				return
-			}
-			d, err := eng.Decide(req)
-			if err != nil {
-				var unknown ErrUnknownPolicy
-				if errors.As(err, &unknown) {
-					kb.WriteError(w, http.StatusBadRequest, "unknown_policy", err.Error())
-					return
-				}
-				kb.WriteError(w, http.StatusInternalServerError, "internal", err.Error())
-				return
-			}
-			kb.WriteJSON(w, http.StatusOK, d)
-		}))
+// ServeDecisions is GET /api/v1/policy/decisions: the ledger in id order,
+// as a bare array or, with limit or cursor, the shared paging envelope.
+func (e *Engine) ServeDecisions(w http.ResponseWriter, r *http.Request) {
+	filter, pg, err := parseDecisionParams(r)
+	if err != nil {
+		kb.WriteParamError(w, err)
+		return
+	}
+	items := e.Ledger().List(filter)
+	if !pg.Enabled() {
+		kb.WriteJSON(w, http.StatusOK, items)
+		return
+	}
+	page, err := kb.Paginate(items, Decision.Key, pg)
+	if err != nil {
+		kb.WriteParamError(w, err)
+		return
+	}
+	kb.WriteJSON(w, http.StatusOK, page)
+}
 
-	handle("GET", "/api/v1/policy/decisions",
-		"decision ledger in id order; supports the shared cursor-paging envelope (requires -policies)",
-		append([]kb.ParamInfo{
-			{Name: "policy", Type: "string", Doc: "restrict to one policy's decisions"},
-		}, kb.PageParamInfo()...),
-		guard(func(w http.ResponseWriter, r *http.Request) {
-			filter, pg, err := parseDecisionParams(r)
-			if err != nil {
-				var pe *kb.ParamError
-				if errors.As(err, &pe) {
-					kb.WriteError(w, http.StatusBadRequest, pe.Code, pe.Message)
-					return
-				}
-				kb.WriteError(w, http.StatusBadRequest, "bad_param", err.Error())
-				return
-			}
-			items := eng.Ledger().List(filter)
-			if !pg.Enabled() {
-				kb.WriteJSON(w, http.StatusOK, items)
-				return
-			}
-			page, err := kb.Paginate(items, Decision.Key, pg)
-			if err != nil {
-				var pe *kb.ParamError
-				if errors.As(err, &pe) {
-					kb.WriteError(w, http.StatusBadRequest, pe.Code, pe.Message)
-					return
-				}
-				kb.WriteError(w, http.StatusBadRequest, "bad_cursor", err.Error())
-				return
-			}
-			kb.WriteJSON(w, http.StatusOK, page)
-		}))
-
-	handle("GET", "/api/v1/policy/decisions/{id}/counterfactual",
-		"replay one ledger entry: re-score the chosen action and top-k rejected alternatives, report regret (requires -policies)",
-		[]kb.ParamInfo{
-			{Name: "id", Type: "int", Doc: "path: ledger decision id"},
-		},
-		guard(func(w http.ResponseWriter, r *http.Request) {
-			id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
-			if err != nil {
-				kb.WriteError(w, http.StatusBadRequest, "bad_param",
-					"invalid decision id: want an unsigned integer")
-				return
-			}
-			cf, err := eng.Counterfactual(id)
-			if err != nil {
-				kb.WriteError(w, http.StatusNotFound, "not_found", err.Error())
-				return
-			}
-			kb.WriteJSON(w, http.StatusOK, cf)
-		}))
+// ServeCounterfactual is GET /api/v1/policy/decisions/{id}/counterfactual:
+// the regret replay of one ledger entry.
+func (e *Engine) ServeCounterfactual(w http.ResponseWriter, r *http.Request) {
+	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
+	if err != nil {
+		kb.WriteError(w, http.StatusBadRequest, "bad_param",
+			"invalid decision id: want an unsigned integer")
+		return
+	}
+	cf, err := e.Counterfactual(id)
+	if err != nil {
+		kb.WriteError(w, http.StatusNotFound, "not_found", err.Error())
+		return
+	}
+	kb.WriteJSON(w, http.StatusOK, cf)
 }
 
 // decisionParamNames is the strict allow-list for GET

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 
 	"cloudlens/internal/kb"
 	"cloudlens/internal/policy"
+	"cloudlens/internal/server/servertest"
 	"cloudlens/internal/stream"
 )
 
@@ -24,10 +25,10 @@ const routeIndexGolden = "testdata/route_index.txt"
 // index documents every mounted route, so any route added, dropped,
 // re-worded or re-classed shows here.
 func TestRouteIndexPinned(t *testing.T) {
-	tr := testTrace()
+	tr := servertest.Trace()
 	store := kb.Extract(tr, kb.ExtractOptions{})
 
-	pipe, readSrc := livePipeline(tr, stream.Options{})
+	pipe, readSrc := servertest.Live(tr, stream.Options{})
 	pipe.Start(context.Background())
 	if err := pipe.Wait(); err != nil {
 		t.Fatalf("replay: %v", err)
@@ -48,17 +49,16 @@ func TestRouteIndexPinned(t *testing.T) {
 		mode string
 		h    http.Handler
 	}{
-		{"batch", buildHandler(store, nil, nil, nil, nil, nil)},
-		{"live", buildHandler(pipe.KB(), pipe, readSrc, nil, nil, nil)},
-		{"policy", newHandler(src, nil, nil, nil, peng, nil)},
+		{"batch", New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil)},
+		{"live", New(readSrc, pipe, nil, nil, nil)},
+		{"policy", New(src, nil, nil, peng, nil)},
 	} {
-		srv := httptest.NewServer(c.h)
-		resp, body := get(t, srv, "/api/v1/")
-		srv.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: GET /api/v1/ = %d", c.mode, resp.StatusCode)
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/", nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: GET /api/v1/ = %d", c.mode, rec.Code)
 		}
-		lines = append(lines, fmt.Sprintf("%s %s %s", c.mode, resp.Header.Get("ETag"), strings.TrimSuffix(string(body), "\n")))
+		lines = append(lines, fmt.Sprintf("%s %s %s", c.mode, rec.Header().Get("ETag"), strings.TrimSuffix(rec.Body.String(), "\n")))
 	}
 
 	got := strings.Join(lines, "\n") + "\n"
