@@ -2,9 +2,14 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
+
+// allGolden is `policysim -seed 42 -scale 0.05 -experiment all`'s output:
+// every pilot's printed figures, which no refactor may move.
+const allGolden = "testdata/all_seed42_scale0.05.txt"
 
 // sections lists the report section titles in out, in order: every line
 // underlined by a row of '=' of its own length.
@@ -40,12 +45,35 @@ func TestEachPilotPrintsItsOwnSection(t *testing.T) {
 	}
 }
 
+// TestAllPrintsEverySectionInTableOrder also holds the whole report to
+// allGolden byte for byte.
 func TestAllPrintsEverySectionInTableOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates and replays a trace")
 	}
 	table := pilots(engineConfig{})
-	got := sections(runPolicysim(t, "all"))
+	out := runPolicysim(t, "all")
+	want, err := os.ReadFile(allGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out != string(want) {
+		gotLines, wantLines := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Errorf("output differs from %s at line %d:\ngot  %q\nwant %q", allGolden, i+1, g, w)
+				break
+			}
+		}
+	}
+	got := sections(out)
 	if len(got) != len(table) {
 		t.Fatalf("-experiment all printed %d sections %q, want %d", len(got), got, len(table))
 	}
