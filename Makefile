@@ -1,5 +1,6 @@
 # Development targets for the cloudlens reproduction.
 #
+#   make build       — builds the module and the separate bench/ module
 #   make test        — tier-1: build + unit tests (what CI gates on)
 #   make verify      — bench-check and examples, then vet + full test suite
 #                      under the race detector at 1, 2 and 4 cores; required
@@ -65,8 +66,12 @@ GO ?= go
 
 all: build
 
+# bench/ is its own module, invisible to ./...: building it here makes an
+# API change that breaks cloudbench fail the build, not only bench-check.
+# -o /dev/null because its one main package would land on bench/cloudbench/.
 build:
 	$(GO) build ./...
+	$(GO) build -C bench -o /dev/null ./...
 
 test: build
 	$(GO) test ./...

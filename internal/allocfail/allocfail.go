@@ -42,40 +42,29 @@ import (
 type Options struct {
 	// Cloud selects the platform (default Private, the paper's focus).
 	Cloud core.Cloud
-	// LeadSteps is the planning horizon (default 12 steps = 1 hour).
-	LeadSteps int
-	// ProbesPerRegionHour is how many planned deployments are sampled
-	// per region and hour (default 6).
-	ProbesPerRegionHour int
-	// UsableFraction discounts free capacity for fragmentation
-	// (default 0.92: a region cannot be packed to the last core).
-	UsableFraction float64
 	// Seed drives probe sampling and SGD shuffling.
 	Seed uint64
-	// Epochs is the SGD pass count (default 40).
-	Epochs int
-	// LearningRate is the SGD step (default 0.5).
-	LearningRate float64
 }
+
+const (
+	// leadSteps is the planning horizon: 144 five-minute steps, 12 hours,
+	// the capacity-planning horizon.
+	leadSteps = 144
+	// probesPerRegionHour is how many planned deployments are sampled per
+	// region and hour.
+	probesPerRegionHour = 6
+	// usableFraction discounts free capacity for fragmentation: a region
+	// cannot be packed to the last core.
+	usableFraction = 0.92
+	// epochs is the SGD pass count.
+	epochs = 400
+	// learningRate is the initial SGD step.
+	learningRate = 0.5
+)
 
 func (o Options) withDefaults() Options {
 	if !o.Cloud.Valid() {
 		o.Cloud = core.Private
-	}
-	if o.LeadSteps == 0 {
-		o.LeadSteps = 144 // 12 hours: the capacity-planning horizon
-	}
-	if o.ProbesPerRegionHour == 0 {
-		o.ProbesPerRegionHour = 6
-	}
-	if o.UsableFraction == 0 {
-		o.UsableFraction = 0.92
-	}
-	if o.Epochs == 0 {
-		o.Epochs = 400
-	}
-	if o.LearningRate == 0 {
-		o.LearningRate = 0.5
 	}
 	return o
 }
@@ -161,9 +150,9 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 		if phys == 0 {
 			continue
 		}
-		for h := 0; h*stepsPerHour+opts.LeadSteps < t.Grid.N; h++ {
+		for h := 0; h*stepsPerHour+leadSteps < t.Grid.N; h++ {
 			s := h * stepsPerHour
-			arrive := s + opts.LeadSteps
+			arrive := s + leadSteps
 			freeNow := phys - allocated[r][s]
 			if freeNow < 1 {
 				freeNow = 1
@@ -174,10 +163,10 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 				trendFrom = 0
 			}
 			trend := (allocated[r][s] - allocated[r][trendFrom]) / phys
-			for p := 0; p < opts.ProbesPerRegionHour; p++ {
+			for p := 0; p < probesPerRegionHour; p++ {
 				// At-risk requests around the planning-time boundary;
 				// anything far from it is trivially decided.
-				reqCores := math.Round(freeNow * opts.UsableFraction * (0.5 + rng.Float64()))
+				reqCores := math.Round(freeNow * usableFraction * (0.5 + rng.Float64()))
 				if reqCores < 8 {
 					reqCores = 8
 				}
@@ -185,7 +174,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 				// The static check's signed margin is itself a
 				// planning-time observable; the model learns
 				// workload-aware corrections on top of it.
-				margin := (reqCores - freeNow*opts.UsableFraction) / phys
+				margin := (reqCores - freeNow*usableFraction) / phys
 				smp := sample{
 					features: []float64{
 						1, // bias
@@ -196,8 +185,8 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 						burstCV[r] / 5,
 						float64(t.Grid.MinuteOfDay(s, t.Topology.TZOffsetMin(r))) / 1440,
 					},
-					label:        reqCores > freeLater*opts.UsableFraction,
-					baselinePred: reqCores > freeNow*opts.UsableFraction,
+					label:        reqCores > freeLater*usableFraction,
+					baselinePred: reqCores > freeNow*usableFraction,
 				}
 				if s < half {
 					train = append(train, smp)
@@ -220,7 +209,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 	}
 	res.FailureRate = float64(fails) / float64(len(test))
 
-	weights := trainLogistic(train, rng, opts)
+	weights := trainLogistic(train, rng)
 	res.Weights = weights
 	res.Model = score(test, func(smp sample) bool {
 		return sigmoid(dot(weights, smp.features)) >= 0.5
@@ -231,7 +220,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 
 // trainLogistic fits a logistic regression with plain SGD; the dataset is
 // small and the point is determinism, not speed.
-func trainLogistic(train []sample, rng *sim.RNG, opts Options) []float64 {
+func trainLogistic(train []sample, rng *sim.RNG) []float64 {
 	dim := len(train[0].features)
 	w := make([]float64, dim)
 	idx := make([]int, len(train))
@@ -243,8 +232,8 @@ func trainLogistic(train []sample, rng *sim.RNG, opts Options) []float64 {
 	avg := make([]float64, dim)
 	avgCount := 0
 	const l2 = 1e-5
-	for epoch := 0; epoch < opts.Epochs; epoch++ {
-		lr := opts.LearningRate / (1 + 0.05*float64(epoch))
+	for epoch := 0; epoch < epochs; epoch++ {
+		lr := learningRate / (1 + 0.05*float64(epoch))
 		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		for _, i := range idx {
 			smp := train[i]
@@ -258,7 +247,7 @@ func trainLogistic(train []sample, rng *sim.RNG, opts Options) []float64 {
 				w[d] -= lr * (g*smp.features[d] + l2*w[d])
 			}
 		}
-		if epoch >= opts.Epochs/2 {
+		if epoch >= epochs/2 {
 			for d := 0; d < dim; d++ {
 				avg[d] += w[d]
 			}

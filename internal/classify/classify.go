@@ -20,41 +20,35 @@ import (
 var classifiedSeries = obs.Default.Counter("cloudlens_classify_series_total",
 	"Series handed to classify.Classify or classify.ClassifyInvocation.")
 
-// Options tunes the classifier; the zero value selects defaults calibrated
-// for a 5-minute, one-week grid.
+// The CPU taxonomy's fixed thresholds, calibrated for a 5-minute,
+// one-week grid. They are constants, not options: a pattern label means
+// one documented threshold set.
+const (
+	// stableStdDev is the standard-deviation ceiling for the stable class
+	// (2.5 percentage points).
+	stableStdDev = 0.025
+	// periodTolerance is the relative tolerance when matching a detected
+	// lag against the daily or hourly target.
+	periodTolerance = 0.15
+	// The hourly line of a weak meeting-peak pattern can sit well below
+	// the diurnal envelope's spectral peak, so the classifier probes
+	// deeper into the periodogram than the detector's defaults; the ACF
+	// validation and the hour-alignment test filter the extra hints.
+	periodicMinPower      = 0.03
+	periodicMaxCandidates = 12
+)
+
+// Options describes the series the classifier reads; the zero value
+// selects the 5-minute grid.
 type Options struct {
 	// StepsPerHour describes the series resolution (default 12, i.e.
 	// 5-minute samples).
 	StepsPerHour int
-	// StableStdDev is the standard-deviation ceiling for the stable
-	// class (default 0.025, i.e. 2.5 percentage points).
-	StableStdDev float64
-	// PeriodTolerance is the relative tolerance when matching a detected
-	// lag against the daily or hourly target (default 0.15).
-	PeriodTolerance float64
-	// Periodic tunes the underlying period detector.
-	Periodic periodic.Options
 }
 
 func (o Options) withDefaults() Options {
 	if o.StepsPerHour == 0 {
 		o.StepsPerHour = 12
-	}
-	if o.StableStdDev == 0 {
-		o.StableStdDev = 0.025
-	}
-	if o.PeriodTolerance == 0 {
-		o.PeriodTolerance = 0.15
-	}
-	// The hourly line of a weak meeting-peak pattern can sit well below
-	// the diurnal envelope's spectral peak, so the classifier probes
-	// deeper into the periodogram than the detector's defaults; the ACF
-	// validation and the hour-alignment test filter the extra hints.
-	if o.Periodic.MinPower == 0 {
-		o.Periodic.MinPower = 0.03
-	}
-	if o.Periodic.MaxCandidates == 0 {
-		o.Periodic.MaxCandidates = 12
 	}
 	return o
 }
@@ -85,7 +79,7 @@ func Classify(series []float64, opts Options) Result {
 		return res
 	}
 	res.StdDev = stats.StdDev(series)
-	if res.StdDev < opts.StableStdDev {
+	if res.StdDev < stableStdDev {
 		res.Pattern = core.PatternStable
 		return res
 	}
@@ -93,21 +87,24 @@ func Classify(series []float64, opts Options) Result {
 	hourLag := opts.StepsPerHour
 	halfHourLag := opts.StepsPerHour / 2
 	dayLag := 24 * opts.StepsPerHour
-	periods := periodic.Detect(series, opts.Periodic)
+	periods := periodic.Detect(series, periodic.Options{
+		MinPower:      periodicMinPower,
+		MaxCandidates: periodicMaxCandidates,
+	})
 	for _, p := range periods {
 		// Services peaking at both the hour and half-hour marks have a
 		// fundamental period of half an hour; accept either lag.
 		if res.HourlyACF == 0 &&
-			(within(p.Lag, hourLag, opts.PeriodTolerance) ||
-				(halfHourLag >= 2 && within(p.Lag, halfHourLag, opts.PeriodTolerance))) {
+			(within(p.Lag, hourLag, periodTolerance) ||
+				(halfHourLag >= 2 && within(p.Lag, halfHourLag, periodTolerance))) {
 			res.HourlyACF = p.ACF
 		}
-		if res.DailyACF == 0 && within(p.Lag, dayLag, opts.PeriodTolerance) {
+		if res.DailyACF == 0 && within(p.Lag, dayLag, periodTolerance) {
 			res.DailyACF = p.ACF
 		}
 	}
 	res.HourAligned = hourAligned(series, opts.StepsPerHour)
-	res.Pattern = res.Decide(opts)
+	res.Pattern = res.Decide()
 	return res
 }
 
@@ -118,10 +115,9 @@ func Classify(series []float64, opts Options) Result {
 // It exists separately from Classify so the streaming pipeline, which
 // accumulates the same evidence incrementally instead of from a
 // materialized series, shares one set of thresholds with the batch path.
-func (r Result) Decide(opts Options) core.Pattern {
-	opts = opts.withDefaults()
+func (r Result) Decide() core.Pattern {
 	switch {
-	case r.StdDev < opts.StableStdDev:
+	case r.StdDev < stableStdDev:
 		return core.PatternStable
 	case r.HourlyACF > 0 && r.HourAligned:
 		return core.PatternHourlyPeak

@@ -100,13 +100,27 @@ func TestClassifyConstantIsStable(t *testing.T) {
 	}
 }
 
+// TestClassifyRespectsStableThreshold pins the stable ceiling at
+// stableStdDev: a square wave whose standard deviation sits just under it
+// is stable, one just over it is not.
 func TestClassifyRespectsStableThreshold(t *testing.T) {
-	p := usage.Stable(0.3, 5)
-	series := p.Series(grid, 0, grid.N)
-	// With an absurdly low threshold the same series becomes irregular.
-	got := Classify(series, Options{StableStdDev: 1e-9})
-	if got.Pattern == core.PatternStable {
-		t.Fatal("threshold ignored")
+	wave := func(amp float64) []float64 {
+		series := make([]float64, grid.N)
+		for i := range series {
+			series[i] = 0.4 + amp
+			if i%2 == 1 {
+				series[i] = 0.4 - amp
+			}
+		}
+		return series
+	}
+	under := Classify(wave(0.0249), Options{})
+	if under.StdDev >= 0.025 || under.Pattern != core.PatternStable {
+		t.Fatalf("std %.5f classified %v, want stable", under.StdDev, under.Pattern)
+	}
+	over := Classify(wave(0.0251), Options{})
+	if over.StdDev <= 0.025 || over.Pattern == core.PatternStable {
+		t.Fatalf("std %.5f classified %v, want not stable", over.StdDev, over.Pattern)
 	}
 }
 
@@ -146,9 +160,18 @@ func TestWithin(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the StepsPerHour default and the CPU
+// taxonomy's constants at the values DESIGN.md documents.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.StepsPerHour != 12 || o.StableStdDev != 0.025 || o.PeriodTolerance != 0.15 {
+	if o := (Options{}).withDefaults(); o.StepsPerHour != 12 {
 		t.Fatalf("unexpected defaults: %+v", o)
+	}
+	if o := (Options{StepsPerHour: 60}).withDefaults(); o.StepsPerHour != 60 {
+		t.Fatalf("explicit StepsPerHour overwritten: %+v", o)
+	}
+	if stableStdDev != 0.025 || periodTolerance != 0.15 ||
+		periodicMinPower != 0.03 || periodicMaxCandidates != 12 {
+		t.Fatalf("thresholds moved: std %v, tolerance %v, min power %v, candidates %v",
+			stableStdDev, periodTolerance, periodicMinPower, periodicMaxCandidates)
 	}
 }

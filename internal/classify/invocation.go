@@ -23,62 +23,40 @@ import (
 	"cloudlens/internal/sketch"
 )
 
-// InvocationOptions tunes the invocation-rate classifier; the zero value
-// selects defaults calibrated for the serverless generator's presets. All
-// grid dependence enters through StepsPerHour — nothing in this file
-// assumes the five-minute grid.
+// The serverless taxonomy's fixed thresholds. Like the CPU taxonomy's,
+// they are constants, not options.
+const (
+	// steadyCV is the coefficient-of-variation ceiling for the steady
+	// class.
+	steadyCV = 0.3
+	// IdleEps is the rate below which a sample counts as idle. Exported
+	// because the streaming ingestor counts idle samples as they arrive.
+	IdleEps = 0.05
+	// spikyIdleShare and spikyBurstiness are the idle-share and
+	// peak-to-mean floors for the spiky class.
+	spikyIdleShare  = 0.7
+	spikyBurstiness = 6
+	// diurnalMinACF is the daily-autocorrelation floor for the diurnal
+	// class.
+	diurnalMinACF = 0.3
+	// diurnalMaxIdle is the idle-share ceiling for the diurnal class: a
+	// diurnally modulated burst train still spends much of its time at
+	// the idle floor, a genuinely diurnal rate almost never does.
+	diurnalMaxIdle = 0.15
+)
+
+// InvocationOptions describes the series the invocation-rate classifier
+// reads. All grid dependence enters through StepsPerHour — nothing in this
+// file assumes the five-minute grid.
 type InvocationOptions struct {
 	// StepsPerHour describes the series resolution (default 12). The
 	// daily-autocorrelation lag is 24*StepsPerHour.
 	StepsPerHour int
-	// SteadyCV is the coefficient-of-variation ceiling for the steady
-	// class (default 0.3).
-	SteadyCV float64
-	// IdleEps is the rate below which a sample counts as idle
-	// (default 0.05).
-	IdleEps float64
-	// SpikyIdleShare is the idle-share floor for the spiky class
-	// (default 0.7).
-	SpikyIdleShare float64
-	// SpikyBurstiness is the peak-to-mean floor for the spiky class
-	// (default 6).
-	SpikyBurstiness float64
-	// DiurnalMinACF is the daily-autocorrelation floor for the diurnal
-	// class (default 0.3).
-	DiurnalMinACF float64
-	// DiurnalMaxIdle is the idle-share ceiling for the diurnal class: a
-	// diurnally modulated burst train still spends much of its time at
-	// the idle floor, a genuinely diurnal rate almost never does
-	// (default 0.15).
-	DiurnalMaxIdle float64
 }
-
-// WithDefaults returns o with zero fields replaced by the documented
-// defaults. The streaming ingestor needs the resolved thresholds (IdleEps)
-// while accumulating evidence, not only at Decide time.
-func (o InvocationOptions) WithDefaults() InvocationOptions { return o.withDefaults() }
 
 func (o InvocationOptions) withDefaults() InvocationOptions {
 	if o.StepsPerHour == 0 {
 		o.StepsPerHour = 12
-	}
-	if o.SteadyCV == 0 {
-		o.SteadyCV = 0.3
-	}
-	if o.IdleEps == 0 {
-		o.IdleEps = 0.05
-	}
-	if o.SpikyIdleShare == 0 {
-		o.SpikyIdleShare = 0.7
-	}
-	if o.SpikyBurstiness == 0 {
-		o.SpikyBurstiness = 6
-	}
-	if o.DiurnalMinACF == 0 {
-		o.DiurnalMinACF = 0.3
-	}
-	if o.DiurnalMaxIdle == 0 {
-		o.DiurnalMaxIdle = 0.15
 	}
 	return o
 }
@@ -118,13 +96,13 @@ func ClassifyInvocation(series []float64, opts InvocationOptions) InvocationResu
 		if v > peak {
 			peak = v
 		}
-		if v < opts.IdleEps {
+		if v < IdleEps {
 			idleN++
 		}
 	}
 	res := InvocationEvidence(ac.Mean(), ac.StdDev(), peak,
 		float64(idleN)/float64(len(series)), ac.At(24*opts.StepsPerHour))
-	res.Pattern = res.Decide(opts)
+	res.Pattern = res.Decide()
 	return res
 }
 
@@ -149,14 +127,13 @@ func InvocationEvidence(mean, stdDev, peak, idleShare, dailyACF float64) Invocat
 // first, a dominant idle share with extreme peak-to-mean selects spiky, a
 // validated daily cycle that rarely idles selects diurnal, and bursty is
 // the remainder. Shared by the batch and streaming classifiers.
-func (r InvocationResult) Decide(opts InvocationOptions) core.Pattern {
-	opts = opts.withDefaults()
+func (r InvocationResult) Decide() core.Pattern {
 	switch {
-	case r.CV < opts.SteadyCV:
+	case r.CV < steadyCV:
 		return core.PatternSteady
-	case r.IdleShare >= opts.SpikyIdleShare && r.Burstiness >= opts.SpikyBurstiness:
+	case r.IdleShare >= spikyIdleShare && r.Burstiness >= spikyBurstiness:
 		return core.PatternSpiky
-	case r.DailyACF >= opts.DiurnalMinACF && r.IdleShare <= opts.DiurnalMaxIdle:
+	case r.DailyACF >= diurnalMinACF && r.IdleShare <= diurnalMaxIdle:
 		return core.PatternDiurnal
 	default:
 		return core.PatternBursty

@@ -103,18 +103,19 @@ func TestInvocationEvidenceZeroMean(t *testing.T) {
 	}
 }
 
-// TestInvocationOptionsWithDefaults pins the documented defaults the
-// streaming ingestor resolves at construction time.
+// TestInvocationOptionsWithDefaults pins the StepsPerHour default and the
+// serverless taxonomy's constants at the values DESIGN.md documents.
 func TestInvocationOptionsWithDefaults(t *testing.T) {
-	o := InvocationOptions{}.WithDefaults()
-	if o.StepsPerHour != 12 || o.SteadyCV != 0.3 || o.IdleEps != 0.05 ||
-		o.SpikyIdleShare != 0.7 || o.SpikyBurstiness != 6 ||
-		o.DiurnalMinACF != 0.3 || o.DiurnalMaxIdle != 0.15 {
+	if o := (InvocationOptions{}).withDefaults(); o.StepsPerHour != 12 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
-	// Explicit values survive.
-	o = InvocationOptions{StepsPerHour: 120, SteadyCV: 0.2}.WithDefaults()
-	if o.StepsPerHour != 120 || o.SteadyCV != 0.2 {
+	// An explicit resolution survives.
+	if o := (InvocationOptions{StepsPerHour: 120}).withDefaults(); o.StepsPerHour != 120 {
 		t.Fatalf("explicit options overwritten: %+v", o)
+	}
+	if steadyCV != 0.3 || IdleEps != 0.05 || spikyIdleShare != 0.7 ||
+		spikyBurstiness != 6 || diurnalMinACF != 0.3 || diurnalMaxIdle != 0.15 {
+		t.Fatalf("thresholds moved: steady cv %v, idle %v, spiky idle %v, burstiness %v, diurnal acf %v, diurnal idle %v",
+			steadyCV, IdleEps, spikyIdleShare, spikyBurstiness, diurnalMinACF, diurnalMaxIdle)
 	}
 }

@@ -59,21 +59,26 @@ type Profile struct {
 	PeakHourUTC int `json:"peakHourUTC"`
 }
 
+// ShortBinMinutes is the shortest-lifetime-bin width: a VM that lives
+// less than this many minutes counts as short-lived. The streaming
+// ingestor applies the same bin.
+const ShortBinMinutes = 30
+
+// DefaultMaxClassifyPerSub is ExtractOptions.MaxClassifyPerSub's default,
+// shared with the streaming pipeline's options.
+const DefaultMaxClassifyPerSub = 24
+
 // ExtractOptions tunes profile extraction.
 type ExtractOptions struct {
 	// MaxClassifyPerSub caps how many long-running VMs are classified
-	// per subscription (default 24); classification dominates cost.
+	// per subscription (default DefaultMaxClassifyPerSub);
+	// classification dominates cost.
 	MaxClassifyPerSub int
-	// ShortBinMinutes is the shortest-lifetime-bin width (default 30).
-	ShortBinMinutes int
 }
 
 func (o ExtractOptions) withDefaults() ExtractOptions {
 	if o.MaxClassifyPerSub == 0 {
-		o.MaxClassifyPerSub = 24
-	}
-	if o.ShortBinMinutes == 0 {
-		o.ShortBinMinutes = 30
+		o.MaxClassifyPerSub = DefaultMaxClassifyPerSub
 	}
 	return o
 }
@@ -194,7 +199,7 @@ func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
 		if v.WithinWindow(t.Grid.N) {
 			lifeMin := float64(v.LifetimeSteps()) * t.Grid.Step.Minutes()
 			lifetimes = append(lifetimes, lifeMin)
-			if lifeMin < float64(opts.ShortBinMinutes) {
+			if lifeMin < ShortBinMinutes {
 				shortLived++
 			}
 		}

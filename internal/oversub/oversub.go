@@ -28,15 +28,18 @@ type Options struct {
 	// Epsilons is the safety sweep, strictest first (default
 	// 0.0001, 0.001, 0.01, 0.05, 0.1).
 	Epsilons []float64
-	// MinVMsPerNode skips nearly empty nodes (default 2).
-	MinVMsPerNode int
-	// StaticBaselineFraction is the static over-subscription rule the
+}
+
+const (
+	// minVMsPerNode skips nearly empty nodes.
+	minVMsPerNode = 2
+	// staticBaselineFraction is the static over-subscription rule the
 	// chance-constrained policy is compared against, as in the paper's
 	// reference [17] where the 20%-86% improvement is over "baseline
 	// methods": the baseline reserves this fraction of each node's peak
-	// requested cores (default 0.42).
-	StaticBaselineFraction float64
-}
+	// requested cores.
+	staticBaselineFraction = 0.42
+)
 
 func (o Options) withDefaults() Options {
 	if !o.Cloud.Valid() {
@@ -44,12 +47,6 @@ func (o Options) withDefaults() Options {
 	}
 	if len(o.Epsilons) == 0 {
 		o.Epsilons = []float64{0.0001, 0.001, 0.01, 0.05, 0.1}
-	}
-	if o.MinVMsPerNode == 0 {
-		o.MinVMsPerNode = 2
-	}
-	if o.StaticBaselineFraction == 0 {
-		o.StaticBaselineFraction = 0.42
 	}
 	return o
 }
@@ -102,7 +99,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 	}
 	var nodes []nodeData
 	for _, vms := range t.ByNode(opts.Cloud) {
-		if len(vms) < opts.MinVMsPerNode {
+		if len(vms) < minVMsPerNode {
 			continue
 		}
 		nd := nodeData{
@@ -123,7 +120,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 		nodes = append(nodes, nd)
 	}
 	if len(nodes) == 0 {
-		return res, fmt.Errorf("oversub: no nodes with >= %d VMs in the %s cloud", opts.MinVMsPerNode, opts.Cloud)
+		return res, fmt.Errorf("oversub: no nodes with >= %d VMs in the %s cloud", minVMsPerNode, opts.Cloud)
 	}
 	res.Nodes = len(nodes)
 
@@ -133,7 +130,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 		res.BaselineCores += stats.Max(nd.requested)
 		res.MeanUsedCores += stats.Mean(nd.usage)
 	}
-	res.StaticCores = res.BaselineCores * opts.StaticBaselineFraction
+	res.StaticCores = res.BaselineCores * staticBaselineFraction
 
 	for _, e := range eps {
 		var reserved float64

@@ -51,7 +51,7 @@ func comparePeriods(series []float64, opts periodic.Options) (got, want []period
 // evidence reads the validated hourly and daily autocorrelations off a
 // period list by classify.Classify's matching rule.
 func evidence(periods []periodic.Period, stepsPerHour int) (hourly, daily float64) {
-	const tol = 0.15 // classify.Options.PeriodTolerance's default
+	const tol = 0.15 // classify's period tolerance
 	within := func(lag, target int) bool {
 		return math.Abs(float64(lag-target)) <= tol*float64(target)
 	}
@@ -87,7 +87,7 @@ func compareVM(series []float64, perHour int, alsoDefaults bool) string {
 	}
 	onRef := res
 	onRef.HourlyACF, onRef.DailyACF = evidence(ref, perHour)
-	if p := onRef.Decide(classify.Options{StepsPerHour: perHour}); p != res.Pattern {
+	if p := onRef.Decide(); p != res.Pattern {
 		return fmt.Sprintf("classified %v, %v on the reference detector", res.Pattern, p)
 	}
 	return ""

@@ -25,7 +25,7 @@ func init() {
 // onto evictable capacity is never chosen.
 //
 // Parameters: headroom=<float in (0,1]> (share of free capacity spot may
-// fill, default 0.6 matching spot.Options), ondemand=<float in (0,1]>
+// fill, default 0.6 matching the spot pilot's headroom), ondemand=<float in (0,1]>
 // (on-demand weight, default 0.4).
 type spotAdmitPolicy struct {
 	headroom float64

@@ -27,29 +27,23 @@ type Options struct {
 	// hourly-peak private service by snapshot cores, using the
 	// knowledge base).
 	Service string
-	// ReactionDelaySteps is the reactive scaler's lag (default 2 steps,
-	// i.e. 10 minutes — optimistic for real autoscalers).
-	ReactionDelaySteps int
-	// WindowSteps is the reactive scaler's look-back window (default 12
-	// steps = 1 hour).
-	WindowSteps int
-	// MarginFrac is headroom added by both policies (default 0.15).
-	MarginFrac float64
 	// TrainDays is how many leading days feed the predictive profile
 	// (default 3).
 	TrainDays int
 }
 
+const (
+	// reactionDelaySteps is the reactive scaler's lag: 2 steps, i.e. 10
+	// minutes — optimistic for real autoscalers.
+	reactionDelaySteps = 2
+	// windowSteps is the reactive scaler's look-back window: 12 steps,
+	// 1 hour.
+	windowSteps = 12
+	// marginFrac is the headroom both policies add.
+	marginFrac = 0.15
+)
+
 func (o Options) withDefaults() Options {
-	if o.ReactionDelaySteps == 0 {
-		o.ReactionDelaySteps = 2
-	}
-	if o.WindowSteps == 0 {
-		o.WindowSteps = 12
-	}
-	if o.MarginFrac == 0 {
-		o.MarginFrac = 0.15
-	}
 	if o.TrainDays == 0 {
 		o.TrainDays = 3
 	}
@@ -117,8 +111,8 @@ func Run(t *trace.Trace, store *kb.Store, opts Options) (Result, error) {
 	}
 	res.MeanDemandCores /= float64(res.TestSteps)
 
-	reactive := reactiveProvisioner(demand, opts)
-	profile := predictiveProvisioner(demand, trainEnd, stepsPerDay, opts)
+	reactive := reactiveProvisioner(demand)
+	profile := predictiveProvisioner(demand, trainEnd, stepsPerDay)
 	// The deployed predictive policy keeps the reactive scaler as a
 	// safety net: the learned time-of-day profile pre-provisions the
 	// recurring peaks, and the reactive floor covers demand growth the
@@ -197,10 +191,10 @@ type provisioner func(step int) float64
 
 // reactiveProvisioner provisions to the maximum demand observed in
 // [s-delay-window, s-delay], plus margin: it can only see the past.
-func reactiveProvisioner(demand []float64, opts Options) provisioner {
+func reactiveProvisioner(demand []float64) provisioner {
 	return func(s int) float64 {
-		hi := s - opts.ReactionDelaySteps
-		lo := hi - opts.WindowSteps
+		hi := s - reactionDelaySteps
+		lo := hi - windowSteps
 		if lo < 0 {
 			lo = 0
 		}
@@ -210,14 +204,14 @@ func reactiveProvisioner(demand []float64, opts Options) provisioner {
 				maxD = demand[i]
 			}
 		}
-		return maxD * (1 + opts.MarginFrac)
+		return maxD * (1 + marginFrac)
 	}
 }
 
 // predictiveProvisioner provisions to the time-of-day demand profile
 // learned from the training days (the knowledge-base knowledge: peaks
 // recur at the same minutes every day), plus margin.
-func predictiveProvisioner(demand []float64, trainEnd, stepsPerDay int, opts Options) provisioner {
+func predictiveProvisioner(demand []float64, trainEnd, stepsPerDay int) provisioner {
 	profile := make([]float64, stepsPerDay)
 	for s := 0; s < trainEnd; s++ {
 		tod := s % stepsPerDay
@@ -226,7 +220,7 @@ func predictiveProvisioner(demand []float64, trainEnd, stepsPerDay int, opts Opt
 		}
 	}
 	return func(s int) float64 {
-		return profile[s%stepsPerDay] * (1 + opts.MarginFrac)
+		return profile[s%stepsPerDay] * (1 + marginFrac)
 	}
 }
 

@@ -25,11 +25,11 @@ type Options struct {
 	Cloud core.Cloud
 	// SpotCores is the size of one spot VM (default 4).
 	SpotCores int
-	// HeadroomFraction is the share of free capacity spot VMs may fill
-	// (default 0.6; the platform keeps a safety buffer for on-demand
-	// arrivals).
-	HeadroomFraction float64
 }
+
+// headroomFraction is the share of free capacity spot VMs may fill; the
+// platform keeps a safety buffer for on-demand arrivals.
+const headroomFraction = 0.6
 
 func (o Options) withDefaults() Options {
 	if !o.Cloud.Valid() {
@@ -37,9 +37,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SpotCores == 0 {
 		o.SpotCores = 4
-	}
-	if o.HeadroomFraction == 0 {
-		o.HeadroomFraction = 0.6
 	}
 	return o
 }
@@ -121,7 +118,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 	}
 	res.OnDemandUtilization = stats.Mean(allocated) / float64(res.PhysicalCores)
 
-	// Harvest loop: keep spot slots filled up to HeadroomFraction of free
+	// Harvest loop: keep spot slots filled up to headroomFraction of free
 	// capacity; evict newest-first when the budget shrinks.
 	type slot struct{ started int }
 	var running []slot
@@ -140,7 +137,7 @@ func Run(t *trace.Trace, opts Options) (Result, error) {
 		if headroom < 0 {
 			headroom = 0
 		}
-		budget := int(headroom * opts.HeadroomFraction / float64(opts.SpotCores))
+		budget := int(headroom * headroomFraction / float64(opts.SpotCores))
 		hod := t.Grid.HourOf(s) % 24
 		// Evict newest-first down to the budget.
 		for len(running) > budget {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"cloudlens/internal/core"
+	"cloudlens/internal/kb"
 	"cloudlens/internal/sketch"
 	"cloudlens/internal/trace"
 )
@@ -115,7 +116,9 @@ type ShardCheckpoint struct {
 	Slots     []slotState
 
 	// The pipeline parameters that shape folded state. A resumed run
-	// inherits them so its folds land on the same steps.
+	// inherits them so its folds land on the same steps. ShortBinMinutes
+	// is not a parameter: the format carries it, a writer always writes
+	// kb.ShortBinMinutes, and a restore refuses any other value.
 	FoldEverySteps    int
 	MaxClassifyPerSub int
 	ShortBinMinutes   int
@@ -196,7 +199,7 @@ func (ing *Ingestor) checkpointLocked() *ShardCheckpoint {
 		Watermark:         ing.watermark,
 		FoldEverySteps:    ing.opts.FoldEverySteps,
 		MaxClassifyPerSub: ing.opts.MaxClassifyPerSub,
-		ShortBinMinutes:   ing.opts.ShortBinMinutes,
+		ShortBinMinutes:   kb.ShortBinMinutes,
 		MaxLatenessSteps:  ing.opts.MaxLatenessSteps,
 		GapPolicy:         ing.opts.GapPolicy,
 		Clouds:            make(map[core.Cloud]cloudStateState, len(ing.clouds)),
@@ -364,6 +367,9 @@ func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 	if ck.MaxClassifyPerSub < 0 {
 		return fmt.Errorf("stream: checkpoint classification cap %d is negative", ck.MaxClassifyPerSub)
 	}
+	if ck.ShortBinMinutes != kb.ShortBinMinutes {
+		return fmt.Errorf("stream: checkpoint short-lifetime bin %d min, this build bins at %d", ck.ShortBinMinutes, kb.ShortBinMinutes)
+	}
 	if ck.MaxLatenessSteps > n {
 		// The reorder ring is allocated from this number.
 		return fmt.Errorf("stream: checkpoint lateness bound %d exceeds the %d-step window", ck.MaxLatenessSteps, n)
@@ -472,11 +478,10 @@ func validHistogram(h sketch.HistogramState, bins int) error {
 // applyOptions merges the checkpointed pipeline parameters over opts: a
 // resumed run inherits the fold cadence, classification cap, lateness
 // bound, and gap policy that shaped the snapshot, while runtime-only
-// options (Speedup, Buffer, WrapSource, Shards) come from opts.
+// options (Speedup, WrapSource, Shards) come from opts.
 func (ck *ShardCheckpoint) applyOptions(opts Options) Options {
 	opts.FoldEverySteps = ck.FoldEverySteps
 	opts.MaxClassifyPerSub = ck.MaxClassifyPerSub
-	opts.ShortBinMinutes = ck.ShortBinMinutes
 	opts.MaxLatenessSteps = ck.MaxLatenessSteps
 	opts.GapPolicy = ck.GapPolicy
 	opts.StartStep = ck.LastStep + 1

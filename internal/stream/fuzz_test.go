@@ -168,6 +168,18 @@ func TestRestoreRejectsNegativeClassifyCap(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsOtherShortBin pins that a checkpoint carrying a
+// short-lifetime bin other than kb.ShortBinMinutes is refused: the bin is a
+// constant of the build, and a restore that adopted the file's value would
+// count short-lived VMs by a different rule than the run that wrote it.
+func TestRestoreRejectsOtherShortBin(t *testing.T) {
+	ck := checkpointOf(t)
+	ck.Shards[0].ShortBinMinutes = 60
+	if _, err := RestoreEngine(microTrace(), Options{}, ck); err == nil {
+		t.Fatal("RestoreEngine accepted a 60-minute short-lifetime bin")
+	}
+}
+
 // TestRestoreRejectsOutOfRangeSlotVM pins that a pending reorder slot cannot
 // smuggle a sample for a VM the trace does not have; before validation the
 // panic surfaced only later, at the fold that drained the slot.

@@ -90,7 +90,7 @@ type vmAcc struct {
 	peakN, restN     int
 
 	// Serverless-family evidence: the running sample peak and the count of
-	// idle samples (below InvocationOptions.IdleEps). Maintained only when
+	// idle samples (below classify.IdleEps). Maintained only when
 	// the trace is the serverless family, so the CPU hot path pays one
 	// predictable branch and nothing else.
 	peakMax float64
@@ -286,8 +286,6 @@ type Ingestor struct {
 	family       core.Family
 	patterns     []core.Pattern // the family's taxonomy, in tie-break order
 	lags         lagSet
-	clOpts       classify.Options
-	invOpts      classify.InvocationOptions
 	minACF       float64
 	snapStep     int
 	stepsPerHour int
@@ -352,8 +350,6 @@ func newIngestor(tr *trace.Trace, opts Options, met *ingestMetrics) *Ingestor {
 		family:       tr.Family,
 		patterns:     tr.Family.Patterns(),
 		lags:         newLagSet(stepsPerHour),
-		clOpts:       classify.Options{StepsPerHour: stepsPerHour},
-		invOpts:      classify.InvocationOptions{StepsPerHour: stepsPerHour}.WithDefaults(),
 		minACF:       periodic.DefaultMinACF,
 		snapStep:     tr.SnapshotStep(),
 		stepsPerHour: stepsPerHour,
@@ -771,7 +767,7 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 		if cpu > acc.peakMax {
 			acc.peakMax = cpu
 		}
-		if cpu < ing.invOpts.IdleEps {
+		if cpu < classify.IdleEps {
 			acc.idleN++
 		}
 	} else if classify.AlignedSlot((step-acc.from)%ing.stepsPerHour, ing.stepsPerHour) {
@@ -858,7 +854,7 @@ func (ing *Ingestor) retire(idx int32) {
 	if v.CreatedStep >= 0 && v.DeletedStep <= ing.tr.Grid.N {
 		lifeMin := float64(v.LifetimeSteps()) * ing.tr.Grid.Step.Minutes()
 		ss.lifetimes = append(ss.lifetimes, lifeMin)
-		if lifeMin < float64(ing.opts.ShortBinMinutes) {
+		if lifeMin < kb.ShortBinMinutes {
 			ss.shortLived++
 		}
 	}
@@ -902,7 +898,7 @@ func (ing *Ingestor) classifyAcc(acc *vmAcc) core.Pattern {
 		}
 		res := classify.InvocationEvidence(acc.ac.Mean(), acc.ac.StdDev(),
 			acc.peakMax, idleShare, acc.ac.At(ing.lags.day))
-		return res.Decide(ing.invOpts)
+		return res.Decide()
 	}
 	res := classify.Result{StdDev: acc.ac.StdDev()}
 	res.DailyACF = ing.validatedACF(&acc.ac, ing.lags.day)
@@ -917,7 +913,7 @@ func (ing *Ingestor) classifyAcc(acc *vmAcc) core.Pattern {
 		restMean := acc.restSum / float64(acc.restN)
 		res.HourAligned = peakMean > restMean+classify.AlignedMargin
 	}
-	return res.Decide(ing.clOpts)
+	return res.Decide()
 }
 
 // validatedACF mirrors the AUTOPERIOD acceptance rules at a fixed target

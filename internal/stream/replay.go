@@ -27,6 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"cloudlens/internal/kb"
 	"cloudlens/internal/parallel"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/usage"
@@ -101,6 +102,11 @@ type StepBatch struct {
 // across both the columns and the Late rows.
 func (b StepBatch) NumSamples() int { return len(b.VM) + len(b.Late) }
 
+// bufferSteps is the event-channel depth in steps. The bound applies
+// backpressure: a slow consumer stalls the replay clock instead of growing
+// an unbounded queue.
+const bufferSteps = 8
+
 // Options tunes the streaming pipeline.
 type Options struct {
 	// Speedup is the simulated-to-wall-clock time ratio of the replay: at
@@ -108,19 +114,13 @@ type Options struct {
 	// or negative means "as fast as the consumer keeps up" (the mode used
 	// by tests, benchmarks, and batch-equivalence validation).
 	Speedup float64
-	// Buffer is the event-channel depth in steps (default 8). The bound
-	// applies backpressure: a slow consumer stalls the replay clock
-	// instead of growing an unbounded queue.
-	Buffer int
 	// FoldEverySteps is how often the ingestor refreshes the live
 	// knowledge base from its accumulators (default one hour of steps).
 	FoldEverySteps int
 	// MaxClassifyPerSub mirrors kb.ExtractOptions.MaxClassifyPerSub so
-	// live profiles converge to the batch knowledge base (default 24).
+	// live profiles converge to the batch knowledge base (default
+	// kb.DefaultMaxClassifyPerSub).
 	MaxClassifyPerSub int
-	// ShortBinMinutes mirrors kb.ExtractOptions.ShortBinMinutes
-	// (default 30).
-	ShortBinMinutes int
 	// StartStep makes the replay begin at the given grid step instead of 0,
 	// the resume-from-checkpoint entry point. VMs alive at StartStep appear
 	// in the first batch without a creation event (exactly like VMs that
@@ -172,17 +172,11 @@ type FoldObserver interface {
 }
 
 func (o Options) withDefaults(stepsPerHour int) Options {
-	if o.Buffer <= 0 {
-		o.Buffer = 8
-	}
 	if o.FoldEverySteps <= 0 {
 		o.FoldEverySteps = stepsPerHour
 	}
 	if o.MaxClassifyPerSub == 0 {
-		o.MaxClassifyPerSub = 24
-	}
-	if o.ShortBinMinutes == 0 {
-		o.ShortBinMinutes = 30
+		o.MaxClassifyPerSub = kb.DefaultMaxClassifyPerSub
 	}
 	if o.StartStep < 0 {
 		o.StartStep = 0
@@ -390,12 +384,12 @@ func NewReplayer(tr *trace.Trace, opts Options) *Replayer {
 	return &Replayer{
 		tr:   tr,
 		opts: opts,
-		ch:   make(chan StepBatch, opts.Buffer),
+		ch:   make(chan StepBatch, bufferSteps),
 		// The pool covers every column pair that can be in flight at once:
 		// the channel, plus the consumer's reorder ring (which holds each
 		// pair for up to MaxLatenessSteps extra steps before recycling),
 		// plus the pair being synthesized.
-		pool: newColPool(opts.Buffer + opts.MaxLatenessSteps + 2),
+		pool: newColPool(bufferSteps + opts.MaxLatenessSteps + 2),
 	}
 }
 

@@ -161,10 +161,10 @@ func startShardGroup(tr *trace.Trace, opts Options, shards []*Ingestor, foldCoun
 	g.mShardOcc = make([]*obs.Gauge, n)
 	for i := range shards {
 		i := i
-		g.chs[i] = make(chan shardMsg, opts.Buffer)
+		g.chs[i] = make(chan shardMsg, bufferSteps)
 		// Cover every buffer that can be in flight per shard: the channel
 		// plus the reorder ring's extra hold, mirroring the replayer pool.
-		slots := opts.Buffer + opts.MaxLatenessSteps + 2
+		slots := bufferSteps + opts.MaxLatenessSteps + 2
 		g.pools[i] = newColPool(slots)
 		g.lateFrees[i] = make(chan []Sample, slots)
 		g.delFrees[i] = make(chan []int32, slots)

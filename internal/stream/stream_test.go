@@ -148,7 +148,7 @@ func TestReplayerDeliversExactWindow(t *testing.T) {
 
 func TestReplayerCancellation(t *testing.T) {
 	tr := miniTrace(t)
-	r := NewReplayer(tr, Options{Buffer: 1})
+	r := NewReplayer(tr, Options{})
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- r.Run(ctx) }()
