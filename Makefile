@@ -51,6 +51,11 @@
 #                      blocked autocorrelation sketch against its per-sample
 #                      oracle, the histogram's three counting paths against
 #                      each other, and the usage-model cursor against Params.At
+#   make seeds       — the analyze claims across a fixed list of 20 seeds:
+#                      `CLOUDLENS_TEST_SEED=s go test -count=1
+#                      ./internal/analyze` per seed, at most $(nproc) at
+#                      once, then one pass/fail table of test × seed
+#                      (~4 min on 2 vCPUs; not in CI)
 #   make lint        — gofmt gate (fails when `gofmt -l .` lists any file),
 #                      then the determinism lint: no global math/rand draws,
 #                      no time.Now in deterministic packages
@@ -62,7 +67,7 @@
 
 GO ?= go
 
-.PHONY: all build test verify bench-check examples stress test-batch test-faults test-policy test-workloads bench-stream-gate diffcheck fuzz-smoke lint ab
+.PHONY: all build test verify bench-check examples stress test-batch test-faults test-policy test-workloads bench-stream-gate diffcheck fuzz-smoke seeds lint ab
 
 all: build
 
@@ -168,6 +173,27 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzAutoCorrBlocks -fuzztime=$(FUZZTIME) ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzHistogramCounting -fuzztime=$(FUZZTIME) ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzCursorMatchesAt -fuzztime=$(FUZZTIME) ./internal/usage
+
+# Each seed's verbose log goes to a temporary directory; the table reads
+# the top-level "--- PASS/FAIL/SKIP" lines. A test missing from a seed's
+# log (a panic cut the run short) reads "?". The last column counts the
+# seeds a test passed on.
+SEED_LIST := 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 42 977 2024
+seeds:
+	@dir=$$(mktemp -d) || exit 1; \
+	printf '%s\n' $(SEED_LIST) | xargs -P "$$(nproc)" -I{} \
+		sh -c 'CLOUDLENS_TEST_SEED={} $(GO) test -count=1 -v ./internal/analyze > "$$1/{}.log" 2>&1; true' sh "$$dir"; \
+	for s in $(SEED_LIST); do \
+		sed -n 's/^--- \(PASS\|FAIL\|SKIP\): \(Test[^ ]*\).*/\2 '"$$s"' \1/p' "$$dir/$$s.log"; \
+	done | sort -s -k1,1 | awk -v seeds="$(SEED_LIST)" ' \
+		!($$1 in seen) { seen[$$1] = 1; order[++nt] = $$1; if (length($$1) > w) w = length($$1) } \
+		{ st[$$1 " " $$2] = ($$3 == "PASS" ? "ok" : $$3 == "FAIL" ? "FAIL" : "skip") } \
+		END { n = split(seeds, s, " "); line = sprintf("%-" w "s", "test"); \
+			for (i = 1; i <= n; i++) line = line sprintf(" %4s", s[i]); print line "  pass"; \
+			for (j = 1; j <= nt; j++) { t = order[j]; line = sprintf("%-" w "s", t); pass = 0; \
+				for (i = 1; i <= n; i++) { v = st[t " " s[i]]; if (v == "") v = "?"; if (v == "ok") pass++; line = line sprintf(" %4s", v) } \
+				printf "%s  %d/%d\n", line, pass, n } }'; \
+	rm -rf "$$dir"
 
 lint: build
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \

@@ -63,8 +63,9 @@ type (
 	// a sub-five-minute grid).
 	ServerlessConfig = workload.ServerlessConfig
 	// KnowledgeBase is the paper's centralized workload knowledge base
-	// (Section V): per-subscription profiles extracted from telemetry.
-	KnowledgeBase = kb.Store
+	// (Section V): an immutable snapshot of per-subscription profiles
+	// extracted from telemetry.
+	KnowledgeBase = kb.Snapshot
 	// Profile is one subscription's extracted workload knowledge.
 	Profile = kb.Profile
 	// SubscriptionID identifies one subscription across the system.
@@ -134,12 +135,17 @@ func ExtractKnowledgeBase(t *Trace) *KnowledgeBase {
 	return kb.Extract(t, kb.ExtractOptions{})
 }
 
+// MergeKnowledgeBase folds a newer extraction into prev, the paper's
+// continuous update, and returns the result; prev is left as it was.
+func MergeKnowledgeBase(prev, next *KnowledgeBase, opts KBMergeOptions) *KnowledgeBase {
+	return kb.Merge(prev, next, opts)
+}
+
 // KnowledgeBaseHandler exposes a knowledge base over HTTP (JSON API): the
 // batch-mode surface of wkbserver, whose routes are listed on server.New.
-// Each request reads one consistent snapshot of the store, rebuilt after
-// writes.
-func KnowledgeBaseHandler(store *KnowledgeBase) http.Handler {
-	return server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil)
+// The snapshot is immutable, so every request reads the same profiles.
+func KnowledgeBaseHandler(base *KnowledgeBase) http.Handler {
+	return server.New(base, nil, nil, nil, nil)
 }
 
 // RunOversubscription executes the chance-constrained over-subscription
@@ -155,12 +161,13 @@ func RunSpotHarvest(t *Trace, opts SpotOptions) (SpotResult, error) {
 
 // RunRegionBalance executes the Canada pilot: it extracts (or reuses) the
 // knowledge base, recommends a region-agnostic workload shift from source
-// to dest, and evaluates it. Pass a nil store to extract one on the fly.
-func RunRegionBalance(t *Trace, store *KnowledgeBase, source, dest string) (BalanceOutcome, error) {
-	if store == nil {
-		store = ExtractKnowledgeBase(t)
+// to dest, and evaluates it. Pass a nil knowledge base to extract one on
+// the fly.
+func RunRegionBalance(t *Trace, base *KnowledgeBase, source, dest string) (BalanceOutcome, error) {
+	if base == nil {
+		base = ExtractKnowledgeBase(t)
 	}
-	return balance.Run(t, store, source, dest)
+	return balance.Run(t, base, source, dest)
 }
 
 // RunSpotMixture simulates a deadline batch job under the on-demand,

@@ -181,8 +181,7 @@ func runEngine(w io.Writer, tr *trace.Trace, cfg engineConfig) error {
 		return fmt.Errorf("replay: %w", err)
 	}
 
-	src := kb.NewStoreSource(pipe.KB(), tr.Grid.N, nil)
-	eng, err := policy.NewEngine(src, pols, policy.Options{
+	eng, err := policy.NewEngine(pipe.KB(), pols, policy.Options{
 		TraceLevel:      cfg.TraceLevel,
 		CounterfactualK: cfg.CounterfactualK,
 	})

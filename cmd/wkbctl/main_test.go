@@ -22,7 +22,7 @@ import (
 func batchServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	store := kb.Extract(servertest.Trace(), kb.ExtractOptions{})
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store.Stamped(time.Now()), nil, nil, nil, nil))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -46,7 +46,7 @@ func liveServer(t *testing.T) *httptest.Server {
 func policyServer(t *testing.T) (*httptest.Server, *policy.Engine) {
 	t.Helper()
 	tr := servertest.Trace()
-	src := kb.NewStoreSource(kb.Extract(tr, kb.ExtractOptions{}), tr.Grid.N, time.Now)
+	src := kb.Extract(tr, kb.ExtractOptions{}).Stamped(time.Now())
 	pols, err := policy.ParseSpec("oversub,spot,balance")
 	if err != nil {
 		t.Fatal(err)

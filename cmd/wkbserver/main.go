@@ -198,13 +198,12 @@ func run() error {
 	}
 
 	var (
-		store *kb.Store
-		pipe  *stream.Pipeline
-		inj   *faultgen.Injector
-		peng  *policy.Engine
+		pipe *stream.Pipeline
+		inj  *faultgen.Injector
+		peng *policy.Engine
 		// src backs every snapshot-served GET and, with -policies, the
-		// policy engine: the pipeline's ReadSource on a replay, one
-		// StoreSource in batch mode.
+		// policy engine: the pipeline's ReadSource on a replay, the
+		// extracted snapshot in batch mode.
 		src kb.SnapshotSource
 	)
 	if *replay {
@@ -235,16 +234,9 @@ func run() error {
 		readSrc.Bind(pipe.Engine())
 		src = readSrc
 		obs.Default.GaugeFunc("cloudlens_read_snapshot_age_seconds",
-			"Age of the live snapshot currently served to readers.",
-			func() float64 {
-				at := readSrc.Live().KB().PublishedAt()
-				if at.IsZero() {
-					return 0
-				}
-				return time.Since(at).Seconds()
-			})
+			"Age of the live snapshot last served to readers; 0 before the first read.",
+			snapshotAge(readSrc))
 		pipe.Start(ctx)
-		store = pipe.KB()
 		logger.Info("replay started",
 			"family", tr.Family.String(),
 			"vms", len(tr.VMs), "steps", tr.Grid.N, "speedup", *speedup,
@@ -254,11 +246,11 @@ func run() error {
 		}
 	} else {
 		logger.Info("extracting workload knowledge", "family", tr.Family.String(), "vms", len(tr.VMs))
-		store = kb.Extract(tr, kb.ExtractOptions{})
-		logger.Info("knowledge base ready", "profiles", store.Len())
-		src = kb.NewStoreSource(store, tr.Grid.N, time.Now)
+		sn := kb.Extract(tr, kb.ExtractOptions{})
+		logger.Info("knowledge base ready", "profiles", sn.Len())
+		src = sn.Stamped(time.Now())
 		if *save != "" {
-			if err := store.SaveFile(*save); err != nil {
+			if err := sn.SaveFile(*save); err != nil {
 				return err
 			}
 			logger.Info("knowledge base saved", "path", *save)
@@ -330,7 +322,7 @@ func run() error {
 			saveCheckpoint(pipe, path, logger, slog.LevelInfo, "final checkpoint")
 		}
 		if *save != "" {
-			if err := store.SaveFile(*save); err != nil {
+			if err := pipe.KB().SaveFile(*save); err != nil {
 				return err
 			}
 			logger.Info("knowledge base saved", "path", *save)
@@ -340,6 +332,19 @@ func run() error {
 		return err
 	}
 	return shutdownErr
+}
+
+// snapshotAge reads the age of the live snapshot readers were last served.
+// It reads the cached one and never builds one, so a scrape that comes
+// first after a fold costs no capture; before the first read it reads 0.
+func snapshotAge(src *stream.ReadSource) func() float64 {
+	return func() float64 {
+		ls := src.Cached()
+		if ls == nil || ls.KB().PublishedAt().IsZero() {
+			return 0
+		}
+		return time.Since(ls.KB().PublishedAt()).Seconds()
+	}
 }
 
 // checkpointFile is the checkpoint's name inside -checkpoint-dir. Writes

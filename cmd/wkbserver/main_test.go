@@ -87,7 +87,7 @@ func assertEnvelope(t *testing.T, path string, body []byte, status int) {
 func TestBatchHandlerRoutes(t *testing.T) {
 	tr := servertest.Trace()
 	store := kb.Extract(tr, kb.ExtractOptions{})
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store.Stamped(time.Now()), nil, nil, nil, nil))
 	defer srv.Close()
 
 	body := wantStatus(t, srv, "/healthz", http.StatusOK)
@@ -505,7 +505,7 @@ func TestLiveFaultsEndpoint(t *testing.T) {
 	}
 
 	// Batch mode has no fault surface: enveloped 404, like every live route.
-	batch := httptest.NewServer(server.New(kb.NewStoreSource(pipe.KB(), 0, time.Now), nil, nil, nil, nil))
+	batch := httptest.NewServer(server.New(pipe.KB().Stamped(time.Now()), nil, nil, nil, nil))
 	defer batch.Close()
 	wantStatus(t, batch, "/api/v1/live/faults", http.StatusNotFound)
 }
@@ -1166,7 +1166,7 @@ func TestLiveIngestVitals(t *testing.T) {
 // response is closed by the server rather than held open. The idle window
 // is shortened here so the test does not wait out the production one.
 func TestPublicServerClosesIdleConnections(t *testing.T) {
-	srv := publicServer("127.0.0.1:0", server.New(kb.NewStoreSource(kb.Extract(servertest.Trace(), kb.ExtractOptions{}), 0, time.Now), nil, nil, nil, nil))
+	srv := publicServer("127.0.0.1:0", server.New(kb.Extract(servertest.Trace(), kb.ExtractOptions{}).Stamped(time.Now()), nil, nil, nil, nil))
 	if srv.WriteTimeout <= 0 || srv.IdleTimeout <= 0 || srv.ReadHeaderTimeout <= 0 {
 		t.Fatalf("timeouts: read-header %v, write %v, idle %v; all must be set",
 			srv.ReadHeaderTimeout, srv.WriteTimeout, srv.IdleTimeout)
@@ -1204,4 +1204,61 @@ func TestPublicServerClosesIdleConnections(t *testing.T) {
 		t.Fatalf("idle connection: read %d bytes, err %v; want the server to close it (EOF)", n, err)
 	}
 	t.Logf("server closed the idle connection after %v", time.Since(start).Round(time.Millisecond))
+}
+
+// TestSnapshotAgeReadsCachedSnapshot holds the age gauge to the snapshot
+// readers were last served: it reads 0 before the first read, and a scrape
+// that comes first after a fold captures nothing, so the cached snapshot
+// stays at the pre-fold fold count.
+func TestSnapshotAgeReadsCachedSnapshot(t *testing.T) {
+	tr := servertest.Trace()
+	opts := stream.Options{}
+	rep := stream.NewReplayer(tr, opts)
+	eng := stream.NewEngine(tr, opts)
+	eng.SetRecycler(rep.Recycle)
+	readSrc := stream.NewReadSource(func() time.Time { return time.Now().Add(-time.Minute) })
+	readSrc.Bind(eng)
+	age := snapshotAge(readSrc)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	errCh := make(chan error, 1)
+	go func() { errCh <- rep.Run(ctx) }()
+	defer func() {
+		cancel()
+		for range rep.Events() {
+		}
+		<-errCh
+		eng.Abort()
+	}()
+	// feedFold ingests until the engine has published one more fold.
+	feedFold := func() {
+		t.Helper()
+		want := eng.Progress().Folds + 1
+		for b := range rep.Events() {
+			eng.ObserveBatch(b)
+			if eng.Progress().Folds == want {
+				return
+			}
+		}
+		t.Fatal("replay ended before the next fold")
+	}
+
+	feedFold()
+	if got := age(); got != 0 || readSrc.Cached() != nil {
+		t.Fatalf("before the first read: age %v, cached %v; want 0 and none", got, readSrc.Cached())
+	}
+	served := readSrc.Live()
+	if got := age(); got < 60 {
+		t.Errorf("age after a read = %v s, want the minute the clock was set back", got)
+	}
+	feedFold()
+	age()
+	if readSrc.Cached() != served || served.KB().Seq() != 1 || eng.Progress().Folds != 2 {
+		t.Errorf("a scrape after fold %d moved the cached snapshot to seq %d (served seq %d)",
+			eng.Progress().Folds, readSrc.Cached().KB().Seq(), served.KB().Seq())
+	}
+	if readSrc.Live() == served {
+		t.Error("the next read after the fold still served the pre-fold snapshot")
+	}
 }

@@ -28,7 +28,7 @@ func policyServer(t *testing.T) (*httptest.Server, *policy.Engine) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := kb.NewStoreSource(store, tr.Grid.N, time.Now)
+	src := store.Stamped(time.Now())
 	peng, err := policy.NewEngine(src, pols, policy.Options{
 		TraceLevel: 1, CounterfactualK: 3,
 	})
@@ -276,7 +276,7 @@ func TestPolicyCounterfactualEndpoint(t *testing.T) {
 // clients can tell "no -policies" apart from transport errors.
 func TestPolicyRoutesWithoutEngine(t *testing.T) {
 	store := kb.Extract(servertest.Trace(), kb.ExtractOptions{})
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store.Stamped(time.Now()), nil, nil, nil, nil))
 	defer srv.Close()
 
 	for _, path := range []string{
@@ -304,7 +304,7 @@ func TestRouteIndexCoversPolicySurface(t *testing.T) {
 				srv, _ = policyServer(t)
 			} else {
 				store := kb.Extract(servertest.Trace(), kb.ExtractOptions{})
-				srv = httptest.NewServer(server.New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil))
+				srv = httptest.NewServer(server.New(store.Stamped(time.Now()), nil, nil, nil, nil))
 				defer srv.Close()
 			}
 			body := wantStatus(t, srv, "/api/v1/", http.StatusOK)

@@ -59,7 +59,7 @@ func TestProfileRoutesPinned(t *testing.T) {
 	}
 	live := httptest.NewServer(server.New(readSrc, pipe, nil, nil, nil))
 	defer live.Close()
-	batch := httptest.NewServer(server.New(kb.NewStoreSource(kb.Extract(tr, kb.ExtractOptions{}), 0, time.Now), nil, nil, nil, nil))
+	batch := httptest.NewServer(server.New(kb.Extract(tr, kb.ExtractOptions{}).Stamped(time.Now()), nil, nil, nil, nil))
 	defer batch.Close()
 
 	var all []stream.LiveProfile

@@ -30,8 +30,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	store := cloudlens.ExtractKnowledgeBase(tr)
-	fmt.Printf("extracted %d subscription profiles from %d VMs\n", store.Len(), len(tr.VMs))
+	week1 := cloudlens.ExtractKnowledgeBase(tr)
+	fmt.Printf("extracted %d subscription profiles from %d VMs\n", week1.Len(), len(tr.VMs))
 
 	// Serve the knowledge base on an ephemeral local port.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -39,7 +39,7 @@ func run() error {
 		return err
 	}
 	srv := &http.Server{
-		Handler:           cloudlens.KnowledgeBaseHandler(store),
+		Handler:           cloudlens.KnowledgeBaseHandler(week1),
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	done := make(chan error, 1)
@@ -76,8 +76,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	store.Merge(cloudlens.ExtractKnowledgeBase(week2), cloudlens.KBMergeOptions{})
-	fmt.Printf("\nafter merging a second observation week: %d profiles\n", store.Len())
+	merged := cloudlens.MergeKnowledgeBase(week1, cloudlens.ExtractKnowledgeBase(week2), cloudlens.KBMergeOptions{})
+	fmt.Printf("\nafter merging a second observation week: %d profiles\n", merged.Len())
 
 	if err := srv.Close(); err != nil {
 		return err

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"testing"
 
-	"cloudlens/internal/kb"
 	"cloudlens/internal/obs"
 )
 
@@ -75,7 +74,7 @@ func TestBatchGoldenHashes(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tt.characterization {
 			t.Errorf("seed %d: characterization sha256 %s, want %s", tt.seed, got, tt.characterization)
 		}
-		if got := kb.NewSnapshot(store, tr.Grid.N, 0).Fingerprint(); got != tt.knowledgeBaseHash {
+		if got := store.Fingerprint(); got != tt.knowledgeBaseHash {
 			t.Errorf("seed %d: knowledge-base fingerprint %s, want %s", tt.seed, got, tt.knowledgeBaseHash)
 		}
 		if characterizeWork != tt.characterizeWork || extractWork != tt.extractWork {

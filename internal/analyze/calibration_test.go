@@ -13,8 +13,14 @@ import (
 
 // sharedTrace is generated once for the whole test package: the analyses
 // are read-only over it. Set CLOUDLENS_TEST_SEED to re-run the whole
-// reproduction suite against a different synthetic week — the assertions
-// are expected to hold for any seed.
+// reproduction suite against a different synthetic week. The assertions
+// hold at the default seed 42, not at every seed: over seeds 1–13, 42, 977
+// and 2024 the suite was red on 8 of the 16. TestRemovalsMirrorCreations
+// failed on seeds 1, 4, 5, 6, 8, 11 and 2024, TestFig5dPatternShares on 2
+// and 11, and TestFig7bCrossRegionCorrelation and TestAllFourInsightsHold
+// on 11. `make seeds` prints the pass/fail table over a fixed 20-seed list;
+// TestFig7cRegionSensitiveControl picks its service in map order, so its
+// result at a seed can differ between runs.
 var (
 	sharedOnce  sync.Once
 	sharedTr    *trace.Trace

@@ -112,7 +112,7 @@ func Metrics(t *trace.Trace, cloud core.Cloud, region string, moved map[core.VMI
 // error when the knowledge base offers no region-agnostic candidate — the
 // paper stresses that utilization analysis alone is insufficient and only
 // confirmed region-agnostic workloads may move.
-func Recommend(t *trace.Trace, store *kb.Store, source, dest string) (Plan, error) {
+func Recommend(t *trace.Trace, base *kb.Snapshot, source, dest string) (Plan, error) {
 	if _, ok := t.Topology.RegionByName(source); !ok {
 		return Plan{}, fmt.Errorf("balance: unknown source region %q", source)
 	}
@@ -149,7 +149,7 @@ func Recommend(t *trace.Trace, store *kb.Store, source, dest string) (Plan, erro
 	sort.Strings(services)
 	for _, svc := range services {
 		c := byService[svc]
-		profile, ok := store.Get(c.sub)
+		profile, ok := base.Get(c.sub)
 		if !ok || profile.RegionAgnosticScore < kb.RegionAgnosticThreshold {
 			continue
 		}
@@ -195,8 +195,8 @@ func Apply(t *trace.Trace, plan Plan) Outcome {
 
 // Run performs the full pilot: extract candidates from the knowledge base,
 // recommend, and apply.
-func Run(t *trace.Trace, store *kb.Store, source, dest string) (Outcome, error) {
-	plan, err := Recommend(t, store, source, dest)
+func Run(t *trace.Trace, base *kb.Snapshot, source, dest string) (Outcome, error) {
+	plan, err := Recommend(t, base, source, dest)
 	if err != nil {
 		return Outcome{}, err
 	}

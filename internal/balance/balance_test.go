@@ -13,12 +13,12 @@ import (
 var (
 	trOnce  sync.Once
 	tr      *trace.Trace
-	store   *kb.Store
+	store   *kb.Snapshot
 	trErr   error
 	outcome Outcome
 )
 
-func sharedPilot(t *testing.T) (*trace.Trace, *kb.Store, Outcome) {
+func sharedPilot(t *testing.T) (*trace.Trace, *kb.Snapshot, Outcome) {
 	t.Helper()
 	trOnce.Do(func() {
 		tr, trErr = workload.Generate(workload.DefaultConfig(35))
@@ -105,7 +105,7 @@ func TestRecommendErrors(t *testing.T) {
 	}
 	// A region with no region-agnostic workloads must be rejected: the
 	// public-heavy eu-north has no qualifying private service.
-	if _, err := Recommend(trc, kb.NewStore(), "canada-a", "canada-b"); err == nil {
+	if _, err := Recommend(trc, kb.SnapshotOf(0, 0), "canada-a", "canada-b"); err == nil {
 		t.Fatal("empty knowledge base produced a recommendation")
 	}
 }

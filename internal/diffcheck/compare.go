@@ -191,14 +191,14 @@ func poolExact(tr *trace.Trace) *exactPools {
 // compareTrial diffs the two knowledge bases field by field and returns
 // the trial's result. Batch profiles are walked in subscription order, so
 // the first reported divergence is deterministic.
-func compareTrial(tl Trial, tr *trace.Trace, batch *kb.Store, run *streamRun, maxDiv int) TrialResult {
+func compareTrial(tl Trial, tr *trace.Trace, batch *kb.Snapshot, run *streamRun, maxDiv int) TrialResult {
 	res := TrialResult{Trial: tl, PatternAgreement: 1, PeakHourAgreement: 1}
 	d := &diffState{res: &res, max: maxDiv}
 
 	all := kb.Query{MinRegionAgnosticScore: -2}
 	bps := batch.List(all)
 	res.Subscriptions = len(bps)
-	live := run.eng.KB()
+	live := run.live.KB
 
 	// The stream must never invent a subscription the trace does not have.
 	for _, lp := range live.List(all) {

@@ -239,7 +239,7 @@ func runTrial(tl Trial, cfg Config) (TrialResult, error) {
 // materializeTrial produces a trial's trace and both knowledge bases
 // without comparing them (the comparator's own tests corrupt the streaming
 // side first).
-func materializeTrial(tl Trial, cfg Config) (*trace.Trace, *kb.Store, *streamRun, error) {
+func materializeTrial(tl Trial, cfg Config) (*trace.Trace, *kb.Snapshot, *streamRun, error) {
 	var tr *trace.Trace
 	var err error
 	if tl.Family == core.FamilyServerless {

@@ -1,6 +1,7 @@
 package diffcheck
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,13 +111,16 @@ func TestComparatorDetectsMutation(t *testing.T) {
 			break
 		}
 	}
-	lp, ok := run.eng.KB().Get(victim)
+	live := run.live.KB
+	i, ok := live.Index(victim)
 	if !ok {
 		t.Fatalf("subscription %s missing from live knowledge base", victim)
 	}
-	mutated := *lp
+	profiles := slices.Clone(live.Profiles())
+	mutated := *profiles[i]
 	mutated.MedianLifetimeMin += 17
-	run.eng.KB().Put(&mutated)
+	profiles[i] = &mutated
+	run.live.KB = kb.SnapshotOf(live.Step(), live.Seq(), profiles...)
 
 	got := compareTrial(tl, tr, batch, run, cfg.MaxDivergencesPerTrial)
 	if len(got.Divergences) == 0 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cloudlens/internal/kb"
 	"cloudlens/internal/policy"
 	"cloudlens/internal/sim"
 	"cloudlens/internal/stream"
@@ -190,7 +189,7 @@ func policyLedgerRun(tr *trace.Trace, cfg PolicyConfig, seed uint64, shards int)
 	if err != nil {
 		return nil, 0, nil, fmt.Errorf("spec: %w", err)
 	}
-	peng, err := policy.NewEngine(kb.NewStoreSource(eng.KB(), tr.Grid.N, nil), pols, policy.Options{
+	peng, err := policy.NewEngine(eng.KB(), pols, policy.Options{
 		TraceLevel:      policy.TraceSpans,
 		CounterfactualK: 4,
 	})

@@ -2,27 +2,28 @@ package kb
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cloudlens/internal/core"
 )
 
-func regionStore() *Store {
-	s := NewStore()
-	s.Put(&Profile{Subscription: "a", Cloud: core.Private, Regions: []string{"east", "west"},
-		VMsObserved: 10, SnapshotCores: 40, MeanUtilization: 0.3,
-		DominantPattern: core.PatternStable, RegionAgnosticScore: 0.9})
-	s.Put(&Profile{Subscription: "b", Cloud: core.Private, Regions: []string{"east"},
-		VMsObserved: 4, SnapshotCores: 8, MeanUtilization: 0.5,
-		DominantPattern: core.PatternDiurnal, RegionAgnosticScore: -1})
-	s.Put(&Profile{Subscription: "c", Cloud: core.Public, Regions: []string{"west", "east"},
-		VMsObserved: 6, SnapshotCores: 12, MeanUtilization: 0.1,
-		DominantPattern: core.PatternStable, RegionAgnosticScore: 0.2})
-	return s
+func regionProfiles() []*Profile {
+	return []*Profile{
+		{Subscription: "a", Cloud: core.Private, Regions: []string{"east", "west"},
+			VMsObserved: 10, SnapshotCores: 40, MeanUtilization: 0.3,
+			DominantPattern: core.PatternStable, RegionAgnosticScore: 0.9},
+		{Subscription: "b", Cloud: core.Private, Regions: []string{"east"},
+			VMsObserved: 4, SnapshotCores: 8, MeanUtilization: 0.5,
+			DominantPattern: core.PatternDiurnal, RegionAgnosticScore: -1},
+		{Subscription: "c", Cloud: core.Public, Regions: []string{"west", "east"},
+			VMsObserved: 6, SnapshotCores: 12, MeanUtilization: 0.1,
+			DominantPattern: core.PatternStable, RegionAgnosticScore: 0.2},
+	}
 }
 
 func TestRegionsRollup(t *testing.T) {
-	sn := NewSnapshot(regionStore(), 0, 1)
+	sn := SnapshotOf(0, 1, regionProfiles()...)
 	regions := sn.Regions()
 
 	if len(regions) != 2 || regions[0].Region != "east" || regions[1].Region != "west" {
@@ -56,13 +57,11 @@ func TestRegionsRollup(t *testing.T) {
 	if &sn.Regions()[0] != &regions[0] {
 		t.Error("Regions recomputed on second call")
 	}
-	// And a pure function of the profile set: an identical store built in
-	// a different insertion order rolls up identically.
-	s2 := NewStore()
-	for _, p := range regionStore().List(MatchAll()) {
-		s2.Put(p)
-	}
-	if got := NewSnapshot(s2, 9, 9).Regions(); !reflect.DeepEqual(got, regions) {
+	// And a pure function of the profile set: an identical snapshot made
+	// from a different order rolls up identically.
+	reversed := regionProfiles()
+	slices.Reverse(reversed)
+	if got := SnapshotOf(9, 9, reversed...).Regions(); !reflect.DeepEqual(got, regions) {
 		t.Errorf("rollup not deterministic:\n%+v\nvs\n%+v", got, regions)
 	}
 }

@@ -1,8 +1,8 @@
 package kb_test
 
-// The HTTP surface over a kb.StoreSource with no clock — what a library
-// caller gets from cloudlens.KnowledgeBaseHandler — driven end to end:
-// envelopes, paging, validators, gzip and the route index.
+// The HTTP surface over an unstamped kb.Snapshot — what a library caller
+// gets from cloudlens.KnowledgeBaseHandler — driven end to end: envelopes,
+// paging, validators, gzip and the route index.
 
 import (
 	"bytes"
@@ -11,8 +11,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cloudlens/internal/core"
@@ -25,12 +27,12 @@ import (
 var (
 	kbOnce  sync.Once
 	kbTrace *trace.Trace
-	kbStore *kb.Store
+	kbStore *kb.Snapshot
 	kbErr   error
 )
 
 // sharedKB extracts one knowledge base for the whole test package.
-func sharedKB(t *testing.T) (*trace.Trace, *kb.Store) {
+func sharedKB(t *testing.T) (*trace.Trace, *kb.Snapshot) {
 	t.Helper()
 	kbOnce.Do(func() {
 		cfg := workload.DefaultConfig(21)
@@ -46,17 +48,34 @@ func sharedKB(t *testing.T) (*trace.Trace, *kb.Store) {
 	return kbTrace, kbStore
 }
 
-func snapStore() *kb.Store {
-	s := kb.NewStore()
-	s.Put(&kb.Profile{Subscription: "b", Cloud: core.Public, MeanUtilization: 0.4, RegionAgnosticScore: -1})
-	s.Put(&kb.Profile{Subscription: "a", Cloud: core.Private, MeanUtilization: 0.3, RegionAgnosticScore: 0.9})
-	s.Put(&kb.Profile{Subscription: "c", Cloud: core.Private, MeanUtilization: 0.5, RegionAgnosticScore: -1})
-	return s
+func snapKB() *kb.Snapshot {
+	return kb.SnapshotOf(0, 1,
+		&kb.Profile{Subscription: "b", Cloud: core.Public, MeanUtilization: 0.4, RegionAgnosticScore: -1},
+		&kb.Profile{Subscription: "a", Cloud: core.Private, MeanUtilization: 0.3, RegionAgnosticScore: 0.9},
+		&kb.Profile{Subscription: "c", Cloud: core.Private, MeanUtilization: 0.5, RegionAgnosticScore: -1})
+}
+
+// swapSource serves the snapshot published last, as a live engine
+// publishes one per fold.
+type swapSource struct{ sn atomic.Pointer[kb.Snapshot] }
+
+func (s *swapSource) Snapshot() *kb.Snapshot { return s.sn.Load() }
+
+// publish makes the next snapshot: the current profiles plus p.
+func (s *swapSource) publish(p *kb.Profile) {
+	cur := s.sn.Load()
+	s.sn.Store(kb.SnapshotOf(cur.Step(), cur.Seq()+1, append(slices.Clone(cur.Profiles()), p)...))
+}
+
+func newSwapSource(sn *kb.Snapshot) *swapSource {
+	src := &swapSource{}
+	src.sn.Store(sn)
+	return src
 }
 
 func TestHTTPHealthz(t *testing.T) {
 	_, store := sharedKB(t)
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store, nil, nil, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -70,7 +89,7 @@ func TestHTTPHealthz(t *testing.T) {
 
 func TestHTTPSummary(t *testing.T) {
 	_, store := sharedKB(t)
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store, nil, nil, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/api/v1/summary")
 	if err != nil {
@@ -88,7 +107,7 @@ func TestHTTPSummary(t *testing.T) {
 
 func TestHTTPProfiles(t *testing.T) {
 	_, store := sharedKB(t)
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store, nil, nil, nil, nil))
 	defer srv.Close()
 
 	t.Run("list with filters", func(t *testing.T) {
@@ -201,7 +220,7 @@ func decodeEnvelope(t *testing.T, resp *http.Response) kb.ErrorBody {
 
 func TestHTTPVersion(t *testing.T) {
 	_, store := sharedKB(t)
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store, nil, nil, nil, nil))
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/api/v1/version")
 	if err != nil {
@@ -226,7 +245,7 @@ func TestHTTPVersion(t *testing.T) {
 // reject what it does not know.
 func TestHTTPProfilesPagination(t *testing.T) {
 	_, store := sharedKB(t)
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store, nil, nil, nil, nil))
 	defer srv.Close()
 
 	var all []*kb.Profile
@@ -338,7 +357,7 @@ func TestHTTPProfilesPagination(t *testing.T) {
 // match (deeper unknown paths remain enveloped 404s).
 func TestHTTPRouteIndex(t *testing.T) {
 	_, store := sharedKB(t)
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(store, nil, nil, nil, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/api/v1/")
@@ -402,8 +421,8 @@ func keysOf(m map[string]server.RouteInfo) []string {
 // under one ETag, conditional GETs must collapse to 304, and a write must
 // flip the validator.
 func TestHandlerConditionalRequests(t *testing.T) {
-	store := snapStore()
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	src := newSwapSource(snapKB())
+	srv := httptest.NewServer(server.New(src, nil, nil, nil, nil))
 	defer srv.Close()
 
 	get := func(path, inm string) (int, string, []byte) {
@@ -450,10 +469,10 @@ func TestHandlerConditionalRequests(t *testing.T) {
 		t.Errorf("summary and profiles disagree on the snapshot: %q vs %q", sumTag, profTag)
 	}
 
-	// A write invalidates: the old validator stops matching and the new
-	// representation differs.
+	// A new snapshot invalidates: the old validator stops matching and the
+	// new representation differs.
 	_, oldTag, oldBody := get("/api/v1/summary", "")
-	store.Put(&kb.Profile{Subscription: "z", Cloud: core.Public, MeanUtilization: 0.9, RegionAgnosticScore: -1})
+	src.publish(&kb.Profile{Subscription: "z", Cloud: core.Public, MeanUtilization: 0.9, RegionAgnosticScore: -1})
 	code, newTag, newBody := get("/api/v1/summary", oldTag)
 	if code != http.StatusOK {
 		t.Fatalf("post-write conditional GET = %d, want 200", code)
@@ -487,8 +506,8 @@ func TestHandlerConditionalRequests(t *testing.T) {
 // validator. Vary: Accept-Encoding accompanies every response, 304s
 // included.
 func TestGzipContentNegotiation(t *testing.T) {
-	store := snapStore()
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(store, 0, nil), nil, nil, nil, nil))
+	src := newSwapSource(snapKB())
+	srv := httptest.NewServer(server.New(src, nil, nil, nil, nil))
 	defer srv.Close()
 
 	get := func(acceptEncoding, inm string) (*http.Response, []byte) {
@@ -571,9 +590,8 @@ func TestGzipContentNegotiation(t *testing.T) {
 		}
 	}
 
-	// A write flips the snapshot: the validator stops matching and the new
-	// gzip entity differs.
-	store.Put(&kb.Profile{Subscription: "z", Cloud: core.Public, MeanUtilization: 0.9, RegionAgnosticScore: -1})
+	// A new snapshot flips the validator, and the new gzip entity differs.
+	src.publish(&kb.Profile{Subscription: "z", Cloud: core.Public, MeanUtilization: 0.9, RegionAgnosticScore: -1})
 	resp3, gz3 := get("gzip", etag)
 	if resp3.StatusCode != http.StatusOK {
 		t.Fatalf("post-write conditional gzip GET = %d, want 200", resp3.StatusCode)
@@ -588,7 +606,7 @@ func TestGzipContentNegotiation(t *testing.T) {
 
 // TestRouteIndexCacheMetadata pins each route's advertised cache class.
 func TestRouteIndexCacheMetadata(t *testing.T) {
-	srv := httptest.NewServer(server.New(kb.NewStoreSource(snapStore(), 0, nil), nil, nil, nil, nil))
+	srv := httptest.NewServer(server.New(snapKB(), nil, nil, nil, nil))
 	defer srv.Close()
 
 	resp, err := http.Get(srv.URL + "/api/v1/")

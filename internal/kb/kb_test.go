@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -16,12 +17,12 @@ import (
 var (
 	kbOnce  sync.Once
 	kbTrace *trace.Trace
-	kbStore *Store
+	kbStore *Snapshot
 	kbErr   error
 )
 
 // sharedKB extracts one knowledge base for the whole test package.
-func sharedKB(t *testing.T) (*trace.Trace, *Store) {
+func sharedKB(t *testing.T) (*trace.Trace, *Snapshot) {
 	t.Helper()
 	kbOnce.Do(func() {
 		cfg := workload.DefaultConfig(21)
@@ -184,57 +185,97 @@ func TestLoadFileErrors(t *testing.T) {
 	}
 }
 
-func TestStoreConcurrentAccess(t *testing.T) {
-	store := NewStore()
+// TestLoadFileRefusesDuplicateSubscription: a knowledge-base file is
+// outside input, and one that lists a subscription twice has no single
+// profile to serve for it, so loading it fails instead of making a
+// snapshot with the duplicate.
+func TestLoadFileRefusesDuplicateSubscription(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kb.json")
+	data, err := json.Marshal([]*Profile{
+		{Subscription: "b", Cloud: core.Private},
+		{Subscription: "a", Cloud: core.Private},
+		{Subscription: "b", Cloud: core.Public},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sn, err := LoadFile(path)
+	if err == nil {
+		t.Fatalf("loaded a file listing b twice: %d profiles", sn.Len())
+	}
+	if !strings.Contains(err.Error(), `"b" listed twice`) {
+		t.Errorf("error %q does not name the duplicate", err)
+	}
+}
+
+// TestSnapshotConcurrentReads races first lookups on a fresh snapshot: the
+// index, summaries and fingerprint are built lazily, once, whichever
+// reader arrives first.
+func TestSnapshotConcurrentReads(t *testing.T) {
+	var profiles []*Profile
+	for n := 0; n < 8; n++ {
+		profiles = append(profiles, &Profile{Subscription: core.SubscriptionID(rune('h' - n)), Cloud: core.Private})
+	}
+	sn := SnapshotOf(0, 1, profiles...)
 	var wg sync.WaitGroup
+	fps := make([]string, 8)
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(n int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				id := core.SubscriptionID(rune('a' + n))
-				store.Put(&Profile{Subscription: id, Cloud: core.Private})
-				store.Get(id)
-				store.List(Query{MinRegionAgnosticScore: disabledScore})
-				store.Summarize(core.Private)
+				if p, ok := sn.Get(id); !ok || p.Subscription != id {
+					t.Errorf("Get(%s) = %v, %v", id, p, ok)
+					return
+				}
+				sn.List(MatchAll())
+				sn.Summarize(core.Private)
+				fps[n] = sn.Fingerprint()
 			}
 		}(i)
 	}
 	wg.Wait()
-	if store.Len() != 8 {
-		t.Fatalf("store has %d profiles, want 8", store.Len())
+	if sn.Len() != 8 || sn.SummarizeComputes() != 1 {
+		t.Fatalf("snapshot has %d profiles and %d summaries, want 8 and 1", sn.Len(), sn.SummarizeComputes())
+	}
+	for _, fp := range fps[1:] {
+		if fp != fps[0] {
+			t.Errorf("readers saw fingerprints %s and %s", fps[0], fp)
+		}
 	}
 }
 
-// TestStorePutSetIsOneWrite pins what a fold's publication relies on: a
-// multi-profile Put lands as one write — one version bump, so a snapshot
-// source rebuilds once — while the put counter still advances per profile
-// and a later set replaces by subscription.
-func TestStorePutSetIsOneWrite(t *testing.T) {
-	store := NewStore()
-	v0, puts0 := store.Version(), storePuts.Value()
-	store.Put(
+// TestSnapshotOfSortsAndCountsPuts pins what the fold's publication and the
+// metrics rely on: SnapshotOf orders profiles by subscription, the put
+// counter advances by the profile count and the gauge holds the new
+// snapshot's size, and a subscription listed twice is refused.
+func TestSnapshotOfSortsAndCountsPuts(t *testing.T) {
+	puts0 := snapshotPuts.Value()
+	sn := SnapshotOf(12, 1,
 		&Profile{Subscription: "b", Cloud: core.Public},
 		&Profile{Subscription: "a", Cloud: core.Private},
 		&Profile{Subscription: "c", Cloud: core.Private},
 	)
-	if got := store.Version() - v0; got != 1 {
-		t.Errorf("a three-profile Put bumped the version %d times, want 1", got)
-	}
-	if got := storePuts.Value() - puts0; got != 3 {
+	if got := snapshotPuts.Value() - puts0; got != 3 {
 		t.Errorf("put counter advanced by %d, want 3", got)
 	}
-	store.Put(&Profile{Subscription: "a", Cloud: core.Private, VMsObserved: 7}, &Profile{Subscription: "d", Cloud: core.Public})
-	if store.Len() != 4 {
-		t.Fatalf("store has %d profiles, want 4", store.Len())
+	if got := snapshotProfiles.Value(); got != 3 {
+		t.Errorf("profiles gauge = %v, want 3", got)
 	}
-	if p, _ := store.Get("a"); p == nil || p.VMsObserved != 7 {
-		t.Errorf("profile a after replacement: %+v", p)
-	}
-	list := store.List(MatchAll())
+	list := sn.List(MatchAll())
 	for i := 1; i < len(list); i++ {
 		if list[i-1].Subscription >= list[i].Subscription {
 			t.Errorf("List out of order at %d: %s then %s", i, list[i-1].Subscription, list[i].Subscription)
 		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SnapshotOf accepted a subscription listed twice")
+		}
+	}()
+	SnapshotOf(0, 0, &Profile{Subscription: "a"}, &Profile{Subscription: "b"}, &Profile{Subscription: "a"})
 }

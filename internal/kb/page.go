@@ -76,7 +76,7 @@ func DecodeCursor(cursor string) (string, error) {
 }
 
 // Paginate slices one page out of items, which must already be sorted by
-// key ascending (both Store.List and the live profile listing guarantee
+// key ascending (both Snapshot.List and the live profile listing guarantee
 // that order). It returns the page envelope; the error is a bad_cursor
 // ParamError when the cursor does not decode.
 func Paginate[T any](items []T, key func(T) string, pg Page) (ListPage, error) {
@@ -290,7 +290,7 @@ func paramAllowed(name string) bool {
 }
 
 // parseFilters translates the filter subset (cloud, minAgnostic, pattern,
-// minShortLived) into a store query.
+// minShortLived) into a snapshot query.
 func parseFilters(vals url.Values) (Query, error) {
 	q := Query{MinRegionAgnosticScore: disabledScore}
 	switch vals.Get("cloud") {
@@ -305,7 +305,7 @@ func parseFilters(vals url.Values) (Query, error) {
 	if s := vals.Get("minAgnostic"); s != "" {
 		v, err := strconv.ParseFloat(s, 64)
 		// ParseFloat accepts "NaN", which fails every threshold comparison
-		// in Store.List and silently returns the unfiltered set.
+		// in Query.Match and silently returns the unfiltered set.
 		if err != nil || math.IsNaN(v) {
 			return q, errBadParam("minAgnostic")
 		}

@@ -5,10 +5,14 @@
 // raw traces. The paper positions this as "the key pillar of the future
 // workload-aware intelligent cloud platform"; the over-subscription, spot,
 // and region-balancing policies in this repository all accept knowledge-
-// base profiles as input.
+// base profiles as input. The knowledge base is one value, the immutable
+// Snapshot: extraction, a loaded file, a merge and every streaming fold each
+// make a new one.
 package kb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"cloudlens/internal/classify"
@@ -102,15 +106,14 @@ func MinProfileStepsFor(g sim.Grid) int {
 	return g.StepsPerDay()
 }
 
-// Extract builds a knowledge base from a trace. Subscriptions are profiled
-// independently, so they fan out over the worker pool in sorted (cloud,
-// subscription) order; each worker reuses one series scratch buffer across
-// its whole chunk of subscriptions, and the finished profiles land in the
-// store sequentially. Profiles are identical to a sequential extraction:
-// all per-subscription state is worker-local.
-func Extract(t *trace.Trace, opts ExtractOptions) *Store {
+// Extract builds a knowledge base from a trace, labelled with the trace's
+// last grid step and one fold. Subscriptions are profiled independently,
+// so they fan out over the worker pool in subscription order; each worker
+// reuses one series scratch buffer across its whole chunk of
+// subscriptions. Profiles are identical to a sequential extraction: all
+// per-subscription state is worker-local.
+func Extract(t *trace.Trace, opts ExtractOptions) *Snapshot {
 	opts = opts.withDefaults()
-	store := NewStore()
 	cl := classifiers{
 		family: t.Family,
 		cpu:    classify.Options{StepsPerHour: t.Grid.StepsPerHour()},
@@ -123,16 +126,13 @@ func Extract(t *trace.Trace, opts ExtractOptions) *Store {
 	}
 	var jobs []job
 	for _, cloud := range core.Clouds() {
-		bySub := t.BySubscription(cloud)
-		subs := make([]core.SubscriptionID, 0, len(bySub))
-		for sub := range bySub {
-			subs = append(subs, sub)
-		}
-		sort.Slice(subs, func(i, j int) bool { return subs[i] < subs[j] })
-		for _, sub := range subs {
-			jobs = append(jobs, job{sub: sub, vms: bySub[sub]})
+		for sub, vms := range t.BySubscription(cloud) {
+			jobs = append(jobs, job{sub: sub, vms: vms})
 		}
 	}
+	// Stable, so a subscription that appears on both platforms keeps its
+	// platforms in core.Clouds order.
+	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(a.sub, b.sub) })
 	profiles := parallel.MapChunk(len(jobs), func(lo, hi int, dst []*Profile) {
 		var buf []float64
 		for i := lo; i < hi; i++ {
@@ -141,10 +141,15 @@ func Extract(t *trace.Trace, opts ExtractOptions) *Store {
 			dst[i-lo] = p
 		}
 	})
-	for _, p := range profiles {
-		store.Put(p)
+	// Such a subscription is one entry in the knowledge base: the last
+	// platform's profile stands.
+	kept := profiles[:0]
+	for i, p := range profiles {
+		if i+1 == len(profiles) || profiles[i+1].Subscription != p.Subscription {
+			kept = append(kept, p)
+		}
 	}
-	return store
+	return SnapshotOf(t.Grid.N, 1, kept...)
 }
 
 // classifiers bundles the per-family classifier options so extraction

@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
 	"cloudlens/internal/core"
 )
@@ -62,7 +61,7 @@ func TestNonFiniteFloatsEncodeNull(t *testing.T) {
 	if !json.Valid([]byte(got)) {
 		t.Errorf("not valid JSON: %s", got)
 	}
-	sn := SnapshotOfSorted([]*Profile{p}, 0, 0, time.Time{})
+	sn := SnapshotOf(0, 0, p)
 	h := fnv.New64a()
 	_, _ = h.Write(append([]byte(got), '\n'))
 	if want := fmt.Sprintf("fnv1a:%016x", h.Sum64()); sn.Fingerprint() != want {
@@ -143,18 +142,18 @@ func FuzzAppendProfileJSON(f *testing.F) {
 		// The fingerprint is still json.Encoder's output under FNV-1a.
 		h := fnv.New64a()
 		_ = json.NewEncoder(h).Encode(p)
-		if got, want := SnapshotOfSorted([]*Profile{p}, 0, 0, time.Time{}).Fingerprint(), fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
+		if got, want := SnapshotOf(0, 0, p).Fingerprint(), fmt.Sprintf("fnv1a:%016x", h.Sum64()); got != want {
 			t.Fatalf("fingerprint %s, json.Encoder's %s", got, want)
 		}
 	})
 }
 
-// pagedStore holds n profiles over both clouds, varied enough for every
+// pagedKB holds n profiles over both clouds, varied enough for every
 // filter to split them.
-func pagedStore(n int) *Store {
-	s := NewStore()
+func pagedKB(n int) *Snapshot {
+	var profiles []*Profile
 	for i := 0; i < n; i++ {
-		s.Put(&Profile{
+		profiles = append(profiles, &Profile{
 			Subscription:        core.SubscriptionID(fmt.Sprintf("sub-%05d", i)),
 			Cloud:               core.Clouds()[i%2],
 			Services:            []string{"svc"},
@@ -167,14 +166,14 @@ func pagedStore(n int) *Store {
 			PeakHourUTC:         i % 24,
 		})
 	}
-	return s
+	return SnapshotOf(1, 1, profiles...)
 }
 
 // TestWriteProfileListMatchesPaginate holds the one-pass listing writer to
 // what the routes wrote before it: encoding/json over Snapshot.List's
 // result, or over Paginate's page of it.
 func TestWriteProfileListMatchesPaginate(t *testing.T) {
-	sn := NewSnapshot(pagedStore(57), 1, 1)
+	sn := pagedKB(57)
 	key := func(p *Profile) string { return string(p.Subscription) }
 	queries := map[string]Query{
 		"all":     MatchAll(),

@@ -1,38 +1,65 @@
 package kb
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cloudlens/internal/core"
+	"cloudlens/internal/obs"
 )
 
-// MatchAll returns the query that matches every stored profile. The zero
-// Query is NOT match-all: its MinRegionAgnosticScore of 0 silently drops
-// profiles whose score is negative (single-region subscriptions carry -1).
-// Snapshot construction and any other "give me the whole knowledge base"
-// caller must use this instead.
-func MatchAll() Query { return Query{MinRegionAgnosticScore: disabledScore} }
+// Snapshot metrics, resolved at init. The counter is process-cumulative
+// across every snapshot the binary makes; the gauge tracks the one made
+// most recently (a streaming server makes one per fold).
+var (
+	snapshotPuts = obs.Default.Counter("cloudlens_kb_profile_puts_total",
+		"Profiles published in knowledge-base snapshots.")
+	snapshotProfiles = obs.Default.Gauge("cloudlens_kb_profiles",
+		"Profiles held by the most recently made knowledge-base snapshot.")
+)
 
-// Snapshot is an immutable point-in-time view of a knowledge base,
-// published at fold boundaries for readers (the v1 GET surface and the
-// policy engine) that must see a consistent profile set while ingestion
-// keeps rewriting the live store underneath them. The profile pointers are
-// safe to retain because every fold Puts freshly built Profile values —
-// published profiles are never mutated in place.
+// SnapshotSource hands read handlers and the policy engine the immutable
+// snapshot a request is served from. Snapshot must never return nil and
+// must be safe for concurrent use; successive calls between publications
+// return the same snapshot, so everything memoized on it is shared across
+// requests. A *Snapshot is the fixed source of itself; stream.ReadSource
+// serves a live engine.
+type SnapshotSource interface {
+	Snapshot() *Snapshot
+}
+
+// Snapshot is the knowledge base: an immutable set of profiles, sorted by
+// subscription, each subscription once. The streaming engine publishes one
+// per fold, labelled with the fold boundary (Step, in grid steps) and the
+// fold count (Seq); Extract, LoadFile and Merge each make one. Profiles are
+// never mutated once in a snapshot, so readers (the v1 GET surface, the
+// policy engine and its ledger) may keep a snapshot and its profile
+// pointers for as long as they like.
 //
-// Everything derived from a snapshot — per-cloud summaries, region
-// rollups, assembled response payloads — is memoized on it, so a burst of
-// reads between folds pays for each aggregate exactly once.
+// Everything derived from a snapshot — the subscription index, per-cloud
+// summaries, region rollups, assembled response payloads — is built on
+// first use and memoized on it, so the fold pays for none of it and a
+// burst of reads between folds pays for each exactly once.
 type Snapshot struct {
 	step        int
 	seq         uint64
 	publishedAt time.Time
-	profiles    []*Profile // sorted by subscription
-	bySub       map[core.SubscriptionID]int
+	profiles    []*Profile
+
+	// base is the snapshot this one relabels, which holds the lazily built
+	// state below for both; nil for an original.
+	base *Snapshot
+
+	idxOnce sync.Once
+	bySub   map[core.SubscriptionID]int
 
 	fpOnce sync.Once
 	fp     string
@@ -45,46 +72,81 @@ type Snapshot struct {
 	memos  map[string]interface{}
 }
 
-// NewSnapshot captures the store's current profile set. step labels the
-// fold boundary the snapshot was published at (grid steps); seq is the
-// publication sequence number (diagnostic only — it is never part of the
-// snapshot's identity, which is the fingerprint).
-func NewSnapshot(store *Store, step int, seq uint64) *Snapshot {
-	return NewSnapshotAt(store, step, seq, time.Time{})
-}
-
-// NewSnapshotAt is NewSnapshot with an explicit publication timestamp,
-// threaded in from the caller (this package is wall-clock-free by the
-// determinism lint). A zero time means "unknown" and disables
-// Last-Modified validation on HTTP responses built from the snapshot.
-func NewSnapshotAt(store *Store, step int, seq uint64, publishedAt time.Time) *Snapshot {
-	var profiles []*Profile
-	if store != nil {
-		profiles = store.List(MatchAll())
+// SnapshotOf makes a snapshot of profiles labelled step and seq. It sorts
+// the slice by subscription, in place, unless it already is, and keeps it:
+// the caller must not touch the slice or the profiles afterwards. A
+// subscription listed twice panics; LoadFile, which reads outside input,
+// reports it as an error instead.
+func SnapshotOf(step int, seq uint64, profiles ...*Profile) *Snapshot {
+	if err := sortUnique(profiles); err != nil {
+		panic("kb: " + err.Error())
 	}
-	return SnapshotOfSorted(profiles, step, seq, publishedAt)
-}
-
-// SnapshotOfSorted wraps an already subscription-sorted profile list
-// (typically a Store.List(MatchAll()) result captured under the same lock
-// acquisition as other per-fold state) without re-listing the store.
-// Callers must not mutate the slice afterwards.
-func SnapshotOfSorted(profiles []*Profile, step int, seq uint64, publishedAt time.Time) *Snapshot {
 	if profiles == nil {
 		profiles = []*Profile{} // empty snapshots stay range- and JSON-safe
 	}
-	bySub := make(map[core.SubscriptionID]int, len(profiles))
-	for i, p := range profiles {
-		bySub[p.Subscription] = i
-	}
-	return &Snapshot{step: step, seq: seq, publishedAt: publishedAt, profiles: profiles, bySub: bySub}
+	snapshotPuts.Add(int64(len(profiles)))
+	snapshotProfiles.SetInt(len(profiles))
+	return &Snapshot{step: step, seq: seq, profiles: profiles}
 }
+
+// sortUnique orders profiles by subscription, unless they already are, and
+// reports a subscription listed twice. Sorted input costs one comparison
+// per profile.
+func sortUnique(profiles []*Profile) error {
+	for i := 1; i < len(profiles); i++ {
+		if profiles[i-1].Subscription < profiles[i].Subscription {
+			continue
+		}
+		slices.SortFunc(profiles, func(a, b *Profile) int {
+			return cmp.Compare(a.Subscription, b.Subscription)
+		})
+		for j := 1; j < len(profiles); j++ {
+			if profiles[j-1].Subscription == profiles[j].Subscription {
+				return fmt.Errorf("subscription %q listed twice", profiles[j].Subscription)
+			}
+		}
+		return nil
+	}
+	return nil
+}
+
+// Stamped returns s published at at, for HTTP Last-Modified validation:
+// the same labels and profiles, and the same index and memos, so stamping
+// the time a reader first served a fold costs one small allocation.
+func (s *Snapshot) Stamped(at time.Time) *Snapshot { return s.relabel(s.step, s.seq, at) }
+
+func (s *Snapshot) relabel(step int, seq uint64, at time.Time) *Snapshot {
+	return &Snapshot{step: step, seq: seq, publishedAt: at, profiles: s.profiles, base: s.shared()}
+}
+
+// shared returns the snapshot that holds s's lazily built state.
+func (s *Snapshot) shared() *Snapshot {
+	if s.base != nil {
+		return s.base
+	}
+	return s
+}
+
+// Store is the knowledge base's name in cloudbench. Bench only; ROADMAP
+// 17(f) deletes.
+type Store = Snapshot
+
+// NewSnapshot relabels sn with step and seq, sharing its profiles and
+// everything derived from them. Bench only; ROADMAP 17(f) deletes.
+func NewSnapshot(sn *Snapshot, step int, seq uint64) *Snapshot {
+	return sn.relabel(step, seq, time.Time{})
+}
+
+// Snapshot implements SnapshotSource: a snapshot is the fixed source of
+// itself, which is how a batch extraction or a finished replay is served.
+func (s *Snapshot) Snapshot() *Snapshot { return s }
 
 // Step returns the fold boundary (in grid steps) the snapshot was
 // published at.
 func (s *Snapshot) Step() int { return s.step }
 
-// Seq returns the publication sequence number.
+// Seq returns the fold count the snapshot was published at. It labels the
+// publication; the snapshot's identity is its fingerprint.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // PublishedAt returns the wall-clock publication time, or the zero time
@@ -100,7 +162,7 @@ func (s *Snapshot) Profiles() []*Profile { return s.profiles }
 
 // Get returns one subscription's profile.
 func (s *Snapshot) Get(id core.SubscriptionID) (*Profile, bool) {
-	i, ok := s.bySub[id]
+	i, ok := s.Index(id)
 	if !ok {
 		return nil, false
 	}
@@ -112,9 +174,18 @@ func (s *Snapshot) Get(id core.SubscriptionID) (*Profile, bool) {
 // serve from, encoding each body on demand.
 func (s *Snapshot) At(i int) *Profile { return s.profiles[i] }
 
-// Index returns the position of one subscription's profile.
+// Index returns the position of one subscription's profile. The index is
+// built on the first lookup, so a fold that publishes a snapshot no one
+// looks into pays for no map.
 func (s *Snapshot) Index(id core.SubscriptionID) (int, bool) {
-	i, ok := s.bySub[id]
+	c := s.shared()
+	c.idxOnce.Do(func() {
+		c.bySub = make(map[core.SubscriptionID]int, len(c.profiles))
+		for i, p := range c.profiles {
+			c.bySub[p.Subscription] = i
+		}
+	})
+	i, ok := c.bySub[id]
 	return i, ok
 }
 
@@ -124,9 +195,8 @@ func (s *Snapshot) AppendBody(dst []byte, i int) []byte {
 }
 
 // List returns the snapshot's profiles matching the query, in subscription
-// order — the read-path counterpart of Store.List, minus the lock and the
-// sort (the snapshot is already ordered). The returned slice is freshly
-// allocated; the profiles are shared and must not be mutated.
+// order. The returned slice is freshly allocated; the profiles are shared
+// and must not be mutated.
 func (s *Snapshot) List(q Query) []*Profile {
 	out := make([]*Profile, 0, len(s.profiles))
 	for _, p := range s.profiles {
@@ -139,26 +209,27 @@ func (s *Snapshot) List(q Query) []*Profile {
 
 // Summarize aggregates one platform's profiles, computing each cloud's
 // summary at most once per snapshot — a burst of summary and health reads
-// between folds shares one aggregation instead of recomputing it under the
-// store lock per request.
+// between folds shares one aggregation instead of recomputing it per
+// request.
 func (s *Snapshot) Summarize(cloud core.Cloud) Summary {
-	s.summMu.Lock()
-	defer s.summMu.Unlock()
-	if sum, ok := s.summaries[cloud]; ok {
+	c := s.shared()
+	c.summMu.Lock()
+	defer c.summMu.Unlock()
+	if sum, ok := c.summaries[cloud]; ok {
 		return sum
 	}
-	if s.summaries == nil {
-		s.summaries = make(map[core.Cloud]Summary, 2)
+	if c.summaries == nil {
+		c.summaries = make(map[core.Cloud]Summary, 2)
 	}
-	s.summComputes.Add(1)
-	sum := summarizeSorted(cloud, s.profiles)
-	s.summaries[cloud] = sum
+	c.summComputes.Add(1)
+	sum := summarizeSorted(cloud, c.profiles)
+	c.summaries[cloud] = sum
 	return sum
 }
 
 // SummarizeComputes returns how many Summarize calls missed the memo — a
 // test hook pinning the at-most-once-per-cloud guarantee.
-func (s *Snapshot) SummarizeComputes() int64 { return s.summComputes.Load() }
+func (s *Snapshot) SummarizeComputes() int64 { return s.shared().summComputes.Load() }
 
 // Memo returns the value cached under key, computing it once per snapshot
 // on first use. Handlers memoize assembled response payloads (and their
@@ -167,16 +238,17 @@ func (s *Snapshot) SummarizeComputes() int64 { return s.summComputes.Load() }
 // byte-identically, which is what makes the snapshot fingerprint a sound
 // ETag. compute runs under the memo lock; it must not call Memo itself.
 func (s *Snapshot) Memo(key string, compute func() interface{}) interface{} {
-	s.memoMu.Lock()
-	defer s.memoMu.Unlock()
-	if v, ok := s.memos[key]; ok {
+	c := s.shared()
+	c.memoMu.Lock()
+	defer c.memoMu.Unlock()
+	if v, ok := c.memos[key]; ok {
 		return v
 	}
-	if s.memos == nil {
-		s.memos = make(map[string]interface{})
+	if c.memos == nil {
+		c.memos = make(map[string]interface{})
 	}
 	v := compute()
-	s.memos[key] = v
+	c.memos[key] = v
 	return v
 }
 
@@ -189,8 +261,9 @@ func (s *Snapshot) Memo(key string, compute func() interface{}) interface{} {
 // once, unless EachEncoded already computed it: fold publication never
 // pays for it.
 func (s *Snapshot) Fingerprint() string {
-	s.fpOnce.Do(func() { s.fp = s.encodeEach(nil) })
-	return s.fp
+	c := s.shared()
+	c.fpOnce.Do(func() { c.fp = c.encodeEach(nil) })
+	return c.fp
 }
 
 // EachEncoded encodes every profile once, in subscription order, and hands
@@ -198,8 +271,9 @@ func (s *Snapshot) Fingerprint() string {
 // modify them. The fingerprint is taken from the same bytes, so a later
 // Fingerprint or ETag does no second encode.
 func (s *Snapshot) EachEncoded(fn func(i int, body []byte)) {
-	fp := s.encodeEach(fn)
-	s.fpOnce.Do(func() { s.fp = fp })
+	c := s.shared()
+	fp := c.encodeEach(fn)
+	c.fpOnce.Do(func() { c.fp = fp })
 }
 
 func (s *Snapshot) encodeEach(fn func(i int, body []byte)) string {
@@ -219,3 +293,43 @@ func (s *Snapshot) encodeEach(fn func(i int, body []byte)) string {
 // fingerprint. Every v1 GET served from the snapshot carries it, and a
 // matching If-None-Match short-circuits to 304.
 func (s *Snapshot) ETag() string { return `"` + s.Fingerprint() + `"` }
+
+// SaveFile persists the knowledge base as JSON.
+func (s *Snapshot) SaveFile(path string) error {
+	// The canonical encoder's array, indented: the bytes MarshalIndent
+	// would write.
+	raw := []byte{'['}
+	for i, p := range s.profiles {
+		if i > 0 {
+			raw = append(raw, ',')
+		}
+		raw = AppendProfileJSON(raw, p)
+	}
+	raw = append(raw, ']')
+	var data bytes.Buffer
+	if err := json.Indent(&data, raw, "", "  "); err != nil {
+		return fmt.Errorf("kb: save: %w", err)
+	}
+	if err := os.WriteFile(path, data.Bytes(), 0o644); err != nil {
+		return fmt.Errorf("kb: save: %w", err)
+	}
+	return nil
+}
+
+// LoadFile reads a knowledge base written by SaveFile. The file carries no
+// fold labels, so the snapshot's step and seq are 0. A file that lists a
+// subscription twice is refused.
+func LoadFile(path string) (*Snapshot, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("kb: load: %w", err)
+	}
+	var list []*Profile
+	if err := json.Unmarshal(data, &list); err != nil {
+		return nil, fmt.Errorf("kb: load: %w", err)
+	}
+	if err := sortUnique(list); err != nil {
+		return nil, fmt.Errorf("kb: load %s: %w", path, err)
+	}
+	return SnapshotOf(0, 0, list...), nil
+}

@@ -30,24 +30,30 @@ func (o MergeOptions) withDefaults() MergeOptions {
 	return o
 }
 
-// Merge folds a newer extraction into the store. Subscriptions present
-// only in the update are inserted as-is; subscriptions present only in the
-// existing store are retained unchanged (a missing week does not erase
-// knowledge); overlapping subscriptions blend numerically and union their
-// region and service sets.
-func (s *Store) Merge(update *Store, opts MergeOptions) {
-	opts = opts.withDefaults()
-	w := opts.NewWeight
-	for _, newP := range update.List(Query{MinRegionAgnosticScore: disabledScore}) {
-		old, ok := s.Get(newP.Subscription)
-		if !ok {
-			clone := *newP
-			s.Put(&clone)
-			continue
+// Merge folds a newer extraction into prev and returns the result as a new
+// snapshot, leaving prev untouched. Subscriptions present only in next are
+// taken as they are; subscriptions present only in prev are retained
+// unchanged (a missing week does not erase knowledge); overlapping
+// subscriptions blend numerically and union their region and service
+// sets. The result is labelled with next's step and one fold more than
+// prev.
+func Merge(prev, next *Snapshot, opts MergeOptions) *Snapshot {
+	w := opts.withDefaults().NewWeight
+	a, b := prev.profiles, next.profiles
+	out := make([]*Profile, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0].Subscription < b[0].Subscription:
+			out, a = append(out, a[0]), a[1:]
+		case a[0].Subscription > b[0].Subscription:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out = append(out, blendProfiles(a[0], b[0], w))
+			a, b = a[1:], b[1:]
 		}
-		merged := blendProfiles(old, newP, w)
-		s.Put(merged)
 	}
+	out = append(append(out, a...), b...)
+	return SnapshotOf(next.step, prev.seq+1, out...)
 }
 
 // blendProfiles combines two observations of the same subscription.

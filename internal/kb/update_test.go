@@ -2,6 +2,7 @@ package kb
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cloudlens/internal/core"
@@ -27,10 +28,7 @@ func mkProfile(id string, util float64) *Profile {
 }
 
 func TestMergeInsertsNewSubscriptions(t *testing.T) {
-	s := NewStore()
-	u := NewStore()
-	u.Put(mkProfile("a", 0.2))
-	s.Merge(u, MergeOptions{})
+	s := Merge(SnapshotOf(0, 0), SnapshotOf(0, 0, mkProfile("a", 0.2)), MergeOptions{})
 	if s.Len() != 1 {
 		t.Fatalf("store has %d profiles", s.Len())
 	}
@@ -41,23 +39,17 @@ func TestMergeInsertsNewSubscriptions(t *testing.T) {
 }
 
 func TestMergeRetainsMissingSubscriptions(t *testing.T) {
-	s := NewStore()
-	s.Put(mkProfile("old", 0.3))
-	s.Merge(NewStore(), MergeOptions{})
+	s := Merge(SnapshotOf(0, 0, mkProfile("old", 0.3)), SnapshotOf(0, 0), MergeOptions{})
 	if _, ok := s.Get("old"); !ok {
 		t.Fatal("missing week erased existing knowledge")
 	}
 }
 
 func TestMergeBlendsStatistics(t *testing.T) {
-	s := NewStore()
-	s.Put(mkProfile("a", 0.2))
-	u := NewStore()
 	newer := mkProfile("a", 0.4)
 	newer.Regions = []string{"us-west"}
 	newer.MedianLifetimeMin = 200
-	u.Put(newer)
-	s.Merge(u, MergeOptions{NewWeight: 0.5})
+	s := Merge(SnapshotOf(0, 0, mkProfile("a", 0.2)), SnapshotOf(0, 0, newer), MergeOptions{NewWeight: 0.5})
 	got, _ := s.Get("a")
 	if math.Abs(got.MeanUtilization-0.3) > 1e-12 {
 		t.Fatalf("blended utilization = %v, want 0.3", got.MeanUtilization)
@@ -76,11 +68,8 @@ func TestMergeBlendsStatistics(t *testing.T) {
 }
 
 func TestMergeSlowEWMAResistsNoise(t *testing.T) {
-	s := NewStore()
-	s.Put(mkProfile("a", 0.2))
-	u := NewStore()
-	u.Put(mkProfile("a", 0.9)) // one anomalous week
-	s.Merge(u, MergeOptions{}) // default weight 0.3
+	// One anomalous week, at the default weight 0.3.
+	s := Merge(SnapshotOf(0, 0, mkProfile("a", 0.2)), SnapshotOf(0, 0, mkProfile("a", 0.9)), MergeOptions{})
 	got, _ := s.Get("a")
 	if got.MeanUtilization > 0.45 {
 		t.Fatalf("one noisy week moved utilization to %v", got.MeanUtilization)
@@ -100,15 +89,11 @@ func TestMergeRegionAgnosticScoreRules(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			s := NewStore()
 			p1 := mkProfile("a", 0.2)
 			p1.RegionAgnosticScore = tt.oldScore
-			s.Put(p1)
-			u := NewStore()
 			p2 := mkProfile("a", 0.2)
 			p2.RegionAgnosticScore = tt.newScore
-			u.Put(p2)
-			s.Merge(u, MergeOptions{NewWeight: 0.5})
+			s := Merge(SnapshotOf(0, 0, p1), SnapshotOf(0, 0, p2), MergeOptions{NewWeight: 0.5})
 			got, _ := s.Get("a")
 			if got.RegionAgnosticScore < tt.wantRange[0] || got.RegionAgnosticScore > tt.wantRange[1] {
 				t.Fatalf("score = %v, want in %v", got.RegionAgnosticScore, tt.wantRange)
@@ -118,15 +103,11 @@ func TestMergeRegionAgnosticScoreRules(t *testing.T) {
 }
 
 func TestMergeDominantPatternShifts(t *testing.T) {
-	s := NewStore()
-	s.Put(mkProfile("a", 0.2))
-	u := NewStore()
 	shifted := mkProfile("a", 0.2)
 	shifted.PatternShares = map[core.Pattern]float64{core.PatternStable: 0.9, core.PatternDiurnal: 0.1}
 	shifted.DominantPattern = core.PatternStable
-	u.Put(shifted)
 	// A heavy update weight flips the dominant pattern.
-	s.Merge(u, MergeOptions{NewWeight: 0.9})
+	s := Merge(SnapshotOf(0, 0, mkProfile("a", 0.2)), SnapshotOf(0, 0, shifted), MergeOptions{NewWeight: 0.9})
 	got, _ := s.Get("a")
 	if got.DominantPattern != core.PatternStable {
 		t.Fatalf("dominant pattern = %v, want stable", got.DominantPattern)
@@ -138,9 +119,8 @@ func TestMergeWeekOverWeekFromTraces(t *testing.T) {
 	// Week 2: a different seed plays the role of the next observation
 	// window (reuse the shared trace config but a fresh extraction is
 	// too expensive; blending week1 into itself must be a fixed point).
-	merged := NewStore()
-	merged.Merge(week1, MergeOptions{})
-	merged.Merge(week1, MergeOptions{})
+	merged := Merge(SnapshotOf(0, 0), week1, MergeOptions{})
+	merged = Merge(merged, week1, MergeOptions{})
 	if merged.Len() != week1.Len() {
 		t.Fatalf("idempotent merge changed size: %d vs %d", merged.Len(), week1.Len())
 	}
@@ -151,5 +131,32 @@ func TestMergeWeekOverWeekFromTraces(t *testing.T) {
 	}
 	if math.Abs(p1.MeanUtilization-p2.MeanUtilization) > 1e-9 {
 		t.Fatalf("self-merge moved utilization: %v -> %v", p1.MeanUtilization, p2.MeanUtilization)
+	}
+}
+
+// TestMergeLeavesPrevUntouched pins that Merge makes a new snapshot: the
+// previous one, which readers may still hold, keeps its profiles and its
+// fingerprint, and the result is ordered and labelled as a fold of both.
+func TestMergeLeavesPrevUntouched(t *testing.T) {
+	prev := SnapshotOf(12, 4, mkProfile("b", 0.2), mkProfile("d", 0.4))
+	fp, b := prev.Fingerprint(), *prev.Profiles()[0]
+	next := SnapshotOf(24, 1, mkProfile("c", 0.5), mkProfile("b", 0.6), mkProfile("a", 0.1))
+	merged := Merge(prev, next, MergeOptions{NewWeight: 0.5})
+
+	if prev.Len() != 2 || prev.Fingerprint() != fp || !reflect.DeepEqual(*prev.Profiles()[0], b) {
+		t.Errorf("merge changed prev: len %d, fingerprint %s (was %s)", prev.Len(), prev.Fingerprint(), fp)
+	}
+	var subs []core.SubscriptionID
+	for _, p := range merged.Profiles() {
+		subs = append(subs, p.Subscription)
+	}
+	if want := []core.SubscriptionID{"a", "b", "c", "d"}; !reflect.DeepEqual(subs, want) {
+		t.Errorf("merged subscriptions = %v, want %v", subs, want)
+	}
+	if merged.Step() != 24 || merged.Seq() != 5 {
+		t.Errorf("merged labels = step %d seq %d, want 24 and 5", merged.Step(), merged.Seq())
+	}
+	if got, _ := merged.Get("b"); math.Abs(got.MeanUtilization-0.4) > 1e-12 {
+		t.Errorf("blended utilization = %v, want 0.4", got.MeanUtilization)
 	}
 }

@@ -47,7 +47,7 @@ func FuzzParseSpec(f *testing.F) {
 			seen[name] = true
 			// Every accepted policy must evaluate an arbitrary request
 			// against an empty snapshot without panicking.
-			alts := p.Evaluate(kb.NewSnapshot(nil, 0, 0), Request{
+			alts := p.Evaluate(kb.SnapshotOf(0, 0), Request{
 				Policy:       name,
 				Subscription: "fuzz-sub",
 				Cores:        1,

@@ -11,12 +11,12 @@ import (
 	"cloudlens/internal/kb"
 )
 
-// testStore builds a small knowledge base exercising every policy's
+// testKB builds a small knowledge base exercising every policy's
 // branches: a multi-region region-agnostic subscription, a single-region
-// one, and a public-cloud spot candidate.
-func testStore() *kb.Store {
-	s := kb.NewStore()
-	s.Put(&kb.Profile{
+// one, and a public-cloud spot candidate. It is labelled as the last fold
+// of a week.
+func testKB() *kb.Snapshot {
+	return kb.SnapshotOf(2016, 1, &kb.Profile{
 		Subscription:        "sub-a",
 		Cloud:               core.Private,
 		Regions:             []string{"r1", "r2"},
@@ -26,8 +26,7 @@ func testStore() *kb.Store {
 		DominantPattern:     core.PatternDiurnal,
 		RegionAgnosticScore: 0.95,
 		ShortLivedShare:     0.1,
-	})
-	s.Put(&kb.Profile{
+	}, &kb.Profile{
 		Subscription:        "sub-b",
 		Cloud:               core.Private,
 		Regions:             []string{"r1"},
@@ -37,8 +36,7 @@ func testStore() *kb.Store {
 		DominantPattern:     core.PatternStable,
 		RegionAgnosticScore: -1,
 		ShortLivedShare:     0,
-	})
-	s.Put(&kb.Profile{
+	}, &kb.Profile{
 		Subscription:        "sub-c",
 		Cloud:               core.Public,
 		Regions:             []string{"r3"},
@@ -49,7 +47,6 @@ func testStore() *kb.Store {
 		RegionAgnosticScore: -1,
 		ShortLivedShare:     0.7,
 	})
-	return s
 }
 
 func testEngine(t *testing.T, spec string, opts Options) *Engine {
@@ -58,7 +55,7 @@ func testEngine(t *testing.T, spec string, opts Options) *Engine {
 	if err != nil {
 		t.Fatalf("ParseSpec(%q): %v", spec, err)
 	}
-	eng, err := NewEngine(NewStoreSource(testStore(), 2016), pols, opts)
+	eng, err := NewEngine(testKB(), pols, opts)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -417,11 +414,11 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(nil, pols, Options{}); err == nil {
 		t.Error("nil source accepted")
 	}
-	if _, err := NewEngine(NewStoreSource(testStore(), 1), nil, Options{}); err == nil {
+	if _, err := NewEngine(testKB(), nil, Options{}); err == nil {
 		t.Error("empty policy set accepted")
 	}
 	dup := append(pols, pols[0])
-	if _, err := NewEngine(NewStoreSource(testStore(), 1), dup, Options{}); err == nil {
+	if _, err := NewEngine(testKB(), dup, Options{}); err == nil {
 		t.Error("duplicate policy accepted")
 	}
 }

@@ -2,10 +2,9 @@ package policy
 
 import "cloudlens/internal/kb"
 
-// NewStoreSource serves a static store as one immutable snapshot; step
-// labels it (for a batch extraction, the trace's final grid step). It
-// remains for bench/cloudbench's policy probe; other callers use
-// kb.NewStoreSource.
-func NewStoreSource(store *kb.Store, step int) *kb.StoreSource {
-	return kb.NewStoreSource(store, step, nil)
+// NewStoreSource serves sn relabelled with step as a fixed source. Bench
+// only; ROADMAP 17(f) deletes. Other callers pass a snapshot, which is its
+// own source.
+func NewStoreSource(sn *kb.Snapshot, step int) *kb.Snapshot {
+	return kb.NewSnapshot(sn, step, 0)
 }

@@ -78,12 +78,12 @@ type Result struct {
 }
 
 // Run executes the comparison for the selected service.
-func Run(t *trace.Trace, store *kb.Store, opts Options) (Result, error) {
+func Run(t *trace.Trace, base *kb.Snapshot, opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	service := opts.Service
 	if service == "" {
 		var err error
-		service, err = pickHourlyPeakService(t, store)
+		service, err = pickHourlyPeakService(t, base)
 		if err != nil {
 			return Result{}, err
 		}
@@ -133,7 +133,7 @@ func Run(t *trace.Trace, store *kb.Store, opts Options) (Result, error) {
 // pickHourlyPeakService selects the private service with the largest
 // snapshot core footprint whose owning subscription profiles as
 // hourly-peak-dominant.
-func pickHourlyPeakService(t *trace.Trace, store *kb.Store) (string, error) {
+func pickHourlyPeakService(t *trace.Trace, base *kb.Snapshot) (string, error) {
 	snap := t.SnapshotStep()
 	cores := make(map[string]int)
 	owner := make(map[string]core.SubscriptionID)
@@ -147,7 +147,7 @@ func pickHourlyPeakService(t *trace.Trace, store *kb.Store) (string, error) {
 	}
 	best, bestCores := "", 0
 	for svc, c := range cores {
-		p, ok := store.Get(owner[svc])
+		p, ok := base.Get(owner[svc])
 		if !ok || p.DominantPattern != core.PatternHourlyPeak {
 			continue
 		}

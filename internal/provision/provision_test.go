@@ -12,11 +12,11 @@ import (
 var (
 	setupOnce sync.Once
 	tr        *trace.Trace
-	store     *kb.Store
+	store     *kb.Snapshot
 	setupErr  error
 )
 
-func shared(t *testing.T) (*trace.Trace, *kb.Store) {
+func shared(t *testing.T) (*trace.Trace, *kb.Snapshot) {
 	t.Helper()
 	setupOnce.Do(func() {
 		cfg := workload.DefaultConfig(39)

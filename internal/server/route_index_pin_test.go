@@ -38,7 +38,7 @@ func TestRouteIndexPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := kb.NewStoreSource(store, tr.Grid.N, time.Now)
+	src := store.Stamped(time.Now())
 	peng, err := policy.NewEngine(src, pols, policy.Options{TraceLevel: 1, CounterfactualK: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func TestRouteIndexPinned(t *testing.T) {
 		mode string
 		h    http.Handler
 	}{
-		{"batch", New(kb.NewStoreSource(store, 0, time.Now), nil, nil, nil, nil)},
+		{"batch", New(store.Stamped(time.Now()), nil, nil, nil, nil)},
 		{"live", New(readSrc, pipe, nil, nil, nil)},
 		{"policy", New(src, nil, nil, peng, nil)},
 	} {

@@ -45,21 +45,19 @@ type PercentilesReport struct {
 }
 
 // LiveCapture is everything the read path needs from the engine, captured
-// in one consistent pass: the published profiles, their live augmentation,
-// per-cloud counters, and per-pattern utilization bands. Live is parallel
-// to Profiles. A capture shares no mutable state with the engine — the
-// sketches are merged into fresh histograms and resolved to quantiles —
-// so a LiveSnapshot built from it is immutable.
+// in one consistent pass: the published snapshot, its profiles' live
+// augmentation, per-cloud counters, and per-pattern utilization bands. A
+// capture shares no mutable state with the engine — the snapshot is
+// immutable, and the sketches are merged into fresh histograms and
+// resolved to quantiles — so a LiveSnapshot built from it is immutable.
 type LiveCapture struct {
-	Profiles []*kb.Profile // sorted by subscription
-	Live     []LiveProfile // Live[i] augments Profiles[i]
+	KB       *kb.Snapshot  // the last fold's; nil from an unbound source
+	Live     []LiveProfile // Live[i] augments KB.At(i)
 	Clouds   map[core.Cloud]CloudCounters
 	Patterns []PatternBand
 	Step     int
 	Steps    int
 	Done     bool
-	Folds    int64 // folds published so far
-	FoldStep int   // the last fold's boundary (grid steps); 0 before one
 }
 
 // patternAcc accumulates one pattern's band while profiles are walked.
@@ -109,15 +107,15 @@ func mergePattern(accs map[core.Pattern]*patternAcc, p *kb.Profile, util *sketch
 }
 
 // CaptureLive implements Engine: one consistent capture of the published
-// store and the streaming state. Holding g.mu serializes the capture
-// against merges (which rewrite the published store), so the profile list
-// and the per-shard accumulators are one consistent view; each shard's
-// read lock is then taken once for its whole partition instead of once per
-// profile.
+// snapshot and the streaming state. Holding g.mu serializes the capture
+// against merges, so the snapshot and the per-shard accumulators are one
+// consistent view; each shard's read lock is then taken once for its whole
+// partition instead of once per profile.
 func (g *shardGroup) CaptureLive() LiveCapture {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	list := g.store.List(kb.MatchAll())
+	sn := g.KB()
+	list := sn.Profiles()
 	live := make([]LiveProfile, len(list))
 	accs := make(map[core.Pattern]*patternAcc)
 
@@ -165,14 +163,12 @@ func (g *shardGroup) CaptureLive() LiveCapture {
 		clouds[c] = cc
 	}
 	return LiveCapture{
-		Profiles: list,
+		KB:       sn,
 		Live:     live,
 		Clouds:   clouds,
 		Patterns: bandAccs(accs),
 		Step:     int(g.lastStep.Load()),
 		Steps:    g.tr.Grid.N,
 		Done:     g.done.Load(),
-		Folds:    g.foldCount.Load(),
-		FoldStep: g.foldStep,
 	}
 }

@@ -529,9 +529,10 @@ func restoreEngine(tr *trace.Trace, opts Options, ck *Checkpoint) (*shardGroup, 
 		shards[i] = ing
 	}
 	g := startShardGroup(tr, shards[0].opts, shards, ck.FoldCount)
-	// Publish the restored profiles immediately so the API serves them
-	// before the first post-resume merge.
-	g.publishLocked()
+	// Publish the restored profiles immediately, under the last fold's
+	// labels, so the API serves them before the first post-resume merge.
+	sn := g.KB()
+	g.publishLocked(sn.Step(), sn.Seq())
 	return g, nil
 }
 

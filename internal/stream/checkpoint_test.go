@@ -12,7 +12,7 @@ import (
 	"cloudlens/internal/workload"
 )
 
-func listAll(store *kb.Store) []*kb.Profile {
+func listAll(store *kb.Snapshot) []*kb.Profile {
 	return store.List(kb.Query{MinRegionAgnosticScore: -2})
 }
 

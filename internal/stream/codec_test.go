@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"cloudlens/internal/kb"
 )
 
 // TestCheckpointBytesCanonical pins that one state has one encoding: the
@@ -181,7 +179,7 @@ func TestCheckpointFixtureV6(t *testing.T) {
 	if err := p.Wait(); err != nil {
 		t.Fatalf("resumed pipeline: %v", err)
 	}
-	if got := kb.NewSnapshot(p.KB(), tr.Grid.N, 0).Fingerprint(); got != fixtureFingerprint {
+	if got := p.KB().Fingerprint(); got != fixtureFingerprint {
 		t.Errorf("fixture resumed to knowledge base %s, pinned %s", got, fixtureFingerprint)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // replayServerless generates a serverless trace from the config and replays
 // it through a fresh pipeline, returning the trace, the batch knowledge
 // base, and the live one.
-func replayServerless(t *testing.T, cfg workload.ServerlessConfig) (*kb.Store, *kb.Store) {
+func replayServerless(t *testing.T, cfg workload.ServerlessConfig) (*kb.Snapshot, *kb.Snapshot) {
 	t.Helper()
 	tr, err := workload.GenerateServerless(cfg)
 	if err != nil {
@@ -36,7 +36,7 @@ func replayServerless(t *testing.T, cfg workload.ServerlessConfig) (*kb.Store, *
 // family taxonomy. Agreement is exact (not a 95% band): both classifiers
 // build their evidence with the same sketch over the same sample order, so
 // a lossless replay has no legitimate source of disagreement.
-func assertFamilyAgreement(t *testing.T, batch, live *kb.Store) {
+func assertFamilyAgreement(t *testing.T, batch, live *kb.Snapshot) {
 	t.Helper()
 	all := kb.Query{MinRegionAgnosticScore: -2}
 	bps := batch.List(all)

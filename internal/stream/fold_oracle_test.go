@@ -348,7 +348,7 @@ func TestFoldNormalisesOffTaxonomyShares(t *testing.T) {
 		// records survive the cap; retired records never index ing.accs.
 		ss.retired = append(ss.retired, classifiedVM{idx: -1, pattern: pat, utilSum: 0.5, n: 1})
 	}
-	g.publishLocked()
+	g.publishLocked(g.KB().Step(), g.KB().Seq())
 	g.mu.Unlock()
 
 	p, ok := g.KB().Get(id)
@@ -374,14 +374,15 @@ func TestFoldNormalisesOffTaxonomyShares(t *testing.T) {
 }
 
 // TestFoldAllocs pins what the engine's publish allocates at one shard: one
-// slab holding every profile, and per subscription the PatternShares map
-// (its header, plus its one bucket group when the subscription has a
-// classified VM). Nothing scales with the number of VMs — the candidate
-// references, pattern counts and region averages live in ingestor-owned
-// scratch, the name lists and the median lifetime in per-subscription
-// caches, the published list in the engine's — which the two mid-week
-// states below, with different live populations, both have to satisfy
-// exactly.
+// slab holding every profile, the published snapshot and its profile slice
+// (readers keep both, so neither can be reused), and per subscription the
+// PatternShares map (its header, plus its one bucket group when the
+// subscription has a classified VM). Nothing scales with the number of VMs
+// — the candidate references, pattern counts and region averages live in
+// ingestor-owned scratch, the name lists and the median lifetime in
+// per-subscription caches, the rank-ordered scratch in the engine's —
+// which the two mid-week states below, with different live populations,
+// both have to satisfy exactly.
 func TestFoldAllocs(t *testing.T) {
 	cfg := workload.DefaultConfig(42)
 	cfg.Scale = 0.02
@@ -408,13 +409,13 @@ func TestFoldAllocs(t *testing.T) {
 		}
 		got := testing.AllocsPerRun(5, func() {
 			g.mu.Lock()
-			g.publishLocked()
+			g.publishLocked(g.KB().Step(), g.KB().Seq())
 			g.mu.Unlock()
 		})
-		want := float64(1 + subs + classified)
+		want := float64(3 + subs + classified)
 		t.Logf("step %d: %d subscriptions (%d classified), %d candidate VMs: %.0f allocs/fold", stop, subs, classified, vms, got)
 		if got != want {
-			t.Errorf("step %d: a fold allocates %.0f objects, want %.0f = 1 slab + %d map headers + %d map groups",
+			t.Errorf("step %d: a fold allocates %.0f objects, want %.0f = 1 slab + 1 snapshot + 1 profile slice + %d map headers + %d map groups",
 				stop, got, want, subs, classified)
 		}
 		eng.Abort()

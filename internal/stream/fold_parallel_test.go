@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
-
-	"cloudlens/internal/kb"
 )
 
 // fingerprintRecorder is a FoldObserver that records the published
@@ -19,7 +17,7 @@ type fingerprintRecorder struct {
 func (r *fingerprintRecorder) FoldBegin() {}
 
 func (r *fingerprintRecorder) FoldPublished(step int) {
-	r.fps = append(r.fps, fmt.Sprintf("step %d %s", step, kb.NewSnapshot(r.eng.KB(), step, 0).Fingerprint()))
+	r.fps = append(r.fps, fmt.Sprintf("step %d %s", step, r.eng.KB().Fingerprint()))
 }
 
 // TestParallelFoldMatchesSerial replays the quarter-scale CPU week with the

@@ -941,16 +941,25 @@ func (ing *Ingestor) validatedACF(ac *sketch.AutoCorr, lag int) float64 {
 	return v
 }
 
-// foldInto appends this ingestor's subscriptions' profiles to dst — the
-// engine's merge, which publishes every shard's profiles in one store
-// write. The subscriptions of one trace partition across shards, so each
-// profile has exactly one writer. A fold writes the ingestor's scratch and
-// caches, hence the write lock; the engine has quiesced the shard, so only
-// readers can hold it.
-func (ing *Ingestor) foldInto(dst []*kb.Profile) []*kb.Profile {
+// foldInto builds this ingestor's subscriptions' profiles for the engine's
+// merge, places each at its subscription's rank in byRank (rank is indexed
+// by interned subscription id), and returns how many it placed. The
+// subscriptions of one trace partition across shards, so each slot has
+// exactly one writer. A fold writes the ingestor's scratch and caches,
+// hence the write lock; the engine has quiesced the shard, so only readers
+// can hold it.
+func (ing *Ingestor) foldInto(byRank []*kb.Profile, rank []int32) int {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	return ing.appendProfilesLocked(dst)
+	slab := ing.buildProfilesLocked()
+	j := 0
+	for si, ss := range ing.subs {
+		if ss != nil {
+			byRank[rank[si]] = &slab[j]
+			j++
+		}
+	}
+	return len(slab)
 }
 
 // foldBlock is how many consecutive subscriptions a fold worker claims at
@@ -972,16 +981,15 @@ type foldScratch struct {
 	avgs       []float64
 }
 
-// appendProfilesLocked builds a fresh profile for every observed
-// subscription, in interned-id order, and appends them to dst. The profiles
-// share one allocation: a fold replaces all of them, so they also die
-// together. The subscriptions are built on up to parallel.Workers()
+// buildProfilesLocked builds a fresh profile for every observed
+// subscription, in interned-id order. The profiles share one allocation: a
+// fold replaces all of them, so they also die together. The subscriptions are built on up to parallel.Workers()
 // goroutines, each writing its profiles into the slab at their own index,
 // so the result does not depend on which worker built what; on one core the
 // fold runs inline. Callers hold the write lock, which keeps every reader
 // out for the whole fold, and each subscription (with its VMs'
 // accumulators and its caches) is touched by exactly one worker.
-func (ing *Ingestor) appendProfilesLocked(dst []*kb.Profile) []*kb.Profile {
+func (ing *Ingestor) buildProfilesLocked() []kb.Profile {
 	subs := ing.foldSubs[:0]
 	for _, ss := range ing.subs {
 		if ss != nil {
@@ -999,11 +1007,9 @@ func (ing *Ingestor) appendProfilesLocked(dst []*kb.Profile) []*kb.Profile {
 	}
 	ing.foldNext.Store(0)
 	parallel.ForEach(workers, ing.foldWork)
-	for i := range ing.foldSlab {
-		dst = append(dst, &ing.foldSlab[i])
-	}
+	slab := ing.foldSlab
 	ing.foldSlab = nil
-	return dst
+	return slab
 }
 
 // foldBlocks is one fold worker: it claims foldBlock subscriptions at a

@@ -27,7 +27,7 @@ var (
 	mCheckpointLoadSeconds = obs.Default.Histogram("cloudlens_stream_checkpoint_load_duration_seconds",
 		"Wall-clock duration of checkpoint loads (read + checksum + decode + validate).", obs.DefLatencyBuckets)
 	mMergeSeconds = obs.Default.Histogram("cloudlens_stream_merge_duration_seconds",
-		"Wall-clock duration of hour-barrier shard merges (quiesce + fold into the published store).", obs.DefLatencyBuckets)
+		"Wall-clock duration of hour-barrier shard merges (quiesce + fold into the published snapshot).", obs.DefLatencyBuckets)
 
 	// mClassified counts streaming classifications performed, by resulting
 	// pattern: one when a qualified VM retires, and at every fold one per

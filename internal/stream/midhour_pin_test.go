@@ -11,7 +11,6 @@ import (
 	"strings"
 	"testing"
 
-	"cloudlens/internal/kb"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
 )
@@ -127,7 +126,7 @@ func TestMidHourCheckpointPinned(t *testing.T) {
 			if err := resumed.Wait(); err != nil {
 				t.Fatalf("resumed pipeline: %v", err)
 			}
-			fp := kb.NewSnapshot(resumed.KB(), tr.Grid.N, 0).Fingerprint()
+			fp := resumed.KB().Fingerprint()
 			ls := liveOf(resumed)
 			h := sha256.New()
 			for _, b := range [][]byte{ls.bodies, ls.SummaryJSON(), ls.PercentilesJSON(), ls.RegionsJSON()} {

@@ -29,9 +29,10 @@ type Engine interface {
 	// Abort stops the engine's internal goroutines without a final fold,
 	// leaving the last published state standing — the cancellation path.
 	Abort()
-	// KB returns the live knowledge base.
-	KB() *kb.Store
-	// CaptureLive returns one consistent capture of the published store
+	// KB returns the published knowledge base: the last fold's snapshot,
+	// whose Step is the fold boundary and whose Seq is Progress().Folds.
+	KB() *kb.Snapshot
+	// CaptureLive returns one consistent capture of the published snapshot
 	// and the streaming state — the input to a LiveSnapshot.
 	CaptureLive() LiveCapture
 	// FaultStats returns the ledger of input imperfections.
@@ -228,8 +229,9 @@ func (p *Pipeline) Status() Status {
 // across shards when the pipeline is sharded.
 func (p *Pipeline) FaultStats() FaultStats { return p.eng.FaultStats() }
 
-// KB exposes the live knowledge base (e.g. for persisting a snapshot).
-func (p *Pipeline) KB() *kb.Store { return p.eng.KB() }
+// KB returns the published knowledge base, the last fold's snapshot (e.g.
+// for persisting it).
+func (p *Pipeline) KB() *kb.Snapshot { return p.eng.KB() }
 
 // ShardVitals reports per-shard progress and fault ledgers, one entry per
 // shard. While the replay runs the figures are

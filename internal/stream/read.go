@@ -10,9 +10,9 @@ import (
 )
 
 // LiveSnapshot is the immutable read-side view of a live replay, built
-// from one Engine.CaptureLive pass: a kb.Snapshot over the published
-// profiles plus the streaming-only state (live augmentation, per-cloud
-// counters, per-pattern utilization bands) captured at the same instant.
+// from one Engine.CaptureLive pass: the fold's published kb.Snapshot plus
+// the streaming-only state (live augmentation, per-cloud counters,
+// per-pattern utilization bands) captured at the same instant.
 // Aggregated payloads and every live profile are JSON-encoded once at
 // build time, so every read the snapshot serves — summary, percentiles,
 // regions, a profile page — is a header check plus buffer writes,
@@ -22,9 +22,8 @@ import (
 // policy ledger retains every kb.Snapshot it decided against, and only
 // ReadSource retains a LiveSnapshot.
 type LiveSnapshot struct {
-	kbsn  *kb.Snapshot
-	live  []LiveProfile // live[i] augments kbsn.At(i)
-	folds int64         // the engine's fold count at capture
+	kbsn *kb.Snapshot
+	live []LiveProfile // live[i] augments kbsn.At(i)
 
 	// bodies holds every live profile's JSON back to back, in subscription
 	// order; profile i's ends at ends[i].
@@ -39,15 +38,17 @@ type LiveSnapshot struct {
 	regionsJSON     []byte
 }
 
-// buildLiveSnapshot assembles a snapshot from one capture, labelled with
-// the capture's fold boundary and fold count; at is the wall-clock publish
-// time (zero disables Last-Modified validation).
+// buildLiveSnapshot assembles a snapshot from one capture. It serves the
+// captured kb.Snapshot, with its fold labels, stamped with at, the
+// wall-clock publish time (zero disables Last-Modified validation).
 func buildLiveSnapshot(capt LiveCapture, at time.Time) *LiveSnapshot {
-	sn := kb.SnapshotOfSorted(capt.Profiles, capt.FoldStep, uint64(capt.Folds), at)
+	if capt.KB == nil {
+		capt.KB = kb.SnapshotOf(0, 0)
+	}
+	sn := capt.KB.Stamped(at)
 	ls := &LiveSnapshot{
-		kbsn:  sn,
-		live:  capt.Live,
-		folds: capt.Folds,
+		kbsn: sn,
+		live: capt.Live,
 		summary: Summary{
 			Step:   capt.Step,
 			Steps:  capt.Steps,
@@ -61,8 +62,8 @@ func buildLiveSnapshot(capt LiveCapture, at time.Time) *LiveSnapshot {
 	}
 	// One encode per profile feeds both the live bodies and the snapshot
 	// fingerprint, so the first ETag after a fold costs nothing more.
-	ls.bodies = make([]byte, 0, liveBodyHint*len(capt.Profiles))
-	ls.ends = make([]int, len(capt.Profiles))
+	ls.bodies = make([]byte, 0, liveBodyHint*sn.Len())
+	ls.ends = make([]int, sn.Len())
 	sn.EachEncoded(func(i int, body []byte) {
 		ls.bodies = appendLiveBody(ls.bodies, body, &capt.Live[i])
 		ls.ends[i] = len(ls.bodies)
@@ -242,6 +243,13 @@ func (s *ReadSource) Live() *LiveSnapshot {
 	return ls
 }
 
+// Cached returns the snapshot the last read was served, or nil before the
+// first read after Bind. It never captures one.
+func (s *ReadSource) Cached() *LiveSnapshot {
+	_, ls := s.current()
+	return ls
+}
+
 // current returns the bound engine and the cached snapshot.
 func (s *ReadSource) current() (Engine, *LiveSnapshot) {
 	s.mu.Lock()
@@ -256,7 +264,7 @@ func (ls *LiveSnapshot) fresh(eng Engine) bool {
 		return true
 	}
 	p := eng.Progress()
-	return p.Folds == ls.folds && p.Done == ls.summary.Done
+	return uint64(p.Folds) == ls.kbsn.Seq() && p.Done == ls.summary.Done
 }
 
 // Snapshot implements kb.SnapshotSource: the knowledge-base view of the

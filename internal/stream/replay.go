@@ -8,10 +8,10 @@
 //
 // The pipeline is
 //
-//	Replayer ──(bounded channel of StepBatch)──▶ Ingestor ──▶ kb.Store
+//	Replayer ──(bounded channel of StepBatch)──▶ Ingestor ──▶ kb.Snapshot
 //
-// with per-step sample synthesis fanned out over the internal/parallel
-// worker pool. Pipeline wires both ends together and exposes race-free
+// where each fold publishes one immutable kb.Snapshot, with per-step
+// sample synthesis fanned out over the internal/parallel worker pool. Pipeline wires both ends together and exposes race-free
 // status, summary, and live-profile snapshots while ingestion runs.
 //
 // Batches are columnar (DESIGN.md §14): one dense int32 slice of VM ids
@@ -149,25 +149,25 @@ type Options struct {
 	WrapSource func(Source) Source
 	// FoldObserver, when non-nil, is notified synchronously around every
 	// publication of the knowledge base: FoldBegin before a fold starts
-	// rewriting the published store, FoldPublished(step) once it is
-	// complete and consistent, where step is the fold boundary in grid
-	// steps (the final fold at stream end reports Grid.N). It is a probe
-	// for timing and checking folds; readers need none, since ReadSource
-	// reads the engine's fold count. The callbacks run on the ingestion
-	// goroutine with internal locks held; they must be cheap and must not
-	// call back into ingestion.
+	// building the next snapshot, FoldPublished(step) once that snapshot
+	// is published, where step is the fold boundary in grid steps (the
+	// final fold at stream end reports Grid.N). Publication is one atomic
+	// pointer store, so readers never see a partial fold whatever the
+	// observer does; it is a probe for timing and checking folds. The
+	// callbacks run on the ingestion goroutine with internal locks held;
+	// they must be cheap and must not call back into ingestion.
 	FoldObserver FoldObserver
 }
 
 // FoldObserver brackets knowledge-base fold publications. Implementations
-// must be safe for use from the ingestion goroutine and O(1): snapshot
-// materialization belongs on the reader side, not in the fold.
+// must be safe for use from the ingestion goroutine and O(1): anything
+// derived from a snapshot belongs on the reader side, not in the fold.
 type FoldObserver interface {
-	// FoldBegin marks the published store as inconsistent (a fold is
-	// rewriting it).
+	// FoldBegin marks the start of a fold; the previous snapshot is still
+	// the published one.
 	FoldBegin()
-	// FoldPublished marks the store consistent again as of the given fold
-	// boundary (grid steps).
+	// FoldPublished marks the fold's snapshot, labelled with the given
+	// fold boundary (grid steps), as published.
 	FoldPublished(step int)
 }
 

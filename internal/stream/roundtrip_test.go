@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"cloudlens/internal/faultgen"
-	"cloudlens/internal/kb"
 	"cloudlens/internal/stream"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
@@ -95,7 +94,7 @@ func replayThroughCodec(t *testing.T, tr *trace.Trace, opts stream.Options, spec
 	if fs.DuplicatesDropped != led.Duplicated || fs.Reordered != led.Delayed || fs.QuarantinedCorrupt != led.Corrupted || fs.QuarantinedLate != 0 {
 		t.Errorf("kill at %d: stream ledger %+v does not reconcile with injector %+v", killStep, fs, led)
 	}
-	return kb.NewSnapshot(eng.KB(), tr.Grid.N, 0).Fingerprint()
+	return eng.KB().Fingerprint()
 }
 
 // TestCheckpointRoundTripMatrix kills a faulty replay at a mid-window batch

@@ -1,7 +1,9 @@
 package stream
 
 import (
+	"cmp"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,8 +17,7 @@ import (
 // every delivered batch by subscription across N independent Ingestor
 // shards, each with its own reorder ring, dedup state, fault ledger, and
 // sketch accumulators. At each fold boundary the router quiesces the shards
-// and folds their state, in shard-ID order, into one published knowledge
-// base.
+// and folds their state into one published knowledge-base snapshot.
 //
 // One shard is the N=1 case run inline: the router hands the delivered
 // batch, and the source's recycler, straight to the lone shard on its own
@@ -40,8 +41,14 @@ type shardGroup struct {
 	tr   *trace.Trace
 	opts Options
 	keys *trace.KeyTable
-	// store is the published knowledge base, rebuilt at each merge.
-	store *kb.Store
+	// published is the knowledge base: one immutable snapshot per fold,
+	// labelled with the fold's boundary and the fold count.
+	published atomic.Pointer[kb.Snapshot]
+	// rank orders the interned subscription ids by subscription, computed
+	// once. A fold places each profile at its rank in byRank, nil between
+	// folds, so the snapshot comes out sorted without a sort.
+	rank   []int32
+	byRank []*kb.Profile
 	// shardOfSub maps an interned subscription id to its owning shard:
 	// FNV-1a(subscription) mod len(shards).
 	shardOfSub []int32
@@ -75,15 +82,9 @@ type shardGroup struct {
 	colCPU  [][]float32
 	lates   [][]Sample
 	dels    [][]int32
-	// profiles is the merge's scratch: every shard's freshly built
-	// profiles, gathered for one store write.
-	profiles []*kb.Profile
-	// foldStep is the last fold's boundary (grid steps).
-	foldStep int
 
-	lastStep  atomic.Int64
-	foldCount atomic.Int64
-	done      atomic.Bool
+	lastStep atomic.Int64
+	done     atomic.Bool
 }
 
 // shardMsg is one unit of work on a shard channel: a partitioned batch to
@@ -113,7 +114,8 @@ func newShardGroup(tr *trace.Trace, opts Options) *shardGroup {
 }
 
 // startShardGroup wires prebuilt shard ingestors (fresh or restored from a
-// checkpoint) into a running group.
+// checkpoint) into a running group, publishing an empty snapshot labelled
+// with the last fold the shards have seen.
 func startShardGroup(tr *trace.Trace, opts Options, shards []*Ingestor, foldCount int64) *shardGroup {
 	keys := tr.Keys()
 	n := len(shards)
@@ -121,7 +123,8 @@ func startShardGroup(tr *trace.Trace, opts Options, shards []*Ingestor, foldCoun
 		tr:           tr,
 		opts:         opts,
 		keys:         keys,
-		store:        kb.NewStore(),
+		rank:         subRanks(keys),
+		byRank:       make([]*kb.Profile, len(keys.Subs)),
 		shardOfSub:   make([]int32, len(keys.Subs)),
 		shards:       shards,
 		mergeSeconds: mMergeSeconds,
@@ -134,16 +137,17 @@ func startShardGroup(tr *trace.Trace, opts Options, shards []*Ingestor, foldCoun
 		g.shardOfSub[si] = int32(keys.SubHash[si] % uint64(n))
 	}
 	g.lastStep.Store(int64(opts.StartStep) - 1)
-	g.foldCount.Store(foldCount)
 	// A restored group's last fold is the last boundary its watermark
 	// crossed, or the grid's end once Finish drained the ring past it (an
 	// unfinished run's watermark trails its newest step, at most Grid.N).
+	foldStep := 0
 	if foldCount > 0 && opts.FoldEverySteps > 0 {
-		g.foldStep = g.wm - g.wm%opts.FoldEverySteps
+		foldStep = g.wm - g.wm%opts.FoldEverySteps
 		if g.wm > tr.Grid.N {
-			g.foldStep = tr.Grid.N
+			foldStep = tr.Grid.N
 		}
 	}
+	g.published.Store(kb.SnapshotOf(foldStep, uint64(foldCount)))
 	if n == 1 {
 		g.mergeSeconds = shards[0].met.foldSeconds
 		return g
@@ -231,7 +235,7 @@ func (g *shardGroup) shardOfVM(vm int32) int32 {
 
 // ObserveBatch implements Engine: the batch goes to the lone shard as it
 // is, or is partitioned across the shards, and when the fold watermark
-// crosses a fold boundary the shards are merged into the published store.
+// crosses a fold boundary the shards are merged into the published snapshot.
 func (g *shardGroup) ObserveBatch(b StepBatch) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -374,21 +378,17 @@ func (g *shardGroup) quiesceLocked() chan struct{} {
 	return release
 }
 
-// mergeLocked publishes one fold: quiesce the shards, then fold each
-// shard's subscriptions into the published store in ascending shard-ID
-// order. The order is deterministic — and since subscriptions partition
-// across shards, each profile has exactly one writer, so the merged store
-// is the same at every shard count. step labels the fold boundary (grid
-// steps) for the FoldObserver, which brackets the store rewrite.
+// mergeLocked publishes one fold: quiesce the shards, then publish their
+// subscriptions' profiles as the next snapshot, labelled with the fold
+// boundary step (grid steps) and one more fold. The FoldObserver brackets
+// the publication.
 func (g *shardGroup) mergeLocked(step int) {
 	start := time.Now()
 	release := g.quiesceLocked()
 	if ob := g.opts.FoldObserver; ob != nil {
 		ob.FoldBegin()
 	}
-	g.publishLocked()
-	g.foldCount.Add(1)
-	g.foldStep = step
+	g.publishLocked(step, g.KB().Seq()+1)
 	if ob := g.opts.FoldObserver; ob != nil {
 		ob.FoldPublished(step)
 	}
@@ -398,16 +398,40 @@ func (g *shardGroup) mergeLocked(step int) {
 	g.mergeSeconds.Observe(time.Since(start).Seconds())
 }
 
-// publishLocked rebuilds every shard's profiles, in ascending shard-ID
-// order, and publishes them as one store write. The shards must be quiesced
-// (parked at a barrier, inline, not yet started, or stopped).
-func (g *shardGroup) publishLocked() {
-	all := g.profiles[:0]
+// publishLocked rebuilds every shard's profiles and publishes them as one
+// snapshot labelled step and seq. Subscriptions partition across shards,
+// so each profile has exactly one builder and the snapshot is the same at
+// every shard count. The slice is fresh each fold, since readers keep
+// snapshots. The shards must be quiesced (parked at a barrier, inline, not
+// yet started, or stopped).
+func (g *shardGroup) publishLocked(step int, seq uint64) {
+	n := 0
 	for _, ing := range g.shards {
-		all = ing.foldInto(all)
+		n += ing.foldInto(g.byRank, g.rank)
 	}
-	g.store.Put(all...)
-	g.profiles = all
+	profiles := make([]*kb.Profile, 0, n)
+	for i, p := range g.byRank {
+		if p != nil {
+			profiles = append(profiles, p)
+			g.byRank[i] = nil
+		}
+	}
+	g.published.Store(kb.SnapshotOf(step, seq, profiles...))
+}
+
+// subRanks returns each interned subscription's position in subscription
+// order. The key table interns in order of first appearance, not sorted.
+func subRanks(keys *trace.KeyTable) []int32 {
+	order := make([]int32, len(keys.Subs))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(keys.Subs[a], keys.Subs[b]) })
+	rank := make([]int32, len(order))
+	for r, si := range order {
+		rank[si] = int32(r)
+	}
+	return rank
 }
 
 // closeShardsLocked stops routing: it closes the shard channels and waits
@@ -444,8 +468,8 @@ func (g *shardGroup) Abort() {
 	g.closeShardsLocked()
 }
 
-// KB returns the published knowledge base.
-func (g *shardGroup) KB() *kb.Store { return g.store }
+// KB returns the published knowledge base, the last fold's snapshot.
+func (g *shardGroup) KB() *kb.Snapshot { return g.published.Load() }
 
 // Progress implements Engine. Samples sum across shards; steps are common
 // to all shards (every shard sees every batch), and folds count merges.
@@ -460,7 +484,7 @@ func (g *shardGroup) Progress() Progress {
 		Steps:           g.tr.Grid.N,
 		SamplesIngested: samples,
 		StepsIngested:   g.shards[0].stepsIngested.Load(),
-		Folds:           g.foldCount.Load(),
+		Folds:           int64(g.KB().Seq()),
 	}
 }
 
@@ -534,11 +558,12 @@ func (g *shardGroup) captureCheckpoint() *Checkpoint {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	release := g.quiesceLocked()
+	folds := int64(g.KB().Seq())
 	snaps := make([]*ShardCheckpoint, len(g.shards))
 	var samples int64
 	for i, ing := range g.shards {
 		snaps[i] = ing.snapshot()
-		snaps[i].FoldCount = g.foldCount.Load()
+		snaps[i].FoldCount = folds
 		samples += snaps[i].SamplesIngested
 	}
 	if release != nil {
@@ -549,7 +574,7 @@ func (g *shardGroup) captureCheckpoint() *Checkpoint {
 		LastStep:        int(g.lastStep.Load()),
 		SamplesIngested: samples,
 		StepsIngested:   snaps[0].StepsIngested,
-		FoldCount:       g.foldCount.Load(),
+		FoldCount:       folds,
 		Shards:          snaps,
 	}
 }

@@ -362,13 +362,13 @@ func TestRestoredFoldStepMatchesUninterrupted(t *testing.T) {
 			t.Fatalf("restore: %v", err)
 		}
 		defer restored.Abort()
-		return restored.CaptureLive().FoldStep
+		return restored.KB().Step()
 	}
 	for _, shards := range []int{1, 2} {
 		opts := Options{Shards: shards}
 		for _, stop := range []int{5*12 + 7, 83*12 + 11} {
 			eng := engineAt(t, tr, opts, stop)
-			want := eng.CaptureLive().FoldStep
+			want := eng.KB().Step()
 			got := restoredFoldStep(eng, opts)
 			eng.Abort()
 			if want == 0 || got != want {
@@ -379,6 +379,57 @@ func TestRestoredFoldStepMatchesUninterrupted(t *testing.T) {
 		eng.Finish()
 		if got := restoredFoldStep(eng, opts); got != tr.Grid.N {
 			t.Errorf("shards=%d finished: restored fold step %d, want %d", shards, got, tr.Grid.N)
+		}
+	}
+}
+
+// labelChecker is a FoldObserver that checks, at every fold, the labels of
+// the snapshot the engine has just published.
+type labelChecker struct {
+	t     *testing.T
+	eng   Engine
+	folds int64
+}
+
+func (c *labelChecker) FoldBegin() {}
+
+func (c *labelChecker) FoldPublished(step int) {
+	c.folds++
+	sn, pr := c.eng.KB(), c.eng.Progress()
+	if sn.Step() != step || sn.Seq() != uint64(pr.Folds) || pr.Folds != c.folds {
+		c.t.Errorf("fold %d at step %d published step %d seq %d with progress at %d folds",
+			c.folds, step, sn.Step(), sn.Seq(), pr.Folds)
+	}
+}
+
+// TestPublishedSnapshotLabels holds the fold as the one thing that labels
+// a snapshot: at every fold, at one shard and two, the published snapshot's
+// Step is the fold boundary and its Seq the fold count, and between folds
+// every capture reads that one published value rather than a copy.
+func TestPublishedSnapshotLabels(t *testing.T) {
+	tr := miniTrace(t)
+	for _, shards := range []int{1, 2} {
+		check := &labelChecker{t: t}
+		opts := Options{Shards: shards, FoldObserver: check}
+		rep := NewReplayer(tr, opts)
+		eng := NewEngine(tr, opts)
+		check.eng = eng
+		eng.SetRecycler(rep.Recycle)
+		errCh := make(chan error, 1)
+		go func() { errCh <- rep.Run(context.Background()) }()
+		for b := range rep.Events() {
+			eng.ObserveBatch(b)
+			first, second := eng.CaptureLive().KB, eng.CaptureLive().KB
+			if first != second || first != eng.KB() {
+				t.Fatalf("shards=%d step %d: two captures between folds read different snapshots", shards, b.Step)
+			}
+		}
+		if err := <-errCh; err != nil {
+			t.Fatal(err)
+		}
+		eng.Finish()
+		if sn := eng.KB(); check.folds < 2 || sn.Step() != tr.Grid.N || sn.Seq() != uint64(check.folds) {
+			t.Errorf("shards=%d: final snapshot step %d seq %d after %d folds", shards, sn.Step(), sn.Seq(), check.folds)
 		}
 	}
 }
