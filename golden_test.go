@@ -113,3 +113,39 @@ func TestBatchGoldenWorkRepeats(t *testing.T) {
 		}
 	}
 }
+
+// TestSeriesFigureHashesPinned pins, on the small determinism universe, the
+// SHA-256 of the JSON of every figure that reads VM utilization series and
+// of the whole characterization. It runs without -short, so a change to how
+// those figures read the series is caught by the everyday test run, not only
+// by the full-scale TestBatchGoldenHashes.
+func TestSeriesFigureHashesPinned(t *testing.T) {
+	tr, err := Generate(determinismConfig(7))
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	ch := Characterize(tr)
+	for _, tt := range []struct {
+		name string
+		v    any
+		want string
+	}{
+		{"fig5Samples", ch.Fig5Samples, "aafa464e6b8eb18fa3c0e7f80c23a1133eae5ab1a8db97abeee69aa7df99a3ea"},
+		{"fig5d", ch.Fig5d, "1d7adef934667f14b3acb1898e1711e0568a549e6d016e77fd20023ee03e1f57"},
+		{"fig6Weekly", ch.Fig6Weekly, "98f0233cccca1405398994da71aee793f7c4b1c7ed49929820d04e275657c7a1"},
+		{"fig6Daily", ch.Fig6Daily, "da19c088fb4a8aa5d7a3f2787e8cd6355b8aed90734596893b0905ee4bd06e53"},
+		{"fig7a", ch.Fig7a, "bf24753f415eb3b92baeed1ff247530f633ac79c5c87feb33bbb572d8b169801"},
+		{"fig7b", ch.Fig7b, "8a7ae1dd82673a08e21d2250713941734b39c4275f42df357d696b71d953c172"},
+		{"fig7c", ch.Fig7c, "d17973fb981f9eb3d9230c65529fcd6521736f95f5a9929385208e88f1b3db2e"},
+		{"characterization", ch, "f98728ef57ef18d61f0de432d2e9f86d5d54a93dd11beb580c951bb6173ca6bc"},
+	} {
+		data, err := json.Marshal(tt.v)
+		if err != nil {
+			t.Fatalf("%s: marshal: %v", tt.name, err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != tt.want {
+			t.Errorf("%s: sha256 %s, want %s", tt.name, got, tt.want)
+		}
+	}
+}
