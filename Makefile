@@ -17,10 +17,13 @@
 #                      -short) under -race, 20 times each at 1, 2 and 4 cores
 #   make test-batch  — the batch kernels under -race at 1, 2 and 4 cores: the
 #                      transform, detector, classifier, series synthesiser and
-#                      series cache with their oracles, then the root package's
-#                      determinism and golden-hash tests (the kernels keep
-#                      process-wide state — transform plans under sync.Once,
-#                      pooled scratch — which one core cannot exercise)
+#                      series cache with their oracles, the analyze suite (its
+#                      series facts pass fans nodes out over the pool), then
+#                      the root package's determinism, golden- and
+#                      pinned-hash, figure-alone and allocation-bound tests
+#                      (the kernels keep process-wide state — transform plans
+#                      under sync.Once, pooled scratch — which one core cannot
+#                      exercise)
 #   make test-faults — fault-tolerance goldens under -race at 1, 2 and 4
 #                      cores: fault-matrix ledger reconciliation, kill/resume
 #                      checkpoint golden, and the paginated-walk-during-
@@ -104,8 +107,8 @@ stress:
 	$(GO) test -race -short -count=20 -cpu 1,2,4 -timeout 30m -run 'Replayer|Checkpoint|Resume|Shard' ./internal/stream
 
 test-batch:
-	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/fft ./internal/periodic ./internal/classify ./internal/usage ./internal/trace
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Determinis|Golden|Cached' .
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/fft ./internal/periodic ./internal/classify ./internal/usage ./internal/trace ./internal/analyze
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Determinis|Golden|Pinned|Standalone|RetainsNoSeries' .
 
 test-faults:
 	$(GO) test -race -count=1 -cpu 1,2,4 -timeout 30m -run 'Fault|Checkpoint|Resume|Harden|Reorder|Gap|Pagination|Shard' \

@@ -8,7 +8,6 @@ import (
 	"cloudlens/internal/core"
 	"cloudlens/internal/parallel"
 	"cloudlens/internal/report"
-	"cloudlens/internal/trace"
 )
 
 // Figure result types, aliased for users of the public API.
@@ -69,21 +68,24 @@ type Characterization struct {
 
 // Characterize runs the complete per-figure analysis pipeline over a trace.
 //
-// The sixteen figure computations are independent of each other, so they
-// run concurrently on the worker pool, every heavy analysis additionally
-// fanning its inner loops out over the same pool. All of them read VM
-// utilization through one shared trace.SeriesCache, so each VM's series is
-// materialized at most once per Characterize call instead of once per
-// consuming figure. Results are bit-identical to running the analyses
-// sequentially without a cache: each figure writes only its own struct
-// field, and cached series evaluate the same pure usage models.
+// The figures are independent of each other, so they run concurrently on
+// the worker pool, every heavy analysis additionally fanning its inner loops
+// out over the same pool. Figures 5-7(b) read VM utilization series: one
+// facts pass (analyze.SeriesFacts) runs beside Figures 1-4 and 7(c),
+// materializes each VM's series once into a per-worker buffer and keeps
+// only the few values per VM or per VM-hour those figures aggregate, so no
+// VM's whole-week series outlives its visit. The aggregations then run
+// concurrently. Results are bit-identical to computing each figure alone:
+// each figure writes only its own struct field, and every aggregation adds
+// its floats in the figure's own order.
 func Characterize(t *Trace) *Characterization {
-	cache := trace.NewSeriesCache(t)
 	// Figures 3(b) and 3(c) both default to the paper's sampled region;
 	// resolve it once instead of twice.
 	region := analyze.SampleRegion(t)
 	var c Characterization
+	var facts *analyze.SeriesFacts
 	parallel.Do(
+		func() { facts = analyze.ComputeSeriesFacts(t) },
 		func() { c.Fig1a = analyze.ComputeFig1a(t) },
 		func() { c.Fig1b = analyze.ComputeFig1b(t) },
 		func() { c.Fig2 = analyze.ComputeFig2(t) },
@@ -93,13 +95,15 @@ func Characterize(t *Trace) *Characterization {
 		func() { c.Fig3d = analyze.ComputeFig3d(t) },
 		func() { c.Fig4a = analyze.ComputeFig4a(t) },
 		func() { c.Fig4b = analyze.ComputeFig4b(t) },
-		func() { c.Fig5Samples = analyze.ComputeFig5SamplesWith(t, cache) },
-		func() { c.Fig5d = analyze.ComputeFig5dWith(t, cache) },
-		func() { c.Fig6Weekly = analyze.ComputeFig6WeeklyWith(t, cache) },
-		func() { c.Fig6Daily = analyze.ComputeFig6DailyWith(t, cache) },
-		func() { c.Fig7a = analyze.ComputeFig7aWith(t, cache) },
-		func() { c.Fig7b = analyze.ComputeFig7bWith(t, cache) },
-		func() { c.Fig7c = analyze.ComputeFig7cWith(t, cache, "") },
+		func() { c.Fig7c = analyze.ComputeFig7c(t, "") },
+	)
+	parallel.Do(
+		func() { c.Fig5Samples = facts.Fig5Samples() },
+		func() { c.Fig5d = facts.Fig5d() },
+		func() { c.Fig6Weekly = facts.Fig6Weekly() },
+		func() { c.Fig6Daily = facts.Fig6Daily() },
+		func() { c.Fig7a = facts.Fig7a() },
+		func() { c.Fig7b = facts.Fig7b() },
 	)
 	return &c
 }

@@ -37,7 +37,9 @@ func countWork(f func()) (d workCounts) {
 // workload prints). A change to either means the analysis output changed —
 // a kernel rewrite that claims to be output-neutral must leave both alone.
 // It also pins how much work each entry point does, the baseline for any
-// later change that shares work between the two.
+// later change that shares work between the two. Characterize materializes
+// every alive VM-step once, plus its Figure 5 exemplars: three full weeks
+// and one day.
 func TestBatchGoldenHashes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale universes; skipped under -short")
@@ -50,9 +52,9 @@ func TestBatchGoldenHashes(t *testing.T) {
 		extractWork       workCounts
 	}{
 		{42, "b3df1d936025d77db523230a5084a37dddc29c7259cc321115c9c93367b8d1f7", "fnv1a:a670da8cf3b6acf0",
-			workCounts{12682, 8148, 26262945}, workCounts{8894, 5093, 17718406}},
+			workCounts{12678, 8145, 26269281}, workCounts{8894, 5093, 17718406}},
 		{7, "c7926c8328b3cc402704047be79dc5a5dc9bd82d3bfbc685737969f82995e8d2", "fnv1a:3d2b46e8930653bc",
-			workCounts{12418, 7742, 25621029}, workCounts{9031, 5108, 18025799}},
+			workCounts{12414, 7739, 25627365}, workCounts{9031, 5108, 18025799}},
 	} {
 		tr := integrationTrace(t)
 		if tt.seed != 42 {

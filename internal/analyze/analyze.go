@@ -12,8 +12,6 @@ package analyze
 
 import (
 	"cloudlens/internal/core"
-	"cloudlens/internal/parallel"
-	"cloudlens/internal/sim"
 	"cloudlens/internal/trace"
 )
 
@@ -46,33 +44,15 @@ func (p *PerCloud[T]) Set(c core.Cloud, v T) {
 // correlations over a handful of samples are noise.
 const minCorrOverlapSteps = 288
 
-// aliveSpan is a small helper bundling a VM with its clipped window and,
-// when a series cache is in play, its materialized utilization series.
+// aliveSpan is a VM with its lifetime clipped to the observation window.
 type aliveSpan struct {
 	vm       *trace.VM
 	from, to int
-	// series is the cached utilization over [from, to); nil when the
-	// analysis runs uncached and evaluates the usage model directly.
-	series []float64
-}
-
-// at returns the VM's utilization at step. Steps inside [from, to) read the
-// cached series; steps outside it (e.g. an hourly probe offset landing past
-// the VM's deletion) evaluate the usage model directly, exactly as the
-// uncached path does. Cached and uncached reads are bit-identical because
-// materialization evaluates the same pure function.
-func (s *aliveSpan) at(g sim.Grid, step int) float64 {
-	if i := step - s.from; s.series != nil && i >= 0 && i < len(s.series) {
-		return s.series[i]
-	}
-	return s.vm.Usage.At(g, step)
 }
 
 // spansOf clips a VM set to the observation window, dropping VMs that never
-// live inside it. When c is non-nil each span carries the VM's cached
-// series, materialized at most once per trace across all consumers; the
-// materialization itself fans out over the worker pool.
-func spansOf(t *trace.Trace, c *trace.SeriesCache, vms []*trace.VM) []aliveSpan {
+// live inside it.
+func spansOf(t *trace.Trace, vms []*trace.VM) []aliveSpan {
 	out := make([]aliveSpan, 0, len(vms))
 	for _, v := range vms {
 		from, to, ok := v.AliveRange(t.Grid.N)
@@ -80,11 +60,6 @@ func spansOf(t *trace.Trace, c *trace.SeriesCache, vms []*trace.VM) []aliveSpan 
 			continue
 		}
 		out = append(out, aliveSpan{vm: v, from: from, to: to})
-	}
-	if c != nil {
-		parallel.ForEach(len(out), func(i int) {
-			out[i].series, _ = c.Series(out[i].vm)
-		})
 	}
 	return out
 }

@@ -18,9 +18,7 @@ import (
 // and 2024 the suite was red on 8 of the 16. TestRemovalsMirrorCreations
 // failed on seeds 1, 4, 5, 6, 8, 11 and 2024, TestFig5dPatternShares on 2
 // and 11, and TestFig7bCrossRegionCorrelation and TestAllFourInsightsHold
-// on 11. `make seeds` prints the pass/fail table over a fixed 20-seed list;
-// TestFig7cRegionSensitiveControl picks its service in map order, so its
-// result at a seed can differ between runs.
+// on 11. `make seeds` prints the pass/fail table over a fixed 20-seed list.
 var (
 	sharedOnce  sync.Once
 	sharedTr    *trace.Trace

@@ -1,9 +1,7 @@
 package analyze
 
 import (
-	"cloudlens/internal/classify"
 	"cloudlens/internal/core"
-	"cloudlens/internal/parallel"
 	"cloudlens/internal/trace"
 )
 
@@ -29,50 +27,39 @@ const minClassifySteps = 288
 // ComputeFig5d classifies every VM alive at the snapshot with at least one
 // day of in-window history and tallies the pattern shares.
 func ComputeFig5d(t *trace.Trace) Fig5d {
-	return ComputeFig5dWith(t, nil)
+	return computeFacts(t, needShares).Fig5d()
 }
 
-// ComputeFig5dWith is ComputeFig5d reading series through the shared cache
-// when c is non-nil. Classification of each VM is independent, so the
-// eligible set fans out over the worker pool; the per-VM pattern verdicts
-// come back index-addressed and are tallied sequentially, giving counts
-// identical to the sequential sweep. Uncached runs hand each worker one
-// scratch buffer reused across its whole chunk.
+// ComputeFig5dWith is ComputeFig5d; c is ignored. Bench only; ROADMAP
+// 17(f) deletes.
 func ComputeFig5dWith(t *trace.Trace, c *trace.SeriesCache) Fig5d {
+	return ComputeFig5d(t)
+}
+
+// classifiedForShares reports whether Figure 5(d) counts the VM: alive at
+// the snapshot, with at least one day of in-window history.
+func classifiedForShares(t *trace.Trace, v *trace.VM) bool {
+	return v.AliveAt(t.SnapshotStep()) && stepsInWindow(t.Grid, v) >= minClassifySteps
+}
+
+// Fig5d tallies the classified patterns of the VMs Figure 5(d) counts.
+func (f *SeriesFacts) Fig5d() Fig5d {
+	t := f.t
 	out := Fig5d{SnapshotStep: t.SnapshotStep()}
-	opts := classify.Options{StepsPerHour: t.Grid.StepsPerHour()}
 	for _, cloud := range core.Clouds() {
-		// Drop VMs below the classification floor before materializing
-		// anything, so the cache holds only series an analysis consumes.
-		alive := t.AliveAt(cloud, out.SnapshotStep)
-		vms := alive[:0]
-		for _, v := range alive {
-			if from, to, ok := v.AliveRange(t.Grid.N); ok && to-from >= minClassifySteps {
-				vms = append(vms, v)
-			}
-		}
-		kept := spansOf(t, c, vms)
-		patterns := parallel.MapChunk(len(kept), func(lo, hi int, dst []core.Pattern) {
-			var buf []float64
-			for i := lo; i < hi; i++ {
-				s := &kept[i]
-				series := s.series
-				if series == nil {
-					buf = s.vm.Usage.SeriesInto(buf, t.Grid, s.from, s.to)
-					series = buf
-				}
-				dst[i-lo] = classify.Classify(series, opts).Pattern
-			}
-		})
 		share := map[core.Pattern]float64{}
-		for _, p := range patterns {
-			share[p]++
+		n := 0
+		for i := range t.VMs {
+			if v := &t.VMs[i]; v.Cloud == cloud && classifiedForShares(t, v) {
+				share[f.pattern[i]]++
+				n++
+			}
 		}
 		for k := range share {
-			share[k] /= float64(len(patterns))
+			share[k] /= float64(n)
 		}
 		out.Share.Set(cloud, share)
-		out.Classified.Set(cloud, len(patterns))
+		out.Classified.Set(cloud, n)
 	}
 	return out
 }
@@ -97,16 +84,21 @@ type Fig5Samples struct {
 // ComputeFig5Samples picks, for each pattern, the first VM of the
 // generating platform whose classified pattern matches its generated one.
 func ComputeFig5Samples(t *trace.Trace) Fig5Samples {
-	return ComputeFig5SamplesWith(t, nil)
+	return computeFacts(t, needExemplars).Fig5Samples()
 }
 
-// ComputeFig5SamplesWith is ComputeFig5Samples over the shared series
-// cache. The scan stays sequential — it early-exits after a handful of VMs
-// — but each candidate's series comes from the cache when available, so the
-// full-week exemplars cost nothing extra inside Characterize.
+// ComputeFig5SamplesWith is ComputeFig5Samples; c is ignored. Bench only;
+// ROADMAP 17(f) deletes.
 func ComputeFig5SamplesWith(t *trace.Trace, c *trace.SeriesCache) Fig5Samples {
+	return ComputeFig5Samples(t)
+}
+
+// Fig5Samples scans the VMs in trace order for full-window exemplars whose
+// classified pattern is their generated one. Only the chosen exemplars are
+// materialized again.
+func (f *SeriesFacts) Fig5Samples() Fig5Samples {
+	t := f.t
 	var out Fig5Samples
-	opts := classify.Options{StepsPerHour: t.Grid.StepsPerHour()}
 	want := core.Patterns()
 	found := make(map[core.Pattern]bool, len(want))
 	for i := range t.VMs {
@@ -114,37 +106,24 @@ func ComputeFig5SamplesWith(t *trace.Trace, c *trace.SeriesCache) Fig5Samples {
 			break
 		}
 		v := &t.VMs[i]
-		if found[v.Usage.Pattern] {
-			continue
-		}
-		from, to, ok := v.AliveRange(t.Grid.N)
-		if !ok || to-from < t.Grid.N {
+		if found[v.Usage.Pattern] || stepsInWindow(t.Grid, v) < t.Grid.N {
 			continue // want full-window exemplars
 		}
-		var series []float64
-		if c != nil {
-			series, _ = c.Series(v)
-		} else {
-			series = v.Usage.Series(t.Grid, from, to)
-		}
-		if classify.Classify(series, opts).Pattern != v.Usage.Pattern {
+		if f.pattern[i] != v.Usage.Pattern {
 			continue
 		}
 		found[v.Usage.Pattern] = true
+		from, to := 0, t.Grid.N
 		if v.Usage.Pattern == core.PatternHourlyPeak {
 			// One day, as in Figure 5(c): Tuesday.
 			day := t.Grid.StepsPerDay()
-			if c != nil {
-				series = series[day : 2*day] // from == 0 for full-window VMs
-			} else {
-				series = v.Usage.Series(t.Grid, day, 2*day)
-			}
+			from, to = day, 2*day
 		}
 		out.Samples = append(out.Samples, PatternSample{
 			Pattern: v.Usage.Pattern,
 			Cloud:   v.Cloud,
 			VM:      v.ID,
-			Series:  series,
+			Series:  v.Usage.Series(t.Grid, from, to),
 		})
 	}
 	return out

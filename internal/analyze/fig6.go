@@ -52,35 +52,32 @@ func hourSampleOffsets(stepsPerHour int) [2]int {
 // ComputeFig6Weekly evaluates every alive VM's mid-hour utilization for
 // each hour of the week and aggregates percentiles across VMs.
 func ComputeFig6Weekly(t *trace.Trace) Fig6Weekly {
-	return ComputeFig6WeeklyWith(t, nil)
+	return computeFacts(t, needProbes).Fig6Weekly()
 }
 
-// ComputeFig6WeeklyWith is ComputeFig6Weekly reading utilization through
-// the shared series cache when c is non-nil. Hourly buckets are independent
-// of each other, so the hours fan out over the worker pool; each worker
-// reuses one sample buffer across its contiguous chunk of hours.
+// ComputeFig6WeeklyWith is ComputeFig6Weekly; c is ignored. Bench only;
+// ROADMAP 17(f) deletes.
 func ComputeFig6WeeklyWith(t *trace.Trace, c *trace.SeriesCache) Fig6Weekly {
+	return ComputeFig6Weekly(t)
+}
+
+// Fig6Weekly aggregates the hourly probe means into per-hour percentiles.
+// Hourly buckets are independent of each other, so the hours fan out over
+// the worker pool; each worker reuses one sample buffer across its
+// contiguous chunk of hours.
+func (f *SeriesFacts) Fig6Weekly() Fig6Weekly {
+	t := f.t
 	hours := t.Grid.Hours()
 	out := Fig6Weekly{Hours: hours}
 	stepsPerHour := t.Grid.StepsPerHour()
-	offsets := hourSampleOffsets(stepsPerHour)
 	for _, cloud := range core.Clouds() {
-		spans := spansOf(t, c, t.CloudVMs(cloud))
+		runs := f.hourRuns(cloud)
 		band := newBand(hours)
 		parallel.ForEachChunk(hours, func(lo, hi int) {
-			sample := make([]float64, 0, len(spans))
+			sample := make([]float64, 0, len(runs))
 			for h := lo; h < hi; h++ {
-				step := h * stepsPerHour
-				sample = sample[:0]
-				for i := range spans {
-					s := &spans[i]
-					if s.from <= step && step < s.to {
-						u := (s.at(t.Grid, step+offsets[0]) +
-							s.at(t.Grid, step+offsets[1])) / 2
-						sample = append(sample, u)
-					}
-				}
-				qs := stats.QuantilesOf(sample, 0.25, 0.5, 0.75, 0.95)
+				sample = f.appendHour(sample[:0], runs, h)
+				qs := stats.QuantilesInPlace(sample, 0.25, 0.5, 0.75, 0.95)
 				band.P25[h], band.P50[h], band.P75[h], band.P95[h] = qs[0], qs[1], qs[2], qs[3]
 			}
 		})
@@ -117,39 +114,39 @@ type Fig6Daily struct {
 // ComputeFig6Daily aggregates, for each hour of day (UTC), every alive VM's
 // utilization over all weekdays.
 func ComputeFig6Daily(t *trace.Trace) Fig6Daily {
-	return ComputeFig6DailyWith(t, nil)
+	return computeFacts(t, needProbes).Fig6Daily()
 }
 
-// ComputeFig6DailyWith is ComputeFig6Daily over the shared series cache.
-// The 24 hour-of-day buckets are computed in parallel: each bucket gathers
-// its own weekday samples (ascending hour order, matching the sequential
-// sweep) and reduces them independently.
+// ComputeFig6DailyWith is ComputeFig6Daily; c is ignored. Bench only;
+// ROADMAP 17(f) deletes.
 func ComputeFig6DailyWith(t *trace.Trace, c *trace.SeriesCache) Fig6Daily {
+	return ComputeFig6Daily(t)
+}
+
+// Fig6Daily aggregates the hourly probe means by hour of day. The 24
+// buckets fan out over the worker pool in contiguous chunks: each bucket
+// gathers its weekday samples in ascending hour order into the chunk's
+// reused buffer and reduces them on its own.
+func (f *SeriesFacts) Fig6Daily() Fig6Daily {
+	t := f.t
 	var out Fig6Daily
 	stepsPerHour := t.Grid.StepsPerHour()
 	hours := t.Grid.Hours()
-	offsets := hourSampleOffsets(stepsPerHour)
 	for _, cloud := range core.Clouds() {
-		spans := spansOf(t, c, t.CloudVMs(cloud))
+		runs := f.hourRuns(cloud)
 		band := newBand(24)
-		parallel.ForEach(24, func(hod int) {
+		parallel.ForEachChunk(24, func(lo, hi int) {
 			var sample []float64
-			for h := hod; h < hours; h += 24 {
-				step := h * stepsPerHour
-				if t.Grid.IsWeekend(step, 0) {
-					continue
-				}
-				for i := range spans {
-					s := &spans[i]
-					if s.from <= step && step < s.to {
-						u := (s.at(t.Grid, step+offsets[0]) +
-							s.at(t.Grid, step+offsets[1])) / 2
-						sample = append(sample, u)
+			for hod := lo; hod < hi; hod++ {
+				sample = sample[:0]
+				for h := hod; h < hours; h += 24 {
+					if !t.Grid.IsWeekend(h*stepsPerHour, 0) {
+						sample = f.appendHour(sample, runs, h)
 					}
 				}
+				qs := stats.QuantilesInPlace(sample, 0.25, 0.5, 0.75, 0.95)
+				band.P25[hod], band.P50[hod], band.P75[hod], band.P95[hod] = qs[0], qs[1], qs[2], qs[3]
 			}
-			qs := stats.QuantilesOf(sample, 0.25, 0.5, 0.75, 0.95)
-			band.P25[hod], band.P50[hod], band.P75[hod], band.P95[hod] = qs[0], qs[1], qs[2], qs[3]
 		})
 		out.Bands.Set(cloud, band)
 		maxP50, minP50 := stats.Max(band.P50), stats.Min(band.P50)

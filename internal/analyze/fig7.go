@@ -27,64 +27,28 @@ type Fig7a struct {
 // two VMs it materializes the node's core-weighted utilization series and
 // correlates each hosted VM (with at least a day of overlap) against it.
 func ComputeFig7a(t *trace.Trace) Fig7a {
-	return ComputeFig7aWith(t, nil)
+	return computeFacts(t, needCorr).Fig7a()
 }
 
-// ComputeFig7aWith is ComputeFig7a reading series through the shared cache
-// when c is non-nil. Nodes are independent correlation units, so they fan
-// out over the worker pool in a deterministic (cluster, index) order; each
-// worker reuses one node-series buffer (and, uncached, one VM-series
-// buffer) across its whole chunk of nodes, collapsing the seed path's
-// two-allocations-per-node into two per worker. The aggregated sample is
-// the concatenation of per-node results in node order; the downstream ECDF
-// and quantiles sort, so they see the same multiset either way.
+// ComputeFig7aWith is ComputeFig7a; c is ignored. Bench only; ROADMAP
+// 17(f) deletes.
 func ComputeFig7aWith(t *trace.Trace, c *trace.SeriesCache) Fig7a {
+	return ComputeFig7a(t)
+}
+
+// Fig7a gathers the VM-to-node correlations node by node, in (cluster,
+// index) order. The downstream ECDF and quantiles sort, so they see the
+// same multiset in any order.
+func (f *SeriesFacts) Fig7a() Fig7a {
 	var out Fig7a
 	for _, cloud := range core.Clouds() {
-		byNode := t.ByNode(cloud)
-		nodes := make([]core.NodeRef, 0, len(byNode))
-		for n, vms := range byNode {
-			if len(vms) < 2 {
-				continue // trivial single-VM nodes, filtered as in the paper
-			}
-			nodes = append(nodes, n)
-		}
-		sort.Slice(nodes, func(i, j int) bool {
-			if nodes[i].Cluster != nodes[j].Cluster {
-				return nodes[i].Cluster < nodes[j].Cluster
-			}
-			return nodes[i].Index < nodes[j].Index
-		})
-		perNode := parallel.MapChunk(len(nodes), func(lo, hi int, dst [][]float64) {
-			var nodeBuf, vmBuf []float64
-			for i := lo; i < hi; i++ {
-				vms := byNode[nodes[i]]
-				if c != nil {
-					nodeBuf = c.NodeSeriesInto(nodeBuf, vms, 0, t.Grid.N)
-				} else {
-					nodeBuf = t.NodeSeriesInto(nodeBuf, vms, 0, t.Grid.N)
-				}
-				var corrs []float64
-				for _, v := range vms {
-					from, to, ok := v.AliveRange(t.Grid.N)
-					if !ok || to-from < minCorrOverlapSteps {
-						continue
-					}
-					var vmSeries []float64
-					if c != nil {
-						vmSeries, _ = c.Series(v) // spans exactly [from, to)
-					} else {
-						vmBuf = v.Usage.SeriesInto(vmBuf, t.Grid, from, to)
-						vmSeries = vmBuf
-					}
-					corrs = append(corrs, stats.Pearson(vmSeries, nodeBuf[from:to]))
-				}
-				dst[i-lo] = corrs
-			}
-		})
 		var sample []float64
-		for _, corrs := range perNode {
-			sample = append(sample, corrs...)
+		for _, vms := range f.nodes.Get(cloud) {
+			for _, i := range vms {
+				if f.hasCorr[i] {
+					sample = append(sample, f.corr[i])
+				}
+			}
 		}
 		out.CDF.Set(cloud, stats.NewECDF(sample))
 		out.MedianCorrelation.Set(cloud, stats.Quantile(sample, 0.5))
@@ -108,25 +72,38 @@ type Fig7b struct {
 
 // ComputeFig7b runs the Figure 7(b) analysis at hourly resolution.
 func ComputeFig7b(t *trace.Trace) Fig7b {
-	return ComputeFig7bWith(t, nil)
+	return computeFacts(t, needTops).Fig7b()
 }
 
-// ComputeFig7bWith is ComputeFig7b over the shared series cache.
-// Subscriptions are independent, so they fan out over the worker pool in
-// sorted-ID order; each yields its own slice of region-pair correlations,
-// concatenated in subscription order.
+// ComputeFig7bWith is ComputeFig7b; c is ignored. Bench only; ROADMAP
+// 17(f) deletes.
 func ComputeFig7bWith(t *trace.Trace, c *trace.SeriesCache) Fig7b {
+	return ComputeFig7b(t)
+}
+
+// crossRegionVM reports whether Figure 7(b) averages the VM into its
+// region's curve: deployed in a US region, with a day of history.
+func crossRegionVM(t *trace.Trace, us map[string]bool, v *trace.VM) bool {
+	return us[v.Region] && stepsInWindow(t.Grid, v) >= minCorrOverlapSteps
+}
+
+// Fig7b builds each subscription's region-averaged hourly curves from the
+// top-of-hour facts. Subscriptions are independent, so they fan out over
+// the worker pool in sorted-ID order; each sums its VMs in trace order and
+// yields its own slice of region-pair correlations, concatenated in
+// subscription order.
+func (f *SeriesFacts) Fig7b() Fig7b {
+	t := f.t
 	var out Fig7b
-	usRegion := make(map[string]bool)
-	for _, r := range t.Topology.Regions {
-		if r.US {
-			usRegion[r.Name] = true
-		}
-	}
-	stepsPerHour := t.Grid.StepsPerHour()
+	us := usRegions(t)
 	hours := t.Grid.Hours()
 	for _, cloud := range core.Clouds() {
-		bySub := t.BySubscription(cloud)
+		bySub := make(map[core.SubscriptionID][]int)
+		for i := range t.VMs {
+			if v := &t.VMs[i]; v.Cloud == cloud && crossRegionVM(t, us, v) {
+				bySub[v.Subscription] = append(bySub[v.Subscription], i)
+			}
+		}
 		subs := make([]core.SubscriptionID, 0, len(bySub))
 		for s := range bySub {
 			subs = append(subs, s)
@@ -136,18 +113,8 @@ func ComputeFig7bWith(t *trace.Trace, c *trace.SeriesCache) Fig7b {
 			// Region-averaged hourly utilization, US regions only.
 			perRegion := make(map[string][]float64)
 			perRegionCores := make(map[string][]float64)
-			for _, v := range bySub[subs[si]] {
-				if !usRegion[v.Region] {
-					continue
-				}
-				from, to, ok := v.AliveRange(t.Grid.N)
-				if !ok || to-from < minCorrOverlapSteps {
-					continue
-				}
-				var vmSeries []float64
-				if c != nil {
-					vmSeries, _ = c.Series(v) // spans exactly [from, to)
-				}
+			for _, i := range bySub[subs[si]] {
+				v := &t.VMs[i]
 				series := perRegion[v.Region]
 				coresAt := perRegionCores[v.Region]
 				if series == nil {
@@ -157,18 +124,10 @@ func ComputeFig7bWith(t *trace.Trace, c *trace.SeriesCache) Fig7b {
 					perRegionCores[v.Region] = coresAt
 				}
 				w := float64(v.Size.Cores)
-				for h := 0; h < hours; h++ {
-					step := h * stepsPerHour
-					if from <= step && step < to {
-						u := 0.0
-						if vmSeries != nil {
-							u = vmSeries[step-from]
-						} else {
-							u = v.Usage.At(t.Grid, step)
-						}
-						series[h] += u * w
-						coresAt[h] += w
-					}
+				lo, _ := aliveHours(t, v)
+				for k, u := range f.tops[f.topOff[i]:f.topOff[i+1]] {
+					series[lo+k] += u * w
+					coresAt[lo+k] += w
 				}
 			}
 			if len(perRegion) < 2 {
@@ -225,16 +184,11 @@ type Fig7c struct {
 }
 
 // ComputeFig7c runs the Figure 7(c) analysis for the given service name
-// ("" selects the built-in ServiceX) on Tuesday.
+// ("" selects the built-in ServiceX) on Tuesday. It reads one day of the
+// service's usage models directly, computing each region's average curve on
+// its own worker. Regions are summed in VM slice order and steps ascending,
+// so each curve is bit-identical to a sequential sweep.
 func ComputeFig7c(t *trace.Trace, service string) Fig7c {
-	return ComputeFig7cWith(t, nil, service)
-}
-
-// ComputeFig7cWith is ComputeFig7c over the shared series cache, computing
-// each region's day-long average curve on its own worker. Regions are
-// summed in VM slice order and steps ascending, exactly as the sequential
-// sweep, so each curve is bit-identical.
-func ComputeFig7cWith(t *trace.Trace, c *trace.SeriesCache, service string) Fig7c {
 	if service == "" {
 		service = workload.ServiceXName
 	}
@@ -260,7 +214,7 @@ func ComputeFig7cWith(t *trace.Trace, c *trace.SeriesCache, service string) Fig7
 		peak   int
 	}
 	curves := parallel.Map(len(regions), func(ri int) regionCurve {
-		spans := spansOf(t, c, byRegion[regions[ri]])
+		spans := spansOf(t, byRegion[regions[ri]])
 		series := make([]float64, to-from)
 		for s := from; s < to; s++ {
 			var sum float64
@@ -268,7 +222,7 @@ func ComputeFig7cWith(t *trace.Trace, c *trace.SeriesCache, service string) Fig7
 			for i := range spans {
 				sp := &spans[i]
 				if sp.from <= s && s < sp.to {
-					sum += sp.at(t.Grid, s)
+					sum += sp.vm.Usage.At(t.Grid, s)
 					n++
 				}
 			}
@@ -303,4 +257,10 @@ func ComputeFig7cWith(t *trace.Trace, c *trace.SeriesCache, service string) Fig7
 		out.PeakStepSpreadMin = int(float64(maxP-minP) * t.Grid.Step.Minutes())
 	}
 	return out
+}
+
+// ComputeFig7cWith is ComputeFig7c; c is ignored. Bench only; ROADMAP
+// 17(f) deletes.
+func ComputeFig7cWith(t *trace.Trace, c *trace.SeriesCache, service string) Fig7c {
+	return ComputeFig7c(t, service)
 }

@@ -7,6 +7,7 @@ package analyze
 // exact measured values.
 
 import (
+	"sort"
 	"testing"
 
 	"cloudlens/internal/core"
@@ -307,9 +308,16 @@ func TestFig7cServiceXPeaksAligned(t *testing.T) {
 func TestFig7cRegionSensitiveControl(t *testing.T) {
 	tr := testTrace(t)
 	// Find a private diurnal service that is NOT UTC-anchored and spans
-	// at least two US regions with different offsets.
+	// at least two US regions with different offsets. Services are tried
+	// in name order, so the verdict at a seed does not depend on map order.
 	byService := tr.ByService(core.Private)
-	for name, vms := range byService {
+	names := make([]string, 0, len(byService))
+	for name := range byService {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		vms := byService[name]
 		if len(vms) < 10 || vms[0].Usage.UTCAnchored || vms[0].Usage.Amp == 0 {
 			continue
 		}

@@ -27,12 +27,14 @@ type Insight struct {
 }
 
 // ComputeInsights evaluates all four insights. It runs the figure analyses
-// it needs; callers holding a full Characterization can use InsightsFrom
-// instead to avoid recomputation.
+// it needs, with one facts pass for Figures 5(d), 7(a) and 7(b); callers
+// holding a full Characterization can use InsightsFrom instead to avoid
+// recomputation.
 func ComputeInsights(t *trace.Trace) []Insight {
+	f := computeFacts(t, needShares|needCorr|needTops)
 	return InsightsFrom(
 		ComputeFig1a(t), ComputeFig1b(t), ComputeFig2(t),
-		ComputeFig3d(t), ComputeFig5d(t), ComputeFig7a(t), ComputeFig7b(t),
+		ComputeFig3d(t), f.Fig5d(), f.Fig7a(), f.Fig7b(),
 	)
 }
 

@@ -104,11 +104,26 @@ func Quantile(xs []float64, q float64) float64 {
 // NaN samples are ignored, each q is clamped to [0, 1], and a NaN q yields
 // NaN, exactly as in Quantile.
 func QuantilesOf(xs []float64, qs ...float64) []float64 {
+	return QuantilesInPlace(append([]float64(nil), xs...), qs...)
+}
+
+// QuantilesInPlace is QuantilesOf for a caller done with xs: it drops the
+// NaNs and sorts in xs's own storage instead of a copy, leaving xs
+// reordered.
+func QuantilesInPlace(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
-	sorted := sortedFinite(xs)
-	if len(sorted) == 0 {
+	n := 0
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			xs[n] = x
+			n++
+		}
+	}
+	if n == 0 {
 		return out
 	}
+	sorted := xs[:n]
+	sort.Float64s(sorted)
 	for i, q := range qs {
 		out[i] = quantileSorted(sorted, q)
 	}

@@ -18,19 +18,24 @@ var (
 
 // SeriesCache memoizes materialized per-VM utilization series for one
 // trace. Usage models are pure functions of their parameters (see package
-// usage), so a VM's series never changes and can be computed exactly once
-// no matter how many analyses consume it — the seed pipeline re-materialized
-// the same 2016-sample series up to a dozen times per VM across the figure
-// computations.
+// usage), so a VM's series never changes and can be computed once no matter
+// how many consumers read it.
+//
+// Nothing in the analysis pipeline uses it any more: Characterize reads each
+// series once into the small per-VM facts of analyze.SeriesFacts and keeps
+// no series. The cache and its hit and miss counters remain only because
+// cloudbench's batch-week workload builds one per figure and calls the
+// figures' ...With shims, which ignore it. Bench only; ROADMAP 17(f)
+// deletes.
 //
 // The cache is safe for concurrent use: each VM's slot materializes under
 // its own sync.Once, so parallel consumers racing for the same VM compute
 // it once and share the result. Entries hold the series over the VM's
-// lifetime clipped to the observation window, which keeps the cache's
-// memory proportional to total alive VM-steps (~200 MB for the default
-// 46k-VM week). Callers that need the cache's memory back simply drop the
-// reference; there is no invalidation because there is nothing to
-// invalidate — the underlying Params never change.
+// lifetime clipped to the observation window, so a cache that every VM
+// passes through holds 8 bytes per alive VM-step (26.3 M steps, 210 MB, for
+// the default seed-42 week). Callers that need the memory back drop the
+// reference; there is nothing to invalidate, because the underlying Params
+// never change.
 type SeriesCache struct {
 	t       *Trace
 	index   map[*VM]int
