@@ -31,14 +31,11 @@ const (
 // week-long series is 2016 values, its facts at most 2×168 plus two.
 //
 // Facts are indexed by the VM's position in the trace's VM slice. Every
-// aggregation adds floats in the order its figure always has (VMs in trace
-// order, nodes in (cluster, index) order), so results are bit-identical to
+// float sum keeps the order its figure always had (a node's VMs and a
+// subscription's VMs in trace order), so results are bit-identical to
 // evaluating the usage models figure by figure.
 type SeriesFacts struct {
 	t *trace.Trace
-	// nodes lists each platform's nodes in (cluster, index) order, each as
-	// the trace indices of the VMs it hosts, in trace order.
-	nodes PerCloud[[][]int]
 	// pattern is the classified pattern of each VM a figure classifies.
 	pattern []core.Pattern
 	// corr is the Pearson correlation of a VM's series with its node's,
@@ -75,9 +72,7 @@ func computeFacts(t *trace.Trace, what need) *SeriesFacts {
 	n := len(t.VMs)
 	var work [][]int
 	for _, cloud := range core.Clouds() {
-		nodes := nodeGroups(t, cloud)
-		f.nodes.Set(cloud, nodes)
-		work = append(work, nodes...)
+		work = append(work, nodeGroups(t, cloud)...)
 	}
 	// A worker's series buffer is sized once for the busiest node.
 	maxSteps := 0

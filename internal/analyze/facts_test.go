@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"cloudlens/internal/classify"
+	"cloudlens/internal/core"
 	"cloudlens/internal/stats"
 	"cloudlens/internal/trace"
 	"cloudlens/internal/workload"
@@ -64,8 +65,8 @@ func TestSeriesFactsMatchUsageModels(t *testing.T) {
 		}
 	}
 	correlated := 0
-	for _, nodes := range [][][]int{f.nodes.Private, f.nodes.Public} {
-		for _, vms := range nodes {
+	for _, cloud := range core.Clouds() {
+		for _, vms := range nodeGroups(tr, cloud) {
 			onNode := make([]*trace.VM, len(vms))
 			for k, i := range vms {
 				onNode[k] = &tr.VMs[i]

@@ -36,18 +36,15 @@ func ComputeFig7aWith(t *trace.Trace, c *trace.SeriesCache) Fig7a {
 	return ComputeFig7a(t)
 }
 
-// Fig7a gathers the VM-to-node correlations node by node, in (cluster,
-// index) order. The downstream ECDF and quantiles sort, so they see the
-// same multiset in any order.
+// Fig7a gathers the VM-to-node correlations in trace order. The ECDF and
+// the quantile sort them, so the gather order is free.
 func (f *SeriesFacts) Fig7a() Fig7a {
 	var out Fig7a
 	for _, cloud := range core.Clouds() {
 		var sample []float64
-		for _, vms := range f.nodes.Get(cloud) {
-			for _, i := range vms {
-				if f.hasCorr[i] {
-					sample = append(sample, f.corr[i])
-				}
+		for i := range f.t.VMs {
+			if f.hasCorr[i] && f.t.VMs[i].Cloud == cloud {
+				sample = append(sample, f.corr[i])
 			}
 		}
 		out.CDF.Set(cloud, stats.NewECDF(sample))
