@@ -16,12 +16,11 @@ import (
 type need uint8
 
 const (
-	needShares    need = 1 << iota // Fig 5(d): patterns of VMs alive at the snapshot
-	needExemplars                  // Fig 5(a)-(c): patterns of full-window VMs
-	needProbes                     // Fig 6: each alive hour's probe mean
-	needCorr                       // Fig 7(a): Pearson against the node
-	needTops                       // Fig 7(b): top-of-hour values
-	needAll       = needShares | needExemplars | needProbes | needCorr | needTops
+	needPatterns need = 1 << iota // Fig 5: patterns of VMs alive at the snapshot
+	needProbes                    // Fig 6: each alive hour's probe mean
+	needCorr                      // Fig 7(a): Pearson against the node
+	needTops                      // Fig 7(b): top-of-hour values
+	needAll      = needPatterns | needProbes | needCorr | needTops
 )
 
 // SeriesFacts holds what Figures 5-7(b) read of VM utilization series,
@@ -36,7 +35,7 @@ const (
 // evaluating the usage models figure by figure.
 type SeriesFacts struct {
 	t *trace.Trace
-	// pattern is the classified pattern of each VM a figure classifies.
+	// pattern is the classified pattern of each VM Fig 5(d) counts.
 	pattern []core.Pattern
 	// corr is the Pearson correlation of a VM's series with its node's,
 	// for VMs with a day of history on nodes hosting at least two VMs
@@ -65,8 +64,8 @@ const factsChunkNodes = 8
 // computeFacts materializes each VM's series once and records the facts
 // what asks for. Every VM has a node, so walking each platform's nodes
 // visits every VM exactly once. Nodes go to the pool in dynamic chunks;
-// a worker writes only the slots of the VMs it visits, so the pass takes no
-// lock and its result does not depend on the worker count.
+// a worker writes only the slots of the VMs it visits, so the facts need no
+// lock and the result does not depend on the worker count.
 func computeFacts(t *trace.Trace, what need) *SeriesFacts {
 	f := &SeriesFacts{t: t}
 	n := len(t.VMs)
@@ -83,7 +82,7 @@ func computeFacts(t *trace.Trace, what need) *SeriesFacts {
 		}
 		maxSteps = max(maxSteps, steps)
 	}
-	if what&(needShares|needExemplars) != 0 {
+	if what&needPatterns != 0 {
 		f.pattern = make([]core.Pattern, n)
 	}
 	if what&needCorr != 0 {
@@ -123,7 +122,7 @@ func computeFacts(t *trace.Trace, what need) *SeriesFacts {
 			w = &factsScratch{series: make([]float64, maxSteps)}
 		}
 		for _, vms := range work[c*factsChunkNodes : min(len(work), (c+1)*factsChunkNodes)] {
-			f.visitNode(w, vms, what)
+			f.visitNode(w, vms)
 		}
 		select {
 		case free <- w:
@@ -152,7 +151,7 @@ type factsSpan struct {
 // visitNode materializes the series of a node's alive VMs, records each
 // VM's facts and, for nodes hosting at least two VMs, each eligible VM's
 // correlation with the node.
-func (f *SeriesFacts) visitNode(w *factsScratch, vms []int, what need) {
+func (f *SeriesFacts) visitNode(w *factsScratch, vms []int) {
 	t := f.t
 	g := t.Grid
 	w.spans = w.spans[:0]
@@ -167,7 +166,7 @@ func (f *SeriesFacts) visitNode(w *factsScratch, vms []int, what need) {
 		v := &t.VMs[s.vm]
 		s.x = v.Usage.SeriesInto(w.series[off:off+s.to-s.from], g, s.from, s.to)
 		off += s.to - s.from
-		f.record(s, what)
+		f.record(s)
 	}
 	if f.corr == nil || len(vms) < 2 {
 		return // single-VM nodes are filtered out of Fig 7(a), as in the paper
@@ -181,13 +180,13 @@ func (f *SeriesFacts) visitNode(w *factsScratch, vms []int, what need) {
 	}
 }
 
-// record stores one VM's per-VM facts from its materialized series.
-func (f *SeriesFacts) record(s *factsSpan, what need) {
+// record stores one VM's facts from its materialized series, for each
+// kind of fact the pass allocated.
+func (f *SeriesFacts) record(s *factsSpan) {
 	t := f.t
 	g := t.Grid
 	v := &t.VMs[s.vm]
-	if (what&needShares != 0 && classifiedForShares(t, v)) ||
-		(what&needExemplars != 0 && s.from == 0 && s.to == g.N) {
+	if f.pattern != nil && classifiedForShares(t, v) {
 		f.pattern[s.vm] = classify.Classify(s.x, classify.Options{StepsPerHour: g.StepsPerHour()}).Pattern
 	}
 	sph := g.StepsPerHour()

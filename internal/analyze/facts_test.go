@@ -56,7 +56,7 @@ func TestSeriesFactsMatchUsageModels(t *testing.T) {
 			}
 			tops++
 		}
-		if ok && (classifiedForShares(tr, v) || to-from == g.N) {
+		if ok && classifiedForShares(tr, v) {
 			want := classify.Classify(v.Usage.Series(g, from, to), classify.Options{StepsPerHour: sph}).Pattern
 			if f.pattern[i] != want {
 				t.Fatalf("vm %d: pattern %v, want %v", v.ID, f.pattern[i], want)

@@ -1,6 +1,7 @@
 package analyze
 
 import (
+	"cloudlens/internal/classify"
 	"cloudlens/internal/core"
 	"cloudlens/internal/trace"
 )
@@ -27,7 +28,7 @@ const minClassifySteps = 288
 // ComputeFig5d classifies every VM alive at the snapshot with at least one
 // day of in-window history and tallies the pattern shares.
 func ComputeFig5d(t *trace.Trace) Fig5d {
-	return computeFacts(t, needShares).Fig5d()
+	return computeFacts(t, needPatterns).Fig5d()
 }
 
 // ComputeFig5dWith is ComputeFig5d; c is ignored. Bench only; ROADMAP
@@ -83,8 +84,10 @@ type Fig5Samples struct {
 
 // ComputeFig5Samples picks, for each pattern, the first VM of the
 // generating platform whose classified pattern matches its generated one.
+// The scan stops once every pattern has an exemplar, so it classifies only
+// the full-window VMs it passes.
 func ComputeFig5Samples(t *trace.Trace) Fig5Samples {
-	return computeFacts(t, needExemplars).Fig5Samples()
+	return fig5Samples(t, nil)
 }
 
 // ComputeFig5SamplesWith is ComputeFig5Samples; c is ignored. Bench only;
@@ -93,12 +96,20 @@ func ComputeFig5SamplesWith(t *trace.Trace, c *trace.SeriesCache) Fig5Samples {
 	return ComputeFig5Samples(t)
 }
 
-// Fig5Samples scans the VMs in trace order for full-window exemplars whose
-// classified pattern is their generated one. Only the chosen exemplars are
-// materialized again.
+// Fig5Samples is ComputeFig5Samples reading the patterns the facts pass
+// recorded.
 func (f *SeriesFacts) Fig5Samples() Fig5Samples {
-	t := f.t
+	return fig5Samples(f.t, f.pattern)
+}
+
+// fig5Samples scans the VMs in trace order for full-window exemplars whose
+// classified pattern is their generated one. A VM's pattern comes from
+// recorded when the facts pass classified it (on any grid holding the
+// snapshot and a day, every full-window VM) and is classified here
+// otherwise. Only the chosen exemplars are materialized again.
+func fig5Samples(t *trace.Trace, recorded []core.Pattern) Fig5Samples {
 	var out Fig5Samples
+	opts := classify.Options{StepsPerHour: t.Grid.StepsPerHour()}
 	want := core.Patterns()
 	found := make(map[core.Pattern]bool, len(want))
 	for i := range t.VMs {
@@ -109,7 +120,13 @@ func (f *SeriesFacts) Fig5Samples() Fig5Samples {
 		if found[v.Usage.Pattern] || stepsInWindow(t.Grid, v) < t.Grid.N {
 			continue // want full-window exemplars
 		}
-		if f.pattern[i] != v.Usage.Pattern {
+		var p core.Pattern
+		if recorded != nil && classifiedForShares(t, v) {
+			p = recorded[i]
+		} else {
+			p = classify.Classify(v.Usage.Series(t.Grid, 0, t.Grid.N), opts).Pattern
+		}
+		if p != v.Usage.Pattern {
 			continue
 		}
 		found[v.Usage.Pattern] = true

@@ -31,7 +31,7 @@ type Insight struct {
 // holding a full Characterization can use InsightsFrom instead to avoid
 // recomputation.
 func ComputeInsights(t *trace.Trace) []Insight {
-	f := computeFacts(t, needShares|needCorr|needTops)
+	f := computeFacts(t, needPatterns|needCorr|needTops)
 	return InsightsFrom(
 		ComputeFig1a(t), ComputeFig1b(t), ComputeFig2(t),
 		ComputeFig3d(t), f.Fig5d(), f.Fig7a(), f.Fig7b(),
