@@ -38,6 +38,54 @@ func sharedKB(t *testing.T) (*trace.Trace, *Snapshot) {
 	return kbTrace, kbStore
 }
 
+var (
+	serverlessOnce  sync.Once
+	serverlessTrace *trace.Trace
+	serverlessKB    *Snapshot
+	serverlessErr   error
+)
+
+// sharedServerlessKB extracts the default serverless week (seed 42) once
+// for the whole test package.
+func sharedServerlessKB(t *testing.T) (*trace.Trace, *Snapshot) {
+	t.Helper()
+	serverlessOnce.Do(func() {
+		serverlessTrace, serverlessErr = workload.GenerateServerless(workload.DefaultServerlessConfig(42))
+		if serverlessErr == nil {
+			serverlessKB = Extract(serverlessTrace, ExtractOptions{})
+		}
+	})
+	if serverlessErr != nil {
+		t.Fatalf("build serverless kb: %v", serverlessErr)
+	}
+	return serverlessTrace, serverlessKB
+}
+
+// TestExtractFingerprintPinned pins the knowledge base Extract builds from
+// the package's shared CPU trace (seed 21, scale 0.5) and from the default
+// serverless week (seed 42), byte for byte through the fingerprint. Every
+// profile rule (shares, dominant pattern and its tie order, mean
+// utilization, peak hour, region-agnostic score) feeds the bytes, so a
+// refactor of those rules that moves any float, or any label, fails here.
+func TestExtractFingerprintPinned(t *testing.T) {
+	_, cpu := sharedKB(t)
+	_, serverless := sharedServerlessKB(t)
+	for _, tc := range []struct {
+		name    string
+		kb      *Snapshot
+		profile int
+		fp      string
+	}{
+		{"cpu", cpu, 1147, "fnv1a:fbd519145f7ab9fc"},
+		{"serverless", serverless, 24, "fnv1a:fbf154905bc3dc9d"},
+	} {
+		if tc.kb.Len() != tc.profile || tc.kb.Fingerprint() != tc.fp {
+			t.Errorf("%s: %d profiles, fingerprint %s; want %d and %s",
+				tc.name, tc.kb.Len(), tc.kb.Fingerprint(), tc.profile, tc.fp)
+		}
+	}
+}
+
 func TestExtractCoversAllSubscriptions(t *testing.T) {
 	tr, store := sharedKB(t)
 	subs := make(map[core.SubscriptionID]bool)
