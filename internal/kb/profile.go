@@ -180,19 +180,13 @@ func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
 		Cloud:               vms[0].Cloud,
 		Family:              t.Family,
 		VMsObserved:         len(vms),
-		PatternShares:       make(map[core.Pattern]float64),
 		RegionAgnosticScore: -1,
-		PeakHourUTC:         -1,
 	}
 	regionSet := make(map[string]bool)
 	serviceSet := make(map[string]bool)
 	var lifetimes []float64
 	shortLived := 0
-	classified := 0
-	var utilSum float64
-	var utilN int
-	hourly := make([]float64, 24)
-	hourlyN := make([]float64, 24)
+	var tally Tally
 
 	for _, v := range vms {
 		regionSet[v.Region] = true
@@ -212,16 +206,15 @@ func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
 		if !ok || to-from < minSteps {
 			continue
 		}
-		if classified < opts.MaxClassifyPerSub {
+		if tally.N < opts.MaxClassifyPerSub {
 			buf = v.Usage.SeriesInto(buf, t.Grid, from, to)
-			p.PatternShares[cl.classify(buf)]++
-			classified++
+			tally.Count(cl.classify(buf))
 			for i, u := range buf {
-				utilSum += u
-				utilN++
+				tally.UtilSum += u
+				tally.UtilN++
 				h := t.Grid.HourOf(from+i) % 24
-				hourly[h] += u
-				hourlyN[h]++
+				tally.Hourly[h] += u
+				tally.HourlyN[h]++
 			}
 		}
 	}
@@ -232,47 +225,14 @@ func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
 		p.MedianLifetimeMin = stats.Quantile(lifetimes, 0.5)
 		p.ShortLivedShare = float64(shortLived) / float64(len(lifetimes))
 	}
-	if classified > 0 {
-		for k := range p.PatternShares {
-			p.PatternShares[k] /= float64(classified)
-		}
-		// Ties resolve in the family's fixed pattern order so extraction is
-		// deterministic (map iteration order is not) and the streaming
-		// pipeline's fold converges to the same dominant pattern.
-		best := core.PatternUnknown
-		for _, k := range t.Family.Patterns() {
-			if share, ok := p.PatternShares[k]; ok {
-				if best == core.PatternUnknown || share > p.PatternShares[best] {
-					best = k
-				}
-			}
-		}
-		p.DominantPattern = best
-	}
-	if utilN > 0 {
-		p.MeanUtilization = utilSum / float64(utilN)
-		peak := 0
-		for h := 1; h < 24; h++ {
-			if mean(hourly[h], hourlyN[h]) > mean(hourly[peak], hourlyN[peak]) {
-				peak = h
-			}
-		}
-		p.PeakHourUTC = peak
-	}
+	tally.Fill(p)
 	if len(p.Regions) > 1 {
 		p.RegionAgnosticScore = regionAgnosticScore(t, vms)
 	}
 	return p, buf
 }
 
-func mean(sum, n float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
-
-func sortedKeys(set map[string]bool) []string {
+func sortedKeys[V any](set map[string]V) []string {
 	out := make([]string, 0, len(set))
 	for k := range set {
 		out = append(out, k)
@@ -281,60 +241,36 @@ func sortedKeys(set map[string]bool) []string {
 	return out
 }
 
-// regionAgnosticScore computes the mean pairwise Pearson correlation of the
-// subscription's region-averaged hourly utilization, across all its
-// deployment regions.
+// regionAgnosticScore is RegionAgnosticScore over the subscription's
+// regions, each row the top-of-hour samples of its VMs with a day of
+// history.
 func regionAgnosticScore(t *trace.Trace, vms []*trace.VM) float64 {
 	stepsPerHour := t.Grid.StepsPerHour()
 	hours := t.Grid.Hours()
 	minSteps := MinProfileStepsFor(t.Grid)
-	perRegion := make(map[string][]float64)
-	perRegionN := make(map[string][]float64)
+	byRegion := make(map[string]*RegionHours)
 	for _, v := range vms {
 		from, to, ok := v.AliveRange(t.Grid.N)
 		if !ok || to-from < minSteps {
 			continue
 		}
-		series := perRegion[v.Region]
-		counts := perRegionN[v.Region]
-		if series == nil {
-			series = make([]float64, hours)
-			counts = make([]float64, hours)
-			perRegion[v.Region] = series
-			perRegionN[v.Region] = counts
+		rh := byRegion[v.Region]
+		if rh == nil {
+			rh = new(RegionHours)
+			byRegion[v.Region] = rh
 		}
 		for h := 0; h < hours; h++ {
 			step := h * stepsPerHour
 			if from <= step && step < to {
-				series[h] += v.Usage.At(t.Grid, step)
-				counts[h]++
+				rh.Add(h, hours, v.Usage.At(t.Grid, step))
 			}
 		}
 	}
-	if len(perRegion) < 2 {
-		return -1
+	names := sortedKeys(byRegion)
+	rows := make([]*RegionHours, len(names))
+	for i, r := range names {
+		rows[i] = byRegion[r]
 	}
-	regions := make([]string, 0, len(perRegion))
-	for r := range perRegion {
-		avg := perRegion[r]
-		for h := range avg {
-			if perRegionN[r][h] > 0 {
-				avg[h] /= perRegionN[r][h]
-			}
-		}
-		regions = append(regions, r)
-	}
-	sort.Strings(regions)
-	var sum float64
-	var n int
-	for i := 0; i < len(regions); i++ {
-		for j := i + 1; j < len(regions); j++ {
-			sum += stats.Pearson(perRegion[regions[i]], perRegion[regions[j]])
-			n++
-		}
-	}
-	if n == 0 {
-		return -1
-	}
-	return sum / float64(n)
+	score, _ := RegionAgnosticScore(rows, nil)
+	return score
 }

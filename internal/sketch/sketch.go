@@ -1,11 +1,10 @@
 // Package sketch provides the bounded-memory online statistics the
 // streaming ingestion pipeline folds five-minute telemetry samples into:
 // running mean and variance (Welford's algorithm), fixed-range histogram
-// quantile sketches, paired-sample Pearson correlation via co-moments, and
-// autocorrelation at a fixed set of lags over a bounded ring of recent
-// samples.
+// quantile sketches, and autocorrelation at a fixed set of lags over a
+// bounded ring of recent samples.
 //
-// Welford, Histogram, and Corr are mergeable: combining the states of two
+// Welford and Histogram are mergeable: combining the states of two
 // disjoint sub-streams yields exactly the state of the concatenated stream
 // (up to floating-point association), so per-worker or per-window sketches
 // can be folded into a global one. AutoCorr is order-sensitive by nature
@@ -201,68 +200,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		cum += c
 	}
 	return h.Hi
-}
-
-// Corr accumulates a paired-sample Pearson correlation from co-moments in
-// O(1) space. The zero value is an empty accumulator.
-type Corr struct {
-	n        int64
-	mx, my   float64
-	cxy      float64
-	sxx, syy float64
-}
-
-// Add folds one (x, y) pair into the accumulator.
-func (c *Corr) Add(x, y float64) {
-	c.n++
-	n := float64(c.n)
-	dx := x - c.mx
-	dy := y - c.my
-	c.mx += dx / n
-	c.my += dy / n
-	c.cxy += dx * (y - c.my)
-	c.sxx += dx * (x - c.mx)
-	c.syy += dy * (y - c.my)
-}
-
-// Merge folds another accumulator into c.
-func (c *Corr) Merge(o Corr) {
-	if o.n == 0 {
-		return
-	}
-	if c.n == 0 {
-		*c = o
-		return
-	}
-	n := c.n + o.n
-	dx := o.mx - c.mx
-	dy := o.my - c.my
-	f := float64(c.n) * float64(o.n) / float64(n)
-	c.cxy += o.cxy + dx*dy*f
-	c.sxx += o.sxx + dx*dx*f
-	c.syy += o.syy + dy*dy*f
-	c.mx += dx * float64(o.n) / float64(n)
-	c.my += dy * float64(o.n) / float64(n)
-	c.n = n
-}
-
-// Count returns the number of pairs observed.
-func (c *Corr) Count() int64 { return c.n }
-
-// R returns the Pearson correlation of the pairs observed so far, or 0 when
-// either marginal is constant or fewer than two pairs arrived.
-func (c *Corr) R() float64 {
-	if c.n < 2 || c.sxx == 0 || c.syy == 0 {
-		return 0
-	}
-	r := c.cxy / math.Sqrt(c.sxx*c.syy)
-	if r > 1 {
-		r = 1
-	}
-	if r < -1 {
-		r = -1
-	}
-	return r
 }
 
 // AutoCorr estimates the autocorrelation of one ordered series at a fixed

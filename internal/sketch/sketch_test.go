@@ -182,48 +182,6 @@ func FuzzHistogramCounting(f *testing.F) {
 	})
 }
 
-func TestCorrMatchesPearson(t *testing.T) {
-	xs := sampleSeries(4000, 4)
-	ys := make([]float64, len(xs))
-	r := rng(5)
-	for i := range ys {
-		ys[i] = 0.7*xs[i] + 0.3*r.next()
-	}
-	var c Corr
-	for i := range xs {
-		c.Add(xs[i], ys[i])
-	}
-	if got, want := c.R(), stats.Pearson(xs, ys); math.Abs(got-want) > 1e-10 {
-		t.Fatalf("r = %v, want %v", got, want)
-	}
-	var zero Corr
-	for _, x := range xs {
-		zero.Add(x, 42)
-	}
-	if zero.R() != 0 {
-		t.Fatalf("constant marginal r = %v, want 0", zero.R())
-	}
-}
-
-func TestCorrMergeEqualsConcatenation(t *testing.T) {
-	xs := sampleSeries(2000, 6)
-	ys := sampleSeries(2000, 7)
-	var a, b, all Corr
-	for i := 0; i < 800; i++ {
-		a.Add(xs[i], ys[i])
-	}
-	for i := 800; i < len(xs); i++ {
-		b.Add(xs[i], ys[i])
-	}
-	for i := range xs {
-		all.Add(xs[i], ys[i])
-	}
-	a.Merge(b)
-	if math.Abs(a.R()-all.R()) > 1e-10 {
-		t.Fatalf("merged r = %v, want %v", a.R(), all.R())
-	}
-}
-
 // batchACF is the reference definition the streaming estimate must match:
 // the lag-L autocorrelation normalized by the full sum of squared
 // deviations, exactly as package periodic computes it.

@@ -59,24 +59,6 @@ func HistogramFromState(s HistogramState) (*Histogram, error) {
 	}, nil
 }
 
-// CorrState is the serializable form of a Corr accumulator.
-type CorrState struct {
-	N        int64
-	MX, MY   float64
-	CXY      float64
-	SXX, SYY float64
-}
-
-// State captures the accumulator.
-func (c *Corr) State() CorrState {
-	return CorrState{N: c.n, MX: c.mx, MY: c.my, CXY: c.cxy, SXX: c.sxx, SYY: c.syy}
-}
-
-// CorrFromState reconstructs the accumulator a State was captured from.
-func CorrFromState(s CorrState) Corr {
-	return Corr{n: s.N, mx: s.MX, my: s.MY, cxy: s.CXY, sxx: s.SXX, syy: s.SYY}
-}
-
 // AutoCorrState is the serializable form of an AutoCorr accumulator: the
 // configured lags, the sample ring, and every running sum.
 type AutoCorrState struct {

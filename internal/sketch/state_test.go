@@ -85,36 +85,6 @@ func TestHistogramMergeAfterDecode(t *testing.T) {
 	}
 }
 
-func TestCorrMergeAfterDecode(t *testing.T) {
-	xs := sampleSeries(3000, 13)
-	ys := sampleSeries(3000, 14)
-	var live Corr
-	for i := 0; i < 1200; i++ {
-		live.Add(xs[i], ys[i])
-	}
-	var st CorrState
-	gobCycle(t, live.State(), &st)
-	decoded := CorrFromState(st)
-	for i := 1200; i < len(xs); i++ {
-		live.Add(xs[i], ys[i])
-		decoded.Add(xs[i], ys[i])
-	}
-	if decoded.Count() != live.Count() || decoded.R() != live.R() {
-		t.Fatalf("decoded (%d, %v) != live (%d, %v)", decoded.Count(), decoded.R(), live.Count(), live.R())
-	}
-	// Merge after decode behaves like a merge of the originals.
-	var extraA, extraB Corr
-	for i := 0; i < 500; i++ {
-		extraA.Add(ys[i], xs[i])
-		extraB.Add(ys[i], xs[i])
-	}
-	live.Merge(extraA)
-	decoded.Merge(extraB)
-	if decoded.R() != live.R() {
-		t.Fatalf("merged-after-decode r = %v, want %v", decoded.R(), live.R())
-	}
-}
-
 func TestAutoCorrMergeAfterDecode(t *testing.T) {
 	r := rng(15)
 	n := 2016

@@ -249,8 +249,8 @@ func (ing *Ingestor) checkpointLocked() *ShardCheckpoint {
 				continue
 			}
 			st.RegionHours[ing.keys.Regions[ri]] = regionHourState{
-				Sum: append([]float64(nil), rh.sum...),
-				N:   append([]float64(nil), rh.n...),
+				Sum: append([]float64(nil), rh.Sum...),
+				N:   append([]float64(nil), rh.N...),
 			}
 		}
 		ck.Subs = append(ck.Subs, st)
@@ -577,7 +577,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			shortLived:    st.ShortLived,
 			util:          util,
 			retired:       make([]classifiedVM, 0, len(st.Retired)),
-			regionHours:   make([]*regionHour, len(ing.keys.Regions)),
+			regionHours:   make([]*kb.RegionHours, len(ing.keys.Regions)),
 		}
 		for _, c := range st.Retired {
 			ss.retired = append(ss.retired, classifiedVM{
@@ -590,7 +590,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			if !ok {
 				return nil, fmt.Errorf("stream: subscription %s reports from region %q not in trace", st.ID, r)
 			}
-			ss.regionHours[ri] = &regionHour{sum: rh.Sum, n: rh.N}
+			ss.regionHours[ri] = &kb.RegionHours{Sum: rh.Sum, N: rh.N}
 		}
 		ing.subs[si] = ss
 	}

@@ -109,7 +109,7 @@ func referenceRegionAgnosticScore(ing *Ingestor, ss *subState) float64 {
 	}
 	type namedRegion struct {
 		name string
-		rh   *regionHour
+		rh   *kb.RegionHours
 	}
 	regions := make([]namedRegion, 0, populated)
 	for ri, rh := range ss.regionHours {
@@ -128,8 +128,8 @@ func referenceRegionAgnosticScore(ing *Ingestor, ss *subState) float64 {
 		rh := r.rh
 		avg := make([]float64, hours)
 		for h := 0; h < hours; h++ {
-			if rh.n[h] > 0 {
-				avg[h] = rh.sum[h] / rh.n[h]
+			if rh.N[h] > 0 {
+				avg[h] = rh.Sum[h] / rh.N[h]
 			}
 		}
 		avgs[i] = avg
@@ -146,6 +146,14 @@ func referenceRegionAgnosticScore(ing *Ingestor, ss *subState) float64 {
 		return -1
 	}
 	return sum / float64(n)
+}
+
+// mean is the guarded hourly mean the oracle's peak-hour pick compares.
+func mean(sum, n float64) float64 {
+	if n == 0 {
+		return 0
+	}
+	return sum / n
 }
 
 // FoldOracle is a FoldObserver that, every time the engine publishes a

@@ -13,7 +13,7 @@ import (
 
 // regionHourOf resolves a subscription's per-region hour series through the
 // intern tables, for tests that address state by name.
-func regionHourOf(ing *Ingestor, id core.SubscriptionID, region string) *regionHour {
+func regionHourOf(ing *Ingestor, id core.SubscriptionID, region string) *kb.RegionHours {
 	ss := ing.subFor(id)
 	ri, ok := ing.keys.RegionIndex(region)
 	if ss == nil || !ok {
@@ -113,9 +113,9 @@ func TestGapSkipQualifyStepAttribution(t *testing.T) {
 		t.Fatal("no region-hour series for r1")
 	}
 	for h := 0; h < g.Hours(); h++ {
-		if math.Abs(rh.sum[h]-hourSum[h]) > eps || rh.n[h] != hourN[h] {
+		if math.Abs(rh.Sum[h]-hourSum[h]) > eps || rh.N[h] != hourN[h] {
 			t.Errorf("region hour %d: top-of-hour sample %.6f (n=%.0f), want %.6f (n=%.0f)",
-				h, rh.sum[h], rh.n[h], hourSum[h], hourN[h])
+				h, rh.Sum[h], rh.N[h], hourSum[h], hourN[h])
 		}
 	}
 	if math.Abs(acc.peakSum-peakSum) > eps || acc.peakN != peakN ||
@@ -158,10 +158,10 @@ func TestGapSkipStepAttributionSurvivesResume(t *testing.T) {
 		t.Errorf("resumed run flushed different hour buckets:\n  plain   %v\n  resumed %v", a.hourly, b.hourly)
 	}
 	ra, rb := regionHourOf(plain, "micro", "r1"), regionHourOf(resumed, "micro", "r1")
-	for h := range ra.sum {
-		if ra.sum[h] != rb.sum[h] || ra.n[h] != rb.n[h] {
+	for h := range ra.Sum {
+		if ra.Sum[h] != rb.Sum[h] || ra.N[h] != rb.N[h] {
 			t.Fatalf("region hour %d differs after resume: %.6f/%.0f vs %.6f/%.0f",
-				h, ra.sum[h], ra.n[h], rb.sum[h], rb.n[h])
+				h, ra.Sum[h], ra.N[h], rb.Sum[h], rb.N[h])
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -125,13 +126,6 @@ type classifiedVM struct {
 	hourlyN [24]int
 }
 
-// regionHour accumulates a subscription's per-region top-of-hour
-// utilization sums (the Figure 7b signal) incrementally.
-type regionHour struct {
-	sum []float64
-	n   []float64
-}
-
 // subState is the per-subscription streaming state.
 type subState struct {
 	id       core.SubscriptionID
@@ -156,7 +150,7 @@ type subState struct {
 	retired   []classifiedVM
 	// regionHours is indexed by the trace's interned region id; entries
 	// are allocated when the subscription first reports from the region.
-	regionHours []*regionHour
+	regionHours []*kb.RegionHours
 
 	// Derived state a fold would otherwise recompute every hour although
 	// only lifecycle events change it. Never checkpointed: both region and
@@ -196,21 +190,13 @@ type foldRef struct {
 	retired int32
 }
 
-// namedRegion is one populated region of a subscription during the
-// region-agnosticism computation.
-type namedRegion struct {
-	name string
-	rh   *regionHour
-}
-
 func (ss *subState) addRegionHour(region int32, hour int, x float64, hours int) {
 	rh := ss.regionHours[region]
 	if rh == nil {
-		rh = &regionHour{sum: make([]float64, hours), n: make([]float64, hours)}
+		rh = new(kb.RegionHours)
 		ss.regionHours[region] = rh
 	}
-	rh.sum[hour] += x
-	rh.n[hour]++
+	rh.Add(hour, hours, x)
 }
 
 // cloudState aggregates one platform's stream.
@@ -280,17 +266,19 @@ type FaultStats struct {
 // quarantined, and per-VM gaps are repaired by the configured GapPolicy.
 // See DESIGN.md §8 for the fault model.
 type Ingestor struct {
-	tr           *trace.Trace
-	keys         *trace.KeyTable
-	opts         Options
-	family       core.Family
-	patterns     []core.Pattern // the family's taxonomy, in tie-break order
-	lags         lagSet
-	minACF       float64
-	snapStep     int
-	stepsPerHour int
-	minSteps     int
-	met          *ingestMetrics
+	tr     *trace.Trace
+	keys   *trace.KeyTable
+	opts   Options
+	family core.Family
+	// regionsByName lists the interned region ids in region-name order,
+	// the order the region-agnostic score takes its rows in.
+	regionsByName []int32
+	lags          lagSet
+	minACF        float64
+	snapStep      int
+	stepsPerHour  int
+	minSteps      int
+	met           *ingestMetrics
 
 	mu       sync.RWMutex
 	subs     []*subState // indexed by interned subscription id
@@ -348,7 +336,6 @@ func newIngestor(tr *trace.Trace, opts Options, met *ingestMetrics) *Ingestor {
 		keys:         keys,
 		opts:         opts,
 		family:       tr.Family,
-		patterns:     tr.Family.Patterns(),
 		lags:         newLagSet(stepsPerHour),
 		minACF:       periodic.DefaultMinACF,
 		snapStep:     tr.SnapshotStep(),
@@ -362,6 +349,13 @@ func newIngestor(tr *trace.Trace, opts Options, met *ingestMetrics) *Ingestor {
 		watermark:    opts.StartStep - 1,
 		slots:        make([]reorderSlot, opts.MaxLatenessSteps+1),
 	}
+	ing.regionsByName = make([]int32, len(keys.Regions))
+	for i := range ing.regionsByName {
+		ing.regionsByName[i] = int32(i)
+	}
+	slices.SortFunc(ing.regionsByName, func(a, b int32) int {
+		return strings.Compare(keys.Regions[a], keys.Regions[b])
+	})
 	ing.foldWork = ing.foldBlocks
 	ing.at = ing.stepFactsOf(opts.StartStep)
 	ing.lastStep.Store(int64(opts.StartStep) - 1)
@@ -703,7 +697,7 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 			regions:     make(map[string]bool),
 			services:    make(map[string]bool),
 			util:        sketch.NewHistogram(0, 1, subBins),
-			regionHours: make([]*regionHour, len(ing.keys.Regions)),
+			regionHours: make([]*kb.RegionHours, len(ing.keys.Regions)),
 		}
 		ing.subs[si] = ss
 	}
@@ -970,14 +964,14 @@ const foldBlock = 16
 
 // foldScratch is one fold worker's reusable state: the candidate
 // references of the subscription being built, its per-pattern counts
-// (indexed by core.Pattern), the populated regions and their hourly
-// averages for the region-agnosticism score, and the classifications the
+// (indexed by core.Pattern), the populated regions' rows and their hourly
+// averages for the region-agnostic score, and the classifications the
 // worker performed, by pattern, published to mClassified once per fold.
 type foldScratch struct {
 	refs       []foldRef
 	counts     []int
 	classified []int64
-	regions    []namedRegion
+	rows       []*kb.RegionHours
 	avgs       []float64
 }
 
@@ -1036,9 +1030,11 @@ func (ing *Ingestor) foldBlocks(worker int) {
 }
 
 // buildProfile assembles a kb.Profile from a subscription's streaming
-// state into p, mirroring the batch extractor's aggregation rules
-// (including its per-subscription classification cap, applied in VM order
-// so the live profile converges to the batch one at window end). It does
+// state into p. It gathers the candidates' sums into a kb.Tally and the
+// populated regions' rows, in name order, and kb finishes the profile with
+// the batch extractor's rules (the per-subscription classification cap is
+// applied in VM order, as there, so the live profile converges to the batch
+// one at window end). It does
 // the work the hour changed and no more: candidates are selected by
 // reference and cut to the cap before any live VM is classified, and what
 // only lifecycle events change comes from the subscription's caches.
@@ -1055,7 +1051,6 @@ func (ing *Ingestor) buildProfile(s *foldScratch, ss *subState, p *kb.Profile) {
 		SnapshotVMs:         ss.snapshotVMs,
 		SnapshotCores:       ss.snapshotCores,
 		RegionAgnosticScore: -1,
-		PeakHourUTC:         -1,
 	}
 	if len(ss.lifetimes) > 0 {
 		p.MedianLifetimeMin = ss.medianLifetimeMin()
@@ -1075,16 +1070,12 @@ func (ing *Ingestor) buildProfile(s *foldScratch, ss *subState, p *kb.Profile) {
 		refs = refs[:ing.opts.MaxClassifyPerSub]
 	}
 
-	counts := s.counts
-	clear(counts)
-	var utilSum float64
-	var utilN int
-	var hourly [24]float64
-	var hourlyN [24]float64
+	// Read each candidate where it lives: same operands in the same idx
+	// order as folding compacted classifiedVM copies, so every sum carries
+	// the same bits.
+	tally := kb.Tally{Counts: s.counts}
+	clear(tally.Counts)
 	for _, ref := range refs {
-		// Read the candidate where it lives: same operands in the same idx
-		// order as folding compacted classifiedVM copies, so every sum
-		// carries the same bits.
 		var (
 			pat  core.Pattern
 			sum  float64
@@ -1102,107 +1093,25 @@ func (ing *Ingestor) buildProfile(s *foldScratch, ss *subState, p *kb.Profile) {
 			n = acc.ac.N()
 			sum, hSum, hN = acc.ac.Mean()*float64(n), &acc.hourly, &acc.hourlyN
 		}
-		counts[pat]++
-		utilSum += sum
-		utilN += n
+		tally.Count(pat)
+		tally.UtilSum += sum
+		tally.UtilN += n
 		for h := 0; h < 24; h++ {
-			hourly[h] += hSum[h]
-			hourlyN[h] += float64(hN[h])
+			tally.Hourly[h] += hSum[h]
+			tally.HourlyN[h] += float64(hN[h])
 		}
 	}
-
-	// Every counted pattern becomes a share of the classified count — the
-	// batch extractor's normalisation — while the dominant pick walks the
-	// family's taxonomy order so ties resolve as they do there.
-	distinct := 0
-	for _, c := range counts {
-		if c > 0 {
-			distinct++
-		}
-	}
-	p.PatternShares = make(map[core.Pattern]float64, distinct)
-	if len(refs) > 0 {
-		for pat, c := range counts {
-			if c > 0 {
-				p.PatternShares[core.Pattern(pat)] = float64(c) / float64(len(refs))
-			}
-		}
-		best := core.PatternUnknown
-		for _, k := range ing.patterns {
-			// Shares are counts over one divisor, so counts order them.
-			if counts[k] > 0 && (best == core.PatternUnknown || counts[k] > counts[best]) {
-				best = k
-			}
-		}
-		p.DominantPattern = best
-		if utilN > 0 {
-			p.MeanUtilization = utilSum / float64(utilN)
-			peak := 0
-			for h := 1; h < 24; h++ {
-				if mean(hourly[h], hourlyN[h]) > mean(hourly[peak], hourlyN[peak]) {
-					peak = h
-				}
-			}
-			p.PeakHourUTC = peak
-		}
-	}
+	tally.Fill(p)
 	if len(p.Regions) > 1 {
-		p.RegionAgnosticScore = ing.regionAgnosticScore(s, ss)
-	}
-}
-
-// regionAgnosticScore is the mean pairwise Pearson correlation of the
-// subscription's region-averaged top-of-hour utilization, matching the
-// batch computation over the hours observed so far. It works in the fold
-// worker's scratch and allocates nothing.
-func (ing *Ingestor) regionAgnosticScore(s *foldScratch, ss *subState) float64 {
-	// Collect the populated regions and order them by name, matching the
-	// batch extractor's iteration order so the pairwise sum accumulates in
-	// the same sequence bit for bit. Insertion sort: region counts are tiny.
-	regions := s.regions[:0]
-	for ri, rh := range ss.regionHours {
-		if rh != nil {
-			regions = append(regions, namedRegion{ing.keys.Regions[ri], rh})
-		}
-	}
-	s.regions = regions
-	if len(regions) < 2 {
-		return -1
-	}
-	for i := 1; i < len(regions); i++ {
-		for j := i; j > 0 && regions[j].name < regions[j-1].name; j-- {
-			regions[j], regions[j-1] = regions[j-1], regions[j]
-		}
-	}
-	hours := ing.tr.Grid.Hours()
-	avgs := slices.Grow(s.avgs[:0], len(regions)*hours)[:len(regions)*hours]
-	s.avgs = avgs
-	row := func(i int) []float64 { return avgs[i*hours : (i+1)*hours] }
-	for i, r := range regions {
-		avg := row(i)
-		for h := range avg {
-			avg[h] = 0
-			if r.rh.n[h] > 0 {
-				avg[h] = r.rh.sum[h] / r.rh.n[h]
+		rows := s.rows[:0]
+		for _, ri := range ing.regionsByName {
+			if rh := ss.regionHours[ri]; rh != nil {
+				rows = append(rows, rh)
 			}
 		}
+		s.rows = rows
+		p.RegionAgnosticScore, s.avgs = kb.RegionAgnosticScore(rows, s.avgs)
 	}
-	var sum float64
-	var n int
-	for i := range regions {
-		for j := i + 1; j < len(regions); j++ {
-			sum += stats.Pearson(row(i), row(j))
-			n++
-		}
-	}
-	return sum / float64(n)
-}
-
-func mean(sum, n float64) float64 {
-	if n == 0 {
-		return 0
-	}
-	return sum / n
 }
 
 func sortedKeys[V any](set map[string]V) []string {
