@@ -61,6 +61,7 @@ func blendProfiles(prev, next *Profile, w float64) *Profile {
 	out := &Profile{
 		Subscription: prev.Subscription,
 		Cloud:        next.Cloud,
+		Family:       next.Family,
 		Services:     unionSorted(prev.Services, next.Services),
 		Regions:      unionSorted(prev.Regions, next.Regions),
 		// Counters describe the latest window.
@@ -94,14 +95,10 @@ func blendProfiles(prev, next *Profile, w float64) *Profile {
 	for k := range next.PatternShares {
 		keys[k] = true
 	}
-	best := core.PatternUnknown
 	for k := range keys {
 		out.PatternShares[k] = blend(prev.PatternShares[k], next.PatternShares[k], w)
-		if best == core.PatternUnknown || out.PatternShares[k] > out.PatternShares[best] {
-			best = k
-		}
 	}
-	out.DominantPattern = best
+	out.DominantPattern = dominantPattern(out.Family, out.PatternShares)
 	return out
 }
 

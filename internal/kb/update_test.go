@@ -112,25 +112,54 @@ func TestMergeDominantPatternShifts(t *testing.T) {
 	if got.DominantPattern != core.PatternStable {
 		t.Fatalf("dominant pattern = %v, want stable", got.DominantPattern)
 	}
+
+	// A tie goes to the pattern that comes first in the family's taxonomy,
+	// as in Extract, whatever order the share map iterates in: diurnal
+	// before stable for CPU, bursty before diurnal for serverless.
+	for _, tc := range []struct {
+		family core.Family
+		shares map[core.Pattern]float64
+		want   core.Pattern
+	}{
+		{core.FamilyCPU, map[core.Pattern]float64{core.PatternStable: 0.5, core.PatternDiurnal: 0.5}, core.PatternDiurnal},
+		{core.FamilyServerless, map[core.Pattern]float64{core.PatternDiurnal: 0.5, core.PatternBursty: 0.5}, core.PatternBursty},
+	} {
+		tied := mkProfile("a", 0.2)
+		tied.Family, tied.PatternShares, tied.DominantPattern = tc.family, tc.shares, tc.want
+		for range 50 {
+			got, _ := Merge(SnapshotOf(0, 0, tied), SnapshotOf(0, 0, tied), MergeOptions{}).Get("a")
+			if got.DominantPattern != tc.want || got.Family != tc.family {
+				t.Fatalf("tied merge: dominant %v of family %v, want %v of %v",
+					got.DominantPattern, got.Family, tc.want, tc.family)
+			}
+		}
+	}
 }
 
 func TestMergeWeekOverWeekFromTraces(t *testing.T) {
-	_, week1 := sharedKB(t)
-	// Week 2: a different seed plays the role of the next observation
-	// window (reuse the shared trace config but a fresh extraction is
-	// too expensive; blending week1 into itself must be a fixed point).
-	merged := Merge(SnapshotOf(0, 0), week1, MergeOptions{})
-	merged = Merge(merged, week1, MergeOptions{})
-	if merged.Len() != week1.Len() {
-		t.Fatalf("idempotent merge changed size: %d vs %d", merged.Len(), week1.Len())
-	}
-	p1, _ := week1.Get("prv-sub-servicex")
-	p2, ok := merged.Get("prv-sub-servicex")
-	if !ok {
-		t.Fatal("profile lost")
-	}
-	if math.Abs(p1.MeanUtilization-p2.MeanUtilization) > 1e-9 {
-		t.Fatalf("self-merge moved utilization: %v -> %v", p1.MeanUtilization, p2.MeanUtilization)
+	_, cpu := sharedKB(t)
+	_, serverless := sharedServerlessKB(t)
+	// Blending a week into itself must be a fixed point: the family and the
+	// dominant pattern survive exactly, utilization up to rounding.
+	for _, week1 := range []*Snapshot{cpu, serverless} {
+		merged := Merge(SnapshotOf(0, 0), week1, MergeOptions{})
+		merged = Merge(merged, week1, MergeOptions{})
+		if merged.Len() != week1.Len() {
+			t.Fatalf("idempotent merge changed size: %d vs %d", merged.Len(), week1.Len())
+		}
+		for i, p1 := range week1.Profiles() {
+			p2 := merged.Profiles()[i]
+			if p2.Subscription != p1.Subscription {
+				t.Fatalf("profile %d: %s, want %s", i, p2.Subscription, p1.Subscription)
+			}
+			if p2.Family != p1.Family || p2.DominantPattern != p1.DominantPattern {
+				t.Errorf("%s: self-merge gave %v of family %v, want %v of %v", p1.Subscription,
+					p2.DominantPattern, p2.Family, p1.DominantPattern, p1.Family)
+			}
+			if math.Abs(p1.MeanUtilization-p2.MeanUtilization) > 1e-9 {
+				t.Errorf("%s: self-merge moved utilization: %v -> %v", p1.Subscription, p1.MeanUtilization, p2.MeanUtilization)
+			}
+		}
 	}
 }
 
