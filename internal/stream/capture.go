@@ -66,11 +66,12 @@ type patternAcc struct {
 	subs int
 }
 
-// bandAccs walks a pattern accumulator map into the report rows, in
-// taxonomy order, skipping patterns with no classified subscriptions.
-func bandAccs(accs map[core.Pattern]*patternAcc) []PatternBand {
+// bandAccs walks a pattern accumulator map into the report rows, in the
+// family's taxonomy order, skipping patterns with no classified
+// subscriptions.
+func bandAccs(f core.Family, accs map[core.Pattern]*patternAcc) []PatternBand {
 	out := make([]PatternBand, 0, len(accs))
-	for _, pat := range core.Patterns() {
+	for _, pat := range f.Patterns() {
 		acc := accs[pat]
 		if acc == nil || acc.subs == 0 {
 			continue
@@ -166,7 +167,7 @@ func (g *shardGroup) CaptureLive() LiveCapture {
 		KB:       sn,
 		Live:     live,
 		Clouds:   clouds,
-		Patterns: bandAccs(accs),
+		Patterns: bandAccs(g.tr.Family, accs),
 		Step:     int(g.lastStep.Load()),
 		Steps:    g.tr.Grid.N,
 		Done:     g.done.Load(),

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -81,6 +82,47 @@ func TestGoldenServerlessStreamMatchesBatch(t *testing.T) {
 	}
 	batch, live := replayServerless(t, workload.DefaultServerlessConfig(42))
 	assertFamilyAgreement(t, batch, live)
+}
+
+// TestLivePercentilesServerlessBands replays the default serverless week and
+// holds the live percentile report to the knowledge base it was captured
+// with: one band per dominant pattern present, in the family's taxonomy
+// order, each counting that pattern's profiles, so the bands together count
+// every classified profile. The bands used to walk the CPU taxonomy and
+// dropped every serverless-only pattern.
+func TestLivePercentilesServerlessBands(t *testing.T) {
+	tr, err := workload.GenerateServerless(workload.DefaultServerlessConfig(42))
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	p := NewPipeline(tr, Options{})
+	p.Start(context.Background())
+	if err := p.Wait(); err != nil {
+		t.Fatalf("pipeline: %v", err)
+	}
+	capture := p.Engine().CaptureLive()
+	want := make(map[core.Pattern]int)
+	for _, prof := range capture.KB.Profiles() {
+		if prof.DominantPattern != core.PatternUnknown {
+			want[prof.DominantPattern]++
+		}
+	}
+	var wantBands []core.Pattern
+	for _, pat := range core.FamilyServerless.Patterns() {
+		if want[pat] > 0 {
+			wantBands = append(wantBands, pat)
+		}
+	}
+	var gotBands []core.Pattern
+	for _, b := range capture.Patterns {
+		gotBands = append(gotBands, b.Pattern)
+		if b.Subscriptions != want[b.Pattern] {
+			t.Errorf("%s band counts %d subscriptions, the kb has %d", b.Pattern, b.Subscriptions, want[b.Pattern])
+		}
+	}
+	if !slices.Equal(gotBands, wantBands) {
+		t.Errorf("bands %v, want %v (dominant patterns %v)", gotBands, wantBands, want)
+	}
 }
 
 // TestServerlessSubMinuteGridEquivalence pins the grid-assumption fixes: a
