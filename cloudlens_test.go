@@ -9,10 +9,14 @@ import (
 	"encoding/csv"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"cloudlens/internal/analyze"
+	"cloudlens/internal/core"
 	"cloudlens/internal/deferral"
 	"cloudlens/internal/provision"
 )
@@ -180,6 +184,44 @@ func TestExportCSVWritesAllFigures(t *testing.T) {
 	}
 	if len(records) < 10 || records[0][0] != "cloud" {
 		t.Fatalf("fig1a.csv malformed: %d rows, header %v", len(records), records[0])
+	}
+}
+
+// TestExportFig3dRowsInCloudRegionOrder holds fig3d.csv to one row order,
+// clouds in core order and each cloud's regions by name, so every export of
+// the same characterization is byte-identical; the rows used to follow map
+// order. Ten exports make a map-order writer fail all but surely.
+func TestExportFig3dRowsInCloudRegionOrder(t *testing.T) {
+	ch := &Characterization{Fig3d: analyze.ComputeFig3d(integrationTrace(t))}
+	want := [][]string{{"cloud", "region", "creation_cv"}}
+	for _, cloud := range core.Clouds() {
+		perRegion := ch.Fig3d.PerRegionCV.Get(cloud)
+		if len(perRegion) < 2 {
+			t.Fatalf("%s has %d regions; the order check needs two", cloud, len(perRegion))
+		}
+		var regions []string
+		for r := range perRegion {
+			regions = append(regions, r)
+		}
+		sort.Strings(regions)
+		for _, r := range regions {
+			want = append(want, []string{cloud.String(), r, fs(perRegion[r])})
+		}
+	}
+	for run := 0; run < 10; run++ {
+		var buf bytes.Buffer
+		cw := csv.NewWriter(&buf)
+		if err := ch.exportFig3d(cw); err != nil {
+			t.Fatal(err)
+		}
+		cw.Flush()
+		got, err := csv.NewReader(&buf).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("export %d: fig3d rows %v, want %v", run, got, want)
+		}
 	}
 }
 

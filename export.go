@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 
 	"cloudlens/internal/core"
@@ -170,9 +171,15 @@ func (c *Characterization) exportFig3d(cw *csv.Writer) error {
 		return err
 	}
 	for _, cloud := range core.Clouds() {
+		// Regions by name: map order would make every export differ.
 		perRegion := c.Fig3d.PerRegionCV.Get(cloud)
-		for region, cv := range perRegion {
-			if err := cw.Write([]string{cloud.String(), region, fs(cv)}); err != nil {
+		regions := make([]string, 0, len(perRegion))
+		for region := range perRegion {
+			regions = append(regions, region)
+		}
+		sort.Strings(regions)
+		for _, region := range regions {
+			if err := cw.Write([]string{cloud.String(), region, fs(perRegion[region])}); err != nil {
 				return err
 			}
 		}
