@@ -38,8 +38,10 @@
 #                      index pin (internal/server)
 #   make test-workloads — workload-family matrix under -race at 1, 2 and 4
 #                      cores: serverless generator/spec grammar, invocation
-#                      taxonomy, and the batch-vs-stream family equivalence
-#                      goldens across sub-minute and coarse grids
+#                      taxonomy, the batch-vs-stream family equivalence
+#                      goldens across sub-minute and coarse grids, the live
+#                      serverless percentile bands, and kb's per-family
+#                      Extract fingerprint pin and self-merge fixed point
 #   make diffcheck   — differential gauntlet: 25 randomized trials holding the
 #                      batch extractor and the streaming pipeline against each
 #                      other through fault injection, kill/resume, and
@@ -149,7 +151,7 @@ test-policy:
 
 test-workloads:
 	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/workload ./internal/classify
-	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Serverless|Family|Invocation' ./internal/stream ./internal/diffcheck
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Serverless|Family|Invocation|ExtractFingerprintPinned|MergeWeekOverWeek' ./internal/stream ./internal/diffcheck ./internal/kb
 
 diffcheck: build
 	$(GO) run ./cmd/diffcheck -trials 25 -seed 1 -shards 2,4,8 -family-trials 10 -policy-trials 5
