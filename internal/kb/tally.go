@@ -11,8 +11,9 @@ import (
 // half of its profile live here, once: batch extraction (Extract) and the
 // streaming fold only gather the sums below, Tally.Fill and
 // RegionAgnosticScore finish the profile, and Merge picks its dominant
-// pattern with the same tie rule. Each side keeps its own summation order,
-// so a profile's floats are the ones it computed before the rules moved.
+// pattern with the same tie rule. The gatherers add in their own order
+// (batch per sample, the fold per VM record); the rules here only read the
+// totals.
 
 // Tally gathers what a subscription's classified VMs (at most
 // MaxClassifyPerSub of them, in VM order) contribute to its profile.
