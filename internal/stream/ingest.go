@@ -266,19 +266,20 @@ type FaultStats struct {
 // quarantined, and per-VM gaps are repaired by the configured GapPolicy.
 // See DESIGN.md §8 for the fault model.
 type Ingestor struct {
-	tr     *trace.Trace
-	keys   *trace.KeyTable
-	opts   Options
-	family core.Family
+	tr           *trace.Trace
+	keys         *trace.KeyTable
+	opts         Options
+	family       core.Family
+	lags         lagSet
+	minACF       float64
+	snapStep     int
+	stepsPerHour int
+	minSteps     int
+	met          *ingestMetrics
+
 	// regionsByName lists the interned region ids in region-name order,
 	// the order the region-agnostic score takes its rows in.
 	regionsByName []int32
-	lags          lagSet
-	minACF        float64
-	snapStep      int
-	stepsPerHour  int
-	minSteps      int
-	met           *ingestMetrics
 
 	mu       sync.RWMutex
 	subs     []*subState // indexed by interned subscription id
@@ -1034,10 +1035,10 @@ func (ing *Ingestor) foldBlocks(worker int) {
 // populated regions' rows, in name order, and kb finishes the profile with
 // the batch extractor's rules (the per-subscription classification cap is
 // applied in VM order, as there, so the live profile converges to the batch
-// one at window end). It does
-// the work the hour changed and no more: candidates are selected by
-// reference and cut to the cap before any live VM is classified, and what
-// only lifecycle events change comes from the subscription's caches.
+// one at window end). It does the work the hour changed and no more:
+// candidates are selected by reference and cut to the cap before any live
+// VM is classified, and what only lifecycle events change comes from the
+// subscription's caches.
 func (ing *Ingestor) buildProfile(s *foldScratch, ss *subState, p *kb.Profile) {
 	ss.regionNames = sortedNames(ss.regionNames, ss.regions)
 	ss.serviceNames = sortedNames(ss.serviceNames, ss.services)
