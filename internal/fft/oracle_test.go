@@ -72,6 +72,58 @@ func TestTransformEqualsRecurrenceReference(t *testing.T) {
 	}
 }
 
+// TestTransformBitsEqualReference holds Transform to referenceTransform bit
+// for bit, sign of zero included (== treats -0 and +0 alike), at every
+// length from 1 to 16384 — odd and even stage counts both. The inputs mix
+// random values with exact and negative zeros, whole zero rows and a lone
+// impulse, where a reordered sum would surface as a flipped zero sign.
+func TestTransformBitsEqualReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	negZero := math.Copysign(0, -1)
+	zeroish := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return 0
+		case 1:
+			return negZero
+		default:
+			return rng.NormFloat64()
+		}
+	}
+	for n := 1; n <= 16384; n <<= 1 {
+		for _, in := range []struct {
+			name string
+			gen  func(i int) complex128
+		}{
+			{"random", func(int) complex128 { return complex(rng.NormFloat64(), rng.NormFloat64()) }},
+			{"zeros", func(int) complex128 { return complex(zeroish(), zeroish()) }},
+			{"neg-zero", func(int) complex128 { return complex(negZero, negZero) }},
+			{"real-only", func(int) complex128 { return complex(rng.NormFloat64(), negZero) }},
+			{"impulse", func(i int) complex128 {
+				if i == n/2 {
+					return complex(negZero, 1)
+				}
+				return complex(0, negZero)
+			}},
+		} {
+			want := make([]complex128, n)
+			for i := range want {
+				want[i] = in.gen(i)
+			}
+			got := append([]complex128(nil), want...)
+			referenceTransform(want)
+			Transform(got)
+			for i := range got {
+				g, w := got[i], want[i]
+				if math.Float64bits(real(g)) != math.Float64bits(real(w)) ||
+					math.Float64bits(imag(g)) != math.Float64bits(imag(w)) {
+					t.Fatalf("n=%d %s: bin %d = %v, reference %v (bits differ)", n, in.name, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 // naiveRealDFT returns bins 0…m/2 of the length-m DFT of x (zero-padded),
 // by the definition. The m distinct angles are tabulated once, so the
 // O(m²) sum does no trigonometry of its own.
