@@ -16,13 +16,16 @@
 #                      one inline shard and behind the multi-shard barrier;
 #                      -short) under -race, 20 times each at 1, 2 and 4 cores
 #   make test-batch  — the batch kernels under -race at 1, 2 and 4 cores: the
-#                      transform, detector, classifier, series synthesiser and
-#                      series cache with their oracles, the analyze suite (its
-#                      series facts pass fans nodes out over the pool), then
-#                      the root package's determinism, golden- and
-#                      pinned-hash, figure-alone and allocation-bound tests
-#                      (the kernels keep process-wide state — transform plans
-#                      under sync.Once, pooled scratch — which one core cannot
+#                      transform, detector, classifier, series synthesiser,
+#                      series cache and quantile selection with their oracles,
+#                      the analyze suite (its series facts pass fans nodes out
+#                      over the pool), the kb suite (Extract fans
+#                      subscriptions out over the pool, its series buffers
+#                      passed between workers through a free list), then the
+#                      root package's determinism, golden- and pinned-hash,
+#                      figure-alone and allocation-bound tests (the kernels
+#                      keep process-wide state — transform plans under
+#                      sync.Once, pooled scratch — which one core cannot
 #                      exercise)
 #   make test-faults — fault-tolerance goldens under -race at 1, 2 and 4
 #                      cores: fault-matrix ledger reconciliation, kill/resume
@@ -55,7 +58,8 @@
 #                      canonical profile encoder against encoding/json, the
 #                      blocked autocorrelation sketch against its per-sample
 #                      oracle, the histogram's three counting paths against
-#                      each other, and the usage-model cursor against Params.At
+#                      each other, the usage-model cursor against Params.At,
+#                      and the quantile selection against a full sort
 #   make seeds       — the analyze claims across a fixed list of 20 seeds:
 #                      `CLOUDLENS_TEST_SEED=s go test -count=1
 #                      ./internal/analyze` per seed, at most $(nproc) at
@@ -109,7 +113,7 @@ stress:
 	$(GO) test -race -short -count=20 -cpu 1,2,4 -timeout 30m -run 'Replayer|Checkpoint|Resume|Shard' ./internal/stream
 
 test-batch:
-	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/fft ./internal/periodic ./internal/classify ./internal/usage ./internal/trace ./internal/analyze
+	$(GO) test -race -count=1 -cpu 1,2,4 ./internal/fft ./internal/periodic ./internal/classify ./internal/usage ./internal/trace ./internal/stats ./internal/analyze ./internal/kb
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Determinis|Golden|Pinned|Standalone|RetainsNoSeries' .
 
 test-faults:
@@ -178,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run=NONE -fuzz=FuzzAutoCorrBlocks -fuzztime=$(FUZZTIME) ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzHistogramCounting -fuzztime=$(FUZZTIME) ./internal/sketch
 	$(GO) test -run=NONE -fuzz=FuzzCursorMatchesAt -fuzztime=$(FUZZTIME) ./internal/usage
+	$(GO) test -run=NONE -fuzz=FuzzQuantilesInPlace -fuzztime=$(FUZZTIME) ./internal/stats
 
 # Each seed's verbose log goes to a temporary directory; the table reads
 # the top-level "--- PASS/FAIL/SKIP" lines. A test missing from a seed's

@@ -91,19 +91,46 @@ func Transform(x []complex128) {
 		i, j := p.swaps[s], p.swaps[s+1]
 		x[i], x[j] = x[j], x[i]
 	}
-	// Danielson-Lanczos butterflies.
-	for half := 1; half < n; half <<= 1 {
-		size := half << 1
-		tw := p.twiddles[half-1 : size-1]
-		for start := 0; start < n; start += size {
-			lo := x[start : start+half]
-			hi := x[start+half : start+size]
-			lo, hi = lo[:len(tw)], hi[:len(tw)]
-			for k, w := range tw {
-				a := lo[k]
-				b := hi[k] * w
-				lo[k] = a + b
-				hi[k] = a - b
+	// Danielson-Lanczos butterflies, two stages per pass over x (radix-2²):
+	// the stages that combine blocks of half and of 2·half elements touch
+	// each group of four elements, one half apart, only among themselves,
+	// so the group is loaded once, put through its four butterflies in
+	// registers and stored once. Every butterfly is the radix-2 one with
+	// the same tabulated twiddle, trivial ones included, and no butterfly
+	// reads a value before the butterflies that wrote it have run, so the
+	// outputs are bit-identical to one stage per pass. An odd stage count
+	// runs its first stage alone.
+	half := 1
+	if bits.TrailingZeros(uint(n))&1 == 1 {
+		for start := 0; start < n; start += 2 {
+			a := x[start]
+			b := x[start+1] * p.twiddles[0]
+			x[start] = a + b
+			x[start+1] = a - b
+		}
+		half = 2
+	}
+	for ; half < n; half <<= 2 {
+		tw1 := p.twiddles[half-1 : 2*half-1]
+		tw2 := p.twiddles[2*half-1 : 4*half-1]
+		tw2lo, tw2hi := tw2[:half], tw2[half:]
+		for start := 0; start < n; start += 4 * half {
+			x0 := x[start : start+half]
+			x1 := x[start+half : start+2*half]
+			x2 := x[start+2*half : start+3*half]
+			x3 := x[start+3*half : start+4*half]
+			x0, x1, x2, x3 = x0[:len(tw1)], x1[:len(tw1)], x2[:len(tw1)], x3[:len(tw1)]
+			tw2lo, tw2hi := tw2lo[:len(tw1)], tw2hi[:len(tw1)]
+			for k, w := range tw1 {
+				a0, a1, a2, a3 := x0[k], x1[k], x2[k], x3[k]
+				b := a1 * w
+				a0, a1 = a0+b, a0-b
+				b = a3 * w
+				a2, a3 = a2+b, a2-b
+				b = a2 * tw2lo[k]
+				x0[k], x2[k] = a0+b, a0-b
+				b = a3 * tw2hi[k]
+				x1[k], x3[k] = a1+b, a1-b
 			}
 		}
 	}

@@ -106,12 +106,18 @@ func MinProfileStepsFor(g sim.Grid) int {
 	return g.StepsPerDay()
 }
 
+// extractChunkSubs is how many subscriptions one unit of Extract's fan-out
+// profiles: enough to amortize claiming a unit, few enough that the last
+// units finish close together.
+const extractChunkSubs = 8
+
 // Extract builds a knowledge base from a trace, labelled with the trace's
 // last grid step and one fold. Subscriptions are profiled independently,
-// so they fan out over the worker pool in subscription order; each worker
-// reuses one series scratch buffer across its whole chunk of
-// subscriptions. Profiles are identical to a sequential extraction: all
-// per-subscription state is worker-local.
+// so they fan out over the worker pool in units of consecutive
+// subscriptions, each profile stored at its subscription's index.
+// Profiles are identical to a sequential extraction: all per-subscription
+// state is worker-local, and a reused series buffer is overwritten before
+// it is read.
 func Extract(t *trace.Trace, opts ExtractOptions) *Snapshot {
 	opts = opts.withDefaults()
 	cl := classifiers{
@@ -133,12 +139,24 @@ func Extract(t *trace.Trace, opts ExtractOptions) *Snapshot {
 	// Stable, so a subscription that appears on both platforms keeps its
 	// platforms in core.Clouds order.
 	slices.SortStableFunc(jobs, func(a, b job) int { return cmp.Compare(a.sub, b.sub) })
-	profiles := parallel.MapChunk(len(jobs), func(lo, hi int, dst []*Profile) {
+	// Subscriptions differ widely in cost, so they are claimed in small
+	// units rather than split into one static range per worker. Units hand
+	// their series buffer on through a free list, so the pass allocates one
+	// buffer per worker taking part, not one per unit.
+	profiles := make([]*Profile, len(jobs))
+	free := make(chan []float64, parallel.Workers())
+	parallel.ForEach((len(jobs)+extractChunkSubs-1)/extractChunkSubs, func(c int) {
 		var buf []float64
-		for i := lo; i < hi; i++ {
-			var p *Profile
-			p, buf = extractProfile(t, opts, cl, jobs[i].sub, jobs[i].vms, buf)
-			dst[i-lo] = p
+		select {
+		case buf = <-free:
+		default:
+		}
+		for i := c * extractChunkSubs; i < min(len(jobs), (c+1)*extractChunkSubs); i++ {
+			profiles[i], buf = extractProfile(t, opts, cl, jobs[i].sub, jobs[i].vms, buf)
+		}
+		select {
+		case free <- buf:
+		default:
 		}
 	})
 	// Such a subscription is one entry in the knowledge base: the last

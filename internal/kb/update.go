@@ -1,6 +1,10 @@
 package kb
 
-import "cloudlens/internal/core"
+import (
+	"maps"
+
+	"cloudlens/internal/core"
+)
 
 // The paper's Section V envisions a knowledge base that "continuously
 // extracts workload knowledge from telemetry signals" — knowledge must be
@@ -72,7 +76,7 @@ func blendProfiles(prev, next *Profile, w float64) *Profile {
 		MedianLifetimeMin: blend(prev.MedianLifetimeMin, next.MedianLifetimeMin, w),
 		ShortLivedShare:   blend(prev.ShortLivedShare, next.ShortLivedShare, w),
 		MeanUtilization:   blend(prev.MeanUtilization, next.MeanUtilization, w),
-		PatternShares:     make(map[core.Pattern]float64),
+		PatternShares:     blendShares(prev.PatternShares, next.PatternShares, w),
 		PeakHourUTC:       next.PeakHourUTC,
 	}
 	if out.PeakHourUTC < 0 {
@@ -88,16 +92,6 @@ func blendProfiles(prev, next *Profile, w float64) *Profile {
 	default:
 		out.RegionAgnosticScore = blend(prev.RegionAgnosticScore, next.RegionAgnosticScore, w)
 	}
-	keys := make(map[core.Pattern]bool)
-	for k := range prev.PatternShares {
-		keys[k] = true
-	}
-	for k := range next.PatternShares {
-		keys[k] = true
-	}
-	for k := range keys {
-		out.PatternShares[k] = blend(prev.PatternShares[k], next.PatternShares[k], w)
-	}
 	out.DominantPattern = dominantPattern(out.Family, out.PatternShares)
 	return out
 }
@@ -110,6 +104,28 @@ func blend(prev, next, w float64) float64 {
 		return prev
 	}
 	return (1-w)*prev + w*next
+}
+
+// blendShares blends two pattern-share maps over the union of their
+// patterns, a pattern missing from one side reading as a share of 0 there,
+// so shares that each summed to 1 still do. A side with no shares
+// classified no VM: it is no observation, and the other side stands.
+func blendShares(prev, next map[core.Pattern]float64, w float64) map[core.Pattern]float64 {
+	out := make(map[core.Pattern]float64, max(len(prev), len(next)))
+	switch {
+	case len(prev) == 0:
+		maps.Copy(out, next)
+	case len(next) == 0:
+		maps.Copy(out, prev)
+	default:
+		for k, v := range prev {
+			out[k] = (1 - w) * v
+		}
+		for k, v := range next {
+			out[k] += w * v
+		}
+	}
+	return out
 }
 
 func unionSorted(a, b []string) []string {

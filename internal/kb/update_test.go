@@ -136,6 +136,47 @@ func TestMergeDominantPatternShifts(t *testing.T) {
 	}
 }
 
+// TestMergeBlendsSharesOverTheUnion: a pattern missing from one week reads
+// as a share of 0 there, so the blended shares still sum to 1, while a week
+// that classified no VM is no observation of the shares.
+func TestMergeBlendsSharesOverTheUnion(t *testing.T) {
+	type shares = map[core.Pattern]float64
+	diurnal, stable := core.PatternDiurnal, core.PatternStable
+	for _, tc := range []struct {
+		name         string
+		prev, next   shares
+		want         shares
+		wantDominant core.Pattern
+	}{
+		{"shifted", shares{diurnal: 1}, shares{stable: 1}, shares{diurnal: 0.1, stable: 0.9}, stable},
+		{"prev unclassified", shares{}, shares{stable: 1}, shares{stable: 1}, stable},
+		{"next unclassified", shares{diurnal: 0.25, stable: 0.75}, shares{},
+			shares{diurnal: 0.25, stable: 0.75}, stable},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			older, newer := mkProfile("a", 0.2), mkProfile("a", 0.2)
+			older.PatternShares, newer.PatternShares = tc.prev, tc.next
+			got, _ := Merge(SnapshotOf(0, 0, older), SnapshotOf(0, 0, newer), MergeOptions{NewWeight: 0.9}).Get("a")
+			if len(got.PatternShares) != len(tc.want) {
+				t.Fatalf("shares %v, want %v", got.PatternShares, tc.want)
+			}
+			sum := 0.0
+			for p, v := range got.PatternShares {
+				if math.Abs(v-tc.want[p]) > 1e-12 {
+					t.Fatalf("shares %v, want %v", got.PatternShares, tc.want)
+				}
+				sum += v
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Fatalf("shares %v sum to %v, want 1", got.PatternShares, sum)
+			}
+			if got.DominantPattern != tc.wantDominant {
+				t.Fatalf("dominant %v, want %v", got.DominantPattern, tc.wantDominant)
+			}
+		})
+	}
+}
+
 func TestMergeWeekOverWeekFromTraces(t *testing.T) {
 	_, cpu := sharedKB(t)
 	_, serverless := sharedServerlessKB(t)

@@ -58,9 +58,17 @@ func ForEach(n int, fn func(i int)) {
 // invokes fn(lo, hi) once per chunk, concurrently. Use it when a worker
 // benefits from per-chunk state (a reusable scratch buffer, one allocation
 // amortized over many items). Chunk boundaries are deterministic in n and
-// Workers(), but fn must not care which goroutine runs which chunk.
+// Workers(), but fn must not care which goroutine runs which chunk. With
+// one worker fn runs inline as one chunk, uncounted by the pool metrics.
 func ForEachChunk(n int, fn func(lo, hi int)) {
-	forChunks(chunkFunc(fn), nil, n)
+	workers := min(Workers(), n)
+	if workers <= 1 {
+		if n > 0 {
+			fn(0, n)
+		}
+		return
+	}
+	dispatch(chunkFunc(fn), nil, n, (n+workers-1)/workers)
 }
 
 // Map invokes fn(i) for every i in [0, n) on the pool and returns the
@@ -68,14 +76,6 @@ func ForEachChunk(n int, fn func(lo, hi int)) {
 func Map[T any](n int, fn func(i int) T) []T {
 	out := make([]T, n)
 	dispatch(mapFunc[T](fn), unsafe.Pointer(unsafe.SliceData(out)), n, 1)
-	return out
-}
-
-// MapChunk is ForEachChunk with an order-preserving result slice: fn fills
-// out[lo:hi] for its chunk, reusing whatever scratch state it likes.
-func MapChunk[T any](n int, fn func(lo, hi int, out []T)) []T {
-	out := make([]T, n)
-	forChunks(mapChunkFunc[T](fn), unsafe.Pointer(unsafe.SliceData(out)), n)
 	return out
 }
 
@@ -114,26 +114,6 @@ func (f mapFunc[T]) run(base unsafe.Pointer, n, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		out[i] = f(i)
 	}
-}
-
-type mapChunkFunc[T any] func(lo, hi int, out []T)
-
-func (f mapChunkFunc[T]) run(base unsafe.Pointer, n, lo, hi int) {
-	f(lo, hi, unsafe.Slice((*T)(base), n)[lo:hi])
-}
-
-// forChunks dispatches r over at most Workers() contiguous chunks of
-// [0, n), or runs it inline — and uncounted — as one chunk when only one
-// worker would take part.
-func forChunks(r runner, base unsafe.Pointer, n int) {
-	workers := min(Workers(), n)
-	if workers <= 1 {
-		if n > 0 {
-			r.run(base, n, 0, n)
-		}
-		return
-	}
-	dispatch(r, base, n, (n+workers-1)/workers)
 }
 
 // dispatch runs r over [0, n) in units of size consecutive items (the last

@@ -73,22 +73,6 @@ func TestForEachChunkCoversRangeWithoutOverlap(t *testing.T) {
 	}
 }
 
-func TestMapChunkMatchesMap(t *testing.T) {
-	forceWorkers(t, 4, func() {
-		a := Map(257, func(i int) int { return 3 * i })
-		b := MapChunk(257, func(lo, hi int, out []int) {
-			for i := lo; i < hi; i++ {
-				out[i-lo] = 3 * i
-			}
-		})
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("MapChunk[%d] = %d, Map = %d", i, b[i], a[i])
-			}
-		}
-	})
-}
-
 func TestDoRunsEveryTask(t *testing.T) {
 	forceWorkers(t, 4, func() {
 		var a, b, c int32
@@ -126,17 +110,12 @@ func TestWorkersAtLeastOne(t *testing.T) {
 
 // TestDispatchAllocatesNothing pins the persistent pool's contract: once its
 // helpers are running, a dispatch allocates nothing — no goroutines, no
-// chunk table, no dispatch record — and MapChunk only its result slice.
+// chunk table, no dispatch record.
 func TestDispatchAllocatesNothing(t *testing.T) {
 	forceWorkers(t, 2, func() {
 		var sink atomic.Int64
 		each := func(i int) { sink.Add(int64(i)) }
 		chunk := func(lo, hi int) { sink.Add(int64(hi - lo)) }
-		fill := func(lo, hi int, out []int) {
-			for i := range out {
-				out[i] = lo + i
-			}
-		}
 		for _, c := range []struct {
 			name string
 			want float64
@@ -144,7 +123,6 @@ func TestDispatchAllocatesNothing(t *testing.T) {
 		}{
 			{"ForEach", 0, func() { ForEach(64, each) }},
 			{"ForEachChunk", 0, func() { ForEachChunk(64, chunk) }},
-			{"MapChunk", 1, func() { MapChunk(64, fill) }},
 		} {
 			if got := testing.AllocsPerRun(200, c.f); got != c.want {
 				t.Errorf("%s: %.2f allocs per dispatch, want %.0f", c.name, got, c.want)

@@ -11,6 +11,8 @@ package stats
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -108,8 +110,10 @@ func QuantilesOf(xs []float64, qs ...float64) []float64 {
 }
 
 // QuantilesInPlace is QuantilesOf for a caller done with xs: it drops the
-// NaNs and sorts in xs's own storage instead of a copy, leaving xs
-// reordered.
+// NaNs in xs's own storage instead of a copy and, rather than sorting it,
+// selects only the order statistics the quantiles read, leaving xs
+// reordered. Each result equals what a full sort would give; only the sign
+// of a zero may differ, where xs holds both -0 and +0.
 func QuantilesInPlace(xs []float64, qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	n := 0
@@ -122,12 +126,90 @@ func QuantilesInPlace(xs []float64, qs ...float64) []float64 {
 	if n == 0 {
 		return out
 	}
-	sorted := xs[:n]
-	sort.Float64s(sorted)
+	xs = xs[:n]
+	ranks := make([]int, 0, 2*len(qs))
+	for _, q := range qs {
+		if !math.IsNaN(q) {
+			lo, hi, _ := quantileRanks(n, q)
+			ranks = append(ranks, lo, hi)
+		}
+	}
+	slices.Sort(ranks)
+	selectRanks(xs, 0, slices.Compact(ranks), 2*bits.Len(uint(n)))
 	for i, q := range qs {
-		out[i] = quantileSorted(sorted, q)
+		out[i] = quantileSorted(xs, q)
 	}
 	return out
+}
+
+// selectRanks reorders xs, a NaN-free window of a slice that starts off
+// elements earlier, so that for every rank k in ranks (ascending, all
+// inside the window) position k-off holds the value a sort would put there.
+// It is a three-way quickselect that only descends into the parts holding
+// a wanted rank; values equal to the pivot are settled in one pass, so ties
+// cost nothing extra. After depth partitions a window is sorted outright,
+// which bounds the worst case at a sort's O(n log n).
+func selectRanks(xs []float64, off int, ranks []int, depth int) {
+	for len(ranks) > 0 {
+		if len(xs) <= 12 {
+			for i := 1; i < len(xs); i++ {
+				for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
+					xs[j], xs[j-1] = xs[j-1], xs[j]
+				}
+			}
+			return
+		}
+		if depth == 0 {
+			sort.Float64s(xs)
+			return
+		}
+		depth--
+		lt, gt := partition3(xs, medianOf3(xs[0], xs[len(xs)/2], xs[len(xs)-1]))
+		// xs[:lt] < pivot, xs[lt:gt] == pivot, xs[gt:] > pivot.
+		left := 0
+		for left < len(ranks) && ranks[left] < off+lt {
+			left++
+		}
+		right := left
+		for right < len(ranks) && ranks[right] < off+gt {
+			right++
+		}
+		selectRanks(xs[:lt], off, ranks[:left], depth)
+		xs, off, ranks = xs[gt:], off+gt, ranks[right:]
+	}
+}
+
+// partition3 rearranges xs around pivot into the values below it, equal to
+// it and above it, and returns where the equal run starts and ends.
+func partition3(xs []float64, pivot float64) (lt, gt int) {
+	i, gt := 0, len(xs)
+	for i < gt {
+		switch v := xs[i]; {
+		case v < pivot:
+			xs[lt], xs[i] = v, xs[lt]
+			lt++
+			i++
+		case v > pivot:
+			gt--
+			xs[i], xs[gt] = xs[gt], v
+		default:
+			i++
+		}
+	}
+	return lt, gt
+}
+
+func medianOf3(a, b, c float64) float64 {
+	if a > b {
+		a, b = b, a
+	}
+	if b > c {
+		b = c
+	}
+	if a > b {
+		return a
+	}
+	return b
 }
 
 // sortedFinite returns a sorted copy of xs with NaNs dropped. The copy is
@@ -144,25 +226,33 @@ func sortedFinite(xs []float64) []float64 {
 	return sorted
 }
 
-// quantileSorted computes the R-7 quantile of an already sorted slice.
+// quantileSorted computes the R-7 quantile of an already sorted slice. It
+// reads only the order statistics quantileRanks names.
 func quantileSorted(sorted []float64, q float64) float64 {
 	if math.IsNaN(q) {
 		return math.NaN()
 	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
+	lo, hi, frac := quantileRanks(len(sorted), q)
 	if lo == hi {
 		return sorted[lo]
 	}
-	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// quantileRanks returns the two order statistics, lo <= hi, between which
+// the R-7 q-quantile of n samples interpolates, and hi's weight. q is
+// clamped to [0, 1] and must not be NaN.
+func quantileRanks(n int, q float64) (lo, hi int, frac float64) {
+	if q <= 0 {
+		return 0, 0, 0
+	}
+	if q >= 1 {
+		return n - 1, n - 1, 0
+	}
+	pos := q * float64(n-1)
+	lo = int(math.Floor(pos))
+	hi = int(math.Ceil(pos))
+	return lo, hi, pos - float64(lo)
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired samples
