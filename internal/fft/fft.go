@@ -1,9 +1,10 @@
-// Package fft implements an iterative radix-2 fast Fourier transform on
-// complex128 slices, and the real-input transform built on it. It exists to
-// power the periodogram and autocorrelation in package periodic (the
-// period-detection approach of Vlachos et al. that the paper cites for
-// identifying diurnal and hourly-peak utilization patterns) without any
-// dependency outside the standard library.
+// Package fft implements an iterative radix-2² fast Fourier transform
+// (radix-2 stages run in pairs) on complex128 slices, and the real-input
+// transform built on it. It exists to power the periodogram and
+// autocorrelation in package periodic (the period-detection approach of
+// Vlachos et al. that the paper cites for identifying diurnal and
+// hourly-peak utilization patterns) without any dependency outside the
+// standard library.
 package fft
 
 import (
@@ -112,15 +113,13 @@ func Transform(x []complex128) {
 	}
 	for ; half < n; half <<= 2 {
 		tw1 := p.twiddles[half-1 : 2*half-1]
-		tw2 := p.twiddles[2*half-1 : 4*half-1]
-		tw2lo, tw2hi := tw2[:half], tw2[half:]
+		tw2lo := p.twiddles[2*half-1 : 3*half-1][:len(tw1)]
+		tw2hi := p.twiddles[3*half-1 : 4*half-1][:len(tw1)]
 		for start := 0; start < n; start += 4 * half {
-			x0 := x[start : start+half]
-			x1 := x[start+half : start+2*half]
-			x2 := x[start+2*half : start+3*half]
-			x3 := x[start+3*half : start+4*half]
-			x0, x1, x2, x3 = x0[:len(tw1)], x1[:len(tw1)], x2[:len(tw1)], x3[:len(tw1)]
-			tw2lo, tw2hi := tw2lo[:len(tw1)], tw2hi[:len(tw1)]
+			x0 := x[start : start+half][:len(tw1)]
+			x1 := x[start+half : start+2*half][:len(tw1)]
+			x2 := x[start+2*half : start+3*half][:len(tw1)]
+			x3 := x[start+3*half : start+4*half][:len(tw1)]
 			for k, w := range tw1 {
 				a0, a1, a2, a3 := x0[k], x1[k], x2[k], x3[k]
 				b := a1 * w

@@ -102,7 +102,7 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
-// QuantilesOf returns the quantiles at each q in qs, sorting xs only once.
+// QuantilesOf returns the quantiles at each q in qs from one copy of xs.
 // NaN samples are ignored, each q is clamped to [0, 1], and a NaN q yields
 // NaN, exactly as in Quantile.
 func QuantilesOf(xs []float64, qs ...float64) []float64 {
