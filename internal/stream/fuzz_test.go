@@ -33,6 +33,21 @@ func checkpointOf(t testing.TB) *Checkpoint {
 	return checkpointedEngine(t).captureCheckpoint()
 }
 
+// checkpointFrom writes eng's checkpoint and reads it back: a Checkpoint
+// the caller owns outright, free to mutate and restore.
+func checkpointFrom(t testing.TB, tr *trace.Trace, eng Engine) *Checkpoint {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := eng.WriteCheckpoint(&buf); err != nil {
+		t.Fatalf("write checkpoint: %v", err)
+	}
+	ck, err := ReadCheckpoint(&buf, tr)
+	if err != nil {
+		t.Fatalf("read checkpoint: %v", err)
+	}
+	return ck
+}
+
 // checkpointBytes serializes the mid-flight state as WriteCheckpoint would.
 func checkpointBytes(t testing.TB) []byte {
 	t.Helper()
