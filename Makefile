@@ -29,8 +29,9 @@
 #                      exercise)
 #   make test-faults — fault-tolerance goldens under -race at 1, 2 and 4
 #                      cores: fault-matrix ledger reconciliation, kill/resume
-#                      checkpoint golden, and the paginated-walk-during-
-#                      ingestion hammer
+#                      checkpoint golden, the restore refusals and the
+#                      one-shard-per-worker restore, and the paginated-walk-
+#                      during-ingestion hammer
 #   make bench-stream-gate — allocation-rate gate on the ingestion hot path:
 #                      a traced cloudbench ingest-clean run at GOMAXPROCS 1, 2
 #                      and 4, failing unless the three print the same
@@ -117,7 +118,7 @@ test-batch:
 	$(GO) test -race -count=1 -cpu 1,2,4 -run 'Determinis|Golden|Pinned|Standalone|RetainsNoSeries' .
 
 test-faults:
-	$(GO) test -race -count=1 -cpu 1,2,4 -timeout 30m -run 'Fault|Checkpoint|Resume|Harden|Reorder|Gap|Pagination|Shard' \
+	$(GO) test -race -count=1 -cpu 1,2,4 -timeout 30m -run 'Fault|Checkpoint|Resume|Restore|Harden|Reorder|Gap|Pagination|Shard' \
 		./internal/faultgen ./internal/stream ./cmd/wkbserver
 
 # The ingestion hot path must stay allocation-free in steady state. The

@@ -25,10 +25,12 @@
 // Fault tolerance: -faults injects a seeded fault mix into the replay
 // (grammar: drop=0.01,dup=0.005,delay=0.002:3,corrupt=0.001,seed=1);
 // -lateness and -gap-policy tune the ingestor's reorder window and gap
-// repair. -checkpoint-dir enables durable checkpoints, written every
+// repair. -checkpoint-dir enables checkpoints, written every
 // -checkpoint-every and once more on SIGTERM; -resume continues ingestion
 // from the newest checkpoint instead of replaying from step 0 (starting
-// fresh when none exists yet).
+// fresh when none exists yet). A checkpoint is written to a temporary file
+// and renamed into place, so killing the server never leaves a torn one;
+// it is not fsynced, so power loss or an operating-system crash can.
 //
 // Policies: -policies enables the online decision engine (grammar:
 // "oversub:risk=4,spot,balance"). Policies evaluate requests against an
@@ -131,7 +133,7 @@ func run() error {
 		faults      = flag.String("faults", "", "inject a seeded fault mix into the replay, e.g. drop=0.01,dup=0.005,delay=0.002:3,corrupt=0.001,seed=1")
 		lateness    = flag.Int("lateness", 0, "reorder window in steps the ingestor tolerates (0 = default 3, negative = strictly in-order)")
 		gapPolicy   = flag.String("gap-policy", "carry", "repair policy for per-VM sample gaps: carry | skip | interpolate")
-		ckptDir     = flag.String("checkpoint-dir", "", "write durable ingestion checkpoints into this directory (requires -replay)")
+		ckptDir     = flag.String("checkpoint-dir", "", "write ingestion checkpoints into this directory (requires -replay); each is renamed into place whole, not fsynced")
 		ckptEvery   = flag.Duration("checkpoint-every", 30*time.Second, "checkpoint interval while the replay runs")
 		resume      = flag.Bool("resume", false, "continue ingestion from the checkpoint in -checkpoint-dir instead of replaying from step 0")
 		policies    = flag.String("policies", "", "enable the online policy engine with this spec, e.g. oversub:risk=4,spot,balance (empty = disabled)")
@@ -394,7 +396,7 @@ func ensureCheckpointDir(ckptPath string) error {
 	return os.MkdirAll(filepath.Dir(ckptPath), 0o755)
 }
 
-// checkpointLoop writes a durable checkpoint every interval while the
+// checkpointLoop writes a checkpoint every interval while the
 // replay is still ingesting. The final SIGTERM checkpoint is written by
 // the shutdown path, after the pipeline has stopped.
 func checkpointLoop(ctx context.Context, pipe *stream.Pipeline, path string, every time.Duration, logger *slog.Logger) {

@@ -56,7 +56,7 @@ type FaultsReport struct {
 	Injected *faultgen.Ledger `json:"injected,omitempty"`
 	// FaultSpec echoes the active -faults grammar; absent without -faults.
 	FaultSpec string `json:"faultSpec,omitempty"`
-	// LastCheckpoint describes the newest durable checkpoint; absent until
+	// LastCheckpoint describes the newest checkpoint written; absent until
 	// one has been written.
 	LastCheckpoint *stream.CheckpointInfo `json:"lastCheckpoint,omitempty"`
 	// LastCheckpointAgeSec is the checkpoint's age at response time.

@@ -1,6 +1,9 @@
 package sketch
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Exported state mirrors of every sketch type. A State value captures the
 // complete accumulator — decoding it and folding further samples produces
@@ -98,35 +101,72 @@ func (a *AutoCorr) State() AutoCorrState {
 	}
 }
 
+// SharedState flushes the deferred samples into a in place, which leaves
+// every read bit for bit as it was (Flush's contract), and returns the
+// state with its slices shared with a, not copied. It is State without the
+// copies, for a caller that encodes the state before a sees another
+// sample; a caller that keeps the state longer wants State.
+func (a *AutoCorr) SharedState() AutoCorrState {
+	a.Flush()
+	return AutoCorrState{
+		Lags:    a.lags,
+		Ring:    a.ring,
+		W:       a.w.State(),
+		Sum:     a.sum,
+		SumProd: a.sumProd,
+		HeadSum: a.headSum,
+		TailSum: a.tailSum,
+	}
+}
+
 // AutoCorrFromState reconstructs the accumulator a State was captured from.
 // The per-lag sum slices must all match the lag count and the ring length
 // must be the one the sample count implies; mismatches indicate a corrupted
 // or incompatible snapshot.
 func AutoCorrFromState(s AutoCorrState) (*AutoCorr, error) {
+	a := new(AutoCorr)
+	if err := a.Restore(append([]int(nil), s.Lags...), s); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Restore makes a, in place, the accumulator s was captured from, checking
+// s as AutoCorrFromState does. a tracks lags, which must equal s.Lags and
+// is kept without copying, as Init keeps it, so many restored accumulators
+// can share one lag set. The ring and the sums are copied into storage a
+// owns and s is not written, so one state can be restored more than once.
+// On error a is left as it was.
+func (a *AutoCorr) Restore(lags []int, s AutoCorrState) error {
+	if !slices.Equal(lags, s.Lags) {
+		return fmt.Errorf("sketch: autocorr state tracks lags %v, not %v", s.Lags, lags)
+	}
 	if len(s.SumProd) != len(s.Lags) || len(s.HeadSum) != len(s.Lags) || len(s.TailSum) != len(s.Lags) {
-		return nil, fmt.Errorf("sketch: autocorr state has %d lags but %d/%d/%d sums",
+		return fmt.Errorf("sketch: autocorr state has %d lags but %d/%d/%d sums",
 			len(s.Lags), len(s.SumProd), len(s.HeadSum), len(s.TailSum))
 	}
+	maxLag := 0
 	for _, l := range s.Lags {
 		if l <= 0 {
-			// NewAutoCorr panics on this; a decoded snapshot must get an
-			// error instead.
-			return nil, fmt.Errorf("sketch: autocorr state carries non-positive lag %d", l)
+			// Init panics on this; a decoded snapshot must get an error
+			// instead.
+			return fmt.Errorf("sketch: autocorr state carries non-positive lag %d", l)
 		}
+		maxLag = max(maxLag, l)
 	}
-	a := NewAutoCorr(s.Lags...)
 	// Add indexes the ring by the sample count, so the two must agree: the
 	// ring holds every sample until it reaches the largest lag, then stays
 	// that long.
-	if want := min(s.W.N, int64(a.maxLag)); s.W.N < 0 || int64(len(s.Ring)) != want {
-		return nil, fmt.Errorf("sketch: autocorr ring holds %d samples, a count of %d under max lag %d needs %d",
-			len(s.Ring), s.W.N, a.maxLag, want)
+	if want := min(s.W.N, int64(maxLag)); s.W.N < 0 || int64(len(s.Ring)) != want {
+		return fmt.Errorf("sketch: autocorr ring holds %d samples, a count of %d under max lag %d needs %d",
+			len(s.Ring), s.W.N, maxLag, want)
 	}
-	a.ring = append(a.ring[:0], s.Ring...)
+	a.Init(lags...)
+	a.ring = append([]float32(nil), s.Ring...)
 	a.w = WelfordFromState(s.W)
 	a.sum = s.Sum
 	copy(a.sumProd, s.SumProd)
 	copy(a.headSum, s.HeadSum)
 	copy(a.tailSum, s.TailSum)
-	return a, nil
+	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -146,5 +147,48 @@ func TestAutoCorrMergeAfterDecode(t *testing.T) {
 		SumProd: []float64{0}, HeadSum: []float64{0}, TailSum: []float64{0},
 	}); err == nil {
 		t.Fatal("a 2-sample ring under a count of 113 did not error")
+	}
+}
+
+// TestAutoCorrSharedStateRestoresInPlace pins the checkpoint pair:
+// SharedState reads as State does, sharing the sketch's slices instead of
+// copying them, and Restore rebuilds in place on the caller's lag slice a
+// sketch that continues bit for bit, without writing or keeping the state.
+func TestAutoCorrSharedStateRestoresInPlace(t *testing.T) {
+	lags := []int{3, 5, 40}
+	live := NewAutoCorr(lags...)
+	for i := 0; i < 61; i++ { // mid-block, past the largest lag
+		live.Add(float64(i%7) / 7)
+	}
+	want := live.State()
+	shared := live.SharedState()
+	if !reflect.DeepEqual(shared, want) {
+		t.Fatalf("SharedState %+v differs from State %+v", shared, want)
+	}
+	if &shared.Ring[0] != &live.ring[0] || &shared.SumProd[0] != &live.sumProd[0] {
+		t.Fatal("SharedState copied the ring or the sums")
+	}
+
+	var restored AutoCorr
+	if err := restored.Restore(lags, want); err != nil {
+		t.Fatal(err)
+	}
+	if &restored.lags[0] != &lags[0] || &restored.ring[0] == &want.Ring[0] {
+		t.Fatal("Restore copied the lag slice or kept the state's ring")
+	}
+	kept := live.State()
+	for i := 0; i < 50; i++ {
+		x := float64(i%5) / 5
+		live.Add(x)
+		restored.Add(x)
+	}
+	if got, w := restored.State(), live.State(); !reflect.DeepEqual(got, w) {
+		t.Fatalf("restored sketch continues to %+v, the live one to %+v", got, w)
+	}
+	if !reflect.DeepEqual(want, kept) {
+		t.Fatal("continuing the restored sketch wrote the state it came from")
+	}
+	if err := restored.Restore([]int{3, 5, 41}, want); err == nil {
+		t.Fatal("Restore accepted a state of other lags")
 	}
 }

@@ -12,6 +12,7 @@ import (
 
 	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
+	"cloudlens/internal/parallel"
 	"cloudlens/internal/sketch"
 	"cloudlens/internal/trace"
 )
@@ -183,17 +184,14 @@ func TraceFingerprint(tr *trace.Trace) uint64 {
 	return h.Sum64()
 }
 
-// snapshot captures a deep copy of the ingestor state under the read lock.
+// snapshot captures the ingestor state as a ShardCheckpoint under the
+// write lock. The autocorrelation sketches, flushed in place, lend their
+// rings and sums to it uncopied — they are nearly all of the state — so the
+// caller encodes or compares the snapshot before the ingestor sees another
+// sample; every other slice and sketch state is a copy.
 func (ing *Ingestor) snapshot() *ShardCheckpoint {
-	ing.mu.RLock()
-	defer ing.mu.RUnlock()
-	return ing.checkpointLocked()
-}
-
-// checkpointLocked captures the ingestor state as a ShardCheckpoint.
-// Callers hold at least the read lock. Every slice and sketch state is
-// copied, so the snapshot stays consistent after the lock is released.
-func (ing *Ingestor) checkpointLocked() *ShardCheckpoint {
+	ing.mu.Lock()
+	defer ing.mu.Unlock()
 	ck := &ShardCheckpoint{
 		LastStep:          int(ing.lastStep.Load()),
 		Watermark:         ing.watermark,
@@ -265,7 +263,7 @@ func (ing *Ingestor) checkpointLocked() *ShardCheckpoint {
 			PeakMax: acc.peakMax, IdleN: acc.idleN,
 			Qualified: acc.qualified, Hourly: acc.hourly, HourlyN: acc.hourlyN,
 			GapSteps: append([]int32(nil), acc.gapSteps...),
-			AC:       acc.ac.State(),
+			AC:       acc.ac.SharedState(),
 		})
 	}
 	for c, cs := range ing.clouds {
@@ -520,13 +518,18 @@ func restoreEngine(tr *trace.Trace, opts Options, ck *Checkpoint) (*shardGroup, 
 	if opts.Shards != ck.ShardCount {
 		return nil, fmt.Errorf("stream: checkpoint was written with %d shard(s) but this run is configured for %d; restart with -shards %d to resume it", ck.ShardCount, opts.Shards, ck.ShardCount)
 	}
+	// One shard per worker; the error reported is the lowest shard's.
 	shards := make([]*Ingestor, ck.ShardCount)
-	for i := range shards {
-		ing, err := restoreShard(tr, opts, ck.Shards[i], shardMetrics(i))
-		if err != nil {
-			return nil, fmt.Errorf("stream: restore shard %d: %w", i, err)
+	errs := make([]error, ck.ShardCount)
+	parallel.ForEach(ck.ShardCount, func(i int) {
+		if ing, err := restoreShard(tr, opts, ck.Shards[i], shardMetrics(i)); err != nil {
+			errs[i] = fmt.Errorf("stream: restore shard %d: %w", i, err)
+		} else {
+			shards[i] = ing
 		}
-		shards[i] = ing
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	g := startShardGroup(tr, shards[0].opts, shards, ck.FoldCount)
 	// Publish the restored profiles immediately, under the last fold's
@@ -600,17 +603,18 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 		if ss == nil {
 			return nil, fmt.Errorf("stream: checkpoint accumulator for VM %d precedes its subscription %s", st.Idx, v.Subscription)
 		}
-		ac, err := sketch.AutoCorrFromState(st.AC)
-		if err != nil {
-			return nil, fmt.Errorf("stream: VM %d autocorrelation: %w", st.Idx, err)
-		}
 		acc := &vmAcc{
 			util: ss.util.Counter(), idx: st.Idx, v: v, sub: ss, cs: ing.clouds[v.Cloud], from: st.From,
-			seen: st.Seen, next: st.Next, last: st.Last, ac: *ac,
+			seen: st.Seen, next: st.Next, last: st.Last,
 			peakSum: st.PeakSum, restSum: st.RestSum, peakN: st.PeakN, restN: st.RestN,
 			peakMax: st.PeakMax, idleN: st.IdleN,
 			qualified: st.Qualified, hourly: st.Hourly, hourlyN: st.HourlyN,
 			gapSteps: st.GapSteps,
+		}
+		// In place, on the lag set every fresh accumulator shares (validate
+		// held the checkpoint's lags to it).
+		if err := acc.ac.Restore(ing.lags.all, st.AC); err != nil {
+			return nil, fmt.Errorf("stream: VM %d autocorrelation: %w", st.Idx, err)
 		}
 		if acc.qualified {
 			ss.qualified = append(ss.qualified, acc.idx)
@@ -645,7 +649,10 @@ func setOf(keys []string) map[string]bool {
 	return set
 }
 
-// CheckpointInfo describes the most recent durable snapshot.
+// CheckpointInfo describes the most recent checkpoint file SaveCheckpoint
+// put in place. The file was renamed into place whole, so a killed process
+// never leaves a torn one; it was not fsynced, so power loss or an
+// operating-system crash can still lose or tear it.
 type CheckpointInfo struct {
 	// Step is the newest batch step the file holds (its LastStep), not the
 	// step ingestion had reached by the time the write finished.
@@ -656,8 +663,11 @@ type CheckpointInfo struct {
 	Bytes   int64     `json:"bytes"`
 }
 
-// SaveCheckpoint writes the pipeline's current state to path atomically
-// (temp file + rename) and records it as the latest checkpoint.
+// SaveCheckpoint writes the pipeline's current state to path and records
+// it as the latest checkpoint. It writes a temporary file and renames it
+// over path, so a reader, or a restart after the process is killed, finds
+// the old file or the new one whole. It does not fsync: after power loss or
+// an operating-system crash the file can be torn or missing.
 func (p *Pipeline) SaveCheckpoint(path string) (CheckpointInfo, error) {
 	start := time.Now()
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
@@ -665,8 +675,7 @@ func (p *Pipeline) SaveCheckpoint(path string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	defer os.Remove(tmp.Name())
-	ck := p.eng.captureCheckpoint()
-	size, err := writeCheckpoint(tmp, p.tr, ck)
+	step, size, err := p.eng.writeCheckpoint(tmp)
 	if err != nil {
 		tmp.Close()
 		return CheckpointInfo{}, err
@@ -678,7 +687,7 @@ func (p *Pipeline) SaveCheckpoint(path string) (CheckpointInfo, error) {
 		return CheckpointInfo{}, err
 	}
 	info := CheckpointInfo{
-		Step:    ck.LastStep,
+		Step:    step,
 		At:      time.Now(),
 		Path:    path,
 		Version: CheckpointVersion,

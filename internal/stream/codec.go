@@ -8,8 +8,10 @@ import (
 	"math"
 	"slices"
 	"time"
+	"unsafe"
 
 	"cloudlens/internal/core"
+	"cloudlens/internal/parallel"
 	"cloudlens/internal/sketch"
 	"cloudlens/internal/trace"
 )
@@ -51,14 +53,22 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // headerLen is the size of envelope, section table and header checksum.
 func headerLen(shards int) int { return envelopeLen + shards*tableEntryLen + 4 }
 
-// writeCheckpoint serializes an already-captured engine snapshot to w — the
-// header in one Write, then one Write per shard section — and returns the
-// bytes written.
-func writeCheckpoint(w io.Writer, tr *trace.Trace, ck *Checkpoint) (int64, error) {
-	sections := make([][]byte, len(ck.Shards))
-	for i, sc := range ck.Shards {
-		sections[i] = encodeShardSection(sc)
-	}
+// section is one shard's state in its wire form, with its CRC-32C.
+type section struct {
+	b   []byte
+	sum uint32
+}
+
+// encodeSection lays one shard's state out as a checksummed section.
+func encodeSection(sc *ShardCheckpoint) section {
+	b := encodeShardSection(sc)
+	return section{b: b, sum: crc32.Checksum(b, castagnoli)}
+}
+
+// writeSections writes the file for ck's group-level fields and the
+// encoded sections, one per shard in shard order: the header in one Write,
+// then one Write per section. It returns the bytes written.
+func writeSections(w io.Writer, tr *trace.Trace, ck *Checkpoint, sections []section) (int64, error) {
 	e := enc{b: make([]byte, 0, headerLen(len(sections)))}
 	e.b = append(e.b, checkpointMagic...)
 	e.u32(CheckpointVersion)
@@ -71,8 +81,8 @@ func writeCheckpoint(w io.Writer, tr *trace.Trace, ck *Checkpoint) (int64, error
 	e.i64(ck.StepsIngested)
 	e.i64(ck.FoldCount)
 	for _, s := range sections {
-		e.u64(uint64(len(s)))
-		e.u32(crc32.Checksum(s, castagnoli))
+		e.u64(uint64(len(s.b)))
+		e.u32(s.sum)
 	}
 	e.u32(crc32.Checksum(e.b, castagnoli))
 
@@ -81,10 +91,10 @@ func writeCheckpoint(w io.Writer, tr *trace.Trace, ck *Checkpoint) (int64, error
 		return 0, fmt.Errorf("stream: write checkpoint header: %w", err)
 	}
 	for i, s := range sections {
-		if _, err := w.Write(s); err != nil {
+		if _, err := w.Write(s.b); err != nil {
 			return 0, fmt.Errorf("stream: write checkpoint shard %d: %w", i, err)
 		}
-		total += int64(len(s))
+		total += int64(len(s.b))
 	}
 	return total, nil
 }
@@ -153,20 +163,31 @@ func decodeCheckpoint(data []byte, tr *trace.Trace) (*Checkpoint, error) {
 	if need != uint64(len(body)) {
 		return nil, fmt.Errorf("stream: checkpoint truncated or padded: its section table claims %d bytes, %d follow the header", need, len(body))
 	}
+	sections := make([][]byte, ck.ShardCount)
+	for i := range sections {
+		n := binary.LittleEndian.Uint64(table[i*tableEntryLen:])
+		sections[i], body = body[:n], body[n:]
+	}
+	// One shard per worker, each section checksummed before it is parsed;
+	// the refusal reported is the lowest damaged shard's, as a walk in
+	// shard order would find it.
 	ck.Shards = make([]*ShardCheckpoint, ck.ShardCount)
-	for i := range ck.Shards {
-		entry := table[i*tableEntryLen:]
-		n, sum := binary.LittleEndian.Uint64(entry), binary.LittleEndian.Uint32(entry[8:])
-		section := body[:n]
-		body = body[n:]
-		if got := crc32.Checksum(section, castagnoli); got != sum {
-			return nil, fmt.Errorf("stream: checkpoint shard %d section checksum %08x does not match its bytes (%08x): corrupt file", i, sum, got)
+	errs := make([]error, ck.ShardCount)
+	parallel.ForEach(ck.ShardCount, func(i int) {
+		sum := binary.LittleEndian.Uint32(table[i*tableEntryLen+8:])
+		if got := crc32.Checksum(sections[i], castagnoli); got != sum {
+			errs[i] = fmt.Errorf("stream: checkpoint shard %d section checksum %08x does not match its bytes (%08x): corrupt file", i, sum, got)
+			return
 		}
-		sc, err := decodeShardSection(section)
+		sc, err := decodeShardSection(sections[i])
 		if err != nil {
-			return nil, fmt.Errorf("stream: checkpoint shard %d: %w", i, err)
+			errs[i] = fmt.Errorf("stream: checkpoint shard %d: %w", i, err)
+			return
 		}
 		ck.Shards[i] = sc
+	})
+	if err := firstError(errs); err != nil {
+		return nil, err
 	}
 	if err := ck.validate(tr); err != nil {
 		return nil, err
@@ -501,19 +522,8 @@ func (e *enc) i32s(v []int32) {
 	}
 }
 
-func (e *enc) f32s(v []float32) {
-	p := e.slab(len(v), 4)
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(x))
-	}
-}
-
-func (e *enc) f64s(v []float64) {
-	p := e.slab(len(v), 8)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(x))
-	}
-}
+func (e *enc) f32s(v []float32) { putF32s(e.slab(len(v), 4), v, nativeLittleEndian) }
+func (e *enc) f64s(v []float64) { putF64s(e.slab(len(v), 8), v, nativeLittleEndian) }
 
 func (e *enc) hourly(sum *[24]float64, n *[24]int) {
 	for _, x := range sum {
@@ -634,18 +644,14 @@ func (d *dec) i32s() []int32 {
 func (d *dec) f32s() []float32 {
 	p, n := d.slab(4)
 	v := make([]float32, n)
-	for i := range v {
-		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
-	}
+	getF32s(v, p, nativeLittleEndian)
 	return v
 }
 
 func (d *dec) f64s() []float64 {
 	p, n := d.slab(8)
 	v := make([]float64, n)
-	for i := range v {
-		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
-	}
+	getF64s(v, p, nativeLittleEndian)
 	return v
 }
 
@@ -660,4 +666,72 @@ func (d *dec) hourly(sum *[24]float64, n *[24]int) {
 
 func (d *dec) histogram() sketch.HistogramState {
 	return sketch.HistogramState{Lo: d.f64(), Hi: d.f64(), Counts: d.f64s(), N: d.i64()}
+}
+
+// The float slabs — the lag rings, nearly all of a file, then the per-lag
+// sums, histogram counts and hourly region sums — are little-endian IEEE
+// 754 on the wire, which is how a little-endian host already holds them in
+// memory. There a slab moves as one copy of its bytes (bulk); elsewhere it
+// moves element by element. Both write and read the same bits, NaN
+// payloads included (TestCheckpointSlabBulkMatchesPortable).
+var nativeLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// bytesOf views a slab's memory as bytes.
+func bytesOf[T float32 | float64](v []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), len(v)*int(unsafe.Sizeof(T(0))))
+}
+
+// putF32s writes v into p, which holds exactly 4*len(v) bytes.
+func putF32s(p []byte, v []float32, bulk bool) {
+	if bulk {
+		copy(p, bytesOf(v))
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(x))
+	}
+}
+
+// getF32s reads v back from p, which holds exactly 4*len(v) bytes.
+func getF32s(v []float32, p []byte, bulk bool) {
+	if bulk {
+		copy(bytesOf(v), p)
+		return
+	}
+	for i := range v {
+		v[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+	}
+}
+
+// putF64s writes v into p, which holds exactly 8*len(v) bytes.
+func putF64s(p []byte, v []float64, bulk bool) {
+	if bulk {
+		copy(p, bytesOf(v))
+		return
+	}
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(p[8*i:], math.Float64bits(x))
+	}
+}
+
+// getF64s reads v back from p, which holds exactly 8*len(v) bytes.
+func getF64s(v []float64, p []byte, bulk bool) {
+	if bulk {
+		copy(bytesOf(v), p)
+		return
+	}
+	for i := range v {
+		v[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
+	}
+}
+
+// firstError returns the lowest-indexed error of a per-shard fan-out, the
+// one a walk in shard order would have stopped at.
+func firstError(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -30,7 +31,19 @@ func checkpointedEngine(t testing.TB) *shardGroup {
 // checkpointOf captures the mid-flight state as a mutable Checkpoint,
 // exactly as WriteCheckpoint would encode it.
 func checkpointOf(t testing.TB) *Checkpoint {
-	return checkpointedEngine(t).captureCheckpoint()
+	t.Helper()
+	return checkpointFrom(t, microTrace(), checkpointedEngine(t))
+}
+
+// writeCheckpoint writes a decoded or hand-built Checkpoint to w in the
+// layout WriteCheckpoint gives a live engine's, and returns the bytes
+// written.
+func writeCheckpoint(w io.Writer, tr *trace.Trace, ck *Checkpoint) (int64, error) {
+	sections := make([]section, len(ck.Shards))
+	for i, sc := range ck.Shards {
+		sections[i] = encodeSection(sc)
+	}
+	return writeSections(w, tr, ck, sections)
 }
 
 // checkpointFrom writes eng's checkpoint and reads it back: a Checkpoint

@@ -19,11 +19,11 @@ var (
 	mOccupancy = obs.Default.Gauge("cloudlens_stream_channel_occupancy",
 		"Event-channel depth observed at the last emit.")
 	mCheckpoints = obs.Default.Counter("cloudlens_stream_checkpoints_total",
-		"Durable checkpoints written.")
+		"Checkpoints written (renamed into place whole, not fsynced).")
 	mCheckpointSeconds = obs.Default.Histogram("cloudlens_stream_checkpoint_duration_seconds",
 		"Wall-clock duration of checkpoint writes (capture + encode + write + rename).", obs.DefLatencyBuckets)
 	mCheckpointBytes = obs.Default.Gauge("cloudlens_stream_checkpoint_bytes",
-		"Size of the most recent durable checkpoint file.")
+		"Size of the most recent checkpoint file.")
 	mCheckpointLoadSeconds = obs.Default.Histogram("cloudlens_stream_checkpoint_load_duration_seconds",
 		"Wall-clock duration of checkpoint loads (read + checksum + decode + validate).", obs.DefLatencyBuckets)
 	mMergeSeconds = obs.Default.Histogram("cloudlens_stream_merge_duration_seconds",

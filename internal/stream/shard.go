@@ -10,6 +10,7 @@ import (
 
 	"cloudlens/internal/kb"
 	"cloudlens/internal/obs"
+	"cloudlens/internal/parallel"
 	"cloudlens/internal/trace"
 )
 
@@ -547,34 +548,43 @@ func (g *shardGroup) IngestVitals() []IngestVital {
 
 // WriteCheckpoint implements Engine.
 func (g *shardGroup) WriteCheckpoint(w io.Writer) error {
-	_, err := writeCheckpoint(w, g.tr, g.captureCheckpoint())
+	_, _, err := g.writeCheckpoint(w)
 	return err
 }
 
-// captureCheckpoint quiesces the shards and deep-copies each shard's
-// snapshot at a common step boundary; WriteCheckpoint is this plus the
-// codec.
-func (g *shardGroup) captureCheckpoint() *Checkpoint {
+// writeCheckpoint writes the engine's state to w and returns the step the
+// file holds and its size.
+func (g *shardGroup) writeCheckpoint(w io.Writer) (int, int64, error) {
+	ck, sections := g.encodeCheckpoint()
+	size, err := writeSections(w, g.tr, ck, sections)
+	return ck.LastStep, size, err
+}
+
+// encodeCheckpoint quiesces the shards and, one shard per worker,
+// snapshots each shard and encodes its section while the shards are
+// parked. A snapshot lends the live lag rings to the encoder, so each ring
+// is copied once, into its section. The Checkpoint returned carries the
+// group-level fields only.
+func (g *shardGroup) encodeCheckpoint() (*Checkpoint, []section) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	release := g.quiesceLocked()
-	folds := int64(g.KB().Seq())
-	snaps := make([]*ShardCheckpoint, len(g.shards))
-	var samples int64
-	for i, ing := range g.shards {
-		snaps[i] = ing.snapshot()
-		snaps[i].FoldCount = folds
-		samples += snaps[i].SamplesIngested
+	ck := &Checkpoint{
+		ShardCount:    len(g.shards),
+		LastStep:      int(g.lastStep.Load()),
+		StepsIngested: g.shards[0].stepsIngested.Load(),
+		FoldCount:     int64(g.KB().Seq()),
+	}
+	sections := parallel.Map(len(g.shards), func(i int) section {
+		sc := g.shards[i].snapshot()
+		sc.FoldCount = ck.FoldCount
+		return encodeSection(sc)
+	})
+	for _, ing := range g.shards {
+		ck.SamplesIngested += ing.samplesIngested.Load()
 	}
 	if release != nil {
 		close(release)
 	}
-	return &Checkpoint{
-		ShardCount:      len(g.shards),
-		LastStep:        int(g.lastStep.Load()),
-		SamplesIngested: samples,
-		StepsIngested:   snaps[0].StepsIngested,
-		FoldCount:       folds,
-		Shards:          snaps,
-	}
+	return ck, sections
 }
