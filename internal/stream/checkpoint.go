@@ -552,12 +552,14 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 		slot.valid = true
 		slot.step = st.Step
 		// Restored columns did not come from a pool; owned stays false so
-		// the fold lets them go to the garbage collector.
+		// the fold lets them go to the garbage collector. Every slice the
+		// ingestor may write later is a copy (a folded slot reuses its
+		// buffers), so the caller's Checkpoint stays as it was.
 		slot.owned = false
-		slot.vm = st.VM
-		slot.cpu = st.CPU
-		slot.extras = st.Extras
-		slot.deleted = st.Deleted
+		slot.vm = slices.Clone(st.VM)
+		slot.cpu = slices.Clone(st.CPU)
+		slot.extras = slices.Clone(st.Extras)
+		slot.deleted = slices.Clone(st.Deleted)
 	}
 	for _, st := range ck.Subs {
 		si, ok := ing.keys.SubIndex(st.ID)
@@ -576,7 +578,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			vmsObserved:   st.VMsObserved,
 			snapshotVMs:   st.SnapshotVMs,
 			snapshotCores: st.SnapshotCores,
-			lifetimes:     st.Lifetimes,
+			lifetimes:     slices.Clone(st.Lifetimes),
 			shortLived:    st.ShortLived,
 			util:          util,
 			retired:       make([]classifiedVM, 0, len(st.Retired)),
@@ -593,7 +595,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			if !ok {
 				return nil, fmt.Errorf("stream: subscription %s reports from region %q not in trace", st.ID, r)
 			}
-			ss.regionHours[ri] = &kb.RegionHours{Sum: rh.Sum, N: rh.N}
+			ss.regionHours[ri] = &kb.RegionHours{Sum: slices.Clone(rh.Sum), N: slices.Clone(rh.N)}
 		}
 		ing.subs[si] = ss
 	}
@@ -609,7 +611,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			peakSum: st.PeakSum, restSum: st.RestSum, peakN: st.PeakN, restN: st.RestN,
 			peakMax: st.PeakMax, idleN: st.IdleN,
 			qualified: st.Qualified, hourly: st.Hourly, hourlyN: st.HourlyN,
-			gapSteps: st.GapSteps,
+			gapSteps: slices.Clone(st.GapSteps),
 		}
 		// In place, on the lag set every fresh accumulator shares (validate
 		// held the checkpoint's lags to it).

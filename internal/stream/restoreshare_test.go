@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"context"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -74,5 +75,30 @@ func TestRestoredSketchesShareLagSet(t *testing.T) {
 	// here). A private lag copy and a throwaway sketch would add two.
 	if perVM >= 4 {
 		t.Errorf("restoring a VM's accumulator allocates %.2f objects, want under 4 (accumulator, ring, sums, and a share of the qualified-list appends)", perVM)
+	}
+}
+
+// TestRestoreLeavesCheckpointUntouched pins that a restore copies what the
+// resumed engine will write: running a resumed pipeline to the end of the
+// window leaves the Checkpoint it came from equal to a fresh decode of the
+// same file. Hourly region sums used to be shared and summed into.
+func TestRestoreLeavesCheckpointUntouched(t *testing.T) {
+	tr := miniTrace(t)
+	for _, shards := range []int{1, 2} {
+		opts := Options{FoldEverySteps: 12, Shards: shards}
+		eng := engineAt(t, tr, opts, 500)
+		ck, want := checkpointFrom(t, tr, eng), checkpointFrom(t, tr, eng)
+		eng.Abort()
+		p, err := NewResumedPipeline(tr, opts, ck)
+		if err != nil {
+			t.Fatalf("shards=%d: resume: %v", shards, err)
+		}
+		p.Start(context.Background())
+		if err := p.Wait(); err != nil {
+			t.Fatalf("shards=%d: resumed pipeline: %v", shards, err)
+		}
+		if !reflect.DeepEqual(ck, want) {
+			t.Errorf("shards=%d: the resumed run wrote into the Checkpoint it was restored from", shards)
+		}
 	}
 }
