@@ -552,12 +552,13 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 		slot.valid = true
 		slot.step = st.Step
 		// Restored columns did not come from a pool; owned stays false so
-		// the fold lets them go to the garbage collector. Every slice the
-		// ingestor may write later is a copy (a folded slot reuses its
-		// buffers), so the caller's Checkpoint stays as it was.
+		// the fold lets them go to the garbage collector. A folded slot
+		// keeps its extras and deletions buffers for the next step it
+		// holds, so those are copies: the caller's Checkpoint stays as it
+		// was.
 		slot.owned = false
-		slot.vm = slices.Clone(st.VM)
-		slot.cpu = slices.Clone(st.CPU)
+		slot.vm = st.VM
+		slot.cpu = st.CPU
 		slot.extras = slices.Clone(st.Extras)
 		slot.deleted = slices.Clone(st.Deleted)
 	}
@@ -578,7 +579,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			vmsObserved:   st.VMsObserved,
 			snapshotVMs:   st.SnapshotVMs,
 			snapshotCores: st.SnapshotCores,
-			lifetimes:     slices.Clone(st.Lifetimes),
+			lifetimes:     st.Lifetimes,
 			shortLived:    st.ShortLived,
 			util:          util,
 			retired:       make([]classifiedVM, 0, len(st.Retired)),
@@ -595,6 +596,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			if !ok {
 				return nil, fmt.Errorf("stream: subscription %s reports from region %q not in trace", st.ID, r)
 			}
+			// Copies: the resumed run adds into them in place.
 			ss.regionHours[ri] = &kb.RegionHours{Sum: slices.Clone(rh.Sum), N: slices.Clone(rh.N)}
 		}
 		ing.subs[si] = ss
@@ -611,7 +613,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			peakSum: st.PeakSum, restSum: st.RestSum, peakN: st.PeakN, restN: st.RestN,
 			peakMax: st.PeakMax, idleN: st.IdleN,
 			qualified: st.Qualified, hourly: st.Hourly, hourlyN: st.HourlyN,
-			gapSteps: slices.Clone(st.GapSteps),
+			gapSteps: st.GapSteps,
 		}
 		// In place, on the lag set every fresh accumulator shares (validate
 		// held the checkpoint's lags to it).
