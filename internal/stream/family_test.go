@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudlens/internal/classify"
 	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/workload"
@@ -197,5 +198,49 @@ func TestCheckpointRejectsForeignGrid(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "grid") {
 		t.Errorf("error %q does not name the grid mismatch", err)
+	}
+}
+
+// TestFamilyCPUHourAlignmentOnCoarseGrids holds batch and stream to one
+// verdict on a CPU VM that runs at 0.8 for the first 40 minutes of every
+// hour and at 0.2 for the rest, for three days. At 15- and 5-minute steps
+// the hour-aligned window has a rest of the hour to compare against and both
+// say hourly-peak. At a 20-minute step it covers two of the hour's three
+// slots, so there is no such rest: batch's hour-alignment test declines
+// below four steps an hour, and the stream must decline with it instead of
+// calling the VM hourly-peak.
+func TestFamilyCPUHourAlignmentOnCoarseGrids(t *testing.T) {
+	for _, tc := range []struct {
+		step time.Duration
+		want core.Pattern
+	}{
+		{20 * time.Minute, core.PatternIrregular},
+		{15 * time.Minute, core.PatternHourlyPeak},
+		{5 * time.Minute, core.PatternHourlyPeak},
+	} {
+		tr := microTrace()
+		tr.Grid.Step = tc.step
+		tr.Grid.N = 3 * tr.Grid.StepsPerDay()
+		tr.VMs = tr.VMs[:1]
+		tr.VMs[0].DeletedStep = tr.Grid.N
+		series := make([]float64, tr.Grid.N)
+		eng := NewEngine(tr, Options{})
+		for s := range series {
+			series[s] = 0.2
+			if time.Duration(s)*tc.step%time.Hour < 40*time.Minute {
+				series[s] = 0.8
+			}
+			eng.ObserveBatch(batchOf(s, sampleAt(0, s, series[s])))
+		}
+		eng.Finish()
+		batch := classify.Classify(series, classify.Options{StepsPerHour: tr.Grid.StepsPerHour()}).Pattern
+		p, ok := eng.KB().Get("micro")
+		if !ok {
+			t.Fatalf("%v grid: live kb has no profile for the VM's subscription", tc.step)
+		}
+		if batch != tc.want || p.DominantPattern != tc.want {
+			t.Errorf("%v grid: batch says %s, stream says %s, want %s for both",
+				tc.step, batch, p.DominantPattern, tc.want)
+		}
 	}
 }
