@@ -43,7 +43,9 @@
 #   make test-workloads — workload-family matrix under -race at 1, 2 and 4
 #                      cores: serverless generator/spec grammar, invocation
 #                      taxonomy, the batch-vs-stream family equivalence
-#                      goldens across sub-minute and coarse grids, the live
+#                      goldens across sub-minute and coarse grids, the CPU
+#                      family's hour alignment on coarse grids (a 20-minute
+#                      step declines it in batch and stream alike), the live
 #                      serverless percentile bands, and kb's per-family
 #                      Extract fingerprint pin and self-merge fixed point
 #   make diffcheck   — differential gauntlet: 25 randomized trials holding the

@@ -46,13 +46,6 @@ type Options struct {
 	StepsPerHour int
 }
 
-func (o Options) withDefaults() Options {
-	if o.StepsPerHour == 0 {
-		o.StepsPerHour = 12
-	}
-	return o
-}
-
 // Result carries the assigned pattern and the evidence behind it.
 type Result struct {
 	Pattern core.Pattern `json:"pattern"`
@@ -71,8 +64,14 @@ type Result struct {
 // fraction sampled uniformly; it should cover at least two days for the
 // daily test to be meaningful.
 func Classify(series []float64, opts Options) Result {
+	return NewRules(core.FamilyCPU, opts.StepsPerHour).classifyCPU(series)
+}
+
+// classifyCPU is Classify on the rules' grid. The stable and periodicity
+// tests read the whole series (stats.StdDev, periodic.Detect); the
+// hour-alignment test folds it through the rules' Evidence.
+func (r Rules) classifyCPU(series []float64) Result {
 	classifiedSeries.Inc()
-	opts = opts.withDefaults()
 	res := Result{Pattern: core.PatternIrregular}
 	if len(series) == 0 {
 		res.Pattern = core.PatternUnknown
@@ -84,9 +83,6 @@ func Classify(series []float64, opts Options) Result {
 		return res
 	}
 
-	hourLag := opts.StepsPerHour
-	halfHourLag := opts.StepsPerHour / 2
-	dayLag := 24 * opts.StepsPerHour
 	periods := periodic.Detect(series, periodic.Options{
 		MinPower:      periodicMinPower,
 		MaxCandidates: periodicMaxCandidates,
@@ -95,15 +91,19 @@ func Classify(series []float64, opts Options) Result {
 		// Services peaking at both the hour and half-hour marks have a
 		// fundamental period of half an hour; accept either lag.
 		if res.HourlyACF == 0 &&
-			(within(p.Lag, hourLag, periodTolerance) ||
-				(halfHourLag >= 2 && within(p.Lag, halfHourLag, periodTolerance))) {
+			(within(p.Lag, r.stepsPerHour, periodTolerance) ||
+				(r.halfHour >= 2 && within(p.Lag, r.halfHour, periodTolerance))) {
 			res.HourlyACF = p.ACF
 		}
-		if res.DailyACF == 0 && within(p.Lag, dayLag, periodTolerance) {
+		if res.DailyACF == 0 && within(p.Lag, r.day(), periodTolerance) {
 			res.DailyACF = p.ACF
 		}
 	}
-	res.HourAligned = hourAligned(series, opts.StepsPerHour)
+	var e Evidence
+	for i, v := range series {
+		r.Add(&e, i, v)
+	}
+	res.HourAligned = r.hourAligned(&e)
 	res.Pattern = res.Decide()
 	return res
 }
@@ -112,9 +112,8 @@ func Classify(series []float64, opts Options) Result {
 // decision order: the standard-deviation ceiling selects stable first, a
 // validated hourly period with hour-aligned peaks selects hourly-peak, a
 // validated daily period selects diurnal, and irregular is the remainder.
-// It exists separately from Classify so the streaming pipeline, which
-// accumulates the same evidence incrementally instead of from a
-// materialized series, shares one set of thresholds with the batch path.
+// Classify and the streaming path (Rules.Decide) both reach their verdict
+// through it, so the two share one set of thresholds.
 func (r Result) Decide() core.Pattern {
 	switch {
 	case r.StdDev < stableStdDev:
@@ -137,48 +136,9 @@ func within(lag, target int, tol float64) bool {
 	return d <= tol*float64(target)
 }
 
-// AlignedMargin is how far the mean utilization of the hour-aligned peak
+// alignedMargin is how far the mean utilization of the hour-aligned peak
 // slots must exceed the mean of the remaining slots for the hour-alignment
-// test to pass.
-const AlignedMargin = 0.02
-
-// AlignedSlot reports whether a within-hour slot index (sample index modulo
-// stepsPerHour) falls in the hour-aligned peak window: the first fifth of
-// the hour and the corresponding window right after the half-hour mark.
-// Meetings start at the hour and half-hour marks, so join spikes concentrate
-// there. The streaming classifier uses this to bucket samples as they
-// arrive instead of scanning a materialized series.
-func AlignedSlot(slot, stepsPerHour int) bool {
-	peakSlots := stepsPerHour / 5
-	if peakSlots < 1 {
-		peakSlots = 1
-	}
-	half := stepsPerHour / 2
-	return slot < peakSlots || (slot >= half && slot < half+peakSlots)
-}
-
-// hourAligned checks the hourly-peak signature: the average utilization in
-// the hour-aligned peak slots exceeds the average elsewhere by a clear
-// margin.
-func hourAligned(series []float64, stepsPerHour int) bool {
-	if stepsPerHour < 4 {
-		return false
-	}
-	var peakSum, restSum float64
-	var peakN, restN int
-	for i, v := range series {
-		if AlignedSlot(i%stepsPerHour, stepsPerHour) {
-			peakSum += v
-			peakN++
-		} else {
-			restSum += v
-			restN++
-		}
-	}
-	if peakN == 0 || restN == 0 {
-		return false
-	}
-	peakMean := peakSum / float64(peakN)
-	restMean := restSum / float64(restN)
-	return peakMean > restMean+AlignedMargin
-}
+// test to pass. The peak window is the first fifth of the hour and the
+// corresponding window right after the half-hour mark: meetings start at
+// the hour and half-hour marks, so join spikes concentrate there.
+const alignedMargin = 0.02

@@ -125,6 +125,14 @@ func TestClassifyRespectsStableThreshold(t *testing.T) {
 }
 
 func TestHourAligned(t *testing.T) {
+	r := NewRules(core.FamilyCPU, 12)
+	hourAligned := func(series []float64) bool {
+		var e Evidence
+		for i, v := range series {
+			r.Add(&e, i, v)
+		}
+		return r.hourAligned(&e)
+	}
 	// Peaks in the first two slots of each hour.
 	aligned := make([]float64, 2016)
 	for i := range aligned {
@@ -134,7 +142,7 @@ func TestHourAligned(t *testing.T) {
 			aligned[i] = 0.1
 		}
 	}
-	if !hourAligned(aligned, 12) {
+	if !hourAligned(aligned) {
 		t.Fatal("aligned series not recognized")
 	}
 	// Peaks mid-hour must NOT count as aligned.
@@ -146,7 +154,7 @@ func TestHourAligned(t *testing.T) {
 			shifted[i] = 0.1
 		}
 	}
-	if hourAligned(shifted, 12) {
+	if hourAligned(shifted) {
 		t.Fatal("mid-hour peaks recognized as hour-aligned")
 	}
 }
@@ -163,11 +171,11 @@ func TestWithin(t *testing.T) {
 // TestOptionsDefaults pins the StepsPerHour default and the CPU
 // taxonomy's constants at the values DESIGN.md documents.
 func TestOptionsDefaults(t *testing.T) {
-	if o := (Options{}).withDefaults(); o.StepsPerHour != 12 {
-		t.Fatalf("unexpected defaults: %+v", o)
+	if r := NewRules(core.FamilyCPU, 0); r.stepsPerHour != 12 {
+		t.Fatalf("unexpected defaults: %+v", r)
 	}
-	if o := (Options{StepsPerHour: 60}).withDefaults(); o.StepsPerHour != 60 {
-		t.Fatalf("explicit StepsPerHour overwritten: %+v", o)
+	if r := NewRules(core.FamilyCPU, 60); r.stepsPerHour != 60 {
+		t.Fatalf("explicit StepsPerHour overwritten: %+v", r)
 	}
 	if stableStdDev != 0.025 || periodTolerance != 0.15 ||
 		periodicMinPower != 0.03 || periodicMaxCandidates != 12 {

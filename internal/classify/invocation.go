@@ -12,10 +12,10 @@
 //   - bursty: the remainder — clustered bursts over a quiet floor,
 //     diurnally modulated or not.
 //
-// Like the CPU taxonomy, the evidence struct and the Decide method are
-// shared between the batch path (which scans a materialized series) and
-// the streaming path (which accumulates the same evidence incrementally),
-// so both implementations apply one set of thresholds.
+// Like the CPU taxonomy, the evidence (Rules.Add over Evidence) and the
+// decision (InvocationResult.Decide) are shared between the batch path,
+// which folds a materialized series, and the streaming path, which folds
+// the same samples as they arrive, so both apply one set of thresholds.
 package classify
 
 import (
@@ -29,9 +29,8 @@ const (
 	// steadyCV is the coefficient-of-variation ceiling for the steady
 	// class.
 	steadyCV = 0.3
-	// IdleEps is the rate below which a sample counts as idle. Exported
-	// because the streaming ingestor counts idle samples as they arrive.
-	IdleEps = 0.05
+	// idleEps is the rate below which a sample counts as idle.
+	idleEps = 0.05
 	// spikyIdleShare and spikyBurstiness are the idle-share and
 	// peak-to-mean floors for the spiky class.
 	spikyIdleShare  = 0.7
@@ -54,13 +53,6 @@ type InvocationOptions struct {
 	StepsPerHour int
 }
 
-func (o InvocationOptions) withDefaults() InvocationOptions {
-	if o.StepsPerHour == 0 {
-		o.StepsPerHour = 12
-	}
-	return o
-}
-
 // InvocationResult carries the assigned pattern and the evidence behind it.
 type InvocationResult struct {
 	Pattern core.Pattern `json:"pattern"`
@@ -71,54 +63,54 @@ type InvocationResult struct {
 	CV     float64 `json:"cv"`
 	// Burstiness is the peak-to-mean ratio.
 	Burstiness float64 `json:"burstiness"`
-	// IdleShare is the fraction of samples below IdleEps.
+	// IdleShare is the fraction of samples below idleEps.
 	IdleShare float64 `json:"idleShare"`
 	// DailyACF is the raw autocorrelation at the daily lag.
 	DailyACF float64 `json:"dailyACF"`
 }
 
 // ClassifyInvocation assigns a normalized invocation-rate series to a
-// serverless pattern. It builds the evidence with the same sketches the
-// streaming ingestor feeds incrementally (Welford moments via AutoCorr, a
-// running peak, an idle counter), so batch and stream agree wherever the
-// evidence is not razor-thin against a threshold.
+// serverless pattern. It folds the series through the serverless Rules and
+// an autocorrelation sketch, exactly as the streaming ingestor folds the
+// same samples, so batch and stream compute identical evidence.
 func ClassifyInvocation(series []float64, opts InvocationOptions) InvocationResult {
+	return NewRules(core.FamilyServerless, opts.StepsPerHour).classifyInvocation(series)
+}
+
+// classifyInvocation is ClassifyInvocation on the rules' grid. Its sketch
+// tracks the daily lag alone: the only one the serverless rules read, and
+// At(lag) does not depend on which other lags a sketch tracks.
+func (r Rules) classifyInvocation(series []float64) InvocationResult {
 	classifiedSeries.Inc()
-	opts = opts.withDefaults()
 	if len(series) == 0 {
 		return InvocationResult{Pattern: core.PatternUnknown}
 	}
-	ac := sketch.NewAutoCorr(24 * opts.StepsPerHour)
-	var peak float64
-	var idleN int
-	for _, v := range series {
+	ac := sketch.NewAutoCorr(r.day())
+	var e Evidence
+	for i, v := range series {
 		ac.Add(v)
-		if v > peak {
-			peak = v
-		}
-		if v < IdleEps {
-			idleN++
-		}
+		r.Add(&e, i, v)
 	}
-	res := InvocationEvidence(ac.Mean(), ac.StdDev(), peak,
-		float64(idleN)/float64(len(series)), ac.At(24*opts.StepsPerHour))
+	res := r.invocationResult(&e, ac)
 	res.Pattern = res.Decide()
 	return res
 }
 
-// InvocationEvidence assembles an InvocationResult from the raw
-// accumulator outputs. The streaming ingestor uses it so the derived
-// fields (CV, burstiness) are computed by exactly one formula.
-func InvocationEvidence(mean, stdDev, peak, idleShare, dailyACF float64) InvocationResult {
+// invocationResult derives the serverless evidence fields from the
+// accumulators: the sketch's moments and daily autocorrelation, the
+// evidence's peak and idle count.
+func (r Rules) invocationResult(e *Evidence, ac *sketch.AutoCorr) InvocationResult {
 	res := InvocationResult{
-		Mean:      mean,
-		StdDev:    stdDev,
-		IdleShare: idleShare,
-		DailyACF:  dailyACF,
+		Mean:     ac.Mean(),
+		StdDev:   ac.StdDev(),
+		DailyACF: ac.At(r.day()),
 	}
-	if mean > 0 {
-		res.CV = stdDev / mean
-		res.Burstiness = peak / mean
+	if n := ac.N(); n > 0 {
+		res.IdleShare = float64(e.IdleN) / float64(n)
+	}
+	if res.Mean > 0 {
+		res.CV = res.StdDev / res.Mean
+		res.Burstiness = e.PeakMax / res.Mean
 	}
 	return res
 }

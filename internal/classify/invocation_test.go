@@ -95,27 +95,30 @@ func TestClassifyInvocationEmpty(t *testing.T) {
 
 // TestInvocationEvidenceZeroMean: a dead function must not divide by zero;
 // CV and burstiness stay zero and the verdict lands on steady (cv 0 < any
-// ceiling), matching the batch classifier's behavior on an all-zero series.
+// ceiling).
 func TestInvocationEvidenceZeroMean(t *testing.T) {
-	res := InvocationEvidence(0, 0, 0, 1, 0)
-	if res.CV != 0 || res.Burstiness != 0 {
-		t.Fatalf("zero-mean evidence produced cv=%v burstiness=%v", res.CV, res.Burstiness)
+	res := ClassifyInvocation(make([]float64, invN), invOpts())
+	if res.CV != 0 || res.Burstiness != 0 || res.IdleShare != 1 {
+		t.Fatalf("zero-mean evidence produced cv=%v burstiness=%v idle share=%v", res.CV, res.Burstiness, res.IdleShare)
+	}
+	if res.Pattern != core.PatternSteady {
+		t.Fatalf("dead function classified %s, want steady", res.Pattern)
 	}
 }
 
 // TestInvocationOptionsWithDefaults pins the StepsPerHour default and the
 // serverless taxonomy's constants at the values DESIGN.md documents.
 func TestInvocationOptionsWithDefaults(t *testing.T) {
-	if o := (InvocationOptions{}).withDefaults(); o.StepsPerHour != 12 {
-		t.Fatalf("unexpected defaults: %+v", o)
+	if r := NewRules(core.FamilyServerless, 0); r.stepsPerHour != 12 {
+		t.Fatalf("unexpected defaults: %+v", r)
 	}
 	// An explicit resolution survives.
-	if o := (InvocationOptions{StepsPerHour: 120}).withDefaults(); o.StepsPerHour != 120 {
-		t.Fatalf("explicit options overwritten: %+v", o)
+	if r := NewRules(core.FamilyServerless, 120); r.stepsPerHour != 120 {
+		t.Fatalf("explicit options overwritten: %+v", r)
 	}
-	if steadyCV != 0.3 || IdleEps != 0.05 || spikyIdleShare != 0.7 ||
+	if steadyCV != 0.3 || idleEps != 0.05 || spikyIdleShare != 0.7 ||
 		spikyBurstiness != 6 || diurnalMinACF != 0.3 || diurnalMaxIdle != 0.15 {
 		t.Fatalf("thresholds moved: steady cv %v, idle %v, spiky idle %v, burstiness %v, diurnal acf %v, diurnal idle %v",
-			steadyCV, IdleEps, spikyIdleShare, spikyBurstiness, diurnalMinACF, diurnalMaxIdle)
+			steadyCV, idleEps, spikyIdleShare, spikyBurstiness, diurnalMinACF, diurnalMaxIdle)
 	}
 }

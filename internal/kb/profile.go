@@ -120,11 +120,7 @@ const extractChunkSubs = 8
 // it is read.
 func Extract(t *trace.Trace, opts ExtractOptions) *Snapshot {
 	opts = opts.withDefaults()
-	cl := classifiers{
-		family: t.Family,
-		cpu:    classify.Options{StepsPerHour: t.Grid.StepsPerHour()},
-		inv:    classify.InvocationOptions{StepsPerHour: t.Grid.StepsPerHour()},
-	}
+	rules := classify.NewRules(t.Family, t.Grid.StepsPerHour())
 
 	type job struct {
 		sub core.SubscriptionID
@@ -152,7 +148,7 @@ func Extract(t *trace.Trace, opts ExtractOptions) *Snapshot {
 		default:
 		}
 		for i := c * extractChunkSubs; i < min(len(jobs), (c+1)*extractChunkSubs); i++ {
-			profiles[i], buf = extractProfile(t, opts, cl, jobs[i].sub, jobs[i].vms, buf)
+			profiles[i], buf = extractProfile(t, opts, rules, jobs[i].sub, jobs[i].vms, buf)
 		}
 		select {
 		case free <- buf:
@@ -170,26 +166,10 @@ func Extract(t *trace.Trace, opts ExtractOptions) *Snapshot {
 	return SnapshotOf(t.Grid.N, 1, kept...)
 }
 
-// classifiers bundles the per-family classifier options so extraction
-// configures them once per trace, not per subscription.
-type classifiers struct {
-	family core.Family
-	cpu    classify.Options
-	inv    classify.InvocationOptions
-}
-
-// classify routes a series through the trace family's classifier.
-func (c classifiers) classify(series []float64) core.Pattern {
-	if c.family == core.FamilyServerless {
-		return classify.ClassifyInvocation(series, c.inv).Pattern
-	}
-	return classify.Classify(series, c.cpu).Pattern
-}
-
 // extractProfile profiles one subscription. buf is a scratch series buffer
 // threaded through consecutive calls on the same worker; the (possibly
 // grown) buffer is returned for reuse.
-func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
+func extractProfile(t *trace.Trace, opts ExtractOptions, rules classify.Rules,
 	sub core.SubscriptionID, vms []*trace.VM, buf []float64) (*Profile, []float64) {
 	snap := t.SnapshotStep()
 	minSteps := MinProfileStepsFor(t.Grid)
@@ -226,7 +206,7 @@ func extractProfile(t *trace.Trace, opts ExtractOptions, cl classifiers,
 		}
 		if tally.N < opts.MaxClassifyPerSub {
 			buf = v.Usage.SeriesInto(buf, t.Grid, from, to)
-			tally.Count(cl.classify(buf))
+			tally.Count(rules.Classify(buf))
 			for i, u := range buf {
 				tally.UtilSum += u
 				tally.UtilN++

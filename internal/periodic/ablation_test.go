@@ -74,10 +74,11 @@ func TestACFValidationRemovesFalsePositives(t *testing.T) {
 // exact autocorrelation peak. On the leakage signal the strongest raw hint
 // is 293 or 341 (adjacent bins); validation recovers ~312.
 func TestACFValidationSharpensLag(t *testing.T) {
-	p, ok := Dominant(leakageSeries(), Options{})
-	if !ok {
+	ps := Detect(leakageSeries(), Options{})
+	if len(ps) == 0 {
 		t.Fatal("no period found")
 	}
+	p := ps[0]
 	if d := p.Lag - 312; d < -8 || d > 8 {
 		t.Fatalf("validated lag %d, want ~312", p.Lag)
 	}

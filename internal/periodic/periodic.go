@@ -61,9 +61,9 @@ type Options struct {
 }
 
 // DefaultMinACF is the default autocorrelation height a validated hill must
-// reach. Exported so the streaming classifier, which evaluates the ACF at
-// fixed target lags instead of hill-climbing a full ACF, validates against
-// the same threshold.
+// reach. Exported so classify's fixed-lag validation (classify.Rules.Decide),
+// which evaluates the ACF at target lags instead of hill-climbing a full
+// ACF, validates against the same threshold.
 const DefaultMinACF = 0.3
 
 func (o Options) withDefaults() Options {
@@ -216,16 +216,6 @@ func hasLag(periods []Period, lag int) bool {
 		}
 	}
 	return false
-}
-
-// Dominant returns the single best validated period and true, or the zero
-// Period and false when the series has none.
-func Dominant(series []float64, opts Options) (Period, bool) {
-	ps := Detect(series, opts)
-	if len(ps) == 0 {
-		return Period{}, false
-	}
-	return ps[0], true
 }
 
 // hillClimb walks from lag to the nearest local maximum of the ACF.

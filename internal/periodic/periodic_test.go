@@ -20,10 +20,11 @@ func TestDetectDailyPeriod(t *testing.T) {
 	series := week(func(i int) float64 {
 		return 0.3 + 0.2*math.Sin(2*math.Pi*float64(i)/288)
 	})
-	p, ok := Dominant(series, Options{})
-	if !ok {
+	ps := Detect(series, Options{})
+	if len(ps) == 0 {
 		t.Fatal("no period detected in a pure daily sine")
 	}
+	p := ps[0]
 	if p.Lag < 280 || p.Lag > 296 {
 		t.Fatalf("detected lag %d, want ~288", p.Lag)
 	}
@@ -87,10 +88,11 @@ func TestDetectNoisyDaily(t *testing.T) {
 	series := week(func(i int) float64 {
 		return 0.3 + 0.2*math.Sin(2*math.Pi*float64(i)/288) + 0.08*sim.NoiseSigned(5, i)
 	})
-	p, ok := Dominant(series, Options{})
-	if !ok {
+	ps := Detect(series, Options{})
+	if len(ps) == 0 {
 		t.Fatal("noisy daily pattern not detected")
 	}
+	p := ps[0]
 	if p.Lag < 275 || p.Lag > 301 {
 		t.Fatalf("lag %d too far from 288", p.Lag)
 	}
@@ -105,10 +107,11 @@ func TestDominantPrefersStrongerACF(t *testing.T) {
 		}
 		return v
 	})
-	p, ok := Dominant(series, Options{})
-	if !ok {
+	ps := Detect(series, Options{})
+	if len(ps) == 0 {
 		t.Fatal("no period detected")
 	}
+	p := ps[0]
 	if p.Lag < 275 || p.Lag > 301 {
 		t.Fatalf("dominant lag %d, want daily", p.Lag)
 	}

@@ -355,31 +355,12 @@ func (a *AutoCorr) Mean() float64 { return a.w.Mean() }
 // StdDev returns the running population standard deviation of the series.
 func (a *AutoCorr) StdDev() float64 { return a.w.StdDev() }
 
-// Retained returns the most recent min(N, maxLag) samples, oldest first,
-// appended to buf. While N is at most the largest configured lag this is
-// the entire series observed so far, which lets a consumer that defers
-// per-sample aggregation until a qualification threshold (below maxLag)
-// recover every earlier sample without separate storage.
-func (a *AutoCorr) Retained(buf []float64) []float64 {
-	if a.np > 0 {
-		a.Flush()
-	}
-	n := int(a.w.Count())
-	if n <= len(a.ring) {
-		for i := 0; i < n; i++ {
-			buf = append(buf, float64(a.ring[i]))
-		}
-		return buf
-	}
-	for i := n - a.maxLag; i < n; i++ {
-		buf = append(buf, float64(a.ring[i%a.maxLag]))
-	}
-	return buf
-}
-
-// RetainedRaw is Retained without the float64 widening: the most recent
-// min(N, maxLag) samples, oldest first, appended to buf in the ring's
-// native float32. The columnar fold path hands the result straight to
+// RetainedRaw returns the most recent min(N, maxLag) samples, oldest first,
+// appended to buf in the ring's native float32. While N is at most the
+// largest configured lag this is the entire series observed so far, which
+// lets a consumer that defers per-sample aggregation until a qualification
+// threshold (below maxLag) recover every earlier sample without separate
+// storage. The columnar fold path hands the result straight to
 // Histogram.ObserveAll; a caller needing the float64 view converts per
 // element, which is exact.
 func (a *AutoCorr) RetainedRaw(buf []float32) []float32 {

@@ -289,7 +289,7 @@ var (
 )
 
 // acOp is one step of an accumulator script: add a sample, flush, compare
-// every read against the oracle, or take a State mid-block and continue a
+// every read against the oracle, or take a state mid-block and continue a
 // restored copy alongside.
 type acOp struct {
 	kind byte
@@ -304,7 +304,7 @@ const (
 )
 
 // runAutoCorrScript feeds one script to the blocked accumulator, to the
-// oracle, and to every copy restored from a mid-script State, and requires
+// oracle, and to every copy restored from a mid-script state, and requires
 // all of them to agree with the oracle bit for bit at every read and at the
 // end.
 func runAutoCorrScript(t testing.TB, lags []int, ops []acOp) {
@@ -325,12 +325,7 @@ func runAutoCorrScript(t testing.TB, lags []int, ops []acOp) {
 		case opRead:
 			requireSameAutoCorr(t, i, got, ref)
 		case opRoundTrip:
-			np := got.np
-			st := got.State()
-			if got.np != np {
-				t.Fatalf("op %d: State flushed the accumulator (%d pending before, %d after)", i, np, got.np)
-			}
-			c, err := AutoCorrFromState(st)
+			c, err := fromState(stateOf(got))
 			if err != nil {
 				t.Fatalf("op %d: from state: %v", i, err)
 			}
@@ -345,10 +340,10 @@ func runAutoCorrScript(t testing.TB, lags []int, ops []acOp) {
 
 func requireSameAutoCorr(t testing.TB, op int, got *AutoCorr, ref *refAutoCorr) {
 	t.Helper()
-	// State first: it must export what the oracle holds without flushing,
-	// and the reads below flush.
-	if g, w := got.State(), ref.State(); !reflect.DeepEqual(g, w) {
-		t.Fatalf("op %d: State differs from the per-sample oracle:\n got %+v\nwant %+v", op, g, w)
+	// The state the oracle holds, with got's block folded in: the reads
+	// below flush it too.
+	if g, w := got.SharedState(), ref.SharedState(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("op %d: state differs from the per-sample oracle:\n got %+v\nwant %+v", op, g, w)
 	}
 	same := func(what string, g, w float64) {
 		if math.Float64bits(g) != math.Float64bits(w) {
@@ -364,13 +359,6 @@ func requireSameAutoCorr(t testing.TB, op int, got *AutoCorr, ref *refAutoCorr) 
 		same("At", got.At(l), ref.At(l))
 		same("At(unconfigured)", got.At(l+ref.maxLag), ref.At(l+ref.maxLag))
 	}
-	g64, w64 := got.Retained(nil), ref.Retained(nil)
-	if len(g64) != len(w64) {
-		t.Fatalf("op %d: Retained holds %d samples, oracle %d", op, len(g64), len(w64))
-	}
-	for i := range w64 {
-		same("Retained", g64[i], w64[i])
-	}
 	g32, w32 := got.RetainedRaw(nil), ref.RetainedRaw(nil)
 	if len(g32) != len(w32) {
 		t.Fatalf("op %d: RetainedRaw holds %d samples, oracle %d", op, len(g32), len(w32))
@@ -384,7 +372,7 @@ func requireSameAutoCorr(t testing.TB, op int, got *AutoCorr, ref *refAutoCorr) 
 
 // TestAutoCorrBlocksMatchPerSample holds the blocked accumulator to the
 // per-sample oracle on random lag sets (and both grids' classifier sets),
-// random finite series, and random flush, read and State points.
+// random finite series, and random flush, read and state points.
 func TestAutoCorrBlocksMatchPerSample(t *testing.T) {
 	r := rng(31)
 	pick := func(n int) int { return int(r.next() * float64(n)) }
@@ -436,7 +424,7 @@ func TestAutoCorrBlocksMatchPerSample(t *testing.T) {
 }
 
 // FuzzAutoCorrBlocks decodes a lag set and a script of adds, flushes, reads
-// and State round trips from the input and holds the blocked accumulator
+// and state round trips from the input and holds the blocked accumulator
 // to the per-sample oracle. The first byte picks the five-minute or the
 // one-minute classifier lags or a lag set read from the input (two bytes a
 // lag); then each op byte is an add of the next two bytes as a value in

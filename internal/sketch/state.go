@@ -74,38 +74,10 @@ type AutoCorrState struct {
 	TailSum []float64
 }
 
-// State captures the accumulator with its deferred samples folded in, the
-// state a per-sample update would hold. All slices are copies and a itself
-// is not written, so State is safe under a reader's lock.
-func (a *AutoCorr) State() AutoCorrState {
-	f := AutoCorr{
-		lags:    a.lags,
-		maxLag:  a.maxLag,
-		ring:    append([]float32(nil), a.ring...),
-		w:       a.w,
-		sumProd: append([]float64(nil), a.sumProd...),
-		headSum: append([]float64(nil), a.headSum...),
-		tailSum: append([]float64(nil), a.tailSum...),
-		np:      a.np,
-		pend:    a.pend,
-	}
-	f.Flush()
-	return AutoCorrState{
-		Lags:    append([]int(nil), a.lags...),
-		Ring:    f.ring,
-		W:       a.w.State(),
-		Sum:     a.sum,
-		SumProd: f.sumProd,
-		HeadSum: f.headSum,
-		TailSum: f.tailSum,
-	}
-}
-
 // SharedState flushes the deferred samples into a in place, which leaves
 // every read bit for bit as it was (Flush's contract), and returns the
-// state with its slices shared with a, not copied. It is State without the
-// copies, for a caller that encodes the state before a sees another
-// sample; a caller that keeps the state longer wants State.
+// state with its slices shared with a, not copied: the caller encodes the
+// state before a sees another sample.
 func (a *AutoCorr) SharedState() AutoCorrState {
 	a.Flush()
 	return AutoCorrState{
@@ -119,20 +91,10 @@ func (a *AutoCorr) SharedState() AutoCorrState {
 	}
 }
 
-// AutoCorrFromState reconstructs the accumulator a State was captured from.
-// The per-lag sum slices must all match the lag count and the ring length
-// must be the one the sample count implies; mismatches indicate a corrupted
-// or incompatible snapshot.
-func AutoCorrFromState(s AutoCorrState) (*AutoCorr, error) {
-	a := new(AutoCorr)
-	if err := a.Restore(append([]int(nil), s.Lags...), s); err != nil {
-		return nil, err
-	}
-	return a, nil
-}
-
-// Restore makes a, in place, the accumulator s was captured from, checking
-// s as AutoCorrFromState does. a tracks lags, which must equal s.Lags and
+// Restore makes a, in place, the accumulator s was captured from. The
+// per-lag sum slices must all match the lag count and the ring length must
+// be the one the sample count implies; mismatches indicate a corrupted or
+// incompatible snapshot. a tracks lags, which must equal s.Lags and
 // is kept without copying, as Init keeps it, so many restored accumulators
 // can share one lag set. The ring and the sums are copied into storage a
 // owns and s is not written, so one state can be restored more than once.

@@ -5,8 +5,31 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 )
+
+// stateOf is a's state with its deferred samples folded in, the state a
+// per-sample update would hold. It flushes a deep copy, so a keeps its
+// block pending and the state shares nothing with it: a test can keep the
+// state while a sees more samples.
+func stateOf(a *AutoCorr) AutoCorrState {
+	c := *a
+	c.ring = slices.Clone(a.ring)
+	c.sumProd = slices.Clone(a.sumProd)
+	c.headSum = slices.Clone(a.headSum)
+	c.tailSum = slices.Clone(a.tailSum)
+	return c.SharedState()
+}
+
+// fromState restores a new accumulator from s, on a copy of its lags.
+func fromState(s AutoCorrState) (*AutoCorr, error) {
+	a := new(AutoCorr)
+	if err := a.Restore(slices.Clone(s.Lags), s); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
 
 // gobCycle pushes a state value through encoding/gob, so the round-trip
 // tests cover a State's exported fields as a serializer sees them and not
@@ -102,8 +125,8 @@ func TestAutoCorrMergeAfterDecode(t *testing.T) {
 		live.Add(x)
 	}
 	var st AutoCorrState
-	gobCycle(t, live.State(), &st)
-	decoded, err := AutoCorrFromState(st)
+	gobCycle(t, stateOf(live), &st)
+	decoded, err := fromState(st)
 	if err != nil {
 		t.Fatalf("from state: %v", err)
 	}
@@ -120,8 +143,7 @@ func TestAutoCorrMergeAfterDecode(t *testing.T) {
 			t.Fatalf("acf(%d) after decode = %v, want %v", lag, got, want)
 		}
 	}
-	var bufA, bufB []float64
-	a, b := live.Retained(bufA), decoded.Retained(bufB)
+	a, b := live.RetainedRaw(nil), decoded.RetainedRaw(nil)
 	if len(a) != len(b) {
 		t.Fatalf("retained lengths differ: %d vs %d", len(a), len(b))
 	}
@@ -131,10 +153,10 @@ func TestAutoCorrMergeAfterDecode(t *testing.T) {
 		}
 	}
 
-	if _, err := AutoCorrFromState(AutoCorrState{Lags: []int{3}, SumProd: []float64{1}}); err == nil {
+	if _, err := fromState(AutoCorrState{Lags: []int{3}, SumProd: []float64{1}}); err == nil {
 		t.Fatal("mismatched sum slices did not error")
 	}
-	if _, err := AutoCorrFromState(AutoCorrState{
+	if _, err := fromState(AutoCorrState{
 		Lags: []int{3}, Ring: make([]float32, 9),
 		SumProd: []float64{0}, HeadSum: []float64{0}, TailSum: []float64{0},
 	}); err == nil {
@@ -142,7 +164,7 @@ func TestAutoCorrMergeAfterDecode(t *testing.T) {
 	}
 	// Add indexes the ring by the sample count: a count the ring does not
 	// back used to panic there, samples later.
-	if _, err := AutoCorrFromState(AutoCorrState{
+	if _, err := fromState(AutoCorrState{
 		Lags: []int{3}, Ring: make([]float32, 2), W: WelfordState{N: 113},
 		SumProd: []float64{0}, HeadSum: []float64{0}, TailSum: []float64{0},
 	}); err == nil {
@@ -160,10 +182,10 @@ func TestAutoCorrSharedStateRestoresInPlace(t *testing.T) {
 	for i := 0; i < 61; i++ { // mid-block, past the largest lag
 		live.Add(float64(i%7) / 7)
 	}
-	want := live.State()
+	want := stateOf(live)
 	shared := live.SharedState()
 	if !reflect.DeepEqual(shared, want) {
-		t.Fatalf("SharedState %+v differs from State %+v", shared, want)
+		t.Fatalf("SharedState %+v differs from a flushed copy's %+v", shared, want)
 	}
 	if &shared.Ring[0] != &live.ring[0] || &shared.SumProd[0] != &live.sumProd[0] {
 		t.Fatal("SharedState copied the ring or the sums")
@@ -176,13 +198,13 @@ func TestAutoCorrSharedStateRestoresInPlace(t *testing.T) {
 	if &restored.lags[0] != &lags[0] || &restored.ring[0] == &want.Ring[0] {
 		t.Fatal("Restore copied the lag slice or kept the state's ring")
 	}
-	kept := live.State()
+	kept := stateOf(live)
 	for i := 0; i < 50; i++ {
 		x := float64(i%5) / 5
 		live.Add(x)
 		restored.Add(x)
 	}
-	if got, w := restored.State(), live.State(); !reflect.DeepEqual(got, w) {
+	if got, w := restored.SharedState(), live.SharedState(); !reflect.DeepEqual(got, w) {
 		t.Fatalf("restored sketch continues to %+v, the live one to %+v", got, w)
 	}
 	if !reflect.DeepEqual(want, kept) {

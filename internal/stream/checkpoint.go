@@ -10,6 +10,7 @@ import (
 	"slices"
 	"time"
 
+	"cloudlens/internal/classify"
 	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/parallel"
@@ -29,19 +30,16 @@ import (
 // strings (not interned ids) so the serialized form is independent of the
 // intern table's assignment order.
 
-// vmAccState is a live VM accumulator.
+// vmAccState is a live VM accumulator. It embeds the family's
+// classify.Evidence as vmAcc does; validate holds it to what the family's
+// rules can produce from the sketch's sample count (classify.Rules.Check).
 type vmAccState struct {
-	Idx              int32
-	From             int
-	Seen             bool
-	Next             int
-	Last             float64
-	PeakSum, RestSum float64
-	PeakN, RestN     int
-	// PeakMax and IdleN are the serverless family's invocation evidence
-	// (running peak, idle-sample count); zero for CPU-family snapshots.
-	PeakMax   float64
-	IdleN     int
+	Idx  int32
+	From int
+	Seen bool
+	Next int
+	Last float64
+	classify.Evidence
 	Qualified bool
 	Hourly    [24]float64
 	HourlyN   [24]int
@@ -259,8 +257,7 @@ func (ing *Ingestor) snapshot() *ShardCheckpoint {
 		}
 		ck.Accs = append(ck.Accs, vmAccState{
 			Idx: acc.idx, From: acc.from, Seen: acc.seen, Next: acc.next, Last: acc.last,
-			PeakSum: acc.peakSum, RestSum: acc.restSum, PeakN: acc.peakN, RestN: acc.restN,
-			PeakMax: acc.peakMax, IdleN: acc.idleN,
+			Evidence:  acc.Evidence,
 			Qualified: acc.qualified, Hourly: acc.hourly, HourlyN: acc.hourlyN,
 			GapSteps: append([]int32(nil), acc.gapSteps...),
 			AC:       acc.ac.SharedState(),
@@ -354,7 +351,8 @@ func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 	n := tr.Grid.N
 	ringLen := ck.effectiveRingLen()
 	keys := tr.Keys()
-	lags := newLagSet(tr.Grid.StepsPerHour()).all
+	rules := classify.NewRules(tr.Family, tr.Grid.StepsPerHour())
+	lags := rules.Lags()
 	hours := tr.Grid.Hours()
 	if ck.LastStep < -1 || ck.LastStep > n {
 		return fmt.Errorf("stream: checkpoint last step %d outside [-1, %d]", ck.LastStep, n)
@@ -422,6 +420,9 @@ func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 		// The sketch must track the lags this grid's classifier reads.
 		if !slices.Equal(st.AC.Lags, lags) {
 			return fmt.Errorf("stream: checkpoint accumulator for VM %d tracks lags %v, this grid's are %v", st.Idx, st.AC.Lags, lags)
+		}
+		if err := rules.Check(&st.Evidence, int(st.AC.W.N)); err != nil {
+			return fmt.Errorf("stream: checkpoint accumulator for VM %d: %w", st.Idx, err)
 		}
 		// Gap steps must be strictly increasing holes inside the observed
 		// span, or qualify's step-reconstruction walk misattributes (or
@@ -610,14 +611,13 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 		acc := &vmAcc{
 			util: ss.util.Counter(), idx: st.Idx, v: v, sub: ss, cs: ing.clouds[v.Cloud], from: st.From,
 			seen: st.Seen, next: st.Next, last: st.Last,
-			peakSum: st.PeakSum, restSum: st.RestSum, peakN: st.PeakN, restN: st.RestN,
-			peakMax: st.PeakMax, idleN: st.IdleN,
+			Evidence:  st.Evidence,
 			qualified: st.Qualified, hourly: st.Hourly, hourlyN: st.HourlyN,
 			gapSteps: st.GapSteps,
 		}
 		// In place, on the lag set every fresh accumulator shares (validate
 		// held the checkpoint's lags to it).
-		if err := acc.ac.Restore(ing.lags.all, st.AC); err != nil {
+		if err := acc.ac.Restore(ing.lags, st.AC); err != nil {
 			return nil, fmt.Errorf("stream: VM %d autocorrelation: %w", st.Idx, err)
 		}
 		if acc.qualified {

@@ -259,6 +259,59 @@ func TestRestoreRejectsImpossibleAccSpan(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsImpossibleEvidence pins the evidence block's domain: a
+// CRC-valid checkpoint used to restore with any six numbers there, and the
+// resumed engine classified from them. Each row breaks one invariant the
+// family's classify.Rules maintain, on a checkpoint that restores cleanly
+// unmutated.
+func TestRestoreRejectsImpossibleEvidence(t *testing.T) {
+	cpu := microTrace()
+	fn := microTrace()
+	fn.Family = core.FamilyServerless
+	eng := NewEngine(fn, Options{MaxLatenessSteps: 2, FoldEverySteps: 10000})
+	eng.ObserveBatch(batchOf(0, sampleAt(0, 0, 0.02), sampleAt(1, 0, 0.4)))
+	eng.ObserveBatch(batchOf(1, sampleAt(0, 1, 0.6)))
+	eng.ObserveBatch(batchOf(3, sampleAt(0, 3, 0.01)))
+	fnCheckpoint := func() *Checkpoint { return checkpointFrom(t, fn, eng) }
+	for _, tc := range []struct {
+		name string
+		tr   *trace.Trace
+		ck   func() *Checkpoint
+		mut  func(*vmAccState)
+	}{
+		{"cpu unmutated", cpu, func() *Checkpoint { return checkpointOf(t) }, nil},
+		{"cpu peak count off the sample count", cpu, func() *Checkpoint { return checkpointOf(t) }, func(a *vmAccState) { a.PeakN++ }},
+		{"cpu negative peak count", cpu, func() *Checkpoint { return checkpointOf(t) }, func(a *vmAccState) { a.PeakN, a.RestN = a.PeakN-7, a.RestN+7 }},
+		{"cpu peak sum below zero", cpu, func() *Checkpoint { return checkpointOf(t) }, func(a *vmAccState) { a.PeakSum = -1e300 }},
+		{"cpu rest sum above its count", cpu, func() *Checkpoint { return checkpointOf(t) }, func(a *vmAccState) { a.RestSum = float64(a.RestN) + 1 }},
+		{"cpu NaN rest sum", cpu, func() *Checkpoint { return checkpointOf(t) }, func(a *vmAccState) { a.RestSum = math.NaN() }},
+		{"cpu invocation peak", cpu, func() *Checkpoint { return checkpointOf(t) }, func(a *vmAccState) { a.PeakMax = 0.5 }},
+		{"cpu idle count", cpu, func() *Checkpoint { return checkpointOf(t) }, func(a *vmAccState) { a.IdleN = 1 << 40 }},
+		{"serverless unmutated", fn, fnCheckpoint, nil},
+		{"serverless alignment count", fn, fnCheckpoint, func(a *vmAccState) { a.PeakN = 1 }},
+		{"serverless alignment sum", fn, fnCheckpoint, func(a *vmAccState) { a.RestSum = 0.1 }},
+		{"serverless idle count past the samples", fn, fnCheckpoint, func(a *vmAccState) { a.IdleN = 1 << 40 }},
+		{"serverless negative idle count", fn, fnCheckpoint, func(a *vmAccState) { a.IdleN = -1 }},
+		{"serverless peak above one", fn, fnCheckpoint, func(a *vmAccState) { a.PeakMax = 42 }},
+		{"serverless NaN peak", fn, fnCheckpoint, func(a *vmAccState) { a.PeakMax = math.NaN() }},
+	} {
+		ck := tc.ck()
+		if len(ck.Shards[0].Accs) == 0 {
+			t.Fatalf("%s: fixture checkpoint has no accumulators", tc.name)
+		}
+		if tc.mut == nil {
+			if _, err := RestoreEngine(tc.tr, Options{}, ck); err != nil {
+				t.Fatalf("%s: RestoreEngine refused the checkpoint: %v", tc.name, err)
+			}
+			continue
+		}
+		tc.mut(&ck.Shards[0].Accs[0])
+		if _, err := RestoreEngine(tc.tr, Options{}, ck); err == nil {
+			t.Errorf("RestoreEngine accepted %s", tc.name)
+		}
+	}
+}
+
 // TestRestoreRejectsJunkWatermark pins the companion hang: advanceLocked
 // walks the watermark one step at a time toward the incoming batch step, so
 // a watermark rewound below -1 (or beyond the grid) loops billions of times.

@@ -77,8 +77,8 @@ func TestGapSkipQualifyStepAttribution(t *testing.T) {
 	var hourlyN [24]int
 	hourSum := make([]float64, g.Hours())
 	hourN := make([]float64, g.Hours())
-	var peakSum, restSum float64
-	var peakN, restN int
+	var want classify.Evidence
+	rules := classify.NewRules(tr.Family, ing.stepsPerHour)
 	for s := 0; s <= last; s++ {
 		if s == hole {
 			continue
@@ -89,13 +89,7 @@ func TestGapSkipQualifyStepAttribution(t *testing.T) {
 			hourSum[g.HourOf(s)] += cpu(s)
 			hourN[g.HourOf(s)]++
 		}
-		if classify.AlignedSlot(s%ing.stepsPerHour, ing.stepsPerHour) {
-			peakSum += cpu(s)
-			peakN++
-		} else {
-			restSum += cpu(s)
-			restN++
-		}
+		rules.Add(&want, s, cpu(s))
 	}
 
 	// The autocorrelation ring retains float32 values, so flushed sums
@@ -118,10 +112,10 @@ func TestGapSkipQualifyStepAttribution(t *testing.T) {
 				h, rh.Sum[h], rh.N[h], hourSum[h], hourN[h])
 		}
 	}
-	if math.Abs(acc.peakSum-peakSum) > eps || acc.peakN != peakN ||
-		math.Abs(acc.restSum-restSum) > eps || acc.restN != restN {
+	if math.Abs(acc.PeakSum-want.PeakSum) > eps || acc.PeakN != want.PeakN ||
+		math.Abs(acc.RestSum-want.RestSum) > eps || acc.RestN != want.RestN {
 		t.Errorf("slot alignment drifted: peak %.6f/%d rest %.6f/%d, want peak %.6f/%d rest %.6f/%d",
-			acc.peakSum, acc.peakN, acc.restSum, acc.restN, peakSum, peakN, restSum, restN)
+			acc.PeakSum, acc.PeakN, acc.RestSum, acc.RestN, want.PeakSum, want.PeakN, want.RestSum, want.RestN)
 	}
 }
 

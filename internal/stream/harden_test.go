@@ -132,8 +132,8 @@ func TestGapPolicies(t *testing.T) {
 
 	ing, acc := run(GapCarry)
 	// The ring stores float32, so compare at that precision.
-	if got := acc.ac.Retained(nil); len(got) != 4 ||
-		math.Abs(got[1]-0.2) > 1e-6 || math.Abs(got[2]-0.2) > 1e-6 {
+	if got := acc.ac.RetainedRaw(nil); len(got) != 4 ||
+		math.Abs(float64(got[1])-0.2) > 1e-6 || math.Abs(float64(got[2])-0.2) > 1e-6 {
 		t.Errorf("carry series = %v, want last value repeated across the gap", got)
 	}
 	if fs := ing.FaultStats(); fs.GapsFilled != 2 || fs.GapsSkipped != 0 {
@@ -141,13 +141,13 @@ func TestGapPolicies(t *testing.T) {
 	}
 
 	ing, acc = run(GapInterpolate)
-	got := acc.ac.Retained(nil)
+	got := acc.ac.RetainedRaw(nil)
 	want := []float64{0.2, 0.4, 0.6, 0.8}
 	if len(got) != len(want) {
 		t.Fatalf("interpolate series = %v, want %v", got, want)
 	}
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-6 {
+		if math.Abs(float64(got[i])-want[i]) > 1e-6 {
 			t.Errorf("interpolate series[%d] = %v, want %v", i, got[i], want[i])
 		}
 	}
@@ -156,7 +156,7 @@ func TestGapPolicies(t *testing.T) {
 	}
 
 	ing, acc = run(GapSkip)
-	if got := acc.ac.Retained(nil); len(got) != 2 {
+	if got := acc.ac.RetainedRaw(nil); len(got) != 2 {
 		t.Errorf("skip series = %v, want just the two delivered samples", got)
 	}
 	if fs := ing.FaultStats(); fs.GapsSkipped != 2 || fs.GapsFilled != 0 {

@@ -112,7 +112,7 @@ func TestVMAccLayout(t *testing.T) {
 		}
 	}
 	for _, name := range []string{"util", "cs", "from", "seen", "next", "last",
-		"peakSum", "restSum", "peakN", "restN", "peakMax", "idleN", "qualified"} {
+		"Evidence", "qualified"} {
 		f := field(acc, name)
 		check(name, f.Offset+f.Type.Size())
 	}

@@ -12,7 +12,6 @@ import (
 	"cloudlens/internal/core"
 	"cloudlens/internal/kb"
 	"cloudlens/internal/parallel"
-	"cloudlens/internal/periodic"
 	"cloudlens/internal/sketch"
 	"cloudlens/internal/stats"
 	"cloudlens/internal/trace"
@@ -27,46 +26,15 @@ const (
 	cloudBins = 2000
 )
 
-// lagSet holds the streaming classifier's target lags and the hill-test
-// lags around them, for one grid resolution.
-type lagSet struct {
-	hour, halfHour, day int
-	all                 []int // shared by every VM's sketch, never modified
-}
-
-func newLagSet(stepsPerHour int) lagSet {
-	ls := lagSet{
-		hour:     stepsPerHour,
-		halfHour: stepsPerHour / 2,
-		day:      24 * stepsPerHour,
-	}
-	seen := make(map[int]bool)
-	add := func(lag int) {
-		if lag >= 1 && !seen[lag] {
-			seen[lag] = true
-			ls.all = append(ls.all, lag)
-		}
-	}
-	for _, target := range []int{ls.hour, ls.halfHour, ls.day} {
-		if target < 2 {
-			continue
-		}
-		add(target)
-		add(target - target/2)
-		add(target + target/2)
-	}
-	return ls
-}
-
 // vmAcc is the per-VM streaming state: an autocorrelation sketch over the
-// classifier's target lags (which doubles as mean/variance tracking and a
-// ring of the most recent day-and-a-half of samples), the hour-alignment
-// accumulators, and — once the VM has a day of history and qualifies for
-// profiling — per-UTC-hour utilization sums.
+// lags the trace family's classify.Rules read (which doubles as mean/variance
+// tracking and a ring of the most recent day-and-a-half of samples), the
+// family's classify.Evidence, and — once the VM has a day of history and
+// qualifies for profiling — per-UTC-hour utilization sums.
 //
 // The fields are laid out hot-first: everything observe touches for every
-// sample — the subscription-sketch handle, the ordering state, the evidence
-// sums, and the embedded sketch's moments and deferred block — sits in the
+// sample — the subscription-sketch handle, the ordering state, the evidence,
+// and the embedded sketch's moments and deferred block — sits in the
 // first three cache lines (TestVMAccLayout holds it there, and the struct
 // in its 896-byte size class). The sketch is held by value for the same
 // reason: its moments are reached through the accumulator's own lines
@@ -87,15 +55,7 @@ type vmAcc struct {
 	next int
 	last float64
 
-	peakSum, restSum float64
-	peakN, restN     int
-
-	// Serverless-family evidence: the running sample peak and the count of
-	// idle samples (below classify.IdleEps). Maintained only when
-	// the trace is the serverless family, so the CPU hot path pays one
-	// predictable branch and nothing else.
-	peakMax float64
-	idleN   int
+	classify.Evidence
 
 	seen      bool
 	qualified bool
@@ -270,8 +230,8 @@ type Ingestor struct {
 	keys         *trace.KeyTable
 	opts         Options
 	family       core.Family
-	lags         lagSet
-	minACF       float64
+	rules        classify.Rules
+	lags         []int // rules.Lags(), shared by every VM's sketch
 	snapStep     int
 	stepsPerHour int
 	minSteps     int
@@ -332,13 +292,14 @@ func newIngestor(tr *trace.Trace, opts Options, met *ingestMetrics) *Ingestor {
 	stepsPerHour := tr.Grid.StepsPerHour()
 	opts = opts.withDefaults(stepsPerHour)
 	keys := tr.Keys()
+	rules := classify.NewRules(tr.Family, stepsPerHour)
 	ing := &Ingestor{
 		tr:           tr,
 		keys:         keys,
 		opts:         opts,
 		family:       tr.Family,
-		lags:         newLagSet(stepsPerHour),
-		minACF:       periodic.DefaultMinACF,
+		rules:        rules,
+		lags:         rules.Lags(),
 		snapStep:     tr.SnapshotStep(),
 		stepsPerHour: stepsPerHour,
 		minSteps:     kb.MinProfileStepsFor(tr.Grid),
@@ -717,7 +678,7 @@ func (ing *Ingestor) track(idx int32) *vmAcc {
 		v:    v,
 		sub:  ss,
 	}
-	acc.ac.Init(ing.lags.all...)
+	acc.ac.Init(ing.lags...)
 	ing.accs[idx] = acc
 	return acc
 }
@@ -756,27 +717,10 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 	if at.flush {
 		acc.ac.Flush()
 	}
-	if ing.family == core.FamilyServerless {
-		// Invocation-rate evidence: running peak and idle share, matching
-		// classify.ClassifyInvocation's accumulators over the same samples.
-		if cpu > acc.peakMax {
-			acc.peakMax = cpu
-		}
-		if cpu < classify.IdleEps {
-			acc.idleN++
-		}
-	} else if classify.AlignedSlot((step-acc.from)%ing.stepsPerHour, ing.stepsPerHour) {
-		// Slot alignment is relative to the series origin, matching the
-		// batch classifier's index convention over a materialized series.
-		// Under GapSkip the observed-sample count drifts from the true step
-		// offset after every hole, so the slot must derive from the step
-		// itself.
-		acc.peakSum += cpu
-		acc.peakN++
-	} else {
-		acc.restSum += cpu
-		acc.restN++
-	}
+	// The offset is from the series origin, the batch classifier's index
+	// over a materialized series. Under GapSkip the observed-sample count
+	// drifts from it after every hole, so it must derive from the step.
+	ing.rules.Add(&acc.Evidence, step-acc.from, cpu)
 	acc.cs.samples++
 	if !acc.qualified {
 		if acc.ac.N() >= ing.minSteps {
@@ -864,7 +808,7 @@ func (ing *Ingestor) retire(idx int32) {
 // record compacts a qualified VM's accumulators into a fold candidate,
 // classifying its pattern from the streaming evidence.
 func (ing *Ingestor) record(acc *vmAcc) classifiedVM {
-	p := ing.classifyAcc(acc)
+	p := ing.rules.Decide(&acc.Evidence, &acc.ac)
 	mClassified[p].Inc()
 	return classifiedVM{
 		idx:     acc.idx,
@@ -874,66 +818,6 @@ func (ing *Ingestor) record(acc *vmAcc) classifiedVM {
 		hourly:  acc.hourly,
 		hourlyN: acc.hourlyN,
 	}
-}
-
-// classifyAcc is the incremental counterpart of the family's batch
-// classifier: the same evidence assembled from streaming accumulators
-// instead of a materialized series, then mapped through the shared Decide
-// thresholds.
-//
-// The serverless branch uses the raw daily autocorrelation (AutoCorr.At),
-// exactly as classify.ClassifyInvocation does — not the hill-validated ACF
-// of the CPU branch — so batch and stream compute identical evidence.
-func (ing *Ingestor) classifyAcc(acc *vmAcc) core.Pattern {
-	if ing.family == core.FamilyServerless {
-		n := acc.ac.N()
-		var idleShare float64
-		if n > 0 {
-			idleShare = float64(acc.idleN) / float64(n)
-		}
-		res := classify.InvocationEvidence(acc.ac.Mean(), acc.ac.StdDev(),
-			acc.peakMax, idleShare, acc.ac.At(ing.lags.day))
-		return res.Decide()
-	}
-	res := classify.Result{StdDev: acc.ac.StdDev()}
-	res.DailyACF = ing.validatedACF(&acc.ac, ing.lags.day)
-	res.HourlyACF = ing.validatedACF(&acc.ac, ing.lags.hour)
-	if half := ing.lags.halfHour; half >= 2 {
-		if v := ing.validatedACF(&acc.ac, half); v > res.HourlyACF {
-			res.HourlyACF = v
-		}
-	}
-	if acc.peakN > 0 && acc.restN > 0 {
-		peakMean := acc.peakSum / float64(acc.peakN)
-		restMean := acc.restSum / float64(acc.restN)
-		res.HourAligned = peakMean > restMean+classify.AlignedMargin
-	}
-	return res.Decide()
-}
-
-// validatedACF mirrors the AUTOPERIOD acceptance rules at a fixed target
-// lag: the period must repeat at least twice in the observed span, clear
-// the minimum-ACF bar, and sit on an ACF hill (its value exceeds the ACF
-// half a period away on the sides that lie inside the valid lag range).
-func (ing *Ingestor) validatedACF(ac *sketch.AutoCorr, lag int) float64 {
-	n := ac.N()
-	if lag < 2 || n < 2*lag {
-		return 0
-	}
-	v := ac.At(lag)
-	if v < ing.minACF {
-		return 0
-	}
-	half := lag / 2
-	if half >= 1 {
-		if ac.At(lag-half) >= v {
-			return 0
-		}
-		if right := lag + half; right <= n/2 && ac.At(right) >= v {
-			return 0
-		}
-	}
-	return v
 }
 
 // foldInto builds this ingestor's subscriptions' profiles for the engine's
@@ -1089,7 +973,7 @@ func (ing *Ingestor) buildProfile(s *foldScratch, ss *subState, p *kb.Profile) {
 			pat, sum, n, hSum, hN = c.pattern, c.utilSum, c.n, &c.hourly, &c.hourlyN
 		} else {
 			acc := ing.accs[ref.idx]
-			pat = ing.classifyAcc(acc)
+			pat = ing.rules.Decide(&acc.Evidence, &acc.ac)
 			s.classified[pat]++
 			n = acc.ac.N()
 			sum, hSum, hN = acc.ac.Mean()*float64(n), &acc.hourly, &acc.hourlyN

@@ -38,7 +38,7 @@ func TestRestoredSketchesShareLagSet(t *testing.T) {
 	defer restored.Abort()
 	for i, pair := range [][2]*Ingestor{{eng.shards[0], restored.shards[0]}, {eng.shards[1], restored.shards[1]}} {
 		for which, ing := range map[string]*Ingestor{"fresh": pair[0], "restored": pair[1]} {
-			shared := uintptr(unsafe.Pointer(unsafe.SliceData(ing.lags.all)))
+			shared := uintptr(unsafe.Pointer(unsafe.SliceData(ing.lags)))
 			n := 0
 			for _, acc := range ing.accs {
 				if acc == nil {
