@@ -59,10 +59,15 @@ func NewRules(f core.Family, stepsPerHour int) Rules {
 func (r Rules) day() int { return 24 * r.stepsPerHour }
 
 // Lags returns, in a new slice, the lags a sketch handed to Decide must
-// track: the hour, the half hour and the day, each with the hill-test lags
-// half a period either side. Both families' sketches track the same set;
-// the serverless rules read only the daily lag.
+// track, and no others: each costs the sketch a lag chain per block fold,
+// and the largest sets its ring's length. The CPU rules read the hour, the
+// half hour and the day, each with the hill-test lags half a period either
+// side, so their ring spans a day and a half; the serverless rules read the
+// daily lag alone, so theirs spans exactly one day.
 func (r Rules) Lags() []int {
+	if r.family == core.FamilyServerless {
+		return []int{r.day()}
+	}
 	var lags []int
 	for _, target := range []int{r.stepsPerHour, r.halfHour, r.day()} {
 		if target < 2 {

@@ -78,14 +78,14 @@ func ClassifyInvocation(series []float64, opts InvocationOptions) InvocationResu
 }
 
 // classifyInvocation is ClassifyInvocation on the rules' grid. Its sketch
-// tracks the daily lag alone: the only one the serverless rules read, and
-// At(lag) does not depend on which other lags a sketch tracks.
+// tracks the rules' lags, the daily lag alone, as every streamed serverless
+// sketch does.
 func (r Rules) classifyInvocation(series []float64) InvocationResult {
 	classifiedSeries.Inc()
 	if len(series) == 0 {
 		return InvocationResult{Pattern: core.PatternUnknown}
 	}
-	ac := sketch.NewAutoCorr(r.day())
+	ac := sketch.NewAutoCorr(r.Lags()...)
 	var e Evidence
 	for i, v := range series {
 		ac.Add(v)

@@ -97,9 +97,10 @@ func (o ExtractOptions) withDefaults() ExtractOptions {
 const MinProfileSteps = 288
 
 // MinProfileStepsFor is the qualification threshold for an arbitrary grid:
-// one day of history, whatever the sampling interval. It is always within
-// the streaming sketches' retention window (1.5 days), so the
-// qualification flush recovers every sample. Exported so the streaming
+// one day of history, whatever the sampling interval. It never exceeds the
+// streaming sketches' retention window, the largest lag their family's
+// rules read (a day and a half for CPU, exactly one day for serverless), so
+// the qualification flush recovers every sample. Exported so the streaming
 // pipeline applies the same threshold when it folds live samples into
 // knowledge-base state.
 func MinProfileStepsFor(g sim.Grid) int {

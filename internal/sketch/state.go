@@ -91,18 +91,20 @@ func (a *AutoCorr) SharedState() AutoCorrState {
 	}
 }
 
-// Restore makes a, in place, the accumulator s was captured from. The
-// per-lag sum slices must all match the lag count and the ring length must
-// be the one the sample count implies; mismatches indicate a corrupted or
-// incompatible snapshot. a tracks lags, which must equal s.Lags and
-// is kept without copying, as Init keeps it, so many restored accumulators
-// can share one lag set. The ring and the sums are copied into storage a
-// owns and s is not written, so one state can be restored more than once.
-// On error a is left as it was.
+// Restore makes a, in place, the accumulator s was captured from, over
+// lags. Every lag of lags must be among s.Lags; s may track more, as a state
+// captured before its holder's lag set shrank does. a then keeps the sums of
+// its own lags and the newest samples its largest lag reaches, laid out
+// where its own Add would have put them, and continues exactly as an
+// accumulator over lags alone: each lag's sums fold independently of the
+// others, and a lag's partners are in the ring it keeps. The per-lag sum
+// slices must all match s's lag count and the ring length must be the one
+// the sample count implies under s's largest lag; mismatches indicate a
+// corrupted or incompatible snapshot. lags is kept without copying, as Init
+// keeps it, so many restored accumulators can share one lag set. The ring
+// and the sums are copied into storage a owns and s is not written, so one
+// state can be restored more than once. On error a is left as it was.
 func (a *AutoCorr) Restore(lags []int, s AutoCorrState) error {
-	if !slices.Equal(lags, s.Lags) {
-		return fmt.Errorf("sketch: autocorr state tracks lags %v, not %v", s.Lags, lags)
-	}
 	if len(s.SumProd) != len(s.Lags) || len(s.HeadSum) != len(s.Lags) || len(s.TailSum) != len(s.Lags) {
 		return fmt.Errorf("sketch: autocorr state has %d lags but %d/%d/%d sums",
 			len(s.Lags), len(s.SumProd), len(s.HeadSum), len(s.TailSum))
@@ -116,6 +118,11 @@ func (a *AutoCorr) Restore(lags []int, s AutoCorrState) error {
 		}
 		maxLag = max(maxLag, l)
 	}
+	for _, l := range lags {
+		if !slices.Contains(s.Lags, l) {
+			return fmt.Errorf("sketch: autocorr state tracks lags %v, not %v", s.Lags, lags)
+		}
+	}
 	// Add indexes the ring by the sample count, so the two must agree: the
 	// ring holds every sample until it reaches the largest lag, then stays
 	// that long.
@@ -124,11 +131,22 @@ func (a *AutoCorr) Restore(lags []int, s AutoCorrState) error {
 			len(s.Ring), s.W.N, maxLag, want)
 	}
 	a.Init(lags...)
-	a.ring = append([]float32(nil), s.Ring...)
 	a.w = WelfordFromState(s.W)
 	a.sum = s.Sum
-	copy(a.sumProd, s.SumProd)
-	copy(a.headSum, s.HeadSum)
-	copy(a.tailSum, s.TailSum)
+	for i, l := range lags {
+		j := slices.Index(s.Lags, l)
+		a.sumProd[i], a.headSum[i], a.tailSum[i] = s.SumProd[j], s.HeadSum[j], s.TailSum[j]
+	}
+	if a.maxLag == maxLag {
+		a.ring = append([]float32(nil), s.Ring...)
+		return nil
+	}
+	// Sample i sits at i mod the largest lag in either ring.
+	if n, m := int(s.W.N), min(int(s.W.N), a.maxLag); m > 0 {
+		a.ring = make([]float32, m)
+		for i := n - m; i < n; i++ {
+			a.ring[i%a.maxLag] = s.Ring[i%maxLag]
+		}
+	}
 	return nil
 }

@@ -214,3 +214,37 @@ func TestAutoCorrSharedStateRestoresInPlace(t *testing.T) {
 		t.Fatal("Restore accepted a state of other lags")
 	}
 }
+
+// TestAutoCorrRestoreProjectsSuperset pins the projection a holder whose lag
+// set shrank relies on: a state over a superset restores onto a subset, in
+// any order, as exactly the accumulator that tracked the subset alone from
+// the start — every sum and the ring in the place its own Add would have
+// put each sample — and both continue bit for bit. The sample counts span
+// an unfilled ring, one past the subset's largest lag but not the state's,
+// and one past both, each mid-block.
+func TestAutoCorrRestoreProjectsSuperset(t *testing.T) {
+	wide, narrow := []int{4, 2, 40, 9, 25}, []int{25, 4}
+	xs := sampleSeries(200, 23)
+	for _, n := range []int{0, 7, 17, 31, 45, 123} {
+		full := NewAutoCorr(wide...)
+		alone := NewAutoCorr(narrow...)
+		for _, x := range xs[:n] {
+			full.Add(x)
+			alone.Add(x)
+		}
+		var projected AutoCorr
+		if err := projected.Restore(narrow, stateOf(full)); err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got, want := stateOf(&projected), stateOf(alone); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: projected state %+v, the subset alone holds %+v", n, got, want)
+		}
+		for _, x := range xs[n:] {
+			projected.Add(x)
+			alone.Add(x)
+		}
+		if got, want := stateOf(&projected), stateOf(alone); !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: projected sketch continues to %+v, the subset alone to %+v", n, got, want)
+		}
+	}
+}

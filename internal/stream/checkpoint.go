@@ -417,9 +417,13 @@ func (ck *ShardCheckpoint) validate(tr *trace.Trace) error {
 		if !(st.Last >= 0 && st.Last <= 1) && st.Seen {
 			return fmt.Errorf("stream: checkpoint accumulator for VM %d holds out-of-domain last reading %v", st.Idx, st.Last)
 		}
-		// The sketch must track the lags this grid's classifier reads.
-		if !slices.Equal(st.AC.Lags, lags) {
-			return fmt.Errorf("stream: checkpoint accumulator for VM %d tracks lags %v, this grid's are %v", st.Idx, st.AC.Lags, lags)
+		// The sketch must track every lag this grid's rules read. It may
+		// track more: a file written while the family's lag set was larger
+		// restores projected onto this one (sketch.AutoCorr.Restore).
+		for _, l := range lags {
+			if !slices.Contains(st.AC.Lags, l) {
+				return fmt.Errorf("stream: checkpoint accumulator for VM %d tracks lags %v, not lag %d of this grid's %v", st.Idx, st.AC.Lags, l, lags)
+			}
 		}
 		if err := rules.Check(&st.Evidence, int(st.AC.W.N)); err != nil {
 			return fmt.Errorf("stream: checkpoint accumulator for VM %d: %w", st.Idx, err)
@@ -616,7 +620,7 @@ func restoreShard(tr *trace.Trace, opts Options, ck *ShardCheckpoint, met *inges
 			gapSteps: st.GapSteps,
 		}
 		// In place, on the lag set every fresh accumulator shares (validate
-		// held the checkpoint's lags to it).
+		// held the checkpoint's lags to cover it).
 		if err := acc.ac.Restore(ing.lags, st.AC); err != nil {
 			return nil, fmt.Errorf("stream: VM %d autocorrelation: %w", st.Idx, err)
 		}

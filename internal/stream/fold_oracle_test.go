@@ -28,7 +28,7 @@ func referenceBuildProfile(ing *Ingestor, ss *subState, live []*vmAcc) *kb.Profi
 	p := &kb.Profile{
 		Subscription:        ss.id,
 		Cloud:               ss.cloud,
-		Family:              ing.family,
+		Family:              ing.tr.Family,
 		Regions:             sortedKeys(ss.regions),
 		Services:            sortedKeys(ss.services),
 		VMsObserved:         ss.vmsObserved,
@@ -69,7 +69,7 @@ func referenceBuildProfile(ing *Ingestor, ss *subState, live []*vmAcc) *kb.Profi
 			}
 		}
 		best := core.PatternUnknown
-		for _, k := range ing.family.Patterns() {
+		for _, k := range ing.tr.Family.Patterns() {
 			if share, ok := p.PatternShares[k]; ok {
 				p.PatternShares[k] = share / float64(len(cands))
 				if best == core.PatternUnknown || p.PatternShares[k] > p.PatternShares[best] {
@@ -376,8 +376,8 @@ func TestFoldNormalisesOffTaxonomyShares(t *testing.T) {
 	if _, ok := p.PatternShares[core.PatternBursty]; !ok {
 		t.Errorf("shares %v lost the off-taxonomy class", p.PatternShares)
 	}
-	if !ing.family.Has(p.DominantPattern) {
-		t.Errorf("dominant pattern %s is outside the %s taxonomy", p.DominantPattern, ing.family)
+	if !ing.tr.Family.Has(p.DominantPattern) {
+		t.Errorf("dominant pattern %s is outside the %s taxonomy", p.DominantPattern, ing.tr.Family)
 	}
 }
 

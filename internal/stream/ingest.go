@@ -28,7 +28,8 @@ const (
 
 // vmAcc is the per-VM streaming state: an autocorrelation sketch over the
 // lags the trace family's classify.Rules read (which doubles as mean/variance
-// tracking and a ring of the most recent day-and-a-half of samples), the
+// tracking and a ring of the most recent samples, as many as the largest
+// lag: a day and a half for CPU, one day for serverless), the
 // family's classify.Evidence, and — once the VM has a day of history and
 // qualifies for profiling — per-UTC-hour utilization sums.
 //
@@ -229,7 +230,6 @@ type Ingestor struct {
 	tr           *trace.Trace
 	keys         *trace.KeyTable
 	opts         Options
-	family       core.Family
 	rules        classify.Rules
 	lags         []int // rules.Lags(), shared by every VM's sketch
 	snapStep     int
@@ -297,7 +297,6 @@ func newIngestor(tr *trace.Trace, opts Options, met *ingestMetrics) *Ingestor {
 		tr:           tr,
 		keys:         keys,
 		opts:         opts,
-		family:       tr.Family,
 		rules:        rules,
 		lags:         rules.Lags(),
 		snapStep:     tr.SnapshotStep(),
@@ -740,9 +739,11 @@ func (ing *Ingestor) observe(acc *vmAcc, step int, cpu float64) {
 
 // qualify promotes a VM that has reached a day of history: every retained
 // sample (the autocorrelation ring still holds the complete series at this
-// point, since the qualification threshold is below its largest lag) is
-// flushed into the per-hour, per-subscription, and per-cloud aggregates
-// that only profiled VMs contribute to.
+// point, since the qualification threshold is at most its largest lag:
+// below it for CPU, equal to it for serverless, whose ring is one day long;
+// TestQualificationFitsTheRing holds it there) is flushed into the per-hour,
+// per-subscription, and per-cloud aggregates that only profiled VMs
+// contribute to.
 func (ing *Ingestor) qualify(acc *vmAcc) {
 	acc.qualified = true
 	acc.sub.qualified = append(acc.sub.qualified, acc.idx)
@@ -929,7 +930,7 @@ func (ing *Ingestor) buildProfile(s *foldScratch, ss *subState, p *kb.Profile) {
 	*p = kb.Profile{
 		Subscription:        ss.id,
 		Cloud:               ss.cloud,
-		Family:              ing.family,
+		Family:              ing.tr.Family,
 		Regions:             ss.regionNames,
 		Services:            ss.serviceNames,
 		VMsObserved:         ss.vmsObserved,
