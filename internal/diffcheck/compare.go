@@ -195,6 +195,10 @@ func compareTrial(tl Trial, tr *trace.Trace, batch *kb.Snapshot, run *streamRun,
 	res := TrialResult{Trial: tl, PatternAgreement: 1, PeakHourAgreement: 1}
 	d := &diffState{res: &res, max: maxDiv}
 
+	for _, diff := range run.stateDiffs {
+		d.add("", "resume.state", "uninterrupted twin's checkpoint", diff)
+	}
+
 	all := kb.Query{MinRegionAgnosticScore: -2}
 	bps := batch.List(all)
 	res.Subscriptions = len(bps)

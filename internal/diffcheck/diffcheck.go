@@ -33,6 +33,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"cloudlens/internal/core"
@@ -285,12 +286,31 @@ type streamRun struct {
 	// and corruption destroy readings, duplicates and bounded delays are
 	// fully absorbed by the reorder ring.
 	lossless bool
+	// stateDiffs are the points of a kill trial where the resumed engine's
+	// checkpoint differed from its uninterrupted twin's, each with where
+	// the files first differ.
+	stateDiffs []string
+	// stateChecks counts the comparisons made.
+	stateChecks int
 }
+
+// stateChecks are the steps after the kill, and the sentinel for after
+// Finish, at which a kill trial holds the resumed engine's checkpoint to its
+// uninterrupted twin's: the restore itself, the next step, the next hour's
+// fold on the five-minute grid, and well past the reorder ring.
+var stateChecks = []int{0, 1, 12, 100, finished}
+
+const finished = -1
 
 // runStream replays the trace into a fresh engine (single or sharded per
 // tl.Shards), optionally through the fault injector, and — on kill trials
 // — serializes the engine at the kill step, restores it from the bytes,
-// and finishes on the restored instance.
+// and finishes on the restored instance. The killed engine lives on as the
+// resumed one's uninterrupted twin, fed a copy of every later batch, and
+// the two engines' checkpoints must be equal byte for byte at each of
+// stateChecks: resume is the identity on state, not only on the final
+// knowledge base, so a restore that gets state wrong that no later fold
+// reads still shows.
 func runStream(tr *trace.Trace, tl Trial, spec faultgen.Spec) (*streamRun, error) {
 	// The reorder window must cover the injector's delay bound or delayed
 	// samples are (correctly) quarantined and the trial measures loss,
@@ -313,14 +333,37 @@ func runStream(tr *trace.Trace, tl Trial, spec faultgen.Spec) (*streamRun, error
 	eng := stream.NewEngine(tr, opts)
 	eng.SetRecycler(src.Recycle)
 
+	run := &streamRun{lossless: spec.Drop == 0 && spec.Corrupt == 0}
+	var twin stream.Engine
+	killStep, checks := -1, stateChecks
+	compare := func(at string) error {
+		var want, got bytes.Buffer
+		if err := twin.WriteCheckpoint(&want); err != nil {
+			return fmt.Errorf("twin checkpoint %s: %w", at, err)
+		}
+		if err := eng.WriteCheckpoint(&got); err != nil {
+			return fmt.Errorf("resumed checkpoint %s: %w", at, err)
+		}
+		run.stateChecks++
+		if err := stream.DiffCheckpoints(tr, want.Bytes(), got.Bytes()); err != nil {
+			run.stateDiffs = append(run.stateDiffs, fmt.Sprintf("%s: %v", at, err))
+		}
+		return nil
+	}
+
 	errCh := make(chan error, 1)
 	go func() { errCh <- src.Run(context.Background()) }()
 	killed := tl.KillStep < 0
 	for b := range src.Events() {
 		step := b.Step
+		if twin != nil {
+			// A copy, taken before eng may recycle b's buffers to the
+			// source.
+			twin.ObserveBatch(copyBatch(b))
+		}
 		eng.ObserveBatch(b)
 		if !killed && step >= tl.KillStep {
-			killed = true
+			killed, killStep = true, step
 			var buf bytes.Buffer
 			if err := eng.WriteCheckpoint(&buf); err != nil {
 				return nil, fmt.Errorf("checkpoint at step %d: %w", step, err)
@@ -333,21 +376,44 @@ func runStream(tr *trace.Trace, tl Trial, spec faultgen.Spec) (*streamRun, error
 			if err != nil {
 				return nil, fmt.Errorf("restore at step %d: %w", step, err)
 			}
-			eng.Abort()
 			resumed.SetRecycler(src.Recycle)
-			eng = resumed
+			twin, eng = eng, resumed
+		}
+		for twin != nil && checks[0] != finished && step >= killStep+checks[0] {
+			if err := compare(fmt.Sprintf("kill step %d + %d", killStep, checks[0])); err != nil {
+				return nil, err
+			}
+			checks = checks[1:]
 		}
 	}
 	if err := <-errCh; err != nil {
 		return nil, fmt.Errorf("replay: %w", err)
 	}
 	eng.Finish()
+	if twin != nil {
+		twin.Finish()
+		if err := compare("after Finish"); err != nil {
+			return nil, err
+		}
+	}
 
-	run := &streamRun{eng: eng, live: eng.CaptureLive(), lossless: spec.Drop == 0 && spec.Corrupt == 0}
+	run.eng, run.live = eng, eng.CaptureLive()
 	if inj != nil {
 		run.ledger = inj.Ledger()
 	}
 	return run, nil
+}
+
+// copyBatch deep-copies a batch, for a second engine to own.
+func copyBatch(b stream.StepBatch) stream.StepBatch {
+	return stream.StepBatch{
+		Step:    b.Step,
+		VM:      slices.Clone(b.VM),
+		CPU:     slices.Clone(b.CPU),
+		Late:    slices.Clone(b.Late),
+		Created: slices.Clone(b.Created),
+		Deleted: slices.Clone(b.Deleted),
+	}
 }
 
 // profile returns a subscription's live profile from the run's capture,

@@ -135,6 +135,29 @@ func TestComparatorDetectsMutation(t *testing.T) {
 	}
 }
 
+// TestKillTrialComparesResumedState pins that a kill trial holds the
+// resumed engine's checkpoint to its uninterrupted twin's at every point of
+// stateChecks, sharded and not, and that a difference there is a trial
+// divergence.
+func TestKillTrialComparesResumedState(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	for _, shards := range []int{0, 2} {
+		tl := Trial{Index: 1, Seed: 11, Scale: 0.05, GapPolicy: stream.GapSkip, Faults: "delay=0.01:3,seed=9", KillStep: 400, Shards: shards}
+		tr, batch, run, err := materializeTrial(tl, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run.stateChecks != len(stateChecks) || len(run.stateDiffs) != 0 {
+			t.Fatalf("shards=%d: %d state comparisons, want %d; differences: %v", shards, run.stateChecks, len(stateChecks), run.stateDiffs)
+		}
+		run.stateDiffs = []string{"after Finish: planted"}
+		res := compareTrial(tl, tr, batch, run, cfg.MaxDivergencesPerTrial)
+		if len(res.Divergences) == 0 || res.Divergences[0].Field != "resume.state" {
+			t.Fatalf("shards=%d: a state difference did not surface as a resume.state divergence: %v", shards, res.Divergences)
+		}
+	}
+}
+
 // TestReportString checks the report renders one verdict line per trial
 // and surfaces the first divergence for replay.
 func TestReportString(t *testing.T) {

@@ -195,7 +195,8 @@ func decodeCheckpoint(data []byte, tr *trace.Trace) (*Checkpoint, error) {
 	return ck, nil
 }
 
-// encodeShardSection lays one shard's state out as a section.
+// encodeShardSection lays one shard's state out as a section: its parts in
+// order.
 func encodeShardSection(sc *ShardCheckpoint) []byte {
 	// The lag rings are nearly all of a section; sizing for them up front
 	// spares the buffer its doubling copies.
@@ -204,7 +205,62 @@ func encodeShardSection(sc *ShardCheckpoint) []byte {
 		hint += 4*len(sc.Accs[i].AC.Ring) + 1024
 	}
 	e := enc{b: make([]byte, 0, hint+hint/16+1<<16)}
+	for _, p := range sectionParts {
+		if p.count == nil {
+			p.put(&e, sc, 0)
+			continue
+		}
+		n := p.count(sc)
+		e.count(n)
+		for i := 0; i < n; i++ {
+			p.put(&e, sc, i)
+		}
+	}
+	return e.b
+}
 
+// sectionPart is one run of a shard section: a count-prefixed list of
+// records, or, where count is nil, one record of bare fields that writes
+// any counts it needs itself. label names a listed record, for
+// DiffCheckpoints.
+type sectionPart struct {
+	name  string
+	count func(sc *ShardCheckpoint) int
+	put   func(e *enc, sc *ShardCheckpoint, i int)
+	label func(sc *ShardCheckpoint, i int) string
+}
+
+// sectionParts is a shard section's layout, in order.
+var sectionParts = [...]sectionPart{
+	{name: "parameters and counters", put: putCounters},
+	{name: "retired flags", put: func(e *enc, sc *ShardCheckpoint, _ int) {
+		e.count(len(sc.Retired))
+		for _, r := range sc.Retired {
+			e.bool(r)
+		}
+	}},
+	{
+		name:  "reorder slots",
+		count: func(sc *ShardCheckpoint) int { return len(sc.Slots) },
+		put:   func(e *enc, sc *ShardCheckpoint, i int) { e.slot(&sc.Slots[i]) },
+		label: func(sc *ShardCheckpoint, i int) string { return fmt.Sprintf("step %d", sc.Slots[i].Step) },
+	},
+	{
+		name:  "subscriptions",
+		count: func(sc *ShardCheckpoint) int { return len(sc.Subs) },
+		put:   func(e *enc, sc *ShardCheckpoint, i int) { e.sub(&sc.Subs[i]) },
+		label: func(sc *ShardCheckpoint, i int) string { return string(sc.Subs[i].ID) },
+	},
+	{
+		name:  "accumulators",
+		count: func(sc *ShardCheckpoint) int { return len(sc.Accs) },
+		put:   func(e *enc, sc *ShardCheckpoint, i int) { e.acc(&sc.Accs[i]) },
+		label: func(sc *ShardCheckpoint, i int) string { return fmt.Sprintf("VM %d", sc.Accs[i].Idx) },
+	},
+	{name: "clouds", put: putClouds},
+}
+
+func putCounters(e *enc, sc *ShardCheckpoint, _ int) {
 	e.int(sc.LastStep)
 	e.int(sc.Watermark)
 	e.int(sc.FoldEverySteps)
@@ -223,91 +279,82 @@ func encodeShardSection(sc *ShardCheckpoint) []byte {
 	e.i64(f.GapsFilled)
 	e.i64(f.GapsSkipped)
 	e.int(f.WatermarkLag)
+}
 
-	e.count(len(sc.Retired))
-	for _, r := range sc.Retired {
-		e.bool(r)
+func (e *enc) slot(st *slotState) {
+	e.int(st.Step)
+	e.i32s(st.VM)
+	e.f32s(st.CPU)
+	e.count(len(st.Extras))
+	for _, s := range st.Extras {
+		e.i32(s.VM)
+		e.i32(s.Step)
+		e.f64(s.CPU)
 	}
+	e.i32s(st.Deleted)
+}
 
-	e.count(len(sc.Slots))
-	for i := range sc.Slots {
-		st := &sc.Slots[i]
-		e.int(st.Step)
-		e.i32s(st.VM)
-		e.f32s(st.CPU)
-		e.count(len(st.Extras))
-		for _, s := range st.Extras {
-			e.i32(s.VM)
-			e.i32(s.Step)
-			e.f64(s.CPU)
-		}
-		e.i32s(st.Deleted)
+func (e *enc) sub(ss *subStateState) {
+	e.str(string(ss.ID))
+	e.int(int(ss.Cloud))
+	e.strs(ss.Regions)
+	e.strs(ss.Services)
+	e.int(ss.VMsObserved)
+	e.int(ss.SnapshotVMs)
+	e.int(ss.SnapshotCores)
+	e.f64s(ss.Lifetimes)
+	e.int(ss.ShortLived)
+	e.histogram(&ss.Util)
+	e.count(len(ss.Retired))
+	for j := range ss.Retired {
+		c := &ss.Retired[j]
+		e.i32(c.Idx)
+		e.int(int(c.Pattern))
+		e.f64(c.UtilSum)
+		e.int(c.N)
+		e.hourly(&c.Hourly, &c.HourlyN)
 	}
-
-	e.count(len(sc.Subs))
-	for i := range sc.Subs {
-		ss := &sc.Subs[i]
-		e.str(string(ss.ID))
-		e.int(int(ss.Cloud))
-		e.strs(ss.Regions)
-		e.strs(ss.Services)
-		e.int(ss.VMsObserved)
-		e.int(ss.SnapshotVMs)
-		e.int(ss.SnapshotCores)
-		e.f64s(ss.Lifetimes)
-		e.int(ss.ShortLived)
-		e.histogram(&ss.Util)
-		e.count(len(ss.Retired))
-		for j := range ss.Retired {
-			c := &ss.Retired[j]
-			e.i32(c.Idx)
-			e.int(int(c.Pattern))
-			e.f64(c.UtilSum)
-			e.int(c.N)
-			e.hourly(&c.Hourly, &c.HourlyN)
-		}
-		e.count(len(ss.RegionHours))
-		for _, r := range sortedKeys(ss.RegionHours) {
-			rh := ss.RegionHours[r]
-			e.str(r)
-			e.f64s(rh.Sum)
-			e.f64s(rh.N)
-		}
+	e.count(len(ss.RegionHours))
+	for _, r := range sortedKeys(ss.RegionHours) {
+		rh := ss.RegionHours[r]
+		e.str(r)
+		e.f64s(rh.Sum)
+		e.f64s(rh.N)
 	}
+}
 
-	e.count(len(sc.Accs))
-	for i := range sc.Accs {
-		a := &sc.Accs[i]
-		e.i32(a.Idx)
-		e.int(a.From)
-		e.bool(a.Seen)
-		e.int(a.Next)
-		e.f64(a.Last)
-		e.bool(a.Qualified)
-		e.hourly(&a.Hourly, &a.HourlyN)
-		e.i32s(a.GapSteps)
+func (e *enc) acc(a *vmAccState) {
+	e.i32(a.Idx)
+	e.int(a.From)
+	e.bool(a.Seen)
+	e.int(a.Next)
+	e.f64(a.Last)
+	e.bool(a.Qualified)
+	e.hourly(&a.Hourly, &a.HourlyN)
+	e.i32s(a.GapSteps)
 
-		e.u8(evidenceLayout)
-		e.f64(a.PeakSum)
-		e.f64(a.RestSum)
-		e.int(a.PeakN)
-		e.int(a.RestN)
-		e.f64(a.PeakMax)
-		e.int(a.IdleN)
-		e.count(len(a.AC.Lags))
-		for _, l := range a.AC.Lags {
-			e.int(l)
-		}
-		e.f32s(a.AC.Ring)
-		e.i64(a.AC.W.N)
-		e.f64(a.AC.W.Mean)
-		e.f64(a.AC.W.M2)
-		e.f64(a.AC.Sum)
-		e.f64s(a.AC.SumProd)
-		e.f64s(a.AC.HeadSum)
-		e.f64s(a.AC.TailSum)
+	e.u8(evidenceLayout)
+	e.f64(a.PeakSum)
+	e.f64(a.RestSum)
+	e.int(a.PeakN)
+	e.int(a.RestN)
+	e.f64(a.PeakMax)
+	e.int(a.IdleN)
+	e.count(len(a.AC.Lags))
+	for _, l := range a.AC.Lags {
+		e.int(l)
 	}
+	e.f32s(a.AC.Ring)
+	e.i64(a.AC.W.N)
+	e.f64(a.AC.W.Mean)
+	e.f64(a.AC.W.M2)
+	e.f64(a.AC.Sum)
+	e.f64s(a.AC.SumProd)
+	e.f64s(a.AC.HeadSum)
+	e.f64s(a.AC.TailSum)
+}
 
+func putClouds(e *enc, sc *ShardCheckpoint, _ int) {
 	clouds := make([]core.Cloud, 0, len(sc.Clouds))
 	for c := range sc.Clouds {
 		clouds = append(clouds, c)
@@ -321,7 +368,74 @@ func encodeShardSection(sc *ShardCheckpoint) []byte {
 		e.i64(cs.Samples)
 		e.i64(cs.VMsSeen)
 	}
-	return e.b
+}
+
+// DiffCheckpoints reports where two checkpoint files of tr first differ:
+// nil when they are the same bytes, else an error naming the envelope field,
+// or the shard, the section part and (in a listed part) the record. One
+// state has one encoding, so two engines hold the same state exactly when
+// their files are equal.
+func DiffCheckpoints(tr *trace.Trace, a, b []byte) error {
+	if string(a) == string(b) {
+		return nil
+	}
+	ca, err := decodeCheckpoint(a, tr)
+	if err != nil {
+		return fmt.Errorf("stream: first checkpoint: %w", err)
+	}
+	cb, err := decodeCheckpoint(b, tr)
+	if err != nil {
+		return fmt.Errorf("stream: second checkpoint: %w", err)
+	}
+	for _, f := range []struct {
+		name string
+		a, b int64
+	}{
+		{"shard count", int64(ca.ShardCount), int64(cb.ShardCount)},
+		{"last step", int64(ca.LastStep), int64(cb.LastStep)},
+		{"samples ingested", ca.SamplesIngested, cb.SamplesIngested},
+		{"steps ingested", ca.StepsIngested, cb.StepsIngested},
+		{"fold count", ca.FoldCount, cb.FoldCount},
+	} {
+		if f.a != f.b {
+			return fmt.Errorf("stream: checkpoints differ in the envelope's %s: %d against %d", f.name, f.a, f.b)
+		}
+	}
+	for i := range ca.Shards {
+		if where := diffSections(ca.Shards[i], cb.Shards[i]); where != "" {
+			return fmt.Errorf("stream: checkpoints differ in shard %d's %s", i, where)
+		}
+	}
+	return fmt.Errorf("stream: checkpoints of %d and %d bytes decode alike", len(a), len(b))
+}
+
+// diffSections names the first part, and record, where two shard sections'
+// encodings differ; "" when they are equal.
+func diffSections(a, b *ShardCheckpoint) string {
+	record := func(p *sectionPart, sc *ShardCheckpoint, i int) string {
+		var e enc
+		p.put(&e, sc, i)
+		return string(e.b)
+	}
+	for k := range sectionParts {
+		p := &sectionParts[k]
+		if p.count == nil {
+			if record(p, a, 0) != record(p, b, 0) {
+				return p.name
+			}
+			continue
+		}
+		na, nb := p.count(a), p.count(b)
+		for i := 0; i < min(na, nb); i++ {
+			if record(p, a, i) != record(p, b, i) {
+				return fmt.Sprintf("%s, record %d (%s against %s)", p.name, i, p.label(a, i), p.label(b, i))
+			}
+		}
+		if na != nb {
+			return fmt.Sprintf("%s: %d records against %d", p.name, na, nb)
+		}
+	}
+	return ""
 }
 
 // Smallest encodings of the variable-size records, which bound how many of

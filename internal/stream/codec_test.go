@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -249,4 +251,75 @@ func TestSaveCheckpointReportsFileStep(t *testing.T) {
 	if mid == 0 {
 		t.Fatal("no checkpoint landed mid-replay; the test raced nothing")
 	}
+}
+
+// TestDiffCheckpointsNamesFirstDifference pins what a state comparison
+// reports: nothing for equal files, else the envelope field, or the shard,
+// section part and record where the files first differ.
+func TestDiffCheckpointsNamesFirstDifference(t *testing.T) {
+	tr := miniTrace(t)
+	eng := engineAt(t, tr, Options{Shards: 2}, 700)
+	defer eng.Abort()
+	var buf bytes.Buffer
+	if err := eng.WriteCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	base := buf.Bytes()
+	if err := DiffCheckpoints(tr, base, slices.Clone(base)); err != nil {
+		t.Fatalf("equal files differ: %v", err)
+	}
+	// Each mutation returns what the report must name.
+	for _, mut := range []func(ck *Checkpoint) string{
+		func(ck *Checkpoint) string {
+			ck.FoldCount++
+			return fmt.Sprintf("envelope's fold count: %d against %d", ck.FoldCount, ck.FoldCount-1)
+		},
+		func(ck *Checkpoint) string {
+			ck.Shards[1].Faults.Reordered++
+			return "shard 1's parameters and counters"
+		},
+		func(ck *Checkpoint) string {
+			ck.Shards[0].Retired[2] = !ck.Shards[0].Retired[2]
+			return "shard 0's retired flags"
+		},
+		func(ck *Checkpoint) string {
+			i, sc := shardWith(ck, func(sc *ShardCheckpoint) bool { return len(sc.Subs) > 0 })
+			sc.Subs[0].ShortLived++
+			return fmt.Sprintf("shard %d's subscriptions, record 0 (%s against %[2]s)", i, sc.Subs[0].ID)
+		},
+		func(ck *Checkpoint) string {
+			i, sc := shardWith(ck, func(sc *ShardCheckpoint) bool { return len(sc.Accs) > 1 })
+			sc.Accs[1].Last /= 2
+			return fmt.Sprintf("shard %d's accumulators, record 1 (VM %d against VM %[2]d)", i, sc.Accs[1].Idx)
+		},
+		func(ck *Checkpoint) string {
+			i, sc := shardWith(ck, func(sc *ShardCheckpoint) bool { return len(sc.Accs) > 1 })
+			n := len(sc.Accs)
+			sc.Accs = sc.Accs[:1]
+			return fmt.Sprintf("shard %d's accumulators: 1 records against %d", i, n)
+		},
+	} {
+		ck, err := ReadCheckpoint(bytes.NewReader(base), tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := mut(ck)
+		var changed bytes.Buffer
+		if _, err := writeCheckpoint(&changed, tr, ck); err != nil {
+			t.Fatal(err)
+		}
+		if err := DiffCheckpoints(tr, changed.Bytes(), base); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("difference reported as %v, want it to name %q", err, want)
+		}
+	}
+}
+
+// shardWith returns the first shard of ck that ok accepts.
+func shardWith(ck *Checkpoint, ok func(*ShardCheckpoint) bool) (int, *ShardCheckpoint) {
+	for i, sc := range ck.Shards {
+		if ok(sc) {
+			return i, sc
+		}
+	}
+	panic("no shard qualifies")
 }
