@@ -74,7 +74,9 @@ func checkpointBytes(t testing.TB) []byte {
 // FuzzReadCheckpoint decodes mutated snapshot bytes. Checkpoint files are
 // read back across process restarts, so a bit flip on disk must surface as
 // an error — never a panic in ReadCheckpoint, and never a panic or hang in
-// the RestoreEngine that consumes an accepted checkpoint.
+// the RestoreEngine that consumes an accepted checkpoint. Resume is the
+// identity on state: the engine restored from an accepted file writes that
+// file back byte for byte.
 func FuzzReadCheckpoint(f *testing.F) {
 	valid := checkpointBytes(f)
 	f.Add(valid)
@@ -95,6 +97,17 @@ func FuzzReadCheckpoint(f *testing.F) {
 		ck, err := ReadCheckpoint(bytes.NewReader(data), tr)
 		if err != nil {
 			return // rejection is the common, correct outcome
+		}
+		if eng, err := RestoreEngine(tr, Options{}, ck); err == nil {
+			var again bytes.Buffer
+			err := eng.WriteCheckpoint(&again)
+			eng.Abort()
+			if err != nil {
+				t.Fatalf("restored engine cannot write its checkpoint: %v", err)
+			}
+			if !bytes.Equal(again.Bytes(), data) {
+				t.Fatalf("accepted a %d-byte checkpoint whose restored engine writes %d different bytes", len(data), again.Len())
+			}
 		}
 		restoreAndFinish(t, tr, ck)
 	})
