@@ -50,7 +50,9 @@
 #                      Extract fingerprint pin and self-merge fixed point
 #   make diffcheck   — differential gauntlet: 25 randomized trials holding the
 #                      batch extractor and the streaming pipeline against each
-#                      other through fault injection, kill/resume, and
+#                      other through fault injection, kill/resume (the
+#                      resumed engine's checkpoint byte-equal to an
+#                      uninterrupted twin's at five points), and
 #                      shard-invariance (sharded runs bit-exact to shards=1),
 #                      10 serverless-family trials pinning dominant-class
 #                      agreement at 100% on lossless runs, plus 5

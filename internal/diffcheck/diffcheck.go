@@ -294,13 +294,11 @@ type streamRun struct {
 	stateChecks int
 }
 
-// stateChecks are the steps after the kill, and the sentinel for after
-// Finish, at which a kill trial holds the resumed engine's checkpoint to its
-// uninterrupted twin's: the restore itself, the next step, the next hour's
+// stateCheckSteps are the steps after the kill at which a kill trial holds
+// the resumed engine's checkpoint to its uninterrupted twin's, as it does
+// again after Finish: the restore itself, the next step, the next hour's
 // fold on the five-minute grid, and well past the reorder ring.
-var stateChecks = []int{0, 1, 12, 100, finished}
-
-const finished = -1
+var stateCheckSteps = []int{0, 1, 12, 100}
 
 // runStream replays the trace into a fresh engine (single or sharded per
 // tl.Shards), optionally through the fault injector, and — on kill trials
@@ -308,7 +306,7 @@ const finished = -1
 // and finishes on the restored instance. The killed engine lives on as the
 // resumed one's uninterrupted twin, fed a copy of every later batch, and
 // the two engines' checkpoints must be equal byte for byte at each of
-// stateChecks: resume is the identity on state, not only on the final
+// stateCheckSteps and after Finish: resume is the identity on state, not only on the final
 // knowledge base, so a restore that gets state wrong that no later fold
 // reads still shows.
 func runStream(tr *trace.Trace, tl Trial, spec faultgen.Spec) (*streamRun, error) {
@@ -335,7 +333,7 @@ func runStream(tr *trace.Trace, tl Trial, spec faultgen.Spec) (*streamRun, error
 
 	run := &streamRun{lossless: spec.Drop == 0 && spec.Corrupt == 0}
 	var twin stream.Engine
-	killStep, checks := -1, stateChecks
+	killStep, checks := -1, stateCheckSteps
 	compare := func(at string) error {
 		var want, got bytes.Buffer
 		if err := twin.WriteCheckpoint(&want); err != nil {
@@ -379,7 +377,7 @@ func runStream(tr *trace.Trace, tl Trial, spec faultgen.Spec) (*streamRun, error
 			resumed.SetRecycler(src.Recycle)
 			twin, eng = eng, resumed
 		}
-		for twin != nil && checks[0] != finished && step >= killStep+checks[0] {
+		for twin != nil && len(checks) > 0 && step >= killStep+checks[0] {
 			if err := compare(fmt.Sprintf("kill step %d + %d", killStep, checks[0])); err != nil {
 				return nil, err
 			}

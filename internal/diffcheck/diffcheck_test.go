@@ -136,9 +136,9 @@ func TestComparatorDetectsMutation(t *testing.T) {
 }
 
 // TestKillTrialComparesResumedState pins that a kill trial holds the
-// resumed engine's checkpoint to its uninterrupted twin's at every point of
-// stateChecks, sharded and not, and that a difference there is a trial
-// divergence.
+// resumed engine's checkpoint to its uninterrupted twin's at each of
+// stateCheckSteps and after Finish, sharded and not, and that a difference
+// there is a trial divergence.
 func TestKillTrialComparesResumedState(t *testing.T) {
 	cfg := Config{}.withDefaults()
 	for _, shards := range []int{0, 2} {
@@ -147,8 +147,8 @@ func TestKillTrialComparesResumedState(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if run.stateChecks != len(stateChecks) || len(run.stateDiffs) != 0 {
-			t.Fatalf("shards=%d: %d state comparisons, want %d; differences: %v", shards, run.stateChecks, len(stateChecks), run.stateDiffs)
+		if want := len(stateCheckSteps) + 1; run.stateChecks != want || len(run.stateDiffs) != 0 {
+			t.Fatalf("shards=%d: %d state comparisons, want %d; differences: %v", shards, run.stateChecks, want, run.stateDiffs)
 		}
 		run.stateDiffs = []string{"after Finish: planted"}
 		res := compareTrial(tl, tr, batch, run, cfg.MaxDivergencesPerTrial)

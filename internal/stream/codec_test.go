@@ -159,7 +159,7 @@ const (
 	fixtureFingerprint = "fnv1a:c9132025817be381"
 )
 
-// TestCheckpointFixtureV6 is the compatibility anchor (DESIGN.md §11): a v6
+// TestCheckpointFixtureV6 is the compatibility anchor (DESIGN.md §8): a v6
 // file written by the build that introduced the format must load, resume
 // and finish on the same knowledge base in every later build. Never
 // regenerate the file to make this pass; a build that cannot read it has

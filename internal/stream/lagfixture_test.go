@@ -63,7 +63,7 @@ const (
 )
 
 // TestCheckpointFixtureV6ServerlessLags8 holds the compatibility promise
-// (DESIGN.md §11) for serverless files written while every serverless
+// (DESIGN.md §8) for serverless files written while every serverless
 // sketch tracked the CPU family's eight lags and a 2160-sample ring. The
 // file must load, resume and finish on the uninterrupted run's knowledge
 // base, and the engine restored from it must encode exactly as this
